@@ -105,15 +105,13 @@ SECTIONS = (
     (
         "Search kernels",
         "The Figure-2 network expansion over the flat-array CSR snapshot, "
-        "the batched bucket-queue (dial) and compiled (native) entry "
-        "points, the legacy dict-based twin, the kernel registry that "
-        "names and validates all of them, and the work counters they "
-        "report.",
+        "the batched entry point every monitor tick flushes through, the "
+        "kernel registry that names and validates its three settle "
+        "engines (csr, dial, native), and the work counters they report.",
         (
             "expand_knn",
             "expand_knn_batch",
             "ExpansionRequest",
-            "expand_knn_legacy",
             "SearchCounters",
             "KernelSpec",
             "registered_kernels",

@@ -23,8 +23,9 @@ Performance architecture.  The expansion hot path (:func:`expand_knn`)
 runs over a flat-array CSR snapshot of the network
 (:func:`csr_snapshot` / :class:`CSRGraph`): dense integer indices,
 parallel adjacency columns, a C-level binary heap, and incremental weight
-refresh on ``set_edge_weight``.  The original dict-based search is kept as
-:func:`expand_knn_legacy` for differential testing and benchmarking.
+refresh on ``set_edge_weight``.  Every monitor's tick is collect-then-flush
+— one :func:`expand_knn_batch` call per tick — and ``kernel=`` picks only
+the settle engine that serves it (``"csr"``, ``"dial"`` or ``"native"``).
 
 High-volume feeds use the server's batched ingestion path —
 ``add_objects_at([...])`` / ``move_objects_at([...])`` snap whole
@@ -97,7 +98,6 @@ from repro.core import (
     expand_knn,
     expand_knn_batch,
     ExpansionRequest,
-    expand_knn_legacy,
     knn,
     range_query,
     restore_server,
@@ -194,7 +194,6 @@ __all__ = [
     "expand_knn",
     "expand_knn_batch",
     "ExpansionRequest",
-    "expand_knn_legacy",
     "evaluate_aggregates",
     "DedupFrontend",
     "DedupStats",

@@ -14,9 +14,7 @@ from repro.core.events import (
 from repro.core.expansion import (
     ExpansionState,
     compute_influence_map,
-    compute_influence_map_legacy,
     object_distance_csr,
-    object_distance_via_state,
 )
 from repro.core.gma import GmaMonitor
 from repro.core.ima import ImaMonitor
@@ -39,7 +37,6 @@ from repro.core.search import (
     expand_knn,
     expand_knn_batch,
 )
-from repro.core.search_legacy import expand_knn_legacy
 from repro.core.server import ALGORITHMS, MonitoringServer, restore_server
 from repro.core.sharding import ShardedMonitoringServer
 from repro.core.worker import shard_of
@@ -56,9 +53,7 @@ __all__ = [
     "decode_batch",
     "ExpansionState",
     "compute_influence_map",
-    "compute_influence_map_legacy",
     "object_distance_csr",
-    "object_distance_via_state",
     "InfluenceIndex",
     "KnnResult",
     "NeighborList",
@@ -68,7 +63,6 @@ __all__ = [
     "expand_knn",
     "expand_knn_batch",
     "ExpansionRequest",
-    "expand_knn_legacy",
     "QuerySpec",
     "knn",
     "range_query",

@@ -30,9 +30,10 @@ from repro.exceptions import (
     InvalidQueryError,
     UnknownQueryError,
 )
+from repro.network.csr import CSRGraph
 from repro.network.edge_table import EdgeTable
-from repro.network.kernels import DEFAULT_KERNEL
 from repro.network.graph import NetworkLocation, RoadNetwork
+from repro.network.kernels import DEFAULT_KERNEL, resolve_kernel
 
 
 @dataclass
@@ -70,9 +71,23 @@ class MonitorBase(abc.ABC):
         network: RoadNetwork,
         edge_table: EdgeTable,
         counters: Optional[SearchCounters] = None,
+        kernel: str = DEFAULT_KERNEL,
     ) -> None:
+        """Create the monitor.
+
+        Args:
+            network: the shared road network.
+            edge_table: the shared data-object table.
+            counters: optional work counters shared with a caller.
+            kernel: registry name of the settle engine every expansion is
+                forwarded to (see :mod:`repro.network.kernels`); an unknown
+                name raises :class:`~repro.exceptions.UnknownKernelError`.
+        """
         self._network = network
         self._edge_table = edge_table
+        self._kernel = resolve_kernel(kernel).name
+        #: CSR snapshot acquired once per processed batch (None outside).
+        self._batch_csr: Optional[CSRGraph] = None
         self._results: Dict[int, KnnResult] = {}
         self._query_spec: Dict[int, QuerySpec] = {}
         self._query_location: Dict[int, NetworkLocation] = {}
@@ -82,6 +97,11 @@ class MonitorBase(abc.ABC):
         #: shared :meth:`_refresh_aggregates` policy (IMA and GMA register
         #: ids here; OVH and the oracle recompute everything anyway).
         self._aggregates: Set[int] = set()
+
+    @property
+    def kernel(self) -> str:
+        """This monitor's registry kernel name (see :mod:`repro.network.kernels`)."""
+        return self._kernel
 
     # ------------------------------------------------------------------
     # registration
@@ -318,8 +338,8 @@ class MonitorBase(abc.ABC):
                 (self._query_location[query_id], self._query_spec[query_id])
                 for query_id in stale_ids
             ],
-            kernel=getattr(self, "_kernel", DEFAULT_KERNEL),
-            csr=getattr(self, "_batch_csr", None),
+            kernel=self._kernel,
+            csr=self._batch_csr,
             counters=self._counters,
         )
         for query_id, (neighbors, radius) in zip(stale_ids, evaluations):
@@ -328,19 +348,14 @@ class MonitorBase(abc.ABC):
         return changed
 
     def _evaluate_aggregate(self, location: NetworkLocation, spec: QuerySpec):
-        """Per-point expansions merged under the spec's aggregate function.
-
-        Reads the subclass's ``_kernel`` / per-batch ``_batch_csr`` when
-        present (IMA and GMA define both) and falls back to the default
-        kernel with a per-call snapshot lookup otherwise.
-        """
+        """Per-point expansions merged under the spec's aggregate function."""
         return evaluate_aggregate(
             self._network,
             self._edge_table,
             location,
             spec,
-            kernel=getattr(self, "_kernel", DEFAULT_KERNEL),
-            csr=getattr(self, "_batch_csr", None),
+            kernel=self._kernel,
+            csr=self._batch_csr,
             counters=self._counters,
         )
 

@@ -37,7 +37,6 @@ from repro.utils.intervals import (
     Spans,
     influence_spans,
     merge_spans,
-    point_distance_via_endpoints,
     point_spans,
 )
 
@@ -214,74 +213,25 @@ class ExpansionState:
 _MISSING = object()
 
 
-def compute_influence_map_legacy(
-    network: RoadNetwork,
-    state: ExpansionState,
-    radius: float,
-    query_location: Optional[NetworkLocation] = None,
-) -> Dict[int, Spans]:
-    """Dict-walking reference implementation of :func:`compute_influence_map`.
-
-    Kept verbatim from before the CSR port for differential testing: it must
-    produce exactly the same ``edge_id -> spans`` mapping as the flat-array
-    version (the spans are pure functions of the same endpoint distances).
-    """
-    influences: Dict[int, Spans] = {}
-    seen_edges: Set[int] = set()
-    node_dist = state.node_dist
-
-    for node_id, dist in node_dist.items():
-        if dist > radius:
-            continue
-        for edge_id in network.incident_edges(node_id):
-            if edge_id in seen_edges:
-                continue
-            seen_edges.add(edge_id)
-            edge = network.edge(edge_id)
-            spans = influence_spans(
-                edge.weight,
-                node_dist.get(edge.start, float("inf")),
-                node_dist.get(edge.end, float("inf")),
-                radius,
-            )
-            if spans:
-                influences[edge_id] = spans
-
-    if query_location is not None:
-        edge = network.edge(query_location.edge_id)
-        own = point_spans(edge.weight, query_location.offset(edge.weight), radius)
-        endpoint_based = influence_spans(
-            edge.weight,
-            node_dist.get(edge.start, float("inf")),
-            node_dist.get(edge.end, float("inf")),
-            radius,
-        )
-        combined = merge_spans(own, endpoint_based)
-        if combined:
-            influences[query_location.edge_id] = combined
-
-    return influences
-
-
 def compute_influence_maps(
     network: RoadNetwork,
     jobs: List[tuple],
     csr: Optional["CSRGraph"] = None,
-    support=None,
 ) -> Dict[object, Dict[int, Spans]]:
     """Batched :func:`compute_influence_map`: one call per flushed tick.
 
     *jobs* is a list of ``(key, state, radius, query_location)`` tuples; the
-    result maps each *key* to its influence map.  One snapshot refresh and
-    one :meth:`~repro.network.csr.CSRGraph.dial_support` lookup are shared
-    by the whole batch, and every job with a finite radius and a
-    large-enough tree runs through the numpy-vectorized span computation of
-    :mod:`repro.network.dial`.
+    result maps each *key* to its influence map.  One snapshot refresh is
+    shared by the whole batch.  The flush never builds a
+    :class:`~repro.network.dial.DialSupport`: when the tick's engine already
+    built one for the current weights (dial and native do, inside
+    :func:`~repro.core.search.expand_knn_batch`) the large finite-radius
+    jobs take the numpy-vectorized span path over it, otherwise every job
+    runs the scalar loop — the two are element-wise identical.
     """
     if csr is None:
         csr = csr_snapshot(network)
-    if support is None:
-        support = csr.dial_support()
+    support = csr.current_dial_support()
     return {
         key: compute_influence_map(
             network, state, radius, query_location, csr=csr, support=support
@@ -312,10 +262,9 @@ def compute_influence_map(
     conservative and therefore correct.
 
     The edge walk runs over the CSR snapshot's incidence columns (pass a
-    pre-refreshed *csr* to skip the per-call staleness check); the dict-based
-    original is preserved as :func:`compute_influence_map_legacy`.  When a
+    pre-refreshed *csr* to skip the per-call staleness check).  When a
     :class:`~repro.network.dial.DialSupport` with numpy mirrors is supplied
-    (the dial kernel's flush path), large finite-radius trees run through
+    (see :func:`compute_influence_maps`), large finite-radius trees run through
     :func:`~repro.network.dial.influence_spans_vectorized`, whose span
     arithmetic is element-wise identical to the scalar loop below.
     """
@@ -426,8 +375,17 @@ def _overlay_query_edge(
     return influences
 
 
-def object_distance_via_state(
-    network: RoadNetwork,
+def edge_offset(csr: "CSRGraph", location: NetworkLocation) -> float:
+    """Travel-cost offset of *location* from its edge's start node.
+
+    The helper behind the monitors' update filtering: reads the weight off
+    the CSR columns of the tick's snapshot.
+    """
+    return location.fraction * csr.edge_weight[csr.index_of_edge(location.edge_id)]
+
+
+def object_distance_csr(
+    csr: "CSRGraph",
     state: ExpansionState,
     location: NetworkLocation,
     query_location: Optional[NetworkLocation] = None,
@@ -439,48 +397,7 @@ def object_distance_via_state(
     object shares the query's edge, the direct along-edge distance.  For
     objects inside the influence region this value is exact (see the
     incoming-object argument in :mod:`repro.core.ima`); outside it, it is an
-    upper bound.
-
-    This is the dict-walking reference; the monitoring hot paths use
-    :func:`object_distance_csr`, which computes the identical value off the
-    flat-array snapshot.
-    """
-    edge = network.edge(location.edge_id)
-    offset = location.offset(edge.weight)
-    distance = point_distance_via_endpoints(
-        edge.weight, offset, state.distance(edge.start), state.distance(edge.end)
-    )
-    if query_location is not None and query_location.edge_id == location.edge_id:
-        direct = abs(location.fraction - query_location.fraction) * edge.weight
-        distance = min(distance, direct)
-    return distance
-
-
-def edge_offset(
-    network: RoadNetwork, location: NetworkLocation, csr: Optional["CSRGraph"] = None
-) -> float:
-    """Travel-cost offset of *location* from its edge's start node.
-
-    The kernel-dispatched helper behind the monitors' update filtering:
-    reads the weight off the CSR columns when a snapshot is supplied, off
-    the network's edge record otherwise.
-    """
-    if csr is not None:
-        return location.fraction * csr.edge_weight[csr.index_of_edge(location.edge_id)]
-    return location.offset(network.edge(location.edge_id).weight)
-
-
-def object_distance_csr(
-    csr: "CSRGraph",
-    state: ExpansionState,
-    location: NetworkLocation,
-    query_location: Optional[NetworkLocation] = None,
-) -> float:
-    """Flat-array version of :func:`object_distance_via_state` (hot path).
-
-    Identical semantics and arithmetic; the edge endpoints and weight come
-    from the CSR columns instead of an :class:`~repro.network.graph.Edge`
-    dataclass lookup.
+    upper bound.  The edge endpoints and weight come from the CSR columns.
     """
     position = csr.index_of_edge(location.edge_id)
     weight = csr.edge_weight[position]

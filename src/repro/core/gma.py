@@ -40,7 +40,6 @@ from repro.core.base import MonitorBase
 from repro.core.events import UpdateBatch
 from repro.core.expansion import (
     compute_influence_map,
-    compute_influence_map_legacy,
     compute_influence_maps,
     edge_offset,
 )
@@ -48,11 +47,14 @@ from repro.core.ima import ImaMonitor
 from repro.core.influence import InfluenceIndex
 from repro.core.queries import QuerySpec
 from repro.core.results import KnnResult, Neighbor
-from repro.core.search import ExpansionRequest, SearchCounters, expand_knn, expand_knn_batch
-from repro.core.search_legacy import expand_knn_legacy
+from repro.core.search import ExpansionRequest, SearchCounters, expand_knn_batch
+
+# No caller here (every search goes through expand_knn_batch), but
+# benchmarks/e2e/launch.py resolves it as a module global under --trace 1.
+from repro.core.search import expand_knn  # noqa: F401
 from repro.exceptions import UnknownQueryError
-from repro.network.kernels import DEFAULT_KERNEL, KERNEL_LEGACY, resolve_kernel
-from repro.network.csr import CSRGraph, csr_snapshot
+from repro.network.kernels import DEFAULT_KERNEL
+from repro.network.csr import csr_snapshot
 from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation, RoadNetwork
 from repro.network.sequences import SequenceTable
@@ -89,24 +91,17 @@ class GmaMonitor(MonitorBase):
             network: the shared road network.
             edge_table: the shared data-object table.
             counters: optional work counters shared with a caller.
-            kernel: ``"csr"`` (default) evaluates queries and refreshes
-                influence regions over the flat-array snapshot (refreshed
-                once per batch); the batch kernels (``"dial"`` and the
-                compiled ``"native"``) gather all affected queries of a tick
-                into one batched kernel call on the selected engine followed
-                by a bulk influence flush (identical results); ``"legacy"``
-                keeps the dict-walking paths for differential testing.  The
-                inner active-node monitor runs on the same kernel.  An
-                unknown name raises
+            kernel: the settle engine — ``"csr"`` (default, binary heap),
+                ``"dial"`` (bucket queue) or the compiled ``"native"``.  A
+                tick is collect-then-flush for every kernel: all affected
+                queries of a tick are gathered into one
+                :func:`~repro.core.search.expand_knn_batch` call on the
+                named engine followed by a bulk influence flush, with
+                identical results.  The inner active-node monitor runs on
+                the same kernel.  An unknown name raises
                 :class:`~repro.exceptions.UnknownKernelError`.
         """
-        super().__init__(network, edge_table, counters)
-        spec = resolve_kernel(kernel)
-        self._kernel = spec.name
-        self._use_csr = spec.name != KERNEL_LEGACY
-        self._use_batch = spec.batch
-        self._batch_csr: Optional[CSRGraph] = None
-        self._batch_support = None
+        super().__init__(network, edge_table, counters, kernel)
         self._sequences = SequenceTable(network)
         # Active-node k-NN sets are maintained with the IMA machinery; the
         # inner monitor shares our counters so that the reported work is the
@@ -125,11 +120,6 @@ class GmaMonitor(MonitorBase):
     # ------------------------------------------------------------------
     # introspection helpers
     # ------------------------------------------------------------------
-    @property
-    def kernel(self) -> str:
-        """This monitor's registry kernel name (see :mod:`repro.network.kernels`)."""
-        return self._kernel
-
     @property
     def sequence_table(self) -> SequenceTable:
         """The sequence decomposition used for grouping (read-only use)."""
@@ -185,13 +175,10 @@ class GmaMonitor(MonitorBase):
             self._detach_from_sequence(query_id, sequence_id)
 
     def _process(self, batch: UpdateBatch) -> Set[int]:
-        if self._use_csr:
-            # One snapshot lookup/refresh per batch, shared by every
-            # barrier-bounded evaluation and influence refresh below (the
-            # inner active-node monitor acquires the same cached snapshot).
-            self._batch_csr = csr_snapshot(self._network)
-            if self._use_batch:
-                self._batch_support = self._batch_csr.dial_support()
+        # One snapshot lookup/refresh per batch, shared by every
+        # barrier-bounded evaluation and influence refresh below (the inner
+        # active-node monitor acquires the same cached snapshot).
+        self._batch_csr = csr_snapshot(self._network)
         try:
             changed = self._process_updates(batch)
             if self._aggregates:
@@ -199,7 +186,6 @@ class GmaMonitor(MonitorBase):
             return changed
         finally:
             self._batch_csr = None
-            self._batch_support = None
 
     def _process_updates(self, batch: UpdateBatch) -> Set[int]:
         changed: Set[int] = set()
@@ -256,7 +242,7 @@ class GmaMonitor(MonitorBase):
                     continue
                 affected |= self._influence.subscribers_at_point(
                     location.edge_id,
-                    edge_offset(self._network, location, self._batch_csr),
+                    edge_offset(self._batch_csr, location),
                 )
         for update in batch.edge_updates:
             # Zero-copy view: this collection loop only reads the index.
@@ -274,66 +260,39 @@ class GmaMonitor(MonitorBase):
                     affected.add(query_id)
 
         # Step 4 — recompute every affected query from scratch, seeded with
-        # the active-node results of its sequence.  The dial kernel flushes
-        # all of them through one batched kernel call plus one bulk
-        # influence refresh; per-query kernels evaluate in place.
-        if self._use_batch:
-            query_ids: List[int] = []
-            requests: List[ExpansionRequest] = []
-            for query_id in affected:
-                spec = self._live_expansion_spec(query_id)
-                if spec is None:
-                    continue
-                location = self._query_location[query_id]
-                query_ids.append(query_id)
-                if spec.kind == "range":
-                    requests.append(
-                        ExpansionRequest(
-                            k=1, query_location=location, fixed_radius=spec.radius
-                        )
-                    )
-                else:
-                    requests.append(
-                        ExpansionRequest(
-                            k=spec.k,
-                            query_location=location,
-                            barrier_candidates=self._barrier_candidates_for(
-                                location, spec.k
-                            ),
-                        )
-                    )
-            if not requests:
-                return changed
-            outcomes = expand_knn_batch(
-                self._network,
-                self._edge_table,
-                requests,
-                counters=self._counters,
-                csr=self._batch_csr,
-                kernel=self._kernel,
-            )
-            maps = compute_influence_maps(
-                self._network,
-                [
-                    (query_id, outcome.state, outcome.radius, request.query_location)
-                    for query_id, request, outcome in zip(query_ids, requests, outcomes)
-                ],
-                csr=self._batch_csr,
-                support=self._batch_support,
-            )
-            self._influence.replace_subscribers(maps)
-            for query_id, outcome in zip(query_ids, outcomes):
-                if self._store_result(query_id, outcome.neighbors, outcome.radius):
-                    changed.add(query_id)
-            return changed
-
+        # the active-node results of its sequence: one batched kernel call
+        # plus one bulk influence refresh.
+        query_ids: List[int] = []
+        requests: List[ExpansionRequest] = []
         for query_id in affected:
             spec = self._live_expansion_spec(query_id)
             if spec is None:
                 continue
-            location = self._query_location[query_id]
-            neighbors, radius = self._evaluate_query(query_id, location, spec)
-            if self._store_result(query_id, neighbors, radius):
+            query_ids.append(query_id)
+            requests.append(
+                self._request_for(self._query_location[query_id], spec)
+            )
+        if not requests:
+            return changed
+        outcomes = expand_knn_batch(
+            self._network,
+            self._edge_table,
+            requests,
+            counters=self._counters,
+            csr=self._batch_csr,
+            kernel=self._kernel,
+        )
+        maps = compute_influence_maps(
+            self._network,
+            [
+                (query_id, outcome.state, outcome.radius, request.query_location)
+                for query_id, request, outcome in zip(query_ids, requests, outcomes)
+            ],
+            csr=self._batch_csr,
+        )
+        self._influence.replace_subscribers(maps)
+        for query_id, outcome in zip(query_ids, outcomes):
+            if self._store_result(query_id, outcome.neighbors, outcome.radius):
                 changed.add(query_id)
         return changed
 
@@ -404,10 +363,8 @@ class GmaMonitor(MonitorBase):
     # ------------------------------------------------------------------
     # per-query evaluation
     # ------------------------------------------------------------------
-    def _evaluate_query(
-        self, query_id: int, location: NetworkLocation, spec: QuerySpec
-    ) -> Tuple[List[Neighbor], float]:
-        """Evaluate one query: in-sequence expansion bounded by active nodes.
+    def _request_for(self, location: NetworkLocation, spec: QuerySpec) -> ExpansionRequest:
+        """The expansion request of one query: in-sequence, bounded by active nodes.
 
         For a k-NN query the expansion stops at the sequence's monitored
         endpoints (the *barriers*), merging their k-NN sets instead of
@@ -417,69 +374,29 @@ class GmaMonitor(MonitorBase):
         endpoint's monitored k-NN set cannot cover an arbitrary radius);
         GMA's contribution for it is the influence-interval *detection* of
         which ticks require re-evaluation at all.
-
-        Runs over the batch's CSR snapshot; :meth:`_evaluate_query_legacy`
-        preserves the dict path for differential testing.
         """
-        if not self._use_csr:
-            return self._evaluate_query_legacy(query_id, location, spec)
-        is_range = spec.kind == "range"
-        barriers = None if is_range else self._barrier_candidates_for(location, spec.k)
-        fixed_radius = spec.radius if is_range else None
-        if self._use_batch:
-            [outcome] = expand_knn_batch(
-                self._network,
-                self._edge_table,
-                [
-                    ExpansionRequest(
-                        k=spec.k,
-                        query_location=location,
-                        barrier_candidates=barriers,
-                        fixed_radius=fixed_radius,
-                    )
-                ],
-                counters=self._counters,
-                csr=self._batch_csr,
-                kernel=self._kernel,
+        if spec.kind == "range":
+            return ExpansionRequest(
+                k=1, query_location=location, fixed_radius=spec.radius
             )
-        else:
-            outcome = expand_knn(
-                self._network,
-                self._edge_table,
-                spec.k,
-                query_location=location,
-                barrier_candidates=barriers,
-                counters=self._counters,
-                csr=self._batch_csr,
-                fixed_radius=fixed_radius,
-            )
-        influences = compute_influence_map(
-            self._network,
-            outcome.state,
-            outcome.radius,
-            location,
-            csr=self._batch_csr,
-            support=self._batch_support,
+        return ExpansionRequest(
+            k=spec.k,
+            query_location=location,
+            barrier_candidates=self._barrier_candidates_for(location, spec.k),
         )
-        self._influence.replace_subscriber(query_id, influences)
-        return outcome.neighbors, outcome.radius
 
-    def _evaluate_query_legacy(
+    def _evaluate_query(
         self, query_id: int, location: NetworkLocation, spec: QuerySpec
     ) -> Tuple[List[Neighbor], float]:
-        """Dict-walking barrier-bounded evaluation, kept for differential tests."""
-        is_range = spec.kind == "range"
-        barriers = None if is_range else self._barrier_candidates_for(location, spec.k)
-        outcome = expand_knn_legacy(
+        """Evaluate one newly installed query and register its influence region."""
+        [outcome] = expand_knn_batch(
             self._network,
             self._edge_table,
-            spec.k,
-            query_location=location,
-            barrier_candidates=barriers,
+            [self._request_for(location, spec)],
             counters=self._counters,
-            fixed_radius=spec.radius if is_range else None,
+            kernel=self._kernel,
         )
-        influences = compute_influence_map_legacy(
+        influences = compute_influence_map(
             self._network, outcome.state, outcome.radius, location
         )
         self._influence.replace_subscriber(query_id, influences)

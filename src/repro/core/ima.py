@@ -28,9 +28,16 @@ Processing order within a timestamp follows Figure 10 of the paper:
    otherwise the new result is read directly off the maintained candidates
    (and the tree shrinks to the smaller radius).
 
+Every tick is collect-then-flush, whatever the kernel: steps 2-3 collect the
+edge updates per affected query and prune each tree once, step 6 gathers the
+resumed and fresh expansions into one
+:func:`~repro.core.search.expand_knn_batch` call (the ``kernel`` name is
+forwarded there and picks only the settle engine) and the touched influence
+regions are refreshed in one bulk flush.
+
 Exactness of the retained node distances in each pruning case is argued in
-the docstrings of the corresponding ``_prune_for_*`` methods and in
-:mod:`repro.core.expansion`.
+the docstrings of :meth:`ImaMonitor._flush_edge_prunes` and
+:meth:`ImaMonitor._prune_for_query_move` and in :mod:`repro.core.expansion`.
 """
 
 from __future__ import annotations
@@ -43,25 +50,21 @@ from repro.core.events import EdgeWeightUpdate, ObjectUpdate, UpdateBatch
 from repro.core.expansion import (
     ExpansionState,
     compute_influence_map,
-    compute_influence_map_legacy,
     compute_influence_maps,
     edge_offset,
     object_distance_csr,
-    object_distance_via_state,
 )
 from repro.core.influence import InfluenceIndex
 from repro.core.queries import QuerySpec
 from repro.core.results import KnnResult, Neighbor, NeighborList
-from repro.core.search import ExpansionRequest, expand_knn, expand_knn_batch
-from repro.core.search_legacy import expand_knn_legacy
+from repro.core.search import ExpansionRequest, expand_knn_batch
+
+# No caller here (every search goes through expand_knn_batch), but
+# benchmarks/e2e/launch.py resolves it as a module global under --trace 1.
+from repro.core.search import expand_knn  # noqa: F401
 from repro.exceptions import EdgeNotFoundError
 from repro.network.csr import CSRGraph, csr_snapshot
-from repro.network.kernels import (
-    DEFAULT_KERNEL,
-    KERNEL_LEGACY,
-    registered_kernels,
-    resolve_kernel,
-)
+from repro.network.kernels import DEFAULT_KERNEL, registered_kernels
 from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation, RoadNetwork
 
@@ -72,9 +75,8 @@ _EPS = 1e-9
 _UNRESOLVED = object()
 
 #: Valid values of the monitors' ``kernel`` constructor argument, straight
-#: from the kernel registry (see :mod:`repro.network.kernels`): the
-#: per-query CSR heap path, the batched bucket-queue engine, the compiled
-#: native engine and the dict-walking reference implementation.
+#: from the kernel registry (see :mod:`repro.network.kernels`): the CSR heap
+#: engine, the bucket-queue engine and the compiled native engine.
 KERNELS = registered_kernels()
 
 
@@ -127,8 +129,8 @@ class _Pending:
     decrease_delta: float = 0.0
     #: distance the query moved inside its tree this timestamp
     move_distance: float = 0.0
-    #: dial kernel only: edge updates collected for the one-pass prune flush
-    #: (None until the first update of that kind arrives)
+    #: edge updates collected for the one-pass prune flush (None until the
+    #: first update of that kind arrives)
     decreases: Optional[List[EdgeWeightUpdate]] = None
     increases: Optional[List[EdgeWeightUpdate]] = None
 
@@ -158,31 +160,18 @@ class ImaMonitor(MonitorBase):
             network: the shared road network.
             edge_table: the shared data-object table.
             counters: optional work counters shared with a caller.
-            kernel: ``"csr"`` (default) runs every search, influence refresh
-                and object-distance computation over the flat-array snapshot
-                of :mod:`repro.network.csr`, refreshed once per processed
-                batch; the batch kernels (``"dial"`` and the compiled
-                ``"native"``) additionally restructure each tick into
-                collect-then-flush form — edge prunes, resumed searches and
-                influence refreshes are gathered per tick and served by one
+            kernel: the settle engine — ``"csr"`` (default, binary heap),
+                ``"dial"`` (bucket queue) or the compiled ``"native"``.  A
+                tick is collect-then-flush for every kernel: edge prunes,
+                resumed searches and influence refreshes are gathered per
+                tick over the flat-array snapshot of
+                :mod:`repro.network.csr` and served by one
                 :func:`~repro.core.search.expand_knn_batch` call on the
-                selected engine (results identical to ``"csr"``);
-                ``"legacy"`` keeps the original dict-walking paths
-                (:func:`~repro.core.search_legacy.expand_knn_legacy` and the
-                ``*_legacy`` helpers), which the differential tests compare
-                against.  Validated against the registry of
-                :mod:`repro.network.kernels`; an unknown name raises
-                :class:`~repro.exceptions.UnknownKernelError`.
+                named engine, with identical results.  Validated against
+                the registry of :mod:`repro.network.kernels`; an unknown
+                name raises :class:`~repro.exceptions.UnknownKernelError`.
         """
-        super().__init__(network, edge_table, counters)
-        spec = resolve_kernel(kernel)
-        self._kernel = spec.name
-        self._use_csr = spec.name != KERNEL_LEGACY
-        self._use_batch = spec.batch
-        #: CSR snapshot acquired once per processed batch (None outside).
-        self._batch_csr: Optional[CSRGraph] = None
-        #: Dial quantization/numpy support of the batch snapshot (dial only).
-        self._batch_support = None
+        super().__init__(network, edge_table, counters, kernel)
         self._states: Dict[int, _QueryState] = {}
         self._influence = InfluenceIndex()
         # Aggregate k-NN queries (no expansion tree / influence entries)
@@ -192,11 +181,6 @@ class ImaMonitor(MonitorBase):
     # ------------------------------------------------------------------
     # introspection helpers (used by tests and memory accounting)
     # ------------------------------------------------------------------
-    @property
-    def kernel(self) -> str:
-        """This monitor's registry kernel name (see :mod:`repro.network.kernels`)."""
-        return self._kernel
-
     @property
     def influence_index(self) -> InfluenceIndex:
         """The shared edge -> query influence index (read-only use)."""
@@ -250,13 +234,10 @@ class ImaMonitor(MonitorBase):
         self._aggregates.discard(query_id)
 
     def _process(self, batch: UpdateBatch) -> Set[int]:
-        if self._use_csr:
-            # One snapshot lookup/refresh per batch: every resumed search,
-            # influence refresh and object-distance computation below reuses
-            # it instead of re-checking staleness per query.
-            self._batch_csr = csr_snapshot(self._network)
-            if self._use_batch:
-                self._batch_support = self._batch_csr.dial_support()
+        # One snapshot lookup/refresh per batch: every resumed search,
+        # influence refresh and object-distance computation below reuses it
+        # instead of re-checking staleness per query.
+        self._batch_csr = csr_snapshot(self._network)
         try:
             changed = self._process_updates(batch)
             if self._aggregates:
@@ -264,11 +245,9 @@ class ImaMonitor(MonitorBase):
             return changed
         finally:
             self._batch_csr = None
-            self._batch_support = None
 
     def _process_updates(self, batch: UpdateBatch) -> Set[int]:
         pending: Dict[int, _Pending] = {}
-        changed: Set[int] = set()
 
         def pending_of(query_id: int) -> _Pending:
             entry = pending.get(query_id)
@@ -298,17 +277,16 @@ class ImaMonitor(MonitorBase):
         # Steps 2 and 3 — edge weight changes, decreases before increases
         # (processing an increase first could leave a stale subtree that a
         # concurrent decrease elsewhere has made reachable through a shorter
-        # path; see Section 4.5).  The dial kernel only *collects* the
-        # updates here and prunes each affected tree once in the flush below
-        # instead of once per (query, update) pair.
+        # path; see Section 4.5).  The updates are only *collected* here;
+        # the flush below prunes each affected tree once instead of once
+        # per (query, update) pair.
         decreases = [u for u in batch.edge_updates if u.is_decrease]
         increases = [u for u in batch.edge_updates if u.is_increase]
         for update in decreases:
             self._handle_edge_update(update, pending_of, decrease=True)
         for update in increases:
             self._handle_edge_update(update, pending_of, decrease=False)
-        if self._use_batch:
-            self._flush_edge_prunes(pending)
+        self._flush_edge_prunes(pending)
 
         # Step 4 — query movements inside the (already pruned) tree.
         for query_state, new_location in deferred_moves:
@@ -324,56 +302,15 @@ class ImaMonitor(MonitorBase):
         for update in batch.object_updates:
             self._handle_object_update(update, pending_of)
 
-        # Steps 6 and 7 — finalise.  The dial kernel gathers every resumed
-        # search and full recomputation into one batched kernel call plus one
-        # bulk influence flush; the per-query kernels finalise in place.
-        if self._use_batch:
-            return self._finalize_batch(pending)
-
-        # Step 6 — finalise incrementally maintained queries.  The fast path
-        # (no new expansion) is sound only when the maintained candidates
-        # still provide k neighbors *within the old radius* — the region the
-        # expansion tree has complete knowledge of; otherwise (an outgoing
-        # neighbor created a deficit, or the best available replacement lies
-        # beyond the old radius) the search resumes from the tree frontier.
-        for query_id, entry in pending.items():
-            if entry.full_recompute:
-                continue
-            query_state = self._states[query_id]
-            if entry.needs_resume or (
-                not query_state.is_range
-                and query_state.neighbors.radius > query_state.radius + _EPS
-            ):
-                self._resume_search(query_state, entry)
-            elif not query_state.is_range:
-                self._finalize_fast_path(query_state)
-            # A range query touched only by object updates is already final:
-            # the maintained candidate distances are exact and the radius —
-            # hence the tree and influence region — is pinned by the spec.
-            if self._store_result(
-                query_id, query_state.result_neighbors(), query_state.radius
-            ):
-                changed.add(query_id)
-
-        # Step 7 — full recomputations (queries that left their trees or
-        # whose own edge changed weight).
-        for query_id, entry in pending.items():
-            if not entry.full_recompute:
-                continue
-            query_state = self._states[query_id]
-            self._fresh_search(query_state)
-            if self._store_result(
-                query_id, query_state.result_neighbors(), query_state.radius
-            ):
-                changed.add(query_id)
-
-        return changed
+        # Steps 6 and 7 — finalise: every resumed search and full
+        # recomputation in one batched kernel call plus one bulk influence
+        # flush.
+        return self._finalize_batch(pending)
 
     # ------------------------------------------------------------------
     # update handling
     # ------------------------------------------------------------------
     def _handle_edge_update(self, update, pending_of, decrease: bool) -> None:
-        use_dial = self._use_batch
         # The zero-copy view is safe here: steps 2-5 only read the index
         # (influence entries change in the step-6/7 finalisation).
         for query_id in self._influence.subscribers_on_edge_view(update.edge_id):
@@ -388,39 +325,36 @@ class ImaMonitor(MonitorBase):
                 # effective position in travel-cost space; recompute.
                 entry.full_recompute = True
                 continue
-            if use_dial:
-                # Collect only; _flush_edge_prunes prunes each tree once.
-                if decrease:
-                    if entry.decreases is None:
-                        entry.decreases = [update]
-                    else:
-                        entry.decreases.append(update)
-                    entry.decrease_delta += update.old_weight - update.new_weight
+            # Collect only; _flush_edge_prunes prunes each tree once.
+            if decrease:
+                if entry.decreases is None:
+                    entry.decreases = [update]
                 else:
-                    if entry.increases is None:
-                        entry.increases = [update]
-                    else:
-                        entry.increases.append(update)
-            elif decrease:
-                self._prune_for_edge_decrease(query_state, update)
+                    entry.decreases.append(update)
                 entry.decrease_delta += update.old_weight - update.new_weight
+            elif entry.increases is None:
+                entry.increases = [update]
             else:
-                self._prune_for_edge_increase(query_state, update)
+                entry.increases.append(update)
             entry.needs_resume = True
 
     def _flush_edge_prunes(self, pending: Dict[int, _Pending]) -> None:
         """One-pass tree prune per query from its collected edge updates.
 
-        The dial kernel's replacement for the per-(query, update) pruning of
-        :meth:`_prune_for_edge_decrease` / :meth:`_prune_for_edge_increase`:
-        instead of walking the tree once per affecting update, each affected
-        tree is pruned in a single DFS per tick.  The walk accumulates, per
-        node, the total delta of the *decreased tree edges* on its tree path
-        — the batch composition of the sequential subtree shifts — and keeps
-        node ``v`` at its shifted distance ``d'(v)`` iff its branch survives
-        every increase and ``d'(v) <= T``, where ``T`` is the minimum over
-        all collected decreases of ``min(d(start), d(end)) + new_weight``
-        (pre-update distances).  Retained distances are exact:
+        Steps 2 and 3 of the tick: each affected tree is pruned in a single
+        walk instead of once per affecting update.  A weight *increase* of a
+        tree edge discards the subtree below it (its nodes may now have
+        cheaper paths outside the old tree; the rest of the tree never used
+        the edge).  A weight *decrease* of a tree edge shifts the subtree
+        below it down by the weight delta (the paths keep their shape), and
+        any decrease bounds what else can be kept: a path that benefits from
+        the cheaper edge must first reach one of its endpoints without it.
+        The walk accumulates, per node, the total delta of the *decreased
+        tree edges* on its tree path and keeps node ``v`` at its shifted
+        distance ``d'(v)`` iff its branch survives every increase and
+        ``d'(v) <= T``, where ``T`` is the minimum over all collected
+        decreases of ``min(d(start), d(end)) + new_weight`` (pre-update
+        distances).  Retained distances are exact:
 
         * ``d'(v)`` is achievable — it is the old tree path re-costed under
           the new weights (subtrees below increased tree edges are skipped
@@ -434,11 +368,9 @@ class ImaMonitor(MonitorBase):
 
         ``d'`` grows along tree paths (each step adds the edge's *new*
         positive weight), so the keep-set is ancestor-closed and a branch
-        can be abandoned at the first node beyond ``T``.  Nodes the
-        per-update path would keep beyond ``T`` (shifted subtrees hanging
-        outside the threshold) are dropped and simply re-verified by the
-        resumed search — a retention-for-walks trade that cannot affect
-        results.
+        can be abandoned at the first node beyond ``T``.  Shifted subtrees
+        hanging outside the threshold are dropped and simply re-verified by
+        the resumed search, which cannot affect results.
         """
         network = self._network
         inf = float("inf")
@@ -547,7 +479,7 @@ class ImaMonitor(MonitorBase):
 
     def _edge_offset(self, location: NetworkLocation) -> float:
         """Travel-cost offset of *location* from its edge's start node."""
-        return edge_offset(self._network, location, self._batch_csr)
+        return edge_offset(self._batch_csr, location)
 
     def _object_distance(
         self,
@@ -555,13 +487,8 @@ class ImaMonitor(MonitorBase):
         location: NetworkLocation,
         query_location: Optional[NetworkLocation] = None,
     ) -> float:
-        """Kernel-dispatched :func:`object_distance_via_state` equivalent."""
-        if self._use_csr:
-            csr = self._batch_csr
-            if csr is None:
-                csr = csr_snapshot(self._network)
-            return object_distance_csr(csr, state, location, query_location)
-        return object_distance_via_state(self._network, state, location, query_location)
+        """:func:`object_distance_csr` over the tick's snapshot."""
+        return object_distance_csr(self._batch_csr, state, location, query_location)
 
     def _handle_object_update(self, update: ObjectUpdate, pending_of) -> None:
         old_affected: Set[int] = set()
@@ -604,56 +531,6 @@ class ImaMonitor(MonitorBase):
     # ------------------------------------------------------------------
     # pruning rules
     # ------------------------------------------------------------------
-    def _prune_for_edge_decrease(
-        self, query_state: _QueryState, update: EdgeWeightUpdate
-    ) -> None:
-        """Prune the tree after the weight of an affecting edge decreased.
-
-        Exactness argument: (i) nodes in the subtree below the updated tree
-        edge keep their path shape, so their distances shift down by exactly
-        the weight delta; (ii) any path that benefits from the cheaper edge
-        must first reach one of its endpoints without using it — paying at
-        least that endpoint's old distance — and then cross it, so no node
-        closer than ``min(d(start), d(end)) + new_weight`` can improve; those
-        nodes are kept, everything else is discarded and re-verified by the
-        resumed search.
-        """
-        state = query_state.state
-        edge = self._network.edge(update.edge_id)
-        delta = update.old_weight - update.new_weight
-        child = state.tree_edge_child(edge)
-        shifted: Set[int] = set()
-        if child is not None:
-            shifted = state.shift_subtree(child, -delta)
-        threshold = (
-            min(state.distance(edge.start), state.distance(edge.end))
-            + update.new_weight
-        )
-        keep = set(shifted)
-        keep.update(
-            node_id
-            for node_id, distance in state.node_dist.items()
-            if distance <= threshold + _EPS
-        )
-        state.keep_only(keep)
-
-    def _prune_for_edge_increase(
-        self, query_state: _QueryState, update: EdgeWeightUpdate
-    ) -> None:
-        """Prune the tree after the weight of an affecting edge increased.
-
-        The shortest paths of nodes outside the subtree below the updated
-        edge never traverse it (tree paths use tree edges only), and a weight
-        increase cannot create shorter alternatives, so those distances stay
-        exact.  The subtree below the edge may now have cheaper paths outside
-        the old tree and is discarded.
-        """
-        state = query_state.state
-        edge = self._network.edge(update.edge_id)
-        child = state.tree_edge_child(edge)
-        if child is not None:
-            state.prune_subtree(child)
-
     def _prune_for_query_move(
         self, query_state: _QueryState, new_location: NetworkLocation
     ) -> None:
@@ -707,7 +584,7 @@ class ImaMonitor(MonitorBase):
     # searches
     # ------------------------------------------------------------------
     def _finalize_batch(self, pending: Dict[int, _Pending]) -> Set[int]:
-        """Steps 6 and 7 in collect-then-flush form (the dial kernel).
+        """Steps 6 and 7 in collect-then-flush form.
 
         Gathers one :class:`~repro.core.search.ExpansionRequest` per query
         that needs a resumed or fresh expansion, runs them all through one
@@ -715,9 +592,16 @@ class ImaMonitor(MonitorBase):
         snapshot, then refreshes every touched influence region through one
         bulk :func:`~repro.core.expansion.compute_influence_maps` +
         :meth:`~repro.core.influence.InfluenceIndex.replace_subscribers`
-        flush.  Per-query decisions (fast path vs resume vs full recompute)
-        are identical to the per-query kernels, so the stored results are
-        too.
+        flush.
+
+        A query is finalised without a new expansion (the fast path) only
+        when the maintained candidates still provide k neighbors *within the
+        old radius* — the region the expansion tree has complete knowledge
+        of.  Otherwise (its tree was pruned, an outgoing neighbor created a
+        deficit, or the best available replacement lies beyond the old
+        radius) the search resumes from the tree frontier.  Queries that
+        left their trees or whose own edge changed weight are recomputed
+        from scratch.
         """
         changed: Set[int] = set()
         csr = self._batch_csr
@@ -745,13 +629,7 @@ class ImaMonitor(MonitorBase):
                 settled_states.append(query_state)
         for query_state in fresh_states:
             query_state.state = ExpansionState()
-            requests.append(
-                ExpansionRequest(
-                    k=query_state.k,
-                    query_location=query_state.location,
-                    fixed_radius=query_state.fixed_radius,
-                )
-            )
+            requests.append(self._fresh_request(query_state))
 
         refresh_jobs: List[tuple] = []
         if requests:
@@ -764,7 +642,7 @@ class ImaMonitor(MonitorBase):
                 kernel=self._kernel,
             )
             for query_state, outcome in zip(resume_states + fresh_states, outcomes):
-                self._adopt_outcome(query_state, outcome, refresh=False)
+                self._adopt_outcome(query_state, outcome)
                 refresh_jobs.append(
                     (
                         query_state.query_id,
@@ -774,7 +652,7 @@ class ImaMonitor(MonitorBase):
                     )
                 )
         for query_state in fast_states:
-            if self._finalize_fast_path(query_state, refresh=False):
+            if self._finalize_fast_path(query_state):
                 refresh_jobs.append(
                     (
                         query_state.query_id,
@@ -784,9 +662,7 @@ class ImaMonitor(MonitorBase):
                     )
                 )
         if refresh_jobs:
-            maps = compute_influence_maps(
-                self._network, refresh_jobs, csr=csr, support=self._batch_support
-            )
+            maps = compute_influence_maps(self._network, refresh_jobs, csr=csr)
             self._influence.replace_subscribers(maps)
 
         for query_state in resume_states + fast_states + settled_states + fresh_states:
@@ -799,12 +675,10 @@ class ImaMonitor(MonitorBase):
         return changed
 
     def _resume_candidates(
-        self, query_state: _QueryState, entry: Optional[_Pending], csr: CSRGraph
+        self, query_state: _QueryState, entry: _Pending, csr: CSRGraph
     ) -> List:
         """Re-usable result candidates of a resumed search, re-distanced.
 
-        Shared by the per-query resume path (:meth:`_resume_search`) and the
-        dial kernel's batched request builder (:meth:`_resume_request`).
         When the tree survived the tick intact (pure object-update deficit)
         the maintained distances are already exact and are reused as-is;
         otherwise every surviving candidate is re-distanced against the
@@ -815,8 +689,7 @@ class ImaMonitor(MonitorBase):
         resumed expansion corrects).
         """
         state = query_state.state
-        pruned = entry is not None and (entry.needs_resume or entry.move_distance > 0)
-        if not pruned:
+        if not (entry.needs_resume or entry.move_distance > 0):
             return list(query_state.neighbors)
         candidates: List = []
         locations_get = self._edge_table.locations.get
@@ -835,7 +708,7 @@ class ImaMonitor(MonitorBase):
                 continue
             position = edge_index.get(location.edge_id)
             if position is None:
-                # Same contract as object_distance_csr / the legacy path.
+                # Same contract as object_distance_csr.
                 raise EdgeNotFoundError(location.edge_id)
             weight = edge_weight[position]
             offset = location.fraction * weight
@@ -853,9 +726,18 @@ class ImaMonitor(MonitorBase):
         return candidates
 
     def _resume_request(
-        self, query_state: _QueryState, entry: Optional[_Pending], csr: CSRGraph
+        self, query_state: _QueryState, entry: _Pending, csr: CSRGraph
     ) -> ExpansionRequest:
-        """Build the batched-resume request of one query (dial kernel)."""
+        """Build the request that resumes one query from the valid part of its tree.
+
+        The maintained result candidates are re-used (see
+        :meth:`_resume_candidates`).  The candidate set is complete for
+        every object closer than ``old_radius - (weight decreases) - (query
+        movement)``, so edges lying entirely inside that radius need not be
+        re-scanned; the search is told so through ``coverage_radius`` and
+        only scans the boundary ("mark") edges plus newly explored
+        territory.
+        """
         state = query_state.state
         return ExpansionRequest(
             k=query_state.k,
@@ -867,144 +749,52 @@ class ImaMonitor(MonitorBase):
             fixed_radius=query_state.fixed_radius,
         )
 
+    @staticmethod
+    def _fresh_request(query_state: _QueryState) -> ExpansionRequest:
+        """The request that computes one query from scratch (Figure 2)."""
+        return ExpansionRequest(
+            k=query_state.k,
+            query_location=query_state.location,
+            fixed_radius=query_state.fixed_radius,
+        )
+
     def _fresh_search(self, query_state: _QueryState) -> None:
-        """Compute the query's result from scratch (Figure 2)."""
-        query_state.state = ExpansionState()
-        fixed_radius = query_state.fixed_radius
-        if self._use_batch:
-            [outcome] = expand_knn_batch(
-                self._network,
-                self._edge_table,
-                [
-                    ExpansionRequest(
-                        k=query_state.k,
-                        query_location=query_state.location,
-                        fixed_radius=fixed_radius,
-                    )
-                ],
-                counters=self._counters,
-                csr=self._batch_csr,
-                kernel=self._kernel,
-            )
-        elif self._use_csr:
-            outcome = expand_knn(
-                self._network,
-                self._edge_table,
-                query_state.k,
-                query_location=query_state.location,
-                counters=self._counters,
-                csr=self._batch_csr,
-                fixed_radius=fixed_radius,
-            )
-        else:
-            outcome = expand_knn_legacy(
-                self._network,
-                self._edge_table,
-                query_state.k,
-                query_location=query_state.location,
-                counters=self._counters,
-                fixed_radius=fixed_radius,
-            )
-        self._adopt_outcome(query_state, outcome)
-
-    def _resume_search(
-        self, query_state: _QueryState, entry: Optional[_Pending] = None
-    ) -> None:
-        """Resume the expansion from the valid part of the tree.
-
-        The maintained result candidates are re-used: their distances are
-        recomputed against the (possibly pruned / shifted) tree — exact when
-        the realising endpoint survived the pruning, an upper bound otherwise
-        (the expansion corrects upper bounds when it re-settles the pruned
-        endpoints).  The candidate set is complete for every object closer
-        than ``old_radius - (weight decreases) - (query movement)``, so edges
-        lying entirely inside that radius need not be re-scanned; the search
-        is told so through its ``coverage_radius`` parameter and only scans
-        the boundary ("mark") edges plus newly explored territory.
-
-        The expansion and the candidate re-distancing run over the batch's
-        CSR snapshot; :meth:`_resume_search_legacy` preserves the dict path.
-        """
-        if not self._use_csr:
-            return self._resume_search_legacy(query_state, entry)
-        state = query_state.state
-        csr = self._batch_csr
-        if csr is None:
-            csr = csr_snapshot(self._network)
-        outcome = expand_knn(
+        """Compute a newly installed query's result and influence region."""
+        [outcome] = expand_knn_batch(
             self._network,
             self._edge_table,
-            query_state.k,
-            query_location=query_state.location,
-            preverified=state.node_dist,
-            preverified_parent=state.parent,
-            candidates=self._resume_candidates(query_state, entry, csr),
-            coverage_radius=self._coverage_radius(query_state, entry),
+            [self._fresh_request(query_state)],
             counters=self._counters,
-            csr=csr,
-            fixed_radius=query_state.fixed_radius,
+            kernel=self._kernel,
         )
         self._adopt_outcome(query_state, outcome)
-
-    def _resume_search_legacy(
-        self, query_state: _QueryState, entry: Optional[_Pending] = None
-    ) -> None:
-        """Dict-walking resume path, kept for differential testing."""
-        state = query_state.state
-        pruned = entry is not None and (entry.needs_resume or entry.move_distance > 0)
-        candidates = []
-        for object_id, stored_distance in query_state.neighbors.all_candidates():
-            if not pruned:
-                candidates.append((object_id, stored_distance))
-                continue
-            if not self._edge_table.has_object(object_id):
-                continue
-            distance = object_distance_via_state(
+        self._influence.replace_subscriber(
+            query_state.query_id,
+            compute_influence_map(
                 self._network,
-                state,
-                self._edge_table.location_of(object_id),
+                query_state.state,
+                query_state.radius,
                 query_state.location,
-            )
-            if distance != float("inf"):
-                candidates.append((object_id, distance))
-        outcome = expand_knn_legacy(
-            self._network,
-            self._edge_table,
-            query_state.k,
-            query_location=query_state.location,
-            preverified=state.node_dist,
-            preverified_parent=state.parent,
-            candidates=candidates,
-            coverage_radius=self._coverage_radius(query_state, entry),
-            counters=self._counters,
-            fixed_radius=query_state.fixed_radius,
+            ),
         )
-        self._adopt_outcome(query_state, outcome)
 
     @staticmethod
-    def _coverage_radius(
-        query_state: _QueryState, entry: Optional[_Pending]
-    ) -> Optional[float]:
+    def _coverage_radius(query_state: _QueryState, entry: _Pending) -> Optional[float]:
         """Radius within which the maintained candidates are still complete."""
         if query_state.radius == float("inf"):
             return None
-        slack = 0.0
-        if entry is not None:
-            slack = entry.decrease_delta + entry.move_distance
-        coverage = query_state.radius - slack
+        coverage = query_state.radius - (entry.decrease_delta + entry.move_distance)
         return coverage if coverage > 0 else None
 
-    def _adopt_outcome(self, query_state: _QueryState, outcome, refresh: bool = True) -> None:
+    def _adopt_outcome(self, query_state: _QueryState, outcome) -> None:
         query_state.state = outcome.state
         query_state.radius = outcome.radius
         query_state.state.shrink_to_radius(outcome.radius)
         query_state.neighbors = NeighborList.from_pairs(
             query_state.k, outcome.neighbors
         )
-        if refresh:
-            self._refresh_influence(query_state)
 
-    def _finalize_fast_path(self, query_state: _QueryState, refresh: bool = True) -> bool:
+    def _finalize_fast_path(self, query_state: _QueryState) -> bool:
         """Finish a query affected only by object updates with enough survivors.
 
         The surviving and incoming candidates all carry exact distances (see
@@ -1015,9 +805,8 @@ class ImaMonitor(MonitorBase):
         filtering merely processes a few irrelevant updates) and skipping the
         refresh keeps the fast path cheap — which is the point of IMA.
 
-        Returns True when the influence region needs a refresh; with
-        ``refresh=False`` (the dial kernel's flush) the caller performs it
-        through the bulk path instead.
+        Returns True when the influence region needs a refresh (the caller
+        performs it through the bulk flush).
         """
         query_state.neighbors.trim_to_k()
         new_radius = query_state.neighbors.radius
@@ -1025,47 +814,5 @@ class ImaMonitor(MonitorBase):
         query_state.radius = new_radius
         if new_radius < 0.9 * old_radius:
             query_state.state.shrink_to_radius(new_radius)
-            if refresh:
-                self._refresh_influence(query_state)
             return True
         return False
-
-    def _refresh_influence(self, query_state: _QueryState) -> None:
-        if not self._use_csr:
-            return self._refresh_influence_legacy(query_state)
-        influences = compute_influence_map(
-            self._network,
-            query_state.state,
-            query_state.radius,
-            query_state.location,
-            csr=self._batch_csr,
-            support=self._batch_support,
-        )
-        self._influence.replace_subscriber(query_state.query_id, influences)
-
-    def _refresh_influence_legacy(self, query_state: _QueryState) -> None:
-        """Dict-walking influence refresh, kept for differential testing."""
-        influences = compute_influence_map_legacy(
-            self._network,
-            query_state.state,
-            query_state.radius,
-            query_state.location,
-        )
-        self._influence.replace_subscriber(query_state.query_id, influences)
-
-    # ------------------------------------------------------------------
-    # predicates
-    # ------------------------------------------------------------------
-    def _location_within_region(
-        self, query_state: _QueryState, location: NetworkLocation
-    ) -> bool:
-        """Is *location* within the query's current influence region?
-
-        Uses the verified node distances; for positions inside the region the
-        via-endpoint distance is exact, so the test never misclassifies an
-        inside position as outside.
-        """
-        distance = self._object_distance(
-            query_state.state, location, query_state.location
-        )
-        return distance <= query_state.radius + _EPS

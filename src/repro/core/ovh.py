@@ -11,27 +11,25 @@ compare IMA and GMA against.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import List, Set, Tuple
 
 from repro.core.base import MonitorBase
 from repro.core.events import UpdateBatch
-from repro.core.queries import QuerySpec, evaluate_aggregate
+from repro.core.queries import QuerySpec
 from repro.core.results import KnnResult, Neighbor
-from repro.core.search import (
-    ExpansionRequest,
-    SearchCounters,
-    expand_knn,
-    expand_knn_batch,
-)
-from repro.core.search_legacy import expand_knn_legacy
-from repro.network.kernels import DEFAULT_KERNEL, KERNEL_LEGACY, resolve_kernel
-from repro.network.csr import CSRGraph, csr_snapshot
-from repro.network.edge_table import EdgeTable
-from repro.network.graph import NetworkLocation, RoadNetwork
+from repro.core.search import ExpansionRequest, expand_knn_batch
+from repro.network.csr import csr_snapshot
+from repro.network.graph import NetworkLocation
 
 
 class OvhMonitor(MonitorBase):
     """Recompute-from-scratch continuous monitoring (all query types).
+
+    Takes the constructor arguments of :class:`~repro.core.base.MonitorBase`.
+    ``kernel`` names the settle engine — ``"csr"`` (default), ``"dial"`` or
+    the compiled ``"native"``; a tick is collect-then-flush for every
+    kernel: the whole timestamp's expansions run as one
+    :func:`~repro.core.search.expand_knn_batch` call on the named engine.
 
     Example::
 
@@ -41,24 +39,6 @@ class OvhMonitor(MonitorBase):
     """
 
     name = "OVH"
-
-    def __init__(
-        self,
-        network: RoadNetwork,
-        edge_table: EdgeTable,
-        counters: Optional[SearchCounters] = None,
-        kernel: str = DEFAULT_KERNEL,
-    ) -> None:
-        super().__init__(network, edge_table, counters)
-        spec = resolve_kernel(kernel)
-        self._kernel = spec.name
-        self._use_csr = spec.name != KERNEL_LEGACY
-        self._use_batch = spec.batch
-
-    @property
-    def kernel(self) -> str:
-        """This monitor's registry kernel name (see :mod:`repro.network.kernels`)."""
-        return self._kernel
 
     # ------------------------------------------------------------------
     # MonitorBase hooks
@@ -80,11 +60,11 @@ class OvhMonitor(MonitorBase):
 
     def _process(self, batch: UpdateBatch) -> Set[int]:
         changed: Set[int] = set()
-        csr = csr_snapshot(self._network) if self._use_csr else None
-        if self._use_batch:
+        self._batch_csr = csr_snapshot(self._network)
+        try:
             # The whole timestamp's expansions as one batched kernel call
             # (aggregate queries batch their per-point expansions inside
-            # _evaluate, over the same snapshot).
+            # _evaluate_aggregate, over the same snapshot).
             expansion_ids = [
                 query_id
                 for query_id, spec in self._query_spec.items()
@@ -93,9 +73,14 @@ class OvhMonitor(MonitorBase):
             outcomes = expand_knn_batch(
                 self._network,
                 self._edge_table,
-                [self._request_for(query_id) for query_id in expansion_ids],
+                [
+                    self._request_for(
+                        self._query_location[query_id], self._query_spec[query_id]
+                    )
+                    for query_id in expansion_ids
+                ],
                 counters=self._counters,
-                csr=csr,
+                csr=self._batch_csr,
                 kernel=self._kernel,
             )
             for query_id, outcome in zip(expansion_ids, outcomes):
@@ -104,77 +89,38 @@ class OvhMonitor(MonitorBase):
             for query_id, spec in self._query_spec.items():
                 if spec.kind != "aggregate_knn":
                     continue
-                neighbors, radius = self._evaluate(
-                    self._query_location[query_id], spec, csr=csr
+                neighbors, radius = self._evaluate_aggregate(
+                    self._query_location[query_id], spec
                 )
                 if self._store_result(query_id, neighbors, radius):
                     changed.add(query_id)
             return changed
-        for query_id in list(self._query_spec):
-            neighbors, radius = self._evaluate(
-                self._query_location[query_id], self._query_spec[query_id], csr=csr
-            )
-            if self._store_result(query_id, neighbors, radius):
-                changed.add(query_id)
-        return changed
+        finally:
+            self._batch_csr = None
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _request_for(self, query_id: int) -> ExpansionRequest:
-        """The batched-kernel request of one k-NN or range query."""
-        spec = self._query_spec[query_id]
+    @staticmethod
+    def _request_for(location: NetworkLocation, spec: QuerySpec) -> ExpansionRequest:
+        """The expansion request of one k-NN or range query."""
         return ExpansionRequest(
             k=spec.k,
-            query_location=self._query_location[query_id],
+            query_location=location,
             fixed_radius=spec.radius if spec.kind == "range" else None,
         )
 
     def _evaluate(
-        self, location: NetworkLocation, spec: QuerySpec, csr: Optional[CSRGraph] = None
+        self, location: NetworkLocation, spec: QuerySpec
     ) -> Tuple[List[Neighbor], float]:
-        """One from-scratch evaluation, dispatched on query kind and kernel."""
+        """One from-scratch evaluation of a newly installed query."""
         if spec.kind == "aggregate_knn":
-            return evaluate_aggregate(
-                self._network,
-                self._edge_table,
-                location,
-                spec,
-                kernel=self._kernel,
-                csr=csr,
-                counters=self._counters,
-            )
-        fixed_radius = spec.radius if spec.kind == "range" else None
-        if self._use_batch:
-            [outcome] = expand_knn_batch(
-                self._network,
-                self._edge_table,
-                [
-                    ExpansionRequest(
-                        k=spec.k, query_location=location, fixed_radius=fixed_radius
-                    )
-                ],
-                counters=self._counters,
-                csr=csr,
-                kernel=self._kernel,
-            )
-        elif self._use_csr:
-            outcome = expand_knn(
-                self._network,
-                self._edge_table,
-                spec.k,
-                query_location=location,
-                counters=self._counters,
-                csr=csr,
-                fixed_radius=fixed_radius,
-            )
-        else:
-            outcome = expand_knn_legacy(
-                self._network,
-                self._edge_table,
-                spec.k,
-                query_location=location,
-                counters=self._counters,
-                fixed_radius=fixed_radius,
-            )
+            return self._evaluate_aggregate(location, spec)
+        [outcome] = expand_knn_batch(
+            self._network,
+            self._edge_table,
+            [self._request_for(location, spec)],
+            counters=self._counters,
+            kernel=self._kernel,
+        )
         return outcome.neighbors, outcome.radius

@@ -31,10 +31,14 @@ from math import isfinite
 from typing import Iterable, List, Optional, Tuple, Union
 
 from repro.core.results import Neighbor
-from repro.core.search import ExpansionRequest, expand_knn, expand_knn_batch
+from repro.core.search import ExpansionRequest, expand_knn_batch
+
+# No caller here (every search goes through expand_knn_batch), but
+# benchmarks/e2e/launch.py resolves it as a module global under --trace 1.
+from repro.core.search import expand_knn  # noqa: F401
 from repro.exceptions import InvalidQueryError
-from repro.network.kernels import DEFAULT_KERNEL, KERNEL_CSR, resolve_kernel
 from repro.network.graph import NetworkLocation
+from repro.network.kernels import DEFAULT_KERNEL, validate_kernel
 
 #: Recognised query kinds, in the order they were introduced.
 QUERY_KINDS = ("knn", "range", "aggregate_knn")
@@ -269,59 +273,30 @@ def evaluate_aggregate(
     live object (``k =`` object count, so the expansion terminates at the
     farthest reachable object and returns exact distances for all of
     them), merged under the spec's aggregate function by
-    :func:`merge_aggregate`.  ``kernel`` names any registered kernel from
-    :mod:`repro.network.kernels`: batch kernels (``"dial"``, ``"native"``)
-    funnel all points through one
-    :func:`~repro.core.search.expand_knn_batch` call, ``"csr"`` runs the
-    flat-array heap kernel per point, ``"legacy"`` the dict-walking
-    reference — all produce identical results.
+    :func:`merge_aggregate`.  All points run through one
+    :func:`~repro.core.search.expand_knn_batch` call; ``kernel`` names the
+    registered settle engine (see :mod:`repro.network.kernels`) and is
+    forwarded there — every engine produces identical results.
 
     Example::
 
         neighbors, radius = evaluate_aggregate(network, edge_table, loc, spec)
     """
-    engine = resolve_kernel(kernel)
+    validate_kernel(kernel)
     object_count = edge_table.object_count
     if object_count == 0:
         return [], float("inf")
-    points = spec.aggregation_points(location)
-    if engine.batch:
-        outcomes = expand_knn_batch(
-            network,
-            edge_table,
-            [
-                ExpansionRequest(k=object_count, query_location=point)
-                for point in points
-            ],
-            counters=counters,
-            csr=csr,
-            kernel=engine.name,
-        )
-    elif engine.name == KERNEL_CSR:
-        outcomes = [
-            expand_knn(
-                network,
-                edge_table,
-                object_count,
-                query_location=point,
-                counters=counters,
-                csr=csr,
-            )
-            for point in points
-        ]
-    else:
-        from repro.core.search_legacy import expand_knn_legacy
-
-        outcomes = [
-            expand_knn_legacy(
-                network,
-                edge_table,
-                object_count,
-                query_location=point,
-                counters=counters,
-            )
-            for point in points
-        ]
+    outcomes = expand_knn_batch(
+        network,
+        edge_table,
+        [
+            ExpansionRequest(k=object_count, query_location=point)
+            for point in spec.aggregation_points(location)
+        ],
+        counters=counters,
+        csr=csr,
+        kernel=kernel,
+    )
     return merge_aggregate([outcome.neighbors for outcome in outcomes], spec)
 
 
@@ -343,39 +318,19 @@ def evaluate_aggregates(
     every point asks for the same ``k`` (the live object count), so points
     that coincide — the query locations of co-located tenants, or popular
     aggregation anchors repeated across queries — collapse into **one**
-    physical expansion whose outcome is reused verbatim.  This extends the
-    per-tick sharing the dial kernel already does (shared snapshot and
-    scratch) across the csr path too, and skips redundant expansions
-    entirely on both.
-
-    Kernels that neither batch nor run the flat-array heap (i.e. the
-    legacy dict engine) fall back to per-item :func:`evaluate_aggregate`
-    calls.
+    physical expansion whose outcome is reused verbatim, on every kernel.
 
     Example::
 
         evaluations = evaluate_aggregates(network, edge_table, [(loc, spec)])
         neighbors, radius = evaluations[0]
     """
-    engine = resolve_kernel(kernel)
+    validate_kernel(kernel)
     if not items:
         return []
     object_count = edge_table.object_count
     if object_count == 0:
         return [([], float("inf")) for _ in items]
-    if not engine.batch and engine.name != KERNEL_CSR:
-        return [
-            evaluate_aggregate(
-                network,
-                edge_table,
-                location,
-                spec,
-                kernel=engine.name,
-                csr=csr,
-                counters=counters,
-            )
-            for location, spec in items
-        ]
     requests: List[ExpansionRequest] = []
     spans: List[Tuple[int, int]] = []
     for location, spec in items:
@@ -390,7 +345,7 @@ def evaluate_aggregates(
         requests,
         counters=counters,
         csr=csr,
-        kernel=engine.name,
+        kernel=kernel,
         share=True,
     )
     return [

@@ -17,9 +17,7 @@ The hot loop runs over the flat-array CSR snapshot of the network
 (:mod:`repro.network.csr`): adjacency is three parallel columns indexed by
 dense node ids, the frontier is a plain :mod:`heapq` binary heap of
 ``(distance, node_index)`` pairs with lazy deletion, and per-search state
-lives in reusable flat buffers instead of dictionaries.  The original
-dict-based implementation is preserved in
-:mod:`repro.core.search_legacy` for differential testing and benchmarking.
+lives in reusable flat buffers instead of dictionaries.
 
 Correctness sketch.  The search is a multi-source Dijkstra whose sources
 are the query position (seeding its edge's endpoints) and the pre-verified
@@ -47,10 +45,11 @@ from repro.network.csr import CSRGraph, csr_snapshot
 from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation, RoadNetwork
 from repro.network.kernels import (
-    DEFAULT_BATCH_KERNEL,
+    DEFAULT_KERNEL,
     KERNEL_CSR,
     KERNEL_DIAL,
     KERNEL_NATIVE,
+    validate_kernel,
 )
 
 _INF = float("inf")
@@ -231,23 +230,24 @@ def expand_knn_batch(
     requests: List[ExpansionRequest],
     counters: Optional[SearchCounters] = None,
     csr: Optional[CSRGraph] = None,
-    kernel: str = DEFAULT_BATCH_KERNEL,
+    kernel: str = DEFAULT_KERNEL,
     share: bool = False,
 ) -> List[SearchOutcome]:
-    """Run a batch of expansions through one shared-scratch kernel call.
+    """Run a batch of expansions over one shared snapshot.
 
-    With ``kernel="dial"`` (default) the batch runs on the bucket-queue
-    engine of :mod:`repro.network.dial` — one snapshot refresh and one
-    scratch acquisition for the whole batch, Dial bucket frontiers instead
-    of binary heaps, and an exact per-search fallback to the heap path
+    The single entry point of every monitor's per-tick flush; *kernel*
+    picks the settle engine and nothing else.  With ``kernel="csr"``
+    (default) each request is served by a plain :func:`expand_knn` call
+    over the shared snapshot.  With ``kernel="dial"`` the batch runs on the
+    bucket-queue engine of :mod:`repro.network.dial` — one scratch
+    acquisition for the whole batch, Dial bucket frontiers instead of
+    binary heaps, and an exact per-search fallback to the heap path
     whenever quantization cannot reproduce its settle order.
     ``kernel="native"`` serves the batch through the compiled settle loop
     of :mod:`repro.network.native` (transparently falling back to the dial
-    engine when no compiled backend is available).  With ``kernel="csr"``
-    each request is served by a plain :func:`expand_knn` call over the
-    shared snapshot (the reference used by the differential tests).
-    Outcomes are byte-identical across the kernels and are returned in
-    request order; see :mod:`repro.network.kernels` for the registry.
+    engine when no compiled backend is available).  Outcomes are
+    byte-identical across the kernels and are returned in request order;
+    see :mod:`repro.network.kernels` for the registry.
 
     With ``share=True`` the batch first groups *fresh* location-rooted
     requests (no resume state, candidates, barriers or coverage radius) by
@@ -265,6 +265,7 @@ def expand_knn_batch(
         requests = [ExpansionRequest(k=4, query_location=loc) for loc in locations]
         outcomes = expand_knn_batch(network, edge_table, requests, share=True)
     """
+    validate_kernel(kernel)
     if csr is None:
         csr = csr_snapshot(network)
     if share and len(requests) > 1:
@@ -515,7 +516,7 @@ def expand_knn(
     settled_new: List[int] = []
 
     # Barrier node ids -> dense indices (barriers outside the network never
-    # settle, exactly as in the legacy implementation).
+    # settle).
     barrier_by_idx: Dict[int, Iterable[Neighbor]] = {}
     if barriers:
         for node_id, barrier_list in barriers.items():

@@ -112,14 +112,14 @@ class MonitoringServer:
                 an already constructed monitor instance bound to the same
                 network and edge table.
             edge_table: optionally a pre-populated edge table to share.
-            kernel: search kernel for by-name algorithms — any name in
+            kernel: settle engine for by-name algorithms — any name in
                 the :mod:`repro.network.kernels` registry: ``"csr"``
-                (default), ``"dial"`` (the batched bucket-queue engine of
-                :mod:`repro.network.dial`), ``"native"`` (the compiled C
-                settle loop of :mod:`repro.network.native`; identical
-                results, fastest on update-heavy deep-tree workloads) or
-                ``"legacy"`` (the dict-walking reference paths, used for
-                differential testing).  Validated here at construction —
+                (default, binary heap), ``"dial"`` (the bucket-queue engine
+                of :mod:`repro.network.dial`) or ``"native"`` (the compiled
+                C settle loop of :mod:`repro.network.native`).  A tick is
+                collect-then-flush for every kernel; the name only picks
+                the engine that serves the tick's batched expansions, and
+                results are identical.  Validated here at construction —
                 an unknown name raises
                 :class:`~repro.exceptions.UnknownKernelError` — then
                 ignored when *algorithm* is an already constructed

@@ -83,11 +83,11 @@ class ShardInit:
     dropped its in-process weight listeners) and is unpickled *inside* the
     worker: the parent serializes once for the whole fleet, holds no
     replica objects itself, and the ``spawn`` start method ships the bytes
-    without a decode/re-encode round trip.  ``kernel`` selects the worker
-    monitor's search engine (``"csr"``, ``"dial"`` — the batched
-    bucket-queue kernel — or ``"legacy"``); each worker derives its own
-    per-epoch dial support from the attached snapshot, so the choice needs
-    no extra shared state.
+    without a decode/re-encode round trip.  ``kernel`` names the settle
+    engine of the worker monitor (``"csr"``, ``"dial"`` or ``"native"``);
+    a tick is collect-then-flush for every kernel, and each worker derives
+    any per-epoch engine support from the attached snapshot, so the choice
+    needs no extra shared state.
     """
 
     shard_id: int
@@ -331,9 +331,8 @@ def run_shard_worker(conn, init: ShardInit) -> None:
             if kind == "stop":
                 break
             if kind == "snapshot":
-                # Pickle the monitor between ticks: its per-batch kernel
-                # fields (_batch_csr/_batch_support) are None outside
-                # _process, and the CSR snapshot cache is module-level and
+                # Pickle the monitor between ticks: its per-batch snapshot
+                # field (_batch_csr) is None outside _process, and the CSR snapshot cache is module-level and
                 # weak, so the blob carries exactly the replica + algorithm
                 # state a restored worker resumes from.
                 try:

@@ -370,14 +370,30 @@ class CSRGraph:
             support = csr_snapshot(network).dial_support()
             print(support.usable, support.min_weight)
         """
+        support = self.current_dial_support()
+        if support is None:
+            from repro.network.dial import DialSupport
+
+            support = self._dial_support = DialSupport.build(self)
+        return support
+
+    def current_dial_support(self):
+        """The cached :meth:`dial_support`, or None when the weights moved on.
+
+        Never builds.  The monitors' influence flush reads it so that the
+        vectorized span path runs only where the tick's engine already paid
+        for the support — a ``csr`` tick never triggers the per-epoch
+        ``numpy.asarray`` mirror rebuild.
+
+        Example::
+
+            support = csr_snapshot(network).current_dial_support()
+            print(support is not None)
+        """
         support = self._dial_support
         if support is not None and support.epoch == self._weights_epoch:
             return support
-        from repro.network.dial import DialSupport
-
-        support = DialSupport.build(self)
-        self._dial_support = support
-        return support
+        return None
 
     # ------------------------------------------------------------------
     # scratch buffers

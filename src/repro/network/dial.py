@@ -337,7 +337,8 @@ def dial_expand_batch(
         from repro.core.search import ExpansionRequest, expand_knn_batch
 
         outcomes = expand_knn_batch(
-            network, edge_table, [ExpansionRequest(k=2, query_location=loc)]
+            network, edge_table, [ExpansionRequest(k=2, query_location=loc)],
+            kernel="dial",
         )
     """
     global _CORE

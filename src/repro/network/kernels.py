@@ -2,14 +2,16 @@
 
 Every monitor, server and batch entry point of the library accepts a
 ``kernel=`` string selecting the engine that runs the settle loop (bucket
-drain + edge relaxation over the CSR columns).  Before this module existed
+drain + edge relaxation over the CSR columns).  The name picks *only* that
+engine: every monitor runs the same collect-then-flush tick and forwards the
+name to :func:`~repro.core.search.expand_knn_batch`.  Before this module existed
 the valid names were bare string literals duplicated across a dozen
 modules, so adding a backend meant touching every one of them.  The
 registry makes the kernel set a single data structure:
 
-* :data:`KERNEL_CSR` / :data:`KERNEL_DIAL` / :data:`KERNEL_NATIVE` /
-  :data:`KERNEL_LEGACY` — the canonical names (the only place in the
-  library where they appear as literals);
+* :data:`KERNEL_CSR` / :data:`KERNEL_DIAL` / :data:`KERNEL_NATIVE` — the
+  canonical names (the only place in the library where they appear as
+  literals);
 * :func:`registered_kernels` / :func:`available_kernels` — every name the
   registry knows vs the ones that can actually run on this machine (the
   compiled ``native`` backend is registered everywhere but *available*
@@ -35,14 +37,10 @@ from repro.exceptions import UnknownKernelError
 KERNEL_CSR = "csr"
 KERNEL_DIAL = "dial"
 KERNEL_NATIVE = "native"
-KERNEL_LEGACY = "legacy"
 
-#: Default kernel of every monitor/server constructor (the per-query
-#: flat-array heap engine).
+#: Default kernel of every monitor/server constructor and of
+#: :func:`repro.core.search.expand_knn_batch` (the flat-array heap engine).
 DEFAULT_KERNEL = KERNEL_CSR
-
-#: Default engine of :func:`repro.core.search.expand_knn_batch`.
-DEFAULT_BATCH_KERNEL = KERNEL_DIAL
 
 
 @dataclass(frozen=True)
@@ -52,26 +50,17 @@ class KernelSpec:
     Attributes:
         name: the registry name (the value of the ``kernel=`` kwarg).
         description: one-line summary used by docs and error messages.
-        batch: True when monitors should restructure ticks into
-            collect-then-flush form and serve whole request batches through
-            one :func:`~repro.core.search.expand_knn_batch` call (the dial
-            and native engines); False for the per-query engines.
-        shared_memory: True when the kernel runs unchanged over a
-            :func:`~repro.network.csr.attach_shared_csr` snapshot inside a
-            sharded worker process.
         compiled: True when the settle loop runs in machine code rather
             than the Python interpreter.
 
     Example::
 
         spec = resolve_kernel("dial")
-        print(spec.batch, spec.compiled)
+        print(spec.description, spec.compiled)
     """
 
     name: str
     description: str
-    batch: bool = False
-    shared_memory: bool = True
     compiled: bool = False
     #: Optional runtime probe; the kernel is listed by
     #: :func:`available_kernels` only when it returns True.
@@ -105,12 +94,11 @@ _REGISTRY: Dict[str, KernelSpec] = {
     for spec in (
         KernelSpec(
             name=KERNEL_CSR,
-            description="per-query flat-array binary-heap engine (default)",
+            description="flat-array binary-heap engine (default)",
         ),
         KernelSpec(
             name=KERNEL_DIAL,
-            description="batched two-level bucket-queue engine",
-            batch=True,
+            description="two-level bucket-queue engine",
         ),
         KernelSpec(
             name=KERNEL_NATIVE,
@@ -118,14 +106,8 @@ _REGISTRY: Dict[str, KernelSpec] = {
                 "compiled (C via ctypes) settle loop over the CSR column "
                 "mirrors; pure-python dial fallback when unavailable"
             ),
-            batch=True,
             compiled=True,
             probe=_native_probe,
-        ),
-        KernelSpec(
-            name=KERNEL_LEGACY,
-            description="dict-walking reference implementation",
-            shared_memory=False,
         ),
     )
 }

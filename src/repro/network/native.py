@@ -1239,7 +1239,7 @@ def _native_search(
         for node_id, barrier_list in barriers.items():
             idx = node_index.get(node_id)
             if idx is None:
-                # Barriers outside the network never settle (legacy parity).
+                # Barriers outside the network never settle (csr parity).
                 continue
             bar_node_list.append(idx)
             for object_id, from_node_distance in barrier_list:

@@ -2,7 +2,7 @@
 
 :func:`run_differential_scenario` builds a seeded network and scenario
 stream, runs the requested monitoring algorithms in lock-step — by default
-IMA and GMA on both the CSR and the legacy kernels — and compares every
+IMA and GMA on the default kernel — and compares every
 query's result at every timestamp against the independent
 :class:`~repro.testing.oracle.OracleMonitor`.  The returned report carries a
 one-command replay line so any fuzz failure reproduces locally from just
@@ -35,12 +35,12 @@ from repro.testing.oracle import OracleMonitor
 from repro.testing.scenarios import MIXED_QUERY_MIX, ScenarioEngine, resolve_scenario
 
 #: Algorithm names accepted by :func:`run_differential_scenario`: an
-#: optional ``-legacy`` / ``-dial`` suffix selects the kernel.
+#: optional ``-dial`` / ``-native`` suffix selects the kernel.
 _MONITOR_CLASSES = {"OVH": OvhMonitor, "IMA": ImaMonitor, "GMA": GmaMonitor}
 
-#: The default panel: the production CSR paths and the preserved legacy
-#: paths, all of which must agree with the oracle.
-DEFAULT_ALGORITHMS = ("IMA", "GMA", "IMA-legacy", "GMA-legacy")
+#: The default panel: both incremental monitors on the default kernel,
+#: which must agree with the oracle.
+DEFAULT_ALGORITHMS = ("IMA", "GMA")
 
 #: The batched bucket-queue panel (selected by the CI fuzz matrix's
 #: ``FUZZ_KERNEL=dial`` leg): the dial monitors next to their CSR
@@ -64,7 +64,7 @@ def _make_monitor(name: str, network, edge_table) -> MonitorBase:
     cls = _MONITOR_CLASSES.get(base.upper())
     if cls is None or variant not in _VARIANTS:
         raise SimulationError(
-            f"unknown differential algorithm {name!r}; use e.g. 'IMA' or 'GMA-legacy'"
+            f"unknown differential algorithm {name!r}; use e.g. 'IMA' or 'GMA-dial'"
         )
     kernel = variant if variant else DEFAULT_KERNEL
     return cls(network, edge_table, kernel=kernel)

@@ -11,8 +11,8 @@ bulk ingestion path that the fuzz scenarios hit probabilistically:
   a movement when the reinstall preserves the query type and parameters,
   splitting back into terminate+install when the spec (or kind) changed.
 
-Each case runs on every algorithm (CSR and legacy kernels where relevant)
-and is checked against the brute-force oracle.
+Each case runs on every algorithm (and every available kernel where
+relevant) and is checked against the brute-force oracle.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from repro.network.distance import (
 )
 from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation
+from repro.network.kernels import available_kernels
 from repro.core.results import results_equal
 
 ALGORITHMS = ["ovh", "ima", "gma"]
@@ -57,7 +58,7 @@ def _check_against_oracle(server, query_id):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("kernel", ["csr", "legacy"])
+@pytest.mark.parametrize("kernel", available_kernels())
 def test_add_and_remove_same_object_in_one_batch(algorithm, kernel):
     """An object appearing and disappearing in one tick is a net no-op."""
     server, edges = _server(algorithm, kernel)
@@ -88,7 +89,7 @@ def test_add_and_remove_same_object_in_one_batch(algorithm, kernel):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("kernel", ["csr", "legacy"])
+@pytest.mark.parametrize("kernel", available_kernels())
 def test_k_larger_than_live_object_count(algorithm, kernel):
     """Results stay incomplete (radius inf) and fill up as objects arrive."""
     server, edges = _server(algorithm, kernel)
@@ -123,7 +124,7 @@ def test_k_larger_than_live_object_count(algorithm, kernel):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("kernel", ["csr", "legacy"])
+@pytest.mark.parametrize("kernel", available_kernels())
 def test_query_moved_and_removed_in_same_tick(algorithm, kernel):
     """A move followed by a termination in one batch terminates cleanly."""
     server, edges = _server(algorithm, kernel)
@@ -186,7 +187,7 @@ def _specs_for(server, edges):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("kernel", ["csr", "legacy"])
+@pytest.mark.parametrize("kernel", available_kernels())
 @pytest.mark.parametrize("kind", ["knn", "range", "aggregate_knn"])
 def test_same_tick_remove_add_preserving_spec_collapses(algorithm, kernel, kind):
     """remove_query + add_query of one id with the same spec is a movement.
@@ -361,7 +362,7 @@ def _close_edge(server, edge_id):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("kernel", ["csr", "dial", "legacy"])
+@pytest.mark.parametrize("kernel", available_kernels())
 def test_object_on_closed_edge_keeps_defined_distance(algorithm, kernel):
     """Closing the edge under an object leaves its distance finite."""
     server, edges = _server(algorithm, kernel)

@@ -39,6 +39,7 @@ from repro.exceptions import (
 from repro.network.builders import city_network
 from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation
+from repro.network.kernels import available_kernels, registered_kernels
 from repro.testing import run_differential_scenario
 
 
@@ -405,7 +406,7 @@ def test_share_respects_excluded_objects():
     assert not {0, 1} & {object_id for object_id, _ in shared[1].neighbors}
 
 
-@pytest.mark.parametrize("kernel", ["csr", "dial", "legacy"])
+@pytest.mark.parametrize("kernel", available_kernels())
 def test_evaluate_aggregates_matches_per_item_path(kernel):
     """The batched aggregate evaluator equals evaluate_aggregate item-wise."""
     network = city_network(120, seed=9)
@@ -442,12 +443,12 @@ def test_evaluate_aggregates_empty_and_objectless():
 # ----------------------------------------------------------------------
 # oracle-backed differentials on the venue workload
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("kernel", ["csr", "dial", "legacy"])
+@pytest.mark.parametrize("kernel", available_kernels())
 def test_popular_venue_dedup_matches_oracle(kernel):
     """Every server kernel serves correct per-tenant results under dedup."""
     report = run_differential_scenario(
         "popular-venue",
-        seed=1404 + {"csr": 0, "dial": 1, "legacy": 2}[kernel],
+        seed=1404 + registered_kernels().index(kernel),
         algorithms=(),
         dedup=True,
         server_kernel=kernel,

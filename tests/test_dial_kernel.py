@@ -82,7 +82,9 @@ def test_fresh_searches_byte_identical_with_counters():
         )
         for request in requests
     ]
-    outcomes = expand_knn_batch(network, table, requests, counters=dial_counters)
+    outcomes = expand_knn_batch(
+        network, table, requests, counters=dial_counters, kernel="dial"
+    )
     for a, b in zip(expected, outcomes):
         assert _outcome_tuple(a) == _outcome_tuple(b)
     assert heap_counters.snapshot() == dial_counters.snapshot()
@@ -115,7 +117,7 @@ def test_resume_requests_byte_identical_through_vector_seeding():
         )
         expected = expand_knn(network, table, k + 2, **kwargs)
         [outcome] = expand_knn_batch(
-            network, table, [ExpansionRequest(k=k + 2, **kwargs)]
+            network, table, [ExpansionRequest(k=k + 2, **kwargs)], kernel="dial"
         )
         assert _outcome_tuple(expected) == _outcome_tuple(outcome), trial
     assert vectored > 10  # the vector path was actually exercised
@@ -138,7 +140,7 @@ def test_barrier_and_excluded_requests_byte_identical():
         )
         expected = expand_knn(network, table, 4, **kwargs)
         [outcome] = expand_knn_batch(
-            network, table, [ExpansionRequest(k=4, **kwargs)]
+            network, table, [ExpansionRequest(k=4, **kwargs)], kernel="dial"
         )
         assert _outcome_tuple(expected) == _outcome_tuple(outcome), trial
 
@@ -163,9 +165,10 @@ def test_batch_validates_requests_like_expand_knn():
         expand_knn_batch(
             network, table,
             [ExpansionRequest(k=0, query_location=NetworkLocation(edge_ids[0], 0.5))],
+            kernel="dial",
         )
     with pytest.raises(InvalidQueryError):
-        expand_knn_batch(network, table, [ExpansionRequest(k=2)])
+        expand_knn_batch(network, table, [ExpansionRequest(k=2)], kernel="dial")
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +244,8 @@ def test_mid_stream_weight_storms_stay_exact():
         location = NetworkLocation(rng.choice(edge_ids), rng.random())
         expected = expand_knn(network, table, 6, query_location=location)
         [outcome] = expand_knn_batch(
-            network, table, [ExpansionRequest(k=6, query_location=location)]
+            network, table, [ExpansionRequest(k=6, query_location=location)],
+            kernel="dial",
         )
         assert _outcome_tuple(expected) == _outcome_tuple(outcome), tick
 
@@ -311,11 +315,9 @@ def test_replace_subscribers_matches_sequential_replace():
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("scenario", sorted(SCENARIO_PRESETS))
 def test_dial_monitors_match_oracle_on_all_presets(scenario):
-    """IMA/GMA on dial, csr and legacy all agree with the oracle, per preset."""
+    """IMA/GMA on dial and csr agree with the oracle, per preset."""
     report = run_differential_scenario(
-        scenario,
-        seed=1309,
-        algorithms=DIAL_ALGORITHMS + ("IMA-legacy", "GMA-legacy"),
+        scenario, seed=1309, algorithms=DIAL_ALGORITHMS
     )
     assert report.checks > 0
     assert report.ok, report.failure_message()

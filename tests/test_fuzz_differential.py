@@ -1,8 +1,8 @@
 """Oracle-backed scenario fuzz suite.
 
 Every preset of :data:`repro.testing.SCENARIO_PRESETS` is run under several
-seeds (≥ 25 runs in total), with IMA and GMA — on both the CSR kernel and
-the preserved legacy dict paths — compared against the brute-force
+seeds (≥ 25 runs in total), with IMA and GMA — on the kernel panel picked
+by ``FUZZ_KERNEL`` — compared against the brute-force
 :class:`~repro.testing.oracle.OracleMonitor` at every timestamp: identical
 distance profiles for every live query, and per-tick reports carrying the
 correct timestamps.
@@ -34,7 +34,7 @@ BASE_SEED = int(os.environ.get("FUZZ_BASE_SEED", "20060912"))
 #: Kernel matrix axis: ``FUZZ_KERNEL=dial`` swaps the fuzzed monitor panel
 #: to the batched bucket-queue kernel, ``FUZZ_KERNEL=native`` to the
 #: compiled settle loop (each next to its CSR references); the default
-#: panel covers csr + legacy.
+#: panel covers csr.
 _FUZZ_PANELS = {
     "csr": DEFAULT_ALGORITHMS,
     "dial": DIAL_ALGORITHMS,
@@ -73,7 +73,7 @@ def _seed(offset: int) -> int:
 @pytest.mark.parametrize("scenario", sorted(SCENARIO_PRESETS))
 @pytest.mark.parametrize("offset", range(SEEDS_PER_PRESET))
 def test_scenarios_match_oracle(scenario, offset):
-    """IMA/GMA on both kernels exactly match the oracle on every tick."""
+    """IMA/GMA on the fuzzed panel exactly match the oracle on every tick."""
     seed = _seed(offset)
     report = run_differential_scenario(
         scenario,

@@ -7,9 +7,10 @@ import pytest
 from repro.core.expansion import (
     ExpansionState,
     compute_influence_map,
-    object_distance_via_state,
+    object_distance_csr,
 )
 from repro.core.influence import InfluenceIndex
+from repro.network.csr import csr_snapshot
 from repro.network.graph import NetworkLocation
 from repro.utils.intervals import point_in_spans
 
@@ -166,26 +167,26 @@ class TestInfluenceMapAndObjectDistance:
         )
         assert point_in_spans(influences[0], 99.0)
 
-    def test_object_distance_via_state_min_formula(self, line_network):
+    def test_object_distance_min_formula(self, line_network):
         state = ExpansionState(node_dist={1: 50.0, 2: 50.0}, parent={1: None, 2: None})
         query = NetworkLocation(1, 0.5)
         # Object on edge 2 at fraction 0.25 -> 25 beyond node 2.
-        distance = object_distance_via_state(
-            line_network, state, NetworkLocation(2, 0.25), query
+        distance = object_distance_csr(
+            csr_snapshot(line_network), state, NetworkLocation(2, 0.25), query
         )
         assert distance == pytest.approx(75.0)
 
     def test_object_distance_same_edge_direct(self, line_network):
         state = ExpansionState()
         query = NetworkLocation(1, 0.5)
-        distance = object_distance_via_state(
-            line_network, state, NetworkLocation(1, 0.9), query
+        distance = object_distance_csr(
+            csr_snapshot(line_network), state, NetworkLocation(1, 0.9), query
         )
         assert distance == pytest.approx(40.0)
 
     def test_object_distance_unreachable_without_state(self, line_network):
         state = ExpansionState()
-        distance = object_distance_via_state(
-            line_network, state, NetworkLocation(3, 0.5), NetworkLocation(0, 0.5)
+        distance = object_distance_csr(
+            csr_snapshot(line_network), state, NetworkLocation(3, 0.5), NetworkLocation(0, 0.5)
         )
         assert distance == float("inf")

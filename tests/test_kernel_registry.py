@@ -20,11 +20,9 @@ from repro.exceptions import MonitoringError, UnknownKernelError
 from repro.network.builders import city_network
 from repro.network.edge_table import EdgeTable
 from repro.network.kernels import (
-    DEFAULT_BATCH_KERNEL,
     DEFAULT_KERNEL,
     KERNEL_CSR,
     KERNEL_DIAL,
-    KERNEL_LEGACY,
     KERNEL_NATIVE,
     available_kernels,
     registered_kernels,
@@ -44,12 +42,7 @@ def small_world():
 # registry contents
 # ---------------------------------------------------------------------------
 def test_registered_kernels_names_every_engine():
-    assert registered_kernels() == (
-        KERNEL_CSR,
-        KERNEL_DIAL,
-        KERNEL_NATIVE,
-        KERNEL_LEGACY,
-    )
+    assert registered_kernels() == (KERNEL_CSR, KERNEL_DIAL, KERNEL_NATIVE)
 
 
 def test_available_kernels_subset_tracks_native_probe():
@@ -59,18 +52,24 @@ def test_available_kernels_subset_tracks_native_probe():
     assert (KERNEL_NATIVE in available) == native_available()
 
 
-def test_defaults_resolve():
+def test_one_default_for_monitors_and_batch_entry_point():
+    import inspect
+
+    from repro.core.search import expand_knn_batch
+
     assert resolve_kernel(DEFAULT_KERNEL).name == KERNEL_CSR
-    assert resolve_kernel(DEFAULT_BATCH_KERNEL).name == KERNEL_DIAL
+    signature = inspect.signature(expand_knn_batch)
+    assert signature.parameters["kernel"].default == DEFAULT_KERNEL
 
 
 def test_capability_flags():
-    assert not resolve_kernel(KERNEL_CSR).batch
-    assert resolve_kernel(KERNEL_DIAL).batch
-    native = resolve_kernel(KERNEL_NATIVE)
-    assert native.batch and native.compiled
-    legacy = resolve_kernel(KERNEL_LEGACY)
-    assert not legacy.shared_memory and not legacy.compiled
+    assert not resolve_kernel(KERNEL_CSR).compiled
+    assert not resolve_kernel(KERNEL_DIAL).compiled
+    assert resolve_kernel(KERNEL_NATIVE).compiled
+    # The name picks the settle engine and nothing else: no flag remains
+    # for a monitor to branch on.
+    assert not hasattr(resolve_kernel(KERNEL_DIAL), "batch")
+    assert not hasattr(resolve_kernel(KERNEL_DIAL), "shared_memory")
     for name in registered_kernels():
         spec = resolve_kernel(name)
         assert spec.name == name and spec.description
@@ -144,6 +143,19 @@ def test_evaluate_aggregate_rejects_unknown_kernel(small_world):
         )
 
 
+def test_expand_knn_batch_rejects_unknown_kernel(small_world):
+    # The one place monitors forward kernel names to: a typo must not
+    # silently run on the default engine.
+    from repro.core.search import ExpansionRequest, expand_knn_batch
+    from repro.network.graph import NetworkLocation
+
+    network, table = small_world
+    edge_id = next(iter(network.edge_ids()))
+    request = ExpansionRequest(k=1, query_location=NetworkLocation(edge_id, 0.5))
+    with pytest.raises(UnknownKernelError):
+        expand_knn_batch(network, table, [request], kernel="dail")
+
+
 def test_top_level_exports():
     assert repro.registered_kernels is registered_kernels
     assert repro.available_kernels is available_kernels
@@ -202,3 +214,26 @@ def test_no_bare_kernel_literals_outside_registry():
         "bare kernel-name literals outside repro.network.kernels:\n  "
         + "\n  ".join(offenders)
     )
+
+
+def test_monitors_never_branch_on_the_kernel():
+    """One monitor path: ``kernel=`` is forwarded, never tested.
+
+    No ``if`` / conditional expression in the monitors or the aggregate
+    entry points may mention a kernel name, a ``KERNEL_*`` constant or a
+    :class:`KernelSpec` lookup — the name selects only the settle engine
+    inside :func:`~repro.core.search.expand_knn_batch`.
+    """
+    package_root = pathlib.Path(repro.__file__).resolve().parent
+    offenders = []
+    for relative in ("base", "ima", "gma", "ovh", "queries"):
+        path = package_root / "core" / f"{relative}.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.If, ast.IfExp, ast.While)):
+                continue
+            for leaf in ast.walk(node.test):
+                name = getattr(leaf, "id", None) or getattr(leaf, "attr", None)
+                if name and ("kernel" in name.lower() or name == "engine"):
+                    offenders.append(f"core/{relative}.py:{node.lineno}: {name}")
+    assert not offenders, "\n".join(offenders)

@@ -23,7 +23,6 @@ from repro.core.queries import (
 )
 from repro.core.results import results_equal
 from repro.core.search import ExpansionRequest, expand_knn, expand_knn_batch
-from repro.core.search_legacy import expand_knn_legacy
 from repro.core.server import MonitoringServer
 from repro.exceptions import (
     EdgeNotFoundError,
@@ -150,19 +149,14 @@ class TestFixedRadiusKernels:
                 network, edge_table, 1, query_location=location,
                 csr=csr, fixed_radius=radius,
             )
-            legacy = expand_knn_legacy(
-                network, edge_table, 1, query_location=location,
-                fixed_radius=radius,
-            )
             [dial] = expand_knn_batch(
                 network, edge_table,
                 [ExpansionRequest(k=1, query_location=location, fixed_radius=radius)],
-                csr=csr,
+                csr=csr, kernel="dial",
             )
             assert fast.neighbors == dial.neighbors
-            assert fast.radius == legacy.radius == dial.radius == radius
+            assert fast.radius == dial.radius == radius
             assert results_equal(truth, fast.neighbors)
-            assert results_equal(truth, legacy.neighbors)
             # The range outcome is every in-range object, sorted.
             assert [pair[0] for pair in fast.neighbors] == [p[0] for p in truth]
 

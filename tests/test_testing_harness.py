@@ -171,10 +171,10 @@ class TestKernelPlumbing:
     def test_monitors_report_kernel(self, small_world):
         network, table, _ = small_world
         assert ImaMonitor(network, table).kernel == "csr"
-        assert ImaMonitor(network, table, kernel="legacy").kernel == "legacy"
-        gma = GmaMonitor(network, table, kernel="legacy")
-        assert gma.kernel == "legacy"
-        assert gma.active_node_monitor.kernel == "legacy"
+        assert ImaMonitor(network, table, kernel="dial").kernel == "dial"
+        gma = GmaMonitor(network, table, kernel="dial")
+        assert gma.kernel == "dial"
+        assert gma.active_node_monitor.kernel == "dial"
 
     def test_unknown_kernel_rejected(self, small_world):
         network, table, _ = small_world
@@ -185,5 +185,5 @@ class TestKernelPlumbing:
 
     def test_server_kernel_passthrough(self, small_world):
         network, table, _ = small_world
-        server = MonitoringServer(network, "gma", edge_table=table, kernel="legacy")
-        assert server.monitor.kernel == "legacy"
+        server = MonitoringServer(network, "gma", edge_table=table, kernel="dial")
+        assert server.monitor.kernel == "dial"
