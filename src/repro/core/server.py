@@ -22,8 +22,9 @@ Example::
 
 from __future__ import annotations
 
+import io
 import pickle
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import BinaryIO, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.core.base import MonitorBase, TimestepReport
 from repro.core.events import (
@@ -634,20 +635,100 @@ class MonitoringServer:
     # ------------------------------------------------------------------
     # snapshot / restore
     # ------------------------------------------------------------------
-    def snapshot_state(self) -> bytes:
+    def write_static_state(self, stream: BinaryIO) -> None:
+        """Stream the snapshot's *static section* to a binary *stream*.
+
+        The static section is what no tick can change: the road network
+        (topology, geometry, base weights) and the edge table's spatial
+        index, one pickle each.  It is valid for as long as the network's
+        ``topology_version`` stays what it was when this was written, so a
+        durable caller writes it once and pairs it with many dynamic
+        sections (``snapshot_state(static=False)``).
+
+        Example::
+
+            with open("base.bin", "wb") as stream:
+                server.write_static_state(stream)
+        """
+        # Two pickles, not one: the pickler's memo (an entry per node, edge,
+        # segment and quad) is the largest transient allocation of the whole
+        # snapshot, and clearing it in between halves its peak.
+        pickler = pickle.Pickler(stream, protocol=pickle.HIGHEST_PROTOCOL)
+        pickler.dump(self._network)
+        pickler.clear_memo()
+        pickler.dump(self._edge_table.spatial_index)
+
+    def snapshot_state(self, *, static: bool = True) -> bytes:
         """Serialize the complete server state to one opaque blob.
 
-        The blob captures everything a byte-identical resume needs — the
-        network, edge table, monitor (including its per-query float
-        history), pending buffer, and timestamp — and is restored with
-        :func:`restore_server`.  Kernel snapshots (the CSR columns, dial
-        support) are deliberately *not* captured; they are rebuilt
+        The blob is the static section (see :meth:`write_static_state`)
+        followed by the *dynamic section*: the edge weights and the objects'
+        ``(id, edge, fraction)`` as flat ``float64`` / ``int64`` columns,
+        then one small pickle of the monitor (including its per-query float
+        history), query maps, pending buffer and timestamp in which the
+        network and the edge table are references, not copies.  Restore it
+        with :func:`restore_server`.  Kernel snapshots (the CSR columns,
+        dial support) are deliberately *not* captured; they are rebuilt
         deterministically from the restored weights on first use.
+
+        Args:
+            static: pass False for the dynamic section alone — the static
+                one must then be handed to :func:`restore_server`
+                separately.
         """
-        return pickle.dumps(
-            {"kind": "in-process", "server": self},
+        return self._encode_snapshot(static, "in-process", {"monitor": self._monitor})
+
+    def _encode_snapshot(self, static: bool, kind: str, fields: Dict[str, object]) -> bytes:
+        """The one snapshot encoder; *fields* are the server kind's own state."""
+        network, edge_table = self._network, self._edge_table
+        buffer = io.BytesIO()
+        if static:
+            self.write_static_state(buffer)
+        object_ids, object_edges, object_fractions = edge_table.object_columns()
+        pickle.dump(
+            {
+                "kind": kind,
+                "topology_version": network.topology_version,
+                "weight_version": network.weight_version,
+                "weights": network.weight_column(),
+                "objects_version": edge_table.version,
+                "object_ids": object_ids,
+                "object_edges": object_edges,
+                "object_fractions": object_fractions,
+            },
+            buffer,
             protocol=pickle.HIGHEST_PROTOCOL,
         )
+        _ReferencePickler(buffer, network, edge_table).dump(
+            {
+                "timestamp": self._timestamp,
+                "pending": self._pending,
+                "query_locations": self._query_locations,
+                "query_specs": self._query_specs,
+                **fields,
+            }
+        )
+        return buffer.getvalue()
+
+    def _adopt_snapshot(self, state: Dict[str, object]) -> None:
+        """Install the state every server kind shares from a decoded snapshot.
+
+        ``_object_locations`` is not stored: it is the edge table's objects
+        with the pending buffer's effects applied.
+        """
+        self._network = state["network"]
+        self._edge_table = state["edge_table"]
+        self._timestamp = state["timestamp"]
+        self._pending = state["pending"]
+        self._query_locations = state["query_locations"]
+        self._query_specs = state["query_specs"]
+        locations = dict(self._edge_table.all_objects())
+        for update in self._pending.object_updates:
+            if update.new_location is None:
+                locations.pop(update.object_id, None)
+            else:
+                locations[update.object_id] = update.new_location
+        self._object_locations = locations
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -670,16 +751,100 @@ class MonitoringServer:
         self.close()
 
 
-def restore_server(blob: bytes) -> MonitoringServer:
+class _ReferencePickler(pickle.Pickler):
+    """Pickles the network and the edge table as references, not copies."""
+
+    def __init__(self, stream: BinaryIO, network: RoadNetwork, edge_table: EdgeTable) -> None:
+        super().__init__(stream, protocol=pickle.HIGHEST_PROTOCOL)
+        self._references = {id(network): "network", id(edge_table): "edge_table"}
+
+    def persistent_id(self, obj: object) -> Optional[str]:
+        """The reference name of *obj*, or None to pickle it by value."""
+        return self._references.get(id(obj))
+
+
+class _ReferenceUnpickler(pickle.Unpickler):
+    """Resolves the references a :class:`_ReferencePickler` wrote."""
+
+    def __init__(self, stream: BinaryIO, references: Dict[str, object]) -> None:
+        super().__init__(stream)
+        self._references = references
+
+    def persistent_load(self, pid: object) -> object:
+        """The restored object a reference stands for."""
+        try:
+            return self._references[pid]
+        except (KeyError, TypeError):
+            raise pickle.UnpicklingError(f"unknown snapshot reference {pid!r}") from None
+
+
+def load_snapshot(blob, static=None) -> Dict[str, object]:
+    """Decode a snapshot into its state mapping without building a server.
+
+    The mapping holds the rebuilt ``"network"`` and ``"edge_table"`` (the
+    static section with the weight and object columns overlaid), the
+    snapshot's ``"kind"`` and every field of the dynamic section.  Nothing
+    is spawned, which is what lets
+    :func:`~repro.service.durable.load_initial_state` read a sharded
+    snapshot cheaply; :func:`restore_server` builds the server from it.
+
+    Args:
+        blob: a :meth:`MonitoringServer.snapshot_state` blob (any
+            bytes-like).
+        static: the static section, when *blob* is a dynamic section alone.
+
+    Raises:
+        RecoveryError: if the sections do not decode or do not belong
+            together (different ``topology_version``).
+    """
+    try:
+        stream = io.BytesIO(blob if static is None else static)
+        network = pickle.load(stream)
+        spatial_index = pickle.load(stream)
+        if static is not None:
+            stream = io.BytesIO(blob)
+        columns = pickle.load(stream)
+        if network.topology_version != columns["topology_version"]:
+            raise RecoveryError(
+                f"dynamic section was taken at topology version "
+                f"{columns['topology_version']} but the static section holds "
+                f"{network.topology_version}"
+            )
+        network.restore_weights(columns["weights"], columns["weight_version"])
+        edge_table = EdgeTable.from_columns(
+            network,
+            spatial_index,
+            columns["object_ids"],
+            columns["object_edges"],
+            columns["object_fractions"],
+            columns["objects_version"],
+        )
+        state = _ReferenceUnpickler(
+            stream, {"network": network, "edge_table": edge_table}
+        ).load()
+        state.update(kind=columns["kind"], network=network, edge_table=edge_table)
+    except RecoveryError:
+        raise
+    except Exception as exc:
+        raise RecoveryError(f"cannot decode server snapshot: {exc}") from exc
+    return state
+
+
+def restore_server(blob, static=None) -> MonitoringServer:
     """Rebuild a server from a :meth:`MonitoringServer.snapshot_state` blob.
 
-    Dispatches on the blob's kind: an in-process snapshot unpickles to the
-    original :class:`MonitoringServer` (same monitor state, same pending
-    buffer, same timestamp); a sharded snapshot rebuilds a
-    :class:`~repro.core.sharding.ShardedMonitoringServer`, respawning one
+    Dispatches on the blob's kind: an in-process snapshot rebuilds a
+    :class:`MonitoringServer` around the snapshot's monitor (same monitor
+    state, same pending buffer, same timestamp); a sharded snapshot rebuilds
+    a :class:`~repro.core.sharding.ShardedMonitoringServer`, respawning one
     worker per shard from its pickled monitor so every expansion tree
     resumes with its exact float history.  Continuing the restored server
     with the same updates yields results byte-identical to the original.
+
+    Args:
+        blob: the snapshot (any bytes-like).
+        static: the static section, when *blob* was taken with
+            ``snapshot_state(static=False)``.
 
     Raises:
         RecoveryError: if the blob does not decode to a supported snapshot.
@@ -690,17 +855,18 @@ def restore_server(blob: bytes) -> MonitoringServer:
         clone = restore_server(blob)
         assert clone.results() == server.results()
     """
-    try:
-        state = pickle.loads(blob)
-        kind = state["kind"]
-    except Exception as exc:
-        raise RecoveryError(f"cannot decode server snapshot: {exc}") from exc
+    state = load_snapshot(blob, static)
+    kind = state["kind"]
     if kind == "in-process":
-        server = state["server"]
-        if not isinstance(server, MonitoringServer):
+        server = object.__new__(MonitoringServer)
+        try:
+            server._monitor = state["monitor"]
+            server._adopt_snapshot(state)
+        except KeyError as exc:
+            raise RecoveryError(f"in-process snapshot is missing field {exc}") from exc
+        if not isinstance(server._monitor, MonitorBase):
             raise RecoveryError(
-                f"in-process snapshot holds {type(server).__name__}, "
-                "not a MonitoringServer"
+                f"in-process snapshot holds {type(server._monitor).__name__}, not a monitor"
             )
         return server
     if kind == "sharded":

@@ -1155,26 +1155,32 @@ class ShardedMonitoringServer(MonitoringServer):
     # ------------------------------------------------------------------
     # snapshot / restore
     # ------------------------------------------------------------------
-    def snapshot_state(self) -> bytes:
+    def snapshot_state(self, *, static: bool = True) -> bytes:
         """Serialize the complete fleet state to one opaque blob.
 
         Each worker answers a ``("snapshot",)`` request with its pickled
         monitor — expansion trees, per-query float history and all — and
         the parent packs those blobs together with its own authoritative
-        state (network, edge table, entity maps, pending buffer, merged
-        results).  :func:`~repro.core.server.restore_server` rebuilds the
-        server by respawning one worker per blob, so the restored fleet
-        continues byte-identically.  Like a tick, a shard failure while
-        snapshotting fails the server closed.
+        state through the base class's encoder: the network and edge table
+        as a static section plus weight / object columns, then the entity
+        maps, pending buffer and merged results.
+        :func:`~repro.core.server.restore_server` rebuilds the server by
+        respawning one worker per blob, so the restored fleet continues
+        byte-identically.  Like a tick, a shard failure while snapshotting
+        fails the server closed.
+
+        Args:
+            static: pass False for the dynamic section alone (see
+                :meth:`MonitoringServer.snapshot_state`).
         """
         self._ensure_open()
         try:
-            return self._snapshot_state_inner()
+            return self._snapshot_state_inner(static)
         except BaseException as exc:
             self._fail(exc)
             raise
 
-    def _snapshot_state_inner(self) -> bytes:
+    def _snapshot_state_inner(self, static: bool) -> bytes:
         """The actual snapshot sequence (:meth:`snapshot_state` fail-closes)."""
         for shard in self._shards:
             try:
@@ -1192,29 +1198,24 @@ class ShardedMonitoringServer(MonitoringServer):
                     f"shard {shard.shard_id} sent {kind!r} instead of 'snapshot'"
                 )
             shard_blobs.append(payload)
-        state = {
-            "kind": "sharded",
-            "algorithm": self._algorithm_key,
-            "kernel": self._kernel,
-            "workers": self._num_workers,
-            "partitioning": self._partitioning,
-            "shards": self._num_shards,
-            "zero_copy": self._zero_copy,
-            "start_method": self._start_method,
-            "recv_timeout": self._recv_timeout,
-            "network": self._network,
-            "edge_table": self._edge_table,
-            "timestamp": self._timestamp,
-            "pending": self._pending,
-            "object_locations": self._object_locations,
-            "query_locations": self._query_locations,
-            "query_specs": self._query_specs,
-            "merged_results": self._merged_results,
-            "shard_blobs": shard_blobs,
-            "boundary_queries": set(self._boundary_queries),
-            "divergent_queries": set(self._divergent_queries),
-        }
-        return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+        return self._encode_snapshot(
+            static,
+            "sharded",
+            {
+                "algorithm": self._algorithm_key,
+                "kernel": self._kernel,
+                "workers": self._num_workers,
+                "partitioning": self._partitioning,
+                "shards": self._num_shards,
+                "zero_copy": self._zero_copy,
+                "start_method": self._start_method,
+                "recv_timeout": self._recv_timeout,
+                "merged_results": self._merged_results,
+                "shard_blobs": shard_blobs,
+                "boundary_queries": self._boundary_queries,
+                "divergent_queries": self._divergent_queries,
+            },
+        )
 
     @classmethod
     def _restore(cls, state: Dict[str, object]) -> "ShardedMonitoringServer":
@@ -1227,8 +1228,8 @@ class ShardedMonitoringServer(MonitoringServer):
         try:
             server = object.__new__(cls)
             server._num_workers = state["workers"]
-            server._partitioning = state.get("partitioning", "replica")
-            server._num_shards = state.get("shards", state["workers"])
+            server._partitioning = state["partitioning"]
+            server._num_shards = state["shards"]
             server._zero_copy = state["zero_copy"]
             server._start_method = state["start_method"]
             server._recv_timeout = state["recv_timeout"]
@@ -1242,20 +1243,14 @@ class ShardedMonitoringServer(MonitoringServer):
             server._algorithm_key = state["algorithm"]
             server._kernel = state["kernel"]
             server._monitor = None
-            server._network = state["network"]
-            server._edge_table = state["edge_table"]
-            server._timestamp = state["timestamp"]
-            server._pending = state["pending"]
-            server._object_locations = dict(state["object_locations"])
-            server._query_locations = dict(state["query_locations"])
-            server._query_specs = dict(state["query_specs"])
+            server._adopt_snapshot(state)
             server._assignment = {}
             server._subnetworks = []
             server._shard_edge_ids = []
             server._shard_halos = []
             server._query_owner = {}
-            server._boundary_queries = set(state.get("boundary_queries", ()))
-            server._divergent_queries = set(state.get("divergent_queries", ()))
+            server._boundary_queries = state["boundary_queries"]
+            server._divergent_queries = state["divergent_queries"]
             server._boundary_refresh_needed = False
             shard_blobs = list(state["shard_blobs"])
         except KeyError as exc:

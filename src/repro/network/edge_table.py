@@ -20,7 +20,8 @@ harness compares OVH / IMA / GMA on identical inputs.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from array import array
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import (
     DuplicateObjectError,
@@ -30,6 +31,15 @@ from repro.exceptions import (
 from repro.network.graph import NetworkLocation, RoadNetwork
 from repro.spatial.geometry import Point
 from repro.spatial.pmr_quadtree import PMRQuadtree
+
+
+def _int_column(values: Iterable[int]) -> Sequence[int]:
+    """*values* as a flat ``int64`` column (a plain list if one does not fit)."""
+    values = list(values)
+    try:
+        return array("q", values)
+    except OverflowError:
+        return values
 
 
 class EdgeTable:
@@ -266,6 +276,58 @@ class EdgeTable:
             )
         self._fraction_cache[edge_id] = pairs
         return pairs
+
+    def object_columns(self) -> Tuple[Sequence[int], Sequence[int], Sequence[float]]:
+        """Every object as flat ``(ids, edge ids, fractions)`` columns.
+
+        In registration order, 24 bytes per object (``int64``, ``int64``,
+        ``float64``) — what a checkpoint stores instead of one pickled
+        :class:`NetworkLocation` per object.  :meth:`from_columns` is the
+        inverse.
+
+        Example::
+
+            ids, edges, fractions = edge_table.object_columns()
+            clone = EdgeTable.from_columns(
+                network, edge_table.spatial_index, ids, edges, fractions, edge_table.version
+            )
+        """
+        locations = self._objects.values()
+        return (
+            _int_column(self._objects),
+            _int_column(location.edge_id for location in locations),
+            array("d", [location.fraction for location in locations]),
+        )
+
+    @classmethod
+    def from_columns(
+        cls,
+        network: RoadNetwork,
+        spatial_index: Optional[PMRQuadtree],
+        ids: Sequence[int],
+        edges: Sequence[int],
+        fractions: Sequence[float],
+        version: int,
+    ) -> "EdgeTable":
+        """Rebuild a table from :meth:`object_columns` and its :attr:`version`.
+
+        *spatial_index* is adopted as is (``None`` for a table built with
+        ``build_spatial_index=False``); it is not rebuilt.
+
+        Raises:
+            EdgeNotFoundError: if an object lies on an edge *network* lacks.
+        """
+        table = cls(network, build_spatial_index=False)
+        table._spatial_index = spatial_index
+        objects = table._objects
+        on_edge = table._objects_on_edge
+        for object_id, edge_id, fraction in zip(ids, edges, fractions):
+            if not network.has_edge(edge_id):
+                raise EdgeNotFoundError(edge_id)
+            objects[object_id] = NetworkLocation(edge_id, fraction)
+            on_edge.setdefault(edge_id, set()).add(object_id)
+        table._version = version
+        return table
 
     def all_objects(self) -> Iterator[Tuple[int, NetworkLocation]]:
         """Iterate over ``(object_id, location)`` pairs for every object."""

@@ -19,6 +19,7 @@ with the weight.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -28,6 +29,7 @@ from repro.exceptions import (
     EdgeNotFoundError,
     InvalidLocationError,
     InvalidWeightError,
+    NetworkError,
     NodeNotFoundError,
 )
 from repro.spatial.geometry import Point, Rect, Segment
@@ -441,6 +443,41 @@ class RoadNetwork:
         for edge in self._edges.values():
             edge.weight = edge.base_weight
         self._weight_version += 1
+        for listener in tuple(self._weight_listeners):
+            listener(None, 0.0)
+
+    def weight_column(self) -> array:
+        """Every edge's current weight as one flat ``float64`` column.
+
+        In :meth:`edges` iteration order — the only part of the network a
+        tick can change, which is why a checkpoint stores this column (8
+        bytes per edge) instead of the graph.  :meth:`restore_weights` is
+        the inverse.
+
+        Example::
+
+            column = network.weight_column()
+            network.restore_weights(column, network.weight_version)
+        """
+        return array("d", [edge.weight for edge in self._edges.values()])
+
+    def restore_weights(self, weights: Sequence[float], weight_version: int) -> None:
+        """Overlay a :meth:`weight_column` and its version onto this network.
+
+        The column must come from a network of the same topology (equal
+        :attr:`topology_version`): weights are matched to edges by position.
+        Listeners are told every weight may have changed.
+
+        Raises:
+            NetworkError: if the column's length is not the edge count.
+        """
+        if len(weights) != len(self._edges):
+            raise NetworkError(
+                f"weight column holds {len(weights)} values for {len(self._edges)} edges"
+            )
+        for edge, weight in zip(self._edges.values(), weights):
+            edge.weight = weight
+        self._weight_version = weight_version
         for listener in tuple(self._weight_listeners):
             listener(None, 0.0)
 

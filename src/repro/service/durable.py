@@ -7,12 +7,15 @@
 * every :meth:`~DurableMonitoringServer.tick` detaches the pending batch,
   appends its normalized encoding to the fsynced log, and only then applies
   it — the write-ahead discipline;
-* every ``checkpoint_every`` ticks (and on demand) the complete server
-  state is pickled to an atomically-written checkpoint file that records
-  the log offset it corresponds to;
+* the state no tick can change (network topology, geometry, base weights,
+  spatial index) is written **once**, as the *base* file, before the
+  genesis checkpoint; every ``checkpoint_every`` ticks (and on demand) a
+  *checkpoint* stores only what ticks do change — weight and object
+  columns plus the monitor — together with the log offset it corresponds
+  to and the base it belongs to;
 * :meth:`~DurableMonitoringServer.recover` restores the newest valid
-  checkpoint and replays the log tail from its recorded offset, arriving at
-  results byte-identical to an uninterrupted run.
+  checkpoint over its base and replays the log tail from the recorded
+  offset, arriving at results byte-identical to an uninterrupted run.
 
 Durability boundary: updates that were *ingested but never ticked* are not
 durable (they live only in the pending buffer) unless a checkpoint happened
@@ -21,35 +24,43 @@ whenever logged batches remain to replay — the first replayed batch is a
 superset of that buffer, so nothing acknowledged as *ticked* is ever lost
 or double-applied.
 
-Checkpoint files live under ``<data_dir>/checkpoints/ckpt-<timestamp>.bin``
-and frame their pickled payload with a magic and CRC so a partially written
-file (crash mid-checkpoint) is detected and skipped in favor of the
-previous one.
+Files live under ``<data_dir>/checkpoints/``: ``base-<topology_version>.bin``
+and ``ckpt-<timestamp>.bin``.  Each is one frame — magic, payload length,
+CRC — written to a ``.tmp`` name, fsynced and renamed, so a partially
+written file (crash mid-write) is detected and, for a checkpoint, skipped in
+favor of the previous one.  A base is keyed on the network's
+``topology_version``: a checkpoint taken after the topology changed writes
+a new base first.
 """
 
 from __future__ import annotations
 
 import os
 import pathlib
-import pickle
 import signal
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import BinaryIO, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.base import TimestepReport
 from repro.core.events import decode_batch, encode_batch
-from repro.core.server import MonitoringServer, restore_server
+from repro.core.server import MonitoringServer, load_snapshot, restore_server
 from repro.exceptions import RecoveryError, ServiceError
 from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation, RoadNetwork
 from repro.service.eventlog import EventLog, read_event_log
 
-#: First 8 bytes of every checkpoint file.
-CHECKPOINT_MAGIC = b"RPCKPT01"
+#: First 8 bytes of every base and checkpoint file.
+CHECKPOINT_MAGIC = b"RPCKPT02"
 
-_CKPT_HEADER = struct.Struct("<II")  # (payload length, crc32(payload))
+#: The whole-graph pickle format this version no longer reads.
+_RETIRED_MAGIC = b"RPCKPT01"
+
+_FRAME_HEADER = struct.Struct("<8sQI")  # (magic, payload length, crc32(payload))
+
+#: Leads a checkpoint's payload: (timestamp, log offset, base topology version).
+_CKPT_META = struct.Struct("<QQQ")
 
 #: Environment variable for deterministic crash injection: when set to an
 #: integer T, the process SIGKILLs itself immediately after logging the
@@ -65,63 +76,111 @@ def _checkpoint_path(directory: pathlib.Path, timestamp: int) -> pathlib.Path:
     return directory / f"ckpt-{timestamp:010d}.bin"
 
 
+def _base_path(directory: pathlib.Path, topology_version: int) -> pathlib.Path:
+    return directory / f"base-{topology_version:010d}.bin"
+
+
 def _list_checkpoints(directory: pathlib.Path) -> List[pathlib.Path]:
     if not directory.is_dir():
         return []
     return sorted(directory.glob("ckpt-*.bin"))
 
 
-def _write_checkpoint(
-    directory: pathlib.Path, timestamp: int, log_offset: int, state: bytes
-) -> pathlib.Path:
-    """Atomically write one framed checkpoint file and fsync it into place."""
-    payload = pickle.dumps(
-        {"timestamp": timestamp, "log_offset": log_offset, "state": state},
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-    frame = (
-        CHECKPOINT_MAGIC
-        + _CKPT_HEADER.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF)
-        + payload
-    )
-    final = _checkpoint_path(directory, timestamp)
-    tmp = final.with_suffix(".tmp")
+class _CrcWriter:
+    """Passes writes through to a stream, keeping their length and CRC."""
+
+    def __init__(self, stream: BinaryIO) -> None:
+        self._stream = stream
+        self.length = 0
+        self.crc = 0
+
+    def write(self, data) -> int:
+        """Write *data* (any bytes-like) and fold it into the running CRC."""
+        self.crc = zlib.crc32(data, self.crc)
+        self.length += len(data)
+        return self._stream.write(data)
+
+
+def _write_frame(path: pathlib.Path, write_payload: Callable[[BinaryIO], None]) -> None:
+    """Atomically write one framed file: tmp, fsync, rename, directory fsync.
+
+    *write_payload* streams the payload into the writer it is given; the
+    header is patched in afterwards, so no copy of the payload is ever
+    assembled.
+    """
+    tmp = path.with_suffix(".tmp")
     with tmp.open("wb") as stream:
-        stream.write(frame)
+        stream.write(bytes(_FRAME_HEADER.size))
+        payload = _CrcWriter(stream)
+        write_payload(payload)
+        stream.seek(0)
+        stream.write(_FRAME_HEADER.pack(CHECKPOINT_MAGIC, payload.length, payload.crc))
         stream.flush()
         os.fsync(stream.fileno())
-    os.replace(tmp, final)
+    os.replace(tmp, path)
     # fsync the directory so the rename itself survives power loss
-    dir_fd = os.open(directory, os.O_RDONLY)
+    dir_fd = os.open(path.parent, os.O_RDONLY)
     try:
         os.fsync(dir_fd)
     finally:
         os.close(dir_fd)
+
+
+def _read_frame(path: pathlib.Path) -> memoryview:
+    """The payload of one framed file; raises RecoveryError on any damage."""
+    try:
+        data = memoryview(path.read_bytes())
+    except FileNotFoundError:
+        raise RecoveryError(f"{path}: file is missing") from None
+    if data[: len(_RETIRED_MAGIC)] == _RETIRED_MAGIC:
+        raise RecoveryError(
+            f"{path}: written in the retired {_RETIRED_MAGIC.decode()} format; "
+            f"this version reads {CHECKPOINT_MAGIC.decode()} only"
+        )
+    if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+        raise RecoveryError(f"{path}: bad magic")
+    if len(data) < _FRAME_HEADER.size:
+        raise RecoveryError(f"{path}: truncated header")
+    _, length, crc = _FRAME_HEADER.unpack_from(data)
+    payload = data[_FRAME_HEADER.size : _FRAME_HEADER.size + length]
+    if len(payload) < length:
+        raise RecoveryError(f"{path}: truncated payload")
+    if zlib.crc32(payload) != crc:
+        raise RecoveryError(f"{path}: CRC mismatch")
+    return payload
+
+
+def _write_checkpoint(
+    directory: pathlib.Path, timestamp: int, log_offset: int, base_version: int, state
+) -> pathlib.Path:
+    """Atomically write one framed checkpoint file and fsync it into place."""
+
+    def write_payload(stream: BinaryIO) -> None:
+        stream.write(_CKPT_META.pack(timestamp, log_offset, base_version))
+        stream.write(state)
+
+    final = _checkpoint_path(directory, timestamp)
+    _write_frame(final, write_payload)
     return final
 
 
 def _read_checkpoint(path: pathlib.Path) -> Dict[str, object]:
     """Decode one checkpoint file; raises RecoveryError on any damage."""
-    data = path.read_bytes()
-    if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise RecoveryError(f"{path}: bad checkpoint magic")
-    body = data[len(CHECKPOINT_MAGIC) :]
-    if len(body) < _CKPT_HEADER.size:
-        raise RecoveryError(f"{path}: truncated checkpoint header")
-    length, crc = _CKPT_HEADER.unpack(body[: _CKPT_HEADER.size])
-    payload = body[_CKPT_HEADER.size : _CKPT_HEADER.size + length]
-    if len(payload) < length:
-        raise RecoveryError(f"{path}: truncated checkpoint payload")
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-        raise RecoveryError(f"{path}: checkpoint CRC mismatch")
-    try:
-        record = pickle.loads(payload)
-    except Exception as exc:
-        raise RecoveryError(f"{path}: cannot decode checkpoint: {exc}") from exc
-    for key in ("timestamp", "log_offset", "state"):
-        if not isinstance(record, dict) or key not in record:
-            raise RecoveryError(f"{path}: checkpoint is missing field {key!r}")
-    return record
+    payload = _read_frame(path)
+    if len(payload) < _CKPT_META.size:
+        raise RecoveryError(f"{path}: checkpoint is missing its header fields")
+    timestamp, log_offset, base_version = _CKPT_META.unpack_from(payload)
+    return {
+        "timestamp": timestamp,
+        "log_offset": log_offset,
+        "base_version": base_version,
+        "state": payload[_CKPT_META.size :],
+    }
+
+
+def _read_base(directory: pathlib.Path, record: Dict[str, object]) -> memoryview:
+    """The static section a decoded checkpoint belongs to."""
+    return _read_frame(_base_path(directory, record["base_version"]))
 
 
 def _maybe_self_kill(timestamp: int) -> None:
@@ -181,51 +240,31 @@ def load_initial_state(data_dir: Union[str, os.PathLike]) -> InitialState:
     if not paths:
         raise RecoveryError(f"{data_dir}: no checkpoints found")
     record = _read_checkpoint(paths[0])  # lowest timestamp = genesis
-    try:
-        state = pickle.loads(record["state"])
-    except Exception as exc:
-        raise RecoveryError(f"{paths[0]}: cannot decode snapshot: {exc}") from exc
-    if not isinstance(state, dict):
-        raise RecoveryError(f"{paths[0]}: snapshot is not a state mapping")
-    kind = state.get("kind")
+    state = load_snapshot(record["state"], _read_base(directory, record))
+    kind = state["kind"]
     queries: Dict[int, Tuple[NetworkLocation, object]] = {}
     if kind == "in-process":
-        server = state["server"]
-        monitor = server.monitor
+        monitor = state["monitor"]
         for query_id in sorted(monitor.query_ids()):
             queries[query_id] = (
                 monitor.query_location(query_id),
                 monitor.query_spec(query_id),
             )
-        return InitialState(
-            network=server.network,
-            edge_table=server.edge_table,
-            queries=queries,
-            timestamp=int(record["timestamp"]),
-        )
-    if kind == "sharded":
-        if "query_locations" in state and "query_specs" in state:
-            # The coordinator-level maps cover every registered query.  The
-            # shard blobs alone would miss graph-partitioned boundary
-            # queries, which are evaluated by the coordinator and therefore
-            # registered in no shard's monitor.
-            for query_id, location in state["query_locations"].items():
-                queries[query_id] = (location, state["query_specs"][query_id])
-        else:  # pragma: no cover - snapshots predating coordinator maps
-            for blob in state["shard_blobs"]:
-                monitor = pickle.loads(blob)
-                for query_id in monitor.query_ids():
-                    queries[query_id] = (
-                        monitor.query_location(query_id),
-                        monitor.query_spec(query_id),
-                    )
-        return InitialState(
-            network=state["network"],
-            edge_table=state["edge_table"],
-            queries=queries,
-            timestamp=int(record["timestamp"]),
-        )
-    raise RecoveryError(f"{paths[0]}: unknown snapshot kind {kind!r}")
+    elif kind == "sharded":
+        # The coordinator-level maps cover every registered query.  The
+        # shard blobs alone would miss graph-partitioned boundary queries,
+        # which are evaluated by the coordinator and therefore registered
+        # in no shard's monitor.
+        for query_id, location in state["query_locations"].items():
+            queries[query_id] = (location, state["query_specs"][query_id])
+    else:
+        raise RecoveryError(f"{paths[0]}: unknown snapshot kind {kind!r}")
+    return InitialState(
+        network=state["network"],
+        edge_table=state["edge_table"],
+        queries=queries,
+        timestamp=record["timestamp"],
+    )
 
 
 class DurableMonitoringServer:
@@ -259,11 +298,13 @@ class DurableMonitoringServer:
     ) -> None:
         """Start a *fresh* durable server over an empty-or-new data directory.
 
-        Writes the genesis checkpoint immediately, so a crash before the
-        first tick already recovers to the initial state.  Refuses a data
-        directory that has checkpoints: that directory belongs to an
-        earlier run and must go through :meth:`recover` (or be deleted) —
-        silently re-initializing it would fork its history.
+        Writes the base and then the genesis checkpoint immediately, so a
+        crash before the first tick already recovers to the initial state.
+        Refuses a data directory that has checkpoints: that directory
+        belongs to an earlier run and must go through :meth:`recover` (or
+        be deleted) — silently re-initializing it would fork its history.
+        A base with no checkpoint beside it is an initialisation that was
+        killed before its genesis checkpoint, and is overwritten.
 
         Args:
             server: the wrapped (in-process or sharded) monitoring server.
@@ -294,6 +335,7 @@ class DurableMonitoringServer:
         self._ticks_since_checkpoint = 0
         self._recovered_ticks = 0
         self._closed = False
+        self._base_version: Optional[int] = None
         existing = _list_checkpoints(self._checkpoint_dir)
         if existing:
             raise ServiceError(
@@ -369,33 +411,40 @@ class DurableMonitoringServer:
     # checkpointing
     # ------------------------------------------------------------------
     def checkpoint(self) -> int:
-        """Write a checkpoint of the complete server state; returns its timestamp.
+        """Write a checkpoint of the server's dynamic state; returns its timestamp.
 
         The checkpoint records the log offset of everything already applied,
-        so recovery replays exactly the batches logged after it.  Old
-        checkpoints beyond ``keep_checkpoints`` are pruned (the genesis one
-        is always kept).
+        so recovery replays exactly the batches logged after it, and the
+        base it must be restored over.  When the network's
+        ``topology_version`` is not the one the current base was written at
+        (always true for the first checkpoint), a new base is written — and
+        durably in place — before the checkpoint that needs it.  Old
+        checkpoints beyond ``keep_checkpoints`` are pruned; the genesis one
+        and every base are always kept.
         """
         self._log.sync()
         timestamp = self._server.current_timestamp
+        base_version = self._server.network.topology_version
+        if base_version != self._base_version:
+            _write_frame(
+                _base_path(self._checkpoint_dir, base_version),
+                self._server.write_static_state,
+            )
+            self._base_version = base_version
         _write_checkpoint(
             self._checkpoint_dir,
             timestamp,
             self._log.offset,
-            self._server.snapshot_state(),
+            base_version,
+            self._server.snapshot_state(static=False),
         )
         self._ticks_since_checkpoint = 0
         self._prune_checkpoints()
         return timestamp
 
     def _prune_checkpoints(self) -> None:
-        paths = _list_checkpoints(self._checkpoint_dir)
-        if len(paths) <= 1:
-            return
-        genesis, rest = paths[0], paths[1:]
-        del genesis  # always retained
-        excess = len(rest) - self._keep_checkpoints
-        for path in rest[:excess]:
+        rest = _list_checkpoints(self._checkpoint_dir)[1:]  # genesis is always retained
+        for path in rest[: max(0, len(rest) - self._keep_checkpoints)]:
             path.unlink(missing_ok=True)
 
     # ------------------------------------------------------------------
@@ -412,17 +461,20 @@ class DurableMonitoringServer:
     ) -> "DurableMonitoringServer":
         """Resume a crashed (or cleanly stopped) durable server.
 
-        Restores the newest checkpoint that decodes cleanly (a checkpoint
-        torn by the crash is skipped in favor of the previous one), repairs
-        the event log's torn tail, discards any non-durable pending buffer
-        the checkpoint captured when logged batches remain, and replays the
-        log tail tick by tick.  The result is byte-identical to a run that
+        Removes ``*.tmp`` files a crash left mid-write, restores the newest
+        checkpoint that decodes cleanly over its base (a checkpoint torn by
+        the crash is skipped in favor of the previous one), repairs the
+        event log's torn tail, discards any non-durable pending buffer the
+        checkpoint captured when logged batches remain, and replays the log
+        tail tick by tick.  The result is byte-identical to a run that
         never crashed: same results, same timestamp.
 
         Raises:
-            RecoveryError: when no checkpoint is readable, a restored
-                snapshot disagrees with its checkpoint's timestamp, or the
-                log tail does not line up with the restored clock.
+            RecoveryError: when no checkpoint restores — each one is torn,
+                lacks an intact base, or was written in the retired
+                ``RPCKPT01`` format — a restored snapshot disagrees with
+                its checkpoint's timestamp, or the log tail does not line
+                up with the restored clock.
 
         Example::
 
@@ -434,13 +486,17 @@ class DurableMonitoringServer:
         paths = _list_checkpoints(directory)
         if not paths:
             raise RecoveryError(f"{data_path}: no checkpoints to recover from")
+        for stale in directory.glob("*.tmp"):
+            stale.unlink(missing_ok=True)
         server: Optional[MonitoringServer] = None
         record: Optional[Dict[str, object]] = None
         errors: List[str] = []
         for path in reversed(paths):
             try:
                 candidate = _read_checkpoint(path)
-                server = restore_server(candidate["state"])
+                server = restore_server(
+                    candidate["state"], _read_base(directory, candidate)
+                )
             except RecoveryError as exc:
                 errors.append(str(exc))
                 continue
@@ -459,7 +515,7 @@ class DurableMonitoringServer:
             )
         log = EventLog(data_path / _LOG_FILENAME, sync=sync)  # repairs torn tail
         try:
-            payloads = read_event_log(log.path, start_offset=int(record["log_offset"]))
+            payloads = read_event_log(log.path, start_offset=record["log_offset"])
             recovered = 0
             if payloads:
                 # The checkpoint may have captured ingested-but-unticked
@@ -489,6 +545,7 @@ class DurableMonitoringServer:
         durable._ticks_since_checkpoint = recovered
         durable._recovered_ticks = recovered
         durable._closed = False
+        durable._base_version = record["base_version"]
         durable._log = log
         if (
             checkpoint_every is not None

@@ -100,6 +100,9 @@ class StreamingService:
         self._port = port
         self._tick_interval = tick_interval
         self._subscribers: Set[asyncio.StreamWriter] = set()
+        # Every open connection's handler task and writer, so a shutdown can
+        # close them all and wait for the handlers to return.
+        self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._lock = asyncio.Lock()
         self._stop_event = asyncio.Event()
         self._server: Optional[asyncio.base_events.Server] = None
@@ -165,9 +168,14 @@ class StreamingService:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        for writer in list(self._subscribers):
-            self._subscribers.discard(writer)
+        # Closing a connection ends its handler's read with EOF; waiting for
+        # the handlers leaves no task for asyncio.run to cancel on the way out.
+        self._subscribers.clear()
+        handlers = list(self._connections)
+        for writer in self._connections.values():
             writer.close()
+        if handlers:
+            await asyncio.wait(handlers)
         try:
             self._durable.checkpoint()
         finally:
@@ -221,6 +229,7 @@ class StreamingService:
     # ------------------------------------------------------------------
     async def _handle_connection(self, reader, writer) -> None:
         stop_requested = False
+        self._connections[asyncio.current_task()] = writer
         try:
             while True:
                 try:
@@ -241,6 +250,7 @@ class StreamingService:
                     stop_requested = True
                     break
         finally:
+            del self._connections[asyncio.current_task()]
             self._subscribers.discard(writer)
             writer.close()
             if stop_requested:

@@ -213,23 +213,31 @@ class Segment:
         """Return True if the segment intersects the closed rectangle.
 
         Uses the Liang-Barsky parametric clipping test, which is robust for
-        the axis-aligned case and does not allocate.
+        the axis-aligned case and does not allocate (the quadtree calls it
+        ~20 times per inserted edge, so the bounding-box rejection is four
+        inlined comparisons rather than a validated :class:`Rect`).
         """
         if rect.contains_point(self.start) or rect.contains_point(self.end):
             return True
-        box = self.bounding_box
-        if not rect.intersects(box):
+        sx, sy = self.start.x, self.start.y
+        ex, ey = self.end.x, self.end.y
+        if (
+            rect.min_x > (ex if ex > sx else sx)
+            or (ex if ex < sx else sx) > rect.max_x
+            or rect.min_y > (ey if ey > sy else sy)
+            or (ey if ey < sy else sy) > rect.max_y
+        ):
             return False
 
         # Liang-Barsky clipping of the parametric segment against the rect.
-        dx = self.end.x - self.start.x
-        dy = self.end.y - self.start.y
+        dx = ex - sx
+        dy = ey - sy
         t_min, t_max = 0.0, 1.0
         for p, q in (
-            (-dx, self.start.x - rect.min_x),
-            (dx, rect.max_x - self.start.x),
-            (-dy, self.start.y - rect.min_y),
-            (dy, rect.max_y - self.start.y),
+            (-dx, sx - rect.min_x),
+            (dx, rect.max_x - sx),
+            (-dy, sy - rect.min_y),
+            (dy, rect.max_y - sy),
         ):
             if abs(p) <= _EPS:
                 if q < 0:

@@ -185,3 +185,73 @@ def test_property_nearest_edge_is_truly_nearest(segment_coords, probe_coords):
     _, distance = tree.nearest_edge(probe)
     best = min(segment.distance_to_point(probe) for segment in segments.values())
     assert distance == pytest.approx(best, abs=1e-6)
+
+
+# ----------------------------------------------------------------------
+# Segment.intersects_rect inlines its bounding-box rejection; the
+# formulation it replaced (a validated Rect per call) is the reference.
+# ----------------------------------------------------------------------
+def _intersects_rect_reference(segment: Segment, rect: Rect) -> bool:
+    if rect.contains_point(segment.start) or rect.contains_point(segment.end):
+        return True
+    if not rect.intersects(segment.bounding_box):
+        return False
+    dx = segment.end.x - segment.start.x
+    dy = segment.end.y - segment.start.y
+    t_min, t_max = 0.0, 1.0
+    for p, q in (
+        (-dx, segment.start.x - rect.min_x),
+        (dx, rect.max_x - segment.start.x),
+        (-dy, segment.start.y - rect.min_y),
+        (dy, rect.max_y - segment.start.y),
+    ):
+        if abs(p) <= 1e-12:
+            if q < 0:
+                return False
+            continue
+        t = q / p
+        if p < 0:
+            t_min = max(t_min, t)
+        else:
+            t_max = min(t_max, t)
+        if t_min > t_max:
+            return False
+    return True
+
+
+# Lattice values make touching, collinear and degenerate cases common;
+# the float range covers the general position.
+_coordinate = st.one_of(st.sampled_from([0.0, 25.0, 50.0, 75.0, 100.0]), st.floats(-20, 120))
+
+
+@settings(max_examples=400, deadline=None)
+@given(*[_coordinate] * 8)
+def test_property_intersects_rect_matches_the_replaced_formulation(
+    ax, ay, bx, by, x0, y0, x1, y1
+):
+    segment = Segment(Point(ax, ay), Point(bx, by))
+    rect = Rect(min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1))
+    assert segment.intersects_rect(rect) == _intersects_rect_reference(segment, rect)
+
+
+def test_city_tree_is_unchanged_by_the_inlined_predicate(monkeypatch):
+    """Same leaves, same per-leaf edge lists as a build with the old predicate."""
+    from repro.network.builders import city_network
+    from repro.network.edge_table import EdgeTable
+
+    def leaves(tree):
+        # _iter_nodes walks both trees in the same deterministic order
+        return [
+            (node.rect, node.depth, node.edge_ids)
+            for node in tree._iter_nodes()
+            if node.is_leaf
+        ]
+
+    network = city_network(1500, seed=11)
+    tree = EdgeTable(network).spatial_index
+    with monkeypatch.context() as patch:
+        patch.setattr(Segment, "intersects_rect", _intersects_rect_reference)
+        reference = EdgeTable(network).spatial_index
+    assert tree.statistics() == reference.statistics()
+    assert tree.statistics()["leaves"] > 100
+    assert leaves(tree) == leaves(reference)

@@ -9,6 +9,9 @@ pending buffer, and data-directory lifecycle rules.
 
 from __future__ import annotations
 
+import io
+import pickle
+import pickletools
 import shutil
 
 import pytest
@@ -20,7 +23,12 @@ from repro import (
     load_initial_state,
     restore_server,
 )
+from repro import run_differential_log
+from repro.core.sharding import ShardedMonitoringServer
 from repro.exceptions import RecoveryError, ServiceError
+from repro.network.edge_table import EdgeTable
+from repro.service import durable as durable_module
+from repro.service.durable import _read_checkpoint
 from repro.service.eventlog import scan_event_log
 from repro.service.faults import build_scenario_server
 from repro.testing.scenarios import ScenarioEngine, resolve_scenario
@@ -250,47 +258,103 @@ def test_torn_newest_with_keep_one_recovers_via_genesis_replay(tmp_path):
 def test_restore_server_rejects_garbage():
     with pytest.raises(RecoveryError):
         restore_server(b"junk")
-    import pickle
-
+    server = MonitoringServer(city_network(40, seed=3), algorithm="IMA")
+    blob = server.snapshot_state()
+    with pytest.raises(RecoveryError):
+        restore_server(blob[: len(blob) // 2])
+    # a dynamic section needs its static one, and the two must belong together
+    dynamic = server.snapshot_state(static=False)
+    with pytest.raises(RecoveryError):
+        restore_server(dynamic)
+    other = io.BytesIO()
+    MonitoringServer(city_network(200, seed=3), algorithm="IMA").write_static_state(other)
+    with pytest.raises(RecoveryError, match="topology version"):
+        restore_server(dynamic, other.getvalue())
+    # an unknown kind in an otherwise well-formed blob
+    stream = io.BytesIO(blob)
+    network, index, columns = (pickle.load(stream) for _ in range(3))
+    columns["kind"] = "martian"
+    martian = b"".join(pickle.dumps(part) for part in (network, index, columns, {}))
     with pytest.raises(RecoveryError, match="kind"):
-        restore_server(pickle.dumps({"kind": "martian"}))
+        restore_server(martian)
 
 
-@pytest.mark.parametrize("workers", [None, 2])
-def test_snapshot_restore_continues_byte_identically(workers):
-    """Both server flavors resume exactly from a snapshot blob."""
+def _scenario_server(scenario, seed, edges, workers, partitioning):
+    """``build_scenario_server`` with the sharded partitioning mode exposed."""
+    if partitioning is None:
+        return build_scenario_server(scenario, seed, edges, "IMA", "csr", workers)
+    template = build_scenario_server(scenario, seed, edges, "IMA", "csr", None)
+    server = ShardedMonitoringServer(
+        template.network, algorithm="IMA", edge_table=template.edge_table,
+        workers=workers, partitioning=partitioning,
+    )
+    engine = ScenarioEngine(
+        city_network(edges, seed=seed + 1), resolve_scenario(scenario), seed=seed
+    )
+    for query_id, (location, k) in engine.initial_queries().items():
+        server.add_query(query_id, location, k)
+    return server
+
+
+@pytest.mark.parametrize(
+    "workers, partitioning", [(None, None), (2, None), (2, "graph")],
+    ids=["in-process", "replica-2w", "graph-2w"],
+)
+def test_snapshot_restore_continues_byte_identically(workers, partitioning):
+    """Every server flavor resumes exactly from a snapshot blob.
+
+    The snapshot is taken with a non-empty pending buffer (tick 3's batch
+    is ingested, not ticked), which the clone must carry over.
+    """
     scenario, seed = "uniform-drift", 11
     spec = resolve_scenario(scenario)
     network = city_network(100, seed=seed + 1)
     engine = ScenarioEngine(network, spec, seed=seed)
-    original = build_scenario_server(scenario, seed, 100, "IMA", "csr", workers)
-    twin_engine = ScenarioEngine(
-        city_network(100, seed=seed + 1), spec, seed=seed
-    )
+    original = _scenario_server(scenario, seed, 100, workers, partitioning)
     try:
         for timestamp in range(3):
-            batch = engine.batch(timestamp)
-            original.apply_updates(batch)
+            original.apply_updates(engine.batch(timestamp))
             original.tick()
+        original.apply_updates(engine.batch(3))
         blob = original.snapshot_state()
         clone = restore_server(blob)
         try:
+            assert type(clone) is type(original)
             assert clone.current_timestamp == original.current_timestamp
             assert clone.results() == original.results()
-            for timestamp in range(3):
-                twin_engine.batch(timestamp)  # advance the twin RNG in lock-step
-            for timestamp in range(3, 5):
-                batch = engine.batch(timestamp)
-                twin = twin_engine.batch(timestamp)
-                original.apply_updates(batch)
-                original.tick()
-                clone.apply_updates(twin)
-                clone.tick()
+            assert clone.object_ids() == original.object_ids()
+            assert clone.network.weight_version == original.network.weight_version
+            assert clone.edge_table.version == original.edge_table.version
+            original.tick()
+            clone.tick()
             assert clone.results() == original.results()
+            batch = engine.batch(4)
+            original.apply_updates(batch)
+            original.tick()
+            clone.apply_updates(batch)
+            clone.tick()
+            assert clone.results() == original.results()
+            assert clone.object_ids() == original.object_ids()
+            # static + dynamic handed over separately is the same snapshot
+            static = io.BytesIO()
+            original.write_static_state(static)
+            twin = restore_server(original.snapshot_state(static=False), static.getvalue())
+            try:
+                assert twin.results() == original.results()
+            finally:
+                twin.close()
         finally:
             clone.close()
     finally:
         original.close()
+
+
+def test_snapshot_restores_a_table_without_spatial_index():
+    network = city_network(40, seed=2)
+    table = EdgeTable(network, build_spatial_index=False)
+    server = MonitoringServer(network, algorithm="IMA", edge_table=table)
+    clone = restore_server(server.snapshot_state())
+    assert clone.edge_table.spatial_index is None
 
 
 def test_load_initial_state_reads_genesis_without_respawn(tmp_path):
@@ -303,3 +367,256 @@ def test_load_initial_state_reads_genesis_without_respawn(tmp_path):
     assert initial.network.edge_ids()
     with pytest.raises(RecoveryError):
         load_initial_state(tmp_path / "nothing-here")
+
+
+def test_differential_log_replay_passes_on_the_new_layout(tmp_path):
+    durable, _ = _drive(tmp_path / "d", seed=4)
+    durable.close()
+    report = run_differential_log(tmp_path / "d")
+    assert report.ok, report.failure_message()
+    assert report.timestamps == TICKS
+
+
+# ----------------------------------------------------------------------
+# on-disk layout: one base + columnar checkpoints (RPCKPT02)
+# ----------------------------------------------------------------------
+def _names(data_dir):
+    return sorted(p.name for p in (data_dir / "checkpoints").iterdir())
+
+
+def _tiny_run(data_dir, ticks=5):
+    """A run small enough to recover a few thousand times: ~2 KB checkpoints."""
+    network = city_network(12, seed=3)
+    server = MonitoringServer(network, algorithm="IMA")
+    durable = DurableMonitoringServer(server, data_dir, checkpoint_every=2, sync=False)
+    for object_id in range(4):
+        server.add_object_at(object_id, x=10.0 * object_id, y=7.0 * object_id)
+    server.add_query_at(100, x=5.0, y=5.0, k=2)
+    for timestamp in range(ticks):
+        server.move_object_at(timestamp % 4, x=13.0 * timestamp, y=3.0 * timestamp)
+        server.update_edge_weight(
+            next(iter(network.edge_ids())), 1.0 + timestamp
+        )
+        durable.tick()
+    return durable
+
+
+def test_layout_is_one_base_plus_checkpoints(tmp_path):
+    durable = _tiny_run(tmp_path / "d")
+    durable.close()
+    names = _names(tmp_path / "d")
+    bases = [name for name in names if name.startswith("base-")]
+    assert len(bases) == 1 and not any(name.endswith(".tmp") for name in names)
+    assert [name for name in names if name.startswith("ckpt-")] == [
+        "ckpt-0000000000.bin", "ckpt-0000000002.bin", "ckpt-0000000004.bin",
+    ]
+    base_version = int(bases[0][len("base-"):-len(".bin")])
+    for path in (tmp_path / "d" / "checkpoints").glob("ckpt-*.bin"):
+        assert _read_checkpoint(path)["base_version"] == base_version
+
+
+def test_newest_checkpoint_torn_at_every_offset_recovers_via_the_previous(tmp_path):
+    """Whatever prefix of the newest checkpoint a crash left, recovery lands.
+
+    It must skip the torn file, restore the previous checkpoint and replay
+    the log tail to the uncrashed run's exact results and clock.
+    """
+    data_dir = tmp_path / "d"
+    durable = _tiny_run(data_dir)
+    expected, clock = durable.results(), durable.current_timestamp
+    durable.close()
+    newest = sorted((data_dir / "checkpoints").glob("ckpt-*.bin"))[-1]
+    full = newest.read_bytes()
+    for cut in range(len(full)):
+        newest.write_bytes(full[:cut])
+        recovered = DurableMonitoringServer.recover(
+            data_dir, checkpoint_every=None, sync=False
+        )
+        try:
+            assert recovered.recovered_ticks == 3, f"cut at {cut}: torn file was trusted"
+            assert recovered.current_timestamp == clock
+            assert recovered.results() == expected, f"cut at {cut}"
+        finally:
+            recovered.close()
+    newest.write_bytes(full)
+    recovered = DurableMonitoringServer.recover(data_dir, checkpoint_every=None, sync=False)
+    assert recovered.recovered_ticks == 1 and recovered.results() == expected
+    recovered.close()
+
+
+def test_torn_or_missing_base_is_a_typed_error(tmp_path):
+    data_dir = tmp_path / "d"
+    _tiny_run(data_dir).close()
+    (base,) = (data_dir / "checkpoints").glob("base-*.bin")
+    full = base.read_bytes()
+    for damaged in (full[: len(full) // 2], full[:-1], full[:10], b""):
+        base.write_bytes(damaged)
+        with pytest.raises(RecoveryError, match=base.name):
+            DurableMonitoringServer.recover(data_dir)
+    flipped = bytearray(full)
+    flipped[len(full) // 2] ^= 0x01
+    base.write_bytes(bytes(flipped))
+    with pytest.raises(RecoveryError, match="CRC"):
+        DurableMonitoringServer.recover(data_dir)
+    base.unlink()
+    with pytest.raises(RecoveryError, match=f"{base.name}: file is missing"):
+        DurableMonitoringServer.recover(data_dir)
+    with pytest.raises(RecoveryError, match="missing"):
+        load_initial_state(data_dir)
+
+
+def test_retired_format_directory_is_refused_by_name(tmp_path):
+    """A data directory written before RPCKPT02 is refused, not misread."""
+    directory = tmp_path / "d" / "checkpoints"
+    directory.mkdir(parents=True)
+    payload = pickle.dumps({"timestamp": 0, "log_offset": 8, "state": b"whole-graph pickle"})
+    (directory / "ckpt-0000000000.bin").write_bytes(
+        b"RPCKPT01" + len(payload).to_bytes(4, "little") + bytes(4) + payload
+    )
+    for entry in (DurableMonitoringServer.recover, load_initial_state):
+        with pytest.raises(RecoveryError, match="RPCKPT01.*RPCKPT02"):
+            entry(tmp_path / "d")
+
+
+def test_kill_between_base_and_genesis_then_fresh_start(tmp_path, monkeypatch):
+    """A base with no checkpoint beside it is an aborted init: start over."""
+    data_dir = tmp_path / "d"
+
+    class Killed(Exception):
+        pass
+
+    def die(*args):
+        raise Killed
+
+    with monkeypatch.context() as patch:
+        patch.setattr(durable_module, "_write_checkpoint", die)
+        with pytest.raises(Killed):
+            DurableMonitoringServer(
+                MonitoringServer(city_network(12, seed=3), algorithm="IMA"), data_dir
+            )
+    (orphan,) = _names(data_dir)
+    assert orphan.startswith("base-")
+    with pytest.raises(RecoveryError, match="no checkpoints"):
+        DurableMonitoringServer.recover(data_dir)
+    # Same size of city, so the same topology_version and the same base
+    # name: the fresh start must overwrite the orphan, not trust it.
+    network = city_network(12, seed=4)
+    DurableMonitoringServer(MonitoringServer(network, algorithm="IMA"), data_dir).close()
+    assert _names(data_dir) == [orphan, "ckpt-0000000000.bin"]
+    recovered = DurableMonitoringServer.recover(data_dir)
+    try:
+        restored = recovered.server.network
+        assert [(n.node_id, n.x, n.y) for n in restored.nodes()] == [
+            (n.node_id, n.x, n.y) for n in network.nodes()
+        ]
+    finally:
+        recovered.close()
+
+
+def test_topology_bump_writes_a_new_base_and_still_recovers(tmp_path):
+    data_dir = tmp_path / "d"
+    network = city_network(40, seed=6)
+    server = MonitoringServer(network, algorithm="IMA")
+    durable = DurableMonitoringServer(server, data_dir, checkpoint_every=None)
+    box = network.bounding_box()
+    for object_id in range(6):
+        server.add_object_at(
+            object_id, x=box.min_x + 9.0 * object_id, y=box.min_y + 5.0 * object_id
+        )
+    server.add_query_at(100, x=box.min_x + 20.0, y=box.min_y + 20.0, k=3)
+    durable.tick()
+    durable.checkpoint()
+    assert len(list((data_dir / "checkpoints").glob("base-*.bin"))) == 1
+    first, second = list(network.node_ids())[:2]
+    new_node = max(network.node_ids()) + 1
+    network.add_node(new_node, x=box.max_x + 5.0, y=box.max_y + 5.0)
+    network.add_edge(max(network.edge_ids()) + 1, first, new_node)
+    network.add_edge(max(network.edge_ids()) + 1, new_node, second)
+    server.move_object_at(0, x=box.min_x + 30.0, y=box.min_y + 11.0)
+    durable.tick()
+    durable.checkpoint()
+    durable.checkpoint()  # same topology again: no third base
+    expected, clock = durable.results(), durable.current_timestamp
+    durable.close()
+    assert len(list((data_dir / "checkpoints").glob("base-*.bin"))) == 2
+    recovered = DurableMonitoringServer.recover(data_dir)
+    try:
+        assert recovered.recovered_ticks == 0
+        assert recovered.current_timestamp == clock
+        assert recovered.results() == expected
+        assert recovered.server.network.has_node(new_node)
+        assert recovered.server.network.topology_version == network.topology_version
+    finally:
+        recovered.close()
+    # the genesis checkpoint still restores over the first base
+    assert not load_initial_state(data_dir).network.has_node(new_node)
+
+
+def test_recovery_removes_tmp_files_a_crash_left(tmp_path):
+    """A kill between writing ``ckpt-N.tmp`` and its rename leaves the tmp."""
+    data_dir = tmp_path / "d"
+    _tiny_run(data_dir).close()
+    directory = data_dir / "checkpoints"
+    (directory / "ckpt-0000000006.tmp").write_bytes(b"RPCKPT02 half a checkpoint")
+    (directory / "base-0000000099.tmp").write_bytes(b"")
+    DurableMonitoringServer.recover(data_dir).close()
+    assert not list(directory.glob("*.tmp"))
+    assert len(list(directory.glob("ckpt-*.bin"))) == 3
+
+
+def test_pruning_keeps_as_many_checkpoints_as_it_promises(tmp_path):
+    """Fewer than ``keep_checkpoints`` non-genesis files: nothing is pruned."""
+    durable, _ = _drive(tmp_path / "d", ticks=3, checkpoint_every=1, keep_checkpoints=4)
+    durable.close()
+    assert [name for name in _names(tmp_path / "d") if name.startswith("ckpt-")] == [
+        f"ckpt-{timestamp:010d}.bin" for timestamp in range(4)
+    ]
+
+
+def test_periodic_checkpoint_holds_no_graph_and_no_per_object_pickles(tmp_path):
+    """Shape guard: a checkpoint is columns plus a small pickle, nothing else.
+
+    On the e2e benchmark's ``--smoke`` sizing (2,000 edges / 2,000 objects)
+    the static graph must not appear at all, ``NetworkLocation`` — which
+    query locations legitimately use — must not be pickled once per object,
+    and the file must fit 24 B per object + 8 B per edge + 256 KB.
+    """
+    network = city_network(2000, seed=7)
+    server = MonitoringServer(network, algorithm="IMA")
+    box = network.bounding_box()
+    objects = 2000
+    server.add_objects_at(
+        (
+            object_id,
+            box.min_x + (box.max_x - box.min_x) * ((object_id * 37) % 1000) / 1000.0,
+            box.min_y + (box.max_y - box.min_y) * ((object_id * 61) % 1000) / 1000.0,
+        )
+        for object_id in range(objects)
+    )
+    for query_id in range(16):
+        server.add_query_at(
+            1_000_000 + query_id, x=box.min_x + 40.0 * query_id, y=box.min_y + 30.0 * query_id, k=8
+        )
+    durable = DurableMonitoringServer(server, tmp_path / "d", checkpoint_every=2)
+    for timestamp in range(2):
+        server.move_objects_at(
+            (object_id, box.min_x + 3.0 * object_id, box.min_y + 2.0 * timestamp)
+            for object_id in range(0, 200, 7)
+        )
+        durable.tick()
+    durable.close()
+    path = tmp_path / "d" / "checkpoints" / "ckpt-0000000002.bin"
+    assert path.stat().st_size <= 24 * objects + 8 * network.edge_count + 256 * 1024
+    state = bytes(_read_checkpoint(path)["state"])
+    strings, instances, position = set(), 0, 0
+    while position < len(state):
+        for opcode, argument, offset in pickletools.genops(state[position:]):
+            if isinstance(argument, str):
+                strings.add(argument)
+            if opcode.name in ("NEWOBJ", "NEWOBJ_EX", "REDUCE"):
+                instances += 1
+        position += offset + 1  # past this pickle's STOP
+    forbidden = {"RoadNetwork", "Edge", "Node", "PMRQuadtree", "Segment", "_QuadNode"}
+    assert not strings & forbidden
+    assert "ImaMonitor" in strings  # the scan did reach the monitor's pickle
+    assert instances < objects // 2, f"{instances} objects pickled by value"

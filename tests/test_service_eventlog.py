@@ -208,22 +208,31 @@ def test_decode_batch_rejects_garbage_and_bad_versions():
 def test_checkpoint_write_read_roundtrip(tmp_path):
     from repro.service.durable import _read_checkpoint, _write_checkpoint
 
-    path = _write_checkpoint(tmp_path, 12, 345, b"state-blob")
+    path = _write_checkpoint(tmp_path, 12, 345, 7, b"state-blob")
     assert path.name == "ckpt-0000000012.bin"
+    assert path.read_bytes()[:8] == b"RPCKPT02"
     record = _read_checkpoint(path)
-    assert record == {"timestamp": 12, "log_offset": 345, "state": b"state-blob"}
+    assert record == {
+        "timestamp": 12, "log_offset": 345, "base_version": 7, "state": b"state-blob"
+    }
 
 
 def test_torn_checkpoint_is_detected(tmp_path):
     from repro.service.durable import _read_checkpoint, _write_checkpoint
 
-    path = _write_checkpoint(tmp_path, 3, 99, b"x" * 64)
+    path = _write_checkpoint(tmp_path, 3, 99, 0, b"x" * 64)
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])  # crash mid-write
     with pytest.raises(RecoveryError, match="truncated"):
         _read_checkpoint(path)
+    path.write_bytes(data[:12])  # not even a whole header
+    with pytest.raises(RecoveryError, match="truncated"):
+        _read_checkpoint(path)
     path.write_bytes(b"WRONGMAG" + data[8:])
     with pytest.raises(RecoveryError, match="magic"):
+        _read_checkpoint(path)
+    path.write_bytes(b"RPCKPT01" + data[8:])  # the retired whole-graph format
+    with pytest.raises(RecoveryError, match="RPCKPT01"):
         _read_checkpoint(path)
     flipped = bytearray(data)
     flipped[-1] ^= 0xFF
@@ -235,7 +244,7 @@ def test_torn_checkpoint_is_detected(tmp_path):
 def test_checkpoint_replace_is_atomic_no_tmp_left_behind(tmp_path):
     from repro.service.durable import _write_checkpoint
 
-    _write_checkpoint(tmp_path, 1, 10, b"blob")
+    _write_checkpoint(tmp_path, 1, 10, 0, b"blob")
     assert [p.name for p in sorted(tmp_path.iterdir())] == ["ckpt-0000000001.bin"]
     assert not list(tmp_path.glob("*.tmp"))
 

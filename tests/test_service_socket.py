@@ -10,11 +10,16 @@ differential harness and the ``repro.service.replay`` CLI.
 from __future__ import annotations
 
 import asyncio
+import os
+import pathlib
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+import repro
 from repro import (
     DurableMonitoringServer,
     MonitoringServer,
@@ -160,3 +165,47 @@ def test_service_rejects_bad_tick_interval(tmp_path):
             StreamingService(durable, tick_interval=0.0)
     finally:
         durable.close()
+
+
+def test_stop_with_an_idle_second_client_exits_cleanly(tmp_path):
+    """``stop`` closes *every* connection, so no handler is left to cancel.
+
+    A second client that is merely connected used to keep its handler task
+    parked in ``read_frame``; ``asyncio.run`` then cancelled it on the way
+    out and the process ended with a ``CancelledError`` traceback on stderr.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(pathlib.Path(repro.__file__).resolve().parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    address_file = tmp_path / "address"
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.service",
+            "--data-dir", str(tmp_path / "data"),
+            "--network-edges", "60",
+            "--address-file", str(address_file),
+        ],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+    )
+    try:
+        deadline = time.monotonic() + 30.0
+        while not address_file.exists():
+            assert proc.poll() is None, proc.stderr.read()
+            assert time.monotonic() < deadline, "service never published its address"
+            time.sleep(0.02)
+        host, port = address_file.read_text().split()
+        idle = ServiceClient(host, int(port))
+        assert idle.request("ping") == "pong"  # its handler is serving
+        stopper = ServiceClient(host, int(port))
+        stopper.stop()
+        _, stderr = proc.communicate(timeout=30.0)
+        idle.close()
+        stopper.close()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == 0
+    assert stderr == ""
