@@ -199,7 +199,7 @@ class MonitorBase(abc.ABC):
         algorithm-specific processing.  Returns a report with the wall-clock
         time spent and the queries whose result changed.
         """
-        normalized = batch.normalized()
+        normalized = batch.net()
         before = self._counters.snapshot()
         start = time.perf_counter()
 

@@ -388,7 +388,7 @@ class DedupFrontend:
             validated against the logical registry before anything is
             dispatched.
         """
-        normalized = batch.normalized()
+        normalized = batch.net()
         added: Set[int] = set()
         removed: Set[int] = set()
         for update in normalized.query_updates:

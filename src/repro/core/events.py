@@ -21,9 +21,11 @@ lock-step on identical inputs.
 
 from __future__ import annotations
 
-import pickle
+import struct
+import sys
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import EventLogError, InvalidQueryError, SimulationError
 from repro.network.edge_table import EdgeTable
@@ -184,12 +186,25 @@ class UpdateBatch:
     object_updates: List[ObjectUpdate] = field(default_factory=list)
     query_updates: List[QueryUpdate] = field(default_factory=list)
     edge_updates: List[EdgeWeightUpdate] = field(default_factory=list)
+    # The normalized mark: the three list lengths at the moment the batch was
+    # known to be net (None = never).  Comparing lengths instead of keeping a
+    # flag means any append — through the add_* methods or straight onto a
+    # list — unmarks the batch without having to remember to.
+    _net_lengths: Optional[Tuple[int, int, int]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     # convenience
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.object_updates) + len(self.query_updates) + len(self.edge_updates)
+
+    def _lengths(self) -> Tuple[int, int, int]:
+        return (len(self.object_updates), len(self.query_updates), len(self.edge_updates))
+
+    def _is_net(self) -> bool:
+        return self._net_lengths == self._lengths()
 
     def is_empty(self) -> bool:
         """True when the batch carries no updates at all."""
@@ -221,6 +236,10 @@ class UpdateBatch:
         same timestamp only the first old location and the last new location
         matter; for an edge only the first old weight and the last new
         weight.  The relative order of distinct entities is preserved.
+
+        The returned batch is marked as net — :meth:`net` hands it back
+        unchanged and :func:`encode_batch` records the fact — until
+        something is appended to it.
         """
         merged_objects: Dict[int, ObjectUpdate] = {}
         object_order: List[int] = []
@@ -290,47 +309,396 @@ class UpdateBatch:
                 for i in edge_order
                 if merged_edges[i].old_weight != merged_edges[i].new_weight
             ],
+        )._mark_net()
+
+    def net(self) -> "UpdateBatch":
+        """This batch as net updates, normalizing only when that is still due.
+
+        A batch returned by :meth:`normalized`, or decoded from a record
+        that was encoded from one, is returned as it is; anything else goes
+        through :meth:`normalized`.  Every consumer on the tick path asks
+        for the net batch this way, so Section 4.5 runs once per tick
+        however many layers the batch crosses.
+
+        Example::
+
+            net = batch.net()
+            assert net.net() is net
+        """
+        return self if self._is_net() else self.normalized()
+
+    def _mark_net(self) -> "UpdateBatch":
+        """Record that the batch, as it stands, is net; returns the batch.
+
+        For code that builds a batch out of net parts (no entity twice, no
+        no-op edge update), where :meth:`normalized` could only copy it.
+        """
+        self._net_lengths = self._lengths()
+        return self
+
+
+# ----------------------------------------------------------------------
+# batch record codec (the WAL payload and the ``apply`` frame's payload)
+# ----------------------------------------------------------------------
+#: Version of the batch record; bumped whenever the layout changes so that
+#: older payloads fail loudly instead of decoding garbage.  Version 1 was a
+#: pickle and is recognized only to be refused.
+_BATCH_CODEC_VERSION = 2
+
+_RECORD_MAGIC = b"RPUB"
+#: magic, version, flags, timestamp, object / query / edge update counts
+_RECORD_HEADER = struct.Struct("<4sBBqIII")
+_FLAG_NORMALIZED = 0x01
+#: Every pickle of protocol 2 or later — which is what version 1 wrote —
+#: starts with the PROTO opcode.
+_PICKLE_PROTO_OPCODE = 0x80
+
+#: One row of the kind column: which sides of the update hold a location.
+_APPEAR, _MOVE, _DISAPPEAR = 0, 1, 2
+#: Query rows add, shifted above the kind, what their ``k`` holds.
+_K_SHIFT = 2
+_K_NONE, _K_INT, _K_SPEC = 0, 1, 2
+#: kind, aggregate, k, radius, number of extra points
+_SPEC_ROW = struct.Struct("<BBqdI")
+_SPEC_KINDS = ("knn", "range", "aggregate_knn")
+_SPEC_AGGREGATES = ("sum", "max")
+
+#: ``array`` writes native byte order; the record is little-endian.
+_SWAP = sys.byteorder != "little"
+#: Width tag of an integer column that fits neither int32 nor int64: every
+#: value is then a length byte plus that many little-endian signed bytes.
+_WIDE = 0
+_INT_TYPECODES = ((4, "i"), (8, "q"))
+
+
+def _pack_ints(what: str, values: Sequence[int]) -> bytes:
+    """An integer column: a width tag, then the narrowest layout that fits."""
+    if not values:
+        return b""
+    for width, typecode in _INT_TYPECODES:
+        try:
+            column = array(typecode, values)
+        except OverflowError:
+            continue
+        except TypeError as exc:
+            raise EventLogError(f"cannot encode {what}: {exc}") from exc
+        if _SWAP:
+            column.byteswap()
+        return bytes((width,)) + column.tobytes()
+    parts = [bytes((_WIDE,))]
+    for value in values:
+        if not isinstance(value, int):
+            raise EventLogError(f"cannot encode {what}: {value!r} is not an integer")
+        size = (value.bit_length() + 8) // 8
+        if size > 255:
+            raise EventLogError(f"cannot encode {what}: {value.bit_length()}-bit integer")
+        parts.append(bytes((size,)))
+        parts.append(value.to_bytes(size, "little", signed=True))
+    return b"".join(parts)
+
+
+def _pack_floats(what: str, values: Sequence[float]) -> bytes:
+    """A float64 column."""
+    try:
+        column = array("d", values)
+    except TypeError as exc:
+        raise EventLogError(f"cannot encode {what}: {exc}") from exc
+    if _SWAP:
+        column.byteswap()
+    return column.tobytes()
+
+
+def _pack_locations(what: str, locations: Sequence[NetworkLocation]) -> bytes:
+    """An ``(edge, fraction)`` column pair."""
+    return _pack_ints(what, [location.edge_id for location in locations]) + _pack_floats(
+        what, [location.fraction for location in locations]
+    )
+
+
+def _pack_moves(what: str, ids: List[int], updates: Sequence, kinds: bytes) -> bytes:
+    """What object and query sections share: ids, kinds, old and new locations."""
+    return b"".join(
+        (
+            _pack_ints(f"{what} ids", ids),
+            kinds,
+            _pack_locations(
+                f"{what} old locations",
+                [u.old_location for u in updates if u.old_location is not None],
+            ),
+            _pack_locations(
+                f"{what} new locations",
+                [u.new_location for u in updates if u.new_location is not None],
+            ),
         )
+    )
 
 
-#: Version tag prefixed to every encoded batch; bumped if the payload shape
-#: ever changes so old logs fail loudly instead of decoding garbage.
-_BATCH_CODEC_VERSION = 1
+def _move_kind(update) -> int:
+    if update.old_location is None:
+        return _APPEAR
+    return _DISAPPEAR if update.new_location is None else _MOVE
+
+
+def _pack_specs(specs: Sequence) -> bytes:
+    """Fixed-layout ``QuerySpec`` rows, then every row's extra points."""
+    rows = []
+    points: List[NetworkLocation] = []
+    for spec in specs:
+        try:
+            rows.append(
+                _SPEC_ROW.pack(
+                    _SPEC_KINDS.index(spec.kind),
+                    _SPEC_AGGREGATES.index(spec.agg),
+                    spec.k,
+                    spec.radius,
+                    len(spec.points),
+                )
+            )
+        except (ValueError, struct.error) as exc:
+            raise EventLogError(f"cannot encode {spec!r}: {exc}") from exc
+        points.extend(spec.points)
+    return b"".join(rows) + _pack_locations("query spec points", points)
 
 
 def encode_batch(batch: UpdateBatch) -> bytes:
-    """Serialize a batch to the binary payload stored in the event log.
+    """Serialize a batch to its binary record.
 
-    The inverse of :func:`decode_batch`.  Encoding is deterministic for a
-    given batch and survives process boundaries, which is what the durable
-    service's write-ahead log (:class:`~repro.service.EventLog`) needs:
-    every logged batch must replay to exactly the updates the live server
-    processed.
+    The inverse of :func:`decode_batch`, and the one representation a batch
+    has outside a process: the event-log payload
+    (:class:`~repro.service.EventLog`), the payload of the service's
+    ``apply`` frame and the input of every replay.  The record is a
+    little-endian header followed by one column group per update kind (see
+    ``docs/service.md`` for the byte layout); encoding is deterministic,
+    lossless and uses no pickle.  A batch known to be net (see
+    :meth:`UpdateBatch.net`) says so in the header, so that whoever decodes
+    it does not normalize it again.
+
+    Raises:
+        EventLogError: if a value does not fit its column — a non-integer
+            id, a non-numeric fraction or weight, an integer wider than
+            255 bytes, a timestamp or ``k`` outside int64.
 
     Example::
 
         payload = encode_batch(batch)
-        assert decode_batch(payload).timestamp == batch.timestamp
+        assert decode_batch(payload) == batch
     """
-    return pickle.dumps(
-        (
-            _BATCH_CODEC_VERSION,
-            batch.timestamp,
-            batch.object_updates,
-            batch.query_updates,
-            batch.edge_updates,
-        ),
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
+    objects, queries, edges = batch.object_updates, batch.query_updates, batch.edge_updates
+    try:
+        parts = [
+            _RECORD_HEADER.pack(
+                _RECORD_MAGIC,
+                _BATCH_CODEC_VERSION,
+                _FLAG_NORMALIZED if batch._is_net() else 0,
+                batch.timestamp,
+                len(objects),
+                len(queries),
+                len(edges),
+            )
+        ]
+    except struct.error as exc:
+        raise EventLogError(f"cannot encode batch header: {exc}") from exc
+    if objects:
+        parts.append(
+            _pack_moves(
+                "object",
+                [u.object_id for u in objects],
+                objects,
+                bytes(map(_move_kind, objects)),
+            )
+        )
+    if queries:
+        ks = [u.k for u in queries]
+        # A plain-int k and a QuerySpec are told apart, so that the batch
+        # comes back as it went in (QueryUpdate already refused anything else).
+        k_kinds = [
+            _K_NONE if k is None else _K_INT if isinstance(k, int) else _K_SPEC for k in ks
+        ]
+        parts.append(
+            _pack_moves(
+                "query",
+                [u.query_id for u in queries],
+                queries,
+                bytes(
+                    _move_kind(u) | k_kind << _K_SHIFT for u, k_kind in zip(queries, k_kinds)
+                ),
+            )
+        )
+        parts.append(
+            _pack_ints("query k", [k for k, k_kind in zip(ks, k_kinds) if k_kind == _K_INT])
+        )
+        parts.append(_pack_specs([k for k, k_kind in zip(ks, k_kinds) if k_kind == _K_SPEC]))
+    if edges:
+        parts.append(_pack_ints("edge ids", [u.edge_id for u in edges]))
+        parts.append(_pack_floats("old weights", [u.old_weight for u in edges]))
+        parts.append(_pack_floats("new weights", [u.new_weight for u in edges]))
+    return b"".join(parts)
+
+
+_new = object.__new__
+_OBJECT_KINDS = bytes((_APPEAR, _MOVE, _DISAPPEAR))
+_QUERY_KINDS = bytes(
+    kind | k_kind << _K_SHIFT
+    for k_kind in (_K_NONE, _K_INT, _K_SPEC)
+    for kind in _OBJECT_KINDS
+)
+#: ``bytes.translate`` table that strips a query row's k bits off its kind.
+_KIND_ONLY = bytes(byte & ((1 << _K_SHIFT) - 1) for byte in range(256))
+
+
+class _RecordReader:
+    """Cursor over a record; every read is bounded by the bytes that remain."""
+
+    def __init__(self, view: memoryview) -> None:
+        self._view = view
+        self.offset = 0
+
+    @property
+    def remaining(self) -> int:
+        """Bytes not yet consumed."""
+        return len(self._view) - self.offset
+
+    def take(self, what: str, size: int) -> memoryview:
+        """The next *size* bytes — checked against the payload, not assumed."""
+        if size > self.remaining:
+            raise EventLogError(
+                f"batch record is truncated: {what} needs {size} bytes at offset "
+                f"{self.offset}, {self.remaining} remain"
+            )
+        chunk = self._view[self.offset : self.offset + size]
+        self.offset += size
+        return chunk
+
+    def _column(self, what: str, typecode: str, width: int, count: int) -> array:
+        column = array(typecode)
+        column.frombytes(self.take(what, width * count))
+        if _SWAP:
+            column.byteswap()
+        return column
+
+    def ints(self, what: str, count: int) -> Sequence[int]:
+        """An integer column of *count* rows, at whatever width it was written."""
+        if not count:
+            return ()
+        width = self.take(what, 1)[0]
+        for known, typecode in _INT_TYPECODES:
+            if width == known:
+                return self._column(what, typecode, width, count)
+        if width != _WIDE:
+            raise EventLogError(f"batch record: {what} have unknown integer width {width}")
+        values = []
+        # Every iteration consumes at least one byte, so a count the payload
+        # cannot hold runs into take()'s check, not into memory.
+        for _ in range(count):
+            size = self.take(what, 1)[0]
+            values.append(int.from_bytes(self.take(what, size), "little", signed=True))
+        return values
+
+    def floats(self, what: str, count: int) -> array:
+        """A float64 column of *count* rows."""
+        return self._column(what, "d", 8, count)
+
+    def locations(self, what: str, count: int) -> List[NetworkLocation]:
+        """An ``(edge, fraction)`` column pair, the fractions checked at once."""
+        edges = self.ints(what, count)
+        fractions = self.floats(what, count)
+        if count and not (
+            _no_nan(fractions) and min(fractions) >= 0.0 and max(fractions) <= 1.0
+        ):
+            raise EventLogError(f"batch record: {what} hold a fraction outside [0, 1]")
+        # That was NetworkLocation.__post_init__'s one rule, so the instances
+        # are filled in directly instead of re-checking it row by row.
+        result = []
+        for edge_id, fraction in zip(edges, fractions):
+            location = _new(NetworkLocation)
+            fields = location.__dict__
+            fields["edge_id"] = edge_id
+            fields["fraction"] = fraction
+            result.append(location)
+        return result
+
+    def moves(self, what: str, count: int, valid_kinds: bytes):
+        """``(ids, kind bytes, old locations, new locations)`` of *count* rows.
+
+        The location lists have one entry per row, None on the side the
+        row's kind says is absent — so no row can lack both.
+        """
+        ids = self.ints(f"{what} ids", count)
+        kinds = bytes(self.take(f"{what} kinds", count))
+        if kinds.translate(None, valid_kinds):
+            raise EventLogError(f"batch record: unknown {what} update kind")
+        sides = kinds.translate(_KIND_ONLY)
+        olds = iter(self.locations(f"{what} old locations", count - sides.count(_APPEAR)))
+        news = iter(self.locations(f"{what} new locations", count - sides.count(_DISAPPEAR)))
+        return (
+            ids,
+            kinds,
+            [None if side == _APPEAR else next(olds) for side in sides],
+            [None if side == _DISAPPEAR else next(news) for side in sides],
+        )
+
+    def specs(self, count: int) -> list:
+        """*count* ``QuerySpec`` rows, built through the validating constructor."""
+        from repro.core.queries import QuerySpec
+
+        rows = [
+            _SPEC_ROW.unpack(self.take("query spec rows", _SPEC_ROW.size))
+            for _ in range(count)
+        ]
+        points = iter(self.locations("query spec points", sum(row[4] for row in rows)))
+        result = []
+        for kind, agg, k, radius, n_points in rows:
+            if kind >= len(_SPEC_KINDS) or agg >= len(_SPEC_AGGREGATES):
+                raise EventLogError(
+                    f"batch record: unknown query spec kind {kind} / aggregate {agg}"
+                )
+            result.append(
+                QuerySpec(
+                    _SPEC_KINDS[kind],
+                    k,
+                    radius,
+                    tuple(next(points) for _ in range(n_points)),
+                    _SPEC_AGGREGATES[agg],
+                )
+            )
+        return result
+
+
+def _no_nan(column: array) -> bool:
+    """True when no value of a float column is NaN (or they are opposite infinities).
+
+    min() and max() compare, and every comparison with a NaN is false, so
+    they can step over one; the sum cannot.
+    """
+    total = sum(column)
+    return total == total
+
+
+def _require_unique(what: str, ids: Sequence[int]) -> None:
+    if len(set(ids)) != len(ids):
+        raise EventLogError(
+            f"batch record is flagged normalized but updates one {what} twice"
+        )
 
 
 def decode_batch(payload: bytes) -> UpdateBatch:
     """Rebuild an :class:`UpdateBatch` from :func:`encode_batch` output.
 
+    Nothing in *payload* is trusted: every count is bounded by the bytes
+    that remain before anything is allocated for it, and every rule the
+    update classes enforce at construction — fractions in [0, 1], positive
+    finite new weights, a location on at least one side, known kinds, valid
+    query specs — is enforced here as well, on the whole column where a
+    column can be checked at once and per row otherwise.  A record flagged
+    normalized must also update no entity twice and hold no no-op edge
+    update; the decoded batch then carries the mark, so
+    :meth:`UpdateBatch.net` returns it unchanged.
+
     Raises:
-        EventLogError: if the payload does not decode to a batch of the
-            supported codec version (corrupt bytes, or a log written by an
-            incompatible library version).
+        EventLogError: if the payload is truncated, has trailing bytes, is
+            not a batch record at all, was written by another codec version
+            (a version-1 pickle payload is named as such, never unpickled),
+            or holds a value the update classes would refuse.
 
     Example::
 
@@ -338,21 +706,93 @@ def decode_batch(payload: bytes) -> UpdateBatch:
         server.apply_updates(batch)
     """
     try:
-        record = pickle.loads(payload)
-        version, timestamp, object_updates, query_updates, edge_updates = record
-    except Exception as exc:
-        raise EventLogError(f"cannot decode event-log batch payload: {exc}") from exc
+        view = memoryview(payload).cast("B")
+    except TypeError as exc:
+        raise EventLogError(f"a batch payload is bytes, not {type(payload).__name__}") from exc
+    if len(view) and view[0] == _PICKLE_PROTO_OPCODE:
+        raise EventLogError(
+            "batch payload is a version-1 (pickle) record; this library reads "
+            f"version {_BATCH_CODEC_VERSION} only — finish that log on the release "
+            "that wrote it, or start a fresh data directory"
+        )
+    reader = _RecordReader(view)
+    magic, version, flags, timestamp, n_objects, n_queries, n_edges = _RECORD_HEADER.unpack(
+        reader.take("header", _RECORD_HEADER.size)
+    )
+    if magic != _RECORD_MAGIC:
+        raise EventLogError(f"not a batch record: bad magic {magic!r}")
     if version != _BATCH_CODEC_VERSION:
         raise EventLogError(
-            f"unsupported batch codec version {version!r} "
+            f"unsupported batch codec version {version} "
             f"(this library reads version {_BATCH_CODEC_VERSION})"
         )
-    return UpdateBatch(
-        timestamp=timestamp,
-        object_updates=list(object_updates),
-        query_updates=list(query_updates),
-        edge_updates=list(edge_updates),
-    )
+    if flags & ~_FLAG_NORMALIZED:
+        raise EventLogError(f"batch record has unknown flag bits {flags:#04x}")
+    normalized = bool(flags & _FLAG_NORMALIZED)
+
+    object_updates: List[ObjectUpdate] = []
+    if n_objects:
+        ids, _, olds, news = reader.moves("object", n_objects, _OBJECT_KINDS)
+        if normalized:
+            _require_unique("object", ids)
+        # moves() guarantees a location on one side, which is all that
+        # ObjectUpdate.__post_init__ asks for.
+        for object_id, old, new in zip(ids, olds, news):
+            update = _new(ObjectUpdate)
+            fields = update.__dict__
+            fields["object_id"] = object_id
+            fields["old_location"] = old
+            fields["new_location"] = new
+            object_updates.append(update)
+
+    query_updates: List[QueryUpdate] = []
+    if n_queries:
+        ids, kinds, olds, news = reader.moves("query", n_queries, _QUERY_KINDS)
+        if normalized:
+            _require_unique("query", ids)
+        k_kinds = [kind >> _K_SHIFT for kind in kinds]
+        try:
+            int_ks = iter(reader.ints("query k", k_kinds.count(_K_INT)))
+            specs = iter(reader.specs(k_kinds.count(_K_SPEC)))
+            # Few rows, and the constructor derives .spec: no shortcut here.
+            for query_id, k_kind, old, new in zip(ids, k_kinds, olds, news):
+                k = None if k_kind == _K_NONE else next(int_ks if k_kind == _K_INT else specs)
+                query_updates.append(QueryUpdate(query_id, old, new, k))
+        except (InvalidQueryError, SimulationError) as exc:  # QuerySpec, QueryUpdate
+            raise EventLogError(f"batch record holds an invalid query update: {exc}") from exc
+
+    edge_updates: List[EdgeWeightUpdate] = []
+    if n_edges:
+        ids = reader.ints("edge ids", n_edges)
+        old_weights = reader.floats("old weights", n_edges)
+        new_weights = reader.floats("new weights", n_edges)
+        # EdgeWeightUpdate.__post_init__ on the whole column.
+        if not (
+            _no_nan(new_weights)
+            and min(new_weights) > 0.0
+            and max(new_weights) < float("inf")
+        ):
+            raise EventLogError(
+                "batch record holds a new edge weight that is not a positive finite number"
+            )
+        if normalized:
+            _require_unique("edge", ids)
+            if any(map(float.__eq__, old_weights, new_weights)):
+                raise EventLogError(
+                    "batch record is flagged normalized but holds a no-op edge update"
+                )
+        for edge_id, old_weight, new_weight in zip(ids, old_weights, new_weights):
+            update = _new(EdgeWeightUpdate)
+            fields = update.__dict__
+            fields["edge_id"] = edge_id
+            fields["old_weight"] = old_weight
+            fields["new_weight"] = new_weight
+            edge_updates.append(update)
+
+    if reader.remaining:
+        raise EventLogError(f"batch record has {reader.remaining} trailing bytes")
+    batch = UpdateBatch(timestamp, object_updates, query_updates, edge_updates)
+    return batch._mark_net() if normalized else batch
 
 
 def apply_batch(network: RoadNetwork, edge_table: EdgeTable, batch: UpdateBatch) -> None:

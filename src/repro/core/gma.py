@@ -200,7 +200,7 @@ class GmaMonitor(MonitorBase):
             object_updates=batch.object_updates,
             query_updates=[],
             edge_updates=batch.edge_updates,
-        )
+        )._mark_net()  # process_batch hands _process net updates only
         node_report = self._node_monitor.process_batch(node_batch)
 
         # Step 2 — user query movements: re-group k-NN queries whose

@@ -589,8 +589,9 @@ class MonitoringServer:
         timestamp :meth:`take_pending_batch` stamped on it; feeding anything
         else desynchronizes the server clock from the monitor reports.
         """
-        apply_batch(self._network, self._edge_table, batch.normalized())
-        return self._monitor.process_batch(batch)
+        net = batch.net()
+        apply_batch(self._network, self._edge_table, net)
+        return self._monitor.process_batch(net)
 
     def discard_pending(self) -> UpdateBatch:
         """Drop (and return) every buffered-but-unprocessed update.

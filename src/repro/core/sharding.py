@@ -719,7 +719,7 @@ class ShardedMonitoringServer(MonitoringServer):
         if self._network.topology_version != self._exported_topology_version:
             self._resync()
         start = time.perf_counter()
-        normalized = batch.normalized()
+        normalized = batch.net()
         apply_batch(self._network, self._edge_table, normalized)
 
         graph_mode = self._partitioning == "graph"

@@ -44,10 +44,12 @@ broadcast edge deltas — see :func:`~repro.network.csr.attach_shared_csr`).
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
 import time
 import traceback
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.core.events import UpdateBatch, apply_batch
@@ -308,7 +310,7 @@ def run_shard_worker(conn, init: ShardInit) -> None:
     changed_results, escalated_ids)``; ``cpu_seconds`` is this process's CPU
     time for the tick, the contention-free signal throughput studies use.
     Any exception is reported as ``("error", traceback_text)`` and ends the
-    worker.
+    worker, and so does the death of the coordinator, however it died.
     """
     try:
         network, edge_table, monitor, initial_results, initial_escalated = (
@@ -321,12 +323,22 @@ def run_shard_worker(conn, init: ShardInit) -> None:
         finally:
             conn.close()
         return
+    # A SIGKILLed coordinator does not show up as EOF on conn: under fork,
+    # every sibling started later holds a copy of the coordinator's end of
+    # this worker's pipe.  So the parent-process sentinel is waited on
+    # beside it.  Later siblings hold copies of that too, but the worker
+    # started last has none: it sees the death at once, and every exit
+    # releases the worker started before.
+    parent = multiprocessing.parent_process()
+    watched = [conn] if parent is None else [conn, parent.sentinel]
     try:
         while True:
             try:
+                if wait(watched) != [conn]:
+                    break  # the coordinator is gone; nothing left to report to
                 message = conn.recv()
             except (EOFError, OSError):
-                break  # parent went away; nothing left to report to
+                break
             kind = message[0]
             if kind == "stop":
                 break
@@ -362,12 +374,14 @@ def run_shard_worker(conn, init: ShardInit) -> None:
             _, timestamp, shared_blob, query_updates = message
             try:
                 object_updates, edge_updates = pickle.loads(shared_blob)
+                # The coordinator normalized the tick before splitting it,
+                # and no split names an entity twice.
                 batch = UpdateBatch(
                     timestamp=timestamp,
                     object_updates=object_updates,
                     query_updates=query_updates,
                     edge_updates=edge_updates,
-                )
+                )._mark_net()
                 cpu_start = time.process_time()
                 apply_batch(network, edge_table, batch)
                 report = monitor.process_batch(batch)

@@ -167,6 +167,16 @@ class EventLogError(ServiceError):
     """
 
 
+class FrameError(ServiceError):
+    """Raised when a complete protocol frame cannot be turned into a message.
+
+    The payload is not a pickle, or it names a class that frames do not
+    carry (see :func:`repro.service.protocol.decode_payload`).  The frame
+    itself was read whole, so the connection is still in step and keeps
+    serving.
+    """
+
+
 class RecoveryError(ServiceError):
     """Raised when checkpoint-plus-log recovery cannot reach a usable state."""
 

@@ -49,7 +49,7 @@ from repro.core.server import MonitoringServer, load_snapshot, restore_server
 from repro.exceptions import RecoveryError, ServiceError
 from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation, RoadNetwork
-from repro.service.eventlog import EventLog, read_event_log
+from repro.service.eventlog import EventLog
 
 #: First 8 bytes of every base and checkpoint file.
 CHECKPOINT_MAGIC = b"RPCKPT02"
@@ -387,9 +387,11 @@ class DurableMonitoringServer:
         any later instant replays this tick from the log.  Writes an
         automatic checkpoint every ``checkpoint_every`` ticks.
         """
-        batch = self._server.take_pending_batch()
-        self._log.append(encode_batch(batch.normalized()))
+        batch = self._server.take_pending_batch().net()
+        self._log.append(encode_batch(batch))
         _maybe_self_kill(batch.timestamp)
+        # The batch that was logged, not the raw buffer: it carries the
+        # normalized mark, so no layer below collapses it a second time.
         report = self._server.apply_taken_batch(batch)
         self._ticks_since_checkpoint += 1
         if (
@@ -513,9 +515,13 @@ class DurableMonitoringServer:
                 f"restored snapshot is at timestamp {server.current_timestamp} "
                 f"but its checkpoint recorded {record['timestamp']}"
             )
-        log = EventLog(data_path / _LOG_FILENAME, sync=sync)  # repairs torn tail
+        log: Optional[EventLog] = None
         try:
-            payloads = read_event_log(log.path, start_offset=record["log_offset"])
+            # One pass from the checkpoint's offset on: it repairs a torn
+            # tail and yields the batches to replay; older records stay unread.
+            log, payloads = EventLog.open_tail(
+                data_path / _LOG_FILENAME, record["log_offset"], sync=sync
+            )
             recovered = 0
             if payloads:
                 # The checkpoint may have captured ingested-but-unticked
@@ -533,7 +539,8 @@ class DurableMonitoringServer:
                 server.tick()
                 recovered += 1
         except BaseException:
-            log.close()
+            if log is not None:
+                log.close()
             server.close()
             raise
         durable = cls.__new__(cls)

@@ -32,7 +32,7 @@ import pathlib
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.exceptions import EventLogError
 
@@ -85,14 +85,25 @@ class LogScan:
         return self.valid_end < self.file_size
 
 
-def scan_event_log(path: Union[str, os.PathLike]) -> LogScan:
-    """Read and validate every record of the log at *path*.
+def scan_event_log(
+    path: Union[str, os.PathLike], start_offset: Optional[int] = None
+) -> LogScan:
+    """Read and validate the records of the log at *path*.
 
     Returns the valid records plus the offset where validity ends; a torn
     tail (see the module docstring) is reported, not raised.
 
+    With *start_offset* — a record boundary, as :attr:`EventLog.offset`
+    reports it and a checkpoint stores it — the file is read from there, not
+    from its head: the earlier records are neither read nor returned, so the
+    cost follows the length of the tail, not the age of the log.  The first
+    record that passes its CRC vouches for the offset; when bytes follow the
+    offset and none of them does (a tail torn inside its first record, or an
+    offset that is no boundary at all), one walk from the head decides which.
+
     Raises:
-        EventLogError: on a bad file magic or mid-file corruption.
+        EventLogError: on a bad file magic, mid-file corruption, or a
+            *start_offset* that does not fall on a record boundary.
 
     Example::
 
@@ -109,6 +120,14 @@ def scan_event_log(path: Union[str, os.PathLike]) -> LogScan:
                 f"{path}: bad event-log magic {magic!r} (expected {MAGIC!r})"
             )
         offset = len(MAGIC)
+        if start_offset is not None and start_offset > offset:
+            if start_offset > file_size:
+                raise EventLogError(
+                    f"{path}: start offset {start_offset} is not a record "
+                    f"boundary (the file holds {file_size} bytes)"
+                )
+            offset = start_offset
+            stream.seek(offset)
         while True:
             header = stream.read(_HEADER.size)
             if not header:
@@ -127,9 +146,23 @@ def scan_event_log(path: Union[str, os.PathLike]) -> LogScan:
                     f"{path}: CRC mismatch in record at offset {offset} "
                     f"with {file_size - end} bytes following it — the log is "
                     f"corrupt beyond a torn tail"
+                    + (
+                        " (or the start offset is not a record boundary)"
+                        if offset == start_offset
+                        else ""
+                    )
                 )
             records.append(LogRecord(start=offset, end=end, payload=payload))
             offset = end
+    if not records and len(MAGIC) < offset < file_size:
+        # Bytes follow the start offset and none of them checked out: a torn
+        # first record, or an offset inside a record whose garbage "length"
+        # runs past the end of the file.  Only the former may be repaired by
+        # truncation, and only a walk from the head tells them apart.
+        if scan_event_log(path).valid_end != offset:
+            raise EventLogError(
+                f"{path}: start offset {offset} is not a record boundary"
+            )
     return LogScan(records=records, valid_end=offset, file_size=file_size)
 
 
@@ -140,7 +173,7 @@ def read_event_log(
 
     With *start_offset* (a value previously reported by
     :attr:`EventLog.offset` — e.g. the ``log_offset`` stored in a
-    checkpoint) only records starting at or after that offset are returned,
+    checkpoint) only the records from that offset on are read and returned,
     which is exactly the log tail a recovery replays.  A torn tail is
     silently ignored (those records were never acknowledged); mid-file
     corruption raises.
@@ -154,16 +187,7 @@ def read_event_log(
         for payload in read_event_log("data/events.log"):
             batch = decode_batch(payload)
     """
-    scan = scan_event_log(path)
-    if start_offset is None or start_offset <= len(MAGIC):
-        return [record.payload for record in scan.records]
-    boundaries = {record.start for record in scan.records}
-    boundaries.add(scan.valid_end)
-    if start_offset not in boundaries:
-        raise EventLogError(
-            f"{path}: start offset {start_offset} is not a record boundary"
-        )
-    return [record.payload for record in scan.records if record.start >= start_offset]
+    return [record.payload for record in scan_event_log(path, start_offset).records]
 
 
 class EventLog:
@@ -191,26 +215,56 @@ class EventLog:
                 it off makes a crash able to lose acknowledged records —
                 only do so when the log is a capture, not a WAL.
         """
+        self._open(path, sync, None)
+
+    @classmethod
+    def open_tail(
+        cls, path: Union[str, os.PathLike], start_offset: int, sync: bool = True
+    ) -> Tuple["EventLog", List[bytes]]:
+        """Open the log reading only from *start_offset*; also return that tail.
+
+        What a recovery needs, in one pass over the file: the payloads of
+        the records after a checkpoint (to replay) and an append handle
+        whose torn tail, if any, has been repaired.  *start_offset* is the
+        checkpoint's ``log_offset``; see :func:`scan_event_log` for how it
+        is validated.
+
+        Example::
+
+            log, payloads = EventLog.open_tail(log_path, checkpoint_offset)
+        """
+        log = cls.__new__(cls)
+        return log, log._open(path, sync, start_offset)
+
+    def _open(self, path, sync: bool, start_offset: Optional[int]) -> List[bytes]:
+        """Create, or scan and repair, the file; returns the payloads scanned."""
         self._path = pathlib.Path(path)
         self._sync = sync
         self._file = None
-        exists = self._path.exists() and self._path.stat().st_size > 0
-        if not exists:
-            with self._path.open("wb") as stream:
-                stream.write(MAGIC)
-                stream.flush()
-                os.fsync(stream.fileno())
-            self._offset = len(MAGIC)
-        else:
-            scan = scan_event_log(self._path)
+        payloads: List[bytes] = []
+        if self._path.exists() and self._path.stat().st_size > 0:
+            scan = scan_event_log(self._path, start_offset)
             if scan.torn:
                 with self._path.open("r+b") as stream:
                     stream.truncate(scan.valid_end)
                     stream.flush()
                     os.fsync(stream.fileno())
             self._offset = scan.valid_end
+            payloads = [record.payload for record in scan.records]
+        elif start_offset is not None and start_offset > len(MAGIC):
+            raise EventLogError(
+                f"{self._path}: start offset {start_offset} is not a record "
+                f"boundary (the log is missing or empty)"
+            )
+        else:
+            with self._path.open("wb") as stream:
+                stream.write(MAGIC)
+                stream.flush()
+                os.fsync(stream.fileno())
+            self._offset = len(MAGIC)
         self._file = self._path.open("r+b")
         self._file.seek(self._offset)
+        return payloads
 
     @property
     def path(self) -> pathlib.Path:

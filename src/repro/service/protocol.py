@@ -9,6 +9,12 @@ tuples; responses are ``("ok", value)`` or ``("error", type_name, text)``;
 the server additionally pushes ``("delta", timestamp, changes)`` frames to
 subscribed connections after every tick.
 
+Unpickling is restricted: besides plain Python values a frame may name only
+the four classes in :data:`FRAME_CLASSES`, so a frame cannot make the
+receiver import or call anything else.  (An ``apply`` request carries its
+batch as :func:`~repro.core.events.encode_batch` bytes, which involve no
+pickle at all.)
+
 Both an asyncio flavor (used by :class:`~repro.service.server.StreamingService`)
 and a blocking-socket flavor (used by :class:`~repro.service.client.ServiceClient`)
 are provided over the same framing.
@@ -17,12 +23,17 @@ are provided over the same framing.
 from __future__ import annotations
 
 import asyncio
+import io
 import pickle
 import socket
 import struct
 from typing import Any
 
-from repro.exceptions import ServiceError
+from repro.core.base import TimestepReport
+from repro.core.queries import QuerySpec
+from repro.core.results import KnnResult
+from repro.exceptions import FrameError, ServiceError
+from repro.network.graph import NetworkLocation
 
 _LENGTH = struct.Struct("<I")
 
@@ -40,12 +51,39 @@ def encode_frame(message: Any) -> bytes:
     return _LENGTH.pack(len(payload)) + payload
 
 
+#: Every class a frame may name, keyed by the ``(module, name)`` its pickle
+#: spells; requests, replies and deltas are otherwise built from None,
+#: booleans, numbers, strings, bytes, tuples, lists, dicts and sets, which
+#: need no lookup to unpickle.
+FRAME_CLASSES = {
+    (cls.__module__, cls.__qualname__): cls
+    for cls in (KnnResult, NetworkLocation, QuerySpec, TimestepReport)
+}
+
+
+class _FrameUnpickler(pickle.Unpickler):
+    """Unpickler that resolves the classes of :data:`FRAME_CLASSES` only."""
+
+    def find_class(self, module: str, name: str) -> Any:
+        """The class a frame names — looked up in the table, never imported."""
+        try:
+            return FRAME_CLASSES[module, name]
+        except KeyError:
+            raise pickle.UnpicklingError(f"frames may not name {module}.{name}") from None
+
+
 def decode_payload(payload: bytes) -> Any:
-    """Inverse of the payload half of :func:`encode_frame`."""
+    """Inverse of the payload half of :func:`encode_frame`.
+
+    Raises:
+        FrameError: if *payload* is not a pickle or names anything outside
+            :data:`FRAME_CLASSES` — which is refused before it is imported,
+            let alone called.
+    """
     try:
-        return pickle.loads(payload)
+        return _FrameUnpickler(io.BytesIO(payload)).load()
     except Exception as exc:
-        raise ServiceError(f"cannot decode protocol frame: {exc}") from exc
+        raise FrameError(f"cannot decode protocol frame: {exc}") from exc
 
 
 async def read_frame(reader: asyncio.StreamReader) -> Any:

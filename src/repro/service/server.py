@@ -27,7 +27,9 @@ request                             reply value (inside ``("ok", value)``)
 
 Errors never kill the service: any :class:`~repro.exceptions.ReproError`
 (or unexpected exception) raised by a request is returned to that client as
-``("error", type_name, message)`` and the connection keeps serving.
+``("error", type_name, message)`` and the connection keeps serving.  So is a
+frame that does not decode, or that names a class frames do not carry
+(:class:`~repro.exceptions.FrameError`; see :mod:`repro.service.protocol`).
 
 After every tick the service pushes ``("delta", timestamp, changes)`` to
 every subscribed connection, where *changes* maps each query whose result
@@ -47,7 +49,7 @@ import pathlib
 from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.core.events import decode_batch
-from repro.exceptions import ReproError, ServiceError
+from repro.exceptions import FrameError, ReproError, ServiceError
 from repro.service.durable import DurableMonitoringServer
 from repro.service.protocol import read_frame, write_frame
 
@@ -58,6 +60,10 @@ def write_address_file(path, host: str, port: int) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_text(f"{host} {port}\n", encoding="utf-8")
     os.replace(tmp, path)
+
+
+def _error_reply(exc: Exception) -> Tuple[str, str, str]:
+    return ("error", type(exc).__name__, str(exc))
 
 
 class StreamingService:
@@ -236,7 +242,12 @@ class StreamingService:
                     request = await read_frame(reader)
                 except (EOFError, ConnectionError):
                     break
-                response = await self._dispatch(request, writer)
+                except FrameError as exc:
+                    # The frame was read whole, so the stream is still in
+                    # step: refuse this one request and keep serving.
+                    request, response = None, _error_reply(exc)
+                else:
+                    response = await self._dispatch(request, writer)
                 try:
                     await write_frame(writer, response)
                 except (ConnectionError, BrokenPipeError):
@@ -319,4 +330,4 @@ class StreamingService:
         except Exception as exc:
             # Typed repro errors and unexpected ones alike go back to the
             # client; the service itself must survive any single request.
-            return ("error", type(exc).__name__, str(exc))
+            return _error_reply(exc)

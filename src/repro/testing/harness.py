@@ -512,8 +512,8 @@ def run_differential_log(
         algorithms=tuple(algorithms),
     )
     for payload in payloads:
-        batch = decode_batch(payload)  # logged batches are already normalized
-        apply_batch(network, edge_table, batch.normalized())
+        batch = decode_batch(payload)  # logged net, and marked so by the record
+        apply_batch(network, edge_table, batch.net())
         oracle_report = oracle.process_batch(batch)
         if oracle_report.timestamp != batch.timestamp:
             report.mismatches.append(

@@ -1,20 +1,52 @@
-"""The names ``benchmarks/e2e`` resolves in ``src/repro`` still exist.
+"""What ``benchmarks/e2e`` relies on in ``src/repro``, pinned in tier-1.
 
 Under ``--trace 1`` ``benchmarks/e2e/launch.py`` wraps a list of module
 globals, methods and callables with tracer spans *before* the service
-starts, so renaming any of them aborts the benchmark run instead of failing
-a test.  This runs exactly that wrapping — in a subprocess, because it
-rebinds ``os.fsync`` and class attributes — and asserts it succeeds.
+starts, and ``run.py`` rebinds the frame codec with one-argument wrappers,
+so renaming any of them — or changing how they are called — aborts the
+benchmark run instead of failing a test.  The first test runs exactly that
+wrapping (in a subprocess, because it rebinds ``os.fsync`` and class
+attributes); the others pin the call shapes the wrappers and their value
+hooks assume, and the launcher's build sequence.
 """
 
 from __future__ import annotations
 
+import asyncio
+import inspect
 import os
 import pathlib
+import socket
 import subprocess
 import sys
 
+from repro import DurableMonitoringServer, MonitoringServer, UpdateBatch, city_network
+from repro.core import events
+from repro.core.events import ObjectUpdate
+from repro.network.graph import NetworkLocation
+from repro.service import durable as durable_module
+from repro.service import protocol
+from repro.service import server as service_server
+from repro.service.eventlog import EventLog
+from repro.service.server import StreamingService
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _run(script: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
 
 _SCRIPT = """
 import sys
@@ -26,16 +58,145 @@ launch.install_tracing(Tracer())
 
 
 def test_install_tracing_resolves_every_wrapped_name():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", _SCRIPT],
-        cwd=ROOT,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    result = _run(_SCRIPT)
     assert result.returncode == 0, result.stderr
+
+
+def test_frame_codec_takes_one_argument_and_is_resolved_as_a_module_global(monkeypatch):
+    """``run.py``'s ``ClientCodecTimer`` rebinds both with ``timed(argument)``."""
+    for function in (protocol.encode_frame, protocol.decode_payload):
+        (parameter,) = inspect.signature(function).parameters.values()
+        assert parameter.kind in (parameter.POSITIONAL_ONLY, parameter.POSITIONAL_OR_KEYWORD)
+    calls = []
+
+    def one_argument(function, measured):
+        def timed(argument):
+            result = function(argument)
+            # launch.py's value hooks: len() of decode_payload's argument, of
+            # encode_frame's result
+            calls.append((function.__name__, len(argument if measured == "argument" else result)))
+            return result
+
+        return timed
+
+    monkeypatch.setattr(protocol, "encode_frame", one_argument(protocol.encode_frame, "result"))
+    monkeypatch.setattr(
+        protocol, "decode_payload", one_argument(protocol.decode_payload, "argument")
+    )
+    message = ("apply", events.encode_batch(UpdateBatch(timestamp=3)))
+    near, far = socket.socketpair()
+    with near, far:
+        protocol.send_frame(near, message)
+        assert protocol.recv_frame(far) == message
+
+    async def asyncio_pair():
+        near, far = socket.socketpair()
+        reader, closing = await asyncio.open_connection(sock=far)
+        _, writer = await asyncio.open_connection(sock=near)
+        try:
+            await protocol.write_frame(writer, message)
+            return await protocol.read_frame(reader)
+        finally:
+            writer.close()
+            closing.close()
+
+    assert asyncio.run(asyncio_pair()) == message
+    names = [name for name, _ in calls]
+    assert names == ["encode_frame", "decode_payload"] * 2  # all four frame functions
+    frame, payload = calls[0][1], calls[1][1]
+    assert frame == payload + 4 > 4
+
+
+def test_batch_codec_globals_and_len_of_what_the_value_hooks_measure(tmp_path, monkeypatch):
+    """``launch.py`` wraps these names *in the namespaces that imported them*."""
+    assert service_server.decode_batch is events.decode_batch
+    assert durable_module.decode_batch is events.decode_batch
+    assert durable_module.encode_batch is events.encode_batch
+    calls = []
+
+    def spy(owner, name, measure):
+        function = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            result = function(*args, **kwargs)
+            calls.append((name, measure(args, result)))
+            return result
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    spy(service_server, "decode_batch", lambda args, result: len(result))
+    spy(durable_module, "decode_batch", lambda args, result: len(result))
+    spy(durable_module, "encode_batch", lambda args, result: len(result))
+    spy(EventLog, "append", lambda args, result: len(args[1]) + 8)
+    spy(MonitoringServer, "snapshot_state", lambda args, result: len(result))
+
+    network = city_network(60, seed=3)
+    edge_id = sorted(network.edge_ids())[0]
+    durable = DurableMonitoringServer(MonitoringServer(network), tmp_path / "data")
+    batch = UpdateBatch()
+    batch.object_updates.append(ObjectUpdate(1, None, NetworkLocation(edge_id, 0.5)))
+    service = StreamingService(durable)
+
+    async def apply_and_tick():
+        assert (await service._dispatch(("apply", events.encode_batch(batch)), None))[0] == "ok"
+        assert (await service._dispatch(("tick",), None))[0] == "ok"
+
+    asyncio.run(apply_and_tick())
+    DurableMonitoringServer.recover(tmp_path / "data").close()  # the "crash": no close()
+    durable.close()
+    measured = dict(calls)
+    assert [name for name, _ in calls] == [
+        "snapshot_state",                        # genesis checkpoint
+        "decode_batch",                          # service.server, the apply frame
+        "encode_batch", "append",                # service.durable.tick
+        "decode_batch",                          # service.durable.recover, the replay
+    ]
+    assert measured["append"] == measured["encode_batch"] + 8
+    assert measured["snapshot_state"] > 0 and measured["decode_batch"] == 1
+
+
+_LAUNCH_SEQUENCE = """
+import dataclasses, pathlib, sys
+sys.path.insert(0, "benchmarks/e2e")
+import workloads
+from repro.core.events import decode_batch
+from repro.core.server import MonitoringServer
+from repro.realism import import_road_network
+from repro.service.durable import DurableMonitoringServer
+
+workdir = pathlib.Path(sys.argv[1])
+tiny = dataclasses.replace(
+    workloads.WORKLOADS_BY_NAME[sys.argv[2]], target_edges=300, objects=60, queries=6
+)
+inputs = workloads.generate(tiny, 7, str(workdir), 4)
+# launch.main(), step for step
+network = import_road_network(inputs.ways_path).network
+deployment = {
+    key: getattr(tiny, key)
+    for key in ("algorithm", "workers", "partitioning")
+    if getattr(tiny, key) is not None
+}
+server = MonitoringServer(network, **deployment)
+server.apply_updates(decode_batch(pathlib.Path(inputs.initial_path).read_bytes()))
+server.tick()
+durable = DurableMonitoringServer(server, workdir / "data")
+# the service's `apply` + `tick`, then kill -9 (no close) and the relaunch
+for tick in inputs.ticks:
+    server.apply_updates(decode_batch(tick.payload))
+    durable.tick()
+before = durable.results()
+recovered = DurableMonitoringServer.recover(workdir / "data")
+assert recovered.recovered_ticks == 4 and recovered.current_timestamp == 5
+assert recovered.results() == before and len(before) == 6
+recovered.close()
+durable.close()
+"""
+
+
+def test_launch_build_sequence_runs_on_a_tiny_city(tmp_path):
+    """``decode_batch(initial.bin)`` -> ``apply_updates`` -> ``tick`` -> durable -> ``recover``."""
+    for workload in ("city-rush", "query-storm-2w"):
+        workdir = tmp_path / workload
+        workdir.mkdir()
+        result = _run(_LAUNCH_SEQUENCE, str(workdir), workload)
+        assert result.returncode == 0, result.stderr

@@ -28,8 +28,9 @@ from repro.core.sharding import ShardedMonitoringServer
 from repro.exceptions import RecoveryError, ServiceError
 from repro.network.edge_table import EdgeTable
 from repro.service import durable as durable_module
+from repro.service import eventlog as eventlog_module
 from repro.service.durable import _read_checkpoint
-from repro.service.eventlog import scan_event_log
+from repro.service.eventlog import read_event_log, scan_event_log
 from repro.service.faults import build_scenario_server
 from repro.testing.scenarios import ScenarioEngine, resolve_scenario
 
@@ -122,6 +123,29 @@ def test_recovered_server_continues_byte_identically(tmp_path):
     assert recovered.current_timestamp == reference_ts
     assert recovered.results() == reference
     recovered.close()
+
+
+def test_recovery_reads_the_log_from_the_checkpoint_offset_only(tmp_path, monkeypatch):
+    """5 ticks, a checkpoint after the 3rd: recovery CRCs 2 records, once each."""
+    durable, expected = _drive(tmp_path / "run", ticks=5)
+    checksummed = []
+    real_crc32 = eventlog_module.zlib.crc32
+
+    class Zlib:
+        @staticmethod
+        def crc32(data, *start):
+            checksummed.append(bytes(data))
+            return real_crc32(data, *start)
+
+    monkeypatch.setattr(eventlog_module, "zlib", Zlib)
+    recovered = DurableMonitoringServer.recover(tmp_path / "run")  # the "crash": no close()
+    try:
+        assert recovered.recovered_ticks == 2 and recovered.results() == expected[5]
+        during_recovery = list(checksummed)
+        assert during_recovery == read_event_log(tmp_path / "run" / "events.log")[3:]
+    finally:
+        recovered.close()
+        durable.close()
 
 
 def test_pending_updates_are_not_durable_without_checkpoint(tmp_path):

@@ -8,12 +8,14 @@ codec the log stores.
 from __future__ import annotations
 
 import os
+import zlib
 
 import pytest
 
 from repro import UpdateBatch, decode_batch, encode_batch
 from repro.exceptions import EventLogError, RecoveryError
 from repro.network.graph import NetworkLocation
+from repro.service import eventlog
 from repro.service.eventlog import MAGIC, EventLog, read_event_log, scan_event_log
 
 
@@ -166,6 +168,89 @@ def test_truncation_inside_the_only_record_repairs_to_genesis(log_path):
         assert scan.records == []
         with EventLog(log_path) as log:
             assert log.offset == len(MAGIC)
+
+
+# ----------------------------------------------------------------------
+# recovery reads the tail, not the log
+# ----------------------------------------------------------------------
+class _CountingZlib:
+    """Stands in for the module's ``zlib``: counts the bytes that get CRC'd."""
+
+    def __init__(self):
+        self.calls = self.bytes = 0
+
+    def crc32(self, data, *start):
+        self.calls += 1
+        self.bytes += len(data)
+        return zlib.crc32(data, *start)
+
+
+@pytest.fixture
+def long_log(log_path):
+    """2,000 records and the offset a checkpoint 3 records from the end holds."""
+    with EventLog(log_path, sync=False) as log:
+        for index in range(2_000):
+            end = log.append(b"record-%04d" % index * 10)
+            if index == 1_996:
+                checkpoint_offset = end
+    return log_path, checkpoint_offset
+
+
+def test_open_tail_reads_only_the_records_after_the_offset(long_log, monkeypatch):
+    log_path, checkpoint_offset = long_log
+    counter = _CountingZlib()
+    monkeypatch.setattr(eventlog, "zlib", counter)
+    tail = [b"record-%04d" % index * 10 for index in (1_997, 1_998, 1_999)]
+    assert read_event_log(log_path, start_offset=checkpoint_offset) == tail
+    assert (counter.calls, counter.bytes) == (3, 330)
+    log, payloads = EventLog.open_tail(log_path, checkpoint_offset)
+    with log:
+        assert payloads == tail and log.offset == log_path.stat().st_size
+        assert counter.calls == 6  # one pass served the replay and the repair check
+        log.append(b"resumed")
+    assert read_event_log(log_path, start_offset=checkpoint_offset) == tail + [b"resumed"]
+    counter.calls = 0
+    assert len(read_event_log(log_path)) == 2_001 and counter.calls == 2_001
+
+
+def test_open_tail_repairs_a_tail_torn_at_every_byte_offset(long_log):
+    """Same sweep as the whole-file one, entered at the checkpoint's offset."""
+    log_path, checkpoint_offset = long_log
+    full = log_path.read_bytes()
+    record = 8 + 110
+    for kept in (2, 0):  # valid records between the offset and the tear
+        boundary = checkpoint_offset + kept * record
+        for cut in range(boundary + 1, boundary + record):
+            log_path.write_bytes(full[:cut])
+            log, payloads = EventLog.open_tail(log_path, checkpoint_offset)
+            with log:
+                assert len(payloads) == kept and log.offset == boundary
+            assert log_path.stat().st_size == boundary
+
+
+def test_an_offset_that_is_no_record_boundary_is_refused_not_repaired(long_log):
+    log_path, checkpoint_offset = long_log
+    size = log_path.stat().st_size
+    for offset in (
+        checkpoint_offset + 1,   # garbage header whose "length" stays inside the file
+        checkpoint_offset - 3,
+        size - 5,                # fewer than 8 bytes left: would read as a torn header
+        size - 60,               # inside the last record: "length" runs past the end
+        size + 1,                # beyond the file
+    ):
+        with pytest.raises(EventLogError, match="record boundary"):
+            EventLog.open_tail(log_path, offset)
+        with pytest.raises(EventLogError, match="record boundary"):
+            read_event_log(log_path, start_offset=offset)
+        assert log_path.stat().st_size == size  # nothing was truncated
+
+
+def test_open_tail_on_a_missing_log(log_path):
+    with pytest.raises(EventLogError, match="record boundary"):
+        EventLog.open_tail(log_path, 500)
+    log, payloads = EventLog.open_tail(log_path, len(MAGIC))  # nothing was ever logged
+    with log:
+        assert payloads == [] and log.offset == len(MAGIC)
 
 
 def test_sync_flag_controls_buffering_not_correctness(log_path):

@@ -12,6 +12,9 @@ from __future__ import annotations
 import asyncio
 import os
 import pathlib
+import pickle
+import re
+import struct
 import subprocess
 import sys
 import threading
@@ -28,8 +31,12 @@ from repro import (
     city_network,
     run_differential_log,
 )
-from repro.exceptions import ServiceError
-from repro.service import replay
+from repro import NetworkLocation, QuerySpec, UpdateBatch
+from repro.core.base import TimestepReport
+from repro.core.results import KnnResult
+from repro.exceptions import FrameError, ServiceError
+from repro.service import protocol, replay
+from repro.service import server as service_server
 from repro.service.faults import build_scenario_server
 
 
@@ -108,6 +115,88 @@ def test_streaming_session_end_to_end(service):
 
     assert client.unsubscribe() is True
     assert isinstance(client.checkpoint(), int)
+
+
+class _Exploit:
+    """Pickles to a call of ``os.system`` — the textbook hostile frame."""
+
+    def __init__(self, marker):
+        self._marker = marker
+
+    def __reduce__(self):
+        return (os.system, (f"touch {self._marker}",))
+
+
+def test_hostile_and_garbage_frames_are_refused_and_the_connection_serves_on(
+    service, tmp_path
+):
+    """A frame may name four classes and nothing else; nothing else runs.
+
+    The frames are written to the client's own socket, raw, so the bytes
+    reach the service's ``decode_payload`` exactly as an attacker's would.
+    """
+    client, _ = service
+    marker = tmp_path / "executed"
+    hostile = pickle.dumps(("ping", _Exploit(marker)), protocol=pickle.HIGHEST_PROTOCOL)
+    assert pickle.loads(hostile) and marker.exists()  # the payload does work...
+    marker.unlink()
+    for payload, complaint in (
+        (hostile, "may not name"),
+        (pickle.dumps(("add_query", 1, 0.0, 0.0, threading.Event)), "threading.Event"),
+        (b"not a pickle at all", "cannot decode"),
+        (b"", "cannot decode"),
+    ):
+        client._sock.sendall(struct.pack("<I", len(payload)) + payload)
+        reply = protocol.recv_frame(client._sock)
+        assert reply[:2] == ("error", "FrameError") and complaint in reply[2], reply
+        assert client.ping() == "pong"  # same connection, still in step
+    assert not marker.exists()  # ... but not on the service
+    with pytest.raises(FrameError, match="posix.system|nt.system"):
+        protocol.decode_payload(hostile)
+
+
+def test_every_verb_of_the_protocol_table_passes_the_allow_list(service):
+    """Requests, replies and deltas of all 17 verbs travel under the allow-list."""
+    client, _ = service
+    # a table row: the request in backticks, two or more spaces, the reply
+    documented = set(
+        re.findall(r'^``\("(\w+)"[^`]*``  +\S', service_server.__doc__, re.MULTILINE)
+    )
+    sent = []
+    original = client.request
+
+    def request(*parts):
+        sent.append(parts[0])
+        return original(*parts)
+
+    client.request = request
+    assert client.ping() == "pong"
+    start = client.timestamp()
+    assert client.subscribe() is True
+    home = client.add_object(9001, 50.0, 50.0)
+    assert isinstance(home, NetworkLocation)
+    assert isinstance(client.move_object(9001, 52.0, 50.0), NetworkLocation)
+    spec = QuerySpec.aggregate_knn(2, points=(home,), agg="max")
+    assert isinstance(client.add_query(9100, 55.0, 55.0, 2), NetworkLocation)
+    assert isinstance(client.add_query(9101, 55.0, 55.0, spec), NetworkLocation)
+    assert isinstance(client.move_query(9100, 56.0, 55.0), NetworkLocation)
+    assert client.update_edge(home.edge_id, 123.5) is True
+    batch = UpdateBatch()
+    batch.object_updates.append(repro.ObjectUpdate(9002, None, home))
+    assert client.apply(batch) == start
+    assert isinstance(client.tick(), TimestepReport)
+    timestamp, changes = client.poll_delta(timeout=10.0)
+    assert timestamp == start and isinstance(changes[9101], KnnResult)
+    results = client.results()
+    assert results[9100] == client.result(9100) and 9002 in results[9100].object_ids
+    assert client.remove_query(9101) is True
+    assert client.remove_object(9002) is True
+    client.tick()
+    assert client.poll_delta(timeout=10.0)[1][9101] is None
+    assert client.unsubscribe() is True
+    assert isinstance(client.checkpoint(), int)
+    assert client.stop() is True
+    assert set(sent) == documented and len(documented) == 17
 
 
 def test_captured_log_replays_clean(service):

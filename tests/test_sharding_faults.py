@@ -7,13 +7,17 @@ Pins the three repaired behaviours:
   :class:`ServerFailedError` instead of wedging on a dead pipe;
 * ``_recv`` is bounded by ``recv_timeout`` so a stuck (not dead) worker
   can no longer freeze the parent forever;
-* shared-memory teardown closes the mapping *before* unlinking the name.
+* shared-memory teardown closes the mapping *before* unlinking the name;
+* workers do not outlive a coordinator killed with ``kill -9``.
 """
 
 from __future__ import annotations
 
 import os
+import pathlib
 import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -118,3 +122,66 @@ def test_shared_memory_closed_before_unlink():
     shared.unlink = lambda: (order.append("unlink"), real_unlink())[1]
     server.close()
     assert order == ["close", "unlink"]
+
+
+# ----------------------------------------------------------------------
+# kill -9 of the coordinator must not orphan its workers
+# ----------------------------------------------------------------------
+_COORDINATOR = """
+import sys, time
+from repro import MonitoringServer, city_network
+
+server = MonitoringServer(city_network(100, seed=21), workers=2, partitioning=sys.argv[1])
+server.add_object_at(1, x=50.0, y=50.0)
+server.add_query_at(100, x=60.0, y=60.0, k=1)
+server.tick()
+print(*(shard.process.pid for shard in server._shards), flush=True)
+time.sleep(120)
+"""
+
+
+def _running(pid: int) -> bool:
+    """True while *pid* is a live process (an unreaped zombie is not)."""
+    try:
+        stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+@pytest.mark.parametrize("partitioning", ["replica", "graph"])
+def test_workers_do_not_outlive_a_sigkilled_coordinator(partitioning):
+    """``kill -9`` runs no cleanup, so the workers must notice on their own.
+
+    Under ``fork`` each worker's pipe end is inherited by the siblings
+    started after it, so EOF on the pipe never comes; the fleet used to
+    stay behind, two processes per kill.
+    """
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    coordinator = subprocess.Popen(
+        [sys.executable, "-c", _COORDINATOR, partitioning],
+        env=env, stdout=subprocess.PIPE, text=True,
+    )
+    workers = []
+    try:
+        workers = [int(pid) for pid in coordinator.stdout.readline().split()]
+        assert len(workers) == 2 and all(_running(pid) for pid in workers)
+        coordinator.kill()
+        coordinator.wait(timeout=10)
+        deadline = time.monotonic() + 5.0
+        while any(_running(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = [pid for pid in workers if _running(pid)]
+        assert not survivors, f"orphan shard workers {survivors} after kill -9"
+    finally:
+        coordinator.kill()
+        coordinator.wait(timeout=10)
+        coordinator.stdout.close()
+        for pid in workers:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
