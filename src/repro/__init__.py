@@ -71,187 +71,107 @@ doubles as a workload capture replayable through the differential oracle
 harness (:func:`run_differential_log`).
 """
 
-from repro.core import (
-    ALGORITHMS,
-    DedupFrontend,
-    DedupStats,
-    EdgeWeightUpdate,
-    GmaMonitor,
-    ImaMonitor,
-    KnnResult,
-    MonitorBase,
-    MonitoringServer,
-    ObjectUpdate,
-    OvhMonitor,
-    QuerySpec,
-    QueryUpdate,
-    SearchCounters,
-    ShardedMonitoringServer,
-    TimestepReport,
-    UpdateBatch,
-    aggregate_knn,
-    apply_batch,
-    as_query_spec,
-    decode_batch,
-    encode_batch,
-    evaluate_aggregates,
-    expand_knn,
-    expand_knn_batch,
-    ExpansionRequest,
-    knn,
-    range_query,
-    restore_server,
-    shard_of,
-)
-from repro.exceptions import ReproError, UnknownKernelError
-from repro.network import (
-    CLOSED_EDGE_WEIGHT,
-    CSRGraph,
-    EdgeTable,
-    KernelSpec,
-    available_kernels,
-    native_available,
-    registered_kernels,
-    resolve_kernel,
-    NetworkLocation,
-    RoadNetwork,
-    SequenceTable,
-    SharedCSR,
-    SharedCSRHandle,
-    attach_shared_csr,
-    csr_snapshot,
-    brute_force_aggregate_knn,
-    brute_force_knn,
-    brute_force_range,
-    city_network,
-    grid_network,
-    linear_network,
-    load_network,
-    network_distance,
-    save_network,
-)
-from repro.service import (
-    DurableMonitoringServer,
-    EventLog,
-    ServiceClient,
-    StreamingService,
-    load_initial_state,
-    read_event_log,
-    run_fault_injection,
-)
-from repro.realism import (
-    CitySpec,
-    ImportResult,
-    ImportStats,
-    RushHourModel,
-    RushHourSpec,
-    classify_edges,
-    import_road_network,
-    import_ways_text,
-    synthetic_city_network,
-    synthetic_city_text,
-)
-from repro.spatial import PMRQuadtree, Point, Rect, Segment
-from repro.testing import (
-    SCENARIO_PRESETS,
-    OracleMonitor,
-    ScenarioEngine,
-    ScenarioSpec,
-    run_differential_log,
-    run_differential_scenario,
-)
+from repro.utils import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "ReproError",
-    "UnknownKernelError",
-    # core
-    "MonitoringServer",
-    "ShardedMonitoringServer",
-    "shard_of",
-    "QuerySpec",
-    "knn",
-    "range_query",
-    "aggregate_knn",
-    "as_query_spec",
-    "MonitorBase",
-    "OvhMonitor",
-    "ImaMonitor",
-    "GmaMonitor",
-    "KnnResult",
-    "UpdateBatch",
-    "ObjectUpdate",
-    "QueryUpdate",
-    "EdgeWeightUpdate",
-    "TimestepReport",
-    "SearchCounters",
-    "apply_batch",
-    "encode_batch",
-    "decode_batch",
-    "restore_server",
-    "expand_knn",
-    "expand_knn_batch",
-    "ExpansionRequest",
-    "evaluate_aggregates",
-    "DedupFrontend",
-    "DedupStats",
-    "ALGORITHMS",
-    # network
-    "RoadNetwork",
-    "NetworkLocation",
-    "EdgeTable",
-    "CSRGraph",
-    "csr_snapshot",
-    "SharedCSR",
-    "SharedCSRHandle",
-    "attach_shared_csr",
-    "SequenceTable",
-    "KernelSpec",
-    "registered_kernels",
-    "available_kernels",
-    "resolve_kernel",
-    "native_available",
-    "city_network",
-    "grid_network",
-    "linear_network",
-    "network_distance",
-    "brute_force_knn",
-    "brute_force_range",
-    "brute_force_aggregate_knn",
-    "load_network",
-    "save_network",
-    "CLOSED_EDGE_WEIGHT",
-    # realism: importer, synthetic cities, rush-hour traffic
-    "ImportResult",
-    "ImportStats",
-    "import_road_network",
-    "import_ways_text",
-    "CitySpec",
-    "synthetic_city_text",
-    "synthetic_city_network",
-    "RushHourSpec",
-    "RushHourModel",
-    "classify_edges",
-    # spatial
-    "Point",
-    "Rect",
-    "Segment",
-    "PMRQuadtree",
-    # durable streaming service
-    "DurableMonitoringServer",
-    "EventLog",
-    "StreamingService",
-    "ServiceClient",
-    "read_event_log",
-    "load_initial_state",
-    "run_fault_injection",
-    # testing / verification harness
-    "OracleMonitor",
-    "ScenarioEngine",
-    "ScenarioSpec",
-    "SCENARIO_PRESETS",
-    "run_differential_scenario",
-    "run_differential_log",
-]
+# Every public name resolves on first access (PEP 562), so importing one
+# subsystem does not load the others.
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.exceptions": ("ReproError", "UnknownKernelError"),
+        "repro.core": (
+            "MonitoringServer",
+            "ShardedMonitoringServer",
+            "shard_of",
+            "QuerySpec",
+            "knn",
+            "range_query",
+            "aggregate_knn",
+            "as_query_spec",
+            "MonitorBase",
+            "OvhMonitor",
+            "ImaMonitor",
+            "GmaMonitor",
+            "KnnResult",
+            "UpdateBatch",
+            "ObjectUpdate",
+            "QueryUpdate",
+            "EdgeWeightUpdate",
+            "TimestepReport",
+            "SearchCounters",
+            "apply_batch",
+            "encode_batch",
+            "decode_batch",
+            "restore_server",
+            "expand_knn",
+            "expand_knn_batch",
+            "ExpansionRequest",
+            "evaluate_aggregates",
+            "DedupFrontend",
+            "DedupStats",
+            "ALGORITHMS",
+        ),
+        "repro.network": (
+            "RoadNetwork",
+            "NetworkLocation",
+            "EdgeTable",
+            "CSRGraph",
+            "csr_snapshot",
+            "SharedCSR",
+            "SharedCSRHandle",
+            "attach_shared_csr",
+            "SequenceTable",
+            "KernelSpec",
+            "registered_kernels",
+            "available_kernels",
+            "resolve_kernel",
+            "native_available",
+            "city_network",
+            "grid_network",
+            "linear_network",
+            "network_distance",
+            "brute_force_knn",
+            "brute_force_range",
+            "brute_force_aggregate_knn",
+            "load_network",
+            "save_network",
+            "CLOSED_EDGE_WEIGHT",
+        ),
+        # realism: importer, synthetic cities, rush-hour traffic
+        "repro.realism": (
+            "ImportResult",
+            "ImportStats",
+            "import_road_network",
+            "import_ways_text",
+            "CitySpec",
+            "synthetic_city_text",
+            "synthetic_city_network",
+            "RushHourSpec",
+            "RushHourModel",
+            "classify_edges",
+        ),
+        "repro.spatial": ("Point", "Rect", "Segment", "PMRQuadtree"),
+        # durable streaming service
+        "repro.service": (
+            "DurableMonitoringServer",
+            "EventLog",
+            "StreamingService",
+            "ServiceClient",
+            "read_event_log",
+            "load_initial_state",
+            "run_fault_injection",
+        ),
+        # testing / verification harness
+        "repro.testing": (
+            "OracleMonitor",
+            "ScenarioEngine",
+            "ScenarioSpec",
+            "SCENARIO_PRESETS",
+            "run_differential_scenario",
+            "run_differential_log",
+        ),
+    },
+)
+__all__.insert(0, "__version__")

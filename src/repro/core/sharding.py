@@ -24,7 +24,7 @@ The replica-mode pieces:
   update batches the parent applies.
 * **Shared CSR snapshot.**  The flat-array kernel columns are exported once
   per topology version through :class:`~repro.network.csr.SharedCSR` and
-  attached by every worker — either as zero-copy numpy views (the dominant
+  attached by every worker — either as zero-copy memoryviews (the dominant
   read-only structure exists once in memory) or, by default, as private
   list copies made once per topology version (fastest Python-loop access).
   Weight deltas reach workers both through the shared arrays (the parent
@@ -239,7 +239,7 @@ class ShardedMonitoringServer(MonitoringServer):
             start_method: multiprocessing start method; defaults to
                 :func:`default_start_method`.
             zero_copy: when True, workers keep the shared CSR snapshot as
-                zero-copy numpy views — one copy of the kernel columns in
+                zero-copy memoryviews — one copy of the kernel columns in
                 the whole fleet, at the cost of slower per-element access
                 in the Python hot loop.  The default (False) has each
                 worker copy the columns into private lists at attach time

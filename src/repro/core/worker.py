@@ -38,7 +38,7 @@ takes over via the cross-shard expansion protocol.
 
 The flat-array CSR snapshot is *not* replicated: the parent exports it once
 per topology version through :class:`~repro.network.csr.SharedCSR` and the
-worker attaches zero-copy numpy views (or private copies kept fresh by the
+worker attaches zero-copy memoryviews (or private copies kept fresh by the
 broadcast edge deltas — see :func:`~repro.network.csr.attach_shared_csr`).
 """
 
@@ -122,8 +122,9 @@ class ShardInit:
 def _plain_result(result: KnnResult) -> KnnResult:
     """Normalize a result to builtin ints/floats for the IPC boundary.
 
-    Zero-copy workers compute distances as numpy scalars; converting here
-    keeps the merged results byte-identical to the single-process server's.
+    Every engine computes builtin floats, but object ids are whatever the
+    caller registered: an int subclass (a numpy integer, say) would
+    otherwise cross the pipe and reach the merged results as is.
     """
     return KnnResult(
         query_id=int(result.query_id),

@@ -1,108 +1,66 @@
 """Road-network substrate: graph model, edge table, sequences, oracles, builders."""
 
-from repro.network.builders import (
-    build_network,
-    city_network,
-    grid_network,
-    linear_network,
-    remove_random_edges,
-    star_network,
-    subdivide_edges,
-)
-from repro.network.csr import (
-    CSRGraph,
-    SharedCSR,
-    SharedCSRHandle,
-    attach_shared_csr,
-    csr_snapshot,
-    install_snapshot,
-)
-from repro.network.distance import (
-    approximate_center_node,
-    brute_force_aggregate_knn,
-    brute_force_knn,
-    brute_force_object_distances,
-    brute_force_range,
-    eccentricity,
-    location_sources,
-    multi_source_node_distances,
-    network_distance,
-    node_distances,
-    shortest_path_nodes,
-)
-from repro.network.edge_table import EdgeTable
-from repro.network.graph import (
-    CLOSED_EDGE_WEIGHT,
-    Edge,
-    NetworkLocation,
-    Node,
-    RoadNetwork,
-)
-from repro.network.kernels import (
-    DEFAULT_KERNEL,
-    KERNEL_CSR,
-    KERNEL_DIAL,
-    KERNEL_NATIVE,
-    KernelSpec,
-    available_kernels,
-    registered_kernels,
-    resolve_kernel,
-    validate_kernel,
-)
-from repro.network.native import native_available
-from repro.network.io import (
-    load_network,
-    load_node_edge_files,
-    save_network,
-    save_node_edge_files,
-)
-from repro.network.sequences import SequenceInfo, SequenceTable
+from repro.utils import lazy_exports
 
-__all__ = [
-    "RoadNetwork",
-    "Node",
-    "Edge",
-    "NetworkLocation",
-    "CLOSED_EDGE_WEIGHT",
-    "EdgeTable",
-    "CSRGraph",
-    "csr_snapshot",
-    "install_snapshot",
-    "SharedCSR",
-    "SharedCSRHandle",
-    "attach_shared_csr",
-    "SequenceTable",
-    "SequenceInfo",
-    "KernelSpec",
-    "KERNEL_CSR",
-    "KERNEL_DIAL",
-    "KERNEL_NATIVE",
-    "DEFAULT_KERNEL",
-    "registered_kernels",
-    "available_kernels",
-    "resolve_kernel",
-    "validate_kernel",
-    "native_available",
-    "build_network",
-    "grid_network",
-    "city_network",
-    "linear_network",
-    "star_network",
-    "subdivide_edges",
-    "remove_random_edges",
-    "node_distances",
-    "multi_source_node_distances",
-    "network_distance",
-    "shortest_path_nodes",
-    "brute_force_knn",
-    "brute_force_range",
-    "brute_force_aggregate_knn",
-    "brute_force_object_distances",
-    "location_sources",
-    "eccentricity",
-    "approximate_center_node",
-    "load_network",
-    "save_network",
-    "load_node_edge_files",
-    "save_node_edge_files",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.network.graph": (
+            "RoadNetwork",
+            "Node",
+            "Edge",
+            "NetworkLocation",
+            "CLOSED_EDGE_WEIGHT",
+        ),
+        "repro.network.edge_table": ("EdgeTable",),
+        "repro.network.csr": (
+            "CSRGraph",
+            "csr_snapshot",
+            "install_snapshot",
+            "SharedCSR",
+            "SharedCSRHandle",
+            "attach_shared_csr",
+        ),
+        "repro.network.sequences": ("SequenceTable", "SequenceInfo"),
+        "repro.network.kernels": (
+            "KernelSpec",
+            "KERNEL_CSR",
+            "KERNEL_DIAL",
+            "KERNEL_NATIVE",
+            "DEFAULT_KERNEL",
+            "registered_kernels",
+            "available_kernels",
+            "resolve_kernel",
+            "validate_kernel",
+        ),
+        "repro.network.native": ("native_available",),
+        "repro.network.builders": (
+            "build_network",
+            "grid_network",
+            "city_network",
+            "linear_network",
+            "star_network",
+            "subdivide_edges",
+            "remove_random_edges",
+        ),
+        "repro.network.distance": (
+            "node_distances",
+            "multi_source_node_distances",
+            "network_distance",
+            "shortest_path_nodes",
+            "brute_force_knn",
+            "brute_force_range",
+            "brute_force_aggregate_knn",
+            "brute_force_object_distances",
+            "location_sources",
+            "eccentricity",
+            "approximate_center_node",
+        ),
+        "repro.network.io": (
+            "load_network",
+            "save_network",
+            "load_node_edge_files",
+            "save_node_edge_files",
+        ),
+    },
+)

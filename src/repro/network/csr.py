@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import threading
 import weakref
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
@@ -229,6 +230,7 @@ class CSRGraph:
         self._weights_stale = False
         self._weights_epoch = getattr(self, "_weights_epoch", -1) + 1
         self._dial_support = None
+        self._native_support = None
         self._scratch = _Scratch(len(self.node_ids))
         self._edge_scratch = _EdgeScratch(len(self.edge_ids))
 
@@ -567,33 +569,27 @@ def partition_block(
 # shared-memory transport (sharded query execution)
 # ---------------------------------------------------------------------------
 
-#: The numeric CSR columns shipped through shared memory, with their numpy
-#: dtypes.  8-byte columns come first so every view stays naturally aligned.
+#: The numeric CSR columns shipped through shared memory, with their
+#: ``memoryview`` formats.  8-byte columns come first so every view stays
+#: naturally aligned.
 _SHARED_COLUMNS: Tuple[Tuple[str, str], ...] = (
-    ("indptr", "int64"),
-    ("adj_node", "int64"),
-    ("adj_eid", "int64"),
-    ("adj_weight", "float64"),
-    ("edge_weight", "float64"),
-    ("edge_start", "int64"),
-    ("edge_end", "int64"),
-    ("inc_indptr", "int64"),
-    ("inc_edge", "int64"),
-    ("adj_forward", "uint8"),
-    ("edge_oneway", "uint8"),
+    ("indptr", "q"),
+    ("adj_node", "q"),
+    ("adj_eid", "q"),
+    ("adj_weight", "d"),
+    ("edge_weight", "d"),
+    ("edge_start", "q"),
+    ("edge_end", "q"),
+    ("inc_indptr", "q"),
+    ("inc_edge", "q"),
+    ("adj_forward", "B"),
+    ("edge_oneway", "B"),
 )
 
 
-def _require_numpy():
-    """Import numpy or fail with an actionable error (shared CSR needs it)."""
-    try:
-        import numpy
-    except ImportError as exc:  # pragma: no cover - numpy is a test dependency
-        raise MonitoringError(
-            "shared-memory CSR snapshots require numpy "
-            "(install the 'fast' extra: pip install repro-road-knn[fast])"
-        ) from exc
-    return numpy
+def _column_view(buf: memoryview, fmt: str, offset: int, length: int) -> memoryview:
+    """The *length*-item column of format *fmt* at byte *offset* of *buf*."""
+    return buf[offset : offset + length * array(fmt).itemsize].cast(fmt)
 
 
 @dataclass(frozen=True)
@@ -601,8 +597,9 @@ class SharedCSRHandle:
     """Picklable descriptor of a CSR snapshot exported to shared memory.
 
     Ship this to a worker process and call :func:`attach_shared_csr` there.
-    ``layout`` holds one ``(column, dtype, offset, length)`` entry per
-    numeric column inside the single shared-memory block ``shm_name``.
+    ``layout`` holds one ``(column, format, offset, length)`` entry per
+    numeric column inside the single shared-memory block ``shm_name``;
+    ``format`` is the column's :class:`memoryview` / :mod:`array` type code.
 
     Example::
 
@@ -622,10 +619,11 @@ class SharedCSR:
 
     The constructor packs every numeric column of *csr* into a single
     ``multiprocessing.shared_memory`` block and — by default — re-points the
-    snapshot's own columns at the zero-copy numpy views.  From then on the
-    snapshot's incremental weight patching (driven by the network's weight
-    listener) writes straight into shared memory, so attached workers
-    observe every weight change without any rebuild or message.
+    snapshot's own columns at zero-copy ``memoryview`` slices of it.  From
+    then on the snapshot's incremental weight patching (driven by the
+    network's weight listener) writes straight into shared memory, so
+    attached workers observe every weight change without any rebuild or
+    message.
 
     The owner must call :meth:`unlink` (or :meth:`close` followed by
     :meth:`unlink`) when the workers are gone; the block is otherwise leaked
@@ -645,27 +643,23 @@ class SharedCSR:
         Args:
             csr: the snapshot to export.
             adopt: when True (default) the snapshot's columns are replaced
-                by the shared numpy views, making the exporting process the
+                by the shared memoryviews, making the exporting process the
                 single writer that keeps shared weights fresh.
         """
-        numpy = _require_numpy()
         from multiprocessing import shared_memory
 
-        columns = {name: getattr(csr, name) for name, _ in _SHARED_COLUMNS}
+        columns = [(name, array(fmt, getattr(csr, name))) for name, fmt in _SHARED_COLUMNS]
         layout: List[Tuple[str, str, int, int]] = []
         offset = 0
-        for name, dtype in _SHARED_COLUMNS:
-            length = len(columns[name])
-            layout.append((name, dtype, offset, length))
-            offset += length * numpy.dtype(dtype).itemsize
+        for name, column in columns:
+            layout.append((name, column.typecode, offset, len(column)))
+            offset += len(column) * column.itemsize
         self._shm = shared_memory.SharedMemory(create=True, size=max(offset, 1))
         self._unlinked = False
         self._adopted_ref = weakref.ref(csr) if adopt else None
-        for name, dtype, col_offset, length in layout:
-            view = numpy.ndarray(
-                (length,), dtype=dtype, buffer=self._shm.buf, offset=col_offset
-            )
-            view[:] = columns[name]
+        for (name, column), (_, fmt, col_offset, length) in zip(columns, layout):
+            view = _column_view(self._shm.buf, fmt, col_offset, length)
+            view[:] = column
             if adopt:
                 setattr(csr, name, view)
         self.handle = SharedCSRHandle(
@@ -687,8 +681,10 @@ class SharedCSR:
         if adopted is not None:
             for name, _, _, _ in self.handle.layout:
                 column = getattr(adopted, name, None)
-                if column is not None and not isinstance(column, list):
+                if isinstance(column, memoryview):
                     setattr(adopted, name, column.tolist())
+            # Engine supports may view the block too; they rebuild on demand.
+            adopted._dial_support = adopted._native_support = None
             self._adopted_ref = None
         try:
             self._shm.close()
@@ -750,7 +746,7 @@ def attach_shared_csr(
             ``topology_version`` must match the handle's (the replica and
             the snapshot must describe the same topology).
         handle: the exporter's :attr:`SharedCSR.handle`.
-        zero_copy: when True the numeric columns are numpy views straight
+        zero_copy: when True the numeric columns are memoryviews straight
             into shared memory — no per-worker copy, and weight patches
             written by the exporter are visible immediately.  The default
             (False, matching the sharded server's) copies the columns into
@@ -768,8 +764,7 @@ def attach_shared_csr(
     exporter.
 
     Raises:
-        MonitoringError: when the topology versions disagree or numpy is
-            unavailable.
+        MonitoringError: when the topology versions disagree.
 
     Example::
 
@@ -778,7 +773,6 @@ def attach_shared_csr(
         attached = attach_shared_csr(replica, shared.handle)
         install_snapshot(replica, attached)
     """
-    numpy = _require_numpy()
     from multiprocessing import shared_memory
 
     if network.topology_version != handle.topology_version:
@@ -795,18 +789,26 @@ def attach_shared_csr(
     csr.node_index = {node_id: index for index, node_id in enumerate(csr.node_ids)}
     csr.edge_ids = list(handle.edge_ids)
     csr.edge_index = {edge_id: index for index, edge_id in enumerate(csr.edge_ids)}
-    for name, dtype, offset, length in handle.layout:
-        view = numpy.ndarray((length,), dtype=dtype, buffer=shm.buf, offset=offset)
-        setattr(csr, name, view if zero_copy else view.tolist())
-    if zero_copy:
-        csr._shm = shm  # keep the mapping alive as long as the views
-    else:
+    for name, fmt, offset, length in handle.layout:
+        view = _column_view(shm.buf, fmt, offset, length)
+        if zero_copy:
+            setattr(csr, name, view)
+        else:
+            setattr(csr, name, view.tolist())
+            view.release()
+    if not zero_copy:
         shm.close()
     csr._build_entry_slots()
     csr._topology_version = handle.topology_version
     csr._weights_epoch = 0
     csr._dial_support = None
+    csr._native_support = None
     csr._scratch = _Scratch(len(csr.node_ids))
     csr._edge_scratch = _EdgeScratch(len(csr.edge_ids))
     csr._register_listener(network)
+    if zero_copy:
+        # Set last: attributes are cleared in insertion order, so the views
+        # and the engine supports built over them release the mapping
+        # before the block closes.
+        csr._shm = shm
     return csr

@@ -60,11 +60,7 @@ from heapq import heapify, heappop, heappush
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.exceptions import InvalidQueryError, NodeNotFoundError
-
-try:  # numpy is optional (the "fast" extra); scalar fallbacks cover its absence
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via support.has_numpy gates
-    _np = None
+from repro.utils import optional_numpy
 
 _INF = float("inf")
 
@@ -193,15 +189,16 @@ class DialSupport:
         support.epoch = csr._weights_epoch
         support._node_count = len(csr.node_ids)
         adj_weight = csr.adj_weight
-        if _np is not None:
-            support.np_indptr = _np.asarray(csr.indptr, dtype=_np.int64)
-            support.np_adj_node = _np.asarray(csr.adj_node, dtype=_np.int64)
-            support.np_adj_weight = _np.asarray(csr.adj_weight, dtype=_np.float64)
-            support.np_inc_indptr = _np.asarray(csr.inc_indptr, dtype=_np.int64)
-            support.np_inc_edge = _np.asarray(csr.inc_edge, dtype=_np.int64)
-            support.np_edge_weight = _np.asarray(csr.edge_weight, dtype=_np.float64)
-            support.np_edge_start = _np.asarray(csr.edge_start, dtype=_np.int64)
-            support.np_edge_end = _np.asarray(csr.edge_end, dtype=_np.int64)
+        np = optional_numpy()
+        if np is not None:
+            support.np_indptr = np.asarray(csr.indptr, dtype=np.int64)
+            support.np_adj_node = np.asarray(csr.adj_node, dtype=np.int64)
+            support.np_adj_weight = np.asarray(csr.adj_weight, dtype=np.float64)
+            support.np_inc_indptr = np.asarray(csr.inc_indptr, dtype=np.int64)
+            support.np_inc_edge = np.asarray(csr.inc_edge, dtype=np.int64)
+            support.np_edge_weight = np.asarray(csr.edge_weight, dtype=np.float64)
+            support.np_edge_start = np.asarray(csr.edge_start, dtype=np.int64)
+            support.np_edge_end = np.asarray(csr.edge_end, dtype=np.int64)
             if len(adj_weight):
                 support.min_weight = float(support.np_adj_weight.min())
                 support.max_weight = float(support.np_adj_weight.max())
@@ -210,7 +207,7 @@ class DialSupport:
                 # a handful of closed-road sentinel weights (CLOSED_EDGE_WEIGHT,
                 # ~1e12) would drag a mean so high that every real distance
                 # lands in bucket 0 and the kernel degrades to one big heap.
-                support.bucket_width = float(_np.median(support.np_adj_weight))
+                support.bucket_width = float(np.median(support.np_adj_weight))
         elif len(adj_weight):  # pragma: no cover - exercised without numpy
             support.min_weight = float(min(adj_weight))
             support.max_weight = float(max(adj_weight))
@@ -231,7 +228,8 @@ class DialSupport:
         """
         scratch = self._node_dist_scratch
         if scratch is None:
-            scratch = _np.full(self._node_count, _np.inf, dtype=_np.float64)
+            np = optional_numpy()
+            scratch = np.full(self._node_count, np.inf, dtype=np.float64)
             self._node_dist_scratch = scratch
         return scratch
 
@@ -256,7 +254,7 @@ def influence_spans_vectorized(
 
         spans = influence_spans_vectorized(csr, support, {7: 0.0}, 10.0)
     """
-    np = _np
+    np = optional_numpy()
     count = len(node_dist)
     idx = np.fromiter(map(csr.node_index.__getitem__, node_dist.keys()), np.int64, count)
     dist = np.fromiter(node_dist.values(), np.float64, count)
@@ -548,7 +546,7 @@ def _dial_search(network, edge_table, request, csr, support, scratch, counters):
 
         if (
             pre_entries
-            and _np is not None
+            and support.has_numpy
             and len(pre_entries) >= VECTOR_MIN_SEED_NODES
         ):
             extra = _vector_seed(
@@ -809,7 +807,7 @@ def _vector_seed(
     reordering exact.  Returns ``(edges_scanned, objects_considered,
     heap_pushes, radius_dirty)``.
     """
-    np = _np
+    np = optional_numpy()
     count = len(pre_entries)
     pre_idx = np.fromiter((entry[0] for entry in pre_entries), np.int64, count)
     pre_dist = np.fromiter((entry[1] for entry in pre_entries), np.float64, count)

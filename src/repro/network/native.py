@@ -56,11 +56,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.exceptions import InvalidQueryError, NodeNotFoundError
-
-try:  # numpy is optional (the "fast" extra); absence forces the dial fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the fallback tests
-    _np = None
+from repro.utils import optional_numpy
 
 _INF = float("inf")
 
@@ -616,7 +612,7 @@ def _load_library():
     """Build (if needed) and dlopen the kernel; False when impossible."""
     if os.environ.get(DISABLE_ENV, "0") == "1":
         return False
-    if _np is None:  # pragma: no cover - numpy is a test dependency
+    if optional_numpy() is None:  # pragma: no cover - numpy is a test dependency
         return False
     stem = f"repro_native_{sha256(_SOURCE.encode()).hexdigest()[:16]}"
     for cache_dir in _candidate_cache_dirs():
@@ -813,7 +809,7 @@ class NativeSupport:
 
     def __init__(self, csr) -> None:
         """Build the support for *csr* at its current weights epoch."""
-        np = _np
+        np = optional_numpy()
         dial = csr.dial_support()
         self.epoch = csr._weights_epoch
         self.heap_fallbacks = 0
@@ -869,7 +865,7 @@ class NativeSupport:
 
     def ensure_universe(self, size: int) -> None:
         """Grow the object-universe scratch to at least *size* entries."""
-        np = _np
+        np = optional_numpy()
         if len(self.cand_val) >= size:
             return
         self.cand_val = np.full(size, np.inf, dtype=np.float64)
@@ -882,7 +878,7 @@ class NativeSupport:
 
 def _contiguous(array, dtype):
     """A C-contiguous view/copy of *array* with *dtype*."""
-    return _np.ascontiguousarray(array, dtype=dtype)
+    return optional_numpy().ascontiguousarray(array, dtype=dtype)
 
 
 def native_support(csr) -> NativeSupport:
@@ -897,7 +893,7 @@ def native_support(csr) -> NativeSupport:
         support = native_support(csr_snapshot(network))
         assert support is native_support(csr_snapshot(network))
     """
-    support = getattr(csr, "_native_support", None)
+    support = csr._native_support
     if support is not None and support.epoch == csr._weights_epoch:
         return support
     support = NativeSupport(csr)
@@ -946,7 +942,7 @@ def _request_extra_ids(requests, edge_table) -> set:
 
 def _build_object_columns(csr, edge_table, extras) -> _ObjectColumns:
     """Flatten the edge table into dense-edge-position CSR object columns."""
-    np = _np
+    np = optional_numpy()
     ids = sorted(edge_table.object_ids())
     if extras:
         ids = sorted(set(ids).union(extras))
@@ -1181,7 +1177,7 @@ def _native_search(
     Python kernels.
     """
     ExpansionState, SearchOutcome = _CORE[0], _CORE[1]
-    np = _np
+    np = optional_numpy()
 
     k = request.k
     query_location = request.query_location

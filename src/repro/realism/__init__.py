@@ -18,40 +18,25 @@ benchmark harnesses (the ``rush-hour`` and ``gridlock-closures`` presets,
 ``benchmarks/bench_city_scale.py``).
 """
 
-from repro.realism.importer import (
-    CitySpec,
-    ImportResult,
-    ImportStats,
-    ParsedWays,
-    SPEED_CLASSES,
-    Way,
-    import_parsed,
-    import_road_network,
-    import_ways_text,
-    parse_ways_text,
-    synthetic_city_network,
-    synthetic_city_text,
-)
-from repro.realism.traffic import (
-    RushHourModel,
-    RushHourSpec,
-    classify_edges,
-)
+from repro.utils import lazy_exports
 
-__all__ = [
-    "SPEED_CLASSES",
-    "Way",
-    "ParsedWays",
-    "ImportStats",
-    "ImportResult",
-    "parse_ways_text",
-    "import_ways_text",
-    "import_parsed",
-    "import_road_network",
-    "CitySpec",
-    "synthetic_city_text",
-    "synthetic_city_network",
-    "RushHourSpec",
-    "RushHourModel",
-    "classify_edges",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.realism.importer": (
+            "SPEED_CLASSES",
+            "Way",
+            "ParsedWays",
+            "ImportStats",
+            "ImportResult",
+            "parse_ways_text",
+            "import_ways_text",
+            "import_parsed",
+            "import_road_network",
+            "CitySpec",
+            "synthetic_city_text",
+            "synthetic_city_network",
+        ),
+        "repro.realism.traffic": ("RushHourSpec", "RushHourModel", "classify_edges"),
+    },
+)

@@ -18,32 +18,24 @@ process.  The log doubles as a workload capture that
 oracle harness.
 """
 
-from repro.service.client import ServiceClient
-from repro.service.durable import (
-    DurableMonitoringServer,
-    InitialState,
-    load_initial_state,
-)
-from repro.service.eventlog import EventLog, read_event_log, scan_event_log
-from repro.service.faults import (
-    FaultInjectionReport,
-    build_scenario_server,
-    pick_kill_tick,
-    run_fault_injection,
-)
-from repro.service.server import StreamingService
+from repro.utils import lazy_exports
 
-__all__ = [
-    "DurableMonitoringServer",
-    "EventLog",
-    "FaultInjectionReport",
-    "InitialState",
-    "ServiceClient",
-    "StreamingService",
-    "build_scenario_server",
-    "load_initial_state",
-    "pick_kill_tick",
-    "read_event_log",
-    "run_fault_injection",
-    "scan_event_log",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.service.durable": (
+            "DurableMonitoringServer",
+            "InitialState",
+            "load_initial_state",
+        ),
+        "repro.service.eventlog": ("EventLog", "read_event_log", "scan_event_log"),
+        "repro.service.faults": (
+            "FaultInjectionReport",
+            "build_scenario_server",
+            "pick_kill_tick",
+            "run_fault_injection",
+        ),
+        "repro.service.client": ("ServiceClient",),
+        "repro.service.server": ("StreamingService",),
+    },
+)

@@ -28,7 +28,6 @@ import pathlib
 from repro.network.builders import city_network
 from repro.network.kernels import DEFAULT_KERNEL, registered_kernels
 from repro.service.durable import DurableMonitoringServer, _CHECKPOINT_DIRNAME
-from repro.service.faults import build_scenario_server
 from repro.service.server import StreamingService
 
 
@@ -83,6 +82,10 @@ def main(argv=None) -> int:
         )
     else:
         if args.scenario is not None:
+            # Imported here: the scenario engine is test scaffolding that a
+            # plain service never runs.
+            from repro.service.faults import build_scenario_server
+
             server = build_scenario_server(
                 args.scenario,
                 args.seed,
@@ -92,15 +95,16 @@ def main(argv=None) -> int:
                 args.workers,
             )
         else:
-            from repro.core.server import MonitoringServer
-            from repro.core.sharding import ShardedMonitoringServer
-
             network = city_network(args.network_edges, seed=args.seed + 1)
             if args.workers is None:
+                from repro.core.server import MonitoringServer
+
                 server = MonitoringServer(
                     network, algorithm=args.algorithm, kernel=args.kernel
                 )
             else:
+                from repro.core.sharding import ShardedMonitoringServer
+
                 server = ShardedMonitoringServer(
                     network,
                     algorithm=args.algorithm,

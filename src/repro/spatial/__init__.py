@@ -1,18 +1,15 @@
 """Spatial primitives: planar geometry and the PMR quadtree edge index."""
 
-from repro.spatial.geometry import Point, Rect, Segment, segment_intersection
-from repro.spatial.pmr_quadtree import (
-    DEFAULT_MAX_DEPTH,
-    DEFAULT_SPLIT_THRESHOLD,
-    PMRQuadtree,
-)
+from repro.utils import lazy_exports
 
-__all__ = [
-    "Point",
-    "Rect",
-    "Segment",
-    "segment_intersection",
-    "PMRQuadtree",
-    "DEFAULT_SPLIT_THRESHOLD",
-    "DEFAULT_MAX_DEPTH",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.spatial.geometry": ("Point", "Rect", "Segment", "segment_intersection"),
+        "repro.spatial.pmr_quadtree": (
+            "PMRQuadtree",
+            "DEFAULT_SPLIT_THRESHOLD",
+            "DEFAULT_MAX_DEPTH",
+        ),
+    },
+)

@@ -25,11 +25,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 
 from repro.exceptions import SpatialIndexError
 from repro.spatial.geometry import Point, Rect, Segment
-
-try:  # numpy accelerates the bulk nearest-edge path; pure Python otherwise.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
+from repro.utils import optional_numpy
 
 #: Default number of edges a leaf holds before it splits on insertion.
 DEFAULT_SPLIT_THRESHOLD = 8
@@ -213,7 +209,8 @@ class PMRQuadtree:
         """
         if not self._segments:
             raise SpatialIndexError("nearest_edges_bulk on an empty index")
-        if _np is None or len(points) < 4:
+        np = optional_numpy() if len(points) >= 4 else None
+        if np is None:
             return [self.nearest_edge(point) for point in points]
 
         results: List[Optional[Tuple[int, float]]] = [None] * len(points)
@@ -240,21 +237,21 @@ class PMRQuadtree:
         for key, positions in groups.items():
             leaf = leaves[key]
             segments = [self._segments[edge_id] for edge_id in leaf.edge_ids]
-            sx = _np.array([seg.start.x for seg in segments])
-            sy = _np.array([seg.start.y for seg in segments])
-            dx = _np.array([seg.end.x - seg.start.x for seg in segments])
-            dy = _np.array([seg.end.y - seg.start.y for seg in segments])
+            sx = np.array([seg.start.x for seg in segments])
+            sy = np.array([seg.start.y for seg in segments])
+            dx = np.array([seg.end.x - seg.start.x for seg in segments])
+            dy = np.array([seg.end.y - seg.start.y for seg in segments])
             norm_sq = dx * dx + dy * dy
-            safe_norm = _np.where(norm_sq > 0.0, norm_sq, 1.0)
-            px = _np.array([points[p].x for p in positions])[:, None]
-            py = _np.array([points[p].y for p in positions])[:, None]
+            safe_norm = np.where(norm_sq > 0.0, norm_sq, 1.0)
+            px = np.array([points[p].x for p in positions])[:, None]
+            py = np.array([points[p].y for p in positions])[:, None]
             t = ((px - sx) * dx + (py - sy) * dy) / safe_norm
-            t = _np.clip(_np.where(norm_sq > 0.0, t, 0.0), 0.0, 1.0)
+            t = np.clip(np.where(norm_sq > 0.0, t, 0.0), 0.0, 1.0)
             cx = sx + t * dx
             cy = sy + t * dy
-            dist = _np.hypot(px - cx, py - cy)
-            best_column = _np.argmin(dist, axis=1)
-            best_dist = dist[_np.arange(len(positions)), best_column]
+            dist = np.hypot(px - cx, py - cy)
+            best_column = np.argmin(dist, axis=1)
+            best_dist = dist[np.arange(len(positions)), best_column]
             rect = leaf.rect
             for row, position in enumerate(positions):
                 point = points[position]

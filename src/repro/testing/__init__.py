@@ -18,30 +18,24 @@ This package is the correctness backbone the optimisation work leans on:
   the oracle, reporting a one-command replay line on mismatch.
 """
 
-from repro.testing.harness import (
-    DifferentialReport,
-    replay_command,
-    run_differential_log,
-    run_differential_scenario,
-)
-from repro.testing.oracle import OracleMonitor
-from repro.testing.scenarios import (
-    MIXED_QUERY_MIX,
-    SCENARIO_PRESETS,
-    ScenarioEngine,
-    ScenarioSpec,
-    resolve_scenario,
-)
+from repro.utils import lazy_exports
 
-__all__ = [
-    "DifferentialReport",
-    "MIXED_QUERY_MIX",
-    "OracleMonitor",
-    "SCENARIO_PRESETS",
-    "ScenarioEngine",
-    "ScenarioSpec",
-    "replay_command",
-    "resolve_scenario",
-    "run_differential_log",
-    "run_differential_scenario",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.testing.harness": (
+            "DifferentialReport",
+            "replay_command",
+            "run_differential_log",
+            "run_differential_scenario",
+        ),
+        "repro.testing.oracle": ("OracleMonitor",),
+        "repro.testing.scenarios": (
+            "MIXED_QUERY_MIX",
+            "SCENARIO_PRESETS",
+            "ScenarioEngine",
+            "ScenarioSpec",
+            "resolve_scenario",
+        ),
+    },
+)

@@ -1,5 +1,9 @@
 """Shared utilities: heaps, interval algebra, RNG helpers and validation."""
 
+import importlib
+import sys
+from typing import Callable, Dict, List, Sequence, Tuple
+
 from repro.utils.heap import IndexedMinHeap, LazyMinHeap
 from repro.utils.intervals import (
     Interval,
@@ -28,6 +32,54 @@ from repro.utils.validation import (
     require_positive_int,
 )
 
+#: What :func:`optional_numpy` found; ``False`` until its first call.
+_NUMPY = False
+
+
+def optional_numpy():
+    """The ``numpy`` module when it is installed, else ``None``.
+
+    numpy is an optional extra: bulk snapping, the dial kernel's vector
+    paths and the native backend use it, and no default serving path does.
+    It is imported on the first call and the outcome cached, so a process
+    that never takes one of those paths never loads it.
+    """
+    global _NUMPY
+    if _NUMPY is False:
+        try:
+            import numpy
+        except ImportError:
+            numpy = None
+        _NUMPY = numpy
+    return _NUMPY
+
+
+def lazy_exports(
+    package: str, table: Dict[str, Sequence[str]]
+) -> Tuple[Callable, Callable, List[str]]:
+    """PEP 562 re-exports: ``__getattr__, __dir__, __all__`` for *package*.
+
+    *table* maps each defining module to the public names it contributes.
+    A name's module is imported on first access and the value cached in
+    the package namespace, so importing one submodule never executes the
+    package's other re-exports.
+    """
+    origin = {name: module for module, names in table.items() for name in names}
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name):
+        module = origin.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(importlib.import_module(module), name)
+        return value
+
+    def __dir__():
+        return sorted(set(namespace) | set(origin))
+
+    return __getattr__, __dir__, list(origin)
+
+
 __all__ = [
     "IndexedMinHeap",
     "LazyMinHeap",
@@ -51,4 +103,6 @@ __all__ = [
     "require_non_negative_int",
     "require_positive",
     "require_positive_int",
+    "optional_numpy",
+    "lazy_exports",
 ]

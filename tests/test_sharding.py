@@ -146,7 +146,7 @@ def test_attach_rejects_topology_mismatch():
 
 
 def test_expand_knn_over_attached_snapshot_matches_original():
-    """The kernel returns identical results over shared numpy columns."""
+    """The kernel returns identical results over shared memoryview columns."""
     from repro.core.search import expand_knn
     from repro.network.csr import install_snapshot
     from repro.network.edge_table import EdgeTable
