@@ -123,17 +123,13 @@ SECTIONS = (
     ),
     (
         "Road network substrate",
-        "Graph model, CSR snapshot (including the shared-memory transport "
-        "used by the sharded server), edge table, builders and distances.",
+        "Graph model, CSR snapshot, edge table, builders and distances.",
         (
             "RoadNetwork",
             "NetworkLocation",
             "EdgeTable",
             "CSRGraph",
             "csr_snapshot",
-            "SharedCSR",
-            "SharedCSRHandle",
-            "attach_shared_csr",
             "SequenceTable",
             "city_network",
             "grid_network",

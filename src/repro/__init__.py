@@ -36,11 +36,11 @@ processes thousands of updates without per-update call overhead.
 
 Scaling out.  ``MonitoringServer(network, workers=N)`` builds a
 :class:`ShardedMonitoringServer`: queries are hash-partitioned
-(:func:`shard_of`) across N worker processes, the CSR snapshot ships once
-per topology version through :class:`SharedCSR` /
-``multiprocessing.shared_memory``, each tick fans out to the shards and
-merges their reports — with results identical to the single-process
-server's (enforced by the oracle-backed differential suite).
+(:func:`shard_of`) across N worker processes, each worker builds its own
+CSR snapshot from the network replica it is shipped, and each tick fans
+out to the shards and merges their reports — with results identical to
+the single-process server's (enforced by the oracle-backed differential
+suite).
 
 Multi-tenant dedup.  Wrapping any server in a :class:`DedupFrontend` maps
 equivalent logical queries (same spec, same — or, with a positive snap
@@ -119,9 +119,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "EdgeTable",
             "CSRGraph",
             "csr_snapshot",
-            "SharedCSR",
-            "SharedCSRHandle",
-            "attach_shared_csr",
             "SequenceTable",
             "KernelSpec",
             "registered_kernels",

@@ -738,7 +738,7 @@ class MonitoringServer:
         """Release external resources (idempotent).
 
         A no-op for the in-process server; the sharded subclass shuts its
-        worker processes down and unlinks the shared-memory snapshot here.
+        worker processes down here.
         Provided on the base class so ``with MonitoringServer(...) as s:``
         works uniformly regardless of ``workers``.
         """

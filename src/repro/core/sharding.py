@@ -22,15 +22,10 @@ The replica-mode pieces:
   network (weight listeners are dropped in transit) and the current object
   placements; from then on it stays in sync by applying the same normalized
   update batches the parent applies.
-* **Shared CSR snapshot.**  The flat-array kernel columns are exported once
-  per topology version through :class:`~repro.network.csr.SharedCSR` and
-  attached by every worker — either as zero-copy memoryviews (the dominant
-  read-only structure exists once in memory) or, by default, as private
-  list copies made once per topology version (fastest Python-loop access).
-  Weight deltas reach workers both through the shared arrays (the parent
-  patches them in place before fanning a tick out) and through the edge
-  updates broadcast in every batch, so both modes stay fresh without
-  rebuilds.
+* **Worker-built CSR snapshot.**  Each worker builds the flat-array kernel
+  columns lazily from its own replica, exactly as a single-process server
+  does, and keeps them fresh through the edge updates broadcast in every
+  batch.  Nothing but pipes crosses the process boundary.
 * **Fan-out / merge.**  ``tick()`` sends every shard the timestamp's object
   and edge updates plus the query updates it owns, then merges the per-shard
   :class:`~repro.core.base.TimestepReport` replies — changed-query sets and
@@ -38,17 +33,16 @@ The replica-mode pieces:
   ``result_of()`` / ``results()``.
 * **Topology bumps.**  When the network's ``topology_version`` changes, the
   next tick re-ships everything: workers are respawned with the current
-  state and a freshly exported snapshot.
+  state and build their snapshots afresh.
 
 Graph partitioning (``partitioning="graph"``) changes what each worker
 holds, not the protocol skeleton: worker *i* receives only the subnetwork
-induced by its block plus halo (with its own per-shard
-:class:`~repro.network.csr.SharedCSR` export), the objects on its local
-edges, and the queries whose edge lies in its block.  A worker escalates
-any query whose expansion reaches a halo node — the local answer can no
-longer be trusted — and the coordinator takes those *boundary queries*
-over, evaluating them with exact distributed expansions: it asks the
-owning shard for a fresh expansion, collects the settled halo nodes as
+induced by its block plus halo, the objects on its local edges, and the
+queries whose edge lies in its block.  A worker escalates any query whose
+expansion reaches a halo node — the local answer can no longer be
+trusted — and the coordinator takes those *boundary queries* over,
+evaluating them with exact distributed expansions: it asks the owning
+shard for a fresh expansion, collects the settled halo nodes as
 ``(node, distance)`` *frontier continuations*, and forwards each improving
 continuation to the shard owning that node as a seeded resume request
 (:func:`~repro.core.search.expand_knn` with ``seed_nodes``), iterating
@@ -89,7 +83,7 @@ from repro.exceptions import (
     ServerFailedError,
     UnknownQueryError,
 )
-from repro.network.csr import SharedCSR, csr_snapshot, grow_partitions, partition_block
+from repro.network.csr import csr_snapshot, grow_partitions, partition_block
 from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation, RoadNetwork
 from repro.network.kernels import DEFAULT_KERNEL
@@ -121,12 +115,8 @@ class _Shard:
     conn: object  # multiprocessing.connection.Connection
 
 
-def _cleanup(shards: List[_Shard], shared_list: List[SharedCSR]) -> None:
-    """Best-effort teardown used by close() and the GC finalizer.
-
-    *shared_list* holds every live shared-memory export: one entry in
-    replica mode, one per shard in graph-partitioned mode.
-    """
+def _cleanup(shards: List[_Shard]) -> None:
+    """Best-effort teardown used by close() and the GC finalizer."""
     for shard in shards:
         try:
             shard.conn.send(("stop",))
@@ -141,14 +131,6 @@ def _cleanup(shards: List[_Shard], shared_list: List[SharedCSR]) -> None:
             shard.conn.close()
         except OSError:  # pragma: no cover - already closed
             pass
-    for shared in shared_list:
-        # Close-then-unlink, matching the documented SharedCSR lifecycle:
-        # close() first restores the parent's adopted snapshot columns to
-        # private lists and unmaps the block, so the subsequent unlink never
-        # removes a name while this process still holds live views (on some
-        # platforms that defers the removal and leaks the mapping).
-        shared.close()
-        shared.unlink()
 
 
 def _extract_subnetwork(
@@ -189,8 +171,7 @@ class ShardedMonitoringServer(MonitoringServer):
     unchanged; only execution is different: ``tick()`` fans the timestamp
     out to the shards and merges their reports, and ``result_of()`` serves
     from the merged result cache.  Call :meth:`close` (or use the server as
-    a context manager) to stop the workers and release the shared-memory
-    snapshot.
+    a context manager) to stop the workers.
 
     Example::
 
@@ -214,7 +195,6 @@ class ShardedMonitoringServer(MonitoringServer):
         workers: int = 2,
         partitioning: str = "replica",
         start_method: Optional[str] = None,
-        zero_copy: bool = False,
         recv_timeout: Optional[float] = 120.0,
     ) -> None:
         """Create the sharded server and spawn its worker processes.
@@ -238,14 +218,6 @@ class ShardedMonitoringServer(MonitoringServer):
                 shards than *workers* when the network has fewer nodes.
             start_method: multiprocessing start method; defaults to
                 :func:`default_start_method`.
-            zero_copy: when True, workers keep the shared CSR snapshot as
-                zero-copy memoryviews — one copy of the kernel columns in
-                the whole fleet, at the cost of slower per-element access
-                in the Python hot loop.  The default (False) has each
-                worker copy the columns into private lists at attach time
-                (once per topology version) and stay fresh through the
-                weight deltas broadcast in every batch: ~30 % faster ticks,
-                one column copy per worker.
             recv_timeout: seconds to wait for any single worker reply before
                 declaring the shard stuck and failing the server with a
                 :class:`MonitoringError` (the 5s join cap in teardown has
@@ -264,19 +236,15 @@ class ShardedMonitoringServer(MonitoringServer):
         self._num_workers = workers
         self._num_shards = workers
         self._partitioning = partitioning
-        self._zero_copy = zero_copy
         self._start_method = start_method or default_start_method()
         self._recv_timeout = recv_timeout
         self._closed = False
         self._failed: Optional[str] = None
         self._shards: List[_Shard] = []
-        self._shared: Optional[SharedCSR] = None
-        self._shared_list: List[SharedCSR] = []
         self._merged_results: Dict[int, KnnResult] = {}
         self._finalizer: Optional[weakref.finalize] = None
         # Graph-partitioning state (empty/no-op in replica mode).
         self._assignment: Dict[int, int] = {}
-        self._subnetworks: List[RoadNetwork] = []
         self._shard_edge_ids: List[Set[int]] = []
         self._shard_halos: List[FrozenSet[int]] = []
         self._query_owner: Dict[int, Optional[int]] = {}
@@ -383,13 +351,12 @@ class ShardedMonitoringServer(MonitoringServer):
         initial_queries: Dict[int, tuple],
         monitor_blobs: Optional[List[bytes]] = None,
     ) -> None:
-        """Export the snapshot, ship the state, start one process per shard."""
+        """Ship the state and start one process per shard."""
         try:
             self._spawn_workers_inner(initial_queries, monitor_blobs)
         except BaseException:
-            shards, shared_list = self._shards, self._shared_list
-            self._shards, self._shared, self._shared_list = [], None, []
-            _cleanup(shards, shared_list)
+            shards, self._shards = self._shards, []
+            _cleanup(shards)
             raise
 
     def _spawn_workers_inner(
@@ -404,12 +371,11 @@ class ShardedMonitoringServer(MonitoringServer):
         of building a fresh replica — preserving the monitors' exact float
         history, which is what makes restored results byte-identical.
 
-        In graph mode each shard ships its own block+halo subnetwork and a
-        per-shard :class:`SharedCSR` export; *initial_queries* are routed by
-        the shard owning their edge (aggregate queries go straight to the
-        coordinator's boundary set), and any registration-time escalations
-        reported in the ready payloads are queued for re-evaluation on the
-        next tick.
+        In graph mode each shard ships its own block+halo subnetwork;
+        *initial_queries* are routed by the shard owning their edge
+        (aggregate queries go straight to the coordinator's boundary set),
+        and any registration-time escalations reported in the ready
+        payloads are queued for re-evaluation on the next tick.
         """
         context = multiprocessing.get_context(self._start_method)
         graph_mode = self._partitioning == "graph"
@@ -420,8 +386,6 @@ class ShardedMonitoringServer(MonitoringServer):
             )
         else:
             self._num_shards = self._num_workers
-            self._shared = SharedCSR(csr_snapshot(self._network))
-            self._shared_list = [self._shared]
             self._exported_topology_version = self._network.topology_version
             # One serialization of the network for the whole fleet; each
             # worker unpickles its own replica (listeners drop out in
@@ -450,8 +414,6 @@ class ShardedMonitoringServer(MonitoringServer):
                     network_blob=network_payload,
                     objects=objects,
                     queries=per_shard_queries[shard_id],
-                    csr_handle=self._shared.handle,
-                    zero_copy=self._zero_copy,
                     monitor_blob=(
                         monitor_blobs[shard_id] if monitor_blobs is not None else None
                     ),
@@ -485,9 +447,7 @@ class ShardedMonitoringServer(MonitoringServer):
                 self._boundary_refresh_needed = True
         if self._finalizer is not None:
             self._finalizer.detach()
-        self._finalizer = weakref.finalize(
-            self, _cleanup, self._shards, self._shared_list
-        )
+        self._finalizer = weakref.finalize(self, _cleanup, self._shards)
 
     def _build_graph_shard_inits(
         self,
@@ -498,9 +458,9 @@ class ShardedMonitoringServer(MonitoringServer):
 
         Recomputes the BFS-grown block assignment from the current network
         (deterministic, so a restored or resynced fleet lands on the same
-        layout), extracts each shard's block+halo subnetwork in
-        full-network iteration order, and exports one shared CSR snapshot
-        per shard.
+        layout) and ships each shard its block+halo subnetwork, extracted
+        in full-network iteration order and pickled straight away; the
+        coordinator keeps only the shard's edge ids and halo.
         """
         full_csr = csr_snapshot(self._network)
         self._assignment = grow_partitions(full_csr, self._num_workers)
@@ -512,11 +472,8 @@ class ShardedMonitoringServer(MonitoringServer):
                 f"graph-partitioned snapshot holds {len(monitor_blobs)} shard "
                 f"blobs but the network partitions into {parts} shards"
             )
-        self._subnetworks = []
         self._shard_edge_ids = []
         self._shard_halos = []
-        self._shared_list = []
-        self._shared = None
         objects = (
             {} if monitor_blobs is not None else dict(self._edge_table.all_objects())
         )
@@ -536,14 +493,9 @@ class ShardedMonitoringServer(MonitoringServer):
         inits: List[ShardInit] = []
         for part in range(parts):
             block, halo, local_edges = partition_block(full_csr, self._assignment, part)
-            members = set(block) | set(halo)
             edge_ids = set(local_edges)
-            subnet = _extract_subnetwork(self._network, members, edge_ids)
-            shared = SharedCSR(csr_snapshot(subnet))
-            self._subnetworks.append(subnet)
             self._shard_edge_ids.append(edge_ids)
             self._shard_halos.append(frozenset(halo))
-            self._shared_list.append(shared)
             inits.append(
                 ShardInit(
                     shard_id=part,
@@ -552,7 +504,12 @@ class ShardedMonitoringServer(MonitoringServer):
                     network_blob=(
                         None
                         if monitor_blobs is not None
-                        else pickle.dumps(subnet, protocol=pickle.HIGHEST_PROTOCOL)
+                        else pickle.dumps(
+                            _extract_subnetwork(
+                                self._network, set(block) | set(halo), edge_ids
+                            ),
+                            protocol=pickle.HIGHEST_PROTOCOL,
+                        )
                     ),
                     objects={
                         object_id: location
@@ -560,8 +517,6 @@ class ShardedMonitoringServer(MonitoringServer):
                         if location.edge_id in edge_ids
                     },
                     queries=per_shard_queries[part],
-                    csr_handle=shared.handle,
-                    zero_copy=self._zero_copy,
                     monitor_blob=(
                         monitor_blobs[part] if monitor_blobs is not None else None
                     ),
@@ -619,9 +574,8 @@ class ShardedMonitoringServer(MonitoringServer):
             for query_id in self._merged_results
             if query_id in self._query_locations and query_id in self._query_specs
         }
-        old_shards, old_shared_list = self._shards, self._shared_list
-        self._shards, self._shared, self._shared_list = [], None, []
-        _cleanup(old_shards, old_shared_list)
+        old_shards, self._shards = self._shards, []
+        _cleanup(old_shards)
         if self._partitioning == "graph":
             # The partition layout is about to be recomputed over the new
             # topology: every live query — including currently-boundary
@@ -683,10 +637,9 @@ class ShardedMonitoringServer(MonitoringServer):
     def apply_taken_batch(self, batch: UpdateBatch) -> TimestepReport:
         """Process a previously taken batch across all shards.
 
-        The parent applies the normalized batch to its authoritative state
-        (patching the shared snapshot's weight columns in place), sends each
-        shard the object/edge updates plus the query updates it owns, and
-        merges the replies into one :class:`TimestepReport` whose
+        The parent applies the normalized batch to its authoritative state,
+        sends each shard the object/edge updates plus the query updates it
+        owns, and merges the replies into one :class:`TimestepReport` whose
         ``changed_queries`` / ``counters`` aggregate over shards.
 
         A shard failure mid-tick (worker exception, dead process, stuck or
@@ -818,9 +771,7 @@ class ShardedMonitoringServer(MonitoringServer):
         never touch a shard are dropped.  Query updates route by ownership —
         a query moving across a partition cut is terminated at its old
         owner and taken over by the coordinator as a boundary query, and
-        aggregate installs go straight to the boundary set.  The parent
-        also applies edge-weight changes to its kept subnetworks so the
-        per-shard shared CSR columns stay fresh for zero-copy workers.
+        aggregate installs go straight to the boundary set.
         """
         per_shard_updates: List[list] = [[] for _ in range(self._num_shards)]
         for update in normalized.query_updates:
@@ -888,13 +839,6 @@ class ShardedMonitoringServer(MonitoringServer):
                 for update in normalized.edge_updates
                 if update.edge_id in edge_ids
             ]
-            for update in local_edges:
-                # Keep the parent-held subnetwork (and through its snapshot
-                # listener the shared CSR weight columns) in lock-step
-                # before the fan-out, mirroring the replica-mode ordering.
-                self._subnetworks[part].set_edge_weight(
-                    update.edge_id, update.new_weight
-                )
             messages.append(
                 (
                     pickle.dumps(
@@ -1207,7 +1151,6 @@ class ShardedMonitoringServer(MonitoringServer):
                 "workers": self._num_workers,
                 "partitioning": self._partitioning,
                 "shards": self._num_shards,
-                "zero_copy": self._zero_copy,
                 "start_method": self._start_method,
                 "recv_timeout": self._recv_timeout,
                 "merged_results": self._merged_results,
@@ -1223,21 +1166,20 @@ class ShardedMonitoringServer(MonitoringServer):
 
         Invoked by :func:`~repro.core.server.restore_server`; bypasses
         ``__init__`` (the snapshot already holds constructed state) and
-        respawns the fleet from the per-shard monitor blobs.
+        respawns the fleet from the per-shard monitor blobs.  Keys it does
+        not read — such as the copy-mode flag older versions wrote — are
+        ignored, so their snapshots still restore.
         """
         try:
             server = object.__new__(cls)
             server._num_workers = state["workers"]
             server._partitioning = state["partitioning"]
             server._num_shards = state["shards"]
-            server._zero_copy = state["zero_copy"]
             server._start_method = state["start_method"]
             server._recv_timeout = state["recv_timeout"]
             server._closed = False
             server._failed = None
             server._shards = []
-            server._shared = None
-            server._shared_list = []
             server._merged_results = dict(state["merged_results"])
             server._finalizer = None
             server._algorithm_key = state["algorithm"]
@@ -1245,7 +1187,6 @@ class ShardedMonitoringServer(MonitoringServer):
             server._monitor = None
             server._adopt_snapshot(state)
             server._assignment = {}
-            server._subnetworks = []
             server._shard_edge_ids = []
             server._shard_halos = []
             server._query_owner = {}
@@ -1278,13 +1219,12 @@ class ShardedMonitoringServer(MonitoringServer):
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Stop the workers and unlink the shared snapshot (idempotent)."""
+        """Stop the workers (idempotent)."""
         if self._closed:
             return
         self._closed = True
         if self._finalizer is not None:
             self._finalizer.detach()
             self._finalizer = None
-        shards, shared_list = self._shards, self._shared_list
-        self._shards, self._shared, self._shared_list = [], None, []
-        _cleanup(shards, shared_list)
+        shards, self._shards = self._shards, []
+        _cleanup(shards)

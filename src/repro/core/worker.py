@@ -36,10 +36,12 @@ fixed-radius re-expansion and **escalates** the ones whose probe touched
 the halo — it unregisters them and reports their ids so the coordinator
 takes over via the cross-shard expansion protocol.
 
-The flat-array CSR snapshot is *not* replicated: the parent exports it once
-per topology version through :class:`~repro.network.csr.SharedCSR` and the
-worker attaches zero-copy memoryviews (or private copies kept fresh by the
-broadcast edge deltas — see :func:`~repro.network.csr.attach_shared_csr`).
+The flat-array CSR snapshot is never shipped: the worker builds it lazily
+from its own network replica on the first search, exactly as a
+single-process server does, and the weight listener keeps it fresh as the
+worker applies each tick's edge updates.  The replica unpickles with the
+parent's node and edge order, so the worker's dense renumbering — and with
+it every heap tie-break — matches the parent's.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 from repro.core.events import UpdateBatch, apply_batch
 from repro.core.results import KnnResult
 from repro.core.search import expand_knn
-from repro.network.csr import SharedCSRHandle, attach_shared_csr, install_snapshot
 from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation, RoadNetwork
 
@@ -88,8 +89,8 @@ class ShardInit:
     without a decode/re-encode round trip.  ``kernel`` names the settle
     engine of the worker monitor (``"csr"``, ``"dial"`` or ``"native"``);
     a tick is collect-then-flush for every kernel, and each worker derives
-    any per-epoch engine support from the attached snapshot, so the choice
-    needs no extra shared state.
+    any per-epoch engine support from its own snapshot, so the choice needs
+    no extra shared state.
     """
 
     shard_id: int
@@ -103,8 +104,6 @@ class ShardInit:
     #: full :class:`~repro.core.queries.QuerySpec` so every query type
     #: (k-NN, range, aggregate k-NN) partitions transparently.
     queries: Dict[int, Tuple[NetworkLocation, object]] = field(default_factory=dict)
-    csr_handle: Optional[SharedCSRHandle] = None
-    zero_copy: bool = False
     #: a pickled monitor from a previous worker's ``("snapshot",)`` reply;
     #: when set, the worker resumes from it — network replica, edge table,
     #: registered queries and the exact per-query float history included —
@@ -260,16 +259,11 @@ def _build_state(init: ShardInit):
 
     if init.monitor_blob is not None:
         # Restore path: the pickled monitor carries its own network replica
-        # and edge table; re-attach the (freshly exported) shared snapshot
-        # and re-announce the current results of every resumed query.
+        # and edge table; re-announce the current results of every resumed
+        # query.
         monitor = pickle.loads(init.monitor_blob)
         network: RoadNetwork = monitor._network
         edge_table: EdgeTable = monitor._edge_table
-        if init.csr_handle is not None:
-            snapshot = attach_shared_csr(
-                network, init.csr_handle, zero_copy=init.zero_copy
-            )
-            install_snapshot(network, snapshot)
         results = {
             query_id: _plain_result(monitor.result_of(query_id))
             for query_id in monitor.query_ids()
@@ -283,9 +277,6 @@ def _build_state(init: ShardInit):
     edge_table = EdgeTable(network, build_spatial_index=False)
     for object_id, location in init.objects.items():
         edge_table.insert_object(object_id, location)
-    if init.csr_handle is not None:
-        snapshot = attach_shared_csr(network, init.csr_handle, zero_copy=init.zero_copy)
-        install_snapshot(network, snapshot)
     monitor = ALGORITHMS[init.algorithm](network, edge_table, kernel=init.kernel)
     results: Dict[int, KnnResult] = {}
     for query_id, (location, k) in init.queries.items():

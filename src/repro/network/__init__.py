@@ -13,14 +13,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "CLOSED_EDGE_WEIGHT",
         ),
         "repro.network.edge_table": ("EdgeTable",),
-        "repro.network.csr": (
-            "CSRGraph",
-            "csr_snapshot",
-            "install_snapshot",
-            "SharedCSR",
-            "SharedCSRHandle",
-            "attach_shared_csr",
-        ),
+        "repro.network.csr": ("CSRGraph", "csr_snapshot"),
         "repro.network.sequences": ("SequenceTable", "SequenceInfo"),
         "repro.network.kernels": (
             "KernelSpec",

@@ -23,14 +23,11 @@ the network's ``topology_version`` and cause a lazy full rebuild on the next
 
 from __future__ import annotations
 
-import threading
 import weakref
-from array import array
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.exceptions import EdgeNotFoundError, MonitoringError, NodeNotFoundError
+from repro.exceptions import EdgeNotFoundError, NodeNotFoundError
 from repro.network.graph import RoadNetwork
 
 _INF = float("inf")
@@ -132,15 +129,6 @@ class CSRGraph:
         self._network_ref = weakref.ref(network)
         self._weights_stale = False
         self.rebuild()
-        self._register_listener(network)
-
-    def _register_listener(self, network: RoadNetwork) -> None:
-        """Register the weak-reference weight forwarder on *network*.
-
-        Shared by the owning constructor and :func:`attach_shared_csr`, so
-        listener lifetime semantics cannot diverge between owned and
-        attached snapshots.
-        """
         self_ref = weakref.ref(self)
         network_ref = self._network_ref
 
@@ -206,12 +194,16 @@ class CSRGraph:
         adj_forward = bytearray()
         inc_indptr: List[int] = [0]
         inc_edge: List[int] = []
+        # Adjacency slots per dense edge, for incremental weight patching.
+        entry_slots: List[List[int]] = [[] for _ in self.edge_ids]
         for node_id in self.node_ids:
             for edge_id in network.incident_edges(node_id):
                 edge = network.edge(edge_id)
-                inc_edge.append(self.edge_index[edge_id])
+                position = self.edge_index[edge_id]
+                inc_edge.append(position)
                 if edge.oneway and edge.start != node_id:
                     continue
+                entry_slots[position].append(len(adj_node))
                 adj_node.append(node_index[edge.other_endpoint(node_id)])
                 adj_eid.append(edge_id)
                 adj_weight.append(edge.weight)
@@ -225,7 +217,7 @@ class CSRGraph:
         self.adj_forward = adj_forward
         self.inc_indptr = inc_indptr
         self.inc_edge = inc_edge
-        self._build_entry_slots()
+        self._entry_slots = entry_slots
         self._topology_version = network.topology_version
         self._weights_stale = False
         self._weights_epoch = getattr(self, "_weights_epoch", -1) + 1
@@ -233,18 +225,6 @@ class CSRGraph:
         self._native_support = None
         self._scratch = _Scratch(len(self.node_ids))
         self._edge_scratch = _EdgeScratch(len(self.edge_ids))
-
-    def _build_entry_slots(self) -> None:
-        """Derive the per-dense-edge adjacency slots from ``adj_eid``.
-
-        Used for incremental weight patching; shared by :meth:`rebuild` and
-        :func:`attach_shared_csr`.
-        """
-        entry_slots: List[List[int]] = [[] for _ in self.edge_ids]
-        edge_index = self.edge_index
-        for slot, edge_id in enumerate(self.adj_eid):
-            entry_slots[edge_index[edge_id]].append(slot)
-        self._entry_slots = entry_slots
 
     def _on_weight_change(self, edge_id: Optional[int], new_weight: float) -> None:
         if edge_id is None:
@@ -261,21 +241,6 @@ class CSRGraph:
         adj_weight = self.adj_weight
         for slot in self._entry_slots[position]:
             adj_weight[slot] = new_weight
-
-    def apply_weight_deltas(self, deltas: Iterable[Tuple[int, float]]) -> None:
-        """Patch the weight columns from ``(edge_id, new_weight)`` deltas.
-
-        The manual counterpart of the network weight listener, for callers
-        that hold a snapshot without a live network (or detached one with
-        :meth:`close`).  The sharded workers do *not* go through here —
-        their freshness flows through the listener that
-        :func:`attach_shared_csr` registers, driven by ``apply_batch`` on
-        the worker's network replica.  Unknown edge ids are ignored (they
-        belong to a newer topology; the version check in
-        :func:`csr_snapshot` handles the rebuild).
-        """
-        for edge_id, new_weight in deltas:
-            self._on_weight_change(edge_id, new_weight)
 
     def refresh(self) -> "CSRGraph":
         """Bring the snapshot up to date with the network; returns self."""
@@ -447,17 +412,6 @@ def csr_snapshot(network: RoadNetwork) -> CSRGraph:
     return snapshot
 
 
-def install_snapshot(network: RoadNetwork, snapshot: CSRGraph) -> None:
-    """Make *snapshot* the cached CSR snapshot of *network*.
-
-    Sharded workers attach a shared-memory snapshot and install it here so
-    every kernel path (:func:`repro.core.search.expand_knn` and the
-    incremental maintenance code) picks it up through :func:`csr_snapshot`
-    instead of building a private copy.
-    """
-    _SNAPSHOTS[network] = snapshot
-
-
 # ---------------------------------------------------------------------------
 # graph partitioning (network-partitioned sharded execution)
 # ---------------------------------------------------------------------------
@@ -563,252 +517,3 @@ def partition_block(
             halo_seen.add(outside)
             halo.append(outside)
     return block, halo, local_edge_ids
-
-
-# ---------------------------------------------------------------------------
-# shared-memory transport (sharded query execution)
-# ---------------------------------------------------------------------------
-
-#: The numeric CSR columns shipped through shared memory, with their
-#: ``memoryview`` formats.  8-byte columns come first so every view stays
-#: naturally aligned.
-_SHARED_COLUMNS: Tuple[Tuple[str, str], ...] = (
-    ("indptr", "q"),
-    ("adj_node", "q"),
-    ("adj_eid", "q"),
-    ("adj_weight", "d"),
-    ("edge_weight", "d"),
-    ("edge_start", "q"),
-    ("edge_end", "q"),
-    ("inc_indptr", "q"),
-    ("inc_edge", "q"),
-    ("adj_forward", "B"),
-    ("edge_oneway", "B"),
-)
-
-
-def _column_view(buf: memoryview, fmt: str, offset: int, length: int) -> memoryview:
-    """The *length*-item column of format *fmt* at byte *offset* of *buf*."""
-    return buf[offset : offset + length * array(fmt).itemsize].cast(fmt)
-
-
-@dataclass(frozen=True)
-class SharedCSRHandle:
-    """Picklable descriptor of a CSR snapshot exported to shared memory.
-
-    Ship this to a worker process and call :func:`attach_shared_csr` there.
-    ``layout`` holds one ``(column, format, offset, length)`` entry per
-    numeric column inside the single shared-memory block ``shm_name``;
-    ``format`` is the column's :class:`memoryview` / :mod:`array` type code.
-
-    Example::
-
-        shared = SharedCSR(csr_snapshot(network))
-        worker_view = attach_shared_csr(replica_network, shared.handle)
-    """
-
-    shm_name: str
-    layout: Tuple[Tuple[str, str, int, int], ...]
-    node_ids: Tuple[int, ...]
-    edge_ids: Tuple[int, ...]
-    topology_version: int
-
-
-class SharedCSR:
-    """Parent-side owner of one CSR snapshot exported to shared memory.
-
-    The constructor packs every numeric column of *csr* into a single
-    ``multiprocessing.shared_memory`` block and — by default — re-points the
-    snapshot's own columns at zero-copy ``memoryview`` slices of it.  From
-    then on the snapshot's incremental weight patching (driven by the
-    network's weight listener) writes straight into shared memory, so
-    attached workers observe every weight change without any rebuild or
-    message.
-
-    The owner must call :meth:`unlink` (or :meth:`close` followed by
-    :meth:`unlink`) when the workers are gone; the block is otherwise leaked
-    until the resource tracker reaps it.
-
-    Example::
-
-        shared = SharedCSR(csr_snapshot(network))
-        handle = shared.handle          # picklable; send to workers
-        ...
-        shared.unlink()                 # after every worker detached
-    """
-
-    def __init__(self, csr: CSRGraph, adopt: bool = True) -> None:
-        """Export *csr* to shared memory.
-
-        Args:
-            csr: the snapshot to export.
-            adopt: when True (default) the snapshot's columns are replaced
-                by the shared memoryviews, making the exporting process the
-                single writer that keeps shared weights fresh.
-        """
-        from multiprocessing import shared_memory
-
-        columns = [(name, array(fmt, getattr(csr, name))) for name, fmt in _SHARED_COLUMNS]
-        layout: List[Tuple[str, str, int, int]] = []
-        offset = 0
-        for name, column in columns:
-            layout.append((name, column.typecode, offset, len(column)))
-            offset += len(column) * column.itemsize
-        self._shm = shared_memory.SharedMemory(create=True, size=max(offset, 1))
-        self._unlinked = False
-        self._adopted_ref = weakref.ref(csr) if adopt else None
-        for (name, column), (_, fmt, col_offset, length) in zip(columns, layout):
-            view = _column_view(self._shm.buf, fmt, col_offset, length)
-            view[:] = column
-            if adopt:
-                setattr(csr, name, view)
-        self.handle = SharedCSRHandle(
-            shm_name=self._shm.name,
-            layout=tuple(layout),
-            node_ids=tuple(csr.node_ids),
-            edge_ids=tuple(csr.edge_ids),
-            topology_version=csr._topology_version,
-        )
-
-    def close(self) -> None:
-        """Close this process's mapping of the block (idempotent).
-
-        An adopted snapshot (``adopt=True``) is first restored to private
-        list columns, so its views release the buffer and the mapping can
-        actually unmap; the snapshot keeps working in-process afterwards.
-        """
-        adopted = self._adopted_ref() if self._adopted_ref is not None else None
-        if adopted is not None:
-            for name, _, _, _ in self.handle.layout:
-                column = getattr(adopted, name, None)
-                if isinstance(column, memoryview):
-                    setattr(adopted, name, column.tolist())
-            # Engine supports may view the block too; they rebuild on demand.
-            adopted._dial_support = adopted._native_support = None
-            self._adopted_ref = None
-        try:
-            self._shm.close()
-        except BufferError:  # pragma: no cover - an external view is alive
-            # Someone else still holds a view into the buffer; the mapping
-            # dies with the process instead.
-            pass
-
-    def unlink(self) -> None:
-        """Remove the shared-memory block from the system (idempotent)."""
-        if not self._unlinked:
-            self._unlinked = True
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already reaped
-                pass
-
-
-#: Serializes the pre-3.13 register-suppression window in _attach_block.
-_ATTACH_LOCK = threading.Lock()
-
-
-def _attach_block(shared_memory, name: str):
-    """Open an existing shared-memory block without tracking its lifetime.
-
-    The exporter owns the block; if every attaching process also registered
-    it with its resource tracker, the tracker would double-unlink at exit
-    and log spurious KeyErrors.  Python 3.13 has ``track=False`` for this;
-    earlier versions need the register call silenced for the duration of
-    the constructor.  The lock serializes concurrent attaches; note that on
-    those older versions an *unrelated* tracked ``SharedMemory`` created by
-    another thread during the patch window would escape tracking — attach
-    from a single thread (the sharded workers do) if that matters.
-    """
-    import sys
-
-    if sys.version_info >= (3, 13):  # pragma: no cover - newer interpreters
-        return shared_memory.SharedMemory(name=name, track=False)
-    from multiprocessing import resource_tracker
-
-    with _ATTACH_LOCK:
-        original_register = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None
-        try:
-            return shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original_register
-
-
-def attach_shared_csr(
-    network: RoadNetwork,
-    handle: SharedCSRHandle,
-    zero_copy: bool = False,
-) -> CSRGraph:
-    """Build a :class:`CSRGraph` over an exported shared-memory snapshot.
-
-    Args:
-        network: the local replica of the exporting process's network; its
-            ``topology_version`` must match the handle's (the replica and
-            the snapshot must describe the same topology).
-        handle: the exporter's :attr:`SharedCSR.handle`.
-        zero_copy: when True the numeric columns are memoryviews straight
-            into shared memory — no per-worker copy, and weight patches
-            written by the exporter are visible immediately.  The default
-            (False, matching the sharded server's) copies the columns into
-            private Python lists once per topology version — faster
-            element access in the Python hot loop; freshness then relies
-            on the weight listener registered on *network*, fed by the
-            edge deltas broadcast in every update batch.
-
-    The attached snapshot registers a weight listener on *network* in both
-    modes, so locally applied batches keep it self-consistent; under the
-    sharded-server protocol every process applies identical deltas, making
-    the concurrent shared-memory writes idempotent.  Call
-    :meth:`CSRGraph.close` before dropping the snapshot to detach the
-    listener; the shared block itself is owned (and unlinked) by the
-    exporter.
-
-    Raises:
-        MonitoringError: when the topology versions disagree.
-
-    Example::
-
-        shared = SharedCSR(csr_snapshot(network))
-        replica = pickle.loads(pickle.dumps(network))   # worker-side copy
-        attached = attach_shared_csr(replica, shared.handle)
-        install_snapshot(replica, attached)
-    """
-    from multiprocessing import shared_memory
-
-    if network.topology_version != handle.topology_version:
-        raise MonitoringError(
-            f"shared CSR handle is for topology_version {handle.topology_version}, "
-            f"but the local network is at {network.topology_version}"
-        )
-    shm = _attach_block(shared_memory, handle.shm_name)
-
-    csr = CSRGraph.__new__(CSRGraph)
-    csr._network_ref = weakref.ref(network)
-    csr._weights_stale = False
-    csr.node_ids = list(handle.node_ids)
-    csr.node_index = {node_id: index for index, node_id in enumerate(csr.node_ids)}
-    csr.edge_ids = list(handle.edge_ids)
-    csr.edge_index = {edge_id: index for index, edge_id in enumerate(csr.edge_ids)}
-    for name, fmt, offset, length in handle.layout:
-        view = _column_view(shm.buf, fmt, offset, length)
-        if zero_copy:
-            setattr(csr, name, view)
-        else:
-            setattr(csr, name, view.tolist())
-            view.release()
-    if not zero_copy:
-        shm.close()
-    csr._build_entry_slots()
-    csr._topology_version = handle.topology_version
-    csr._weights_epoch = 0
-    csr._dial_support = None
-    csr._native_support = None
-    csr._scratch = _Scratch(len(csr.node_ids))
-    csr._edge_scratch = _EdgeScratch(len(csr.edge_ids))
-    csr._register_listener(network)
-    if zero_copy:
-        # Set last: attributes are cleared in insertion order, so the views
-        # and the engine supports built over them release the mapping
-        # before the block closes.
-        csr._shm = shm
-    return csr

@@ -36,11 +36,10 @@ serve exactly (fixed-radius range requests, or a frontier overflowing the
 preallocated heap) falls back per-request to :func:`expand_knn`, exactly
 like a dial bucket overflow.
 
-Shared-memory attach.  The kernel reads only the numpy mirrors that
-:class:`~repro.network.dial.DialSupport` derives per weights epoch, so it
-runs unchanged over a worker's :func:`~repro.network.csr.attach_shared_csr`
-snapshot — with ``zero_copy=True`` the C loop walks the parent's shared
-block directly.
+Column source.  The kernel reads only the numpy mirrors that
+:class:`~repro.network.dial.DialSupport` derives per weights epoch from
+the snapshot's columns, so it runs unchanged inside a sharded worker,
+whose snapshot is built from its own network replica.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Sharding on a base install: every server shape runs without numpy.
 
 ``pyproject.toml`` declares no runtime dependency; numpy is the optional
-``fast`` extra.  The multi-process servers ship their CSR snapshot through
-shared memory, and that transport must need nothing beyond the stdlib.  The
-check runs in a subprocess that masks numpy before anything imports it, so
-``import numpy`` raises ``ImportError`` there exactly as on a base install.
+``fast`` extra.  The multi-process servers ship pickled network replicas
+over pipes and each worker builds its own CSR snapshot, which must need
+nothing beyond the stdlib.  The check runs in a subprocess that masks
+numpy before anything imports it, so ``import numpy`` raises
+``ImportError`` there exactly as on a base install.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ assert expected, "the scenario registered no queries"
 for deployment in (
     {"workers": 2},
     {"workers": 2, "partitioning": "graph"},
-    {"workers": 2, "zero_copy": True},
 ):
     kind, results, divergent = run(**deployment)
     assert kind == "ShardedMonitoringServer", deployment

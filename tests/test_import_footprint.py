@@ -4,10 +4,11 @@ Two checks:
 
 * in a fresh subprocess, the service's own imports (those of the e2e
   benchmark's launcher and of ``python -m repro.service``) followed by a
-  durable IMA server, a durable GMA server and a durable graph-sharded
-  server that each tick, take coordinate verbs and checkpoint, must leave
-  numpy, ctypes, the test scaffolding, the fault injector, the client and
-  the compiled-kernel module out of ``sys.modules``;
+  durable IMA server, a durable GMA server and durable replica- and
+  graph-sharded servers that each tick, take coordinate verbs, checkpoint
+  and recover, must leave numpy, ctypes, the test scaffolding, the fault
+  injector, the client, the compiled-kernel module and the shared-memory
+  machinery out of ``sys.modules``;
 * every name in the ``__all__`` of ``repro`` and of each subpackage must
   resolve, be listed by ``dir()`` and survive ``from package import *`` —
   the packages re-export lazily, so a mistyped table entry fails here
@@ -30,7 +31,9 @@ import repro
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 #: Modules no serving path may load: numpy and the compiled kernel are
-#: opt-in accelerators, the rest is test and client scaffolding.
+#: opt-in accelerators, shard workers get everything over pipes (no shared
+#: memory, so no resource-tracker process either), and the rest is test and
+#: client scaffolding.
 FORBIDDEN = (
     "numpy",
     "ctypes",
@@ -38,6 +41,8 @@ FORBIDDEN = (
     "repro.service.faults",
     "repro.service.client",
     "repro.network.native",
+    "multiprocessing.shared_memory",
+    "multiprocessing.resource_tracker",
 )
 
 SCRIPT = r"""
@@ -62,6 +67,7 @@ ways.write_text(synthetic_city_text(CitySpec.for_target_edges(300), seed=7))
 for name, deployment in (
     ("ima", {"algorithm": "ima"}),
     ("gma", {"algorithm": "gma"}),
+    ("replica", {"algorithm": "ima", "workers": 2}),
     ("graph", {"algorithm": "ima", "workers": 2, "partitioning": "graph"}),
 ):
     network = import_road_network(ways).network

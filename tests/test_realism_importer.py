@@ -5,8 +5,7 @@ parallel edges, disconnected pieces, coincident nodes, dangling islands —
 at :func:`repro.realism.import_ways_text` and checks the import contract:
 the result is always a *connected* network with strictly positive, finite
 weights and dense sequential edge ids, and it survives both
-``network.copy()`` and the ``SharedCSR`` export/adopt round trip
-byte-for-byte.
+``network.copy()`` and a pickled replica's CSR snapshot byte-for-byte.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import NetworkError
-from repro.network.csr import SharedCSR, attach_shared_csr, csr_snapshot
+from repro.network.csr import csr_snapshot
 from repro.realism import (
     SPEED_CLASSES,
     CitySpec,
@@ -31,6 +30,26 @@ from repro.realism import (
 # ----------------------------------------------------------------------
 # hypothesis: arbitrary node/way soups
 # ----------------------------------------------------------------------
+
+#: Every column of a CSR snapshot, ids and dense-index maps included.
+_CSR_COLUMNS = (
+    "node_ids",
+    "node_index",
+    "edge_ids",
+    "edge_index",
+    "indptr",
+    "adj_node",
+    "adj_eid",
+    "adj_weight",
+    "adj_forward",
+    "edge_weight",
+    "edge_start",
+    "edge_end",
+    "edge_oneway",
+    "inc_indptr",
+    "inc_edge",
+    "_entry_slots",
+)
 
 _coord = st.floats(
     min_value=-1000.0, max_value=1000.0, allow_nan=False, allow_infinity=False
@@ -96,8 +115,13 @@ def test_import_contract_on_arbitrary_soups(text):
 
 @given(text=_way_soups())
 @settings(max_examples=40, deadline=None)
-def test_import_round_trips_through_copy_and_shared_csr(text):
-    """Imported networks survive copy() and SharedCSR export/adopt intact."""
+def test_import_round_trips_through_copy_and_pickled_replica(text):
+    """Imported networks survive copy() and a pickled replica's CSR intact.
+
+    A sharded worker builds its CSR snapshot from the network replica it
+    unpickles, so its results are byte-identical to the coordinator's only
+    if every column of that snapshot equals the original's.
+    """
     try:
         result = import_ways_text(text)
     except NetworkError:
@@ -113,21 +137,9 @@ def test_import_round_trips_through_copy_and_shared_csr(text):
         assert twin.base_weight == edge.base_weight
 
     snapshot = csr_snapshot(network)
-    shared = SharedCSR(snapshot)
-    try:
-        replica = pickle.loads(pickle.dumps(network))
-        handle = pickle.loads(pickle.dumps(shared.handle))
-        attached = attach_shared_csr(replica, handle, zero_copy=False)
-        assert attached.node_ids == snapshot.node_ids
-        assert attached.edge_ids == snapshot.edge_ids
-        assert list(attached.indptr) == list(snapshot.indptr)
-        assert list(attached.adj_node) == list(snapshot.adj_node)
-        assert list(attached.adj_weight) == list(snapshot.adj_weight)
-        assert list(attached.edge_weight) == list(snapshot.edge_weight)
-        attached.close()
-    finally:
-        shared.unlink()
-        shared.close()
+    replica = csr_snapshot(pickle.loads(pickle.dumps(network)))
+    for column in _CSR_COLUMNS:
+        assert getattr(replica, column) == getattr(snapshot, column), column
 
 
 # ----------------------------------------------------------------------

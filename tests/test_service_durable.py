@@ -24,6 +24,7 @@ from repro import (
     restore_server,
 )
 from repro import run_differential_log
+from repro.core.server import load_snapshot
 from repro.core.sharding import ShardedMonitoringServer
 from repro.exceptions import RecoveryError, ServiceError
 from repro.network.edge_table import EdgeTable
@@ -367,6 +368,49 @@ def test_snapshot_restore_continues_byte_identically(workers, partitioning):
                 assert twin.results() == original.results()
             finally:
                 twin.close()
+        finally:
+            clone.close()
+    finally:
+        original.close()
+
+
+@pytest.mark.parametrize("partitioning", [None, "graph"], ids=["replica", "graph"])
+def test_sharded_snapshot_with_retired_copy_mode_field_restores(
+    monkeypatch, partitioning
+):
+    """A snapshot carrying the field of a removed option still restores.
+
+    Older sharded snapshots recorded the constructor's shared-memory copy
+    mode; restoring one ignores the field, continues byte-identically, and
+    the restored server's own snapshots no longer write it.
+    """
+    retired = "zero_copy"
+    scenario, seed = "uniform-drift", 11
+    engine = ScenarioEngine(
+        city_network(100, seed=seed + 1), resolve_scenario(scenario), seed=seed
+    )
+    original = _scenario_server(scenario, seed, 100, 2, partitioning)
+    encode = ShardedMonitoringServer._encode_snapshot
+    monkeypatch.setattr(
+        ShardedMonitoringServer,
+        "_encode_snapshot",
+        lambda self, static, kind, fields: encode(
+            self, static, kind, {**fields, retired: False}
+        ),
+    )
+    try:
+        original.apply_updates(engine.batch(0))
+        original.tick()
+        clone = restore_server(original.snapshot_state())
+        monkeypatch.undo()
+        try:
+            assert clone.results() == original.results()
+            batch = engine.batch(1)
+            for server in (original, clone):
+                server.apply_updates(batch)
+                server.tick()
+            assert clone.results() == original.results()
+            assert retired not in load_snapshot(clone.snapshot_state())
         finally:
             clone.close()
     finally:

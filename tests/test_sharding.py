@@ -1,10 +1,10 @@
 """Unit tests for the sharded execution layer.
 
-Covers the shared-memory CSR transport (export / attach / weight deltas),
-the shard router, the :class:`ShardedMonitoringServer` lifecycle, and the
-equivalence of sharded and single-process results on identical update
-streams.  The oracle-backed end-to-end runs live in
-``test_sharded_differential.py``.
+Covers network pickling (state shipping), the CSR snapshots workers build
+from the network they unpickle, the shard router, the
+:class:`ShardedMonitoringServer` lifecycle, and the equivalence of sharded
+and single-process results on identical update streams.  The oracle-backed
+end-to-end runs live in ``test_sharded_differential.py``.
 """
 
 from __future__ import annotations
@@ -21,14 +21,14 @@ from repro import (
     shard_of,
 )
 from repro.core.events import UpdateBatch
-from repro.core.sharding import default_start_method
+from repro.core.sharding import _extract_subnetwork, default_start_method
 from repro.exceptions import (
     DuplicateObjectError,
     MonitoringError,
     ServerFailedError,
     UnknownQueryError,
 )
-from repro.network.csr import SharedCSR, attach_shared_csr
+from repro.network.csr import grow_partitions, partition_block
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -72,83 +72,75 @@ def test_network_pickles_without_listeners():
 
 
 # ----------------------------------------------------------------------
-# shared-memory CSR transport
+# worker-side CSR snapshots (built from the shipped network)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("zero_copy", [True, False])
-def test_shared_csr_roundtrip(zero_copy):
+def _shipped_network(network, partitioning):
+    """The network a shard worker unpickles: the whole network in replica
+    mode, the block+halo subnetwork of shard 0 of 2 in graph mode."""
+    shipped = network
+    if partitioning == "graph":
+        full = csr_snapshot(network)
+        block, halo, edge_ids = partition_block(full, grow_partitions(full, 2), 0)
+        shipped = _extract_subnetwork(network, set(block) | set(halo), set(edge_ids))
+    return pickle.loads(pickle.dumps(shipped))
+
+
+@pytest.mark.parametrize("partitioning", ["replica", "graph"])
+def test_worker_snapshot_matches_parent_and_tracks_its_own_updates(partitioning):
+    """A worker's self-built snapshot is the parent's, filtered to its edges.
+
+    Keeping the parent's relative dense order makes heap tie-breaks settle
+    exactly as in a single process; the edge updates broadcast to a worker
+    patch its columns through its own listener and never the parent's.
+    """
     network = city_network(60, seed=2)
-    snapshot = csr_snapshot(network)
-    reference = {
-        "indptr": list(snapshot.indptr),
-        "adj_node": list(snapshot.adj_node),
-        "adj_eid": list(snapshot.adj_eid),
-        "adj_weight": list(snapshot.adj_weight),
-        "edge_weight": list(snapshot.edge_weight),
-        "inc_edge": list(snapshot.inc_edge),
-    }
-    shared = SharedCSR(snapshot)
-    try:
-        replica = pickle.loads(pickle.dumps(network))
-        handle = pickle.loads(pickle.dumps(shared.handle))  # ships through pipes
-        attached = attach_shared_csr(replica, handle, zero_copy=zero_copy)
-        for name, expected in reference.items():
-            assert list(getattr(attached, name)) == expected, name
-        assert attached.node_ids == snapshot.node_ids
-        assert attached.edge_ids == snapshot.edge_ids
-        # Weight patch on the exporting side: zero-copy views see it
-        # immediately; private copies rely on their own network's listener.
-        edge_id = snapshot.edge_ids[0]
-        position = snapshot.index_of_edge(edge_id)
-        network.set_edge_weight(edge_id, 77.0)
-        if zero_copy:
-            assert float(attached.edge_weight[position]) == 77.0
-        replica.set_edge_weight(edge_id, 77.0)
-        assert float(attached.edge_weight[position]) == 77.0
-        assert all(
-            float(attached.adj_weight[slot]) == 77.0
-            for slot in attached._entry_slots[position]
+    parent = csr_snapshot(network)
+    replica = _shipped_network(network, partitioning)
+    snapshot = csr_snapshot(replica)
+    kept_nodes, kept_edges = set(snapshot.node_ids), set(snapshot.edge_ids)
+    assert snapshot.node_ids == [n for n in parent.node_ids if n in kept_nodes]
+    assert snapshot.edge_ids == [e for e in parent.edge_ids if e in kept_edges]
+    if partitioning == "replica":
+        assert snapshot.edge_count == parent.edge_count
+    else:
+        assert 0 < snapshot.edge_count < parent.edge_count
+    for position, edge_id in enumerate(snapshot.edge_ids):
+        assert (
+            snapshot.edge_weight[position]
+            == parent.edge_weight[parent.index_of_edge(edge_id)]
         )
-        attached.close()
-    finally:
-        shared.unlink()
-        shared.close()
+
+    edge_id = snapshot.edge_ids[0]
+    original = network.edge(edge_id).weight
+    replica.set_edge_weight(edge_id, 77.0)
+    assert csr_snapshot(replica) is snapshot  # patched in place, not rebuilt
+    position = snapshot.index_of_edge(edge_id)
+    assert snapshot.edge_weight[position] == 77.0
+    assert snapshot._entry_slots[position]
+    assert all(
+        snapshot.adj_weight[slot] == 77.0 for slot in snapshot._entry_slots[position]
+    )
+    assert parent.edge_weight[parent.index_of_edge(edge_id)] == original != 77.0
 
 
-def test_shared_csr_delta_application():
-    network = city_network(40, seed=3)
-    snapshot = csr_snapshot(network)
-    shared = SharedCSR(snapshot)
-    try:
-        replica = pickle.loads(pickle.dumps(network))
-        attached = attach_shared_csr(replica, shared.handle, zero_copy=False)
-        edge_id = snapshot.edge_ids[1]
-        attached.apply_weight_deltas([(edge_id, 55.0), (10**9, 1.0)])  # unknown id ignored
-        position = attached.index_of_edge(edge_id)
-        assert float(attached.edge_weight[position]) == 55.0
-        attached.close()
-    finally:
-        shared.unlink()
-        shared.close()
-
-
-def test_attach_rejects_topology_mismatch():
+def test_replica_snapshot_follows_its_own_topology():
+    """A topology edit on a replica rebuilds the replica's snapshot only."""
     network = city_network(40, seed=4)
-    shared = SharedCSR(csr_snapshot(network))
-    try:
-        replica = pickle.loads(pickle.dumps(network))
-        node_id = max(replica.node_ids()) + 1
-        replica.add_node(node_id, 0.0, 0.0)
-        with pytest.raises(MonitoringError):
-            attach_shared_csr(replica, shared.handle)
-    finally:
-        shared.unlink()
-        shared.close()
+    parent = csr_snapshot(network)
+    replica = pickle.loads(pickle.dumps(network))
+    snapshot = csr_snapshot(replica)
+    node_id = max(replica.node_ids()) + 1
+    replica.add_node(node_id, 0.0, 0.0)
+    assert csr_snapshot(replica) is snapshot
+    assert snapshot.node_ids == parent.node_ids + [node_id]
+    assert snapshot.index_of_node(node_id) == parent.node_count
+    assert csr_snapshot(network) is parent
+    assert node_id not in parent.node_index
 
 
-def test_expand_knn_over_attached_snapshot_matches_original():
-    """The kernel returns identical results over shared memoryview columns."""
+def test_expand_knn_over_replica_snapshot_matches_original():
+    """The kernel returns identical results over a pickled replica's snapshot."""
     from repro.core.search import expand_knn
-    from repro.network.csr import install_snapshot
     from repro.network.edge_table import EdgeTable
     from repro.network.graph import NetworkLocation
 
@@ -162,23 +154,45 @@ def test_expand_knn_over_attached_snapshot_matches_original():
     query = NetworkLocation(edge_ids[3], 0.5)
     expected = expand_knn(network, edge_table, k=4, query_location=query)
 
-    shared = SharedCSR(csr_snapshot(network), adopt=False)
-    try:
-        replica = pickle.loads(pickle.dumps(network))
-        replica_table = EdgeTable(replica, build_spatial_index=False)
-        for object_id, location in edge_table.all_objects():
-            replica_table.insert_object(object_id, location)
-        attached = attach_shared_csr(replica, shared.handle, zero_copy=True)
-        install_snapshot(replica, attached)
-        outcome = expand_knn(replica, replica_table, k=4, query_location=query)
-        assert [
-            (int(i), float(d)) for i, d in outcome.neighbors
-        ] == list(expected.neighbors)
-        assert float(outcome.radius) == expected.radius
-        attached.close()
-    finally:
-        shared.unlink()
-        shared.close()
+    replica = pickle.loads(pickle.dumps(network))
+    replica_table = EdgeTable(replica, build_spatial_index=False)
+    for object_id, location in edge_table.all_objects():
+        replica_table.insert_object(object_id, location)
+    outcome = expand_knn(replica, replica_table, k=4, query_location=query)
+    assert outcome.neighbors == expected.neighbors
+    assert outcome.radius == expected.radius
+
+
+@pytest.mark.parametrize("partitioning", ["replica", "graph"])
+def test_sharded_server_leaves_parent_snapshot_private(partitioning):
+    """The coordinator's cached snapshot stays plain, private and live.
+
+    Nothing is shared with the workers, so the parent's snapshot keeps its
+    list columns, tracks weight changes while the fleet runs and after it
+    closes, and is never swapped for another object.
+    """
+    network = city_network(80, seed=26)
+    snapshot = csr_snapshot(network)
+    edge_id = snapshot.edge_ids[0]
+    position = snapshot.index_of_edge(edge_id)
+    with MonitoringServer(
+        network, algorithm="ima", workers=2, partitioning=partitioning
+    ) as server:
+        server.add_object_at(1, x=30.0, y=30.0)
+        server.add_query_at(1_000_000, x=35.0, y=40.0, k=1)
+        server.tick()
+        server.update_edge_weight(edge_id, 99.0)
+        server.tick()
+        assert csr_snapshot(network) is snapshot
+        assert isinstance(snapshot.adj_weight, list)
+        assert isinstance(snapshot.edge_weight, list)
+        assert snapshot.edge_weight[position] == 99.0
+    assert csr_snapshot(network) is snapshot
+    network.set_edge_weight(edge_id, 98.0)
+    assert snapshot.edge_weight[position] == 98.0
+    assert all(
+        snapshot.adj_weight[slot] == 98.0 for slot in snapshot._entry_slots[position]
+    )
 
 
 # ----------------------------------------------------------------------
@@ -416,23 +430,6 @@ def test_plain_subclass_rejects_workers():
     assert type(LoggingServer(network)) is LoggingServer
     with pytest.raises(MonitoringError, match="in-process"):
         LoggingServer(network, workers=4)
-
-
-def test_close_restores_adopted_snapshot_columns():
-    """close() hands the parent's cached snapshot back to private lists."""
-    network = city_network(80, seed=26)
-    with MonitoringServer(network, algorithm="ima", workers=2) as server:
-        server.add_object_at(1, x=30.0, y=30.0)
-        server.add_query_at(1_000_000, x=35.0, y=40.0, k=1)
-        server.tick()
-        snapshot = csr_snapshot(network)
-        assert not isinstance(snapshot.adj_weight, list)  # adopted shm views
-    snapshot = csr_snapshot(network)
-    assert isinstance(snapshot.adj_weight, list)  # restored on close
-    # The restored snapshot still tracks weight changes in-process.
-    edge_id = snapshot.edge_ids[0]
-    network.set_edge_weight(edge_id, 99.0)
-    assert snapshot.edge_weight[snapshot.index_of_edge(edge_id)] == 99.0
 
 
 def test_workers_zero_rejected_everywhere():

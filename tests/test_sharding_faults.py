@@ -7,8 +7,8 @@ Pins the three repaired behaviours:
   :class:`ServerFailedError` instead of wedging on a dead pipe;
 * ``_recv`` is bounded by ``recv_timeout`` so a stuck (not dead) worker
   can no longer freeze the parent forever;
-* shared-memory teardown closes the mapping *before* unlinking the name;
-* workers do not outlive a coordinator killed with ``kill -9``.
+* workers do not outlive a coordinator killed with ``kill -9``, and the
+  killed process group leaves nothing behind in ``/dev/shm``.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import subprocess
 import sys
 import threading
 import time
+from typing import List
 
 import pytest
 
@@ -51,7 +52,6 @@ def test_killed_worker_mid_tick_fails_server_closed(sharded):
     assert not isinstance(excinfo.value, ServerFailedError)  # the first report
     # fail-closed: the whole fleet is torn down, not just the dead shard
     assert all(not shard.process.is_alive() for shard in sharded._shards)
-    assert sharded._shared is None
     # every further use raises the typed error carrying the original cause
     for attempt in (
         sharded.tick,
@@ -110,20 +110,6 @@ def test_recv_timeout_validation():
         ShardedMonitoringServer(network, workers=2, recv_timeout=-1.0)
 
 
-def test_shared_memory_closed_before_unlink():
-    """Teardown order: close() the mapping first, then unlink() the name."""
-    network = city_network(80, seed=24)
-    server = ShardedMonitoringServer(network, algorithm="ima", workers=2)
-    shared = server._shared
-    assert shared is not None
-    order = []
-    real_close, real_unlink = shared.close, shared.unlink
-    shared.close = lambda: (order.append("close"), real_close())[1]
-    shared.unlink = lambda: (order.append("unlink"), real_unlink())[1]
-    server.close()
-    assert order == ["close", "unlink"]
-
-
 # ----------------------------------------------------------------------
 # kill -9 of the coordinator must not orphan its workers
 # ----------------------------------------------------------------------
@@ -140,13 +126,43 @@ time.sleep(120)
 """
 
 
-def _running(pid: int) -> bool:
-    """True while *pid* is a live process (an unreaped zombie is not)."""
+def _stat_fields(pid: int) -> List[str]:
+    """The ``/proc/<pid>/stat`` fields after the command name ([] if gone)."""
     try:
         stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
     except OSError:
-        return False
-    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+        return []
+    return stat.rsplit(")", 1)[1].split()
+
+
+def _running(pid: int) -> bool:
+    """True while *pid* is a live process (an unreaped zombie is not)."""
+    fields = _stat_fields(pid)
+    return bool(fields) and fields[0] != "Z"
+
+
+def _group_members(pgid: int) -> List[int]:
+    """Live processes in process group *pgid* (``pgrp``, the fifth field)."""
+    members = []
+    for entry in pathlib.Path("/proc").iterdir():
+        if entry.name.isdigit():
+            fields = _stat_fields(int(entry.name))  # state, ppid, pgrp, ...
+            if fields[:1] != ["Z"] and fields[2:3] == [str(pgid)]:
+                members.append(int(entry.name))
+    return members
+
+
+def _start_coordinator(partitioning: str, **popen_kwargs) -> subprocess.Popen:
+    """Run ``_COORDINATOR`` in a subprocess that imports this tree's ``src``."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.Popen(
+        [sys.executable, "-c", _COORDINATOR, partitioning],
+        env=env, stdout=subprocess.PIPE, text=True, **popen_kwargs,
+    )
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
@@ -158,15 +174,7 @@ def test_workers_do_not_outlive_a_sigkilled_coordinator(partitioning):
     started after it, so EOF on the pipe never comes; the fleet used to
     stay behind, two processes per kill.
     """
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    coordinator = subprocess.Popen(
-        [sys.executable, "-c", _COORDINATOR, partitioning],
-        env=env, stdout=subprocess.PIPE, text=True,
-    )
+    coordinator = _start_coordinator(partitioning)
     workers = []
     try:
         workers = [int(pid) for pid in coordinator.stdout.readline().split()]
@@ -185,3 +193,39 @@ def test_workers_do_not_outlive_a_sigkilled_coordinator(partitioning):
         for pid in workers:
             if _running(pid):
                 os.kill(pid, signal.SIGKILL)
+
+
+@pytest.mark.skipif(
+    not (os.path.isdir("/proc/self") and os.path.isdir("/dev/shm")),
+    reason="needs /proc and /dev/shm",
+)
+@pytest.mark.parametrize("partitioning", ["replica", "graph"])
+def test_a_sigkilled_service_group_leaves_nothing_behind(partitioning):
+    """``killpg(SIGKILL)`` of the whole group: no process, no shm segment.
+
+    Killing the group is what a supervisor does to a service; no member
+    gets to clean up, so anything the fleet created in ``/dev/shm`` would
+    stay there until the next reboot.
+    """
+    shm_before = set(os.listdir("/dev/shm"))
+    coordinator = _start_coordinator(partitioning, start_new_session=True)
+    group = coordinator.pid  # a new session leader leads its own group
+    try:
+        workers = [int(pid) for pid in coordinator.stdout.readline().split()]
+        assert len(workers) == 2 and set(workers) <= set(_group_members(group))
+        os.killpg(group, signal.SIGKILL)
+        coordinator.wait(timeout=10)
+        deadline = time.monotonic() + 5.0
+        while _group_members(group) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = _group_members(group)
+        assert not survivors, f"group members {survivors} survived kill -9"
+        leaked = sorted(set(os.listdir("/dev/shm")) - shm_before)
+        assert not leaked, f"/dev/shm entries {leaked} outlived the group"
+    finally:
+        try:
+            os.killpg(group, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        coordinator.wait(timeout=10)
+        coordinator.stdout.close()
