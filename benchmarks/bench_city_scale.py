@@ -4,9 +4,9 @@ The scale leg of the ROADMAP "city-scale realism" item: a synthetic city
 from :func:`repro.realism.synthetic_city_network` (so the full importer
 pipeline is on the measured path), 100K+ moving objects, and a rush-hour
 traffic stream (:class:`repro.realism.RushHourModel` — congestion waves,
-incidents, a trickle of closures) driving both the ``dial`` and ``csr``
+incidents, a trickle of closures) driving both the ``csr`` and ``native``
 kernels through the batched ``apply_updates`` + ``tick`` pipeline (the
-``dial`` leg is the headline BENCH record; running several
+``csr`` leg is the headline BENCH record; running several
 independently-shaped benchmarks also gives ``check_bench.py``'s
 median-ratio machine calibration enough points to catch a single-path
 regression).
@@ -143,7 +143,7 @@ def test_city_import_throughput(benchmark, bench_config):
     benchmark.extra_info["nodes"] = result.network.node_count
 
 
-def _build_workload(config, kernel="dial", workers=None):
+def _build_workload(config, kernel="csr", workers=None):
     """Server primed with objects/queries, plus pre-materialised batches."""
     imported = synthetic_city_network(config.target_edges, seed=config.seed)
     network = imported.network
@@ -187,16 +187,16 @@ def _build_workload(config, kernel="dial", workers=None):
     return server, batches
 
 
-@pytest.mark.parametrize("kernel", ["dial", "csr", "native"])
+@pytest.mark.parametrize("kernel", ["csr", "native"])
 def test_city_scale_tick_latency(benchmark, bench_config, kernel):
     """One rush-hour tick on the full-size city, percentiles recorded.
 
-    Several kernels run so the CI baseline holds several independently-
+    Both kernels run so the CI baseline holds several independently-
     shaped benchmarks — ``check_bench.py`` self-calibrates on the median
     ratio across the module, which needs more than one data point to have
     teeth.  The ``native`` leg exercises the compiled settle loop at city
-    scale (it transparently falls back to pure python where the compiler
-    is absent, so the leg always runs).
+    scale (it transparently falls back to ``csr`` where the compiler is
+    absent, so the leg always runs).
     """
     server, batches = _build_workload(bench_config, kernel=kernel)
     server.tick()  # initial result computation excluded, as in the paper
@@ -269,7 +269,7 @@ def test_city_scale_sharded_wall_clock(benchmark, bench_config):
 
 def test_city_scale_summary(bench_config):
     """Emit the BENCH record; enforce the RSS ceiling on the smoke sizing."""
-    single = _RESULTS.get("dial")
+    single = _RESULTS.get("csr")
     if single is None:
         pytest.skip("latency run missing (ran with -k?)")
     mean_tick = sum(single["tick_seconds"]) / len(single["tick_seconds"])
@@ -280,7 +280,7 @@ def test_city_scale_summary(bench_config):
         "objects": bench_config.num_objects,
         "queries": bench_config.num_queries,
         "k": bench_config.k,
-        "kernel": "dial",
+        "kernel": "csr",
         "ticks": bench_config.ticks,
         "cores": os.cpu_count() or 1,
         "mean_tick_ms": round(mean_tick * 1000.0, 2),
@@ -289,10 +289,6 @@ def test_city_scale_summary(bench_config):
         "p99_ms": round(single["p99_ms"], 2),
         "peak_rss_mb": round(peak_rss_mb, 1),
     }
-    csr = _RESULTS.get("csr")
-    if csr is not None:
-        csr_mean = sum(csr["tick_seconds"]) / len(csr["tick_seconds"])
-        record["csr_mean_tick_ms"] = round(csr_mean * 1000.0, 2)
     native = _RESULTS.get("native")
     if native is not None:
         native_mean = sum(native["tick_seconds"]) / len(native["tick_seconds"])

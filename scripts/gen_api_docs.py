@@ -106,8 +106,8 @@ SECTIONS = (
         "Search kernels",
         "The Figure-2 network expansion over the flat-array CSR snapshot, "
         "the batched entry point every monitor tick flushes through, the "
-        "kernel registry that names and validates its three settle "
-        "engines (csr, dial, native), and the work counters they report.",
+        "kernel registry that names and validates its two settle "
+        "engines (csr, native), and the work counters they report.",
         (
             "expand_knn",
             "expand_knn_batch",

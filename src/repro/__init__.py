@@ -25,7 +25,7 @@ runs over a flat-array CSR snapshot of the network
 parallel adjacency columns, a C-level binary heap, and incremental weight
 refresh on ``set_edge_weight``.  Every monitor's tick is collect-then-flush
 — one :func:`expand_knn_batch` call per tick — and ``kernel=`` picks only
-the settle engine that serves it (``"csr"``, ``"dial"`` or ``"native"``).
+the settle engine that serves it (``"csr"`` or ``"native"``).
 
 High-volume feeds use the server's batched ingestion path —
 ``add_objects_at([...])`` / ``move_objects_at([...])`` snap whole

@@ -13,12 +13,11 @@ covered edges) are not materialised: they are implied by ``node_dist`` and
 the radius, and the influencing intervals derived from them are computed by
 :func:`compute_influence_map`.
 
-The pruning operations used by IMA's incremental maintenance (removing the
-subtree below an edge, shifting a subtree after a weight decrease,
-re-rooting after a query movement, shrinking to a smaller radius) are
-methods of :class:`ExpansionState`.  Each method documents why the distances
-it keeps remain *exact*, which is the correctness core of the incremental
-algorithm.
+The pruning operations used by IMA's incremental maintenance (dropping
+nodes, re-rooting after a query movement, shrinking to a smaller radius)
+are methods of :class:`ExpansionState`.  Each method documents why the
+distances it keeps remain *exact*, which is the correctness core of the
+incremental algorithm.
 """
 
 from __future__ import annotations
@@ -27,11 +26,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set
 
 from repro.network.csr import CSRGraph, csr_snapshot
-
-# dial is a leaf module (its repro.core imports are call-time), so importing
-# the vectorization gate here is cycle-free and keeps it single-sourced.
-from repro.network.dial import VECTOR_MIN_NODES as _VECTOR_MIN_NODES
 from repro.network.graph import Edge, NetworkLocation, RoadNetwork
+from repro.utils import optional_numpy
 from repro.utils.intervals import (
     SPAN_EPS,
     Spans,
@@ -39,6 +35,11 @@ from repro.utils.intervals import (
     merge_spans,
     point_spans,
 )
+
+#: Minimum verified-tree size for the vectorized influence path; below it
+#: the numpy call overhead exceeds the scalar loop it replaces (measured
+#: crossover on the dense defaults is ~150 nodes).
+VECTOR_MIN_NODES = 160
 
 
 @dataclass
@@ -145,32 +146,6 @@ class ExpansionState:
             n: (p if p in keep else None) for n, p in self.parent.items() if n in keep
         }
 
-    def prune_subtree(self, root: int) -> Set[int]:
-        """Remove the subtree rooted at *root*; return the removed node set.
-
-        Used for edge-weight increases: when the weight of tree edge (u, v)
-        with child v grows, the shortest paths to every node below v may have
-        cheaper alternatives outside the old tree, so the whole subtree is
-        discarded (the rest of the tree never used that edge and stays exact).
-        """
-        subtree = self.subtree_nodes(root)
-        self.prune_nodes(subtree)
-        return subtree
-
-    def shift_subtree(self, root: int, delta: float) -> Set[int]:
-        """Add *delta* to the distance of every node in the subtree of *root*.
-
-        Used for edge-weight decreases: the paths to the nodes below the
-        updated tree edge keep their shape and simply become cheaper by the
-        weight delta, so their shifted distances remain exact (any competing
-        path either avoids the edge — unchanged length, previously longer —
-        or uses it and enjoys exactly the same discount).
-        """
-        subtree = self.subtree_nodes(root)
-        for node_id in subtree:
-            self.node_dist[node_id] += delta
-        return subtree
-
     def shrink_to_radius(self, radius: float) -> int:
         """Drop verified nodes farther than *radius*; return how many."""
         if radius == float("inf"):
@@ -223,15 +198,15 @@ def compute_influence_maps(
     *jobs* is a list of ``(key, state, radius, query_location)`` tuples; the
     result maps each *key* to its influence map.  One snapshot refresh is
     shared by the whole batch.  The flush never builds a
-    :class:`~repro.network.dial.DialSupport`: when the tick's engine already
-    built one for the current weights (dial and native do, inside
+    :class:`~repro.network.native.NativeSupport`: when the tick's engine
+    already built one for the current weights (``native`` does, inside
     :func:`~repro.core.search.expand_knn_batch`) the large finite-radius
     jobs take the numpy-vectorized span path over it, otherwise every job
     runs the scalar loop — the two are element-wise identical.
     """
     if csr is None:
         csr = csr_snapshot(network)
-    support = csr.current_dial_support()
+    support = csr.current_native_support()
     return {
         key: compute_influence_map(
             network, state, radius, query_location, csr=csr, support=support
@@ -263,22 +238,20 @@ def compute_influence_map(
 
     The edge walk runs over the CSR snapshot's incidence columns (pass a
     pre-refreshed *csr* to skip the per-call staleness check).  When a
-    :class:`~repro.network.dial.DialSupport` with numpy mirrors is supplied
-    (see :func:`compute_influence_maps`), large finite-radius trees run through
-    :func:`~repro.network.dial.influence_spans_vectorized`, whose span
-    arithmetic is element-wise identical to the scalar loop below.
+    usable :class:`~repro.network.native.NativeSupport` is supplied (see
+    :func:`compute_influence_maps`), large finite-radius trees run through
+    :func:`influence_spans_vectorized`, whose span arithmetic is
+    element-wise identical to the scalar loop below.
     """
     if csr is None:
         csr = csr_snapshot(network)
     node_dist = state.node_dist
     if (
         support is not None
-        and support.has_numpy
+        and support.usable
         and radius != float("inf")
-        and len(node_dist) >= _VECTOR_MIN_NODES
+        and len(node_dist) >= VECTOR_MIN_NODES
     ):
-        from repro.network.dial import influence_spans_vectorized
-
         influences = influence_spans_vectorized(csr, support, node_dist, radius)
         return _overlay_query_edge(csr, node_dist, radius, query_location, influences)
     node_index = csr.node_index
@@ -345,6 +318,88 @@ def compute_influence_map(
         scratch.release(touched)
 
     return _overlay_query_edge(csr, node_dist, radius, query_location, influences)
+
+
+def influence_spans_vectorized(
+    csr: "CSRGraph",
+    support,
+    node_dist: Dict[int, float],
+    radius: float,
+) -> Dict[int, Spans]:
+    """Endpoint-based influencing intervals of every edge, via numpy gathers.
+
+    The vectorized core of :func:`compute_influence_map` for a *finite*
+    radius, over the incidence mirrors of a
+    :class:`~repro.network.native.NativeSupport`; the caller overlays the
+    query's own edge afterwards.  The span arithmetic applies the identical
+    IEEE operations as the scalar loop (``reach = radius - dist``,
+    ``anchor = weight - reach``, the same comparisons), element-wise over
+    the deduplicated incident edges, so the produced spans are
+    byte-identical.
+
+    Example::
+
+        spans = influence_spans_vectorized(csr, support, {7: 0.0}, 10.0)
+    """
+    np = optional_numpy()
+    count = len(node_dist)
+    idx = np.fromiter(map(csr.node_index.__getitem__, node_dist.keys()), np.int64, count)
+    dist = np.fromiter(node_dist.values(), np.float64, count)
+    within = dist <= radius
+    idx = idx[within]
+    if idx.size == 0:
+        return {}
+    dist = dist[within]
+    inc_indptr = support.np_inc_indptr
+    starts = inc_indptr[idx]
+    counts = inc_indptr[idx + 1] - starts
+    total = int(counts.sum())
+    if total == 0:
+        return {}
+    cum = np.cumsum(counts)
+    slots = np.repeat(starts - (cum - counts), counts) + np.arange(total)
+    positions = np.unique(support.np_inc_edge[slots])
+
+    # The scratch column is all +inf between calls; restore what we wrote.
+    dist_arr = support.dist_scratch
+    dist_arr[idx] = dist
+    try:
+        weight = support.np_edge_weight[positions]
+        dist_start = dist_arr[support.np_edge_start[positions]]
+        dist_end = dist_arr[support.np_edge_end[positions]]
+    finally:
+        dist_arr[idx] = np.inf
+
+    reach_start = radius - dist_start
+    reach_end = radius - dist_end
+    low_high = np.where(weight < reach_start, weight, reach_start)
+    anchor = weight - reach_end
+    full_span = anchor <= low_high + SPAN_EPS
+    anchor_clamped = np.where(anchor > 0.0, anchor, 0.0)
+
+    edge_ids = csr.edge_ids
+    influences: Dict[int, Spans] = {}
+    start_ok = (dist_start <= radius).tolist()
+    end_ok = (dist_end <= radius).tolist()
+    weight_list = weight.tolist()
+    low_list = low_high.tolist()
+    anchor_list = anchor_clamped.tolist()
+    full_list = full_span.tolist()
+    for i, position in enumerate(positions.tolist()):
+        if start_ok[i]:
+            if end_ok[i]:
+                if full_list[i]:
+                    spans: Spans = ((0.0, weight_list[i]),)
+                else:
+                    spans = ((0.0, low_list[i]), (anchor_list[i], weight_list[i]))
+            else:
+                spans = ((0.0, low_list[i]),)
+        elif end_ok[i]:
+            spans = ((anchor_list[i], weight_list[i]),)
+        else:  # pragma: no cover - every scanned edge touches a verified node
+            continue
+        influences[edge_ids[position]] = spans
+    return influences
 
 
 def _overlay_query_edge(

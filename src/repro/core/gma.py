@@ -91,8 +91,8 @@ class GmaMonitor(MonitorBase):
             network: the shared road network.
             edge_table: the shared data-object table.
             counters: optional work counters shared with a caller.
-            kernel: the settle engine — ``"csr"`` (default, binary heap),
-                ``"dial"`` (bucket queue) or the compiled ``"native"``.  A
+            kernel: the settle engine — ``"csr"`` (default, binary heap)
+                or the compiled ``"native"``.  A
                 tick is collect-then-flush for every kernel: all affected
                 queries of a tick are gathered into one
                 :func:`~repro.core.search.expand_knn_batch` call on the

@@ -76,7 +76,7 @@ _UNRESOLVED = object()
 
 #: Valid values of the monitors' ``kernel`` constructor argument, straight
 #: from the kernel registry (see :mod:`repro.network.kernels`): the CSR heap
-#: engine, the bucket-queue engine and the compiled native engine.
+#: engine and the compiled native engine.
 KERNELS = registered_kernels()
 
 
@@ -160,8 +160,8 @@ class ImaMonitor(MonitorBase):
             network: the shared road network.
             edge_table: the shared data-object table.
             counters: optional work counters shared with a caller.
-            kernel: the settle engine — ``"csr"`` (default, binary heap),
-                ``"dial"`` (bucket queue) or the compiled ``"native"``.  A
+            kernel: the settle engine — ``"csr"`` (default, binary heap)
+                or the compiled ``"native"``.  A
                 tick is collect-then-flush for every kernel: edge prunes,
                 resumed searches and influence refreshes are gathered per
                 tick over the flat-array snapshot of

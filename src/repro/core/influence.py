@@ -72,7 +72,7 @@ class InfluenceIndex:
         per entry, but diff-aware: consecutive influence regions of a query
         overlap heavily, so entries on edges present in both the old and the
         new map are overwritten in place instead of removed and re-inserted;
-        only the old-minus-new edges pay a removal.  The dial kernel's
+        only the old-minus-new edges pay a removal.  The monitors'
         collect-then-flush tick refreshes hundreds of subscribers here in
         one call.
         """

@@ -26,8 +26,8 @@ class OvhMonitor(MonitorBase):
     """Recompute-from-scratch continuous monitoring (all query types).
 
     Takes the constructor arguments of :class:`~repro.core.base.MonitorBase`.
-    ``kernel`` names the settle engine — ``"csr"`` (default), ``"dial"`` or
-    the compiled ``"native"``; a tick is collect-then-flush for every
+    ``kernel`` names the settle engine — ``"csr"`` (default) or the
+    compiled ``"native"``; a tick is collect-then-flush for every
     kernel: the whole timestamp's expansions run as one
     :func:`~repro.core.search.expand_knn_batch` call on the named engine.
 

@@ -47,7 +47,6 @@ from repro.network.graph import NetworkLocation, RoadNetwork
 from repro.network.kernels import (
     DEFAULT_KERNEL,
     KERNEL_CSR,
-    KERNEL_DIAL,
     KERNEL_NATIVE,
     validate_kernel,
 )
@@ -238,16 +237,12 @@ def expand_knn_batch(
     The single entry point of every monitor's per-tick flush; *kernel*
     picks the settle engine and nothing else.  With ``kernel="csr"``
     (default) each request is served by a plain :func:`expand_knn` call
-    over the shared snapshot.  With ``kernel="dial"`` the batch runs on the
-    bucket-queue engine of :mod:`repro.network.dial` — one scratch
-    acquisition for the whole batch, Dial bucket frontiers instead of
-    binary heaps, and an exact per-search fallback to the heap path
-    whenever quantization cannot reproduce its settle order.
-    ``kernel="native"`` serves the batch through the compiled settle loop
-    of :mod:`repro.network.native` (transparently falling back to the dial
-    engine when no compiled backend is available).  Outcomes are
-    byte-identical across the kernels and are returned in request order;
-    see :mod:`repro.network.kernels` for the registry.
+    over the shared snapshot.  ``kernel="native"`` serves the batch through
+    the compiled settle loop of :mod:`repro.network.native` (transparently
+    falling back to the ``csr`` path when no compiled backend is
+    available).  Outcomes are byte-identical across the kernels and are
+    returned in request order; see :mod:`repro.network.kernels` for the
+    registry.
 
     With ``share=True`` the batch first groups *fresh* location-rooted
     requests (no resume state, candidates, barriers or coverage radius) by
@@ -306,9 +301,9 @@ def expand_knn_batch(
                 else by_index[index]
                 for index, request in enumerate(requests)
             ]
-    if kernel in (KERNEL_NATIVE, KERNEL_DIAL):
+    if kernel == KERNEL_NATIVE:
         # Frontier-continuation requests (seed_nodes) are a coordinator-side
-        # shape the bucket/compiled engines do not serve; route them through
+        # shape the compiled engine does not serve; route them through
         # the reference heap path and the rest through the kernel, keeping
         # request order.
         seeded = [i for i, request in enumerate(requests) if request.seed_nodes]
@@ -334,20 +329,13 @@ def expand_knn_batch(
                     kernel=KERNEL_CSR,
                 )[0]
             return [by_index[i] for i in range(len(requests))]
-        if seeded:
-            pass  # all seeded: fall through to the reference path below
-        elif kernel == KERNEL_NATIVE:
+        if not seeded:
             from repro.network.native import native_expand_batch
 
             return native_expand_batch(
                 network, edge_table, requests, csr=csr, counters=counters
             )
-        else:
-            from repro.network.dial import dial_expand_batch
-
-            return dial_expand_batch(
-                network, edge_table, requests, csr=csr, counters=counters
-            )
+        # all seeded: fall through to the reference path below
     return [
         expand_knn(
             network,

@@ -48,7 +48,7 @@ from repro.exceptions import (
     UnknownQueryError,
 )
 from repro.network.edge_table import EdgeTable
-from repro.network.kernels import DEFAULT_KERNEL, resolve_kernel
+from repro.network.kernels import DEFAULT_KERNEL, registered_kernels, resolve_kernel
 from repro.network.graph import NetworkLocation, RoadNetwork
 from repro.spatial.geometry import Point
 
@@ -115,9 +115,9 @@ class MonitoringServer:
             edge_table: optionally a pre-populated edge table to share.
             kernel: settle engine for by-name algorithms — any name in
                 the :mod:`repro.network.kernels` registry: ``"csr"``
-                (default, binary heap), ``"dial"`` (the bucket-queue engine
-                of :mod:`repro.network.dial`) or ``"native"`` (the compiled
-                C settle loop of :mod:`repro.network.native`).  A tick is
+                (default, binary heap) or ``"native"`` (the compiled C
+                settle loop of :mod:`repro.network.native`, which falls
+                back to ``"csr"`` where it cannot build).  A tick is
                 collect-then-flush for every kernel; the name only picks
                 the engine that serves the tick's batched expansions, and
                 results are identical.  Validated here at construction —
@@ -669,7 +669,7 @@ class MonitoringServer:
         history), query maps, pending buffer and timestamp in which the
         network and the edge table are references, not copies.  Restore it
         with :func:`restore_server`.  Kernel snapshots (the CSR columns,
-        dial support) are deliberately *not* captured; they are rebuilt
+        native support) are deliberately *not* captured; they are rebuilt
         deterministically from the restored weights on first use.
 
         Args:
@@ -831,6 +831,19 @@ def load_snapshot(blob, static=None) -> Dict[str, object]:
     return state
 
 
+def _require_registered_kernel(kernel: object) -> None:
+    """Refuse a snapshot whose kernel name this version does not register.
+
+    Checked at restore, so a durable recovery fails before it replays or
+    logs anything, instead of at the first tick.
+    """
+    if kernel not in registered_kernels():
+        raise RecoveryError(
+            f"snapshot was written with kernel {kernel!r}, which is not "
+            f"registered; registered kernels: {', '.join(registered_kernels())}"
+        )
+
+
 def restore_server(blob, static=None) -> MonitoringServer:
     """Rebuild a server from a :meth:`MonitoringServer.snapshot_state` blob.
 
@@ -848,7 +861,8 @@ def restore_server(blob, static=None) -> MonitoringServer:
             ``snapshot_state(static=False)``.
 
     Raises:
-        RecoveryError: if the blob does not decode to a supported snapshot.
+        RecoveryError: if the blob does not decode to a supported snapshot,
+            or names a kernel this version does not register.
 
     Example::
 
@@ -869,6 +883,7 @@ def restore_server(blob, static=None) -> MonitoringServer:
             raise RecoveryError(
                 f"in-process snapshot holds {type(server._monitor).__name__}, not a monitor"
             )
+        _require_registered_kernel(server._monitor.kernel)
         return server
     if kind == "sharded":
         from repro.core.sharding import ShardedMonitoringServer

@@ -75,7 +75,7 @@ from repro.core.base import MonitorBase, TimestepReport
 from repro.core.events import ObjectUpdate, QueryUpdate, UpdateBatch, apply_batch
 from repro.core.queries import QuerySpec, merge_aggregate
 from repro.core.results import KnnResult
-from repro.core.server import ALGORITHMS, MonitoringServer
+from repro.core.server import ALGORITHMS, MonitoringServer, _require_registered_kernel
 from repro.core.worker import ShardInit, run_shard_worker, shard_of
 from repro.exceptions import (
     MonitoringError,
@@ -1168,7 +1168,9 @@ class ShardedMonitoringServer(MonitoringServer):
         ``__init__`` (the snapshot already holds constructed state) and
         respawns the fleet from the per-shard monitor blobs.  Keys it does
         not read — such as the copy-mode flag older versions wrote — are
-        ignored, so their snapshots still restore.
+        ignored, so their snapshots still restore; a kernel name the
+        registry no longer holds is a :class:`RecoveryError` before any
+        worker spawns.
         """
         try:
             server = object.__new__(cls)
@@ -1196,6 +1198,7 @@ class ShardedMonitoringServer(MonitoringServer):
             shard_blobs = list(state["shard_blobs"])
         except KeyError as exc:
             raise RecoveryError(f"sharded snapshot is missing field {exc}") from exc
+        _require_registered_kernel(server._kernel)
         if server._partitioning != "graph" and len(shard_blobs) != server._num_workers:
             raise RecoveryError(
                 f"sharded snapshot holds {len(shard_blobs)} shard blobs "

@@ -87,7 +87,7 @@ class ShardInit:
     worker: the parent serializes once for the whole fleet, holds no
     replica objects itself, and the ``spawn`` start method ships the bytes
     without a decode/re-encode round trip.  ``kernel`` names the settle
-    engine of the worker monitor (``"csr"``, ``"dial"`` or ``"native"``);
+    engine of the worker monitor (``"csr"`` or ``"native"``);
     a tick is collect-then-flush for every kernel, and each worker derives
     any per-epoch engine support from its own snapshot, so the choice needs
     no extra shared state.

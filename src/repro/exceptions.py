@@ -123,7 +123,7 @@ class UnknownKernelError(MonitoringError):
     Example::
 
         try:
-            MonitoringServer(network, kernel="diall")
+            MonitoringServer(network, kernel="nativ")
         except UnknownKernelError as exc:
             print(exc.kernel, exc.choices)
     """

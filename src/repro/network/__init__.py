@@ -18,7 +18,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "repro.network.kernels": (
             "KernelSpec",
             "KERNEL_CSR",
-            "KERNEL_DIAL",
             "KERNEL_NATIVE",
             "DEFAULT_KERNEL",
             "registered_kernels",

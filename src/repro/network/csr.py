@@ -221,7 +221,6 @@ class CSRGraph:
         self._topology_version = network.topology_version
         self._weights_stale = False
         self._weights_epoch = getattr(self, "_weights_epoch", -1) + 1
-        self._dial_support = None
         self._native_support = None
         self._scratch = _Scratch(len(self.node_ids))
         self._edge_scratch = _EdgeScratch(len(self.edge_ids))
@@ -309,8 +308,8 @@ class CSRGraph:
     def weights_epoch(self) -> int:
         """Counter bumped on every weight patch (and on every rebuild).
 
-        Derived per-weight metadata (the dial kernel's quantization state,
-        numpy column mirrors) caches against this value and rebuilds lazily
+        Derived per-weight metadata (the native kernel's numpy column
+        mirrors) caches against this value and rebuilds lazily
         when it moves, so a storm of ``set_edge_weight`` calls costs one
         refresh at the next kernel use instead of one per call.
 
@@ -322,42 +321,21 @@ class CSRGraph:
         """
         return self._weights_epoch
 
-    def dial_support(self):
-        """The bucket-queue kernel's quantization + numpy metadata (cached).
+    def current_native_support(self):
+        """The cached :class:`~repro.network.native.NativeSupport`, or None.
 
-        Returns the :class:`repro.network.dial.DialSupport` for the current
-        weights, rebuilding it only when :attr:`weights_epoch` moved since
-        the last call.  The support object decides whether Dial quantization
-        is usable (positive minimum weight, bounded weight spread) and holds
-        the numpy mirrors of the numeric columns that the vectorized paths
-        gather over.
-
-        Example::
-
-            support = csr_snapshot(network).dial_support()
-            print(support.usable, support.min_weight)
-        """
-        support = self.current_dial_support()
-        if support is None:
-            from repro.network.dial import DialSupport
-
-            support = self._dial_support = DialSupport.build(self)
-        return support
-
-    def current_dial_support(self):
-        """The cached :meth:`dial_support`, or None when the weights moved on.
-
-        Never builds.  The monitors' influence flush reads it so that the
-        vectorized span path runs only where the tick's engine already paid
-        for the support — a ``csr`` tick never triggers the per-epoch
-        ``numpy.asarray`` mirror rebuild.
+        Returns None when no ``native`` batch built one yet or when the
+        weights moved on since (:attr:`weights_epoch`).  Never builds: the
+        monitors' influence flush reads it so that the vectorized span path
+        runs only where the tick's engine already paid for the numpy
+        mirrors — a ``csr`` tick never triggers the per-epoch rebuild.
 
         Example::
 
-            support = csr_snapshot(network).current_dial_support()
+            support = csr_snapshot(network).current_native_support()
             print(support is not None)
         """
-        support = self._dial_support
+        support = self._native_support
         if support is not None and support.epoch == self._weights_epoch:
             return support
         return None

@@ -38,7 +38,7 @@ from repro.utils.validation import require_positive
 #: The finite sentinel weight for a *closed* road.  True ``float("inf")``
 #: weights are rejected everywhere (:class:`InvalidWeightError`): an infinite
 #: weight would poison distance arithmetic (``inf - inf`` → NaN in the
-#: incremental monitors) and overflow bucket indices in the Dial kernel.
+#: incremental monitors).
 #: Closures instead pin the weight to this huge, exactly-representable
 #: power of two — traversal stays defined (an object on a closed edge keeps a
 #: finite, astronomically large distance and drops out of any realistic k-NN

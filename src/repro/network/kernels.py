@@ -1,7 +1,7 @@
 """First-class registry of the search kernels behind ``kernel=`` arguments.
 
 Every monitor, server and batch entry point of the library accepts a
-``kernel=`` string selecting the engine that runs the settle loop (bucket
+``kernel=`` string selecting the engine that runs the settle loop (heap
 drain + edge relaxation over the CSR columns).  The name picks *only* that
 engine: every monitor runs the same collect-then-flush tick and forwards the
 name to :func:`~repro.core.search.expand_knn_batch`.  Before this module existed
@@ -9,9 +9,8 @@ the valid names were bare string literals duplicated across a dozen
 modules, so adding a backend meant touching every one of them.  The
 registry makes the kernel set a single data structure:
 
-* :data:`KERNEL_CSR` / :data:`KERNEL_DIAL` / :data:`KERNEL_NATIVE` — the
-  canonical names (the only place in the library where they appear as
-  literals);
+* :data:`KERNEL_CSR` / :data:`KERNEL_NATIVE` — the canonical names (the
+  only place in the library where they appear as literals);
 * :func:`registered_kernels` / :func:`available_kernels` — every name the
   registry knows vs the ones that can actually run on this machine (the
   compiled ``native`` backend is registered everywhere but *available*
@@ -21,7 +20,7 @@ registry makes the kernel set a single data structure:
   :class:`~repro.exceptions.UnknownKernelError` that names the valid
   choices.
 
-The old string kwargs keep working unchanged: ``kernel="dial"`` still
+The old string kwargs keep working unchanged: ``kernel="native"`` still
 means what it always did, it is just validated and dispatched through one
 place.
 """
@@ -35,7 +34,6 @@ from repro.exceptions import UnknownKernelError
 
 #: Canonical kernel names — the single home of the bare string literals.
 KERNEL_CSR = "csr"
-KERNEL_DIAL = "dial"
 KERNEL_NATIVE = "native"
 
 #: Default kernel of every monitor/server constructor and of
@@ -55,7 +53,7 @@ class KernelSpec:
 
     Example::
 
-        spec = resolve_kernel("dial")
+        spec = resolve_kernel("native")
         print(spec.description, spec.compiled)
     """
 
@@ -87,7 +85,7 @@ def _native_probe() -> bool:
 #: The registry proper, in documentation order.  ``native`` is registered
 #: unconditionally — resolving it always succeeds, and when the compiled
 #: library cannot be built the engine transparently serves requests through
-#: the pure-python dial path — but :func:`available_kernels` lists it only
+#: the ``csr`` path — but :func:`available_kernels` lists it only
 #: when the backend actually imports.
 _REGISTRY: Dict[str, KernelSpec] = {
     spec.name: spec
@@ -97,14 +95,10 @@ _REGISTRY: Dict[str, KernelSpec] = {
             description="flat-array binary-heap engine (default)",
         ),
         KernelSpec(
-            name=KERNEL_DIAL,
-            description="two-level bucket-queue engine",
-        ),
-        KernelSpec(
             name=KERNEL_NATIVE,
             description=(
                 "compiled (C via ctypes) settle loop over the CSR column "
-                "mirrors; pure-python dial fallback when unavailable"
+                "mirrors; falls back to csr when unavailable"
             ),
             compiled=True,
             probe=_native_probe,
@@ -118,7 +112,7 @@ def registered_kernels() -> Tuple[str, ...]:
 
     Example::
 
-        assert "dial" in registered_kernels()
+        assert registered_kernels() == ("csr", "native")
     """
     return tuple(_REGISTRY)
 
@@ -127,8 +121,8 @@ def available_kernels() -> Tuple[str, ...]:
     """The registered kernels that can actually run on this machine.
 
     ``native`` appears only when the compiled backend imports (a C
-    compiler was found, or a previously built library is cached); the
-    pure-python kernels are always listed.  Test suites parametrize over
+    compiler was found, or a previously built library is cached); ``csr``
+    is always listed.  Test suites parametrize over
     this so new backends are swept automatically.
 
     Example::
@@ -144,7 +138,7 @@ def resolve_kernel(name: str) -> KernelSpec:
 
     Resolution succeeds for every *registered* name — including ``native``
     on machines where the compiled backend is unavailable, because that
-    kernel falls back to the pure-python dial engine at run time.  The
+    kernel falls back to the ``csr`` engine at run time.  The
     error message of a failed lookup names the registered kernels and
     flags ``native`` when it would fall back.
 
@@ -158,7 +152,7 @@ def resolve_kernel(name: str) -> KernelSpec:
         native = _REGISTRY[KERNEL_NATIVE]
         detail = "" if native.available else (
             f"{KERNEL_NATIVE!r} is registered but its compiled backend is "
-            "unavailable here, so it would run on the pure-python fallback"
+            f"unavailable here, so it would run on the {KERNEL_CSR!r} fallback"
         )
         raise UnknownKernelError(name, registered_kernels(), detail)
     return spec
@@ -169,6 +163,6 @@ def validate_kernel(name: str) -> str:
 
     Example::
 
-        kernel = validate_kernel("dial")
+        kernel = validate_kernel("native")
     """
     return resolve_kernel(name).name

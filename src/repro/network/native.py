@@ -1,19 +1,17 @@
 """Compiled (``kernel="native"``) settle loop over the CSR column mirrors.
 
-The dial kernel (:mod:`repro.network.dial`) already restructured every tick
-into collect-then-flush batches, but its settle loop — bucket drain plus
-edge relaxation — still executes one Python bytecode at a time.  This
-module compiles that loop to machine code: a small C translation unit
-(embedded below as :data:`_SOURCE`) is built **at import time of the first
-use** with whatever C compiler the machine has (``cc``/``gcc``/``clang``),
-cached on disk keyed by a hash of the source, and loaded through
-:mod:`ctypes`.  No third-party build dependency (numba, Cython) is
+Every monitor tick is a collect-then-flush batch, but the ``csr`` engine's
+settle loop — heap drain plus edge relaxation — still executes one Python
+bytecode at a time.  This module compiles that loop to machine code: a
+small C translation unit (embedded below as :data:`_SOURCE`) is built
+**at import time of the first use** with whatever C compiler the machine
+has (``cc``/``gcc``/``clang``), cached on disk keyed by a hash of the
+source, and loaded through :mod:`ctypes`.  No third-party build dependency (numba, Cython) is
 required, and none is imported.
 
 Exactness contract.  The C loop is a statement-by-statement translation of
-the radius-gated heap engine — the settle order the dial kernel proves
-identical to :func:`repro.core.search.expand_knn` — with three properties
-that make the results *byte-identical*:
+the radius-gated heap engine of :func:`repro.core.search.expand_knn`, with
+three properties that make the results *byte-identical*:
 
 * every floating-point expression uses the same operations in the same
   association order as the Python code, compiled with FP contraction
@@ -28,18 +26,19 @@ that make the results *byte-identical*:
   values from the same sets, and object ids are mapped to dense indices by
   **rank**, so index comparisons preserve id comparisons in tie-breaks.
 
-Fallback contract (mirrors ``DialAbort`` -> heap).  When no compiler is
-found, the build fails, numpy is absent, or ``REPRO_NATIVE_DISABLE=1`` is
-set, :func:`native_expand_batch` transparently serves the whole batch
-through the pure-python dial engine; a single search the C kernel cannot
-serve exactly (fixed-radius range requests, or a frontier overflowing the
-preallocated heap) falls back per-request to :func:`expand_knn`, exactly
-like a dial bucket overflow.
+Fallback contract: the fallback is the ``csr`` engine.  When no compiler
+is found, the build fails, numpy is absent, ``REPRO_NATIVE_DISABLE=1`` is
+set, or a node or object id does not fit in int64,
+:func:`native_expand_batch` serves the whole batch through
+:func:`~repro.core.search.expand_knn` over the same snapshot — exactly what ``kernel="csr"`` runs, so outcomes and
+work counters are unchanged.  A single search the C kernel cannot serve
+exactly (fixed-radius range requests, or a frontier overflowing the
+preallocated heap) falls back to the same per-request call.
 
 Column source.  The kernel reads only the numpy mirrors that
-:class:`~repro.network.dial.DialSupport` derives per weights epoch from
-the snapshot's columns, so it runs unchanged inside a sharded worker,
-whose snapshot is built from its own network replica.
+:class:`NativeSupport` derives per weights epoch from the snapshot's
+columns, so it runs unchanged inside a sharded worker, whose snapshot is
+built from its own network replica.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ _INF = float("inf")
 #: Shared empty exclusion set, mirroring repro.core.search.
 _NO_EXCLUDED: frozenset = frozenset()
 
-#: Environment variable that forces the pure-python fallback (CI proves the
+#: Environment variable that forces the ``csr`` fallback (CI proves the
 #: fallback leg by setting it; users can set it to rule the compiler out).
 DISABLE_ENV = "REPRO_NATIVE_DISABLE"
 
@@ -77,8 +76,8 @@ _SOURCE = r"""
 /* Native settle loop for the repro road-network monitors.
  *
  * A statement-by-statement translation of the radius-gated heap engine of
- * repro.network.dial._dial_search / repro.core.search.expand_knn.  Keep in
- * sync with those; the differential suites compare the outcomes exactly.
+ * repro.core.search.expand_knn.  Keep in sync with it; the differential
+ * suites compare the outcomes exactly.
  * All doubles are IEEE-754 binary64 with the same association order as the
  * Python expressions; compile with -ffp-contract=off and WITHOUT
  * -ffast-math.
@@ -755,12 +754,15 @@ def reset_native_library_cache() -> None:
 class NativeSupport:
     """Per-weights-epoch column mirrors + scratch of one CSR snapshot.
 
-    Extends the numpy mirrors of :class:`~repro.network.dial.DialSupport`
-    with the columns only the compiled loop needs (dense edge position per
-    adjacency slot, direction/oneway flags) and owns the reusable C-side
-    scratch buffers.  ``heap_fallbacks`` counts per-request falls to the
-    exact Python heap kernel (fixed-radius requests and frontier
-    overflows), mirroring the dial support's diagnostics.
+    Holds numpy mirrors of the snapshot's numeric columns — the adjacency
+    columns the compiled loop reads (plus the dense edge position per
+    adjacency slot and the direction/oneway flags) and the incidence
+    columns :func:`~repro.core.expansion.influence_spans_vectorized`
+    gathers over — and owns the reusable C-side scratch buffers and a
+    ``+inf``-filled distance scratch column for the vectorized span path.
+    ``usable`` is False when the node ids do not fit in int64.
+    ``heap_fallbacks`` counts per-request falls to the ``csr`` path
+    (fixed-radius requests and frontier overflows).
 
     Example::
 
@@ -781,7 +783,10 @@ class NativeSupport:
         "np_edge_start",
         "np_edge_end",
         "np_edge_oneway",
+        "np_inc_indptr",
+        "np_inc_edge",
         "np_node_ids",
+        "dist_scratch",
         "best",
         "tentative",
         "settled",
@@ -809,19 +814,18 @@ class NativeSupport:
     def __init__(self, csr) -> None:
         """Build the support for *csr* at its current weights epoch."""
         np = optional_numpy()
-        dial = csr.dial_support()
         self.epoch = csr._weights_epoch
         self.heap_fallbacks = 0
-        self.usable = dial.has_numpy
+        self.usable = True
         self.obj_cache = None
-        if not self.usable:  # pragma: no cover - numpy-less guard
-            return
-        self.np_indptr = _contiguous(dial.np_indptr, np.int64)
-        self.np_adj_node = _contiguous(dial.np_adj_node, np.int64)
-        self.np_adj_weight = _contiguous(dial.np_adj_weight, np.float64)
-        self.np_edge_weight = _contiguous(dial.np_edge_weight, np.float64)
-        self.np_edge_start = _contiguous(dial.np_edge_start, np.int64)
-        self.np_edge_end = _contiguous(dial.np_edge_end, np.int64)
+        self.np_indptr = np.asarray(csr.indptr, dtype=np.int64)
+        self.np_adj_node = np.asarray(csr.adj_node, dtype=np.int64)
+        self.np_adj_weight = np.asarray(csr.adj_weight, dtype=np.float64)
+        self.np_edge_weight = np.asarray(csr.edge_weight, dtype=np.float64)
+        self.np_edge_start = np.asarray(csr.edge_start, dtype=np.int64)
+        self.np_edge_end = np.asarray(csr.edge_end, dtype=np.int64)
+        self.np_inc_indptr = np.asarray(csr.inc_indptr, dtype=np.int64)
+        self.np_inc_edge = np.asarray(csr.inc_edge, dtype=np.int64)
         edge_index = csr.edge_index
         count = len(csr.adj_eid)
         self.np_adj_epos = np.fromiter(
@@ -840,6 +844,7 @@ class NativeSupport:
             # Node ids outside int64 cannot ride through the C outputs.
             self.usable = False
             return
+        self.dist_scratch = np.full(n, np.inf, dtype=np.float64)
         self.best = np.full(n, np.inf, dtype=np.float64)
         self.tentative = np.full(n, np.inf, dtype=np.float64)
         self.settled = np.zeros(n, dtype=np.uint8)
@@ -875,25 +880,21 @@ class NativeSupport:
         self.out_top_dist = np.empty(size, dtype=np.float64)
 
 
-def _contiguous(array, dtype):
-    """A C-contiguous view/copy of *array* with *dtype*."""
-    return optional_numpy().ascontiguousarray(array, dtype=dtype)
-
-
 def native_support(csr) -> NativeSupport:
     """The cached :class:`NativeSupport` of *csr* at its weights epoch.
 
-    Mirrors :meth:`~repro.network.csr.CSRGraph.dial_support`: rebuilt
-    lazily whenever the snapshot's ``weights_epoch`` moves (one rebuild per
-    storm, not one per update), stored on the snapshot itself.
+    Rebuilt lazily whenever the snapshot's ``weights_epoch`` moves (one
+    rebuild per storm, not one per update) and stored on the snapshot
+    itself, where :meth:`~repro.network.csr.CSRGraph.current_native_support`
+    reads it without building.
 
     Example::
 
         support = native_support(csr_snapshot(network))
         assert support is native_support(csr_snapshot(network))
     """
-    support = csr._native_support
-    if support is not None and support.epoch == csr._weights_epoch:
+    support = csr.current_native_support()
+    if support is not None:
         return support
     support = NativeSupport(csr)
     csr._native_support = support
@@ -950,7 +951,7 @@ def _build_object_columns(csr, edge_table, extras) -> _ObjectColumns:
         np_ids = np.asarray(ids, dtype=np.int64) if ids else np.empty(0, np.int64)
     except (OverflowError, TypeError, ValueError):
         # Object ids outside int64 cannot ride through the C outputs;
-        # the batch falls back to the pure-python dial engine.
+        # the batch falls back to the csr path.
         np_ids = None
     edge_index = csr.edge_index
     positions: List[int] = []
@@ -1014,14 +1015,15 @@ def native_expand_batch(
 ) -> List:
     """Run a batch of expansion requests through the compiled kernel.
 
-    The drop-in ``kernel="native"`` counterpart of
-    :func:`repro.network.dial.dial_expand_batch`: outcomes are returned in
-    request order and are byte-identical to the dial and csr engines.
-    When the compiled backend is unavailable (no compiler, numpy missing,
-    or :data:`DISABLE_ENV` set) the whole batch transparently runs on the
-    pure-python dial engine; individual requests the C loop cannot serve
-    exactly (fixed-radius range searches, frontier overflow) fall back to
-    :func:`~repro.core.search.expand_knn` per request.
+    The ``kernel="native"`` engine behind
+    :func:`~repro.core.search.expand_knn_batch`: outcomes are returned in
+    request order and are byte-identical to the ``csr`` engine, counters
+    included.  When the compiled backend is unavailable (no compiler,
+    numpy missing, or :data:`DISABLE_ENV` set) or an id does not fit in
+    int64, the whole batch runs on the ``csr`` path; individual requests
+    the C loop cannot serve exactly (fixed-radius range searches, frontier
+    overflow) fall back to the same per-request
+    :func:`~repro.core.search.expand_knn` call.
 
     Example::
 
@@ -1033,13 +1035,6 @@ def native_expand_batch(
         )
     """
     global _CORE
-    lib = load_native_library()
-    if lib is None:
-        from repro.network.dial import dial_expand_batch
-
-        return dial_expand_batch(
-            network, edge_table, requests, csr=csr, counters=counters
-        )
     if _CORE is None:
         from repro.core.expansion import ExpansionState
         from repro.core.search import SearchCounters, SearchOutcome, expand_knn
@@ -1053,20 +1048,17 @@ def native_expand_batch(
     if counters is None:
         counters = SearchCounters()
     requests = list(requests)
-    support = native_support(csr)
-    if not support.usable:  # pragma: no cover - numpy-less guard
-        from repro.network.dial import dial_expand_batch
-
-        return dial_expand_batch(
-            network, edge_table, requests, csr=csr, counters=counters
-        )
-    columns = _object_columns(csr, support, edge_table, requests)
-    if columns.np_ids is None:
-        from repro.network.dial import dial_expand_batch
-
-        return dial_expand_batch(
-            network, edge_table, requests, csr=csr, counters=counters
-        )
+    lib = load_native_library()
+    columns = None
+    if lib is not None:
+        support = native_support(csr)
+        if support.usable:
+            columns = _object_columns(csr, support, edge_table, requests)
+    if columns is None or columns.np_ids is None:
+        return [
+            _run_heap(expand_knn, network, edge_table, request, csr, counters)
+            for request in requests
+        ]
     support.ensure_universe(len(columns.ids))
     # Arguments that are identical for every request of the batch are
     # wrapped for ctypes once here; only the per-request block in the
@@ -1128,8 +1120,7 @@ def native_expand_batch(
     for request in requests:
         if request.fixed_radius is not None:
             # Fixed-radius (range) searches terminate on a pinned bound;
-            # like the dial engine, serve them through the exact heap
-            # kernel over the same shared snapshot.
+            # serve them through the csr path over the same shared snapshot.
             outcomes.append(_run_heap(expand_knn, network, edge_table, request, csr, counters))
             continue
         outcome = _native_search(

@@ -27,7 +27,6 @@ from repro.network.edge_table import EdgeTable
 from repro.network.graph import RoadNetwork
 from repro.network.kernels import (
     DEFAULT_KERNEL,
-    KERNEL_DIAL,
     KERNEL_NATIVE,
     registered_kernels,
 )
@@ -35,23 +34,18 @@ from repro.testing.oracle import OracleMonitor
 from repro.testing.scenarios import MIXED_QUERY_MIX, ScenarioEngine, resolve_scenario
 
 #: Algorithm names accepted by :func:`run_differential_scenario`: an
-#: optional ``-dial`` / ``-native`` suffix selects the kernel.
+#: optional ``-native`` suffix selects the kernel.
 _MONITOR_CLASSES = {"OVH": OvhMonitor, "IMA": ImaMonitor, "GMA": GmaMonitor}
 
 #: The default panel: both incremental monitors on the default kernel,
 #: which must agree with the oracle.
 DEFAULT_ALGORITHMS = ("IMA", "GMA")
 
-#: The batched bucket-queue panel (selected by the CI fuzz matrix's
-#: ``FUZZ_KERNEL=dial`` leg): the dial monitors next to their CSR
-#: references, all diffed against the oracle.
-DIAL_ALGORITHMS = ("IMA-dial", "GMA-dial", "IMA", "GMA")
-
 #: The compiled-settle-loop panel (the ``FUZZ_KERNEL=native`` leg): the
 #: native monitors next to their CSR references, all diffed against the
 #: oracle.  When the compiler is unavailable the native kernel serves the
-#: same requests through its pure-python dial fallback, so the leg still
-#: runs — it just stops exercising the C path.
+#: same requests through its csr fallback, so the leg still runs — it
+#: just stops exercising the C path.
 NATIVE_ALGORITHMS = ("IMA-native", "GMA-native", "IMA", "GMA")
 
 #: ``algorithm-variant`` suffixes accepted by :func:`_make_monitor`: every
@@ -64,7 +58,7 @@ def _make_monitor(name: str, network, edge_table) -> MonitorBase:
     cls = _MONITOR_CLASSES.get(base.upper())
     if cls is None or variant not in _VARIANTS:
         raise SimulationError(
-            f"unknown differential algorithm {name!r}; use e.g. 'IMA' or 'GMA-dial'"
+            f"unknown differential algorithm {name!r}; use e.g. 'IMA' or 'GMA-native'"
         )
     kernel = variant if variant else DEFAULT_KERNEL
     return cls(network, edge_table, kernel=kernel)
@@ -83,8 +77,8 @@ def replay_command(
 ) -> str:
     """The one-command local reproduction of a fuzz failure.
 
-    When the failing run fuzzed the dial monitor panel, the command carries
-    ``FUZZ_KERNEL=dial`` so ``test_replay_from_env`` rebuilds the same
+    When the failing run fuzzed the native monitor panel, the command
+    carries ``FUZZ_KERNEL=native`` so ``test_replay_from_env`` rebuilds the same
     panel; when it overlaid the mixed query-type distribution it carries
     ``FUZZ_QUERY_TYPES=mixed``.  When it drove servers (``workers`` set),
     the command carries ``FUZZ_WORKERS`` (and ``FUZZ_SERVER_ALGORITHM`` /
@@ -130,7 +124,7 @@ class DifferentialReport:
     server_algorithm: str = "ima"
     server_kernel: str = DEFAULT_KERNEL
     #: the monitor panel of the run, carried so failure_message can emit
-    #: FUZZ_KERNEL for dial-panel failures
+    #: FUZZ_KERNEL for native-panel failures
     algorithms: Tuple[str, ...] = ()
     #: the query-type overlay of the run ("default" or "mixed"), carried so
     #: failure_message can emit FUZZ_QUERY_TYPES
@@ -163,9 +157,8 @@ class DifferentialReport:
     @property
     def panel_kernel(self) -> str:
         """The non-default kernel the fuzzed monitor panel included, if any."""
-        for kernel in (KERNEL_NATIVE, KERNEL_DIAL):
-            if any(name.endswith(f"-{kernel}") for name in self.algorithms):
-                return kernel
+        if any(name.endswith(f"-{KERNEL_NATIVE}") for name in self.algorithms):
+            return KERNEL_NATIVE
         return DEFAULT_KERNEL
 
 

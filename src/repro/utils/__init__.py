@@ -1,10 +1,9 @@
-"""Shared utilities: heaps, interval algebra, RNG helpers and validation."""
+"""Shared utilities: interval algebra, RNG helpers and validation."""
 
 import importlib
 import sys
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from repro.utils.heap import IndexedMinHeap, LazyMinHeap
 from repro.utils.intervals import (
     Interval,
     IntervalSet,
@@ -39,8 +38,9 @@ _NUMPY = False
 def optional_numpy():
     """The ``numpy`` module when it is installed, else ``None``.
 
-    numpy is an optional extra: bulk snapping, the dial kernel's vector
-    paths and the native backend use it, and no default serving path does.
+    numpy is an optional extra: bulk snapping and the native backend (with
+    its vectorized influence spans) use it, and no default serving path
+    does.
     It is imported on the first call and the outcome cached, so a process
     that never takes one of those paths never loads it.
     """
@@ -81,8 +81,6 @@ def lazy_exports(
 
 
 __all__ = [
-    "IndexedMinHeap",
-    "LazyMinHeap",
     "Interval",
     "IntervalSet",
     "influencing_intervals",

@@ -16,6 +16,36 @@ from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation, RoadNetwork
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "native_fallback: run with the compiled native backend disabled "
+        "(see tests/kernel_legs.py)",
+    )
+
+
+@pytest.fixture(autouse=True)
+def _native_fallback_leg(request, monkeypatch):
+    """Disable the compiled backend for tests marked ``native_fallback``.
+
+    The load probes are reset on the way in and out, so the leg serves
+    every ``kernel="native"`` batch through the csr fallback, and the next
+    test re-probes under the restored environment.  Forked shard workers
+    inherit both.
+    """
+    if request.node.get_closest_marker("native_fallback") is None:
+        yield
+        return
+    from repro.network.native import DISABLE_ENV, reset_native_library_cache
+
+    monkeypatch.setenv(DISABLE_ENV, "1")
+    reset_native_library_cache()
+    try:
+        yield
+    finally:
+        reset_native_library_cache()
+
+
 @pytest.fixture
 def line_network() -> RoadNetwork:
     """A 5-node path graph: 0 -100- 1 -100- 2 -100- 3 -100- 4."""

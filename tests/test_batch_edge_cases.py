@@ -31,8 +31,9 @@ from repro.network.distance import (
 )
 from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation
-from repro.network.kernels import available_kernels
 from repro.core.results import results_equal
+
+from kernel_legs import kernel_legs
 
 ALGORITHMS = ["ovh", "ima", "gma"]
 
@@ -58,7 +59,7 @@ def _check_against_oracle(server, query_id):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("kernel", available_kernels())
+@pytest.mark.parametrize("kernel", kernel_legs())
 def test_add_and_remove_same_object_in_one_batch(algorithm, kernel):
     """An object appearing and disappearing in one tick is a net no-op."""
     server, edges = _server(algorithm, kernel)
@@ -89,7 +90,7 @@ def test_add_and_remove_same_object_in_one_batch(algorithm, kernel):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("kernel", available_kernels())
+@pytest.mark.parametrize("kernel", kernel_legs())
 def test_k_larger_than_live_object_count(algorithm, kernel):
     """Results stay incomplete (radius inf) and fill up as objects arrive."""
     server, edges = _server(algorithm, kernel)
@@ -124,7 +125,7 @@ def test_k_larger_than_live_object_count(algorithm, kernel):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("kernel", available_kernels())
+@pytest.mark.parametrize("kernel", kernel_legs())
 def test_query_moved_and_removed_in_same_tick(algorithm, kernel):
     """A move followed by a termination in one batch terminates cleanly."""
     server, edges = _server(algorithm, kernel)
@@ -187,7 +188,7 @@ def _specs_for(server, edges):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("kernel", available_kernels())
+@pytest.mark.parametrize("kernel", kernel_legs())
 @pytest.mark.parametrize("kind", ["knn", "range", "aggregate_knn"])
 def test_same_tick_remove_add_preserving_spec_collapses(algorithm, kernel, kind):
     """remove_query + add_query of one id with the same spec is a movement.
@@ -362,7 +363,7 @@ def _close_edge(server, edge_id):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("kernel", available_kernels())
+@pytest.mark.parametrize("kernel", kernel_legs())
 def test_object_on_closed_edge_keeps_defined_distance(algorithm, kernel):
     """Closing the edge under an object leaves its distance finite."""
     server, edges = _server(algorithm, kernel)
@@ -385,7 +386,7 @@ def test_object_on_closed_edge_keeps_defined_distance(algorithm, kernel):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("kernel", ["csr", "dial"])
+@pytest.mark.parametrize("kernel", kernel_legs())
 def test_closed_object_drops_behind_open_competition(algorithm, kernel):
     """With enough open objects, the stranded one leaves the result set."""
     server, edges = _server(algorithm, kernel)
@@ -404,7 +405,7 @@ def test_closed_object_drops_behind_open_competition(algorithm, kernel):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("kernel", ["csr", "dial"])
+@pytest.mark.parametrize("kernel", kernel_legs())
 def test_closed_edge_reopening_restores_results(algorithm, kernel):
     """Close then reopen at the original weight: results return exactly."""
     server, edges = _server(algorithm, kernel)

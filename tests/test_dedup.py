@@ -39,8 +39,10 @@ from repro.exceptions import (
 from repro.network.builders import city_network
 from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation
-from repro.network.kernels import available_kernels, registered_kernels
+from repro.network.kernels import registered_kernels
 from repro.testing import run_differential_scenario
+
+from kernel_legs import kernel_legs
 
 
 def _frontend(algorithm="ima", seed=21, edges=120, snap_tolerance=0.0, objects=8):
@@ -342,7 +344,7 @@ def test_dedup_over_sharded_server_fans_out():
 # ----------------------------------------------------------------------
 # shared-expansion cache
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("kernel", ["csr", "dial"])
+@pytest.mark.parametrize("kernel", kernel_legs())
 def test_share_reproduces_unshared_outcomes(kernel):
     """share=True returns bit-identical outcomes to independent runs."""
     network = city_network(120, seed=9)
@@ -406,7 +408,7 @@ def test_share_respects_excluded_objects():
     assert not {0, 1} & {object_id for object_id, _ in shared[1].neighbors}
 
 
-@pytest.mark.parametrize("kernel", available_kernels())
+@pytest.mark.parametrize("kernel", kernel_legs())
 def test_evaluate_aggregates_matches_per_item_path(kernel):
     """The batched aggregate evaluator equals evaluate_aggregate item-wise."""
     network = city_network(120, seed=9)
@@ -443,7 +445,7 @@ def test_evaluate_aggregates_empty_and_objectless():
 # ----------------------------------------------------------------------
 # oracle-backed differentials on the venue workload
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("kernel", available_kernels())
+@pytest.mark.parametrize("kernel", kernel_legs())
 def test_popular_venue_dedup_matches_oracle(kernel):
     """Every server kernel serves correct per-tenant results under dedup."""
     report = run_differential_scenario(

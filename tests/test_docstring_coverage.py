@@ -38,7 +38,6 @@ ENFORCED_MODULES = (
     "src/repro/core/results.py",
     "src/repro/network/graph.py",
     "src/repro/network/csr.py",
-    "src/repro/network/dial.py",
     "src/repro/network/edge_table.py",
     "src/repro/realism/__init__.py",
     "src/repro/realism/importer.py",

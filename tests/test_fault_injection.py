@@ -81,14 +81,14 @@ def test_fault_sweep_rotating_seeds(kill_mode, offset):
 
 
 @pytest.mark.skipif(not FUZZ_FAULTS, reason="set FUZZ_FAULTS=1 to run the sweep")
-def test_fault_sweep_sharded_dial():
-    """CI leg: the sharded service on the dial kernel survives kill -9 too."""
+def test_fault_sweep_sharded_native():
+    """CI leg: the sharded service on the native kernel survives kill -9 too."""
     report = run_fault_injection(
         seed=_seed(20),
         ticks=5,
         kill_mode="after-log",
         workers=2,
-        kernel="dial",
+        kernel="native",
         checkpoint_every=2,
     )
     assert report.killed and report.ok, report.failure_message()

@@ -21,23 +21,17 @@ import os
 import pytest
 
 from repro.testing import SCENARIO_PRESETS, run_differential_scenario
-from repro.testing.harness import (
-    DEFAULT_ALGORITHMS,
-    DIAL_ALGORITHMS,
-    NATIVE_ALGORITHMS,
-)
+from repro.testing.harness import DEFAULT_ALGORITHMS, NATIVE_ALGORITHMS
 
 #: Rotating base seed: CI exports the workflow run id, local runs use a
 #: fixed default so plain `pytest` stays deterministic.
 BASE_SEED = int(os.environ.get("FUZZ_BASE_SEED", "20060912"))
 
-#: Kernel matrix axis: ``FUZZ_KERNEL=dial`` swaps the fuzzed monitor panel
-#: to the batched bucket-queue kernel, ``FUZZ_KERNEL=native`` to the
-#: compiled settle loop (each next to its CSR references); the default
-#: panel covers csr.
+#: Kernel matrix axis: ``FUZZ_KERNEL=native`` swaps the fuzzed monitor
+#: panel to the compiled settle loop (next to its CSR references); the
+#: default panel covers csr.
 _FUZZ_PANELS = {
     "csr": DEFAULT_ALGORITHMS,
-    "dial": DIAL_ALGORITHMS,
     "native": NATIVE_ALGORITHMS,
 }
 FUZZ_ALGORITHMS = _FUZZ_PANELS[os.environ.get("FUZZ_KERNEL", "csr")]
@@ -102,7 +96,7 @@ def test_replay_from_env():
     report = run_differential_scenario(
         scenario,
         seed=int(seed),
-        # FUZZ_KERNEL=dial / =native reconstructs the monitor panel of
+        # FUZZ_KERNEL=native reconstructs the monitor panel of
         # the failing matrix leg (module-level FUZZ_ALGORITHMS reads it).
         algorithms=FUZZ_ALGORITHMS,
         workers=int(workers) if workers else None,

@@ -23,8 +23,9 @@ from repro import (
 from repro.core.search import expand_knn
 from repro.core.sharding import ShardedMonitoringServer
 from repro.network.csr import grow_partitions, partition_block
-from repro.network.kernels import KERNEL_CSR, KERNEL_DIAL, KERNEL_NATIVE
 from repro.testing import run_differential_scenario
+
+from kernel_legs import kernel_legs
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -385,9 +386,9 @@ def test_load_initial_state_sees_boundary_queries():
 # oracle-backed preset matrix
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("algorithm", ["ima", "gma"])
-@pytest.mark.parametrize("kernel", [KERNEL_CSR, KERNEL_DIAL, KERNEL_NATIVE])
+@pytest.mark.parametrize("kernel", kernel_legs())
 def test_graph_partitioned_presets_match_oracle(algorithm, kernel):
-    """IMA/GMA × every kernel through the graph-partitioned harness leg."""
+    """IMA/GMA × every kernel leg through the graph-partitioned harness leg."""
     report = run_differential_scenario(
         "mixed-stress",
         seed=20_060_912,

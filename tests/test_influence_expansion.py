@@ -2,17 +2,41 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.expansion import (
+    VECTOR_MIN_NODES,
     ExpansionState,
     compute_influence_map,
+    compute_influence_maps,
     object_distance_csr,
 )
 from repro.core.influence import InfluenceIndex
+from repro.core.search import expand_knn
+from repro.network.builders import city_network
 from repro.network.csr import csr_snapshot
+from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation
+from repro.utils import optional_numpy
 from repro.utils.intervals import point_in_spans
+
+needs_numpy = pytest.mark.skipif(
+    optional_numpy() is None, reason="numpy unavailable; no NativeSupport mirrors"
+)
+
+
+def _populated(edges=400, objects=350, seed=9, network_seed=5):
+    network = city_network(edges, seed=network_seed)
+    table = EdgeTable(network, build_spatial_index=False)
+    rng = random.Random(seed)
+    edge_ids = list(network.edge_ids())
+    for object_id in range(objects):
+        table.insert_object(
+            object_id, NetworkLocation(rng.choice(edge_ids), rng.random())
+        )
+    return network, table, edge_ids, rng
 
 
 class TestInfluenceIndex:
@@ -77,6 +101,28 @@ class TestInfluenceIndex:
         assert index.subscribers_at_point(10, 5.0000001) == {1}
 
 
+def test_replace_subscribers_matches_sequential_replace():
+    rng = random.Random(7)
+    bulk, sequential = InfluenceIndex(), InfluenceIndex()
+    for _ in range(6):  # several generations so stale-edge removal is hit
+        updates = {}
+        for subscriber in range(12):
+            influences = {}
+            for edge_id in rng.sample(range(40), rng.randint(0, 8)):
+                influences[edge_id] = ((0.0, rng.uniform(0.5, 5.0)),)
+            if rng.random() < 0.2:
+                influences[rng.randrange(40)] = ()  # empty spans are dropped
+            updates[subscriber] = influences
+        bulk.replace_subscribers(updates)
+        for subscriber, influences in updates.items():
+            sequential.replace_subscriber(subscriber, influences)
+        assert sorted(bulk.iter_entries()) == sorted(sequential.iter_entries())
+        assert len(bulk) == len(sequential)
+    for edge_id in range(40):
+        assert bulk.subscribers_on_edge(edge_id) == sequential.subscribers_on_edge(edge_id)
+        assert set(bulk.subscribers_on_edge_view(edge_id)) == bulk.subscribers_on_edge(edge_id)
+
+
 class TestExpansionState:
     def _simple_state(self) -> ExpansionState:
         # Tree: 1 and 2 reached from the query (parent None); 3 below 1;
@@ -103,19 +149,6 @@ class TestExpansionState:
         assert state.subtree_nodes(1) == {1, 3, 4}
         assert state.subtree_nodes(2) == {2}
         assert state.subtree_nodes(99) == set()
-
-    def test_prune_subtree(self):
-        state = self._simple_state()
-        removed = state.prune_subtree(3)
-        assert removed == {3, 4}
-        assert set(state.node_dist) == {1, 2}
-
-    def test_shift_subtree(self):
-        state = self._simple_state()
-        state.shift_subtree(3, -5.0)
-        assert state.node_dist[3] == 20.0
-        assert state.node_dist[4] == 35.0
-        assert state.node_dist[1] == 10.0
 
     def test_keep_only_reparents_orphans(self):
         state = self._simple_state()
@@ -190,3 +223,65 @@ class TestInfluenceMapAndObjectDistance:
             csr_snapshot(line_network), state, NetworkLocation(3, 0.5), NetworkLocation(0, 0.5)
         )
         assert distance == float("inf")
+
+
+# ---------------------------------------------------------------------------
+# vectorized influence spans over the NativeSupport mirrors
+# ---------------------------------------------------------------------------
+@needs_numpy
+def test_vectorized_influence_maps_match_scalar_exactly():
+    from repro.network.native import native_support
+
+    # Very sparse objects and high k force trees past VECTOR_MIN_NODES.
+    network, table, edge_ids, rng = _populated(edges=900, objects=40, seed=3)
+    csr = csr_snapshot(network)
+    support = native_support(csr)
+    vectored = 0
+    for trial in range(40):
+        location = NetworkLocation(rng.choice(edge_ids), rng.random())
+        outcome = expand_knn(network, table, rng.randint(12, 30), query_location=location)
+        scalar = compute_influence_map(
+            network, outcome.state, outcome.radius, location, csr=csr
+        )
+        fast = compute_influence_map(
+            network, outcome.state, outcome.radius, location, csr=csr, support=support
+        )
+        if len(outcome.state.node_dist) >= VECTOR_MIN_NODES:
+            vectored += 1
+        assert scalar == fast, trial
+    assert vectored > 5  # the numpy path was actually exercised
+    assert (support.dist_scratch == float("inf")).all()  # scratch restored
+
+
+def test_compute_influence_maps_batch_helper():
+    network, table, edge_ids, rng = _populated(objects=80)
+    location = NetworkLocation(rng.choice(edge_ids), rng.random())
+    outcome = expand_knn(network, table, 4, query_location=location)
+    maps = compute_influence_maps(
+        network, [("q", outcome.state, outcome.radius, location)]
+    )
+    assert maps == {
+        "q": compute_influence_map(network, outcome.state, outcome.radius, location)
+    }
+
+
+@needs_numpy
+def test_weight_storm_rotates_support_epoch():
+    from repro.network.native import native_support
+
+    network, table, edge_ids, rng = _populated(objects=40)
+    csr = csr_snapshot(network)
+    assert csr.current_native_support() is None  # only a native batch builds one
+    before = native_support(csr)
+    assert native_support(csr) is before  # cached while weights are stable
+    assert csr.current_native_support() is before
+    edge_id = edge_ids[0]
+    network.set_edge_weight(edge_id, network.edge(edge_id).weight * 3.0)
+    assert csr.current_native_support() is None  # cache-only: stale, never rebuilt
+    after = native_support(csr)
+    assert after is not before
+    assert after.epoch == csr.weights_epoch
+    # The rebuilt support sees the patched weight in its numpy mirrors.
+    position = csr.index_of_edge(edge_id)
+    assert float(after.np_edge_weight[position]) == csr.edge_weight[position]
+    assert after.np_adj_weight.tolist() == csr.adj_weight

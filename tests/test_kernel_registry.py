@@ -22,7 +22,6 @@ from repro.network.edge_table import EdgeTable
 from repro.network.kernels import (
     DEFAULT_KERNEL,
     KERNEL_CSR,
-    KERNEL_DIAL,
     KERNEL_NATIVE,
     available_kernels,
     registered_kernels,
@@ -42,13 +41,13 @@ def small_world():
 # registry contents
 # ---------------------------------------------------------------------------
 def test_registered_kernels_names_every_engine():
-    assert registered_kernels() == (KERNEL_CSR, KERNEL_DIAL, KERNEL_NATIVE)
+    assert registered_kernels() == (KERNEL_CSR, KERNEL_NATIVE) == ("csr", "native")
 
 
 def test_available_kernels_subset_tracks_native_probe():
     available = available_kernels()
     assert set(available) <= set(registered_kernels())
-    assert KERNEL_CSR in available and KERNEL_DIAL in available
+    assert KERNEL_CSR in available
     assert (KERNEL_NATIVE in available) == native_available()
 
 
@@ -64,17 +63,16 @@ def test_one_default_for_monitors_and_batch_entry_point():
 
 def test_capability_flags():
     assert not resolve_kernel(KERNEL_CSR).compiled
-    assert not resolve_kernel(KERNEL_DIAL).compiled
     assert resolve_kernel(KERNEL_NATIVE).compiled
     # The name picks the settle engine and nothing else: no flag remains
     # for a monitor to branch on.
-    assert not hasattr(resolve_kernel(KERNEL_DIAL), "batch")
-    assert not hasattr(resolve_kernel(KERNEL_DIAL), "shared_memory")
+    assert not hasattr(resolve_kernel(KERNEL_NATIVE), "batch")
+    assert not hasattr(resolve_kernel(KERNEL_NATIVE), "shared_memory")
     for name in registered_kernels():
         spec = resolve_kernel(name)
         assert spec.name == name and spec.description
-        if name != KERNEL_NATIVE:
-            assert spec.available  # pure-python engines always run
+    assert resolve_kernel(KERNEL_CSR).available  # the fallback always runs
+    assert "falls back to csr" in resolve_kernel(KERNEL_NATIVE).description
 
 
 def test_validate_kernel_round_trips():
@@ -102,7 +100,7 @@ def test_monitors_reject_unknown_kernel_at_construction(small_world, algorithm):
 
     network, table = small_world
     with pytest.raises(UnknownKernelError):
-        ALGORITHMS[algorithm](network, table, kernel="diall")
+        ALGORITHMS[algorithm](network, table, kernel="dial")
 
 
 def test_server_and_simulator_reject_unknown_kernel_at_construction(small_world):
@@ -190,7 +188,7 @@ def test_no_bare_kernel_literals_outside_registry():
 
     Docstrings are exempt (prose and examples legitimately spell the
     names); everything else — defaults, comparisons, dispatch tables —
-    must use the ``KERNEL_*`` constants so a grep for ``"dial"`` in code
+    must use the ``KERNEL_*`` constants so a grep for ``"native"`` in code
     hits exactly one module.
     """
     names = set(registered_kernels())
@@ -214,6 +212,42 @@ def test_no_bare_kernel_literals_outside_registry():
         "bare kernel-name literals outside repro.network.kernels:\n  "
         + "\n  ".join(offenders)
     )
+
+
+#: The retired bucket-queue kernel's module, as dotted-name parts.
+_RETIRED_MODULE = ("repro", "network", "dial")
+
+
+def _imported_names(tree: ast.AST):
+    """Dotted-name parts of every module (or member) *tree* imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield tuple(alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            module = tuple(node.module.split("."))
+            yield module
+            for alias in node.names:
+                yield module + (alias.name,)
+
+
+def test_nothing_imports_the_retired_kernel_module():
+    """Two engines remain: no code imports the deleted bucket-queue module."""
+    repo_root = pathlib.Path(__file__).resolve().parent.parent
+    e2e = repo_root / "benchmarks" / "e2e"
+    offenders = []
+    for top in ("src", "tests", "scripts", "benchmarks"):
+        for path in sorted((repo_root / top).rglob("*.py")):
+            if e2e in path.parents:
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            if any(
+                parts[: len(_RETIRED_MODULE)] == _RETIRED_MODULE
+                for parts in _imported_names(tree)
+            ):
+                offenders.append(path.relative_to(repo_root).as_posix())
+    assert not offenders, offenders
+    assert not (repo_root / "src" / "repro" / "network" / "dial.py").exists()
 
 
 def test_monitors_never_branch_on_the_kernel():

@@ -8,9 +8,10 @@ directly:
   the docstring of ``ImaMonitor._flush_edge_prunes`` proves for the
   one-pass prune (and what the resumed search relies on); result equality
   with the oracle alone would not notice a stale-but-harmless tree node.
-* **no implicit DialSupport** — a ``kernel="csr"`` monitor never reaches
-  ``CSRGraph.dial_support()``: the influence flush uses a support only
-  when the tick's engine already built one for the current weights.
+* **no implicit NativeSupport** — a ``kernel="csr"`` monitor never builds
+  a :class:`~repro.network.native.NativeSupport`: the influence flush uses
+  a support only when the tick's engine already built one for the current
+  weights.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from repro.core.events import EdgeWeightUpdate, UpdateBatch, apply_batch
 from repro.core.ima import ImaMonitor
 from repro.core.results import results_equal
 from repro.network.builders import city_network
-from repro.network.csr import CSRGraph
 from repro.network.distance import (
     brute_force_knn,
     location_sources,
@@ -31,9 +31,10 @@ from repro.network.distance import (
 )
 from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation
-from repro.network.kernels import KERNEL_CSR, KERNEL_DIAL
 from repro.testing import SCENARIO_PRESETS, run_differential_scenario
 from repro.testing.scenarios import ScenarioEngine, resolve_scenario
+
+from kernel_legs import kernel_legs
 
 
 def _assert_trees_exact(monitor: ImaMonitor, network, tick: int) -> int:
@@ -55,7 +56,7 @@ def _assert_trees_exact(monitor: ImaMonitor, network, tick: int) -> int:
     return checked
 
 
-@pytest.mark.parametrize("kernel", [KERNEL_CSR, KERNEL_DIAL])
+@pytest.mark.parametrize("kernel", kernel_legs())
 @pytest.mark.parametrize("scenario", sorted(SCENARIO_PRESETS))
 def test_expansion_trees_stay_exact_after_every_tick(scenario, kernel):
     seed = 1414
@@ -75,7 +76,7 @@ def test_expansion_trees_stay_exact_after_every_tick(scenario, kernel):
     assert checked > 0
 
 
-@pytest.mark.parametrize("kernel", [KERNEL_CSR, KERNEL_DIAL])
+@pytest.mark.parametrize("kernel", kernel_legs())
 def test_expansion_trees_stay_exact_under_deep_weight_swings(kernel):
     """Large decreases (then the matching increases) on sparse, deep trees.
 
@@ -116,11 +117,13 @@ def test_expansion_trees_stay_exact_under_deep_weight_swings(kernel):
     assert checked > 0
 
 
-def test_csr_monitors_never_build_a_dial_support(monkeypatch):
-    def forbidden(self):
-        raise AssertionError("a csr monitor reached CSRGraph.dial_support()")
+def test_csr_monitors_never_build_a_native_support(monkeypatch):
+    import repro.network.native as native_module
 
-    monkeypatch.setattr(CSRGraph, "dial_support", forbidden)
+    def forbidden(self, csr):
+        raise AssertionError("a csr monitor built a NativeSupport")
+
+    monkeypatch.setattr(native_module.NativeSupport, "__init__", forbidden)
     report = run_differential_scenario(
         "weight-storm", seed=1415, algorithms=("IMA", "GMA", "OVH")
     )

@@ -1,9 +1,8 @@
-"""Property-based invariant tests for the interval algebra and the heaps.
+"""Property-based invariant tests for the interval algebra.
 
-Seeded random operation sequences are replayed against naive models — a
-plain dict + sorted list for the heaps, brute-force point membership for the
-interval structures — so any divergence pinpoints the operation sequence
-that broke an invariant.  Hypothesis drives the sequence generation (its
+Seeded random operation sequences are replayed against brute-force point
+membership, so any divergence pinpoints the operation sequence that broke
+an invariant.  Hypothesis drives the sequence generation (its
 failures print the reproducing example); a fixed-seed torture loop backs it
 up with longer sequences.
 """
@@ -15,7 +14,6 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.heap import IndexedMinHeap, LazyMinHeap
 from repro.utils.intervals import (
     Interval,
     IntervalSet,
@@ -28,112 +26,6 @@ from repro.utils.intervals import (
 )
 
 _INF = float("inf")
-
-
-# ----------------------------------------------------------------------
-# heaps vs naive dict/sorted models
-# ----------------------------------------------------------------------
-_heap_ops = st.lists(
-    st.tuples(
-        st.sampled_from(["push", "pop", "decrease", "remove", "discard", "peek"]),
-        st.integers(0, 15),
-        st.floats(0.0, 100.0, allow_nan=False, allow_infinity=False),
-    ),
-    max_size=60,
-)
-
-
-def _apply_heap_ops(ops):
-    """Drive an IndexedMinHeap and a naive dict model through *ops*."""
-    heap = IndexedMinHeap()
-    model = {}
-    for op, item, key in ops:
-        if op == "push":
-            heap.push(item, key)
-            if item not in model or key < model[item]:
-                model[item] = key
-        elif op == "pop":
-            if model:
-                popped_item, popped_key = heap.pop()
-                best = min(model.values())
-                assert popped_key == best
-                assert model.pop(popped_item) == popped_key
-            else:
-                assert len(heap) == 0
-        elif op == "decrease":
-            if item in model:
-                heap.decrease_key(item, key)
-                if key < model[item]:
-                    model[item] = key
-        elif op == "remove":
-            if item in model:
-                assert heap.remove(item) == model.pop(item)
-        elif op == "discard":
-            heap.discard(item)
-            model.pop(item, None)
-        elif op == "peek":
-            if model:
-                _, top_key = heap.peek()
-                assert top_key == min(model.values())
-                assert heap.min_key() == min(model.values())
-            else:
-                assert heap.min_key() == _INF
-        assert heap.is_valid()
-        assert len(heap) == len(model)
-        assert set(dict(iter(heap))) == set(model)
-    # items_sorted orders by key with arbitrary tie order; normalise both
-    # sides by (key, item) before comparing.
-    drained = heap.items_sorted()
-    assert [key for _, key in drained] == sorted(key for key in model.values())
-    assert sorted(drained, key=lambda kv: (kv[1], kv[0])) == sorted(
-        model.items(), key=lambda kv: (kv[1], kv[0])
-    )
-
-
-@settings(max_examples=60, deadline=None)
-@given(ops=_heap_ops)
-def test_indexed_heap_matches_model(ops):
-    _apply_heap_ops(ops)
-
-
-def test_indexed_heap_seeded_torture():
-    """Long seeded sequences beyond hypothesis' default sizes."""
-    for seed in range(8):
-        rng = random.Random(1000 + seed)
-        ops = [
-            (
-                rng.choice(["push", "push", "push", "pop", "decrease", "remove", "peek"]),
-                rng.randrange(40),
-                round(rng.uniform(0, 500), 3),
-            )
-            for _ in range(600)
-        ]
-        _apply_heap_ops(ops)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    ops=st.lists(
-        st.tuples(st.integers(0, 10), st.floats(0.0, 50.0, allow_nan=False)),
-        max_size=40,
-    )
-)
-def test_lazy_heap_matches_model(ops):
-    heap = LazyMinHeap()
-    model = {}
-    for item, key in ops:
-        heap.push(item, key)
-        if item not in model or key < model[item]:
-            model[item] = key
-        assert heap.min_key() == min(model.values())
-        assert len(heap) == len(model)
-    drained = []
-    while model:
-        item, key = heap.pop()
-        drained.append(key)
-        assert model.pop(item) == key
-    # Keys drain in non-decreasing order (ties pop in insertion order).
-    assert drained == sorted(drained)
 
 
 # ----------------------------------------------------------------------

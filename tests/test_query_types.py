@@ -39,13 +39,15 @@ from repro.network.distance import (
 )
 from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation
-
 from repro.network.kernels import available_kernels
+
+from kernel_legs import kernel_legs
 
 ALGORITHMS = ["ovh", "ima", "gma"]
 # Sweep every kernel that can run here — new registered backends (e.g. the
-# compiled native engine) join the matrix automatically.
-KERNELS = list(available_kernels())
+# compiled native engine) join the matrix automatically — plus native on
+# its csr fallback.
+KERNELS = kernel_legs()
 
 
 def _network_and_table(edges=120, seed=23, objects=30):
@@ -149,13 +151,14 @@ class TestFixedRadiusKernels:
                 network, edge_table, 1, query_location=location,
                 csr=csr, fixed_radius=radius,
             )
-            [dial] = expand_knn_batch(
-                network, edge_table,
-                [ExpansionRequest(k=1, query_location=location, fixed_radius=radius)],
-                csr=csr, kernel="dial",
-            )
-            assert fast.neighbors == dial.neighbors
-            assert fast.radius == dial.radius == radius
+            for kernel in available_kernels():
+                [batched] = expand_knn_batch(
+                    network, edge_table,
+                    [ExpansionRequest(k=1, query_location=location, fixed_radius=radius)],
+                    csr=csr, kernel=kernel,
+                )
+                assert fast.neighbors == batched.neighbors
+                assert fast.radius == batched.radius == radius
             assert results_equal(truth, fast.neighbors)
             # The range outcome is every in-range object, sorted.
             assert [pair[0] for pair in fast.neighbors] == [p[0] for p in truth]

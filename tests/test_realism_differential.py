@@ -2,7 +2,7 @@
 
 The fuzz suite already rotates the ``rush-hour`` / ``gridlock-closures``
 presets through its seed matrix; this file pins the ISSUE-8 acceptance
-matrix explicitly — IMA/GMA x csr/dial kernels x 1/2 workers — with fixed
+matrix explicitly — IMA/GMA x every available kernel x 1/2 workers — with fixed
 seeds so it runs deterministically in every plain pytest invocation.  The
 closure preset drives the closed-road sentinel
 (:data:`~repro.network.graph.CLOSED_EDGE_WEIGHT`) through the whole stack:
@@ -19,25 +19,22 @@ from __future__ import annotations
 import pytest
 
 from repro.realism import synthetic_city_network
-from repro.testing.harness import (
-    DEFAULT_ALGORITHMS,
-    DIAL_ALGORITHMS,
-    run_differential_scenario,
-)
+from repro.testing.harness import DEFAULT_ALGORITHMS, run_differential_scenario
+
+from kernel_legs import kernel_legs
 
 PRESETS = ("rush-hour", "gridlock-closures")
-KERNEL_ALGORITHMS = {"csr": ("IMA", "GMA"), "dial": DIAL_ALGORITHMS[:2]}
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("kernel", sorted(KERNEL_ALGORITHMS))
+@pytest.mark.parametrize("kernel", kernel_legs())
 @pytest.mark.parametrize("preset", PRESETS)
 def test_realism_presets_match_oracle(preset, kernel, workers):
     """The acceptance matrix: preset x kernel x worker count vs the oracle."""
     report = run_differential_scenario(
         preset,
         seed=17 + workers,
-        algorithms=KERNEL_ALGORITHMS[kernel],
+        algorithms=(f"IMA-{kernel}", f"GMA-{kernel}"),
         workers=workers,
         server_kernel=kernel,
     )

@@ -2,7 +2,7 @@
 
 The core property (satellite of the durable-service PR): a checkpoint plus
 a replayed event-log prefix reproduces ``results()`` *byte-identically* at
-every timestamp, across the IMA/GMA algorithms and the csr/dial kernels.
+every timestamp, across the IMA/GMA algorithms and the available kernels.
 Also covers snapshot/restore of both server flavors, the non-durable
 pending buffer, and data-directory lifecycle rules.
 """
@@ -28,12 +28,15 @@ from repro.core.server import load_snapshot
 from repro.core.sharding import ShardedMonitoringServer
 from repro.exceptions import RecoveryError, ServiceError
 from repro.network.edge_table import EdgeTable
+from repro.network.kernels import registered_kernels
 from repro.service import durable as durable_module
 from repro.service import eventlog as eventlog_module
 from repro.service.durable import _read_checkpoint
 from repro.service.eventlog import read_event_log, scan_event_log
 from repro.service.faults import build_scenario_server
 from repro.testing.scenarios import ScenarioEngine, resolve_scenario
+
+from kernel_legs import kernel_legs
 
 TICKS = 6
 CHECKPOINT_EVERY = 3
@@ -73,7 +76,7 @@ def _truncate_to_prefix(data_dir, prefix):
 
 
 @pytest.mark.parametrize("algorithm", ["IMA", "GMA"])
-@pytest.mark.parametrize("kernel", ["csr", "dial"])
+@pytest.mark.parametrize("kernel", kernel_legs())
 def test_prefix_replay_reproduces_every_timestamp(tmp_path, algorithm, kernel):
     """checkpoint + log-prefix replay == the live run, at every timestamp."""
     original = tmp_path / "run"
@@ -415,6 +418,103 @@ def test_sharded_snapshot_with_retired_copy_mode_field_restores(
             clone.close()
     finally:
         original.close()
+
+
+#: A kernel name older versions accepted and the registry no longer holds.
+RETIRED_KERNEL = "dial"
+
+
+def _snapshots_name_retired_kernel(monkeypatch):
+    """Make every snapshot name :data:`RETIRED_KERNEL`, as an older tree's would.
+
+    In-process snapshots carry the name as the pickled monitor's
+    ``_kernel``, sharded ones as their ``"kernel"`` field; the live servers
+    keep running on their real kernel.
+    """
+    encode = MonitoringServer._encode_snapshot
+
+    def encode_retired(self, static, kind, fields):
+        monitor = fields.get("monitor")
+        if monitor is None:
+            return encode(self, static, kind, {**fields, "kernel": RETIRED_KERNEL})
+        kernel, monitor._kernel = monitor._kernel, RETIRED_KERNEL
+        try:
+            return encode(self, static, kind, fields)
+        finally:
+            monitor._kernel = kernel
+
+    monkeypatch.setattr(MonitoringServer, "_encode_snapshot", encode_retired)
+
+
+def _assert_names_registered_kernels(error):
+    message = str(error)
+    assert repr(RETIRED_KERNEL) in message
+    for name in registered_kernels():
+        assert name in message
+
+
+@pytest.mark.parametrize(
+    "workers, partitioning", [(None, None), (2, "graph")], ids=["in-process", "graph-2w"]
+)
+def test_restore_rejects_a_retired_kernel(monkeypatch, workers, partitioning):
+    """A snapshot naming an unregistered kernel is a RecoveryError at restore."""
+    scenario, seed = "uniform-drift", 11
+    engine = ScenarioEngine(
+        city_network(100, seed=seed + 1), resolve_scenario(scenario), seed=seed
+    )
+    original = _scenario_server(scenario, seed, 100, workers, partitioning)
+    try:
+        original.apply_updates(engine.batch(0))
+        original.tick()
+        _snapshots_name_retired_kernel(monkeypatch)
+        blob = original.snapshot_state()
+    finally:
+        original.close()
+    with pytest.raises(RecoveryError) as excinfo:
+        restore_server(blob)
+    _assert_names_registered_kernels(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "workers, partitioning", [(None, None), (2, "graph")], ids=["in-process", "graph-2w"]
+)
+def test_recover_rejects_a_retired_kernel_before_logging(
+    tmp_path, monkeypatch, workers, partitioning
+):
+    """Recovery refuses the data directory instead of failing at a tick.
+
+    Every checkpoint names the retired kernel, so none restores: recover
+    raises a typed RecoveryError and leaves the event log and the
+    checkpoints exactly as it found them.
+    """
+    scenario, seed = "uniform-drift", 11
+    engine = ScenarioEngine(
+        city_network(100, seed=seed + 1), resolve_scenario(scenario), seed=seed
+    )
+    _snapshots_name_retired_kernel(monkeypatch)
+    server = _scenario_server(scenario, seed, 100, workers, partitioning)
+    data_dir = tmp_path / "run"
+    durable = DurableMonitoringServer(server, data_dir, checkpoint_every=2)
+    try:
+        for timestamp in range(3):
+            server.apply_updates(engine.batch(timestamp))
+            durable.tick()
+    finally:
+        durable.close()
+    before = {
+        path.relative_to(data_dir): path.read_bytes()
+        for path in sorted(data_dir.rglob("*"))
+        if path.is_file()
+    }
+    with pytest.raises(RecoveryError) as excinfo:
+        DurableMonitoringServer.recover(data_dir)
+    _assert_names_registered_kernels(excinfo.value)
+    after = {
+        path.relative_to(data_dir): path.read_bytes()
+        for path in sorted(data_dir.rglob("*"))
+        if path.is_file()
+    }
+    assert after == before
 
 
 def test_snapshot_restores_a_table_without_spatial_index():

@@ -26,7 +26,7 @@ BASE_SEED = int(os.environ.get("FUZZ_BASE_SEED", "20060912"))
 #: Worker count of the sharded server under test (CI matrixes 1 vs 4).
 WORKERS = int(os.environ.get("SHARDED_WORKERS", "4"))
 
-#: Search kernel the servers run on (CI matrixes csr vs dial).
+#: Search kernel the servers run on (CI matrixes csr vs native).
 KERNEL = os.environ.get("SHARDED_KERNEL", "csr")
 
 #: Query-type overlay shared with the main fuzz suite (CI matrixes

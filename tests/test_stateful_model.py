@@ -15,7 +15,8 @@ every server must match the independent brute-force
 Unlike the scenario fuzz suite (which samples from preset stressor
 distributions), hypothesis *searches* the update-interleaving space and
 shrinks failures to minimal reproducible sequences.  The machine runs once
-per kernel (every available registry kernel).
+per kernel (every available registry kernel, plus native on its csr
+fallback).
 """
 
 from __future__ import annotations
@@ -47,14 +48,14 @@ from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation
 from repro.testing.oracle import OracleMonitor
 
+from kernel_legs import kernel_legs
+
 #: Network size: small enough for the brute-force oracle per tick, large
 #: enough for multi-sequence GMA grouping and non-trivial trees.
 NETWORK_EDGES = 60
 NETWORK_SEED = 1709
 
-from repro.network.kernels import available_kernels
-
-KERNELS = available_kernels()
+KERNELS = kernel_legs()
 
 
 def _spec_strategy(mean_weight: float) -> st.SearchStrategy:

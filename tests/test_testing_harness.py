@@ -23,6 +23,8 @@ from repro.testing import (
     resolve_scenario,
 )
 
+from kernel_legs import kernel_legs
+
 
 @pytest.fixture
 def small_world():
@@ -168,13 +170,14 @@ class TestSimulatorScenarioWiring:
 
 
 class TestKernelPlumbing:
-    def test_monitors_report_kernel(self, small_world):
+    @pytest.mark.parametrize("kernel", kernel_legs())
+    def test_monitors_report_kernel(self, small_world, kernel):
         network, table, _ = small_world
         assert ImaMonitor(network, table).kernel == "csr"
-        assert ImaMonitor(network, table, kernel="dial").kernel == "dial"
-        gma = GmaMonitor(network, table, kernel="dial")
-        assert gma.kernel == "dial"
-        assert gma.active_node_monitor.kernel == "dial"
+        assert ImaMonitor(network, table, kernel=kernel).kernel == kernel
+        gma = GmaMonitor(network, table, kernel=kernel)
+        assert gma.kernel == kernel
+        assert gma.active_node_monitor.kernel == kernel
 
     def test_unknown_kernel_rejected(self, small_world):
         network, table, _ = small_world
@@ -183,7 +186,8 @@ class TestKernelPlumbing:
         with pytest.raises(MonitoringError):
             MonitoringServer(network, "ima", kernel="simd")
 
-    def test_server_kernel_passthrough(self, small_world):
+    @pytest.mark.parametrize("kernel", kernel_legs())
+    def test_server_kernel_passthrough(self, small_world, kernel):
         network, table, _ = small_world
-        server = MonitoringServer(network, "gma", edge_table=table, kernel="dial")
-        assert server.monitor.kernel == "dial"
+        server = MonitoringServer(network, "gma", edge_table=table, kernel=kernel)
+        assert server.monitor.kernel == kernel
