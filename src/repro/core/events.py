@@ -30,9 +30,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.exceptions import EventLogError, InvalidQueryError, SimulationError
 from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation, RoadNetwork
+from repro.utils import value_class
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class ObjectUpdate:
     """A data-object update: movement, appearance, or disappearance.
 
@@ -126,7 +127,7 @@ class QueryUpdate:
         return self.new_location is None
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class EdgeWeightUpdate:
     """An edge-weight change (e.g. reported by a traffic sensor).
 
@@ -536,6 +537,16 @@ def encode_batch(batch: UpdateBatch) -> bytes:
 
 
 _new = object.__new__
+#: Slot-descriptor setters the decoder fills rows with: a slotted instance has
+#: no ``__dict__``, and ``object.__setattr__`` re-looks the descriptor up.
+_SET_EDGE_ID = NetworkLocation.__dict__["edge_id"].__set__
+_SET_FRACTION = NetworkLocation.__dict__["fraction"].__set__
+_SET_OBJECT_ID = ObjectUpdate.__dict__["object_id"].__set__
+_SET_OLD_LOCATION = ObjectUpdate.__dict__["old_location"].__set__
+_SET_NEW_LOCATION = ObjectUpdate.__dict__["new_location"].__set__
+_SET_WEIGHT_EDGE_ID = EdgeWeightUpdate.__dict__["edge_id"].__set__
+_SET_OLD_WEIGHT = EdgeWeightUpdate.__dict__["old_weight"].__set__
+_SET_NEW_WEIGHT = EdgeWeightUpdate.__dict__["new_weight"].__set__
 _OBJECT_KINDS = bytes((_APPEAR, _MOVE, _DISAPPEAR))
 _QUERY_KINDS = bytes(
     kind | k_kind << _K_SHIFT
@@ -611,9 +622,8 @@ class _RecordReader:
         result = []
         for edge_id, fraction in zip(edges, fractions):
             location = _new(NetworkLocation)
-            fields = location.__dict__
-            fields["edge_id"] = edge_id
-            fields["fraction"] = fraction
+            _SET_EDGE_ID(location, edge_id)
+            _SET_FRACTION(location, fraction)
             result.append(location)
         return result
 
@@ -739,10 +749,9 @@ def decode_batch(payload: bytes) -> UpdateBatch:
         # ObjectUpdate.__post_init__ asks for.
         for object_id, old, new in zip(ids, olds, news):
             update = _new(ObjectUpdate)
-            fields = update.__dict__
-            fields["object_id"] = object_id
-            fields["old_location"] = old
-            fields["new_location"] = new
+            _SET_OBJECT_ID(update, object_id)
+            _SET_OLD_LOCATION(update, old)
+            _SET_NEW_LOCATION(update, new)
             object_updates.append(update)
 
     query_updates: List[QueryUpdate] = []
@@ -783,10 +792,9 @@ def decode_batch(payload: bytes) -> UpdateBatch:
                 )
         for edge_id, old_weight, new_weight in zip(ids, old_weights, new_weights):
             update = _new(EdgeWeightUpdate)
-            fields = update.__dict__
-            fields["edge_id"] = edge_id
-            fields["old_weight"] = old_weight
-            fields["new_weight"] = new_weight
+            _SET_WEIGHT_EDGE_ID(update, edge_id)
+            _SET_OLD_WEIGHT(update, old_weight)
+            _SET_NEW_WEIGHT(update, new_weight)
             edge_updates.append(update)
 
     if reader.remaining:

@@ -672,6 +672,8 @@ class MonitoringServer:
         native support) are deliberately *not* captured; they are rebuilt
         deterministically from the restored weights on first use.
 
+        The blob is same-release: restore it with the release that took it.
+
         Args:
             static: pass False for the dynamic section alone — the static
                 one must then be handed to :func:`restore_server`
@@ -854,6 +856,8 @@ def restore_server(blob, static=None) -> MonitoringServer:
     worker per shard from its pickled monitor so every expansion tree
     resumes with its exact float history.  Continuing the restored server
     with the same updates yields results byte-identical to the original.
+    A blob is same-release: it must come from this version's
+    :meth:`MonitoringServer.snapshot_state`, never from an older one.
 
     Args:
         blob: the snapshot (any bytes-like).

@@ -194,8 +194,6 @@ class CSRGraph:
         adj_forward = bytearray()
         inc_indptr: List[int] = [0]
         inc_edge: List[int] = []
-        # Adjacency slots per dense edge, for incremental weight patching.
-        entry_slots: List[List[int]] = [[] for _ in self.edge_ids]
         for node_id in self.node_ids:
             for edge_id in network.incident_edges(node_id):
                 edge = network.edge(edge_id)
@@ -203,7 +201,6 @@ class CSRGraph:
                 inc_edge.append(position)
                 if edge.oneway and edge.start != node_id:
                     continue
-                entry_slots[position].append(len(adj_node))
                 adj_node.append(node_index[edge.other_endpoint(node_id)])
                 adj_eid.append(edge_id)
                 adj_weight.append(edge.weight)
@@ -217,7 +214,6 @@ class CSRGraph:
         self.adj_forward = adj_forward
         self.inc_indptr = inc_indptr
         self.inc_edge = inc_edge
-        self._entry_slots = entry_slots
         self._topology_version = network.topology_version
         self._weights_stale = False
         self._weights_epoch = getattr(self, "_weights_epoch", -1) + 1
@@ -237,9 +233,13 @@ class CSRGraph:
             return
         self._weights_epoch += 1
         self.edge_weight[position] = new_weight
-        adj_weight = self.adj_weight
-        for slot in self._entry_slots[position]:
-            adj_weight[slot] = new_weight
+        # The edge's (at most two) adjacency entries sit in its endpoints'
+        # slices; a one-way edge has one, at its start node.
+        indptr, adj_eid, adj_weight = self.indptr, self.adj_eid, self.adj_weight
+        for node in (self.edge_start[position], self.edge_end[position]):
+            for slot in range(indptr[node], indptr[node + 1]):
+                if adj_eid[slot] == edge_id:
+                    adj_weight[slot] = new_weight
 
     def refresh(self) -> "CSRGraph":
         """Bring the snapshot up to date with the network; returns self."""
@@ -248,12 +248,9 @@ class CSRGraph:
         elif self._weights_stale:
             network = self.network
             edge_weight = self.edge_weight
-            adj_weight = self.adj_weight
-            for position, edge_id in enumerate(self.edge_ids):
-                weight = network.edge(edge_id).weight
-                edge_weight[position] = weight
-                for slot in self._entry_slots[position]:
-                    adj_weight[slot] = weight
+            edge_weight[:] = [network.edge(edge_id).weight for edge_id in self.edge_ids]
+            edge_index = self.edge_index
+            self.adj_weight[:] = [edge_weight[edge_index[edge_id]] for edge_id in self.adj_eid]
             self._weights_stale = False
             self._weights_epoch += 1
         return self

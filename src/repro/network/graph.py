@@ -20,7 +20,7 @@ with the weight.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import (
@@ -33,6 +33,7 @@ from repro.exceptions import (
     NodeNotFoundError,
 )
 from repro.spatial.geometry import Point, Rect, Segment
+from repro.utils import value_class
 from repro.utils.validation import require_positive
 
 #: The finite sentinel weight for a *closed* road.  True ``float("inf")``
@@ -46,7 +47,7 @@ from repro.utils.validation import require_positive
 CLOSED_EDGE_WEIGHT = 2.0**40
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class Node:
     """A network node (road intersection or shape point)."""
 
@@ -64,7 +65,7 @@ class Node:
         return self.point.y
 
 
-@dataclass
+@value_class
 class Edge:
     """A road segment between two nodes.
 
@@ -114,7 +115,7 @@ class Edge:
         return (self.start, self.end)
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class NetworkLocation:
     """A position on the network: an edge id and a fraction along it.
 
@@ -168,7 +169,6 @@ class RoadNetwork:
         self._nodes: Dict[int, Node] = {}
         self._edges: Dict[int, Edge] = {}
         self._adjacency: Dict[int, List[int]] = {}
-        self._edge_by_endpoints: Dict[Tuple[int, int], int] = {}
         self._weight_version = 0
         self._topology_version = 0
         self._weight_listeners: List[Callable[[Optional[int], float], None]] = []
@@ -297,8 +297,6 @@ class RoadNetwork:
         self._edges[edge_id] = edge
         self._adjacency[start].append(edge_id)
         self._adjacency[end].append(edge_id)
-        self._edge_by_endpoints[(start, end)] = edge_id
-        self._edge_by_endpoints.setdefault((end, start), edge_id)
         self._topology_version += 1
         return edge
 
@@ -313,9 +311,6 @@ class RoadNetwork:
             raise EdgeNotFoundError(edge_id)
         self._adjacency[edge.start].remove(edge_id)
         self._adjacency[edge.end].remove(edge_id)
-        for key in ((edge.start, edge.end), (edge.end, edge.start)):
-            if self._edge_by_endpoints.get(key) == edge_id:
-                del self._edge_by_endpoints[key]
         self._weight_version += 1
         self._topology_version += 1
 
@@ -369,8 +364,19 @@ class RoadNetwork:
         return iter(self._edges.keys())
 
     def edge_between(self, u: int, v: int) -> Optional[int]:
-        """Return the id of an edge connecting *u* and *v*, if any."""
-        return self._edge_by_endpoints.get((u, v))
+        """Return the id of an edge connecting *u* and *v*, if any.
+
+        Among parallel edges: the latest added running *u* -> *v*, else the
+        earliest running *v* -> *u* (a scan of *u*'s few adjacent edges).
+        """
+        forward = backward = None
+        for edge_id in self._adjacency.get(u, ()):
+            edge = self._edges[edge_id]
+            if edge.start == u and edge.end == v:
+                forward = edge_id
+            elif backward is None and edge.start == v and edge.end == u:
+                backward = edge_id
+        return backward if forward is None else forward
 
     # ------------------------------------------------------------------
     # adjacency

@@ -52,10 +52,11 @@ from repro.network.graph import NetworkLocation, RoadNetwork
 from repro.service.eventlog import EventLog
 
 #: First 8 bytes of every base and checkpoint file.
-CHECKPOINT_MAGIC = b"RPCKPT02"
+CHECKPOINT_MAGIC = b"RPCKPT03"
 
-#: The whole-graph pickle format this version no longer reads.
-_RETIRED_MAGIC = b"RPCKPT01"
+#: Refused by name: ``RPCKPT01`` (one whole-graph pickle) and ``RPCKPT02``
+#: (dict-state pickles, which the slotted value classes would misread).
+_RETIRED_MAGICS = (b"RPCKPT01", b"RPCKPT02")
 
 _FRAME_HEADER = struct.Struct("<8sQI")  # (magic, payload length, crc32(payload))
 
@@ -132,12 +133,13 @@ def _read_frame(path: pathlib.Path) -> memoryview:
         data = memoryview(path.read_bytes())
     except FileNotFoundError:
         raise RecoveryError(f"{path}: file is missing") from None
-    if data[: len(_RETIRED_MAGIC)] == _RETIRED_MAGIC:
+    magic = bytes(data[: len(CHECKPOINT_MAGIC)])
+    if magic in _RETIRED_MAGICS:
         raise RecoveryError(
-            f"{path}: written in the retired {_RETIRED_MAGIC.decode()} format; "
+            f"{path}: written in the retired {magic.decode()} format; "
             f"this version reads {CHECKPOINT_MAGIC.decode()} only"
         )
-    if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+    if magic != CHECKPOINT_MAGIC:
         raise RecoveryError(f"{path}: bad magic")
     if len(data) < _FRAME_HEADER.size:
         raise RecoveryError(f"{path}: truncated header")
@@ -227,7 +229,8 @@ def load_initial_state(data_dir: Union[str, os.PathLike]) -> InitialState:
     monitors from scratch.
 
     Raises:
-        RecoveryError: if the directory holds no readable checkpoint or the
+        RecoveryError: if the directory holds no readable checkpoint, the
+            genesis checkpoint or its base is in a retired format, or the
             genesis checkpoint has an unknown snapshot kind.
 
     Example::
@@ -473,10 +476,10 @@ class DurableMonitoringServer:
 
         Raises:
             RecoveryError: when no checkpoint restores — each one is torn,
-                lacks an intact base, or was written in the retired
-                ``RPCKPT01`` format — a restored snapshot disagrees with
-                its checkpoint's timestamp, or the log tail does not line
-                up with the restored clock.
+                lacks an intact base, or was written in a retired format
+                (``RPCKPT01`` or ``RPCKPT02``) — a restored snapshot
+                disagrees with its checkpoint's timestamp, or the log tail
+                does not line up with the restored clock.
 
         Example::
 

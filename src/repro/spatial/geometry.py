@@ -12,13 +12,14 @@ intersection predicates the rest of the library needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
+
+from repro.utils import value_class
 
 _EPS = 1e-12
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class Point:
     """A point in the two-dimensional workspace.
 
@@ -44,7 +45,7 @@ class Point:
         return (self.x, self.y)
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class Rect:
     """An axis-aligned rectangle ``[min_x, max_x] x [min_y, max_y]``.
 
@@ -147,7 +148,7 @@ class Rect:
         )
 
 
-@dataclass(frozen=True)
+@value_class(frozen=True)
 class Segment:
     """A straight line segment between two points (a network edge's shape).
 

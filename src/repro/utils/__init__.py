@@ -2,6 +2,8 @@
 
 import importlib
 import sys
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.utils.intervals import (
@@ -52,6 +54,25 @@ def optional_numpy():
             numpy = None
         _NUMPY = numpy
     return _NUMPY
+
+
+def value_class(cls=None, /, **options):
+    """``@dataclass(slots=True, **options)`` that pickles as ``cls(*field_values)``.
+
+    The memory layout of the network's value classes (docs/architecture.md):
+    no per-instance dict, and pickles faster and smaller than a slotted
+    dataclass's stock state protocol; loading re-runs ``__post_init__``.
+    """
+    if cls is None:
+        return lambda cls: value_class(cls, **options)
+    cls = dataclass(cls, slots=True, **options)
+    values = attrgetter(*(f.name for f in fields(cls)))
+
+    def __reduce__(self):
+        return cls, values(self)
+
+    cls.__reduce__ = __reduce__
+    return cls
 
 
 def lazy_exports(

@@ -1,0 +1,301 @@
+"""Memory layout: slotted value classes, no per-entity dicts, no shadow maps.
+
+The server keeps the road network, the edge table and every object
+placement in memory for as long as it runs, so whatever one node, edge or
+location costs is multiplied by the size of the city.  The layout rule (see
+``docs/architecture.md``) is that the value classes are slotted and that no
+code path ever gives one of their instances a ``__dict__`` — not building a
+network, not decoding a batch record, not pickling, not taking a snapshot.
+The rule is pinned here, together with what replaced the per-edge
+bookkeeping that no query read: ``RoadNetwork.edge_between`` answers from
+adjacency, and a CSR weight patch finds its slots through ``indptr`` /
+``adj_eid``.
+"""
+
+from __future__ import annotations
+
+import gc
+import pickle
+import random
+import tracemalloc
+from dataclasses import FrozenInstanceError
+
+import pytest
+
+from repro import DurableMonitoringServer, MonitoringServer, city_network
+from repro.core.events import (
+    EdgeWeightUpdate,
+    ObjectUpdate,
+    UpdateBatch,
+    decode_batch,
+    encode_batch,
+)
+from repro.core.server import restore_server
+from repro.network.csr import csr_snapshot
+from repro.network.graph import Edge, NetworkLocation, Node, RoadNetwork
+from repro.realism import synthetic_city_network
+from repro.spatial.geometry import Point, Rect, Segment
+
+SLOTTED = (Point, Rect, Segment, Node, Edge, NetworkLocation, ObjectUpdate, EdgeWeightUpdate)
+
+
+def _assert_no_dicts(instances) -> int:
+    """Fail on the first instance that carries a ``__dict__``; count them."""
+    count = 0
+    for instance in instances:
+        assert not hasattr(instance, "__dict__"), type(instance).__name__
+        count += 1
+    return count
+
+
+def _network_instances(network: RoadNetwork):
+    for node in network.nodes():
+        yield node
+        yield node.point
+    for edge in network.edges():
+        yield edge
+        yield network.edge_segment(edge.edge_id)
+
+
+def _table_instances(server: MonitoringServer):
+    table = server.edge_table
+    index = table.spatial_index
+    yield index.bounds
+    for edge_id in server.network.edge_ids():
+        segment = index.segment_of(edge_id)
+        yield segment
+        yield segment.start
+        yield segment.end
+    for _, location in table.all_objects():
+        yield location
+
+
+def _small_server(seed: int = 3) -> MonitoringServer:
+    network = city_network(60, seed=seed)
+    server = MonitoringServer(network, algorithm="ima")
+    rng = random.Random(seed)
+    edges = sorted(network.edge_ids())
+    for object_id in range(40):
+        server.add_object(object_id, NetworkLocation(rng.choice(edges), rng.random()))
+    server.add_query(1_000, NetworkLocation(edges[0], 0.5), 3)
+    server.tick()
+    return server
+
+
+# ----------------------------------------------------------------------
+# the layout of each class
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("cls", SLOTTED, ids=lambda cls: cls.__name__)
+def test_value_class_defines_slots_and_no_dict(cls):
+    assert "__slots__" in vars(cls)
+    assert cls.__dictoffset__ == 0
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        Point(1.0, 2.0),
+        Rect(0.0, 0.0, 1.0, 1.0),
+        Segment(Point(0.0, 0.0), Point(3.0, 4.0)),
+        Node(5, Point(1.0, 1.0)),
+        Edge(7, 1, 2, 3.5),
+        NetworkLocation(7, 0.25),
+        ObjectUpdate(9, None, NetworkLocation(7, 0.25)),
+        EdgeWeightUpdate(7, 3.5, 4.0),
+    ],
+    ids=lambda instance: type(instance).__name__,
+)
+def test_pickle_round_trip_keeps_value_and_layout(instance):
+    """Same value back, no dict, and the frozen classes are still frozen."""
+    clone = pickle.loads(pickle.dumps(instance, protocol=pickle.HIGHEST_PROTOCOL))
+    assert clone == instance and type(clone) is type(instance)
+    _assert_no_dicts([instance, clone])
+    if not isinstance(instance, Edge):
+        with pytest.raises(FrozenInstanceError):
+            clone.__setattr__(next(iter(type(instance).__slots__)), 0)
+
+
+# ----------------------------------------------------------------------
+# no code path gives an instance a dict
+# ----------------------------------------------------------------------
+def test_network_build_makes_no_dicts():
+    server = _small_server()
+    assert _assert_no_dicts(_network_instances(server.network)) > 0
+    assert _assert_no_dicts(_table_instances(server)) > 0
+
+
+def test_decoded_batch_makes_no_dicts():
+    batch = UpdateBatch(timestamp=4)
+    batch.object_updates.append(ObjectUpdate(1, None, NetworkLocation(3, 0.5)))
+    batch.add_object_move(2, NetworkLocation(3, 0.1), NetworkLocation(4, 0.9))
+    batch.object_updates.append(ObjectUpdate(3, NetworkLocation(5, 1.0), None))
+    batch.add_edge_change(12, old_weight=5.0, new_weight=6.5)
+    decoded = decode_batch(encode_batch(batch))
+    assert decoded == batch
+    instances = list(decoded.object_updates) + list(decoded.edge_updates)
+    for update in decoded.object_updates:
+        instances.extend(
+            location
+            for location in (update.old_location, update.new_location)
+            if location is not None
+        )
+    assert _assert_no_dicts(instances) == 8
+
+
+def test_pickled_network_makes_no_dicts_on_either_side():
+    network = city_network(40, seed=5)
+    replica = pickle.loads(pickle.dumps(network, protocol=pickle.HIGHEST_PROTOCOL))
+    assert _assert_no_dicts(_network_instances(network)) > 0
+    assert _assert_no_dicts(_network_instances(replica)) > 0
+    assert [edge.endpoints() for edge in replica.edges()] == [
+        edge.endpoints() for edge in network.edges()
+    ]
+
+
+def test_snapshot_state_makes_no_dicts():
+    """Pickling the static section must not leave a dict on any live instance."""
+    server = _small_server(seed=8)
+    blob = server.snapshot_state()
+    _assert_no_dicts(_network_instances(server.network))
+    _assert_no_dicts(_table_instances(server))
+    clone = restore_server(blob)
+    _assert_no_dicts(_network_instances(clone.network))
+    _assert_no_dicts(_table_instances(clone))
+    assert clone.results() == server.results()
+
+
+# ----------------------------------------------------------------------
+# what one tick and one checkpoint leave on the heap
+# ----------------------------------------------------------------------
+#: Traced heap after building a ~2,000-edge synthetic city, loading 2,000
+#: objects and 16 queries, one tick and the genesis checkpoint: measured
+#: 2.42-2.44 MiB on CPython 3.10-3.13 (3.96 MiB on 3.11 while every value
+#: instance carried a dict and every edge a slot list and two endpoint
+#: keys), plus 15 % headroom.
+HEAP_BOUND_BYTES = int(2.445 * 1.15 * 2**20)
+
+
+def _city_heap_bytes(data_dir, target_edges: int) -> int:
+    """Live traced bytes of a durable city server after one tick + checkpoint."""
+    tracemalloc.start()
+    try:
+        network = synthetic_city_network(target_edges, seed=5).network
+        server = MonitoringServer(network, algorithm="ima")
+        rng = random.Random(5)
+        edges = sorted(network.edge_ids())
+        for object_id in range(2_000):
+            server.add_object(object_id, NetworkLocation(rng.choice(edges), rng.random()))
+        for query_id in range(16):
+            server.add_query(
+                100_000 + query_id, NetworkLocation(rng.choice(edges), rng.random()), 4
+            )
+        server.tick()
+        durable = DurableMonitoringServer(server, data_dir, sync=False)
+        gc.collect()
+        current, _ = tracemalloc.get_traced_memory()
+        durable.close()
+    finally:
+        tracemalloc.stop()
+    return current
+
+
+def test_city_heap_stays_under_its_bound(tmp_path):
+    # A small warm-up run first, so lazy imports and one-off caches are
+    # not charged to the measured city.
+    _city_heap_bytes(tmp_path / "warm", target_edges=200)
+    heap = _city_heap_bytes(tmp_path / "city", target_edges=2_000)
+    assert heap < HEAP_BOUND_BYTES, f"{heap / 2**20:.2f} MiB"
+
+
+# ----------------------------------------------------------------------
+# edge_between answers from adjacency
+# ----------------------------------------------------------------------
+def _line(*edges) -> RoadNetwork:
+    network = RoadNetwork()
+    for node_id in range(4):
+        network.add_node(node_id, x=float(node_id), y=0.0)
+    for edge_id, start, end in edges:
+        network.add_edge(edge_id, start, end, weight=1.0)
+    return network
+
+
+def test_edge_between_prefers_the_latest_forward_then_the_earliest_reverse():
+    """The rule the endpoint map implemented, now read off adjacency order."""
+    network = _line((10, 1, 0), (11, 0, 1), (12, 1, 0), (13, 0, 1), (14, 1, 2))
+    assert network.edge_between(0, 1) == 13  # most recent edge running 0 -> 1
+    assert network.edge_between(1, 0) == 12  # most recent edge running 1 -> 0
+    assert network.edge_between(2, 1) == 14  # only a reverse edge: it counts
+    assert network.edge_between(0, 2) is None
+    assert network.edge_between(0, 0) is None
+    assert network.edge_between(99, 0) is None
+
+
+def test_edge_between_follows_the_rule_through_random_edits():
+    rng = random.Random(17)
+    network = _line()
+    next_id = 0
+    for _ in range(400):
+        if network.edge_count and rng.random() < 0.4:
+            network.remove_edge(rng.choice(sorted(network.edge_ids())))
+        else:
+            start, end = rng.sample(range(4), 2)
+            network.add_edge(next_id, start, end, weight=1.0)
+            next_id += 1
+        for u in range(4):
+            for v in range(4):
+                forward = [e.edge_id for e in network.edges() if (e.start, e.end) == (u, v)]
+                reverse = [e.edge_id for e in network.edges() if (e.start, e.end) == (v, u)]
+                expected = forward[-1] if forward else reverse[0] if reverse else None
+                assert network.edge_between(u, v) == expected
+
+
+def test_edge_between_survives_removing_one_of_two_parallel_edges():
+    """The endpoint map dropped a pair's key with the edge that held it."""
+    network = _line((20, 0, 1), (21, 0, 1))
+    network.remove_edge(21)
+    assert network.edge_between(0, 1) == 20
+    assert network.edge_between(1, 0) == 20
+    network.remove_edge(20)
+    assert network.edge_between(0, 1) is None
+
+    network = _line((10, 1, 0), (11, 0, 1), (12, 1, 0), (13, 0, 1), (14, 1, 2))
+    network.remove_edge(13)
+    network.remove_edge(11)
+    assert network.edge_between(0, 1) == 10  # no forward edge left: earliest reverse
+    network.remove_edge(12)
+    network.remove_edge(14)
+    assert network.edge_between(1, 2) is None
+
+
+# ----------------------------------------------------------------------
+# CSR weight patches find their slots through indptr / adj_eid
+# ----------------------------------------------------------------------
+def _slot_weights(csr, edge_id):
+    return [csr.adj_weight[slot] for slot, eid in enumerate(csr.adj_eid) if eid == edge_id]
+
+
+def test_weight_patch_reaches_every_slot_of_parallel_and_one_way_edges():
+    network = _line((30, 0, 1), (31, 0, 1), (32, 1, 2), (33, 2, 3))
+    network.add_edge(34, 3, 2, weight=1.0, oneway=True)
+    csr = csr_snapshot(network)
+    for edge_id, weight in ((31, 7.0), (34, 9.0), (30, 2.0)):
+        network.set_edge_weight(edge_id, weight)
+    assert csr_snapshot(network) is csr
+    assert _slot_weights(csr, 30) == [2.0, 2.0]
+    assert _slot_weights(csr, 31) == [7.0, 7.0]
+    assert _slot_weights(csr, 34) == [9.0]  # one traversable direction
+    assert _slot_weights(csr, 32) == [1.0, 1.0]
+
+
+def test_bulk_weight_refresh_rewrites_every_slot():
+    network = city_network(50, seed=6)
+    csr = csr_snapshot(network)
+    adj_weight = csr.adj_weight
+    column = network.weight_column()
+    for position in range(len(column)):
+        column[position] *= 1.5 + position % 3
+    network.restore_weights(column, network.weight_version + 1)
+    assert csr_snapshot(network) is csr and csr.adj_weight is adj_weight
+    for edge in network.edges():
+        assert csr.edge_weight[csr.index_of_edge(edge.edge_id)] == edge.weight
+        assert set(_slot_weights(csr, edge.edge_id)) == {edge.weight}

@@ -48,7 +48,6 @@ _CSR_COLUMNS = (
     "edge_oneway",
     "inc_indptr",
     "inc_edge",
-    "_entry_slots",
 )
 
 _coord = st.floats(
@@ -137,7 +136,19 @@ def test_import_round_trips_through_copy_and_pickled_replica(text):
         assert twin.base_weight == edge.base_weight
 
     snapshot = csr_snapshot(network)
-    replica = csr_snapshot(pickle.loads(pickle.dumps(network)))
+    replica_network = pickle.loads(pickle.dumps(network))
+    replica = csr_snapshot(replica_network)
+    for column in _CSR_COLUMNS:
+        assert getattr(replica, column) == getattr(snapshot, column), column
+
+    # A weight change patches every adjacency slot of the edge, on both sides.
+    edge_id = next(network.edge_ids())
+    for twin in (network, replica_network):
+        twin.set_edge_weight(edge_id, 4321.0)
+    for csr in (snapshot, replica):
+        slots = [slot for slot, eid in enumerate(csr.adj_eid) if eid == edge_id]
+        assert slots
+        assert all(csr.adj_weight[slot] == 4321.0 for slot in slots)
     for column in _CSR_COLUMNS:
         assert getattr(replica, column) == getattr(snapshot, column), column
 

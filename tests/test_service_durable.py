@@ -10,6 +10,7 @@ pending buffer, and data-directory lifecycle rules.
 from __future__ import annotations
 
 import io
+import pathlib
 import pickle
 import pickletools
 import shutil
@@ -546,7 +547,7 @@ def test_differential_log_replay_passes_on_the_new_layout(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# on-disk layout: one base + columnar checkpoints (RPCKPT02)
+# on-disk layout: one base + columnar checkpoints (RPCKPT03)
 # ----------------------------------------------------------------------
 def _names(data_dir):
     return sorted(p.name for p in (data_dir / "checkpoints").iterdir())
@@ -634,7 +635,7 @@ def test_torn_or_missing_base_is_a_typed_error(tmp_path):
 
 
 def test_retired_format_directory_is_refused_by_name(tmp_path):
-    """A data directory written before RPCKPT02 is refused, not misread."""
+    """A data directory written in the whole-graph format is refused, not misread."""
     directory = tmp_path / "d" / "checkpoints"
     directory.mkdir(parents=True)
     payload = pickle.dumps({"timestamp": 0, "log_offset": 8, "state": b"whole-graph pickle"})
@@ -642,8 +643,33 @@ def test_retired_format_directory_is_refused_by_name(tmp_path):
         b"RPCKPT01" + len(payload).to_bytes(4, "little") + bytes(4) + payload
     )
     for entry in (DurableMonitoringServer.recover, load_initial_state):
-        with pytest.raises(RecoveryError, match="RPCKPT01.*RPCKPT02"):
+        with pytest.raises(RecoveryError, match="RPCKPT01.*RPCKPT03"):
             entry(tmp_path / "d")
+
+
+#: A data directory the RPCKPT02 release wrote (a 12-node city, IMA, three
+#: ticks).  Its pickles carry per-instance dict state, which the slotted
+#: value classes would load as garbage, so it must be refused unread.
+_RPCKPT02_DIR = pathlib.Path(__file__).parent / "data" / "rpckpt02"
+
+
+def test_rpckpt02_directory_is_refused_before_anything_is_read(tmp_path, monkeypatch):
+    data_dir = tmp_path / "d"
+    shutil.copytree(_RPCKPT02_DIR, data_dir)
+    before = {path: path.read_bytes() for path in data_dir.rglob("*") if path.is_file()}
+    assert before[data_dir / "checkpoints" / "ckpt-0000000002.bin"][:8] == b"RPCKPT02"
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran before the checkpoint format was checked")
+
+    monkeypatch.setattr(durable_module, "load_snapshot", must_not_run)
+    monkeypatch.setattr(durable_module, "restore_server", must_not_run)
+    monkeypatch.setattr(durable_module.EventLog, "open_tail", staticmethod(must_not_run))
+    for entry in (DurableMonitoringServer.recover, load_initial_state):
+        with pytest.raises(RecoveryError, match="retired RPCKPT02 format.*RPCKPT03"):
+            entry(data_dir)
+    after = {path: path.read_bytes() for path in data_dir.rglob("*") if path.is_file()}
+    assert after == before
 
 
 def test_kill_between_base_and_genesis_then_fresh_start(tmp_path, monkeypatch):

@@ -116,10 +116,9 @@ def test_worker_snapshot_matches_parent_and_tracks_its_own_updates(partitioning)
     assert csr_snapshot(replica) is snapshot  # patched in place, not rebuilt
     position = snapshot.index_of_edge(edge_id)
     assert snapshot.edge_weight[position] == 77.0
-    assert snapshot._entry_slots[position]
-    assert all(
-        snapshot.adj_weight[slot] == 77.0 for slot in snapshot._entry_slots[position]
-    )
+    slots = [slot for slot, eid in enumerate(snapshot.adj_eid) if eid == edge_id]
+    assert slots
+    assert all(snapshot.adj_weight[slot] == 77.0 for slot in slots)
     assert parent.edge_weight[parent.index_of_edge(edge_id)] == original != 77.0
 
 
@@ -190,9 +189,9 @@ def test_sharded_server_leaves_parent_snapshot_private(partitioning):
     assert csr_snapshot(network) is snapshot
     network.set_edge_weight(edge_id, 98.0)
     assert snapshot.edge_weight[position] == 98.0
-    assert all(
-        snapshot.adj_weight[slot] == 98.0 for slot in snapshot._entry_slots[position]
-    )
+    slots = [slot for slot, eid in enumerate(snapshot.adj_eid) if eid == edge_id]
+    assert slots
+    assert all(snapshot.adj_weight[slot] == 98.0 for slot in slots)
 
 
 # ----------------------------------------------------------------------
