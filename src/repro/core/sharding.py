@@ -2,53 +2,42 @@
 
 :class:`ShardedMonitoringServer` keeps the exact public API of
 :class:`~repro.core.server.MonitoringServer` — ingestion, ``tick()``,
-``result_of()`` — but partitions the monitoring work across worker
-processes (:mod:`repro.core.worker`), so the per-tick monitoring work runs
-on every core instead of one.  Two partitioning modes exist:
+``result_of()`` — but runs the monitoring work in worker processes
+(:mod:`repro.core.worker`), so the per-tick work runs on every core
+instead of one.  The coordinator stays the single writer of the network
+and the edge table; each worker holds one **shard** of a layout:
 
-* ``partitioning="replica"`` (the default): every worker holds a full
-  network replica and the continuous *queries* are hash-partitioned.
-* ``partitioning="graph"``: the *network* is partitioned into contiguous
-  region blocks (a BFS grower over the CSR adjacency,
-  :func:`~repro.network.csr.grow_partitions`); each worker holds only its
-  block plus a one-hop boundary halo, queries are owned by the shard
-  containing their edge, and searches that spill over a partition cut run
-  through the coordinator's cross-shard expansion protocol (see the
-  *Graph partitioning* section below).
-
-The replica-mode pieces:
-
-* **State shipping.**  Each worker gets a pickled replica of the road
-  network (weight listeners are dropped in transit) and the current object
-  placements; from then on it stays in sync by applying the same normalized
-  update batches the parent applies.
-* **Worker-built CSR snapshot.**  Each worker builds the flat-array kernel
-  columns lazily from its own replica, exactly as a single-process server
-  does, and keeps them fresh through the edge updates broadcast in every
-  batch.  Nothing but pipes crosses the process boundary.
-* **Fan-out / merge.**  ``tick()`` sends every shard the timestamp's object
-  and edge updates plus the query updates it owns, then merges the per-shard
-  :class:`~repro.core.base.TimestepReport` replies — changed-query sets and
-  work counters — and folds the changed results into one cache serving
-  ``result_of()`` / ``results()``.
+* **Network and halo.**  ``partitioning="replica"`` (the default) is the
+  whole-network layout: every shard holds the full network, pickled once
+  per spawn, and its halo is empty.  ``partitioning="graph"`` splits the
+  network into contiguous region blocks (a BFS grower over the CSR
+  adjacency, :func:`~repro.network.csr.grow_partitions`); each shard holds
+  one block plus its one-hop halo, extracted in full-network order so its
+  heap tie-breaks match the single-process server's.
+* **Owner rule.**  Whole-network shards split the queries by
+  :func:`~repro.core.worker.shard_of`; a region shard owns the queries on
+  edges whose start node lies in its block.  With more than one block an
+  aggregate query belongs to the coordinator, since its points may lie in
+  any block.
+* **Tick.**  ``tick()`` applies the net batch to the coordinator's state,
+  encodes its object and edge updates **once** as an ``RPUB`` batch record
+  (:func:`~repro.core.events.encode_batch`) and sends every shard that
+  record plus a record of the query updates it owns.  Each worker keeps
+  the updates landing on its own edges, runs its monitor and replies with
+  its changed results, which merge into the cache serving ``result_of()``.
+* **Boundary queries.**  A shard with a non-empty halo *escalates* a query
+  whose search reaches a halo node; the coordinator takes it over and
+  evaluates it with exact distributed expansions: it asks the owning
+  shard for a fresh expansion, collects the settled halo nodes as
+  ``(node, distance)`` *frontier continuations*, and forwards each
+  improving continuation to the shard owning that node as a seeded resume
+  request (:func:`~repro.core.search.expand_knn` with ``seed_nodes``),
+  until the global bound closes.  Every partial expansion performs the
+  float operations a fresh single-process expansion would.  An empty halo
+  means every local answer is exact, so a one-block layout escalates
+  nothing.
 * **Topology bumps.**  When the network's ``topology_version`` changes, the
-  next tick re-ships everything: workers are respawned with the current
-  state and build their snapshots afresh.
-
-Graph partitioning (``partitioning="graph"``) changes what each worker
-holds, not the protocol skeleton: worker *i* receives only the subnetwork
-induced by its block plus halo, the objects on its local edges, and the
-queries whose edge lies in its block.  A worker escalates any query whose
-expansion reaches a halo node — the local answer can no longer be
-trusted — and the coordinator takes those *boundary queries* over,
-evaluating them with exact distributed expansions: it asks the owning
-shard for a fresh expansion, collects the settled halo nodes as
-``(node, distance)`` *frontier continuations*, and forwards each improving
-continuation to the shard owning that node as a seeded resume request
-(:func:`~repro.core.search.expand_knn` with ``seed_nodes``), iterating
-until the global bound closes.  Every partial expansion performs the same
-float operations a fresh single-process expansion would, so merged results
-are byte-identical to a from-scratch evaluation.
+  next tick respawns the fleet from the current state.
 
 Example::
 
@@ -72,7 +61,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from repro.core.base import MonitorBase, TimestepReport
-from repro.core.events import ObjectUpdate, QueryUpdate, UpdateBatch, apply_batch
+from repro.core.events import QueryUpdate, UpdateBatch, apply_batch, encode_batch
 from repro.core.queries import QuerySpec, merge_aggregate
 from repro.core.results import KnnResult
 from repro.core.server import ALGORITHMS, MonitoringServer, _require_registered_kernel
@@ -243,10 +232,9 @@ class ShardedMonitoringServer(MonitoringServer):
         self._shards: List[_Shard] = []
         self._merged_results: Dict[int, KnnResult] = {}
         self._finalizer: Optional[weakref.finalize] = None
-        # Graph-partitioning state (empty/no-op in replica mode).
+        # The layout: node -> block (empty for the whole-network layout) and
+        # query -> owning shard (None = coordinator-owned boundary query).
         self._assignment: Dict[int, int] = {}
-        self._shard_edge_ids: List[Set[int]] = []
-        self._shard_halos: List[FrozenSet[int]] = []
         self._query_owner: Dict[int, Optional[int]] = {}
         self._boundary_queries: Set[int] = set()
         self._divergent_queries: Set[int] = set()
@@ -303,13 +291,15 @@ class ShardedMonitoringServer(MonitoringServer):
 
     def boundary_query_ids(self) -> FrozenSet[int]:
         """Ids of queries currently evaluated by the coordinator's
-        cross-shard protocol (always empty in replica mode).
+        cross-shard protocol (always empty when the halos are: replica
+        mode, or a single graph block).
 
         A query becomes *boundary* when its owning shard escalates it (its
         expansion reached a halo node), when it moves across a partition
-        cut, or — always — when it is an aggregate query (its aggregation
-        points may live on other shards).  It stays boundary until it
-        terminates or the fleet resyncs after a topology bump.
+        cut, or — with more than one block — when it is an aggregate query
+        (its aggregation points may live on other shards).  It stays
+        boundary until it terminates or the fleet resyncs after a topology
+        bump.
         """
         return frozenset(self._boundary_queries)
 
@@ -368,60 +358,15 @@ class ShardedMonitoringServer(MonitoringServer):
 
         With *monitor_blobs* (one pickled monitor per shard, from
         :meth:`snapshot_state`), each worker resumes from its blob instead
-        of building a fresh replica — preserving the monitors' exact float
+        of building fresh state — preserving the monitors' exact float
         history, which is what makes restored results byte-identical.
-
-        In graph mode each shard ships its own block+halo subnetwork;
-        *initial_queries* are routed by the shard owning their edge
-        (aggregate queries go straight to the coordinator's boundary set),
-        and any registration-time escalations reported in the ready
-        payloads are queued for re-evaluation on the next tick.
+        Each ``ready`` reply names the queries the shard registered, which
+        is how the coordinator learns who owns them; the ones it escalated
+        at registration are queued for re-evaluation on the next tick.
         """
         context = multiprocessing.get_context(self._start_method)
-        graph_mode = self._partitioning == "graph"
-        per_shard_inits: List[ShardInit]
-        if graph_mode:
-            per_shard_inits = self._build_graph_shard_inits(
-                initial_queries, monitor_blobs
-            )
-        else:
-            self._num_shards = self._num_workers
-            self._exported_topology_version = self._network.topology_version
-            # One serialization of the network for the whole fleet; each
-            # worker unpickles its own replica (listeners drop out in
-            # transit).  A restore ships per-shard monitor blobs instead,
-            # which embed each worker's own replica.
-            network_payload = (
-                None
-                if monitor_blobs is not None
-                else pickle.dumps(self._network, protocol=pickle.HIGHEST_PROTOCOL)
-            )
-            objects = (
-                {} if monitor_blobs is not None else dict(self._edge_table.all_objects())
-            )
-            per_shard_queries: List[Dict[int, tuple]] = [
-                {} for _ in range(self._num_workers)
-            ]
-            for query_id, assignment in initial_queries.items():
-                per_shard_queries[shard_of(query_id, self._num_workers)][
-                    query_id
-                ] = assignment
-            per_shard_inits = [
-                ShardInit(
-                    shard_id=shard_id,
-                    algorithm=self._algorithm_key,
-                    kernel=self._kernel,
-                    network_blob=network_payload,
-                    objects=objects,
-                    queries=per_shard_queries[shard_id],
-                    monitor_blob=(
-                        monitor_blobs[shard_id] if monitor_blobs is not None else None
-                    ),
-                )
-                for shard_id in range(self._num_workers)
-            ]
         self._shards = []
-        for init in per_shard_inits:
+        for init in self._shard_inits(initial_queries, monitor_blobs):
             parent_conn, child_conn = context.Pipe()
             process = context.Process(
                 target=run_shard_worker,
@@ -432,101 +377,107 @@ class ShardedMonitoringServer(MonitoringServer):
             process.start()
             child_conn.close()
             self._shards.append(_Shard(init.shard_id, process, parent_conn))
-        for shard in self._shards:
-            kind, payload = self._recv(shard)
-            if kind != "ready":  # pragma: no cover - protocol violation
-                raise MonitoringError(
-                    f"shard {shard.shard_id} sent {kind!r} instead of 'ready'"
-                )
-            results, escalated = payload
+        for shard, (results, escalated) in zip(self._shards, self._exchange("ready")):
             self._merged_results.update(results)
+            self._query_owner.update(dict.fromkeys(results, shard.shard_id))
             for query_id in escalated:
-                self._query_owner[query_id] = None
-                self._boundary_queries.add(query_id)
-                self._divergent_queries.add(query_id)
+                self._take_over(query_id)
                 self._boundary_refresh_needed = True
         if self._finalizer is not None:
             self._finalizer.detach()
         self._finalizer = weakref.finalize(self, _cleanup, self._shards)
 
-    def _build_graph_shard_inits(
+    def _shard_inits(
         self,
         initial_queries: Dict[int, tuple],
         monitor_blobs: Optional[List[bytes]],
     ) -> List[ShardInit]:
-        """Partition the network and assemble one graph-mode init per shard.
+        """Lay the current network out into shards: one init per shard.
 
-        Recomputes the BFS-grown block assignment from the current network
-        (deterministic, so a restored or resynced fleet lands on the same
-        layout) and ships each shard its block+halo subnetwork, extracted
-        in full-network iteration order and pickled straight away; the
-        coordinator keeps only the shard's edge ids and halo.
+        The whole-network layout pickles the network once for all
+        ``workers`` shards, each with an empty halo.  The graph layout
+        recomputes the BFS-grown block assignment (deterministic, so a
+        restored or resynced fleet lands on the same layout) and pickles
+        each block+halo subnetwork.  Every shard is sent every object
+        placement and keeps the ones on its own edges; *initial_queries*
+        go to their owner, or to the coordinator's boundary set.
         """
-        full_csr = csr_snapshot(self._network)
-        self._assignment = grow_partitions(full_csr, self._num_workers)
-        parts = (max(self._assignment.values()) + 1) if self._assignment else 1
-        self._num_shards = parts
         self._exported_topology_version = self._network.topology_version
-        if monitor_blobs is not None and len(monitor_blobs) != parts:
-            raise RecoveryError(
-                f"graph-partitioned snapshot holds {len(monitor_blobs)} shard "
-                f"blobs but the network partitions into {parts} shards"
-            )
-        self._shard_edge_ids = []
-        self._shard_halos = []
-        objects = (
-            {} if monitor_blobs is not None else dict(self._edge_table.all_objects())
-        )
-        per_shard_queries: List[Dict[int, tuple]] = [{} for _ in range(parts)]
-        for query_id, (location, spec) in initial_queries.items():
-            if isinstance(spec, QuerySpec) and spec.kind == "aggregate_knn":
-                # Aggregate points may lie on any shard's edges: owned by
-                # the coordinator from the start.
-                self._query_owner[query_id] = None
-                self._boundary_queries.add(query_id)
-                self._divergent_queries.add(query_id)
-                self._boundary_refresh_needed = True
-                continue
-            owner = self._owner_of_location(location)
-            self._query_owner[query_id] = owner
-            per_shard_queries[owner][query_id] = (location, spec)
-        inits: List[ShardInit] = []
-        for part in range(parts):
-            block, halo, local_edges = partition_block(full_csr, self._assignment, part)
-            edge_ids = set(local_edges)
-            self._shard_edge_ids.append(edge_ids)
-            self._shard_halos.append(frozenset(halo))
-            inits.append(
-                ShardInit(
-                    shard_id=part,
-                    algorithm=self._algorithm_key,
-                    kernel=self._kernel,
-                    network_blob=(
-                        None
-                        if monitor_blobs is not None
-                        else pickle.dumps(
-                            _extract_subnetwork(
-                                self._network, set(block) | set(halo), edge_ids
-                            ),
-                            protocol=pickle.HIGHEST_PROTOCOL,
-                        )
-                    ),
-                    objects={
-                        object_id: location
-                        for object_id, location in objects.items()
-                        if location.edge_id in edge_ids
-                    },
-                    queries=per_shard_queries[part],
-                    monitor_blob=(
-                        monitor_blobs[part] if monitor_blobs is not None else None
-                    ),
-                    halo_nodes=frozenset(halo),
+        if self._partitioning == "graph":
+            full_csr = csr_snapshot(self._network)
+            self._assignment = grow_partitions(full_csr, self._num_workers)
+            self._num_shards = max(self._assignment.values(), default=0) + 1
+            blocks = [
+                partition_block(full_csr, self._assignment, part)
+                for part in range(self._num_shards)
+            ]
+            halos = [frozenset(halo) for _, halo, _ in blocks]
+        else:
+            self._num_shards = self._num_workers
+            halos = [frozenset()] * self._num_shards
+        if monitor_blobs is not None:
+            # A restored monitor embeds its own network and objects.
+            if len(monitor_blobs) != self._num_shards:
+                raise RecoveryError(
+                    f"sharded snapshot holds {len(monitor_blobs)} shard blobs "
+                    f"but the {self._partitioning} layout has {self._num_shards} shards"
                 )
+            network_blobs: List[Optional[bytes]] = [None] * self._num_shards
+            objects: Dict[int, NetworkLocation] = {}
+        else:
+            if self._partitioning == "graph":
+                network_blobs = [
+                    pickle.dumps(
+                        _extract_subnetwork(self._network, set(block) | set(halo), set(edges)),
+                        protocol=pickle.HIGHEST_PROTOCOL,
+                    )
+                    for block, halo, edges in blocks
+                ]
+            else:
+                network_blobs = [
+                    pickle.dumps(self._network, protocol=pickle.HIGHEST_PROTOCOL)
+                ] * self._num_shards
+            objects = dict(self._edge_table.all_objects())
+        per_shard_queries: List[Dict[int, tuple]] = [{} for _ in range(self._num_shards)]
+        for query_id, (location, spec) in initial_queries.items():
+            owner = self._owner_of(query_id, location, spec)
+            if owner is None:
+                self._take_over(query_id)
+                self._boundary_refresh_needed = True
+            else:
+                per_shard_queries[owner][query_id] = (location, spec)
+        return [
+            ShardInit(
+                shard_id=part,
+                algorithm=self._algorithm_key,
+                kernel=self._kernel,
+                network_blob=network_blobs[part],
+                objects=objects,
+                queries=per_shard_queries[part],
+                monitor_blob=monitor_blobs[part] if monitor_blobs is not None else None,
+                halo_nodes=halos[part],
             )
-        return inits
+            for part in range(self._num_shards)
+        ]
+
+    def _owner_of(self, query_id: int, location: NetworkLocation, spec) -> Optional[int]:
+        """The layout's owner rule: the shard evaluating a query, or None.
+
+        ``None`` means the coordinator evaluates it: an aggregate query in a
+        layout of more than one block, whose points may lie in any block.
+        """
+        if not self._assignment:
+            return shard_of(query_id, self._num_shards)
+        if (
+            self._num_shards > 1
+            and isinstance(spec, QuerySpec)
+            and spec.kind == "aggregate_knn"
+        ):
+            return None
+        return self._owner_of_location(location)
 
     def _owner_of_location(self, location: NetworkLocation) -> int:
-        """Shard index owning *location*: the one holding its edge's start.
+        """Block holding *location*: the one holding its edge's start.
 
         Both endpoints of a cut-straddling edge have the edge locally, so
         picking the start node's block is an arbitrary-but-deterministic
@@ -534,32 +485,62 @@ class ShardedMonitoringServer(MonitoringServer):
         """
         return self._assignment[self._network.edge(location.edge_id).start]
 
-    def _recv(self, shard: _Shard):
-        """Receive one message from *shard*, translating failures.
+    def _take_over(self, query_id: int) -> None:
+        """Make *query_id* a coordinator-evaluated boundary query."""
+        self._query_owner[query_id] = None
+        self._boundary_queries.add(query_id)
+        self._divergent_queries.add(query_id)
 
-        Bounded by the ``recv_timeout`` constructor argument: a worker that
-        neither replies nor dies (stuck in a syscall, SIGSTOPped, livelocked)
-        would otherwise freeze the parent forever — ``conn.recv()`` has no
-        deadline of its own.
+    def _exchange(
+        self,
+        reply: str,
+        messages: Optional[List[tuple]] = None,
+        shards: Optional[List[_Shard]] = None,
+    ) -> list:
+        """Send each shard its message, then read one *reply* from each.
+
+        ``messages[i]`` goes to ``shards[i]`` (every shard by default); with
+        no *messages* nothing is sent, which is how the spawn sequence waits
+        for the ``ready`` greetings.  Returns the reply payloads in shard
+        order.  A dead worker, a worker error, a reply of another kind, or
+        no reply within the ``recv_timeout`` constructor argument raises
+        :class:`MonitoringError` — ``conn.recv()`` has no deadline of its
+        own, so a stuck worker would otherwise freeze the coordinator.
         """
-        try:
-            if self._recv_timeout is not None and not shard.conn.poll(self._recv_timeout):
+        shards = self._shards if shards is None else shards
+        for shard, message in zip(shards, messages or ()):
+            try:
+                shard.conn.send(message)
+            except (OSError, ValueError) as exc:
                 raise MonitoringError(
-                    f"shard {shard.shard_id} (pid {shard.process.pid}) did not "
-                    f"reply within {self._recv_timeout}s; treating the worker "
-                    f"as stuck"
+                    f"shard {shard.shard_id} (pid {shard.process.pid}) is gone; "
+                    f"cannot send it {message[0]!r}"
+                ) from exc
+        payloads = []
+        for shard in shards:
+            try:
+                if self._recv_timeout is not None and not shard.conn.poll(
+                    self._recv_timeout
+                ):
+                    raise MonitoringError(
+                        f"shard {shard.shard_id} (pid {shard.process.pid}) did not "
+                        f"reply within {self._recv_timeout}s; treating the worker "
+                        f"as stuck"
+                    )
+                kind, payload = shard.conn.recv()
+            except (EOFError, OSError) as exc:
+                raise MonitoringError(
+                    f"shard {shard.shard_id} (pid {shard.process.pid}) died "
+                    f"without replying"
+                ) from exc
+            if kind == "error":
+                raise MonitoringError(f"shard {shard.shard_id} failed:\n{payload}")
+            if kind != reply:  # pragma: no cover - protocol violation
+                raise MonitoringError(
+                    f"shard {shard.shard_id} sent {kind!r} instead of {reply!r}"
                 )
-            message = shard.conn.recv()
-        except (EOFError, OSError) as exc:
-            raise MonitoringError(
-                f"shard {shard.shard_id} (pid {shard.process.pid}) died "
-                f"without replying"
-            ) from exc
-        if message[0] == "error":
-            raise MonitoringError(
-                f"shard {shard.shard_id} failed:\n{message[1]}"
-            )
-        return message
+            payloads.append(payload)
+        return payloads
 
     def _resync(self) -> None:
         """Respawn every worker from the current state (topology changed)."""
@@ -576,16 +557,15 @@ class ShardedMonitoringServer(MonitoringServer):
         }
         old_shards, self._shards = self._shards, []
         _cleanup(old_shards)
-        if self._partitioning == "graph":
-            # The partition layout is about to be recomputed over the new
-            # topology: every live query — including currently-boundary
-            # ones — is re-routed as a fresh install by its new owner, and
-            # the boundary set is rebuilt from the ready-payload
-            # escalations.  ``_divergent_queries`` stays sticky: a query
-            # that was ever fresh-evaluated keeps its byte-identity
-            # carve-out even if it lands contained after the resync.
-            self._boundary_queries = set()
-            self._query_owner = {}
+        # The layout is about to be recomputed over the new topology: every
+        # live query — including currently-boundary ones — is re-routed as
+        # a fresh install by its new owner, and the boundary set is rebuilt
+        # from the ready-payload escalations.  ``_divergent_queries`` stays
+        # sticky: a query that was ever fresh-evaluated keeps its
+        # byte-identity carve-out even if it lands contained after the
+        # resync.
+        self._boundary_queries = set()
+        self._query_owner = {}
         # The cached results are deliberately left in place: the workers'
         # "ready" payload overwrites every live query's entry, and a
         # re-registered query whose result did not change must not be
@@ -674,46 +654,29 @@ class ShardedMonitoringServer(MonitoringServer):
         start = time.perf_counter()
         normalized = batch.net()
         apply_batch(self._network, self._edge_table, normalized)
-
-        graph_mode = self._partitioning == "graph"
-        if graph_mode:
-            per_shard_messages = self._graph_shard_messages(normalized)
-        else:
-            per_shard_updates: List[list] = [[] for _ in range(self._num_shards)]
-            for update in normalized.query_updates:
-                per_shard_updates[
-                    shard_of(update.query_id, self._num_shards)
-                ].append(update)
-            # The object/edge updates go to every shard; serializing them
-            # once here (instead of once per conn.send) keeps the parent's
-            # fan-out cost independent of the worker count.
-            shared_blob = pickle.dumps(
-                (normalized.object_updates, normalized.edge_updates),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-            per_shard_messages = [
-                (shared_blob, per_shard_updates[shard_id])
-                for shard_id in range(self._num_shards)
-            ]
-        for shard in self._shards:
-            blob, query_updates = per_shard_messages[shard.shard_id]
-            try:
-                shard.conn.send(("tick", normalized.timestamp, blob, query_updates))
-            except (OSError, ValueError) as exc:
-                raise MonitoringError(
-                    f"shard {shard.shard_id} (pid {shard.process.pid}) is gone; "
-                    f"cannot fan out timestamp {normalized.timestamp}"
-                ) from exc
+        timestamp = normalized.timestamp
+        # One record of the object and edge updates for the whole fleet;
+        # each worker keeps the updates that land on its own edges.
+        shared = encode_batch(
+            UpdateBatch(
+                timestamp,
+                normalized.object_updates,
+                edge_updates=normalized.edge_updates,
+            )._mark_net()
+        )
+        messages = [
+            ("tick", shared, encode_batch(UpdateBatch(timestamp, query_updates=owned)._mark_net()))
+            for owned in self._route_query_updates(normalized.query_updates)
+        ]
 
         changed: set = set()
         counters: Dict[str, int] = {}
         max_shard_seconds = 0.0
         max_shard_cpu_seconds = 0.0
         escalated_now: List[int] = []
-        for shard in self._shards:
-            _, payload = self._recv(shard)
+        for shard, payload in zip(self._shards, self._exchange("report", messages)):
             (
-                timestamp,
+                shard_timestamp,
                 elapsed,
                 cpu_seconds,
                 shard_changed,
@@ -721,10 +684,10 @@ class ShardedMonitoringServer(MonitoringServer):
                 results,
                 escalated,
             ) = payload
-            if timestamp != normalized.timestamp:  # pragma: no cover - protocol bug
+            if shard_timestamp != timestamp:  # pragma: no cover - protocol bug
                 raise MonitoringError(
-                    f"shard {shard.shard_id} reported timestamp {timestamp}, "
-                    f"expected {normalized.timestamp}"
+                    f"shard {shard.shard_id} reported timestamp {shard_timestamp}, "
+                    f"expected {timestamp}"
                 )
             changed.update(shard_changed)
             if elapsed > max_shard_seconds:
@@ -737,14 +700,12 @@ class ShardedMonitoringServer(MonitoringServer):
             escalated_now.extend(escalated)
         for query_id in escalated_now:
             if query_id in self._query_specs:
-                self._query_owner[query_id] = None
-                self._boundary_queries.add(query_id)
-                self._divergent_queries.add(query_id)
+                self._take_over(query_id)
         for update in normalized.query_updates:
             if update.is_termination:
                 self._merged_results.pop(update.query_id, None)
 
-        if graph_mode and self._boundary_queries and (
+        if self._boundary_queries and (
             not normalized.is_empty() or self._boundary_refresh_needed
         ):
             changed.update(self._evaluate_boundary_queries())
@@ -753,102 +714,52 @@ class ShardedMonitoringServer(MonitoringServer):
         self._last_max_shard_seconds = max_shard_seconds
         self._last_max_shard_cpu_seconds = max_shard_cpu_seconds
         return TimestepReport(
-            timestamp=normalized.timestamp,
+            timestamp=timestamp,
             elapsed_seconds=time.perf_counter() - start,
             changed_queries=changed,
             counters=counters,
         )
 
     # ------------------------------------------------------------------
-    # graph-partitioned routing and the cross-shard expansion protocol
+    # query routing and the cross-shard expansion protocol
     # ------------------------------------------------------------------
-    def _graph_shard_messages(self, normalized: UpdateBatch) -> List[tuple]:
-        """Per-shard ``(blob, query_updates)`` payloads for a graph-mode tick.
+    def _route_query_updates(self, query_updates: List[QueryUpdate]) -> List[list]:
+        """Split the tick's query updates by owning shard.
 
-        Object and edge updates are translated into each shard's frame of
-        reference: an object moving off a shard's local edges becomes a
-        deletion there, one moving onto them an insertion, and updates that
-        never touch a shard are dropped.  Query updates route by ownership —
-        a query moving across a partition cut is terminated at its old
-        owner and taken over by the coordinator as a boundary query, and
-        aggregate installs go straight to the boundary set.
+        A termination goes to the query's owner.  An installation goes to
+        the owner the layout's rule names, or makes the query a boundary
+        query.  A moving query stays with its owner; one whose owner
+        changes — it crossed a partition cut, or turned into an aggregate
+        in a layout of several blocks — is terminated there and taken over
+        by the coordinator.
         """
-        per_shard_updates: List[list] = [[] for _ in range(self._num_shards)]
-        for update in normalized.query_updates:
+        per_shard: List[list] = [[] for _ in range(self._num_shards)]
+        for update in query_updates:
             query_id = update.query_id
             if update.is_termination:
                 self._boundary_queries.discard(query_id)
                 owner = self._query_owner.pop(query_id, None)
                 if owner is not None:
-                    per_shard_updates[owner].append(update)
+                    per_shard[owner].append(update)
                 continue
             spec = self._query_specs.get(query_id) or update.spec
-            is_aggregate = spec is not None and spec.kind == "aggregate_knn"
+            owner = self._owner_of(query_id, update.new_location, spec)
             if update.is_installation:
-                if is_aggregate:
-                    self._query_owner[query_id] = None
-                    self._boundary_queries.add(query_id)
-                    self._divergent_queries.add(query_id)
-                    continue
-                owner = self._owner_of_location(update.new_location)
-                self._query_owner[query_id] = owner
-                per_shard_updates[owner].append(update)
+                if owner is None:
+                    self._take_over(query_id)
+                else:
+                    self._query_owner[query_id] = owner
+                    per_shard[owner].append(update)
                 continue
-            # Movement.
             old_owner = self._query_owner.get(query_id)
-            if query_id in self._boundary_queries or old_owner is None:
+            if old_owner is None or query_id in self._boundary_queries:
                 continue  # coordinator-owned: re-evaluated this tick
-            new_owner = self._owner_of_location(update.new_location)
-            if new_owner == old_owner and not is_aggregate:
-                per_shard_updates[old_owner].append(update)
+            if owner == old_owner:
+                per_shard[owner].append(update)
                 continue
-            # Crossing a partition cut (or changing into an aggregate):
-            # terminate at the old owner and take the query over.
-            per_shard_updates[old_owner].append(
-                QueryUpdate(query_id, update.old_location, None)
-            )
-            self._query_owner[query_id] = None
-            self._boundary_queries.add(query_id)
-            self._divergent_queries.add(query_id)
-
-        messages: List[tuple] = []
-        for part in range(self._num_shards):
-            edge_ids = self._shard_edge_ids[part]
-            local_objects: List[ObjectUpdate] = []
-            for update in normalized.object_updates:
-                old_local = (
-                    update.old_location is not None
-                    and update.old_location.edge_id in edge_ids
-                )
-                new_local = (
-                    update.new_location is not None
-                    and update.new_location.edge_id in edge_ids
-                )
-                if old_local and new_local:
-                    local_objects.append(update)
-                elif old_local:
-                    local_objects.append(
-                        ObjectUpdate(update.object_id, update.old_location, None)
-                    )
-                elif new_local:
-                    local_objects.append(
-                        ObjectUpdate(update.object_id, None, update.new_location)
-                    )
-            local_edges = [
-                update
-                for update in normalized.edge_updates
-                if update.edge_id in edge_ids
-            ]
-            messages.append(
-                (
-                    pickle.dumps(
-                        (local_objects, local_edges),
-                        protocol=pickle.HIGHEST_PROTOCOL,
-                    ),
-                    per_shard_updates[part],
-                )
-            )
-        return messages
+            per_shard[old_owner].append(QueryUpdate(query_id, update.old_location, None))
+            self._take_over(query_id)
+        return per_shard
 
     def _evaluate_boundary_queries(self) -> Set[int]:
         """Re-evaluate every live boundary query; return the changed ids.
@@ -934,24 +845,13 @@ class ShardedMonitoringServer(MonitoringServer):
             owner: [(k, location, None, (), fixed_radius)]
         }
         while pending:
-            for part in sorted(pending):
-                shard = self._shards[part]
-                try:
-                    shard.conn.send(("expand", pending[part]))
-                except (OSError, ValueError) as exc:
-                    raise MonitoringError(
-                        f"shard {shard.shard_id} (pid {shard.process.pid}) is "
-                        f"gone; cannot forward a cross-shard expansion"
-                    ) from exc
+            parts = sorted(pending)
             round_hits: List[Tuple[int, float]] = []
-            for part in sorted(pending):
-                shard = self._shards[part]
-                kind, payload = self._recv(shard)
-                if kind != "expanded":  # pragma: no cover - protocol violation
-                    raise MonitoringError(
-                        f"shard {shard.shard_id} sent {kind!r} instead of "
-                        f"'expanded'"
-                    )
+            for payload in self._exchange(
+                "expanded",
+                [("expand", pending[part]) for part in parts],
+                [self._shards[part] for part in parts],
+            ):
                 for neighbors, halo_hits in payload:
                     for object_id, distance in neighbors:
                         previous = cand.get(object_id)
@@ -1016,23 +916,10 @@ class ShardedMonitoringServer(MonitoringServer):
         """
         self._ensure_open()
         try:
-            for shard in self._shards:
-                try:
-                    shard.conn.send(("rss",))
-                except (OSError, ValueError) as exc:
-                    raise MonitoringError(
-                        f"shard {shard.shard_id} (pid {shard.process.pid}) is "
-                        f"gone; cannot request its peak RSS"
-                    ) from exc
-            sizes: List[int] = []
-            for shard in self._shards:
-                kind, payload = self._recv(shard)
-                if kind != "rss":  # pragma: no cover - protocol violation
-                    raise MonitoringError(
-                        f"shard {shard.shard_id} sent {kind!r} instead of 'rss'"
-                    )
-                sizes.append(int(payload))
-            return sizes
+            return [
+                int(size)
+                for size in self._exchange("rss", [("rss",)] * len(self._shards))
+            ]
         except BaseException as exc:
             self._fail(exc)
             raise
@@ -1126,22 +1013,7 @@ class ShardedMonitoringServer(MonitoringServer):
 
     def _snapshot_state_inner(self, static: bool) -> bytes:
         """The actual snapshot sequence (:meth:`snapshot_state` fail-closes)."""
-        for shard in self._shards:
-            try:
-                shard.conn.send(("snapshot",))
-            except (OSError, ValueError) as exc:
-                raise MonitoringError(
-                    f"shard {shard.shard_id} (pid {shard.process.pid}) is gone; "
-                    f"cannot request a snapshot"
-                ) from exc
-        shard_blobs: List[bytes] = []
-        for shard in self._shards:
-            kind, payload = self._recv(shard)
-            if kind != "snapshot":  # pragma: no cover - protocol violation
-                raise MonitoringError(
-                    f"shard {shard.shard_id} sent {kind!r} instead of 'snapshot'"
-                )
-            shard_blobs.append(payload)
+        shard_blobs = self._exchange("snapshot", [("snapshot",)] * len(self._shards))
         return self._encode_snapshot(
             static,
             "sharded",
@@ -1189,8 +1061,6 @@ class ShardedMonitoringServer(MonitoringServer):
             server._monitor = None
             server._adopt_snapshot(state)
             server._assignment = {}
-            server._shard_edge_ids = []
-            server._shard_halos = []
             server._query_owner = {}
             server._boundary_queries = state["boundary_queries"]
             server._divergent_queries = state["divergent_queries"]
@@ -1199,23 +1069,7 @@ class ShardedMonitoringServer(MonitoringServer):
         except KeyError as exc:
             raise RecoveryError(f"sharded snapshot is missing field {exc}") from exc
         _require_registered_kernel(server._kernel)
-        if server._partitioning != "graph" and len(shard_blobs) != server._num_workers:
-            raise RecoveryError(
-                f"sharded snapshot holds {len(shard_blobs)} shard blobs "
-                f"for {server._num_workers} workers"
-            )
         server._spawn_workers(initial_queries={}, monitor_blobs=shard_blobs)
-        if server._partitioning == "graph":
-            # Ownership is derivable: a live query is owned by the shard of
-            # its edge unless the snapshot recorded it as boundary.
-            server._query_owner = {
-                query_id: (
-                    None
-                    if query_id in server._boundary_queries
-                    else server._owner_of_location(location)
-                )
-                for query_id, location in server._query_locations.items()
-            }
         return server
 
     # ------------------------------------------------------------------

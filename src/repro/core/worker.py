@@ -1,47 +1,45 @@
 """Shard worker: the per-process execution engine of the sharded server.
 
-A worker owns one monitor over a private replica of the road network and
-edge table, plus the subset of continuous queries its shard was assigned.
-The parent (:class:`~repro.core.sharding.ShardedMonitoringServer`) ships one
-:class:`ShardInit` at spawn time and then one message per timestamp over a
+A worker owns one monitor over its shard of the road network — the whole
+network, or one partition block plus its one-hop halo — together with the
+objects on that shard's edges and the queries the shard owns.  The
+coordinator (:class:`~repro.core.sharding.ShardedMonitoringServer`) ships
+one :class:`ShardInit` at spawn time and then talks over a
 ``multiprocessing`` pipe:
 
-* ``("tick", timestamp, shared_blob, query_updates)`` — the timestamp's
-  object and edge updates arrive as one pre-pickled blob (serialized once by
-  the parent, not once per shard) together with the query updates owned by
-  this shard.  The worker rebuilds the normalized
-  :class:`~repro.core.events.UpdateBatch`, applies it to its replica, runs
-  the monitor, and replies ``("report", payload)`` with the tick report
-  fields and the full results of every changed query.
+* ``("tick", shared_record, query_record)`` — two ``RPUB`` batch records
+  (:func:`~repro.core.events.encode_batch`): the timestamp's net object and
+  edge updates, encoded once for the whole fleet, and the query updates
+  this shard owns.  :func:`local_batch` keeps the updates that land on this
+  worker's edges; the worker applies that batch, runs the monitor and
+  replies ``("report", payload)`` with the tick report fields and the full
+  results of every changed query.
 * ``("snapshot",)`` — reply ``("snapshot", pickled_monitor)`` and keep
-  serving: the parent packs the blobs into a durable fleet snapshot
+  serving: the coordinator packs the blobs into a fleet snapshot
   (:meth:`~repro.core.sharding.ShardedMonitoringServer.snapshot_state`)
   that a restored server respawns workers from.
-* ``("expand", requests)`` — graph-partitioned mode only: run one exact
-  network expansion per request (fresh or a *frontier continuation* seeded
-  at halo nodes) and reply ``("expanded", replies)`` where each reply is
-  ``(neighbors, halo_hits)`` — the settled halo nodes are what the
-  coordinator forwards to neighboring shards as resume requests.
-* ``("rss",)`` — reply ``("rss", peak_rss_bytes)`` of this worker process
-  (the memory-model evidence for graph partitioning: a block+halo worker
-  should peak well below a full-replica worker).
+* ``("expand", requests)`` — run one exact network expansion per request
+  (fresh, or a *frontier continuation* seeded at halo nodes) and reply
+  ``("expanded", replies)``, each reply ``(neighbors, halo_hits)``: the
+  settled halo nodes are what the coordinator forwards to neighboring
+  shards as resume requests.
+* ``("rss",)`` — reply ``("rss", peak_rss_bytes)`` of this process.
 * ``("stop",)`` — shut down.
 
-In graph-partitioned mode (``ShardInit.halo_nodes`` is not ``None``) the
-worker's replica is only its partition block plus a one-hop halo.  A local
-answer is exact iff its expansion never settled a halo node (any shortest
-path leaving the block crosses the halo at its first exit); after every
-tick the worker *probes* each potentially affected query with a
-fixed-radius re-expansion and **escalates** the ones whose probe touched
-the halo — it unregisters them and reports their ids so the coordinator
-takes over via the cross-shard expansion protocol.
+A local answer is exact iff its search never settled a halo node (any
+shortest path leaving the block crosses the halo at its first exit).  With
+a non-empty halo the worker *probes* every potentially affected query after
+each tick with a fixed-radius re-expansion and **escalates** the ones whose
+probe touched the halo: it unregisters them and reports their ids, and the
+coordinator takes them over.  An empty halo — the whole network, or a
+single block — makes every local answer exact, so nothing is probed.
 
 The flat-array CSR snapshot is never shipped: the worker builds it lazily
-from its own network replica on the first search, exactly as a
-single-process server does, and the weight listener keeps it fresh as the
-worker applies each tick's edge updates.  The replica unpickles with the
-parent's node and edge order, so the worker's dense renumbering — and with
-it every heap tie-break — matches the parent's.
+from its own network on the first search, exactly as a single-process
+server does, and the weight listener keeps it fresh as the worker applies
+each tick's edge updates.  The network unpickles with the coordinator's
+node and edge order, so the worker's dense renumbering — and with it every
+heap tie-break — matches the coordinator's.
 """
 
 from __future__ import annotations
@@ -52,9 +50,9 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.events import UpdateBatch, apply_batch
+from repro.core.events import ObjectUpdate, QueryUpdate, UpdateBatch, apply_batch, decode_batch
 from repro.core.results import KnnResult
 from repro.core.search import expand_knn
 from repro.network.edge_table import EdgeTable
@@ -80,25 +78,25 @@ def shard_of(query_id: int, shards: int) -> int:
 
 @dataclass
 class ShardInit:
-    """Everything a shard worker needs to build its private replica.
+    """Everything a shard worker needs to build its state.
 
     The network travels as one pre-pickled blob (``RoadNetwork.__getstate__``
     dropped its in-process weight listeners) and is unpickled *inside* the
-    worker: the parent serializes once for the whole fleet, holds no
-    replica objects itself, and the ``spawn`` start method ships the bytes
-    without a decode/re-encode round trip.  ``kernel`` names the settle
-    engine of the worker monitor (``"csr"`` or ``"native"``);
-    a tick is collect-then-flush for every kernel, and each worker derives
-    any per-epoch engine support from its own snapshot, so the choice needs
-    no extra shared state.
+    worker: the coordinator keeps no unpickled copy, and the ``spawn`` start
+    method ships the bytes without a decode/re-encode round trip.
+    ``kernel`` names the settle engine of the worker monitor (``"csr"`` or
+    ``"native"``); a tick is collect-then-flush for every kernel, and each
+    worker derives any per-epoch engine support from its own snapshot, so
+    the choice needs no extra shared state.
     """
 
     shard_id: int
     algorithm: str
     kernel: str
-    #: the pickled network replica; ``None`` when ``monitor_blob`` is set
-    #: (a restored monitor embeds its own replica).
+    #: the pickled network of this shard; ``None`` when ``monitor_blob`` is
+    #: set (a restored monitor embeds its own network).
     network_blob: Optional[bytes]
+    #: every object placement; the worker keeps the ones on its own edges.
     objects: Dict[int, NetworkLocation]
     #: query id -> (location, k-or-QuerySpec); the sharded server ships the
     #: full :class:`~repro.core.queries.QuerySpec` so every query type
@@ -109,13 +107,9 @@ class ShardInit:
     #: registered queries and the exact per-query float history included —
     #: instead of building fresh state from the fields above.
     monitor_blob: Optional[bytes] = None
-    #: graph-partitioned mode marker: the one-hop halo node ids bordering
-    #: this shard's block.  ``None`` selects replica mode (full network,
-    #: hash-partitioned queries); a set — possibly empty, e.g. a
-    #: single-shard partition — selects graph mode, where ``network_blob``
-    #: carries only the block+halo subnetwork and the worker escalates any
-    #: query whose expansion reaches a halo node.
-    halo_nodes: Optional[FrozenSet[int]] = None
+    #: the one-hop halo node ids bordering this shard's block; empty for a
+    #: whole-network or single-block shard, where nothing escalates.
+    halo_nodes: FrozenSet[int] = frozenset()
 
 
 def _plain_result(result: KnnResult) -> KnnResult:
@@ -134,6 +128,44 @@ def _plain_result(result: KnnResult) -> KnnResult:
         ),
         radius=float(result.radius),
     )
+
+
+def local_batch(
+    network: RoadNetwork, shared: UpdateBatch, query_updates: Sequence[QueryUpdate]
+) -> UpdateBatch:
+    """This shard's part of one tick: the updates on *network*'s edges.
+
+    *shared* holds the whole fleet's net object and edge updates.  An edge
+    update is kept when *network* holds the edge; an object update keeps
+    the side of it that lies on *network*'s edges, so an object moving onto
+    them becomes an insertion, one leaving them a deletion, and one that
+    never touches them is dropped.  A whole-network shard keeps every update
+    as it is.  The result carries *query_updates* (this shard's own) and is
+    marked net: filtering a net batch names no entity twice.
+
+    Example::
+
+        batch = local_batch(network, decode_batch(shared), [])
+        assert batch.net() is batch
+    """
+    has_edge = network.has_edge
+    objects: List[ObjectUpdate] = []
+    for update in shared.object_updates:
+        old, new = update.old_location, update.new_location
+        if old is not None and not has_edge(old.edge_id):
+            old = None
+        if new is not None and not has_edge(new.edge_id):
+            new = None
+        if old is update.old_location and new is update.new_location:
+            objects.append(update)
+        elif old is not None or new is not None:
+            objects.append(ObjectUpdate(update.object_id, old, new))
+    return UpdateBatch(
+        timestamp=shared.timestamp,
+        object_updates=objects,
+        query_updates=list(query_updates),
+        edge_updates=[update for update in shared.edge_updates if has_edge(update.edge_id)],
+    )._mark_net()
 
 
 def _probe_escalations(
@@ -159,7 +191,7 @@ def _probe_escalations(
     Escalated unconditionally: aggregate queries (their aggregation points
     may live on other shards' edges) and queries whose local radius is
     ``inf`` (fewer than *k* objects visible locally — the real neighbors may
-    be anywhere).
+    be anywhere).  Only a shard with a non-empty halo probes at all.
     """
     escalated: List[int] = []
     registered = monitor.query_ids()
@@ -276,13 +308,14 @@ def _build_state(init: ShardInit):
     network = pickle.loads(init.network_blob)
     edge_table = EdgeTable(network, build_spatial_index=False)
     for object_id, location in init.objects.items():
-        edge_table.insert_object(object_id, location)
+        if network.has_edge(location.edge_id):
+            edge_table.insert_object(object_id, location)
     monitor = ALGORITHMS[init.algorithm](network, edge_table, kernel=init.kernel)
     results: Dict[int, KnnResult] = {}
     for query_id, (location, k) in init.queries.items():
         results[query_id] = _plain_result(monitor.register_query(query_id, location, k))
     escalated: List[int] = []
-    if init.halo_nodes is not None:
+    if init.halo_nodes:
         escalated = _probe_escalations(
             monitor, network, edge_table, init.halo_nodes, list(results)
         )
@@ -296,7 +329,8 @@ def run_shard_worker(conn, init: ShardInit) -> None:
     """Worker process entry point: build the replica, then serve ticks.
 
     Sends ``("ready", (initial_results, escalated_ids))`` once construction
-    succeeds (*escalated_ids* is always empty in replica mode), then answers
+    succeeds (*initial_results* covers every query the worker holds;
+    *escalated_ids* is empty when the halo is), then answers
     every tick message with ``("report", payload)`` where *payload* is
     ``(timestamp, elapsed_seconds, cpu_seconds, changed_query_ids, counters,
     changed_results, escalated_ids)``; ``cpu_seconds`` is this process's CPU
@@ -353,7 +387,7 @@ def run_shard_worker(conn, init: ShardInit) -> None:
             if kind == "expand":
                 try:
                     replies = _serve_expansions(
-                        network, edge_table, init.halo_nodes or frozenset(), message[1]
+                        network, edge_table, init.halo_nodes, message[1]
                     )
                     conn.send(("expanded", replies))
                 except Exception:
@@ -363,32 +397,27 @@ def run_shard_worker(conn, init: ShardInit) -> None:
             if kind != "tick":
                 conn.send(("error", f"shard {init.shard_id}: unknown message {kind!r}"))
                 break
-            _, timestamp, shared_blob, query_updates = message
             try:
-                object_updates, edge_updates = pickle.loads(shared_blob)
-                # The coordinator normalized the tick before splitting it,
-                # and no split names an entity twice.
-                batch = UpdateBatch(
-                    timestamp=timestamp,
-                    object_updates=object_updates,
-                    query_updates=query_updates,
-                    edge_updates=edge_updates,
-                )._mark_net()
+                batch = local_batch(
+                    network,
+                    decode_batch(message[1]),
+                    decode_batch(message[2]).query_updates,
+                )
                 cpu_start = time.process_time()
                 apply_batch(network, edge_table, batch)
                 report = monitor.process_batch(batch)
                 changed = set(report.changed_queries)
                 escalated: List[int] = []
-                if init.halo_nodes is not None:
+                if init.halo_nodes:
                     # Edge-weight changes move halo distances silently, so
                     # every registered query must be re-probed; otherwise
                     # only queries whose answer or position changed can
                     # newly spill over the boundary.
-                    if edge_updates:
+                    if batch.edge_updates:
                         probe_ids = set(monitor.query_ids())
                     else:
                         probe_ids = set(changed)
-                        for update in query_updates:
+                        for update in batch.query_updates:
                             if not update.is_termination:
                                 probe_ids.add(update.query_id)
                     escalated = _probe_escalations(

@@ -12,8 +12,12 @@ hooks assume, and the launcher's build sequence.
 
 from __future__ import annotations
 
+import ast
 import asyncio
+import importlib
+import importlib.util
 import inspect
+import json
 import os
 import pathlib
 import socket
@@ -200,3 +204,71 @@ def test_launch_build_sequence_runs_on_a_tiny_city(tmp_path):
         workdir.mkdir()
         result = _run(_LAUNCH_SEQUENCE, str(workdir), workload)
         assert result.returncode == 0, result.stderr
+
+
+_ENVIRONMENT_AND_SHARDED_META = """
+import json, os, sys
+sys.path.insert(0, "benchmarks/e2e")
+os.environ["REPRO_NATIVE_CACHE"] = os.path.join(sys.argv[1], "native")
+import launch
+import run
+from repro import MonitoringServer, city_network
+
+env = run.environment(sys.argv[1])
+network = city_network(60, seed=3)
+with MonitoringServer(network, workers=2, partitioning="graph") as server:
+    box = network.bounding_box()
+    for index in range(12):
+        server.add_object_at(index, x=box.min_x + 9.0 * index, y=box.min_y + 7.0 * index)
+    server.add_query_at(1_000, x=box.min_x + 30.0, y=box.min_y + 30.0, k=3)
+    server.tick()
+    meta = launch.sharded_meta(server)
+    shards = server.shards
+print(json.dumps({"env": env, "meta": meta, "shards": shards}))
+"""
+
+
+def test_environment_and_sharded_meta_run_on_a_graph_fleet(tmp_path):
+    """``run.environment()`` (reached with ``--out``) and ``launch.sharded_meta()``.
+
+    Between them they import ``native_available`` and ``DEFAULT_KERNEL`` and
+    call three sharded-server methods; deleting any of those aborts the
+    benchmark run, not a test of its own.
+    """
+    result = _run(_ENVIRONMENT_AND_SHARDED_META, str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout.strip().splitlines()[-1])
+    env, meta = report["env"], report["meta"]
+    assert {
+        "git_commit", "python", "nproc", "native_available", "default_kernel",
+        "default_algorithm", "workdir_filesystem", "latency_note",
+    } <= set(env)
+    assert isinstance(env["native_available"], bool)
+    assert isinstance(env["default_kernel"], str) and env["default_kernel"]
+    assert isinstance(env["default_algorithm"], str) and env["default_algorithm"]
+    assert set(meta) == {"boundary_queries", "divergent_queries", "worker_peak_rss"}
+    assert isinstance(meta["boundary_queries"], int)
+    assert isinstance(meta["divergent_queries"], int)
+    assert len(meta["worker_peak_rss"]) == report["shards"] == 2
+    assert all(isinstance(size, int) and size > 0 for size in meta["worker_peak_rss"])
+
+
+def test_every_repro_import_in_the_e2e_benchmark_resolves():
+    """An AST sweep: each ``from repro... import name`` in ``benchmarks/e2e``."""
+    checked = 0
+    for path in sorted((ROOT / "benchmarks" / "e2e").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "repro":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    resolves = hasattr(module, alias.name) or (
+                        importlib.util.find_spec(f"{node.module}.{alias.name}") is not None
+                    )
+                    assert resolves, f"{path.name}:{node.lineno}: {node.module}.{alias.name}"
+                    checked += 1
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "repro":
+                        assert importlib.util.find_spec(alias.name), f"{path.name}: {alias.name}"
+                        checked += 1
+    assert checked >= 20

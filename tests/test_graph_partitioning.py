@@ -17,6 +17,7 @@ from repro import (
     EdgeTable,
     MonitoringServer,
     NetworkLocation,
+    QuerySpec,
     city_network,
     csr_snapshot,
 )
@@ -163,20 +164,42 @@ def test_graph_server_exposes_partition_and_mode():
 
 
 def test_graph_server_single_worker_degenerates_to_one_block():
+    """One block has an empty halo: every local answer is exact.
+
+    So nothing escalates — not a k-NN query that sees fewer than k objects
+    (infinite radius), not an aggregate query — and the fleet answers
+    byte-identically to the single-process server.
+    """
     single_net = city_network(100, seed=8)
     graph_net = city_network(100, seed=8)
     single = MonitoringServer(single_net, algorithm="ima")
     with MonitoringServer(
         graph_net, algorithm="ima", workers=1, partitioning="graph"
     ) as graph:
-        _populate(single, single_net)
-        _populate(graph, graph_net)
-        single.tick()
-        graph.tick()
-        # One part means an empty halo: nothing can escalate.
-        assert not graph.boundary_query_ids()
-        for query_id, expected in single.results().items():
-            assert graph.result_of(query_id).neighbors == expected.neighbors
+        for server, network in ((single, single_net), (graph, graph_net)):
+            box = network.bounding_box()
+            edges = sorted(network.edge_ids())
+            for index in range(3):
+                server.add_object_at(
+                    100 + index, x=box.min_x + 10.0 * index, y=box.min_y + 20.0 * index
+                )
+            server.add_query_at(2_000_000, x=box.min_x + 50.0, y=box.min_y + 50.0, k=8)
+            server.add_query(
+                2_000_001,
+                NetworkLocation(edges[3], 0.5),
+                QuerySpec.aggregate_knn(2, (NetworkLocation(edges[40], 0.25),), "sum"),
+            )
+        for populate in (False, True):
+            if populate:
+                _populate(single, single_net)
+                _populate(graph, graph_net)
+            single.tick()
+            graph.tick()
+            # Three objects for k=8 leave the radius infinite until populated.
+            assert (graph.result_of(2_000_000).radius == float("inf")) is not populate
+            assert not graph.boundary_query_ids()
+            assert not graph.divergent_query_ids()
+            assert graph.results() == single.results()
 
 
 def _cut_locations(network, count):

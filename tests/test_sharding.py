@@ -20,8 +20,16 @@ from repro import (
     csr_snapshot,
     shard_of,
 )
-from repro.core.events import UpdateBatch
+from repro.core.events import (
+    EdgeWeightUpdate,
+    ObjectUpdate,
+    QueryUpdate,
+    UpdateBatch,
+    decode_batch,
+    encode_batch,
+)
 from repro.core.sharding import _extract_subnetwork, default_start_method
+from repro.core.worker import local_batch
 from repro.exceptions import (
     DuplicateObjectError,
     MonitoringError,
@@ -29,6 +37,7 @@ from repro.exceptions import (
     UnknownQueryError,
 )
 from repro.network.csr import grow_partitions, partition_block
+from repro.network.graph import NetworkLocation
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -51,6 +60,102 @@ def test_shard_of_balances_sequential_and_strided_ids():
             counts[shard_of(1_000_000 + index * stride, 4)] += 1
         # No shard should be starved or hog the assignment.
         assert min(counts) > 40, (stride, counts)
+
+
+# ----------------------------------------------------------------------
+# worker-side filter of the shared tick record
+# ----------------------------------------------------------------------
+def _block_layout():
+    """A city network, the subnetwork of block 0 of 2, and edges in and out."""
+    network = city_network(80, seed=2)
+    csr = csr_snapshot(network)
+    block, halo, local_edges = partition_block(csr, grow_partitions(csr, 2), 0)
+    local = _extract_subnetwork(network, set(block) | set(halo), set(local_edges))
+    inside = sorted(local_edges)
+    outside = sorted(set(network.edge_ids()) - set(local_edges))
+    assert len(inside) >= 3 and len(outside) >= 3
+    return network, local, inside, outside
+
+
+def _record_round_trip(batch: UpdateBatch) -> UpdateBatch:
+    return decode_batch(encode_batch(batch._mark_net()))
+
+
+def test_local_batch_turns_crossings_into_inserts_and_deletes():
+    _, local, inside, outside = _block_layout()
+    at = NetworkLocation
+    shared = _record_round_trip(
+        UpdateBatch(
+            timestamp=5,
+            object_updates=[
+                ObjectUpdate(1, at(inside[0], 0.1), at(inside[1], 0.2)),  # within
+                ObjectUpdate(2, at(inside[0], 0.3), at(outside[0], 0.4)),  # leaves
+                ObjectUpdate(3, at(outside[1], 0.5), at(inside[2], 0.6)),  # enters
+                ObjectUpdate(4, at(outside[0], 0.7), at(outside[1], 0.8)),  # never
+                ObjectUpdate(5, None, at(inside[1], 0.9)),  # appears inside
+                ObjectUpdate(6, None, at(outside[2], 0.9)),  # appears outside
+                ObjectUpdate(7, at(inside[2], 0.0), None),  # disappears inside
+            ],
+            edge_updates=[
+                EdgeWeightUpdate(inside[0], 1.0, 2.0),
+                EdgeWeightUpdate(outside[0], 1.0, 3.0),
+                EdgeWeightUpdate(inside[1], 4.0, 2.5),
+            ],
+        )
+    )
+    queries = [QueryUpdate(9, None, at(inside[0], 0.5), 3)]
+    batch = local_batch(local, shared, queries)
+    assert batch.timestamp == 5
+    assert batch.object_updates == [
+        ObjectUpdate(1, at(inside[0], 0.1), at(inside[1], 0.2)),
+        ObjectUpdate(2, at(inside[0], 0.3), None),
+        ObjectUpdate(3, None, at(inside[2], 0.6)),
+        ObjectUpdate(5, None, at(inside[1], 0.9)),
+        ObjectUpdate(7, at(inside[2], 0.0), None),
+    ]
+    assert batch.edge_updates == [
+        EdgeWeightUpdate(inside[0], 1.0, 2.0),
+        EdgeWeightUpdate(inside[1], 4.0, 2.5),
+    ]
+    assert batch.query_updates == queries
+    assert batch.net() is batch
+
+
+def test_local_batch_of_a_whole_network_worker_is_the_batch_unchanged():
+    network, _, inside, outside = _block_layout()
+    at = NetworkLocation
+    shared = _record_round_trip(
+        UpdateBatch(
+            timestamp=8,
+            object_updates=[
+                ObjectUpdate(1, at(inside[0], 0.1), at(outside[0], 0.2)),
+                ObjectUpdate(2, None, at(outside[1], 0.3)),
+                ObjectUpdate(3, at(inside[1], 0.4), None),
+            ],
+            edge_updates=[EdgeWeightUpdate(outside[2], 1.0, 2.0)],
+        )
+    )
+    batch = local_batch(network, shared, [])
+    assert batch == shared
+    assert all(
+        kept is sent for kept, sent in zip(batch.object_updates, shared.object_updates)
+    )
+    assert batch.net() is batch
+
+
+def test_local_batch_of_an_untouched_block_is_empty_and_net():
+    _, local, _, outside = _block_layout()
+    shared = UpdateBatch(
+        timestamp=3,
+        object_updates=[
+            ObjectUpdate(1, NetworkLocation(outside[0], 0.1), NetworkLocation(outside[1], 0.2))
+        ],
+        edge_updates=[EdgeWeightUpdate(outside[2], 1.0, 2.0)],
+    )._mark_net()
+    batch = local_batch(local, shared, [])
+    assert batch.is_empty()
+    assert batch.timestamp == 3
+    assert batch.net() is batch
 
 
 # ----------------------------------------------------------------------

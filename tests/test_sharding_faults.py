@@ -5,7 +5,7 @@ Pins the three repaired behaviours:
 * a shard dying mid-tick fails the server *closed* — connections drained,
   workers stopped, and every later call raises the typed
   :class:`ServerFailedError` instead of wedging on a dead pipe;
-* ``_recv`` is bounded by ``recv_timeout`` so a stuck (not dead) worker
+* every reply wait is bounded by ``recv_timeout`` so a stuck (not dead) worker
   can no longer freeze the parent forever;
 * workers do not outlive a coordinator killed with ``kill -9``, and the
   killed process group leaves nothing behind in ``/dev/shm``.
