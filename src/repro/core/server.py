@@ -640,24 +640,20 @@ class MonitoringServer:
         """Stream the snapshot's *static section* to a binary *stream*.
 
         The static section is what no tick can change: the road network
-        (topology, geometry, base weights) and the edge table's spatial
-        index, one pickle each.  It is valid for as long as the network's
-        ``topology_version`` stays what it was when this was written, so a
-        durable caller writes it once and pairs it with many dynamic
-        sections (``snapshot_state(static=False)``).
+        (topology, geometry, base weights), as one pickle.  The edge
+        table's spatial index is not part of it: it is derived from the
+        network and rebuilt on the restored server's first snap.  The
+        section is valid for as long as the network's ``topology_version``
+        stays what it was when this was written, so a durable caller
+        writes it once and pairs it with many dynamic sections
+        (``snapshot_state(static=False)``).
 
         Example::
 
             with open("base.bin", "wb") as stream:
                 server.write_static_state(stream)
         """
-        # Two pickles, not one: the pickler's memo (an entry per node, edge,
-        # segment and quad) is the largest transient allocation of the whole
-        # snapshot, and clearing it in between halves its peak.
-        pickler = pickle.Pickler(stream, protocol=pickle.HIGHEST_PROTOCOL)
-        pickler.dump(self._network)
-        pickler.clear_memo()
-        pickler.dump(self._edge_table.spatial_index)
+        pickle.dump(self._network, stream, protocol=pickle.HIGHEST_PROTOCOL)
 
     def snapshot_state(self, *, static: bool = True) -> bytes:
         """Serialize the complete server state to one opaque blob.
@@ -695,6 +691,7 @@ class MonitoringServer:
                 "weight_version": network.weight_version,
                 "weights": network.weight_column(),
                 "objects_version": edge_table.version,
+                "indexes_coordinates": edge_table.indexes_coordinates,
                 "object_ids": object_ids,
                 "object_edges": object_edges,
                 "object_fractions": object_fractions,
@@ -786,7 +783,9 @@ def load_snapshot(blob, static=None) -> Dict[str, object]:
 
     The mapping holds the rebuilt ``"network"`` and ``"edge_table"`` (the
     static section with the weight and object columns overlaid), the
-    snapshot's ``"kind"`` and every field of the dynamic section.  Nothing
+    snapshot's ``"kind"`` and every field of the dynamic section.  The edge
+    table's spatial index is not decoded but left to be built from the
+    network on the first snap, where it comes out identical.  Nothing
     is spawned, which is what lets
     :func:`~repro.service.durable.load_initial_state` read a sharded
     snapshot cheaply; :func:`restore_server` builds the server from it.
@@ -803,7 +802,6 @@ def load_snapshot(blob, static=None) -> Dict[str, object]:
     try:
         stream = io.BytesIO(blob if static is None else static)
         network = pickle.load(stream)
-        spatial_index = pickle.load(stream)
         if static is not None:
             stream = io.BytesIO(blob)
         columns = pickle.load(stream)
@@ -816,11 +814,11 @@ def load_snapshot(blob, static=None) -> Dict[str, object]:
         network.restore_weights(columns["weights"], columns["weight_version"])
         edge_table = EdgeTable.from_columns(
             network,
-            spatial_index,
             columns["object_ids"],
             columns["object_edges"],
             columns["object_fractions"],
             columns["objects_version"],
+            columns["indexes_coordinates"],
         )
         state = _ReferenceUnpickler(
             stream, {"network": network, "edge_table": edge_table}

@@ -11,7 +11,8 @@ focuses on the *dynamic object* side:
 * which data objects currently lie on which edge,
 * where exactly each object is (its :class:`NetworkLocation`),
 * translating raw workspace coordinates from client updates into network
-  locations through the PMR quadtree (the paper's *SI*).
+  locations through the PMR quadtree (the paper's *SI*), which is derived
+  from the network on the first snap and never persisted.
 
 A single ``EdgeTable`` can be shared by several monitoring algorithms
 running in lock-step over the same data, which is how the experiment
@@ -45,6 +46,10 @@ def _int_column(values: Iterable[int]) -> Sequence[int]:
 class EdgeTable:
     """Tracks the data objects lying on every edge of a road network.
 
+    It also snaps raw coordinates onto edges through a PMR quadtree that is
+    derived state: built on the first snap, rebuilt on the first snap after
+    a topology change, and never part of a snapshot.
+
     Example::
 
         edge_table = EdgeTable(network)
@@ -57,9 +62,13 @@ class EdgeTable:
 
         Args:
             network: the underlying road network.
-            build_spatial_index: when True (default) a PMR quadtree over the
-                network edges is built so that raw coordinates can be snapped
-                to edges; pass False when only id-based updates are used.
+            build_spatial_index: when True (default) raw coordinates can be
+                snapped to edges through a PMR quadtree over the network
+                edges.  The tree is derived state: it is built on the first
+                snap (or :attr:`spatial_index` read), not here, and rebuilt
+                on the first one after a ``topology_version`` change.  Pass
+                False when only id-based updates are used; a snap then
+                raises :class:`EdgeNotFoundError`.
         """
         self._network = network
         self._objects: Dict[int, NetworkLocation] = {}
@@ -72,9 +81,10 @@ class EdgeTable:
         # derived object columns (the native kernel's flattened CSR of
         # objects per edge) can be cached and invalidated cheaply.
         self._version = 0
+        self._indexed = build_spatial_index
+        # The tree and the topology_version it was built at (-1: none yet).
         self._spatial_index: Optional[PMRQuadtree] = None
-        if build_spatial_index and network.edge_count > 0:
-            self.rebuild_spatial_index()
+        self._index_topology = -1
 
     # ------------------------------------------------------------------
     # properties
@@ -91,8 +101,28 @@ class EdgeTable:
 
     @property
     def spatial_index(self) -> Optional[PMRQuadtree]:
-        """The PMR quadtree over the edges, or None if not built."""
+        """The PMR quadtree over the network's edges, built on first use.
+
+        ``None`` for a table built with ``build_spatial_index=False`` or a
+        network without edges.  The tree is rebuilt when the network's
+        ``topology_version`` moved since it was built, so it never indexes
+        a removed edge or misses an added one.
+        """
+        if not self._indexed:
+            return None
+        if self._index_topology != self._network.topology_version:
+            if self._network.edge_count == 0:
+                return None
+            self.rebuild_spatial_index()
         return self._spatial_index
+
+    @property
+    def indexes_coordinates(self) -> bool:
+        """Whether raw coordinates can be snapped (``build_spatial_index``).
+
+        True does not mean the tree exists yet: see :attr:`spatial_index`.
+        """
+        return self._indexed
 
     @property
     def version(self) -> int:
@@ -114,29 +144,42 @@ class EdgeTable:
     # spatial index
     # ------------------------------------------------------------------
     def rebuild_spatial_index(self) -> PMRQuadtree:
-        """(Re)build the PMR quadtree over the network's edges."""
-        bounds = self._network.bounding_box(margin=1e-6)
-        index = PMRQuadtree(bounds)
-        for edge in self._network.edges():
-            index.insert(edge.edge_id, self._network.edge_segment(edge.edge_id))
+        """(Re)build the PMR quadtree over the network's edges.
+
+        Edges are loaded in ``network.edges()`` order, so the same network
+        always yields the same tree.  Also turns snapping on for a table
+        built with ``build_spatial_index=False``.
+        """
+        network = self._network
+        index = PMRQuadtree(network.bounding_box(margin=1e-6))
+        index.bulk_load(
+            (edge.edge_id, network.edge_segment(edge.edge_id)) for edge in network.edges()
+        )
+        self._indexed = True
         self._spatial_index = index
+        self._index_topology = network.topology_version
+        return index
+
+    def _index_or_raise(self) -> PMRQuadtree:
+        index = self.spatial_index
+        if index is None:
+            raise EdgeNotFoundError(-1)
         return index
 
     def snap_point(self, point: Point) -> NetworkLocation:
         """Snap workspace coordinates to the nearest edge.
 
         This is the operation the monitoring server performs on the raw
-        ``(x, y)`` coordinates contained in object and query updates.
+        ``(x, y)`` coordinates contained in object and query updates.  The
+        first call builds the spatial index (see :attr:`spatial_index`).
 
         Raises:
-            EdgeNotFoundError: if the spatial index has not been built or the
-                network has no edges.
+            EdgeNotFoundError: if the table has no spatial index
+                (``build_spatial_index=False``) or the network has no edges.
         """
-        if self._spatial_index is None or len(self._spatial_index) == 0:
-            raise EdgeNotFoundError(-1)
-        edge_id, _ = self._spatial_index.nearest_edge(point)
-        segment = self._spatial_index.segment_of(edge_id)
-        fraction = segment.project_fraction(point)
+        index = self._index_or_raise()
+        edge_id, _ = index.nearest_edge(point)
+        fraction = index.segment_of(edge_id).project_fraction(point)
         return NetworkLocation(edge_id, fraction)
 
     def snap_points(self, points: Sequence[Point]) -> List[NetworkLocation]:
@@ -149,12 +192,10 @@ class EdgeTable:
         always an equally near location.
 
         Raises:
-            EdgeNotFoundError: if the spatial index has not been built or the
-                network has no edges.
+            EdgeNotFoundError: if the table has no spatial index
+                (``build_spatial_index=False``) or the network has no edges.
         """
-        if self._spatial_index is None or len(self._spatial_index) == 0:
-            raise EdgeNotFoundError(-1)
-        index = self._spatial_index
+        index = self._index_or_raise()
         locations: List[NetworkLocation] = []
         for point, (edge_id, _) in zip(points, index.nearest_edges_bulk(points)):
             fraction = index.segment_of(edge_id).project_fraction(point)
@@ -289,7 +330,7 @@ class EdgeTable:
 
             ids, edges, fractions = edge_table.object_columns()
             clone = EdgeTable.from_columns(
-                network, edge_table.spatial_index, ids, edges, fractions, edge_table.version
+                network, ids, edges, fractions, edge_table.version
             )
         """
         locations = self._objects.values()
@@ -303,22 +344,23 @@ class EdgeTable:
     def from_columns(
         cls,
         network: RoadNetwork,
-        spatial_index: Optional[PMRQuadtree],
         ids: Sequence[int],
         edges: Sequence[int],
         fractions: Sequence[float],
         version: int,
+        build_spatial_index: bool = True,
     ) -> "EdgeTable":
         """Rebuild a table from :meth:`object_columns` and its :attr:`version`.
 
-        *spatial_index* is adopted as is (``None`` for a table built with
-        ``build_spatial_index=False``); it is not rebuilt.
+        *build_spatial_index* is the original table's
+        :attr:`indexes_coordinates`.  The spatial index is not restored: it
+        is built from *network* on the first snap, which loads the edges in
+        the same order and so yields the same tree and the same snaps.
 
         Raises:
             EdgeNotFoundError: if an object lies on an edge *network* lacks.
         """
-        table = cls(network, build_spatial_index=False)
-        table._spatial_index = spatial_index
+        table = cls(network, build_spatial_index)
         objects = table._objects
         on_edge = table._objects_on_edge
         for object_id, edge_id, fraction in zip(ids, edges, fractions):

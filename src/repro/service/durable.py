@@ -7,10 +7,11 @@
 * every :meth:`~DurableMonitoringServer.tick` detaches the pending batch,
   appends its normalized encoding to the fsynced log, and only then applies
   it — the write-ahead discipline;
-* the state no tick can change (network topology, geometry, base weights,
-  spatial index) is written **once**, as the *base* file, before the
-  genesis checkpoint; every ``checkpoint_every`` ticks (and on demand) a
-  *checkpoint* stores only what ticks do change — weight and object
+* the state no tick can change (network topology, geometry, base weights)
+  is written **once**, as the *base* file, before the genesis checkpoint
+  (the spatial index is not stored: a recovered server derives it from the
+  network on its first snap); every ``checkpoint_every`` ticks (and on
+  demand) a *checkpoint* stores only what ticks do change — weight and object
   columns plus the monitor — together with the log offset it corresponds
   to and the base it belongs to;
 * :meth:`~DurableMonitoringServer.recover` restores the newest valid
@@ -52,11 +53,12 @@ from repro.network.graph import NetworkLocation, RoadNetwork
 from repro.service.eventlog import EventLog
 
 #: First 8 bytes of every base and checkpoint file.
-CHECKPOINT_MAGIC = b"RPCKPT03"
+CHECKPOINT_MAGIC = b"RPCKPT04"
 
-#: Refused by name: ``RPCKPT01`` (one whole-graph pickle) and ``RPCKPT02``
-#: (dict-state pickles, which the slotted value classes would misread).
-_RETIRED_MAGICS = (b"RPCKPT01", b"RPCKPT02")
+#: Refused by name: ``RPCKPT01`` (one whole-graph pickle), ``RPCKPT02``
+#: (dict-state pickles, which the slotted value classes would misread) and
+#: ``RPCKPT03`` (a base of two pickles, the second the spatial index).
+_RETIRED_MAGICS = (b"RPCKPT01", b"RPCKPT02", b"RPCKPT03")
 
 _FRAME_HEADER = struct.Struct("<8sQI")  # (magic, payload length, crc32(payload))
 
@@ -477,9 +479,9 @@ class DurableMonitoringServer:
         Raises:
             RecoveryError: when no checkpoint restores — each one is torn,
                 lacks an intact base, or was written in a retired format
-                (``RPCKPT01`` or ``RPCKPT02``) — a restored snapshot
-                disagrees with its checkpoint's timestamp, or the log tail
-                does not line up with the restored clock.
+                (``RPCKPT01``, ``RPCKPT02`` or ``RPCKPT03``) — a restored
+                snapshot disagrees with its checkpoint's timestamp, or the
+                log tail does not line up with the restored clock.
 
         Example::
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import SpatialIndexError
-from repro.spatial.geometry import Point, Rect, Segment
+from repro.spatial.geometry import _EPS, Point, Rect, Segment
 from repro.utils import optional_numpy
 
 #: Default number of edges a leaf holds before it splits on insertion.
@@ -32,6 +32,47 @@ DEFAULT_SPLIT_THRESHOLD = 8
 
 #: Maximum tree depth; quads smaller than workspace / 2**depth never split.
 DEFAULT_MAX_DEPTH = 16
+
+
+def _bounds(segment: Segment) -> Tuple[float, float, float, float]:
+    """``(min_x, min_y, max_x, max_y)`` of *segment*, without building a Rect."""
+    start, end = segment.start, segment.end
+    lo_x, hi_x = (start.x, end.x) if start.x <= end.x else (end.x, start.x)
+    lo_y, hi_y = (start.y, end.y) if start.y <= end.y else (end.y, start.y)
+    return lo_x, lo_y, hi_x, hi_y
+
+
+def _candidate_children(
+    children: Tuple["_QuadNode", ...], box: Tuple[float, float, float, float]
+) -> List["_QuadNode"]:
+    """The children a segment's :func:`_bounds` *box*, widened by ``_EPS``, meets.
+
+    The segment must meet the parent quad.  Meeting a child is then a
+    necessary condition for :meth:`Segment.intersects_rect` on it: that
+    test accepts an endpoint within ``_EPS`` of the closed rectangle (the
+    same widened comparisons as here) and otherwise requires the exact
+    boxes to overlap, which implies this.  A child shares two sides with
+    its parent, which the segment's box already meets, so only the two
+    inner sides — the parent's centre lines — need comparing: four float
+    comparisons per quad, and the exact test runs on candidates only.
+    """
+    lo_x, lo_y, hi_x, hi_y = box
+    nw, ne, sw, se = children
+    cx, cy = nw.rect.max_x, nw.rect.min_y
+    west = lo_x <= cx + _EPS
+    east = cx - _EPS <= hi_x
+    candidates = []
+    if cy - _EPS <= hi_y:
+        if west:
+            candidates.append(nw)
+        if east:
+            candidates.append(ne)
+    if lo_y <= cy + _EPS:
+        if west:
+            candidates.append(sw)
+        if east:
+            candidates.append(se)
+    return candidates
 
 
 class _QuadNode:
@@ -121,7 +162,12 @@ class PMRQuadtree:
         self._insert_into(self._root, edge_id, segment)
 
     def bulk_load(self, edges: Iterable[Tuple[int, Segment]]) -> None:
-        """Insert many edges (convenience wrapper over :meth:`insert`)."""
+        """Insert many edges, one :meth:`insert` each, in iteration order.
+
+        The tree's shape depends on insertion order (a leaf splits on the
+        insert that overflows it), so loading the same edges in the same
+        order always yields the same tree.
+        """
         for edge_id, segment in edges:
             self.insert(edge_id, segment)
 
@@ -350,26 +396,39 @@ class PMRQuadtree:
         return list(node.edge_ids)
 
     def _insert_into(self, node: _QuadNode, edge_id: int, segment: Segment) -> None:
-        if not segment.intersects_rect(node.rect):
-            return
-        if node.is_leaf:
-            node.edge_ids.append(edge_id)
-            if len(node.edge_ids) > self._split_threshold and node.depth < self._max_depth:
-                self._split(node)
-            return
-        assert node.children is not None
-        for child in node.children:
-            self._insert_into(child, edge_id, segment)
+        """Append *edge_id* to every leaf under *node* that *segment* meets.
+
+        *node* itself must already be known to meet the segment.  The
+        descent is iterative, and a child is tested with the exact
+        :meth:`Segment.intersects_rect` only when it is one of
+        :func:`_candidate_children`; the leaves reached are those of the
+        plain recursive descent.
+        """
+        box = _bounds(segment)
+        threshold, max_depth = self._split_threshold, self._max_depth
+        stack = [node]
+        while stack:
+            node = stack.pop()
+            children = node.children
+            if children is None:
+                node.edge_ids.append(edge_id)
+                if len(node.edge_ids) > threshold and node.depth < max_depth:
+                    self._split(node)
+                continue
+            for child in _candidate_children(children, box):
+                if segment.intersects_rect(child.rect):
+                    stack.append(child)
 
     def _split(self, node: _QuadNode) -> None:
-        node.children = tuple(
+        children = node.children = tuple(
             _QuadNode(rect, node.depth + 1) for rect in node.rect.quadrants()
         )
         edge_ids = node.edge_ids
         node.edge_ids = []
+        segments = self._segments
         for edge_id in edge_ids:
-            segment = self._segments[edge_id]
-            for child in node.children:
+            segment = segments[edge_id]
+            for child in _candidate_children(children, _bounds(segment)):
                 if segment.intersects_rect(child.rect):
                     child.edge_ids.append(edge_id)
         # PMR semantics: the split is *not* applied recursively, children may

@@ -47,6 +47,20 @@ def _native_fallback_leg(request, monkeypatch):
 
 
 @pytest.fixture
+def index_builds(monkeypatch):
+    """Every edge table whose spatial index is built, in build order."""
+    builds = []
+    rebuild = EdgeTable.rebuild_spatial_index
+
+    def counted(self):
+        builds.append(self)
+        return rebuild(self)
+
+    monkeypatch.setattr(EdgeTable, "rebuild_spatial_index", counted)
+    return builds
+
+
+@pytest.fixture
 def line_network() -> RoadNetwork:
     """A 5-node path graph: 0 -100- 1 -100- 2 -100- 3 -100- 4."""
     return linear_network(5, spacing=100.0)

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.server import MonitoringServer
 from repro.exceptions import DuplicateObjectError, EdgeNotFoundError, UnknownObjectError
 from repro.network.edge_table import EdgeTable
-from repro.network.graph import NetworkLocation
+from repro.network.graph import NetworkLocation, RoadNetwork
 from repro.spatial.geometry import Point
 
 
@@ -103,3 +104,62 @@ class TestSnapping:
         index = table.rebuild_spatial_index()
         assert len(index) == line_network.edge_count
         assert table.spatial_index is index
+
+
+class TestLazySpatialIndex:
+    """The PMR quadtree is derived state: built on first use, keyed on topology."""
+
+    def test_construction_builds_no_tree(self, line_network, index_builds):
+        table = EdgeTable(line_network)
+        assert table.indexes_coordinates and index_builds == []
+        table.snap_point(Point(150.0, 12.0))
+        table.snap_points([Point(50.0, 1.0)] * 5)
+        assert table.spatial_index is table.spatial_index
+        assert index_builds == [table]
+
+    def test_empty_network_has_no_tree(self):
+        table = EdgeTable(RoadNetwork())
+        assert table.spatial_index is None
+        with pytest.raises(EdgeNotFoundError):
+            table.snap_point(Point(0.0, 0.0))
+        with pytest.raises(EdgeNotFoundError):
+            table.snap_points([Point(0.0, 0.0)])
+
+    def test_disabled_table_stays_without_tree(self, line_network):
+        table = EdgeTable(line_network, build_spatial_index=False)
+        assert table.spatial_index is None and not table.indexes_coordinates
+        with pytest.raises(EdgeNotFoundError):
+            table.snap_points([Point(1.0, 1.0)])
+
+    def test_removed_edge_is_never_snapped_to(self, small_grid):
+        network = small_grid
+        table = EdgeTable(network)
+        removed = next(iter(network.edge_ids()))
+        midpoint = network.location_point(NetworkLocation(removed, 0.5))
+        assert table.snap_point(midpoint).edge_id == removed
+        network.remove_edge(removed)
+        assert table.snap_point(midpoint).edge_id != removed
+        assert removed not in table.spatial_index
+        assert all(location.edge_id != removed for location in table.snap_points([midpoint] * 5))
+
+    def test_server_snaps_onto_the_edited_network(self, small_grid):
+        network = small_grid
+        server = MonitoringServer(network, algorithm="IMA")
+        removed = next(iter(network.edge_ids()))
+        midpoint = network.location_point(NetworkLocation(removed, 0.5))
+        assert server.snap(midpoint.x, midpoint.y).edge_id == removed
+        network.remove_edge(removed)
+        location = server.add_object_at(1, midpoint.x, midpoint.y)
+        assert location.edge_id != removed
+        server.tick()
+        assert server.edge_table.location_of(1) == location
+
+    def test_added_edge_is_snapped_to(self, small_grid):
+        network = small_grid
+        table = EdgeTable(network)
+        table.snap_point(Point(0.0, 0.0))
+        node = max(network.node_ids()) + 1
+        network.add_node(node, x=-100.0, y=-100.0)
+        edge = max(network.edge_ids()) + 1
+        network.add_edge(edge, min(network.node_ids()), node)
+        assert table.snap_point(Point(-90.0, -90.0)).edge_id == edge

@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 
 from repro.exceptions import SpatialIndexError
 from repro.spatial.geometry import Point, Rect, Segment
-from repro.spatial.pmr_quadtree import PMRQuadtree
+from repro.spatial.pmr_quadtree import (
+    DEFAULT_MAX_DEPTH,
+    DEFAULT_SPLIT_THRESHOLD,
+    PMRQuadtree,
+    _QuadNode,
+)
 
 BOUNDS = Rect(0.0, 0.0, 100.0, 100.0)
 
@@ -255,3 +260,120 @@ def test_city_tree_is_unchanged_by_the_inlined_predicate(monkeypatch):
     assert tree.statistics() == reference.statistics()
     assert tree.statistics()["leaves"] > 100
     assert leaves(tree) == leaves(reference)
+
+
+# ----------------------------------------------------------------------
+# Insertion descends iteratively and runs the exact segment/quad test on
+# bounding-box candidates only; the plain recursive build, which tests
+# every child exactly, is the reference.  Both must give the same tree.
+# ----------------------------------------------------------------------
+def _reference_root(bounds, edges, split_threshold=DEFAULT_SPLIT_THRESHOLD):
+    root = _QuadNode(bounds, 0)
+    segments = {}
+
+    def split(node):
+        node.children = tuple(_QuadNode(rect, node.depth + 1) for rect in node.rect.quadrants())
+        edge_ids, node.edge_ids = node.edge_ids, []
+        for edge_id in edge_ids:
+            for child in node.children:
+                if segments[edge_id].intersects_rect(child.rect):
+                    child.edge_ids.append(edge_id)
+
+    def insert(node, edge_id, segment):
+        if not segment.intersects_rect(node.rect):
+            return
+        if node.children is None:
+            node.edge_ids.append(edge_id)
+            if len(node.edge_ids) > split_threshold and node.depth < DEFAULT_MAX_DEPTH:
+                split(node)
+            return
+        for child in node.children:
+            insert(child, edge_id, segment)
+
+    for edge_id, segment in edges:
+        segments[edge_id] = segment
+        insert(root, edge_id, segment)
+    return root
+
+
+def _leaves_under(root):
+    """``(rect, depth, edge ids)`` of every leaf, in ``_iter_nodes`` order."""
+    leaves, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        if node.children is None:
+            leaves.append((node.rect, node.depth, list(node.edge_ids)))
+        else:
+            stack.extend(node.children)
+    return leaves
+
+
+def _assert_same_tree(edges, bounds=BOUNDS, split_threshold=DEFAULT_SPLIT_THRESHOLD):
+    edges = list(edges)
+    tree = PMRQuadtree(bounds, split_threshold=split_threshold)
+    tree.bulk_load(edges)
+    expected = _leaves_under(_reference_root(bounds, edges, split_threshold))
+    assert _leaves_under(tree._root) == expected
+    return expected
+
+
+def test_city_tree_matches_the_recursive_build():
+    from repro.network.builders import city_network
+    from repro.network.edge_table import EdgeTable
+
+    network = city_network(1500, seed=11)
+    tree = EdgeTable(network).spatial_index
+    edges = [(edge.edge_id, network.edge_segment(edge.edge_id)) for edge in network.edges()]
+    reference = _reference_root(network.bounding_box(margin=1e-6), edges)
+    assert len(_leaves_under(reference)) > 100
+    assert _leaves_under(tree._root) == _leaves_under(reference)
+
+
+# within _EPS of the x = 50 / y = 50 borders, on either side
+_JUST_BELOW_HALF = 50.0 - 5e-13
+_JUST_ABOVE_HALF = 50.0 + 5e-13
+
+
+@pytest.mark.parametrize(
+    "coordinates",
+    [
+        # zero-length segments, many of them coincident (splits to max depth)
+        [(30.0, 30.0, 30.0, 30.0)] * 12 + [(50.0, 50.0, 50.0, 50.0)] * 12
+        + [(25.0, 75.0, 25.0, 75.0), (100.0, 0.0, 100.0, 0.0)],
+        # segments lying on quad borders, and ending within _EPS of them
+        [(0.0, y, 100.0, y) for y in (50.0, 25.0, 75.0, 12.5, 37.5, 62.5, 87.5)]
+        + [(x, 0.0, x, 100.0) for x in (50.0, 25.0, 75.0, 12.5, 87.5)]
+        + [(10.0, 10.0, _JUST_BELOW_HALF, 10.0), (60.0, _JUST_BELOW_HALF, 60.0, 5.0)]
+        + [(_JUST_ABOVE_HALF, 90.0, 95.0, 90.0), (40.0, _JUST_ABOVE_HALF, 40.0, 95.0)]
+        + [(0.0, 0.0, 100.0, 100.0), (0.0, 100.0, 100.0, 0.0)],
+        # collinear runs: consecutive pieces and overlapping repeats
+        [(4.0 * i, 4.0 * i, 4.0 * i + 4.0, 4.0 * i + 4.0) for i in range(25)]
+        + [(2.0 * i, 50.0, 2.0 * i + 2.0, 50.0) for i in range(50)]
+        + [(70.0, 40.0 + 0.1 * i, 70.0, 42.0 - 0.1 * i) for i in range(6)],
+    ],
+    ids=["zero-length", "quad-borders", "collinear-runs"],
+)
+@pytest.mark.parametrize("split_threshold", [1, 2, DEFAULT_SPLIT_THRESHOLD])
+def test_degenerate_input_matches_the_recursive_build(coordinates, split_threshold):
+    edges = [
+        (edge_id, Segment(Point(ax, ay), Point(bx, by)))
+        for edge_id, (ax, ay, bx, by) in enumerate(coordinates)
+    ]
+    leaves = _assert_same_tree(edges, split_threshold=split_threshold)
+    assert len(leaves) > 1
+
+
+_lattice = st.one_of(
+    st.sampled_from([0.0, 12.5, 25.0, _JUST_BELOW_HALF, 50.0, _JUST_ABOVE_HALF, 75.0, 100.0]),
+    st.floats(0, 100),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_lattice, _lattice, _lattice, _lattice), min_size=1, max_size=60))
+def test_property_tree_matches_the_recursive_build(coordinates):
+    edges = [
+        (edge_id, Segment(Point(ax, ay), Point(bx, by)))
+        for edge_id, (ax, ay, bx, by) in enumerate(coordinates)
+    ]
+    _assert_same_tree(edges, split_threshold=2)

@@ -13,6 +13,7 @@ import io
 import pathlib
 import pickle
 import pickletools
+import random
 import shutil
 
 import pytest
@@ -27,8 +28,10 @@ from repro import (
 from repro import run_differential_log
 from repro.core.server import load_snapshot
 from repro.core.sharding import ShardedMonitoringServer
-from repro.exceptions import RecoveryError, ServiceError
+from repro.exceptions import EdgeNotFoundError, RecoveryError, ServiceError
+from repro.network.builders import grid_network
 from repro.network.edge_table import EdgeTable
+from repro.network.graph import NetworkLocation
 from repro.network.kernels import registered_kernels
 from repro.service import durable as durable_module
 from repro.service import eventlog as eventlog_module
@@ -301,9 +304,9 @@ def test_restore_server_rejects_garbage():
         restore_server(dynamic, other.getvalue())
     # an unknown kind in an otherwise well-formed blob
     stream = io.BytesIO(blob)
-    network, index, columns = (pickle.load(stream) for _ in range(3))
+    network, columns = (pickle.load(stream) for _ in range(2))
     columns["kind"] = "martian"
-    martian = b"".join(pickle.dumps(part) for part in (network, index, columns, {}))
+    martian = b"".join(pickle.dumps(part) for part in (network, columns, {}))
     with pytest.raises(RecoveryError, match="kind"):
         restore_server(martian)
 
@@ -524,6 +527,79 @@ def test_snapshot_restores_a_table_without_spatial_index():
     server = MonitoringServer(network, algorithm="IMA", edge_table=table)
     clone = restore_server(server.snapshot_state())
     assert clone.edge_table.spatial_index is None
+    with pytest.raises(EdgeNotFoundError):
+        clone.snap(0.0, 0.0)
+
+
+# ----------------------------------------------------------------------
+# the spatial index is derived state: never stored, built on first snap
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("workers", [None, 2], ids=["in-process", "replica-2w"])
+def test_a_run_without_snaps_never_builds_the_spatial_index(tmp_path, index_builds, workers):
+    durable, expected = _drive(tmp_path / "d", workers=workers)
+    durable.checkpoint()
+    durable.close()
+    recovered = DurableMonitoringServer.recover(tmp_path / "d", checkpoint_every=2)
+    try:
+        assert recovered.results() == expected[TICKS]
+        recovered.tick()
+        recovered.checkpoint()
+        assert index_builds == []
+        recovered.server.snap(0.0, 0.0)
+        assert index_builds == [recovered.server.edge_table]
+    finally:
+        recovered.close()
+
+
+@pytest.mark.parametrize("path", ["restore_server", "recover"])
+def test_a_restored_server_snaps_exactly_like_the_original(tmp_path, path):
+    network = city_network(400, seed=8)
+    server = MonitoringServer(network, algorithm="IMA")
+    box = network.bounding_box()
+    rng = random.Random(8)
+    points = [
+        (rng.uniform(box.min_x - 25.0, box.max_x + 25.0),
+         rng.uniform(box.min_y - 25.0, box.max_y + 25.0))
+        for _ in range(1000)
+    ]
+    single = [server.snap(x, y) for x, y in points]
+    bulk = server.snap_many(points)
+    if path == "restore_server":
+        clone = restore_server(server.snapshot_state())
+    else:
+        durable = DurableMonitoringServer(server, tmp_path / "d", sync=False)
+        durable.close()
+        clone = DurableMonitoringServer.recover(tmp_path / "d", sync=False).server
+    assert clone.edge_table.spatial_index is not server.edge_table.spatial_index
+    assert [clone.snap(x, y) for x, y in points] == single
+    assert clone.snap_many(points) == bulk
+    assert clone.edge_table.spatial_index.statistics() == (
+        server.edge_table.spatial_index.statistics()
+    )
+    clone.close()
+
+
+def test_a_recovered_server_snaps_onto_the_edited_network(tmp_path):
+    """A base written after a topology edit must not carry the old edges."""
+    data_dir = tmp_path / "d"
+    network = grid_network(4, 4, spacing=100.0)
+    server = MonitoringServer(network, algorithm="IMA")
+    durable = DurableMonitoringServer(server, data_dir, checkpoint_every=None, sync=False)
+    removed = next(iter(network.edge_ids()))
+    midpoint = network.location_point(NetworkLocation(removed, 0.5))
+    assert server.snap(midpoint.x, midpoint.y).edge_id == removed
+    network.remove_edge(removed)
+    durable.tick()
+    durable.checkpoint()  # writes a second base, at the new topology version
+    durable.close()
+    recovered = DurableMonitoringServer.recover(data_dir, checkpoint_every=None, sync=False)
+    try:
+        assert not recovered.server.network.has_edge(removed)
+        location = recovered.server.add_object_at(1, midpoint.x, midpoint.y)
+        assert location.edge_id != removed
+        recovered.tick()
+    finally:
+        recovered.close()
 
 
 def test_load_initial_state_reads_genesis_without_respawn(tmp_path):
@@ -547,7 +623,7 @@ def test_differential_log_replay_passes_on_the_new_layout(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# on-disk layout: one base + columnar checkpoints (RPCKPT03)
+# on-disk layout: one base + columnar checkpoints (RPCKPT04)
 # ----------------------------------------------------------------------
 def _names(data_dir):
     return sorted(p.name for p in (data_dir / "checkpoints").iterdir())
@@ -643,21 +719,23 @@ def test_retired_format_directory_is_refused_by_name(tmp_path):
         b"RPCKPT01" + len(payload).to_bytes(4, "little") + bytes(4) + payload
     )
     for entry in (DurableMonitoringServer.recover, load_initial_state):
-        with pytest.raises(RecoveryError, match="RPCKPT01.*RPCKPT03"):
+        with pytest.raises(RecoveryError, match="RPCKPT01.*RPCKPT04"):
             entry(tmp_path / "d")
 
 
-#: A data directory the RPCKPT02 release wrote (a 12-node city, IMA, three
-#: ticks).  Its pickles carry per-instance dict state, which the slotted
-#: value classes would load as garbage, so it must be refused unread.
-_RPCKPT02_DIR = pathlib.Path(__file__).parent / "data" / "rpckpt02"
+#: Data directories older releases wrote (a 12-node city, IMA, three ticks).
+#: The RPCKPT02 pickles carry per-instance dict state, which the slotted
+#: value classes would load as garbage; the RPCKPT03 base holds a pickled
+#: spatial index after the network, which this release no longer reads.
+#: Both must be refused unread.
+_DATA_DIR = pathlib.Path(__file__).parent / "data"
 
 
-def test_rpckpt02_directory_is_refused_before_anything_is_read(tmp_path, monkeypatch):
+def _assert_refused_unread(tmp_path, monkeypatch, magic):
     data_dir = tmp_path / "d"
-    shutil.copytree(_RPCKPT02_DIR, data_dir)
+    shutil.copytree(_DATA_DIR / magic.lower(), data_dir)
     before = {path: path.read_bytes() for path in data_dir.rglob("*") if path.is_file()}
-    assert before[data_dir / "checkpoints" / "ckpt-0000000002.bin"][:8] == b"RPCKPT02"
+    assert before[data_dir / "checkpoints" / "ckpt-0000000002.bin"][:8] == magic.encode()
 
     def must_not_run(*args, **kwargs):
         raise AssertionError("ran before the checkpoint format was checked")
@@ -666,10 +744,18 @@ def test_rpckpt02_directory_is_refused_before_anything_is_read(tmp_path, monkeyp
     monkeypatch.setattr(durable_module, "restore_server", must_not_run)
     monkeypatch.setattr(durable_module.EventLog, "open_tail", staticmethod(must_not_run))
     for entry in (DurableMonitoringServer.recover, load_initial_state):
-        with pytest.raises(RecoveryError, match="retired RPCKPT02 format.*RPCKPT03"):
+        with pytest.raises(RecoveryError, match=f"retired {magic} format.*RPCKPT04"):
             entry(data_dir)
     after = {path: path.read_bytes() for path in data_dir.rglob("*") if path.is_file()}
     assert after == before
+
+
+def test_rpckpt02_directory_is_refused_before_anything_is_read(tmp_path, monkeypatch):
+    _assert_refused_unread(tmp_path, monkeypatch, "RPCKPT02")
+
+
+def test_rpckpt03_directory_is_refused_before_anything_is_read(tmp_path, monkeypatch):
+    _assert_refused_unread(tmp_path, monkeypatch, "RPCKPT03")
 
 
 def test_kill_between_base_and_genesis_then_fresh_start(tmp_path, monkeypatch):

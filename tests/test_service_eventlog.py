@@ -295,7 +295,7 @@ def test_checkpoint_write_read_roundtrip(tmp_path):
 
     path = _write_checkpoint(tmp_path, 12, 345, 7, b"state-blob")
     assert path.name == "ckpt-0000000012.bin"
-    assert path.read_bytes()[:8] == b"RPCKPT03"
+    assert path.read_bytes()[:8] == b"RPCKPT04"
     record = _read_checkpoint(path)
     assert record == {
         "timestamp": 12, "log_offset": 345, "base_version": 7, "state": b"state-blob"
