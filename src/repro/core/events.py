@@ -21,8 +21,8 @@ lock-step on identical inputs.
 
 from __future__ import annotations
 
+import io
 import struct
-import sys
 from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.exceptions import EventLogError, InvalidQueryError, SimulationError
 from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation, RoadNetwork
+from repro.network.record import ColumnReader, write_float_column, write_int_column
 from repro.utils import value_class
 
 
@@ -364,38 +365,16 @@ _SPEC_ROW = struct.Struct("<BBqdI")
 _SPEC_KINDS = ("knn", "range", "aggregate_knn")
 _SPEC_AGGREGATES = ("sum", "max")
 
-#: ``array`` writes native byte order; the record is little-endian.
-_SWAP = sys.byteorder != "little"
-#: Width tag of an integer column that fits neither int32 nor int64: every
-#: value is then a length byte plus that many little-endian signed bytes.
-_WIDE = 0
-_INT_TYPECODES = ((4, "i"), (8, "q"))
+#: The int-column widths a batch record uses (record version 2 predates
+#: the 1- and 2-byte layouts, so a reader refuses them here).
+_INT_WIDTHS = (4, 8)
 
 
 def _pack_ints(what: str, values: Sequence[int]) -> bytes:
-    """An integer column: a width tag, then the narrowest layout that fits."""
-    if not values:
-        return b""
-    for width, typecode in _INT_TYPECODES:
-        try:
-            column = array(typecode, values)
-        except OverflowError:
-            continue
-        except TypeError as exc:
-            raise EventLogError(f"cannot encode {what}: {exc}") from exc
-        if _SWAP:
-            column.byteswap()
-        return bytes((width,)) + column.tobytes()
-    parts = [bytes((_WIDE,))]
-    for value in values:
-        if not isinstance(value, int):
-            raise EventLogError(f"cannot encode {what}: {value!r} is not an integer")
-        size = (value.bit_length() + 8) // 8
-        if size > 255:
-            raise EventLogError(f"cannot encode {what}: {value.bit_length()}-bit integer")
-        parts.append(bytes((size,)))
-        parts.append(value.to_bytes(size, "little", signed=True))
-    return b"".join(parts)
+    """An integer column (:func:`~repro.network.record.write_int_column`)."""
+    buffer = io.BytesIO()
+    write_int_column(buffer, what, lambda: values, widths=_INT_WIDTHS, error=EventLogError)
+    return buffer.getvalue()
 
 
 def _pack_floats(what: str, values: Sequence[float]) -> bytes:
@@ -403,10 +382,10 @@ def _pack_floats(what: str, values: Sequence[float]) -> bytes:
     try:
         column = array("d", values)
     except TypeError as exc:
-        raise EventLogError(f"cannot encode {what}: {exc}") from exc
-    if _SWAP:
-        column.byteswap()
-    return column.tobytes()
+        raise EventLogError(f"cannot encode the {what}: {exc}") from exc
+    buffer = io.BytesIO()
+    write_float_column(buffer, column)
+    return buffer.getvalue()
 
 
 def _pack_locations(what: str, locations: Sequence[NetworkLocation]) -> bytes:
@@ -557,57 +536,11 @@ _QUERY_KINDS = bytes(
 _KIND_ONLY = bytes(byte & ((1 << _K_SHIFT) - 1) for byte in range(256))
 
 
-class _RecordReader:
-    """Cursor over a record; every read is bounded by the bytes that remain."""
+class _RecordReader(ColumnReader):
+    """Cursor over a batch record: the shared columns plus its row shapes."""
 
     def __init__(self, view: memoryview) -> None:
-        self._view = view
-        self.offset = 0
-
-    @property
-    def remaining(self) -> int:
-        """Bytes not yet consumed."""
-        return len(self._view) - self.offset
-
-    def take(self, what: str, size: int) -> memoryview:
-        """The next *size* bytes — checked against the payload, not assumed."""
-        if size > self.remaining:
-            raise EventLogError(
-                f"batch record is truncated: {what} needs {size} bytes at offset "
-                f"{self.offset}, {self.remaining} remain"
-            )
-        chunk = self._view[self.offset : self.offset + size]
-        self.offset += size
-        return chunk
-
-    def _column(self, what: str, typecode: str, width: int, count: int) -> array:
-        column = array(typecode)
-        column.frombytes(self.take(what, width * count))
-        if _SWAP:
-            column.byteswap()
-        return column
-
-    def ints(self, what: str, count: int) -> Sequence[int]:
-        """An integer column of *count* rows, at whatever width it was written."""
-        if not count:
-            return ()
-        width = self.take(what, 1)[0]
-        for known, typecode in _INT_TYPECODES:
-            if width == known:
-                return self._column(what, typecode, width, count)
-        if width != _WIDE:
-            raise EventLogError(f"batch record: {what} have unknown integer width {width}")
-        values = []
-        # Every iteration consumes at least one byte, so a count the payload
-        # cannot hold runs into take()'s check, not into memory.
-        for _ in range(count):
-            size = self.take(what, 1)[0]
-            values.append(int.from_bytes(self.take(what, size), "little", signed=True))
-        return values
-
-    def floats(self, what: str, count: int) -> array:
-        """A float64 column of *count* rows."""
-        return self._column(what, "d", 8, count)
+        super().__init__(view, "batch record", error=EventLogError, widths=_INT_WIDTHS)
 
     def locations(self, what: str, count: int) -> List[NetworkLocation]:
         """An ``(edge, fraction)`` column pair, the fractions checked at once."""

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import io
 import pickle
+import struct
 from typing import BinaryIO, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.core.base import MonitorBase, TimestepReport
@@ -50,7 +51,25 @@ from repro.exceptions import (
 from repro.network.edge_table import EdgeTable
 from repro.network.kernels import DEFAULT_KERNEL, registered_kernels, resolve_kernel
 from repro.network.graph import NetworkLocation, RoadNetwork
+from repro.network.record import (
+    ColumnReader,
+    decode_network,
+    write_float_column,
+    write_network,
+)
 from repro.spatial.geometry import Point
+
+#: Leads a snapshot's dynamic section: magic, version, kind, flags,
+#: topology_version, weight_version, the edge table's version, edge count,
+#: object count.  The weight column, the three object columns and the
+#: monitor pickle follow.
+_DYNAMIC_HEADER = struct.Struct("<4sBBBQQQII")
+_DYNAMIC_MAGIC = b"RPDY"
+_DYNAMIC_VERSION = 1
+#: The header's kind byte indexes this.
+_SNAPSHOT_KINDS = ("in-process", "sharded")
+#: Flag bit: the edge table snaps coordinates (``build_spatial_index``).
+_INDEXES_COORDINATES = 0x01
 
 #: Monitor implementations selectable by name.
 ALGORITHMS = {
@@ -640,8 +659,11 @@ class MonitoringServer:
         """Stream the snapshot's *static section* to a binary *stream*.
 
         The static section is what no tick can change: the road network
-        (topology, geometry, base weights), as one pickle.  The edge
-        table's spatial index is not part of it: it is derived from the
+        (topology, geometry, base weights) as one columnar record of
+        :mod:`repro.network.record`, streamed a column at a time, so
+        writing it allocates one column, not a copy of the network.  It
+        holds no current weights (every dynamic section carries them) and
+        not the edge table's spatial index, which is derived from the
         network and rebuilt on the restored server's first snap.  The
         section is valid for as long as the network's ``topology_version``
         stays what it was when this was written, so a durable caller
@@ -653,20 +675,22 @@ class MonitoringServer:
             with open("base.bin", "wb") as stream:
                 server.write_static_state(stream)
         """
-        pickle.dump(self._network, stream, protocol=pickle.HIGHEST_PROTOCOL)
+        write_network(self._network, stream)
 
     def snapshot_state(self, *, static: bool = True) -> bytes:
         """Serialize the complete server state to one opaque blob.
 
         The blob is the static section (see :meth:`write_static_state`)
-        followed by the *dynamic section*: the edge weights and the objects'
-        ``(id, edge, fraction)`` as flat ``float64`` / ``int64`` columns,
-        then one small pickle of the monitor (including its per-query float
-        history), query maps, pending buffer and timestamp in which the
-        network and the edge table are references, not copies.  Restore it
-        with :func:`restore_server`.  Kernel snapshots (the CSR columns,
-        native support) are deliberately *not* captured; they are rebuilt
-        deterministically from the restored weights on first use.
+        followed by the *dynamic section*: a ``struct`` header, the edge
+        weights as one ``float64`` column and the objects' ``(id, edge,
+        fraction)`` as three columns in the :mod:`repro.network.record`
+        idiom, then one small pickle of the monitor (including its
+        per-query float history), query maps, pending buffer and timestamp
+        in which the network and the edge table are references, not
+        copies.  Restore it with :func:`restore_server`.  Kernel snapshots
+        (the CSR columns, native support) are deliberately *not* captured;
+        they are rebuilt deterministically from the restored weights on
+        first use.
 
         The blob is same-release: restore it with the release that took it.
 
@@ -683,22 +707,21 @@ class MonitoringServer:
         buffer = io.BytesIO()
         if static:
             self.write_static_state(buffer)
-        object_ids, object_edges, object_fractions = edge_table.object_columns()
-        pickle.dump(
-            {
-                "kind": kind,
-                "topology_version": network.topology_version,
-                "weight_version": network.weight_version,
-                "weights": network.weight_column(),
-                "objects_version": edge_table.version,
-                "indexes_coordinates": edge_table.indexes_coordinates,
-                "object_ids": object_ids,
-                "object_edges": object_edges,
-                "object_fractions": object_fractions,
-            },
-            buffer,
-            protocol=pickle.HIGHEST_PROTOCOL,
+        buffer.write(
+            _DYNAMIC_HEADER.pack(
+                _DYNAMIC_MAGIC,
+                _DYNAMIC_VERSION,
+                _SNAPSHOT_KINDS.index(kind),
+                _INDEXES_COORDINATES if edge_table.indexes_coordinates else 0,
+                network.topology_version,
+                network.weight_version,
+                edge_table.version,
+                network.edge_count,
+                edge_table.object_count,
+            )
         )
+        write_float_column(buffer, network.weight_column())
+        edge_table.write_object_columns(buffer)
         _ReferencePickler(buffer, network, edge_table).dump(
             {
                 "timestamp": self._timestamp,
@@ -800,30 +823,40 @@ def load_snapshot(blob, static=None) -> Dict[str, object]:
             together (different ``topology_version``).
     """
     try:
-        stream = io.BytesIO(blob if static is None else static)
-        network = pickle.load(stream)
-        if static is not None:
-            stream = io.BytesIO(blob)
-        columns = pickle.load(stream)
-        if network.topology_version != columns["topology_version"]:
+        network, end = decode_network(blob if static is None else static)
+        start = end if static is None else 0
+        reader = ColumnReader(memoryview(blob)[start:], "snapshot's dynamic section")
+        (
+            magic, version, kind, flags, topology_version, weight_version,
+            objects_version, edge_count, object_count,
+        ) = _DYNAMIC_HEADER.unpack(reader.take("the header", _DYNAMIC_HEADER.size))
+        if magic != _DYNAMIC_MAGIC or version != _DYNAMIC_VERSION:
             raise RecoveryError(
-                f"dynamic section was taken at topology version "
-                f"{columns['topology_version']} but the static section holds "
-                f"{network.topology_version}"
+                f"not a dynamic section of this release: {bytes(magic)!r} version {version}"
             )
-        network.restore_weights(columns["weights"], columns["weight_version"])
+        if kind >= len(_SNAPSHOT_KINDS):
+            raise RecoveryError(f"unsupported server snapshot kind {kind}")
+        if network.topology_version != topology_version:
+            raise RecoveryError(
+                f"dynamic section was taken at topology version {topology_version} "
+                f"but the static section holds {network.topology_version}"
+            )
+        network.restore_weights(reader.floats("weights", edge_count), weight_version)
         edge_table = EdgeTable.from_columns(
             network,
-            columns["object_ids"],
-            columns["object_edges"],
-            columns["object_fractions"],
-            columns["objects_version"],
-            columns["indexes_coordinates"],
+            reader.ints("object ids", object_count),
+            reader.ints("object edges", object_count),
+            reader.floats("object fractions", object_count),
+            objects_version,
+            bool(flags & _INDEXES_COORDINATES),
         )
+        # A BytesIO shares a bytes blob instead of copying it.
+        stream = io.BytesIO(blob)
+        stream.seek(start + reader.offset)
         state = _ReferenceUnpickler(
             stream, {"network": network, "edge_table": edge_table}
         ).load()
-        state.update(kind=columns["kind"], network=network, edge_table=edge_table)
+        state.update(kind=_SNAPSHOT_KINDS[kind], network=network, edge_table=edge_table)
     except RecoveryError:
         raise
     except Exception as exc:
@@ -872,9 +905,8 @@ def restore_server(blob, static=None) -> MonitoringServer:
         clone = restore_server(blob)
         assert clone.results() == server.results()
     """
-    state = load_snapshot(blob, static)
-    kind = state["kind"]
-    if kind == "in-process":
+    state = load_snapshot(blob, static)  # which refuses an unknown kind
+    if state["kind"] == "in-process":
         server = object.__new__(MonitoringServer)
         try:
             server._monitor = state["monitor"]
@@ -887,8 +919,6 @@ def restore_server(blob, static=None) -> MonitoringServer:
             )
         _require_registered_kernel(server._monitor.kernel)
         return server
-    if kind == "sharded":
-        from repro.core.sharding import ShardedMonitoringServer
+    from repro.core.sharding import ShardedMonitoringServer
 
-        return ShardedMonitoringServer._restore(state)
-    raise RecoveryError(f"unsupported server snapshot kind {kind!r}")
+    return ShardedMonitoringServer._restore(state)

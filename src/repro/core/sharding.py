@@ -8,11 +8,12 @@ instead of one.  The coordinator stays the single writer of the network
 and the edge table; each worker holds one **shard** of a layout:
 
 * **Network and halo.**  ``partitioning="replica"`` (the default) is the
-  whole-network layout: every shard holds the full network, pickled once
-  per spawn, and its halo is empty.  ``partitioning="graph"`` splits the
-  network into contiguous region blocks (a BFS grower over the CSR
-  adjacency, :func:`~repro.network.csr.grow_partitions`); each shard holds
-  one block plus its one-hop halo, extracted in full-network order so its
+  whole-network layout: every shard holds the full network, encoded once
+  per spawn as a columnar network record, and its halo is empty.
+  ``partitioning="graph"`` splits the network into contiguous region
+  blocks (a BFS grower over the CSR adjacency,
+  :func:`~repro.network.csr.grow_partitions`); each shard holds one block
+  plus its one-hop halo, extracted in full-network order so its
   heap tie-breaks match the single-process server's.
 * **Owner rule.**  Whole-network shards split the queries by
   :func:`~repro.core.worker.shard_of`; a region shard owns the queries on
@@ -54,9 +55,9 @@ Example::
 from __future__ import annotations
 
 import multiprocessing
-import pickle
 import time
 import weakref
+from array import array
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
@@ -76,6 +77,7 @@ from repro.network.csr import csr_snapshot, grow_partitions, partition_block
 from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation, RoadNetwork
 from repro.network.kernels import DEFAULT_KERNEL
+from repro.network.record import encode_network
 
 #: The two supported partitioning modes of :class:`ShardedMonitoringServer`.
 PARTITIONING_MODES = ("replica", "graph")
@@ -394,13 +396,15 @@ class ShardedMonitoringServer(MonitoringServer):
     ) -> List[ShardInit]:
         """Lay the current network out into shards: one init per shard.
 
-        The whole-network layout pickles the network once for all
+        The whole-network layout encodes the network once for all
         ``workers`` shards, each with an empty halo.  The graph layout
         recomputes the BFS-grown block assignment (deterministic, so a
-        restored or resynced fleet lands on the same layout) and pickles
-        each block+halo subnetwork.  Every shard is sent every object
-        placement and keeps the ones on its own edges; *initial_queries*
-        go to their owner, or to the coordinator's boundary set.
+        restored or resynced fleet lands on the same layout) and encodes
+        each block+halo subnetwork.  A network travels as one
+        :mod:`repro.network.record` plus its current weight column.  Every
+        shard is sent every object placement and keeps the ones on its own
+        edges; *initial_queries* go to their owner, or to the coordinator's
+        boundary set.
         """
         self._exported_topology_version = self._network.topology_version
         if self._partitioning == "graph":
@@ -422,21 +426,23 @@ class ShardedMonitoringServer(MonitoringServer):
                     f"sharded snapshot holds {len(monitor_blobs)} shard blobs "
                     f"but the {self._partitioning} layout has {self._num_shards} shards"
                 )
-            network_blobs: List[Optional[bytes]] = [None] * self._num_shards
+            shipped: List[Tuple[Optional[bytes], Optional[array]]] = [
+                (None, None)
+            ] * self._num_shards
             objects: Dict[int, NetworkLocation] = {}
         else:
             if self._partitioning == "graph":
-                network_blobs = [
-                    pickle.dumps(
-                        _extract_subnetwork(self._network, set(block) | set(halo), set(edges)),
-                        protocol=pickle.HIGHEST_PROTOCOL,
-                    )
+                networks = [
+                    _extract_subnetwork(self._network, set(block) | set(halo), set(edges))
                     for block, halo, edges in blocks
                 ]
             else:
-                network_blobs = [
-                    pickle.dumps(self._network, protocol=pickle.HIGHEST_PROTOCOL)
-                ] * self._num_shards
+                networks = [self._network]
+            shipped = [
+                (encode_network(network), network.weight_column()) for network in networks
+            ]
+            if self._partitioning != "graph":
+                shipped *= self._num_shards
             objects = dict(self._edge_table.all_objects())
         per_shard_queries: List[Dict[int, tuple]] = [{} for _ in range(self._num_shards)]
         for query_id, (location, spec) in initial_queries.items():
@@ -451,7 +457,8 @@ class ShardedMonitoringServer(MonitoringServer):
                 shard_id=part,
                 algorithm=self._algorithm_key,
                 kernel=self._kernel,
-                network_blob=network_blobs[part],
+                network_blob=shipped[part][0],
+                weights=shipped[part][1],
                 objects=objects,
                 queries=per_shard_queries[part],
                 monitor_blob=monitor_blobs[part] if monitor_blobs is not None else None,

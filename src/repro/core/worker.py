@@ -37,9 +37,10 @@ single block — makes every local answer exact, so nothing is probed.
 The flat-array CSR snapshot is never shipped: the worker builds it lazily
 from its own network on the first search, exactly as a single-process
 server does, and the weight listener keeps it fresh as the worker applies
-each tick's edge updates.  The network unpickles with the coordinator's
-node and edge order, so the worker's dense renumbering — and with it every
-heap tie-break — matches the coordinator's.
+each tick's edge updates.  The network decodes from its columnar record
+(:mod:`repro.network.record`) with the coordinator's node and edge order,
+so the worker's dense renumbering — and with it every heap tie-break —
+matches the coordinator's.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ import multiprocessing
 import pickle
 import time
 import traceback
+from array import array
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -57,6 +59,7 @@ from repro.core.results import KnnResult
 from repro.core.search import expand_knn
 from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation, RoadNetwork
+from repro.network.record import decode_network
 
 #: Multiplicative (Knuth) hash spreading query ids across shards; plain
 #: modulo would collapse ids sharing a stride that divides the shard count.
@@ -80,10 +83,10 @@ def shard_of(query_id: int, shards: int) -> int:
 class ShardInit:
     """Everything a shard worker needs to build its state.
 
-    The network travels as one pre-pickled blob (``RoadNetwork.__getstate__``
-    dropped its in-process weight listeners) and is unpickled *inside* the
-    worker: the coordinator keeps no unpickled copy, and the ``spawn`` start
-    method ships the bytes without a decode/re-encode round trip.
+    The network travels as one pre-encoded network record plus its current
+    weight column and is decoded *inside* the worker: the coordinator keeps
+    no decoded copy, and the ``spawn`` start method ships the bytes without
+    a decode/re-encode round trip.
     ``kernel`` names the settle engine of the worker monitor (``"csr"`` or
     ``"native"``); a tick is collect-then-flush for every kernel, and each
     worker derives any per-epoch engine support from its own snapshot, so
@@ -93,9 +96,13 @@ class ShardInit:
     shard_id: int
     algorithm: str
     kernel: str
-    #: the pickled network of this shard; ``None`` when ``monitor_blob`` is
-    #: set (a restored monitor embeds its own network).
+    #: this shard's network as one :mod:`repro.network.record`; ``None``
+    #: when ``monitor_blob`` is set (a restored monitor embeds its own
+    #: network).
     network_blob: Optional[bytes]
+    #: the current weight of every edge of ``network_blob``, in its edge
+    #: order (the record holds base weights only).
+    weights: Optional[array]
     #: every object placement; the worker keeps the ones on its own edges.
     objects: Dict[int, NetworkLocation]
     #: query id -> (location, k-or-QuerySpec); the sharded server ships the
@@ -305,7 +312,8 @@ def _build_state(init: ShardInit):
         # registration-time probe is needed.
         return network, edge_table, monitor, results, []
 
-    network = pickle.loads(init.network_blob)
+    network, _ = decode_network(init.network_blob)
+    network.restore_weights(init.weights, network.weight_version)
     edge_table = EdgeTable(network, build_spatial_index=False)
     for object_id, location in init.objects.items():
         if network.has_edge(location.edge_id):

@@ -1,4 +1,4 @@
-"""Road-network substrate: graph model, edge table, sequences, oracles, builders."""
+"""Road-network substrate: graph model, network record, edge table, sequences, oracles, builders."""
 
 from repro.utils import lazy_exports
 
@@ -13,6 +13,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "CLOSED_EDGE_WEIGHT",
         ),
         "repro.network.edge_table": ("EdgeTable",),
+        "repro.network.record": ("write_network", "encode_network", "decode_network"),
         "repro.network.csr": ("CSRGraph", "csr_snapshot"),
         "repro.network.sequences": ("SequenceTable", "SequenceInfo"),
         "repro.network.kernels": (

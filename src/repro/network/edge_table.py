@@ -22,25 +22,22 @@ harness compares OVH / IMA / GMA on identical inputs.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import BinaryIO, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.exceptions import (
     DuplicateObjectError,
     EdgeNotFoundError,
+    InvalidLocationError,
     UnknownObjectError,
 )
 from repro.network.graph import NetworkLocation, RoadNetwork
+from repro.network.record import write_float_column, write_int_column
 from repro.spatial.geometry import Point
 from repro.spatial.pmr_quadtree import PMRQuadtree
 
 
-def _int_column(values: Iterable[int]) -> Sequence[int]:
-    """*values* as a flat ``int64`` column (a plain list if one does not fit)."""
-    values = list(values)
-    try:
-        return array("q", values)
-    except OverflowError:
-        return values
+#: Longest per-edge id list; a longer pile is kept in a dict instead.
+_PILE = 32
 
 
 class EdgeTable:
@@ -72,7 +69,11 @@ class EdgeTable:
         """
         self._network = network
         self._objects: Dict[int, NetworkLocation] = {}
-        self._objects_on_edge: Dict[int, Set[int]] = {}
+        # Per-edge object ids in arrival order: a list costs a quarter of a
+        # set, and no reader depends on the order (top-k breaks distance
+        # ties by object id).  A pile longer than _PILE turns into a dict,
+        # just as ordered, so removing an id from it is not a scan.
+        self._objects_on_edge: Dict[int, Union[List[int], Dict[int, None]]] = {}
         # Per-edge ``[(object_id, fraction), ...]`` lists, built lazily and
         # invalidated on mutation; the search kernel scans these on its hot
         # path instead of re-deriving fractions through per-object lookups.
@@ -216,8 +217,7 @@ class EdgeTable:
             raise DuplicateObjectError(object_id)
         self._network.validate_location(location)
         self._objects[object_id] = location
-        self._objects_on_edge.setdefault(location.edge_id, set()).add(object_id)
-        self._fraction_cache.pop(location.edge_id, None)
+        self._add_to_edge(object_id, location.edge_id)
         self._version += 1
 
     def remove_object(self, object_id: int) -> NetworkLocation:
@@ -229,12 +229,7 @@ class EdgeTable:
         location = self._objects.pop(object_id, None)
         if location is None:
             raise UnknownObjectError(object_id)
-        on_edge = self._objects_on_edge.get(location.edge_id)
-        if on_edge is not None:
-            on_edge.discard(object_id)
-            if not on_edge:
-                del self._objects_on_edge[location.edge_id]
-        self._fraction_cache.pop(location.edge_id, None)
+        self._drop_from_edge(object_id, location.edge_id)
         self._version += 1
         return location
 
@@ -245,12 +240,42 @@ class EdgeTable:
             UnknownObjectError: if the object is not registered.
             EdgeNotFoundError: if the new location references an unknown edge.
         """
-        if object_id not in self._objects:
+        old_location = self._objects.get(object_id)
+        if old_location is None:
             raise UnknownObjectError(object_id)
         self._network.validate_location(new_location)
-        old_location = self.remove_object(object_id)
-        self.insert_object(object_id, new_location)
+        # In place: the object keeps its registration-order slot.
+        self._objects[object_id] = new_location
+        if old_location.edge_id == new_location.edge_id:
+            self._fraction_cache.pop(new_location.edge_id, None)
+        else:
+            self._drop_from_edge(object_id, old_location.edge_id)
+            self._add_to_edge(object_id, new_location.edge_id)
+        self._version += 1
         return old_location
+
+    def _add_to_edge(self, object_id: int, edge_id: int) -> None:
+        on_edge = self._objects_on_edge.get(edge_id)
+        if on_edge is None:
+            self._objects_on_edge[edge_id] = [object_id]
+        elif type(on_edge) is dict:
+            on_edge[object_id] = None
+        elif len(on_edge) < _PILE:
+            on_edge.append(object_id)
+        else:
+            on_edge = self._objects_on_edge[edge_id] = dict.fromkeys(on_edge)
+            on_edge[object_id] = None
+        self._fraction_cache.pop(edge_id, None)
+
+    def _drop_from_edge(self, object_id: int, edge_id: int) -> None:
+        on_edge = self._objects_on_edge[edge_id]
+        if type(on_edge) is dict:
+            del on_edge[object_id]
+        else:
+            on_edge.remove(object_id)
+        if not on_edge:
+            del self._objects_on_edge[edge_id]
+        self._fraction_cache.pop(edge_id, None)
 
     # ------------------------------------------------------------------
     # lookups
@@ -318,27 +343,25 @@ class EdgeTable:
         self._fraction_cache[edge_id] = pairs
         return pairs
 
-    def object_columns(self) -> Tuple[Sequence[int], Sequence[int], Sequence[float]]:
-        """Every object as flat ``(ids, edge ids, fractions)`` columns.
+    def write_object_columns(self, stream: BinaryIO) -> None:
+        """Write every object to *stream* as ids, edge ids and fractions.
 
-        In registration order, 24 bytes per object (``int64``, ``int64``,
-        ``float64``) — what a checkpoint stores instead of one pickled
-        :class:`NetworkLocation` per object.  :meth:`from_columns` is the
-        inverse.
+        Three columns of :mod:`repro.network.record` (two int columns at
+        their narrowest width, one ``float64``), in registration order and
+        one at a time — what a checkpoint stores instead of one pickled
+        :class:`NetworkLocation` per object.  :meth:`from_columns` rebuilds
+        the table from the columns a
+        :class:`~repro.network.record.ColumnReader` reads back.
 
-        Example::
-
-            ids, edges, fractions = edge_table.object_columns()
-            clone = EdgeTable.from_columns(
-                network, ids, edges, fractions, edge_table.version
-            )
+        Raises:
+            NetworkError: if an object id is not an integer.
         """
         locations = self._objects.values()
-        return (
-            _int_column(self._objects),
-            _int_column(location.edge_id for location in locations),
-            array("d", [location.fraction for location in locations]),
+        write_int_column(stream, "object ids", self._objects.keys)
+        write_int_column(
+            stream, "object edges", lambda: (location.edge_id for location in locations)
         )
+        write_float_column(stream, array("d", (location.fraction for location in locations)))
 
     @classmethod
     def from_columns(
@@ -350,7 +373,10 @@ class EdgeTable:
         version: int,
         build_spatial_index: bool = True,
     ) -> "EdgeTable":
-        """Rebuild a table from :meth:`object_columns` and its :attr:`version`.
+        """Rebuild a table from object columns and its :attr:`version`.
+
+        *ids*, *edges* and *fractions* are what :meth:`write_object_columns`
+        wrote, one entry per object in registration order.
 
         *build_spatial_index* is the original table's
         :attr:`indexes_coordinates`.  The spatial index is not restored: it
@@ -358,16 +384,26 @@ class EdgeTable:
         the same order and so yields the same tree and the same snaps.
 
         Raises:
+            InvalidLocationError: if the three columns differ in length, or
+                a fraction lies outside ``[0, 1]``.
+            DuplicateObjectError: if an id appears twice.
             EdgeNotFoundError: if an object lies on an edge *network* lacks.
         """
+        if not len(ids) == len(edges) == len(fractions):
+            raise InvalidLocationError(
+                f"object columns differ in length: {len(ids)} ids, {len(edges)} "
+                f"edges, {len(fractions)} fractions"
+            )
         table = cls(network, build_spatial_index)
         objects = table._objects
-        on_edge = table._objects_on_edge
+        has_edge = network.has_edge
         for object_id, edge_id, fraction in zip(ids, edges, fractions):
-            if not network.has_edge(edge_id):
+            if object_id in objects:
+                raise DuplicateObjectError(object_id)
+            if not has_edge(edge_id):
                 raise EdgeNotFoundError(edge_id)
             objects[object_id] = NetworkLocation(edge_id, fraction)
-            on_edge.setdefault(edge_id, set()).add(object_id)
+            table._add_to_edge(object_id, edge_id)
         table._version = version
         return table
 
@@ -387,9 +423,9 @@ class EdgeTable:
     # diagnostics
     # ------------------------------------------------------------------
     def consistency_check(self) -> bool:
-        """Verify that the per-edge sets and the per-object map agree."""
+        """Verify that the per-edge lists and the per-object map agree."""
         for object_id, location in self._objects.items():
-            if object_id not in self._objects_on_edge.get(location.edge_id, set()):
+            if object_id not in self._objects_on_edge.get(location.edge_id, ()):
                 return False
         total = sum(len(ids) for ids in self._objects_on_edge.values())
         return total == len(self._objects)

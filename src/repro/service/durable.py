@@ -53,12 +53,13 @@ from repro.network.graph import NetworkLocation, RoadNetwork
 from repro.service.eventlog import EventLog
 
 #: First 8 bytes of every base and checkpoint file.
-CHECKPOINT_MAGIC = b"RPCKPT04"
+CHECKPOINT_MAGIC = b"RPCKPT05"
 
 #: Refused by name: ``RPCKPT01`` (one whole-graph pickle), ``RPCKPT02``
-#: (dict-state pickles, which the slotted value classes would misread) and
-#: ``RPCKPT03`` (a base of two pickles, the second the spatial index).
-_RETIRED_MAGICS = (b"RPCKPT01", b"RPCKPT02", b"RPCKPT03")
+#: (dict-state pickles, which the slotted value classes would misread),
+#: ``RPCKPT03`` (a base of two pickles, the second the spatial index) and
+#: ``RPCKPT04`` (a base that is one pickle of the network, not a record).
+_RETIRED_MAGICS = (b"RPCKPT01", b"RPCKPT02", b"RPCKPT03", b"RPCKPT04")
 
 _FRAME_HEADER = struct.Struct("<8sQI")  # (magic, payload length, crc32(payload))
 
@@ -98,9 +99,13 @@ class _CrcWriter:
         self.crc = 0
 
     def write(self, data) -> int:
-        """Write *data* (any bytes-like) and fold it into the running CRC."""
+        """Write *data* (any bytes-like) and fold it into the running CRC.
+
+        The length counts bytes, not items: a typed ``array`` column is
+        ``itemsize`` bytes per item.
+        """
         self.crc = zlib.crc32(data, self.crc)
-        self.length += len(data)
+        self.length += memoryview(data).nbytes
         return self._stream.write(data)
 
 
@@ -255,15 +260,13 @@ def load_initial_state(data_dir: Union[str, os.PathLike]) -> InitialState:
                 monitor.query_location(query_id),
                 monitor.query_spec(query_id),
             )
-    elif kind == "sharded":
+    else:  # "sharded": load_snapshot refuses any other kind
         # The coordinator-level maps cover every registered query.  The
         # shard blobs alone would miss graph-partitioned boundary queries,
         # which are evaluated by the coordinator and therefore registered
         # in no shard's monitor.
         for query_id, location in state["query_locations"].items():
             queries[query_id] = (location, state["query_specs"][query_id])
-    else:
-        raise RecoveryError(f"{paths[0]}: unknown snapshot kind {kind!r}")
     return InitialState(
         network=state["network"],
         edge_table=state["edge_table"],
@@ -479,7 +482,7 @@ class DurableMonitoringServer:
         Raises:
             RecoveryError: when no checkpoint restores — each one is torn,
                 lacks an intact base, or was written in a retired format
-                (``RPCKPT01``, ``RPCKPT02`` or ``RPCKPT03``) — a restored
+                (``RPCKPT01`` to ``RPCKPT04``) — a restored
                 snapshot disagrees with its checkpoint's timestamp, or the
                 log tail does not line up with the restored clock.
 

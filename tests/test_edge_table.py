@@ -2,13 +2,24 @@
 
 from __future__ import annotations
 
+import io
+
 import pytest
 
-from repro.core.server import MonitoringServer
-from repro.exceptions import DuplicateObjectError, EdgeNotFoundError, UnknownObjectError
+from repro.core.server import MonitoringServer, load_snapshot
+from repro.exceptions import (
+    DuplicateObjectError,
+    EdgeNotFoundError,
+    InvalidLocationError,
+    RecoveryError,
+    UnknownObjectError,
+)
+from repro.network import edge_table as edge_table_module
 from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation, RoadNetwork
+from repro.network.record import ColumnReader
 from repro.spatial.geometry import Point
+from snapshot_columns import rewrite_object_columns
 
 
 class TestObjectBookkeeping:
@@ -78,6 +89,85 @@ class TestObjectBookkeeping:
     def test_consistency_check(self, populated_city):
         _, table, _ = populated_city
         assert table.consistency_check()
+
+    def test_move_keeps_the_registration_slot(self, line_network):
+        table = EdgeTable(line_network)
+        for object_id, edge_id in ((1, 0), (2, 1), (3, 0)):
+            table.insert_object(object_id, NetworkLocation(edge_id, 0.5))
+        assert table.edge_object_fractions(0) == ((1, 0.5), (3, 0.5))
+        table.move_object(1, NetworkLocation(1, 0.25))  # to another edge
+        table.move_object(3, NetworkLocation(0, 0.75))  # along the same edge
+        assert list(table.object_ids()) == [1, 2, 3]
+        assert table.edge_object_fractions(0) == ((3, 0.75),)
+        assert table.edge_object_fractions(1) == ((2, 0.5), (1, 0.25))
+        assert table.consistency_check()
+
+    def test_a_pile_longer_than_a_list_keeps_its_order(self, line_network):
+        """Past ``_PILE`` ids an edge holds a dict: same order, same answers."""
+        table = EdgeTable(line_network)
+        pile = edge_table_module._PILE
+        ids = list(range(100, 100 + 2 * pile))
+        for object_id in ids:
+            table.insert_object(object_id, NetworkLocation(0, 0.5))
+        table.remove_object(ids[3])
+        table.move_object(ids[5], NetworkLocation(1, 0.5))
+        table.move_object(ids[6], NetworkLocation(0, 0.25))  # along the edge
+        table.insert_object(7, NetworkLocation(0, 0.5))
+        expected = [i for i in ids if i not in (ids[3], ids[5])] + [7]
+        assert [object_id for object_id, _ in table.edge_object_fractions(0)] == expected
+        assert table.objects_on(0) == set(expected) and table.consistency_check()
+        for object_id in expected:
+            table.remove_object(object_id)
+        assert table.objects_on(0) == set() and list(table.populated_edges()) == [1]
+
+    def test_failed_move_changes_nothing(self, line_network):
+        table = EdgeTable(line_network)
+        table.insert_object(1, NetworkLocation(0, 0.5))
+        version = table.version
+        with pytest.raises(EdgeNotFoundError):
+            table.move_object(1, NetworkLocation(99, 0.5))
+        assert table.location_of(1) == NetworkLocation(0, 0.5)
+        assert table.objects_on(0) == {1} and table.version == version
+
+
+class TestFromColumns:
+    def test_round_trip(self, line_network):
+        table = EdgeTable(line_network)
+        for object_id, edge_id in ((5, 0), (2, 3), (9, 0)):
+            table.insert_object(object_id, NetworkLocation(edge_id, 0.1 * object_id))
+        stream = io.BytesIO()
+        table.write_object_columns(stream)
+        reader = ColumnReader(stream.getvalue())
+        columns = reader.ints("ids", 3), reader.ints("edges", 3), reader.floats("f", 3)
+        assert reader.offset == len(stream.getvalue())
+        clone = EdgeTable.from_columns(line_network, *columns, table.version)
+        assert list(clone.all_objects()) == list(table.all_objects())
+        assert clone.edge_object_fractions(0) == table.edge_object_fractions(0)
+        assert clone.version == table.version and clone.consistency_check()
+
+    @pytest.mark.parametrize(
+        "ids, edges, fractions",
+        [([1, 2, 3], [0, 1], [0.5, 0.5]), ([1, 2], [0, 1, 2], [0.5, 0.5]),
+         ([1, 2], [0, 1], [0.5])],
+    )
+    def test_columns_of_unequal_length_are_refused(self, line_network, ids, edges, fractions):
+        with pytest.raises(InvalidLocationError, match="differ in length"):
+            EdgeTable.from_columns(line_network, ids, edges, fractions, 0)
+
+    def test_a_duplicate_id_is_refused(self, line_network):
+        with pytest.raises(DuplicateObjectError):
+            EdgeTable.from_columns(line_network, [4, 7, 4], [0, 1, 2], [0.5, 0.5, 0.5], 0)
+
+    def test_through_load_snapshot_a_duplicate_is_a_recovery_error(self, line_network):
+        server = MonitoringServer(line_network, algorithm="ima")
+        for object_id in (1, 2):
+            server.add_object(object_id, NetworkLocation(object_id, 0.5))
+        server.tick()
+        blob = server.snapshot_state()
+        assert load_snapshot(rewrite_object_columns(blob, lambda rows: rows))
+        damaged = rewrite_object_columns(blob, lambda rows: [rows[0], (1, *rows[1][1:])])
+        with pytest.raises(RecoveryError, match="already registered"):
+            load_snapshot(damaged)
 
 
 class TestSnapping:

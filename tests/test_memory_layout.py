@@ -9,7 +9,10 @@ network, not decoding a batch record, not pickling, not taking a snapshot.
 The rule is pinned here, together with what replaced the per-edge
 bookkeeping that no query read: ``RoadNetwork.edge_between`` answers from
 adjacency, and a CSR weight patch finds its slots through ``indptr`` /
-``adj_eid``.
+``adj_eid``.  So are the two things a serving process no longer holds or
+allocates: a set per populated edge (the edge table keeps lists, whose
+order no result depends on) and a pickle memo of the whole network while
+writing the base (it is streamed as a columnar record).
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from repro.network.csr import csr_snapshot
 from repro.network.graph import Edge, NetworkLocation, Node, RoadNetwork
 from repro.realism import synthetic_city_network
 from repro.spatial.geometry import Point, Rect, Segment
+from snapshot_columns import rewrite_object_columns
 
 SLOTTED = (Point, Rect, Segment, Node, Edge, NetworkLocation, ObjectUpdate, EdgeWeightUpdate)
 
@@ -205,6 +209,91 @@ def test_city_heap_stays_under_its_bound(tmp_path):
     _city_heap_bytes(tmp_path / "warm", target_edges=200)
     heap = _city_heap_bytes(tmp_path / "city", target_edges=2_000)
     assert heap < HEAP_BOUND_BYTES, f"{heap / 2**20:.2f} MiB"
+
+
+# ----------------------------------------------------------------------
+# the base is streamed a column at a time
+# ----------------------------------------------------------------------
+class _CountingSink:
+    """A stream that keeps nothing: what it is given is not charged."""
+
+    def __init__(self) -> None:
+        self.bytes = 0
+
+    def write(self, data) -> int:
+        self.bytes += memoryview(data).nbytes
+        return memoryview(data).nbytes
+
+
+#: What writing the base of a ~20,000-edge city may allocate on top of its
+#: output: measured 329 KiB on CPython 3.11 (one column and the list it is
+#: built from); the network pickle it replaced peaked at ~9 MiB.
+BASE_TRANSIENT_BOUND_BYTES = 2**20
+
+
+def test_writing_the_base_allocates_one_column_not_a_copy():
+    network = synthetic_city_network(20_000, seed=5).network
+    server = MonitoringServer(network, algorithm="ima")
+    gc.collect()
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        server.write_static_state(sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.bytes > 0
+    assert peak - before <= BASE_TRANSIENT_BOUND_BYTES, f"{(peak - before) / 1024:.0f} KiB"
+
+
+# ----------------------------------------------------------------------
+# per-edge object lists: their order is not part of any result
+# ----------------------------------------------------------------------
+def _exact(results):
+    """Results with every float as its bytes: equal means byte-identical."""
+    return {
+        query_id: (
+            tuple((object_id, distance.hex()) for object_id, distance in result.neighbors),
+            result.radius.hex(),
+        )
+        for query_id, result in results.items()
+    }
+
+
+@pytest.mark.parametrize("algorithm", ["ima", "gma"])
+def test_restoring_shuffled_object_columns_is_byte_identical(algorithm):
+    network = city_network(300, seed=12)
+    server = MonitoringServer(network, algorithm=algorithm)
+    rng = random.Random(12)
+    edges = sorted(network.edge_ids())
+    for object_id in range(400):
+        # Few edges, so most hold several objects and their order matters.
+        server.add_object(object_id, NetworkLocation(rng.choice(edges[:60]), rng.random()))
+    for query_id in range(12):
+        server.add_query(10_000 + query_id, NetworkLocation(rng.choice(edges[:60]), 0.5), 6)
+    server.tick()
+    blob = server.snapshot_state()
+    shuffled_blob = rewrite_object_columns(
+        blob, lambda rows: random.Random(3).sample(rows, len(rows))
+    )
+    plain, shuffled = restore_server(blob), restore_server(shuffled_blob)
+    assert list(shuffled.edge_table.object_ids()) != list(plain.edge_table.object_ids())
+    for tick in range(6):
+        moves = [
+            (object_id, NetworkLocation(rng.choice(edges[:60]), rng.random()))
+            for object_id in rng.sample(range(400), 80)
+        ]
+        weights = [(edge_id, 1.0 + rng.random() * 40.0) for edge_id in rng.sample(edges[:60], 5)]
+        for each in (server, plain, shuffled):
+            for object_id, location in moves:
+                each.move_object(object_id, location)
+            for edge_id, weight in weights:
+                each.update_edge_weight(edge_id, weight)
+            each.tick()
+        expected = _exact(server.results())
+        assert _exact(plain.results()) == expected, f"tick {tick}"
+        assert _exact(shuffled.results()) == expected, f"tick {tick}"
 
 
 # ----------------------------------------------------------------------

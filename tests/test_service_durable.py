@@ -26,13 +26,14 @@ from repro import (
     restore_server,
 )
 from repro import run_differential_log
-from repro.core.server import load_snapshot
+from repro.core.server import _DYNAMIC_HEADER, load_snapshot
 from repro.core.sharding import ShardedMonitoringServer
 from repro.exceptions import EdgeNotFoundError, RecoveryError, ServiceError
 from repro.network.builders import grid_network
 from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation
 from repro.network.kernels import registered_kernels
+from repro.network.record import ColumnReader, decode_network
 from repro.service import durable as durable_module
 from repro.service import eventlog as eventlog_module
 from repro.service.durable import _read_checkpoint
@@ -302,11 +303,12 @@ def test_restore_server_rejects_garbage():
     MonitoringServer(city_network(200, seed=3), algorithm="IMA").write_static_state(other)
     with pytest.raises(RecoveryError, match="topology version"):
         restore_server(dynamic, other.getvalue())
-    # an unknown kind in an otherwise well-formed blob
-    stream = io.BytesIO(blob)
-    network, columns = (pickle.load(stream) for _ in range(2))
-    columns["kind"] = "martian"
-    martian = b"".join(pickle.dumps(part) for part in (network, columns, {}))
+    # an unknown kind in an otherwise well-formed blob: the dynamic
+    # section's kind byte follows its 4-byte magic and version byte
+    _, static_end = decode_network(blob)
+    martian = bytearray(blob)
+    martian[static_end + 5] = 9
+    martian = bytes(martian)
     with pytest.raises(RecoveryError, match="kind"):
         restore_server(martian)
 
@@ -623,7 +625,7 @@ def test_differential_log_replay_passes_on_the_new_layout(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# on-disk layout: one base + columnar checkpoints (RPCKPT04)
+# on-disk layout: one base + columnar checkpoints (RPCKPT05)
 # ----------------------------------------------------------------------
 def _names(data_dir):
     return sorted(p.name for p in (data_dir / "checkpoints").iterdir())
@@ -719,15 +721,16 @@ def test_retired_format_directory_is_refused_by_name(tmp_path):
         b"RPCKPT01" + len(payload).to_bytes(4, "little") + bytes(4) + payload
     )
     for entry in (DurableMonitoringServer.recover, load_initial_state):
-        with pytest.raises(RecoveryError, match="RPCKPT01.*RPCKPT04"):
+        with pytest.raises(RecoveryError, match="RPCKPT01.*RPCKPT05"):
             entry(tmp_path / "d")
 
 
 #: Data directories older releases wrote (a 12-node city, IMA, three ticks).
 #: The RPCKPT02 pickles carry per-instance dict state, which the slotted
 #: value classes would load as garbage; the RPCKPT03 base holds a pickled
-#: spatial index after the network, which this release no longer reads.
-#: Both must be refused unread.
+#: spatial index after the network, which this release no longer reads; the
+#: RPCKPT04 base is a pickle of the network, not a network record.  All
+#: three must be refused unread.
 _DATA_DIR = pathlib.Path(__file__).parent / "data"
 
 
@@ -744,7 +747,7 @@ def _assert_refused_unread(tmp_path, monkeypatch, magic):
     monkeypatch.setattr(durable_module, "restore_server", must_not_run)
     monkeypatch.setattr(durable_module.EventLog, "open_tail", staticmethod(must_not_run))
     for entry in (DurableMonitoringServer.recover, load_initial_state):
-        with pytest.raises(RecoveryError, match=f"retired {magic} format.*RPCKPT04"):
+        with pytest.raises(RecoveryError, match=f"retired {magic} format.*RPCKPT05"):
             entry(data_dir)
     after = {path: path.read_bytes() for path in data_dir.rglob("*") if path.is_file()}
     assert after == before
@@ -756,6 +759,10 @@ def test_rpckpt02_directory_is_refused_before_anything_is_read(tmp_path, monkeyp
 
 def test_rpckpt03_directory_is_refused_before_anything_is_read(tmp_path, monkeypatch):
     _assert_refused_unread(tmp_path, monkeypatch, "RPCKPT03")
+
+
+def test_rpckpt04_directory_is_refused_before_anything_is_read(tmp_path, monkeypatch):
+    _assert_refused_unread(tmp_path, monkeypatch, "RPCKPT04")
 
 
 def test_kill_between_base_and_genesis_then_fresh_start(tmp_path, monkeypatch):
@@ -888,7 +895,17 @@ def test_periodic_checkpoint_holds_no_graph_and_no_per_object_pickles(tmp_path):
     path = tmp_path / "d" / "checkpoints" / "ckpt-0000000002.bin"
     assert path.stat().st_size <= 24 * objects + 8 * network.edge_count + 256 * 1024
     state = bytes(_read_checkpoint(path)["state"])
-    strings, instances, position = set(), 0, 0
+    # The columns lead the section; the pickles start where they end.
+    reader = ColumnReader(state)
+    *_, edge_count, object_count = _DYNAMIC_HEADER.unpack(
+        reader.take("header", _DYNAMIC_HEADER.size)
+    )
+    assert object_count == objects
+    reader.floats("weights", edge_count)
+    reader.ints("ids", object_count)
+    reader.ints("edges", object_count)
+    reader.floats("fractions", object_count)
+    strings, instances, position = set(), 0, reader.offset
     while position < len(state):
         for opcode, argument, offset in pickletools.genops(state[position:]):
             if isinstance(argument, str):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import zlib
+from array import array
 
 import pytest
 
@@ -295,11 +296,31 @@ def test_checkpoint_write_read_roundtrip(tmp_path):
 
     path = _write_checkpoint(tmp_path, 12, 345, 7, b"state-blob")
     assert path.name == "ckpt-0000000012.bin"
-    assert path.read_bytes()[:8] == b"RPCKPT04"
+    assert path.read_bytes()[:8] == b"RPCKPT05"
     record = _read_checkpoint(path)
     assert record == {
         "timestamp": 12, "log_offset": 345, "base_version": 7, "state": b"state-blob"
     }
+
+
+def test_frame_length_counts_bytes_not_items(tmp_path):
+    """A payload streamed as typed ``array`` columns reads back whole.
+
+    The frame writer once added ``len(data)`` to the payload length, which
+    for an ``array`` is its item count: two float64 values recorded 2 bytes
+    for 16 written, and the frame failed its CRC on the way back.
+    """
+    from repro.service.durable import _read_frame, _write_frame
+
+    columns = [array("d", [1.0, 2.0]), array("h", [3, -4, 5]), b"tail"]
+
+    def write_payload(stream):
+        for column in columns:
+            stream.write(column)
+
+    path = tmp_path / "frame.bin"
+    _write_frame(path, write_payload)
+    assert bytes(_read_frame(path)) == b"".join(bytes(column) for column in columns)
 
 
 def test_torn_checkpoint_is_detected(tmp_path):
