@@ -27,7 +27,12 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.exceptions import EventLogError, InvalidQueryError, SimulationError
+from repro.exceptions import (
+    EdgeNotFoundError,
+    EventLogError,
+    InvalidQueryError,
+    SimulationError,
+)
 from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation, RoadNetwork
 from repro.network.record import ColumnReader, write_float_column, write_int_column
@@ -351,6 +356,9 @@ _RECORD_MAGIC = b"RPUB"
 #: magic, version, flags, timestamp, object / query / edge update counts
 _RECORD_HEADER = struct.Struct("<4sBBqIII")
 _FLAG_NORMALIZED = 0x01
+#: The record omits every object old location and every old weight: they
+#: are the edge table's current values, and the decoder reads them there.
+_FLAG_OLD_FROM_TABLE = 0x02
 #: Every pickle of protocol 2 or later — which is what version 1 wrote —
 #: starts with the PROTO opcode.
 _PICKLE_PROTO_OPCODE = 0x80
@@ -395,22 +403,56 @@ def _pack_locations(what: str, locations: Sequence[NetworkLocation]) -> bytes:
     )
 
 
-def _pack_moves(what: str, ids: List[int], updates: Sequence, kinds: bytes) -> bytes:
+def _pack_moves(
+    what: str, ids: List[int], updates: Sequence, kinds: bytes, with_old: bool = True
+) -> bytes:
     """What object and query sections share: ids, kinds, old and new locations."""
-    return b"".join(
-        (
-            _pack_ints(f"{what} ids", ids),
-            kinds,
+    parts = [_pack_ints(f"{what} ids", ids), kinds]
+    if with_old:
+        parts.append(
             _pack_locations(
                 f"{what} old locations",
                 [u.old_location for u in updates if u.old_location is not None],
-            ),
-            _pack_locations(
-                f"{what} new locations",
-                [u.new_location for u in updates if u.new_location is not None],
-            ),
+            )
+        )
+    parts.append(
+        _pack_locations(
+            f"{what} new locations",
+            [u.new_location for u in updates if u.new_location is not None],
         )
     )
+    return b"".join(parts)
+
+
+def _require_table_values(
+    objects: Sequence[ObjectUpdate], edges: Sequence[EdgeWeightUpdate], edge_table: EdgeTable
+) -> None:
+    """Refuse to omit an old value that is not the table's current one.
+
+    A record written without them is decoded by reading them back from
+    the table, so any difference would be lost without a trace.
+    """
+    locations = edge_table.locations
+    for update in objects:
+        old = update.old_location
+        if old is not None:
+            current = locations.get(update.object_id)
+            if current is not old and current != old:
+                raise EventLogError(
+                    f"cannot encode object {update.object_id!r} without its old "
+                    f"location: the batch says {old}, the edge table {current}"
+                )
+    network = edge_table.network
+    for update in edges:
+        try:
+            current = network.edge(update.edge_id).weight
+        except EdgeNotFoundError:
+            current = None
+        if current != update.old_weight:
+            raise EventLogError(
+                f"cannot encode edge {update.edge_id!r} without its old weight: "
+                f"the batch says {update.old_weight}, the network {current}"
+            )
 
 
 def _move_kind(update) -> int:
@@ -440,7 +482,7 @@ def _pack_specs(specs: Sequence) -> bytes:
     return b"".join(rows) + _pack_locations("query spec points", points)
 
 
-def encode_batch(batch: UpdateBatch) -> bytes:
+def encode_batch(batch: UpdateBatch, edge_table: Optional[EdgeTable] = None) -> bytes:
     """Serialize a batch to its binary record.
 
     The inverse of :func:`decode_batch`, and the one representation a batch
@@ -453,23 +495,39 @@ def encode_batch(batch: UpdateBatch) -> bytes:
     :meth:`UpdateBatch.net`) says so in the header, so that whoever decodes
     it does not normalize it again.
 
+    Args:
+        batch: the batch to encode.
+        edge_table: the table the batch is about to be applied to.  Given
+            one, the record leaves out every object's old location and
+            every edge's old weight (header flag bit 1), because they are
+            the table's and its network's current values; only a decoder
+            holding that same state can read it back.  The write-ahead log
+            is written this way; an ``apply`` frame and the shard pipe are
+            not, because their readers do not hold the sender's table.
+
     Raises:
         EventLogError: if a value does not fit its column — a non-integer
             id, a non-numeric fraction or weight, an integer wider than
-            255 bytes, a timestamp or ``k`` outside int64.
+            255 bytes, a timestamp or ``k`` outside int64 — or, given
+            *edge_table*, if an old location or old weight to be left out
+            is not the table's current one.
 
     Example::
 
         payload = encode_batch(batch)
         assert decode_batch(payload) == batch
+        wal = encode_batch(batch, server.edge_table)
+        assert decode_batch(wal, server.edge_table) == batch
     """
     objects, queries, edges = batch.object_updates, batch.query_updates, batch.edge_updates
+    with_old = edge_table is None
     try:
         parts = [
             _RECORD_HEADER.pack(
                 _RECORD_MAGIC,
                 _BATCH_CODEC_VERSION,
-                _FLAG_NORMALIZED if batch._is_net() else 0,
+                (_FLAG_NORMALIZED if batch._is_net() else 0)
+                | (0 if with_old else _FLAG_OLD_FROM_TABLE),
                 batch.timestamp,
                 len(objects),
                 len(queries),
@@ -485,6 +543,7 @@ def encode_batch(batch: UpdateBatch) -> bytes:
                 [u.object_id for u in objects],
                 objects,
                 bytes(map(_move_kind, objects)),
+                with_old,
             )
         )
     if queries:
@@ -510,8 +569,12 @@ def encode_batch(batch: UpdateBatch) -> bytes:
         parts.append(_pack_specs([k for k, k_kind in zip(ks, k_kinds) if k_kind == _K_SPEC]))
     if edges:
         parts.append(_pack_ints("edge ids", [u.edge_id for u in edges]))
-        parts.append(_pack_floats("old weights", [u.old_weight for u in edges]))
+        if with_old:
+            parts.append(_pack_floats("old weights", [u.old_weight for u in edges]))
         parts.append(_pack_floats("new weights", [u.new_weight for u in edges]))
+    if not with_old:
+        # After the columns, which refused every id that is not an int.
+        _require_table_values(objects, edges, edge_table)
     return b"".join(parts)
 
 
@@ -560,25 +623,42 @@ class _RecordReader(ColumnReader):
             result.append(location)
         return result
 
-    def moves(self, what: str, count: int, valid_kinds: bytes):
+    def moves(
+        self,
+        what: str,
+        count: int,
+        valid_kinds: bytes,
+        current: Optional[Dict[int, NetworkLocation]] = None,
+    ):
         """``(ids, kind bytes, old locations, new locations)`` of *count* rows.
 
         The location lists have one entry per row, None on the side the
-        row's kind says is absent — so no row can lack both.
+        row's kind says is absent — so no row can lack both.  Given
+        *current* (id -> location), the record holds no old locations and
+        each row's is looked up there.
         """
         ids = self.ints(f"{what} ids", count)
         kinds = bytes(self.take(f"{what} kinds", count))
         if kinds.translate(None, valid_kinds):
             raise EventLogError(f"batch record: unknown {what} update kind")
         sides = kinds.translate(_KIND_ONLY)
-        olds = iter(self.locations(f"{what} old locations", count - sides.count(_APPEAR)))
+        if current is None:
+            olds = iter(self.locations(f"{what} old locations", count - sides.count(_APPEAR)))
+            old_column = [None if side == _APPEAR else next(olds) for side in sides]
+        else:
+            try:
+                old_column = [
+                    None if side == _APPEAR else current[entity_id]
+                    for entity_id, side in zip(ids, sides)
+                ]
+            except KeyError as exc:
+                raise EventLogError(
+                    f"batch record moves {what} {exc.args[0]}, which the edge table "
+                    "does not hold"
+                ) from None
         news = iter(self.locations(f"{what} new locations", count - sides.count(_DISAPPEAR)))
-        return (
-            ids,
-            kinds,
-            [None if side == _APPEAR else next(olds) for side in sides],
-            [None if side == _DISAPPEAR else next(news) for side in sides],
-        )
+        new_column = [None if side == _DISAPPEAR else next(news) for side in sides]
+        return ids, kinds, old_column, new_column
 
     def specs(self, count: int) -> list:
         """*count* ``QuerySpec`` rows, built through the validating constructor."""
@@ -624,7 +704,17 @@ def _require_unique(what: str, ids: Sequence[int]) -> None:
         )
 
 
-def decode_batch(payload: bytes) -> UpdateBatch:
+def _current_weights(network: RoadNetwork, edge_ids: Sequence[int]) -> array:
+    """The network's current weight of every edge in *edge_ids*."""
+    try:
+        return array("d", [network.edge(edge_id).weight for edge_id in edge_ids])
+    except EdgeNotFoundError as exc:
+        raise EventLogError(
+            f"batch record updates edge {exc.edge_id}, which the network does not hold"
+        ) from None
+
+
+def decode_batch(payload: bytes, edge_table: Optional[EdgeTable] = None) -> UpdateBatch:
     """Rebuild an :class:`UpdateBatch` from :func:`encode_batch` output.
 
     Nothing in *payload* is trusted: every count is bounded by the bytes
@@ -637,11 +727,21 @@ def decode_batch(payload: bytes) -> UpdateBatch:
     update; the decoded batch then carries the mark, so
     :meth:`UpdateBatch.net` returns it unchanged.
 
+    Args:
+        payload: the record (any bytes-like).
+        edge_table: the table a record written with one (header flag bit
+            1) is decoded against — in the state it had when the record
+            was written, i.e. before the batch is applied.  Its objects'
+            locations and its network's weights fill in the old values
+            the record leaves out.  A record without the flag ignores it.
+
     Raises:
         EventLogError: if the payload is truncated, has trailing bytes, is
             not a batch record at all, was written by another codec version
             (a version-1 pickle payload is named as such, never unpickled),
-            or holds a value the update classes would refuse.
+            or holds a value the update classes would refuse; or if it
+            leaves its old values out and *edge_table* is missing or does
+            not hold an object or edge the record names.
 
     Example::
 
@@ -669,13 +769,21 @@ def decode_batch(payload: bytes) -> UpdateBatch:
             f"unsupported batch codec version {version} "
             f"(this library reads version {_BATCH_CODEC_VERSION})"
         )
-    if flags & ~_FLAG_NORMALIZED:
+    if flags & ~(_FLAG_NORMALIZED | _FLAG_OLD_FROM_TABLE):
         raise EventLogError(f"batch record has unknown flag bits {flags:#04x}")
     normalized = bool(flags & _FLAG_NORMALIZED)
+    from_table = bool(flags & _FLAG_OLD_FROM_TABLE)
+    if from_table and edge_table is None:
+        raise EventLogError(
+            f"batch record has flag bit {_FLAG_OLD_FROM_TABLE:#04x} (old values left "
+            "out): decode it against the edge table it was written from"
+        )
 
     object_updates: List[ObjectUpdate] = []
     if n_objects:
-        ids, _, olds, news = reader.moves("object", n_objects, _OBJECT_KINDS)
+        ids, _, olds, news = reader.moves(
+            "object", n_objects, _OBJECT_KINDS, edge_table.locations if from_table else None
+        )
         if normalized:
             _require_unique("object", ids)
         # moves() guarantees a location on one side, which is all that
@@ -706,7 +814,10 @@ def decode_batch(payload: bytes) -> UpdateBatch:
     edge_updates: List[EdgeWeightUpdate] = []
     if n_edges:
         ids = reader.ints("edge ids", n_edges)
-        old_weights = reader.floats("old weights", n_edges)
+        if from_table:
+            old_weights = _current_weights(edge_table.network, ids)
+        else:
+            old_weights = reader.floats("old weights", n_edges)
         new_weights = reader.floats("new weights", n_edges)
         # EdgeWeightUpdate.__post_init__ on the whole column.
         if not (

@@ -178,9 +178,10 @@ class MonitoringServer:
         self._monitor = self._make_monitor(algorithm, kernel)
         self._pending = UpdateBatch(timestamp=0)
         self._timestamp = 0
-        self._object_locations: Dict[int, NetworkLocation] = {
-            object_id: location for object_id, location in self._edge_table.all_objects()
-        }
+        # The objects the pending buffer touched, each where the buffer
+        # leaves it (None: removed); every other object is where the edge
+        # table has it.  Cleared when the buffer is detached or dropped.
+        self._pending_objects: Dict[int, Optional[NetworkLocation]] = {}
         self._query_locations: Dict[int, NetworkLocation] = {}
         self._query_specs: Dict[int, QuerySpec] = {}
         if workers is not None and workers > 1 and self._monitor is not None:
@@ -266,13 +267,20 @@ class MonitoringServer:
     # ------------------------------------------------------------------
     # data objects
     # ------------------------------------------------------------------
+    def _object_location(self, object_id: int) -> Optional[NetworkLocation]:
+        """Where the pending buffer leaves an object; None if it is not there."""
+        pending = self._pending_objects
+        if object_id in pending:
+            return pending[object_id]
+        return self._edge_table.locations.get(object_id)
+
     def add_object(self, object_id: int, location: NetworkLocation) -> None:
         """Register a new data object (takes effect at the next tick)."""
         self._ensure_accepting_updates()
-        if object_id in self._object_locations:
+        if self._object_location(object_id) is not None:
             raise DuplicateObjectError(object_id)
         self._network.validate_location(location)
-        self._object_locations[object_id] = location
+        self._pending_objects[object_id] = location
         self._pending.object_updates.append(ObjectUpdate(object_id, None, location))
 
     def add_object_at(self, object_id: int, x: float, y: float) -> NetworkLocation:
@@ -284,11 +292,11 @@ class MonitoringServer:
     def move_object(self, object_id: int, new_location: NetworkLocation) -> None:
         """Report a data-object movement (takes effect at the next tick)."""
         self._ensure_accepting_updates()
-        old_location = self._object_locations.get(object_id)
+        old_location = self._object_location(object_id)
         if old_location is None:
             raise UnknownObjectError(object_id)
         self._network.validate_location(new_location)
-        self._object_locations[object_id] = new_location
+        self._pending_objects[object_id] = new_location
         self._pending.object_updates.append(
             ObjectUpdate(object_id, old_location, new_location)
         )
@@ -302,9 +310,10 @@ class MonitoringServer:
     def remove_object(self, object_id: int) -> None:
         """Report that a data object disappeared."""
         self._ensure_accepting_updates()
-        old_location = self._object_locations.pop(object_id, None)
+        old_location = self._object_location(object_id)
         if old_location is None:
             raise UnknownObjectError(object_id)
+        self._pending_objects[object_id] = None
         self._pending.object_updates.append(ObjectUpdate(object_id, old_location, None))
 
     # ------------------------------------------------------------------
@@ -330,13 +339,13 @@ class MonitoringServer:
         batch = list(items)
         seen: Set[int] = set()
         for object_id, _, _ in batch:
-            if object_id in self._object_locations or object_id in seen:
+            if self._object_location(object_id) is not None or object_id in seen:
                 raise DuplicateObjectError(object_id)
             seen.add(object_id)
         locations = self.snap_many((x, y) for _, x, y in batch)
         snapped: Dict[int, NetworkLocation] = {}
         for (object_id, _, _), location in zip(batch, locations):
-            self._object_locations[object_id] = location
+            self._pending_objects[object_id] = location
             self._pending.object_updates.append(ObjectUpdate(object_id, None, location))
             snapped[object_id] = location
         return snapped
@@ -358,13 +367,13 @@ class MonitoringServer:
         self._ensure_accepting_updates()
         batch = list(items)
         for object_id, _, _ in batch:
-            if object_id not in self._object_locations:
+            if self._object_location(object_id) is None:
                 raise UnknownObjectError(object_id)
         locations = self.snap_many((x, y) for _, x, y in batch)
         snapped: Dict[int, NetworkLocation] = {}
         for (object_id, _, _), location in zip(batch, locations):
-            old_location = self._object_locations[object_id]
-            self._object_locations[object_id] = location
+            old_location = self._object_location(object_id)
+            self._pending_objects[object_id] = location
             self._pending.object_updates.append(
                 ObjectUpdate(object_id, old_location, location)
             )
@@ -387,32 +396,34 @@ class MonitoringServer:
             UnknownQueryError: on id misuse, before anything is buffered.
         """
         self._ensure_accepting_updates()
-        object_locations = self._object_locations
+        pending_objects = self._pending_objects
+        table_locations = self._edge_table.locations
         query_locations = self._query_locations
         # Validate the whole batch first so a bad update leaves the pending
-        # buffer untouched (insertions may be referenced by later moves of
-        # the same batch, hence the running `added` / `removed` sets).
-        added: Set[int] = set()
-        removed: Set[int] = set()
+        # buffer untouched.  `staged` is the overlay this batch adds (later
+        # rows of an object see its earlier ones), `olds` each row's old
+        # location as the buffer then stands.
+        staged: Dict[int, Optional[NetworkLocation]] = {}
+        olds: List[Optional[NetworkLocation]] = []
         for update in batch.object_updates:
-            known = (
-                update.object_id in object_locations or update.object_id in added
-            ) and update.object_id not in removed
-            if update.is_insertion:
-                if known:
-                    raise DuplicateObjectError(update.object_id)
-                added.add(update.object_id)
-                removed.discard(update.object_id)
+            object_id = update.object_id
+            if object_id in staged:
+                old_location = staged[object_id]
+            elif object_id in pending_objects:
+                old_location = pending_objects[object_id]
             else:
-                if not known:
-                    raise UnknownObjectError(update.object_id)
-                if update.is_deletion:
-                    removed.add(update.object_id)
-                    added.discard(update.object_id)
+                old_location = table_locations.get(object_id)
+            if update.is_insertion:
+                if old_location is not None:
+                    raise DuplicateObjectError(object_id)
+            elif old_location is None:
+                raise UnknownObjectError(object_id)
             if update.new_location is not None:
                 self._network.validate_location(update.new_location)
-        added.clear()
-        removed.clear()
+            staged[object_id] = update.new_location
+            olds.append(old_location)
+        added: Set[int] = set()
+        removed: Set[int] = set()
         for update in batch.query_updates:
             known = (
                 update.query_id in query_locations or update.query_id in added
@@ -437,21 +448,13 @@ class MonitoringServer:
             self._network.edge(edge_update.edge_id)  # raises if unknown
 
         pending = self._pending
-        for update in batch.object_updates:
-            if update.is_insertion:
-                object_locations[update.object_id] = update.new_location
-                pending.object_updates.append(update)
-            elif update.is_deletion:
-                old_location = object_locations.pop(update.object_id)
-                pending.object_updates.append(
-                    ObjectUpdate(update.object_id, old_location, None)
-                )
-            else:
-                old_location = object_locations[update.object_id]
-                object_locations[update.object_id] = update.new_location
-                pending.object_updates.append(
-                    ObjectUpdate(update.object_id, old_location, update.new_location)
-                )
+        pending.object_updates.extend(
+            update
+            if update.old_location is old_location
+            else ObjectUpdate(update.object_id, old_location, update.new_location)
+            for update, old_location in zip(batch.object_updates, olds)
+        )
+        pending_objects.update(staged)
         for update in batch.query_updates:
             if update.is_installation:
                 query_locations[update.query_id] = update.new_location
@@ -488,7 +491,13 @@ class MonitoringServer:
 
     def object_ids(self) -> Set[int]:
         """Ids of every registered data object (including pending adds)."""
-        return set(self._object_locations)
+        ids = set(self._edge_table.object_ids())
+        for object_id, location in self._pending_objects.items():
+            if location is None:
+                ids.discard(object_id)
+            else:
+                ids.add(object_id)
+        return ids
 
     # ------------------------------------------------------------------
     # queries
@@ -592,11 +601,14 @@ class MonitoringServer:
         it: ``take_pending_batch()`` stamps the batch with the current
         timestamp and advances the clock, :meth:`apply_taken_batch` then
         processes it.  Shared by the in-process and sharded tick paths so
-        batch/timestamp semantics cannot diverge between them.
+        batch/timestamp semantics cannot diverge between them.  Ingest
+        nothing between the two calls: until the batch is applied, the
+        edge table still holds the objects where they were before it.
         """
         batch = self._pending
         batch.timestamp = self._timestamp
         self._pending = UpdateBatch(timestamp=self._timestamp + 1)
+        self._pending_objects = {}
         self._timestamp += 1
         return batch
 
@@ -617,19 +629,14 @@ class MonitoringServer:
 
         Used by crash recovery: updates that were ingested but never ticked
         are not durable by design, so a recovered server starts its next
-        tick from an empty buffer.  The internal entity maps are rolled back
-        to the last ticked state by replaying the dropped installations /
-        removals in reverse effect.
+        tick from an empty buffer.  The objects are back where the edge
+        table has them once the pending overlay is cleared; the query maps
+        are rolled back by replaying the dropped installations / removals
+        in reverse effect.
         """
         dropped = self._pending
         self._pending = UpdateBatch(timestamp=self._timestamp)
-        for update in reversed(dropped.object_updates):
-            if update.is_insertion:
-                self._object_locations.pop(update.object_id, None)
-            elif update.is_deletion:
-                self._object_locations[update.object_id] = update.old_location
-            else:
-                self._object_locations[update.object_id] = update.old_location
+        self._pending_objects = {}
         for update in reversed(dropped.query_updates):
             if update.is_installation:
                 self._query_locations.pop(update.query_id, None)
@@ -736,8 +743,8 @@ class MonitoringServer:
     def _adopt_snapshot(self, state: Dict[str, object]) -> None:
         """Install the state every server kind shares from a decoded snapshot.
 
-        ``_object_locations`` is not stored: it is the edge table's objects
-        with the pending buffer's effects applied.
+        The pending overlay is not stored: it is the pending buffer's
+        objects, each where the buffer's last update of it leaves it.
         """
         self._network = state["network"]
         self._edge_table = state["edge_table"]
@@ -745,13 +752,9 @@ class MonitoringServer:
         self._pending = state["pending"]
         self._query_locations = state["query_locations"]
         self._query_specs = state["query_specs"]
-        locations = dict(self._edge_table.all_objects())
-        for update in self._pending.object_updates:
-            if update.new_location is None:
-                locations.pop(update.object_id, None)
-            else:
-                locations[update.object_id] = update.new_location
-        self._object_locations = locations
+        self._pending_objects = {
+            update.object_id: update.new_location for update in self._pending.object_updates
+        }
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -47,7 +47,7 @@ from typing import BinaryIO, Callable, Dict, List, Optional, Tuple, Union
 from repro.core.base import TimestepReport
 from repro.core.events import decode_batch, encode_batch
 from repro.core.server import MonitoringServer, load_snapshot, restore_server
-from repro.exceptions import RecoveryError, ServiceError
+from repro.exceptions import EventLogError, RecoveryError, ServiceError
 from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation, RoadNetwork
 from repro.service.eventlog import EventLog
@@ -396,7 +396,9 @@ class DurableMonitoringServer:
         automatic checkpoint every ``checkpoint_every`` ticks.
         """
         batch = self._server.take_pending_batch().net()
-        self._log.append(encode_batch(batch))
+        # Against the table the batch is about to change: the record leaves
+        # out the old locations and weights, which replay reads back there.
+        self._log.append(encode_batch(batch, self._server.edge_table))
         _maybe_self_kill(batch.timestamp)
         # The batch that was logged, not the raw buffer: it carries the
         # normalized mark, so no layer below collapses it a second time.
@@ -537,7 +539,10 @@ class DurableMonitoringServer:
                 # them, so drop the buffer to avoid double application.
                 server.discard_pending()
             for payload in payloads:
-                batch = decode_batch(payload)
+                try:
+                    batch = decode_batch(payload, server.edge_table)
+                except EventLogError as exc:
+                    raise RecoveryError(f"cannot replay a logged batch: {exc}") from exc
                 if batch.timestamp != server.current_timestamp:
                     raise RecoveryError(
                         f"log replay expected a batch for timestamp "

@@ -505,7 +505,9 @@ def run_differential_log(
         algorithms=tuple(algorithms),
     )
     for payload in payloads:
-        batch = decode_batch(payload)  # logged net, and marked so by the record
+        # Logged net, and marked so by the record; decoded before it is
+        # applied, so the table still holds the old values it leaves out.
+        batch = decode_batch(payload, edge_table)
         apply_batch(network, edge_table, batch.net())
         oracle_report = oracle.process_batch(batch)
         if oracle_report.timestamp != batch.timestamp:

@@ -250,3 +250,107 @@ class TestSimulatorServerWiring:
                 server.result_of(query_id).neighbors
                 == monitor.result_of(query_id).neighbors
             )
+
+
+class TestPendingOverlay:
+    """Objects the pending buffer touched live in an overlay over the edge table."""
+
+    @staticmethod
+    def _server(count=4):
+        network = city_network(60, seed=5)
+        server = MonitoringServer(network, algorithm="ima")
+        edges = sorted(network.edge_ids())
+        for object_id in range(count):
+            server.add_object(object_id, NetworkLocation(edges[object_id], 0.5))
+        server.tick()
+        return server, edges
+
+    def test_insert_move_delete_reinsert_in_one_tick(self):
+        """``apply_updates`` re-derives every old location along the chain."""
+        server, edges = self._server()
+        a, b, c = (NetworkLocation(edges[i], 0.25) for i in (10, 11, 12))
+        with pytest.raises(DuplicateObjectError):
+            server.apply_updates(
+                UpdateBatch(object_updates=[ObjectUpdate(50, None, a)] * 2)
+            )
+        assert server.object_ids() == {0, 1, 2, 3}  # the failed batch left nothing
+        batch = UpdateBatch()
+        batch.object_updates += [
+            ObjectUpdate(50, None, a),  # insert
+            ObjectUpdate(50, c, b),     # move: the stated old location is ignored
+            ObjectUpdate(50, c, None),  # delete
+            ObjectUpdate(50, None, c),  # re-insert
+            ObjectUpdate(1, c, a),      # a ticked object: move, delete, re-insert
+            ObjectUpdate(1, c, None),
+            ObjectUpdate(1, None, b),
+        ]
+        server.apply_updates(batch)
+        assert server.object_ids() == {0, 1, 2, 3, 50}
+        taken = server.take_pending_batch()
+        assert [u.old_location for u in taken.object_updates] == [
+            None, a, b, None, NetworkLocation(edges[1], 0.5), a, None
+        ]
+        net = {u.object_id: u for u in taken.normalized().object_updates}
+        assert net[50] == ObjectUpdate(50, None, c)
+        assert net[1] == ObjectUpdate(1, NetworkLocation(edges[1], 0.5), b)
+
+    def test_the_chain_ticks_to_its_net_effect(self):
+        server, edges = self._server()
+        a, b, c = (NetworkLocation(edges[i], 0.25) for i in (10, 11, 12))
+        server.add_object(50, a)
+        server.move_object(50, b)
+        server.remove_object(50)
+        server.add_object(50, c)
+        server.remove_object(2)
+        server.add_object(2, a)
+        server.move_object(3, b)
+        server.remove_object(3)
+        assert server.object_ids() == {0, 1, 2, 50}
+        server.tick()
+        table = server.edge_table
+        assert dict(table.all_objects()) == {
+            0: NetworkLocation(edges[0], 0.5),
+            1: NetworkLocation(edges[1], 0.5),
+            2: a,
+            50: c,
+        }
+        assert server.object_ids() == {0, 1, 2, 50}
+        with pytest.raises(UnknownObjectError):
+            server.move_object(3, a)
+        with pytest.raises(DuplicateObjectError):
+            server.add_object(50, a)
+
+    def test_discard_pending_rolls_every_object_back_to_the_table(self):
+        server, edges = self._server()
+        before = dict(server.edge_table.all_objects())
+        server.add_object(50, NetworkLocation(edges[10], 0.1))
+        server.move_object(0, NetworkLocation(edges[11], 0.1))
+        server.remove_object(1)
+        server.remove_object(2)
+        server.add_object(2, NetworkLocation(edges[12], 0.1))
+        dropped = server.discard_pending()
+        assert len(dropped.object_updates) == 5
+        assert server.object_ids() == set(before) == {0, 1, 2, 3}
+        assert dict(server.edge_table.all_objects()) == before
+        # every id is usable again as the ticked state says
+        server.move_object(1, NetworkLocation(edges[13], 0.2))
+        with pytest.raises(UnknownObjectError):
+            server.move_object(50, NetworkLocation(edges[13], 0.2))
+        with pytest.raises(DuplicateObjectError):
+            server.add_object(0, NetworkLocation(edges[13], 0.2))
+        (update,) = server.take_pending_batch().object_updates
+        assert update == ObjectUpdate(1, before[1], NetworkLocation(edges[13], 0.2))
+
+    def test_object_ids_reads_pending_adds_and_removes_through_the_overlay(self):
+        server, edges = self._server()
+        assert server.object_ids() == {0, 1, 2, 3}
+        server.add_objects_at([(60, 1.0, 1.0), (61, 2.0, 2.0)])
+        server.remove_object(0)
+        server.remove_object(60)
+        assert server.object_ids() == {1, 2, 3, 61}
+        moved = server.move_objects_at([(61, 3.0, 3.0), (1, 4.0, 4.0)])
+        (first, second) = server.take_pending_batch().object_updates[-2:]
+        assert first.new_location == moved[61] and second.new_location == moved[1]
+        assert second.old_location == NetworkLocation(edges[1], 0.5)
+        # detached: the table has not seen the batch, and the overlay is empty
+        assert server.object_ids() == {0, 1, 2, 3}
