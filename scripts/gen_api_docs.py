@@ -183,8 +183,9 @@ SECTIONS = (
     ),
     (
         "Errors",
-        "Every library exception derives from one root type.",
-        ("ReproError",),
+        "Every library exception derives from one root type.  A server's "
+        "network has a fixed topology: editing it raises TopologyFrozenError.",
+        ("ReproError", "TopologyFrozenError"),
     ),
 )
 

@@ -80,7 +80,7 @@ __version__ = "1.0.0"
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        "repro.exceptions": ("ReproError", "UnknownKernelError"),
+        "repro.exceptions": ("ReproError", "UnknownKernelError", "TopologyFrozenError"),
         "repro.core": (
             "MonitoringServer",
             "ShardedMonitoringServer",

@@ -127,7 +127,8 @@ class MonitoringServer:
         """Create a server over *network* running *algorithm*.
 
         Args:
-            network: the road network.
+            network: the road network; its topology is frozen from here on
+                (:meth:`~repro.network.graph.RoadNetwork.freeze`).
             algorithm: ``"ovh"``, ``"ima"``, ``"gma"`` (case-insensitive), or
                 an already constructed monitor instance bound to the same
                 network and edge table.
@@ -173,6 +174,7 @@ class MonitoringServer:
         # (pre-built monitor instance): a typo should never survive to the
         # first tick.
         kernel = resolve_kernel(kernel).name
+        network.freeze()  # a fixed graph: closures are weights
         self._network = network
         self._edge_table = edge_table if edge_table is not None else EdgeTable(network)
         self._monitor = self._make_monitor(algorithm, kernel)
@@ -672,9 +674,8 @@ class MonitoringServer:
         holds no current weights (every dynamic section carries them) and
         not the edge table's spatial index, which is derived from the
         network and rebuilt on the restored server's first snap.  The
-        section is valid for as long as the network's ``topology_version``
-        stays what it was when this was written, so a durable caller
-        writes it once and pairs it with many dynamic sections
+        topology is frozen, so a durable caller writes this once and pairs
+        it with many dynamic sections
         (``snapshot_state(static=False)``).
 
         Example::

@@ -37,8 +37,8 @@ and the edge table; each worker holds one **shard** of a layout:
   float operations a fresh single-process expansion would.  An empty halo
   means every local answer is exact, so a one-block layout escalates
   nothing.
-* **Topology bumps.**  When the network's ``topology_version`` changes, the
-  next tick respawns the fleet from the current state.
+* **Fixed topology.**  Like every server, it freezes its network's
+  topology, so the fleet is laid out once, at spawn.
 
 Example::
 
@@ -191,7 +191,8 @@ class ShardedMonitoringServer(MonitoringServer):
         """Create the sharded server and spawn its worker processes.
 
         Args:
-            network: the road network (the parent stays its single writer).
+            network: the road network (the parent stays its single writer
+                of weights; its topology is frozen here, as for any server).
             algorithm: ``"ovh"``, ``"ima"`` or ``"gma"``; monitor *instances*
                 are rejected because monitors live in the workers.
             edge_table: optionally a pre-populated edge table; its objects
@@ -300,8 +301,7 @@ class ShardedMonitoringServer(MonitoringServer):
         expansion reached a halo node), when it moves across a partition
         cut, or — with more than one block — when it is an aggregate query
         (its aggregation points may live on other shards).  It stays
-        boundary until it terminates or the fleet resyncs after a topology
-        bump.
+        boundary until it terminates.
         """
         return frozenset(self._boundary_queries)
 
@@ -313,8 +313,9 @@ class ShardedMonitoringServer(MonitoringServer):
         answer can differ from a fresh one in the last float ULP, so strict
         byte-identity comparisons against a single-process run must carve
         these out (the differential harness still holds them to the oracle
-        tolerance).  Unlike :meth:`boundary_query_ids` this set survives
-        resyncs — once fresh-evaluated, always potentially divergent.
+        tolerance).  Unlike :meth:`boundary_query_ids` this set keeps a
+        query after it terminates — once fresh-evaluated, always
+        potentially divergent.
         """
         return frozenset(self._divergent_queries)
 
@@ -385,8 +386,6 @@ class ShardedMonitoringServer(MonitoringServer):
             for query_id in escalated:
                 self._take_over(query_id)
                 self._boundary_refresh_needed = True
-        if self._finalizer is not None:
-            self._finalizer.detach()
         self._finalizer = weakref.finalize(self, _cleanup, self._shards)
 
     def _shard_inits(
@@ -399,14 +398,13 @@ class ShardedMonitoringServer(MonitoringServer):
         The whole-network layout encodes the network once for all
         ``workers`` shards, each with an empty halo.  The graph layout
         recomputes the BFS-grown block assignment (deterministic, so a
-        restored or resynced fleet lands on the same layout) and encodes
+        restored fleet lands on the same layout) and encodes
         each block+halo subnetwork.  A network travels as one
         :mod:`repro.network.record` plus its current weight column.  Every
         shard is sent every object placement and keeps the ones on its own
         edges; *initial_queries* go to their owner, or to the coordinator's
         boundary set.
         """
-        self._exported_topology_version = self._network.topology_version
         if self._partitioning == "graph":
             full_csr = csr_snapshot(self._network)
             self._assignment = grow_partitions(full_csr, self._num_workers)
@@ -549,36 +547,6 @@ class ShardedMonitoringServer(MonitoringServer):
             payloads.append(payload)
         return payloads
 
-    def _resync(self) -> None:
-        """Respawn every worker from the current state (topology changed)."""
-        # A query can sit in the result cache while a termination is still
-        # pending (remove_query dropped its location already): don't
-        # re-register it — the termination in the next batch is a no-op on
-        # workers that never knew the query — but keep its last result so
-        # result_of() behaves like the single-process server until the
-        # termination is processed.
-        live_queries = {
-            query_id: (self._query_locations[query_id], self._query_specs[query_id])
-            for query_id in self._merged_results
-            if query_id in self._query_locations and query_id in self._query_specs
-        }
-        old_shards, self._shards = self._shards, []
-        _cleanup(old_shards)
-        # The layout is about to be recomputed over the new topology: every
-        # live query — including currently-boundary ones — is re-routed as
-        # a fresh install by its new owner, and the boundary set is rebuilt
-        # from the ready-payload escalations.  ``_divergent_queries`` stays
-        # sticky: a query that was ever fresh-evaluated keeps its
-        # byte-identity carve-out even if it lands contained after the
-        # resync.
-        self._boundary_queries = set()
-        self._query_owner = {}
-        # The cached results are deliberately left in place: the workers'
-        # "ready" payload overwrites every live query's entry, and a
-        # re-registered query whose result did not change must not be
-        # flagged as changed.
-        self._spawn_workers(initial_queries=live_queries)
-
     def _ensure_open(self) -> None:
         """Raise when the server was closed — with the failure cause if any.
 
@@ -656,8 +624,6 @@ class ShardedMonitoringServer(MonitoringServer):
 
     def _apply_taken_inner(self, batch: UpdateBatch) -> TimestepReport:
         """The actual tick sequence (:meth:`apply_taken_batch` fail-closes)."""
-        if self._network.topology_version != self._exported_topology_version:
-            self._resync()
         start = time.perf_counter()
         normalized = batch.net()
         apply_batch(self._network, self._edge_table, normalized)

@@ -64,6 +64,24 @@ class InvalidWeightError(NetworkError):
         self.weight = weight
 
 
+class TopologyFrozenError(NetworkError):
+    """Raised when a node or edge is added to or removed from a frozen network.
+
+    Servers, edge tables and CSR snapshots freeze their network
+    (:meth:`~repro.network.graph.RoadNetwork.freeze`); a closure is a weight.
+
+    Example::
+
+        edited = server.network.copy()  # editable, unlike server.network
+        edited.remove_edge(edge_id)
+        server = MonitoringServer(edited)
+    """
+
+    def __init__(self, operation: str) -> None:
+        super().__init__(f"cannot {operation}: the topology is frozen; edit network.copy()")
+        self.operation = operation
+
+
 class InvalidLocationError(ReproError):
     """Raised when a network location (edge id, offset) is malformed."""
 
@@ -138,17 +156,18 @@ class UnknownKernelError(MonitoringError):
 
 
 class ServerFailedError(MonitoringError):
-    """Raised when a sharded server is used after a fatal tick failure.
+    """Raised when a server is used after a fatal tick failure.
 
-    A shard dying mid-tick leaves the fleet's replicas out of lock-step, so
-    the server closes itself and every later call fails with this type
-    (rather than returning silently corrupt results).  ``cause`` carries a
-    one-line description of the original failure.
+    A shard dying mid-tick leaves a fleet out of lock-step; a durable server
+    that cannot log a tick's batch would leave a gap in its log.  Either
+    server closes itself and every later call fails with this type (rather
+    than returning silently corrupt results).  ``cause`` carries a one-line
+    description of the original failure.
     """
 
     def __init__(self, cause: str) -> None:
         super().__init__(
-            f"this sharded server failed and was closed: {cause}; "
+            f"this server failed and was closed: {cause}; "
             "construct a new server (or recover from a checkpoint) to continue"
         )
         self.cause = cause

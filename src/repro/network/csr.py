@@ -14,11 +14,12 @@ provides a compressed-sparse-row view of the network:
 * ``adj_forward`` records whether an entry leaves the edge's start node, so
   object offsets along the edge can be computed without touching the edge.
 
-The snapshot registers a weight listener with the network, so a
-``set_edge_weight`` call patches the affected column entries in O(degree)
-instead of forcing a rebuild; topology edits (add/remove node or edge) bump
-the network's ``topology_version`` and cause a lazy full rebuild on the next
-:func:`csr_snapshot` call.  One snapshot is cached per network.
+Building a snapshot freezes the network's topology
+(:meth:`~repro.network.graph.RoadNetwork.freeze`), so the columns describe
+the network's nodes and edges for as long as both live.  The snapshot
+registers a weight listener with the network, so a ``set_edge_weight`` call
+patches the affected column entries in O(degree).  One snapshot is cached
+per network.
 """
 
 from __future__ import annotations
@@ -119,6 +120,9 @@ class CSRGraph:
     """
 
     def __init__(self, network: RoadNetwork) -> None:
+        # The columns index the network's nodes and edges once; freezing
+        # keeps them the network's for good.
+        network.freeze()
         # Weak references in both directions: a strong back-reference would
         # keep the snapshot-cache key alive forever, and registering a bound
         # method as the listener would pin every snapshot for the network's
@@ -127,8 +131,7 @@ class CSRGraph:
         # loop-constructed snapshots cost at most one stale closure until
         # the next weight change.
         self._network_ref = weakref.ref(network)
-        self._weights_stale = False
-        self.rebuild()
+        self._build(network)
         self_ref = weakref.ref(self)
         network_ref = self._network_ref
 
@@ -158,9 +161,8 @@ class CSRGraph:
     # ------------------------------------------------------------------
     # construction / refresh
     # ------------------------------------------------------------------
-    def rebuild(self) -> None:
-        """Rebuild every column from the network's current state."""
-        network = self.network
+    def _build(self, network: RoadNetwork) -> None:
+        """Build every column from the network's current state."""
         self.node_ids: List[int] = list(network.node_ids())
         self.node_index: Dict[int, int] = {
             node_id: index for index, node_id in enumerate(self.node_ids)
@@ -214,9 +216,8 @@ class CSRGraph:
         self.adj_forward = adj_forward
         self.inc_indptr = inc_indptr
         self.inc_edge = inc_edge
-        self._topology_version = network.topology_version
         self._weights_stale = False
-        self._weights_epoch = getattr(self, "_weights_epoch", -1) + 1
+        self._weights_epoch = 0
         self._native_support = None
         self._scratch = _Scratch(len(self.node_ids))
         self._edge_scratch = _EdgeScratch(len(self.edge_ids))
@@ -226,11 +227,7 @@ class CSRGraph:
             self._weights_stale = True
             self._weights_epoch += 1
             return
-        position = self.edge_index.get(edge_id)
-        if position is None:
-            # Edge added after the snapshot; the topology version already
-            # differs, so the next csr_snapshot() call rebuilds everything.
-            return
+        position = self.edge_index[edge_id]
         self._weights_epoch += 1
         self.edge_weight[position] = new_weight
         # The edge's (at most two) adjacency entries sit in its endpoints'
@@ -242,10 +239,8 @@ class CSRGraph:
                     adj_weight[slot] = new_weight
 
     def refresh(self) -> "CSRGraph":
-        """Bring the snapshot up to date with the network; returns self."""
-        if self._topology_version != self.network.topology_version:
-            self.rebuild()
-        elif self._weights_stale:
+        """Bring the snapshot's weights up to date with the network; returns self."""
+        if self._weights_stale:
             network = self.network
             edge_weight = self.edge_weight
             edge_weight[:] = [network.edge(edge_id).weight for edge_id in self.edge_ids]
@@ -303,7 +298,7 @@ class CSRGraph:
     # ------------------------------------------------------------------
     @property
     def weights_epoch(self) -> int:
-        """Counter bumped on every weight patch (and on every rebuild).
+        """Counter bumped on every weight patch.
 
         Derived per-weight metadata (the native kernel's numpy column
         mirrors) caches against this value and rebuilds lazily
@@ -377,12 +372,8 @@ def csr_snapshot(network: RoadNetwork) -> CSRGraph:
         _SNAPSHOTS[network] = snapshot
         return snapshot
     # Inline fast path of refresh(): this runs once per search, so skip the
-    # property indirection when nothing changed (the overwhelmingly common
-    # case).
-    if (
-        snapshot._topology_version != network._topology_version
-        or snapshot._weights_stale
-    ):
+    # call when nothing changed (the overwhelmingly common case).
+    if snapshot._weights_stale:
         snapshot.refresh()
     return snapshot
 

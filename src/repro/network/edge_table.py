@@ -44,8 +44,7 @@ class EdgeTable:
     """Tracks the data objects lying on every edge of a road network.
 
     It also snaps raw coordinates onto edges through a PMR quadtree that is
-    derived state: built on the first snap, rebuilt on the first snap after
-    a topology change, and never part of a snapshot.
+    derived state: built on the first snap and never part of a snapshot.
 
     Example::
 
@@ -55,18 +54,18 @@ class EdgeTable:
     """
 
     def __init__(self, network: RoadNetwork, build_spatial_index: bool = True) -> None:
-        """Create an edge table bound to *network*.
+        """Create an edge table bound to *network*, freezing its topology.
 
         Args:
             network: the underlying road network.
             build_spatial_index: when True (default) raw coordinates can be
                 snapped to edges through a PMR quadtree over the network
                 edges.  The tree is derived state: it is built on the first
-                snap (or :attr:`spatial_index` read), not here, and rebuilt
-                on the first one after a ``topology_version`` change.  Pass
+                snap (or :attr:`spatial_index` read), not here.  Pass
                 False when only id-based updates are used; a snap then
                 raises :class:`EdgeNotFoundError`.
         """
+        network.freeze()
         self._network = network
         self._objects: Dict[int, NetworkLocation] = {}
         # Per-edge object ids in arrival order: a list costs a quarter of a
@@ -83,9 +82,7 @@ class EdgeTable:
         # objects per edge) can be cached and invalidated cheaply.
         self._version = 0
         self._indexed = build_spatial_index
-        # The tree and the topology_version it was built at (-1: none yet).
         self._spatial_index: Optional[PMRQuadtree] = None
-        self._index_topology = -1
 
     # ------------------------------------------------------------------
     # properties
@@ -105,15 +102,10 @@ class EdgeTable:
         """The PMR quadtree over the network's edges, built on first use.
 
         ``None`` for a table built with ``build_spatial_index=False`` or a
-        network without edges.  The tree is rebuilt when the network's
-        ``topology_version`` moved since it was built, so it never indexes
-        a removed edge or misses an added one.
+        network without edges.  The network's topology is frozen, so the
+        tree is built once.
         """
-        if not self._indexed:
-            return None
-        if self._index_topology != self._network.topology_version:
-            if self._network.edge_count == 0:
-                return None
+        if self._spatial_index is None and self._indexed and self._network.edge_count:
             self.rebuild_spatial_index()
         return self._spatial_index
 
@@ -145,7 +137,7 @@ class EdgeTable:
     # spatial index
     # ------------------------------------------------------------------
     def rebuild_spatial_index(self) -> PMRQuadtree:
-        """(Re)build the PMR quadtree over the network's edges.
+        """Build the PMR quadtree over the network's edges.
 
         Edges are loaded in ``network.edges()`` order, so the same network
         always yields the same tree.  Also turns snapping on for a table
@@ -158,7 +150,6 @@ class EdgeTable:
         )
         self._indexed = True
         self._spatial_index = index
-        self._index_topology = network.topology_version
         return index
 
     def _index_or_raise(self) -> PMRQuadtree:

@@ -6,8 +6,9 @@ edge, in which case it is only traversable from ``start`` to ``end``).  Every
 node carries workspace coordinates, every edge a positive *weight* — the
 travel cost used for network distances — which may fluctuate over time due
 to traffic.  Edge weights are therefore mutable through
-:meth:`RoadNetwork.set_edge_weight`; everything else about the topology is
-immutable after construction unless the editing methods are used explicitly.
+:meth:`RoadNetwork.set_edge_weight`; the topology is frozen
+(:meth:`RoadNetwork.freeze`) once a server or index holds the network, and
+a road closure is a weight (:data:`CLOSED_EDGE_WEIGHT`).
 
 Positions *on* the network (for data objects and queries) are expressed as a
 :class:`NetworkLocation`: an edge id plus a fraction in ``[0, 1]`` measured
@@ -31,6 +32,7 @@ from repro.exceptions import (
     InvalidWeightError,
     NetworkError,
     NodeNotFoundError,
+    TopologyFrozenError,
 )
 from repro.spatial.geometry import Point, Rect, Segment
 from repro.utils import value_class
@@ -162,6 +164,7 @@ class RoadNetwork:
         network.add_node(1, x=0.0, y=0.0)
         network.add_node(2, x=3.0, y=4.0)
         network.add_edge(10, 1, 2)             # weight defaults to length 5.0
+        network.freeze()                       # what a server does
         network.set_edge_weight(10, 7.5)       # congestion
     """
 
@@ -171,6 +174,7 @@ class RoadNetwork:
         self._adjacency: Dict[int, List[int]] = {}
         self._weight_version = 0
         self._topology_version = 0
+        self._frozen = False
         self._weight_listeners: List[Callable[[Optional[int], float], None]] = []
 
     # ------------------------------------------------------------------
@@ -182,15 +186,15 @@ class RoadNetwork:
         )
 
     def __getstate__(self) -> Dict[str, object]:
-        """Pickle everything except the weight listeners.
+        """Pickle everything except the weight listeners and the freeze.
 
         Listeners are in-process callbacks (typically closures owned by CSR
-        snapshots); they are meaningless in another process, so a pickled
-        replica — e.g. one shipped to a sharded-server worker — starts with
-        an empty listener list and registers its own.
+        snapshots), meaningless in another process.  Like :meth:`copy`, a
+        pickled replica starts editable and without listeners.
         """
         state = self.__dict__.copy()
         state["_weight_listeners"] = []
+        state["_frozen"] = False
         return state
 
     @property
@@ -212,12 +216,20 @@ class RoadNetwork:
     def topology_version(self) -> int:
         """Monotonic counter bumped whenever nodes or edges are added/removed.
 
-        Snapshots of the topology (e.g. the CSR kernel in
-        :mod:`repro.network.csr`) compare this counter to decide whether a
-        full rebuild is needed, as opposed to the cheap incremental weight
-        refresh driven by :meth:`add_weight_listener`.
+        It stops moving once the network is frozen.  A network record and
+        a snapshot's dynamic section carry it, and a dynamic section is
+        refused over a static one of another version.
         """
         return self._topology_version
+
+    def freeze(self) -> None:
+        """Fix the topology for good; weights stay mutable (idempotent).
+
+        The CSR snapshot, every edge table and every server call it, so the
+        nodes and edges they index stay the network's: ``add_node`` /
+        ``add_edge`` / ``remove_edge`` then raise :class:`TopologyFrozenError`.
+        """
+        self._frozen = True
 
     # ------------------------------------------------------------------
     # change notification
@@ -251,8 +263,11 @@ class RoadNetwork:
         """Add a node at coordinates ``(x, y)``.
 
         Raises:
+            TopologyFrozenError: if the network is frozen.
             DuplicateNodeError: if the id already exists.
         """
+        if self._frozen:
+            raise TopologyFrozenError(f"add node {node_id!r}")
         if node_id in self._nodes:
             raise DuplicateNodeError(node_id)
         node = Node(node_id, Point(float(x), float(y)))
@@ -275,10 +290,13 @@ class RoadNetwork:
         is used (the paper's default: initial weights equal segment lengths).
 
         Raises:
+            TopologyFrozenError: if the network is frozen.
             DuplicateEdgeError: if the edge id already exists.
             NodeNotFoundError: if either endpoint does not exist.
             InvalidWeightError: if the weight is not a positive finite number.
         """
+        if self._frozen:
+            raise TopologyFrozenError(f"add edge {edge_id!r}")
         if edge_id in self._edges:
             raise DuplicateEdgeError(edge_id)
         if start not in self._nodes:
@@ -304,8 +322,11 @@ class RoadNetwork:
         """Remove an edge from the network.
 
         Raises:
+            TopologyFrozenError: if the network is frozen.
             EdgeNotFoundError: if the edge does not exist.
         """
+        if self._frozen:
+            raise TopologyFrozenError(f"remove edge {edge_id!r}")
         edge = self._edges.pop(edge_id, None)
         if edge is None:
             raise EdgeNotFoundError(edge_id)
@@ -573,7 +594,7 @@ class RoadNetwork:
     # copying
     # ------------------------------------------------------------------
     def copy(self) -> "RoadNetwork":
-        """Return a deep copy (used to run several monitors independently)."""
+        """Return a deep, editable copy (also of a frozen network)."""
         clone = RoadNetwork()
         for node in self._nodes.values():
             clone.add_node(node.node_id, node.x, node.y)

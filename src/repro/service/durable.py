@@ -6,7 +6,8 @@
 
 * every :meth:`~DurableMonitoringServer.tick` detaches the pending batch,
   appends its normalized encoding to the fsynced log, and only then applies
-  it — the write-ahead discipline;
+  it — the write-ahead discipline.  A batch that fails to encode or append
+  fails the server closed, as a later tick would leave a gap in the log;
 * the state no tick can change (network topology, geometry, base weights)
   is written **once**, as the *base* file, before the genesis checkpoint
   (the spatial index is not stored: a recovered server derives it from the
@@ -29,9 +30,8 @@ Files live under ``<data_dir>/checkpoints/``: ``base-<topology_version>.bin``
 and ``ckpt-<timestamp>.bin``.  Each is one frame — magic, payload length,
 CRC — written to a ``.tmp`` name, fsynced and renamed, so a partially
 written file (crash mid-write) is detected and, for a checkpoint, skipped in
-favor of the previous one.  A base is keyed on the network's
-``topology_version``: a checkpoint taken after the topology changed writes
-a new base first.
+favor of the previous one.  A server's topology is frozen, so there is one
+base; it is named by the ``topology_version`` every checkpoint records.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from typing import BinaryIO, Callable, Dict, List, Optional, Tuple, Union
 from repro.core.base import TimestepReport
 from repro.core.events import decode_batch, encode_batch
 from repro.core.server import MonitoringServer, load_snapshot, restore_server
-from repro.exceptions import EventLogError, RecoveryError, ServiceError
+from repro.exceptions import EventLogError, RecoveryError, ServerFailedError, ServiceError
 from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation, RoadNetwork
 from repro.service.eventlog import EventLog
@@ -343,7 +343,7 @@ class DurableMonitoringServer:
         self._ticks_since_checkpoint = 0
         self._recovered_ticks = 0
         self._closed = False
-        self._base_version: Optional[int] = None
+        self._failed: Optional[str] = None
         existing = _list_checkpoints(self._checkpoint_dir)
         if existing:
             raise ServiceError(
@@ -354,6 +354,12 @@ class DurableMonitoringServer:
         self._data_dir.mkdir(parents=True, exist_ok=True)
         self._checkpoint_dir.mkdir(parents=True, exist_ok=True)
         self._log = EventLog(self._data_dir / _LOG_FILENAME, sync=sync)
+        # The server froze the topology, so the static section is written
+        # once, before the genesis checkpoint that needs it.
+        _write_frame(
+            _base_path(self._checkpoint_dir, server.network.topology_version),
+            server.write_static_state,
+        )
         self.checkpoint()  # genesis
 
     # ------------------------------------------------------------------
@@ -393,12 +399,21 @@ class DurableMonitoringServer:
         The write-ahead step: the normalized batch is appended (and, with
         ``sync=True``, fsynced) *before* the monitor sees it, so a crash at
         any later instant replays this tick from the log.  Writes an
-        automatic checkpoint every ``checkpoint_every`` ticks.
+        automatic checkpoint every ``checkpoint_every`` ticks.  A batch
+        that fails to encode or append fails the server closed (see the
+        module docstring); later calls raise :class:`ServerFailedError`.
         """
+        self._ensure_not_failed()
         batch = self._server.take_pending_batch().net()
-        # Against the table the batch is about to change: the record leaves
-        # out the old locations and weights, which replay reads back there.
-        self._log.append(encode_batch(batch, self._server.edge_table))
+        try:
+            # Against the table the batch is about to change: the record
+            # leaves out the old locations and weights, which replay reads
+            # back there.
+            self._log.append(encode_batch(batch, self._server.edge_table))
+        except BaseException as exc:
+            self._failed = f"{type(exc).__name__}: {exc}"
+            self.close()
+            raise
         _maybe_self_kill(batch.timestamp)
         # The batch that was logged, not the raw buffer: it carries the
         # normalized mark, so no layer below collapses it a second time.
@@ -427,27 +442,18 @@ class DurableMonitoringServer:
 
         The checkpoint records the log offset of everything already applied,
         so recovery replays exactly the batches logged after it, and the
-        base it must be restored over.  When the network's
-        ``topology_version`` is not the one the current base was written at
-        (always true for the first checkpoint), a new base is written — and
-        durably in place — before the checkpoint that needs it.  Old
-        checkpoints beyond ``keep_checkpoints`` are pruned; the genesis one
-        and every base are always kept.
+        base it must be restored over (the network's frozen
+        ``topology_version``).  Old checkpoints beyond ``keep_checkpoints``
+        are pruned; the genesis one and the base are always kept.
         """
+        self._ensure_not_failed()
         self._log.sync()
         timestamp = self._server.current_timestamp
-        base_version = self._server.network.topology_version
-        if base_version != self._base_version:
-            _write_frame(
-                _base_path(self._checkpoint_dir, base_version),
-                self._server.write_static_state,
-            )
-            self._base_version = base_version
         _write_checkpoint(
             self._checkpoint_dir,
             timestamp,
             self._log.offset,
-            base_version,
+            self._server.network.topology_version,
             self._server.snapshot_state(static=False),
         )
         self._ticks_since_checkpoint = 0
@@ -565,7 +571,7 @@ class DurableMonitoringServer:
         durable._ticks_since_checkpoint = recovered
         durable._recovered_ticks = recovered
         durable._closed = False
-        durable._base_version = record["base_version"]
+        durable._failed = None
         durable._log = log
         if (
             checkpoint_every is not None
@@ -577,6 +583,10 @@ class DurableMonitoringServer:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
+    def _ensure_not_failed(self) -> None:
+        if self._failed is not None:
+            raise ServerFailedError(self._failed)
+
     def close(self) -> None:
         """Close the event log and the wrapped server (idempotent)."""
         if self._closed:

@@ -5,7 +5,7 @@ Three layers of coverage:
 * **snapshot equivalence** — the CSR adjacency columns describe exactly the
   same traversable graph as :meth:`RoadNetwork.neighbors`;
 * **refresh protocol** — ``set_edge_weight`` patches the columns in place
-  (no rebuild), topology edits trigger a rebuild;
+  (no rebuild), and building a snapshot freezes the network's topology;
 * **differential testing** — the CSR-based :func:`expand_knn` agrees with
   the oracle's plain-Dijkstra brute force on seeded random networks, across
   fresh searches, source-node searches, exclusions, candidate seeding and
@@ -20,7 +20,7 @@ import pytest
 
 from repro.core.results import results_equal
 from repro.core.search import expand_knn
-from repro.exceptions import EdgeNotFoundError
+from repro.exceptions import EdgeNotFoundError, TopologyFrozenError
 from repro.network.builders import city_network, grid_network
 from repro.network.csr import CSRGraph, csr_snapshot
 from repro.network.distance import (
@@ -148,36 +148,26 @@ class TestWeightRefresh:
             assert refreshed.edge_weight[position] == small_grid.edge(edge_id).weight
 
 
-class TestTopologyRebuild:
-    def test_add_edge_triggers_rebuild(self, small_grid):
+class TestFrozenTopology:
+    def test_snapshot_freezes_the_network(self, small_grid):
         csr = csr_snapshot(small_grid)
         nodes = list(small_grid.node_ids())
-        new_edge = small_grid.add_edge(99_999, nodes[0], nodes[-1], weight=42.0)
-        refreshed = csr_snapshot(small_grid)
-        assert refreshed.edge_count == small_grid.edge_count
-        position = refreshed.index_of_edge(new_edge.edge_id)
-        assert refreshed.edge_weight[position] == 42.0
-        assert csr is refreshed  # same object, rebuilt columns
-
-    def test_remove_edge_triggers_rebuild(self, small_grid):
-        csr_snapshot(small_grid)
         edge_id = next(small_grid.edge_ids())
-        small_grid.remove_edge(edge_id)
-        refreshed = csr_snapshot(small_grid)
-        with pytest.raises(EdgeNotFoundError):
-            refreshed.index_of_edge(edge_id)
-        assert refreshed.edge_count == small_grid.edge_count
-
-    def test_weight_update_after_rebuild_still_incremental(self, small_grid):
-        csr_snapshot(small_grid)
-        nodes = list(small_grid.node_ids())
-        small_grid.add_edge(88_888, nodes[0], nodes[-2], weight=10.0)
-        refreshed = csr_snapshot(small_grid)
-        small_grid.set_edge_weight(88_888, 20.0)
-        assert (
-            csr_snapshot(small_grid).edge_weight[refreshed.index_of_edge(88_888)]
-            == 20.0
-        )
+        columns = (list(csr.node_ids), list(csr.edge_ids), list(csr.indptr), list(csr.adj_eid))
+        version = small_grid.topology_version
+        with pytest.raises(TopologyFrozenError, match="add edge 99999"):
+            small_grid.add_edge(99_999, nodes[0], nodes[-1], weight=42.0)
+        with pytest.raises(TopologyFrozenError, match=f"remove edge {edge_id}"):
+            small_grid.remove_edge(edge_id)
+        with pytest.raises(TopologyFrozenError, match="add node"):
+            small_grid.add_node(max(nodes) + 1, 0.0, 0.0)
+        assert small_grid.has_edge(edge_id) and not small_grid.has_edge(99_999)
+        assert small_grid.topology_version == version
+        assert csr_snapshot(small_grid) is csr
+        assert (list(csr.node_ids), list(csr.edge_ids), list(csr.indptr), list(csr.adj_eid)) == columns
+        # Weights stay live: the patch is still incremental.
+        small_grid.set_edge_weight(edge_id, 20.0)
+        assert csr_snapshot(small_grid).edge_weight[csr.index_of_edge(edge_id)] == 20.0
 
 
 def _assert_matches_brute_force(network, edge_table, outcome, k, query, excluded=()):

@@ -12,6 +12,7 @@ from repro.exceptions import (
     EdgeNotFoundError,
     InvalidLocationError,
     RecoveryError,
+    TopologyFrozenError,
     UnknownObjectError,
 )
 from repro.network import edge_table as edge_table_module
@@ -197,7 +198,7 @@ class TestSnapping:
 
 
 class TestLazySpatialIndex:
-    """The PMR quadtree is derived state: built on first use, keyed on topology."""
+    """The PMR quadtree is derived state: built once, on first use."""
 
     def test_construction_builds_no_tree(self, line_network, index_builds):
         table = EdgeTable(line_network)
@@ -221,35 +222,17 @@ class TestLazySpatialIndex:
         with pytest.raises(EdgeNotFoundError):
             table.snap_points([Point(1.0, 1.0)])
 
-    def test_removed_edge_is_never_snapped_to(self, small_grid):
+    def test_the_table_freezes_its_network_and_keeps_one_tree(self, small_grid, index_builds):
         network = small_grid
         table = EdgeTable(network)
         removed = next(iter(network.edge_ids()))
         midpoint = network.location_point(NetworkLocation(removed, 0.5))
         assert table.snap_point(midpoint).edge_id == removed
-        network.remove_edge(removed)
-        assert table.snap_point(midpoint).edge_id != removed
-        assert removed not in table.spatial_index
-        assert all(location.edge_id != removed for location in table.snap_points([midpoint] * 5))
-
-    def test_server_snaps_onto_the_edited_network(self, small_grid):
-        network = small_grid
-        server = MonitoringServer(network, algorithm="IMA")
-        removed = next(iter(network.edge_ids()))
-        midpoint = network.location_point(NetworkLocation(removed, 0.5))
-        assert server.snap(midpoint.x, midpoint.y).edge_id == removed
-        network.remove_edge(removed)
-        location = server.add_object_at(1, midpoint.x, midpoint.y)
-        assert location.edge_id != removed
-        server.tick()
-        assert server.edge_table.location_of(1) == location
-
-    def test_added_edge_is_snapped_to(self, small_grid):
-        network = small_grid
-        table = EdgeTable(network)
-        table.snap_point(Point(0.0, 0.0))
+        with pytest.raises(TopologyFrozenError):
+            network.remove_edge(removed)
         node = max(network.node_ids()) + 1
-        network.add_node(node, x=-100.0, y=-100.0)
-        edge = max(network.edge_ids()) + 1
-        network.add_edge(edge, min(network.node_ids()), node)
-        assert table.snap_point(Point(-90.0, -90.0)).edge_id == edge
+        with pytest.raises(TopologyFrozenError):
+            network.add_node(node, x=-100.0, y=-100.0)
+        assert network.has_edge(removed) and not network.has_node(node)
+        assert table.snap_point(midpoint).edge_id == removed
+        assert index_builds == [table]

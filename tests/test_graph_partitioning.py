@@ -4,8 +4,7 @@ Covers the metis-lite BFS partitioner (:func:`grow_partitions` /
 :func:`partition_block`), the seeded-expansion primitive the cross-shard
 protocol is built on, and the ``partitioning="graph"`` mode of
 :class:`ShardedMonitoringServer` — including boundary-heavy workloads
-pinned on cut edges, the escalation lifecycle, mid-run topology bumps, the
-per-worker RSS probe, and the oracle-backed preset matrix through
+pinned on cut edges, the escalation lifecycle, the per-worker RSS probe, and the oracle-backed preset matrix through
 ``run_differential_scenario(partitioning="graph")``.
 """
 
@@ -302,33 +301,6 @@ def test_escalation_lifecycle_boundary_then_terminate():
         assert 1_000_000 in server.divergent_query_ids()
         with pytest.raises(Exception):
             server.result_of(1_000_000)
-
-
-def test_graph_server_topology_resync():
-    single_net = city_network(150, seed=14)
-    graph_net = city_network(150, seed=14)
-    single = MonitoringServer(single_net, algorithm="ima")
-    with MonitoringServer(
-        graph_net, algorithm="ima", workers=3, partitioning="graph"
-    ) as graph:
-        _populate(single, single_net)
-        _populate(graph, graph_net)
-        single.tick()
-        graph.tick()
-        before = graph.partition_assignment()
-        for net, server in ((single_net, single), (graph_net, graph)):
-            node_id = max(net.node_ids()) + 1
-            anchor = net.node(next(iter(net.node_ids())))
-            net.add_node(node_id, anchor.x + 3.0, anchor.y + 3.0)
-            net.add_edge(max(net.edge_ids()) + 1, anchor.node_id, node_id, 25.0)
-            server.move_object_at(2, x=anchor.x, y=anchor.y)
-            server.tick()
-        after = graph.partition_assignment()
-        assert set(after) == set(before) | {max(graph_net.node_ids())}
-        divergent = graph.divergent_query_ids()
-        for query_id, expected in single.results().items():
-            if query_id not in divergent:
-                assert graph.result_of(query_id).neighbors == expected.neighbors
 
 
 def test_worker_peak_rss_reports_every_shard():

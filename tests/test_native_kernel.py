@@ -56,8 +56,10 @@ needs_numpy = pytest.mark.skipif(
 )
 
 
-def _populated(edges=400, objects=350, seed=9, network_seed=5):
+def _populated(edges=400, objects=350, seed=9, network_seed=5, edit=None):
     network = city_network(edges, seed=network_seed)
+    if edit is not None:
+        edit(network)  # before the table freezes the topology
     table = EdgeTable(network, build_spatial_index=False)
     rng = random.Random(seed)
     edge_ids = list(network.edge_ids())
@@ -333,11 +335,13 @@ def test_oversized_object_ids_fall_back_to_csr(monkeypatch):
 
 @needs_numpy
 def test_oversized_node_ids_fall_back_to_csr(monkeypatch):
-    network, table, edge_ids, rng = _populated(edges=200, objects=40)
-    node = network.node(next(iter(network.node_ids())))
-    far = 2**70
-    network.add_node(far, node.x, node.y)
-    network.add_edge(10**9, node.node_id, far, 1.0)
+    def add_far_node(network):
+        node = network.node(next(iter(network.node_ids())))
+        far = 2**70
+        network.add_node(far, node.x, node.y)
+        network.add_edge(10**9, node.node_id, far, 1.0)
+
+    network, table, edge_ids, rng = _populated(edges=200, objects=40, edit=add_far_node)
     assert not NativeSupport(csr_snapshot(network)).usable
     _assert_csr_served(monkeypatch, network, table, _requests(edge_ids, rng))
 

@@ -28,7 +28,14 @@ from repro import (
 from repro import run_differential_log
 from repro.core.server import _DYNAMIC_HEADER, load_snapshot
 from repro.core.sharding import ShardedMonitoringServer
-from repro.exceptions import EdgeNotFoundError, RecoveryError, ServiceError
+from repro.exceptions import (
+    EdgeNotFoundError,
+    EventLogError,
+    RecoveryError,
+    ServerFailedError,
+    ServiceError,
+    TopologyFrozenError,
+)
 from repro.network.builders import grid_network
 from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation
@@ -581,24 +588,23 @@ def test_a_restored_server_snaps_exactly_like_the_original(tmp_path, path):
     clone.close()
 
 
-def test_a_recovered_server_snaps_onto_the_edited_network(tmp_path):
-    """A base written after a topology edit must not carry the old edges."""
+def test_a_recovered_server_holds_a_frozen_network(tmp_path):
+    """Recovery hands back a network whose topology is frozen, like any server's."""
     data_dir = tmp_path / "d"
     network = grid_network(4, 4, spacing=100.0)
     server = MonitoringServer(network, algorithm="IMA")
     durable = DurableMonitoringServer(server, data_dir, checkpoint_every=None, sync=False)
-    removed = next(iter(network.edge_ids()))
-    midpoint = network.location_point(NetworkLocation(removed, 0.5))
-    assert server.snap(midpoint.x, midpoint.y).edge_id == removed
-    network.remove_edge(removed)
+    edge = next(iter(network.edge_ids()))
     durable.tick()
-    durable.checkpoint()  # writes a second base, at the new topology version
     durable.close()
     recovered = DurableMonitoringServer.recover(data_dir, checkpoint_every=None, sync=False)
     try:
-        assert not recovered.server.network.has_edge(removed)
-        location = recovered.server.add_object_at(1, midpoint.x, midpoint.y)
-        assert location.edge_id != removed
+        restored = recovered.server.network
+        with pytest.raises(TopologyFrozenError):
+            restored.remove_edge(edge)
+        assert restored.has_edge(edge)
+        midpoint = restored.location_point(NetworkLocation(edge, 0.5))
+        assert recovered.server.add_object_at(1, midpoint.x, midpoint.y).edge_id == edge
         recovered.tick()
     finally:
         recovered.close()
@@ -800,43 +806,88 @@ def test_kill_between_base_and_genesis_then_fresh_start(tmp_path, monkeypatch):
         recovered.close()
 
 
-def test_topology_bump_writes_a_new_base_and_still_recovers(tmp_path):
-    data_dir = tmp_path / "d"
-    network = city_network(40, seed=6)
+def _small_city_server(network):
     server = MonitoringServer(network, algorithm="IMA")
-    durable = DurableMonitoringServer(server, data_dir, checkpoint_every=None)
     box = network.bounding_box()
     for object_id in range(6):
         server.add_object_at(
             object_id, x=box.min_x + 9.0 * object_id, y=box.min_y + 5.0 * object_id
         )
     server.add_query_at(100, x=box.min_x + 20.0, y=box.min_y + 20.0, k=3)
+    return server
+
+
+def test_the_base_is_written_once(tmp_path):
+    """The topology is frozen, so ticks and checkpoints never write a second base."""
+    data_dir = tmp_path / "d"
+    network = city_network(40, seed=6)
+    server = _small_city_server(network)
+    writes = []
+    write_static_state = server.write_static_state
+    server.write_static_state = lambda stream: writes.append(write_static_state(stream))
+    durable = DurableMonitoringServer(server, data_dir, checkpoint_every=1)
+    box = network.bounding_box()
     durable.tick()
-    durable.checkpoint()
-    assert len(list((data_dir / "checkpoints").glob("base-*.bin"))) == 1
-    first, second = list(network.node_ids())[:2]
-    new_node = max(network.node_ids()) + 1
-    network.add_node(new_node, x=box.max_x + 5.0, y=box.max_y + 5.0)
-    network.add_edge(max(network.edge_ids()) + 1, first, new_node)
-    network.add_edge(max(network.edge_ids()) + 1, new_node, second)
+    with pytest.raises(TopologyFrozenError):
+        network.add_node(max(network.node_ids()) + 1, x=box.max_x + 5.0, y=box.max_y + 5.0)
     server.move_object_at(0, x=box.min_x + 30.0, y=box.min_y + 11.0)
     durable.tick()
     durable.checkpoint()
-    durable.checkpoint()  # same topology again: no third base
     expected, clock = durable.results(), durable.current_timestamp
     durable.close()
-    assert len(list((data_dir / "checkpoints").glob("base-*.bin"))) == 2
+    assert len(writes) == 1
+    (base,) = (data_dir / "checkpoints").glob("base-*.bin")
+    assert base.name == f"base-{network.topology_version:010d}.bin"
+    written = base.read_bytes()
     recovered = DurableMonitoringServer.recover(data_dir)
     try:
         assert recovered.recovered_ticks == 0
         assert recovered.current_timestamp == clock
         assert recovered.results() == expected
-        assert recovered.server.network.has_node(new_node)
         assert recovered.server.network.topology_version == network.topology_version
+        recovered.checkpoint()
     finally:
         recovered.close()
-    # the genesis checkpoint still restores over the first base
-    assert not load_initial_state(data_dir).network.has_node(new_node)
+    assert list((data_dir / "checkpoints").glob("base-*.bin")) == [base]
+    assert base.read_bytes() == written
+
+
+def test_a_tick_that_cannot_be_logged_fails_closed_and_recovers(tmp_path):
+    """An encode error appends nothing and closes the server; no gap, no loss.
+
+    The tick had detached the pending batch and moved the clock, so going on
+    would leave a hole in the log that no recovery could cross.
+    """
+    data_dir = tmp_path / "d"
+    network = city_network(40, seed=6)
+    server = _small_city_server(network)
+    durable = DurableMonitoringServer(server, data_dir, checkpoint_every=None)
+    durable.tick()
+    expected, clock = durable.results(), durable.current_timestamp
+    logged = read_event_log(data_dir / "events.log")
+    edge = next(iter(network.edge_ids()))
+    server.update_edge_weight(edge, 7.0)
+    network.set_edge_weight(edge, 3.0)  # behind the server's back
+    with pytest.raises(EventLogError, match="old weight"):
+        durable.tick()
+    assert read_event_log(data_dir / "events.log") == logged
+    server.update_edge_weight(edge, 5.0)
+    for call in (durable.tick, durable.checkpoint):
+        with pytest.raises(ServerFailedError, match="old weight") as failed:
+            call()
+        assert failed.value.cause.startswith("EventLogError: ")
+    assert read_event_log(data_dir / "events.log") == logged
+    durable.close()  # idempotent
+    recovered = DurableMonitoringServer.recover(data_dir, checkpoint_every=None)
+    try:
+        assert recovered.recovered_ticks == 1
+        assert recovered.current_timestamp == clock
+        assert recovered.results() == expected
+        recovered.server.update_edge_weight(edge, 5.0)
+        recovered.tick()
+        assert recovered.current_timestamp == clock + 1
+    finally:
+        recovered.close()
 
 
 def test_recovery_removes_tmp_files_a_crash_left(tmp_path):

@@ -260,7 +260,8 @@ def test_an_old_value_the_table_does_not_hold_is_refused(update, complaint):
     encode_batch(batch)  # self-contained, the same batch is fine
 
 
-def test_durable_tick_appends_nothing_when_an_old_value_disagrees(tmp_path):
+@pytest.mark.parametrize("disagreement", ["old weight", "old location"])
+def test_durable_tick_appends_nothing_when_an_old_value_disagrees(tmp_path, disagreement):
     network = city_network(40, seed=2)
     edges = sorted(network.edge_ids())
     server = MonitoringServer(network, algorithm="ima")
@@ -270,16 +271,15 @@ def test_durable_tick_appends_nothing_when_an_old_value_disagrees(tmp_path):
         durable.tick()
         logged = read_event_log(tmp_path / "d" / "events.log")
         assert len(logged) == 1 and logged[0][5] & FLAG_OLD_FROM_TABLE
-        # Ingested against one weight, then changed behind the server's back.
-        server.update_edge_weight(edges[1], 7.0)
-        network.set_edge_weight(edges[1], 3.0)
-        with pytest.raises(EventLogError, match="old weight"):
-            durable.tick()
-        assert read_event_log(tmp_path / "d" / "events.log") == logged
-        # Likewise an object moved in the table after the move was ingested.
-        server.move_object(1, L(edges[2], 0.5))
-        server.edge_table.move_object(1, L(edges[3], 0.5))
-        with pytest.raises(EventLogError, match="old location"):
+        if disagreement == "old weight":
+            # Ingested against one weight, then changed behind the server's back.
+            server.update_edge_weight(edges[1], 7.0)
+            network.set_edge_weight(edges[1], 3.0)
+        else:
+            # An object moved in the table after the move was ingested.
+            server.move_object(1, L(edges[2], 0.5))
+            server.edge_table.move_object(1, L(edges[3], 0.5))
+        with pytest.raises(EventLogError, match=disagreement):
             durable.tick()
         assert read_event_log(tmp_path / "d" / "events.log") == logged
     finally:
