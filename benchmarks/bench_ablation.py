@@ -129,10 +129,9 @@ def test_ablation_influence_filtering_effect(benchmark, scenario):
     def run():
         return monitors["IMA"].process_batch(batch)
 
-    benchmark.pedantic(run, rounds=1, iterations=1)
-    monitors["OVH"].process_batch(batch)
-    ovh_work = monitors["OVH"].timestep_reports[-1].counters["objects_considered"]
-    ima_work = monitors["IMA"].timestep_reports[-1].counters["objects_considered"]
+    ima_report = benchmark.pedantic(run, rounds=1, iterations=1)
+    ovh_work = monitors["OVH"].process_batch(batch).counters["objects_considered"]
+    ima_work = ima_report.counters["objects_considered"]
     print(
         f"\nablation/influence-filtering: objects considered per timestamp "
         f"OVH={ovh_work} IMA={ima_work} "

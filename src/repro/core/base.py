@@ -12,6 +12,7 @@ how the experiment harness compares algorithms in lock-step.
 from __future__ import annotations
 
 import abc
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Union
@@ -92,11 +93,19 @@ class MonitorBase(abc.ABC):
         self._query_spec: Dict[int, QuerySpec] = {}
         self._query_location: Dict[int, NetworkLocation] = {}
         self._counters = counters if counters is not None else SearchCounters()
-        self._timestep_reports: List[TimestepReport] = []
         #: Aggregate k-NN queries of monitors that serve them through the
         #: shared :meth:`_refresh_aggregates` policy (IMA and GMA register
         #: ids here; OVH and the oracle recompute everything anyway).
         self._aggregates: Set[int] = set()
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        """Unpickle, dropping the tick-report list older snapshots carry.
+
+        Names are interned, as pickle's own attribute restore does, so the
+        restored monitor pickles to the bytes of one that never was.
+        """
+        state.pop("_timestep_reports", None)
+        vars(self).update((sys.intern(name), value) for name, value in state.items())
 
     @property
     def kernel(self) -> str:
@@ -197,7 +206,9 @@ class MonitorBase(abc.ABC):
         handled before the algorithm-specific processing and installations
         after it (Section 4.5 of the paper); movements are part of the
         algorithm-specific processing.  Returns a report with the wall-clock
-        time spent and the queries whose result changed.
+        time spent and the queries whose result changed.  The report is
+        returned, not kept: a caller that wants the history keeps the list,
+        so the monitor's state is a function of its queries and batches.
         """
         normalized = batch.net()
         before = self._counters.snapshot()
@@ -253,14 +264,12 @@ class MonitorBase(abc.ABC):
 
         elapsed = time.perf_counter() - start
         after = self._counters.snapshot()
-        report = TimestepReport(
+        return TimestepReport(
             timestamp=normalized.timestamp,
             elapsed_seconds=elapsed,
             changed_queries=changed,
             counters={key: after[key] - before[key] for key in after},
         )
-        self._timestep_reports.append(report)
-        return report
 
     # ------------------------------------------------------------------
     # metrics
@@ -269,11 +278,6 @@ class MonitorBase(abc.ABC):
     def counters(self) -> SearchCounters:
         """Cumulative work counters across all processing so far."""
         return self._counters
-
-    @property
-    def timestep_reports(self) -> List[TimestepReport]:
-        """Reports of every processed batch, in order."""
-        return list(self._timestep_reports)
 
     def memory_footprint_bytes(self) -> int:
         """Rough size of the algorithm-specific state (Figure 18).

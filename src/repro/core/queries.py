@@ -46,6 +46,8 @@ QUERY_KINDS = ("knn", "range", "aggregate_knn")
 #: Recognised aggregate distance functions of ``aggregate_knn``.
 AGGREGATES = ("sum", "max")
 
+_CANONICAL = {name: name for name in QUERY_KINDS + AGGREGATES}
+
 
 @dataclass(frozen=True)
 class QuerySpec:
@@ -53,7 +55,9 @@ class QuerySpec:
 
     Instances are immutable and hashable, compare by value (which is what
     the Section 4.5 split-back relies on to detect a changed query), and
-    pickle cleanly across the sharded server's worker boundary.  Use the
+    pickle as a call of the constructor: a loaded spec is validated and
+    holds the module's own ``kind`` and ``agg`` strings, so a state's
+    pickle does not depend on where its specs came from.  Use the
     factories — :func:`knn`, :func:`range_query`, :func:`aggregate_knn`,
     or the equivalent classmethods — rather than the raw constructor.
 
@@ -84,6 +88,12 @@ class QuerySpec:
             raise InvalidQueryError(
                 f"unknown query kind {self.kind!r}; choose one of {QUERY_KINDS}"
             )
+        # Hold the module's own string objects, however the spec was built:
+        # pickle memoizes by identity, so a restored spec and a new one must
+        # share them for a state to pickle to the same bytes.
+        object.__setattr__(self, "kind", _CANONICAL[self.kind])
+        if self.agg in AGGREGATES:
+            object.__setattr__(self, "agg", _CANONICAL[self.agg])
         if not isinstance(self.points, tuple):
             object.__setattr__(self, "points", tuple(self.points))
         if self.kind == "range":
@@ -102,6 +112,14 @@ class QuerySpec:
             raise InvalidQueryError(
                 f"{self.kind!r} queries take no extra points"
             )
+
+    def __reduce__(self):
+        """Pickle as a constructor call, so loading validates and canonicalizes."""
+        return QuerySpec, (self.kind, self.k, self.radius, self.points, self.agg)
+
+    def __setstate__(self, state: dict) -> None:
+        """Load the attribute-dict pickle of older releases through the constructor."""
+        self.__init__(**state)
 
     # ------------------------------------------------------------------
     # factories

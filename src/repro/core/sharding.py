@@ -242,6 +242,8 @@ class ShardedMonitoringServer(MonitoringServer):
         self._boundary_queries: Set[int] = set()
         self._divergent_queries: Set[int] = set()
         self._boundary_refresh_needed = False
+        self._last_max_shard_seconds = 0.0
+        self._last_max_shard_cpu_seconds = 0.0
         super().__init__(network, algorithm, edge_table, kernel)
         self._spawn_workers(initial_queries={})
 
@@ -905,7 +907,7 @@ class ShardedMonitoringServer(MonitoringServer):
         report additionally includes fan-out/merge IPC, so throughput
         studies report both.  0.0 before the first tick.
         """
-        return getattr(self, "_last_max_shard_seconds", 0.0)
+        return self._last_max_shard_seconds
 
     @property
     def last_max_shard_cpu_seconds(self) -> float:
@@ -916,7 +918,7 @@ class ShardedMonitoringServer(MonitoringServer):
         it still reports what the critical path would cost with every shard
         on its own core.
         """
-        return getattr(self, "_last_max_shard_cpu_seconds", 0.0)
+        return self._last_max_shard_cpu_seconds
 
     # ------------------------------------------------------------------
     # results
@@ -1038,6 +1040,8 @@ class ShardedMonitoringServer(MonitoringServer):
             server._boundary_queries = state["boundary_queries"]
             server._divergent_queries = state["divergent_queries"]
             server._boundary_refresh_needed = False
+            server._last_max_shard_seconds = 0.0
+            server._last_max_shard_cpu_seconds = 0.0
             shard_blobs = list(state["shard_blobs"])
         except KeyError as exc:
             raise RecoveryError(f"sharded snapshot is missing field {exc}") from exc

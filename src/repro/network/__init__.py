@@ -47,7 +47,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "brute_force_object_distances",
             "location_sources",
             "eccentricity",
-            "approximate_center_node",
         ),
         "repro.network.io": (
             "load_network",

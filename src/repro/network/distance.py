@@ -13,7 +13,7 @@ generator needs (objects follow shortest paths towards random destinations).
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.exceptions import DisconnectedNetworkError, NodeNotFoundError
 from repro.network.edge_table import EdgeTable
@@ -307,32 +307,3 @@ def eccentricity(network: RoadNetwork, source: int) -> float:
     distances = node_distances(network, source)
     return max(distances.values(), default=0.0)
 
-
-def approximate_center_node(network: RoadNetwork, samples: Sequence[int] = ()) -> int:
-    """Node that minimises the maximum distance to a sample of nodes.
-
-    Used by the Gaussian placement model, which centres its distribution on
-    the "middle" of the workspace.  With no samples provided the node closest
-    to the bounding-box centre is returned, which is cheap and adequate.
-
-    Raises:
-        NodeNotFoundError: if the network has no nodes.
-    """
-    if network.node_count == 0:
-        raise NodeNotFoundError(-1)
-    if samples:
-        best_node: Optional[int] = None
-        best_value = float("inf")
-        for node_id in samples:
-            distances = node_distances(network, node_id)
-            worst = max(distances.values(), default=float("inf"))
-            if worst < best_value:
-                best_value = worst
-                best_node = node_id
-        assert best_node is not None
-        return best_node
-    center = network.bounding_box().center
-    return min(
-        network.node_ids(),
-        key=lambda node_id: network.node(node_id).point.distance_to(center),
-    )

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence as Seq, Set, Tuple
 
 from repro.exceptions import EdgeNotFoundError
-from repro.network.graph import NetworkLocation, RoadNetwork
+from repro.network.graph import RoadNetwork
 
 
 @dataclass(frozen=True)
@@ -199,39 +199,6 @@ class SequenceTable:
     # ------------------------------------------------------------------
     # distances along a sequence
     # ------------------------------------------------------------------
-    def distances_to_endpoints(
-        self, location: NetworkLocation
-    ) -> Tuple[float, float]:
-        """Travel cost from *location* to the two endpoints along the sequence.
-
-        The first value refers to ``sequence.start_node`` and the second to
-        ``sequence.end_node``, both measured strictly along the sequence
-        (i.e. upper bounds on the true network distances).  Costs use the
-        *current* edge weights.
-        """
-        info = self.sequence_of_edge(location.edge_id)
-        network = self._network
-        edge = network.edge(location.edge_id)
-        index = info.edge_ids.index(location.edge_id)
-
-        # Orientation of the edge within the sequence walk: the walk enters
-        # the edge at node_ids[index] and leaves at node_ids[index + 1].
-        enter_node = info.node_ids[index]
-        cost_to_enter = (
-            location.offset(edge.weight)
-            if enter_node == edge.start
-            else location.reversed_offset(edge.weight)
-        )
-        cost_to_leave = edge.weight - cost_to_enter
-
-        to_start = cost_to_enter + sum(
-            network.edge(eid).weight for eid in info.edge_ids[:index]
-        )
-        to_end = cost_to_leave + sum(
-            network.edge(eid).weight for eid in info.edge_ids[index + 1 :]
-        )
-        return (to_start, to_end)
-
     def total_weight(self, sequence_id: int) -> float:
         """Sum of the current weights of a sequence's edges."""
         info = self.sequence(sequence_id)

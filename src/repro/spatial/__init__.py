@@ -5,7 +5,7 @@ from repro.utils import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        "repro.spatial.geometry": ("Point", "Rect", "Segment", "segment_intersection"),
+        "repro.spatial.geometry": ("Point", "Rect", "Segment"),
         "repro.spatial.pmr_quadtree": (
             "PMRQuadtree",
             "DEFAULT_SPLIT_THRESHOLD",

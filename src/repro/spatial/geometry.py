@@ -12,7 +12,7 @@ intersection predicates the rest of the library needs.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Tuple
 
 from repro.utils import value_class
 
@@ -253,29 +253,3 @@ class Segment:
                 return False
         return True
 
-
-def segment_intersection(a: Segment, b: Segment) -> Optional[Point]:
-    """Return the intersection point of two segments, or None.
-
-    Collinear overlapping segments return one shared endpoint (sufficient for
-    the generators' planarity checks).
-    """
-    p, r_end = a.start, a.end
-    q, s_end = b.start, b.end
-    r = (r_end.x - p.x, r_end.y - p.y)
-    s = (s_end.x - q.x, s_end.y - q.y)
-    denom = r[0] * s[1] - r[1] * s[0]
-    qp = (q.x - p.x, q.y - p.y)
-    if abs(denom) <= _EPS:
-        # Parallel: check collinear overlap via endpoints.
-        if abs(qp[0] * r[1] - qp[1] * r[0]) > _EPS:
-            return None
-        for candidate in (b.start, b.end, a.start, a.end):
-            if a.distance_to_point(candidate) <= 1e-9 and b.distance_to_point(candidate) <= 1e-9:
-                return candidate
-        return None
-    t = (qp[0] * s[1] - qp[1] * s[0]) / denom
-    u = (qp[0] * r[1] - qp[1] * r[0]) / denom
-    if -_EPS <= t <= 1 + _EPS and -_EPS <= u <= 1 + _EPS:
-        return Point(p.x + t * r[0], p.y + t * r[1])
-    return None

@@ -10,7 +10,6 @@ import pytest
 from repro.exceptions import DisconnectedNetworkError, NodeNotFoundError
 from repro.network.builders import city_network
 from repro.network.distance import (
-    approximate_center_node,
     brute_force_knn,
     eccentricity,
     location_sources,
@@ -156,12 +155,3 @@ class TestMisc:
     def test_eccentricity_of_line_end(self, line_network):
         assert eccentricity(line_network, 0) == pytest.approx(400.0)
 
-    def test_approximate_center_node_of_line(self, line_network):
-        assert approximate_center_node(line_network) == 2
-
-    def test_approximate_center_with_samples(self, line_network):
-        assert approximate_center_node(line_network, samples=[0, 2, 4]) == 2
-
-    def test_center_of_empty_network_raises(self):
-        with pytest.raises(NodeNotFoundError):
-            approximate_center_node(RoadNetwork())

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.spatial.geometry import Point, Rect, Segment, segment_intersection
+from repro.spatial.geometry import Point, Rect, Segment
 
 
 class TestPoint:
@@ -123,38 +123,6 @@ class TestSegment:
         # passes outside the corner.
         segment = Segment(Point(2.5, 0), Point(0, 2.5))
         assert not segment.intersects_rect(Rect(0, 0, 1, 1))
-
-
-class TestSegmentIntersection:
-    def test_crossing_segments(self):
-        point = segment_intersection(
-            Segment(Point(0, 0), Point(2, 2)), Segment(Point(0, 2), Point(2, 0))
-        )
-        assert point is not None
-        assert point.x == pytest.approx(1.0)
-        assert point.y == pytest.approx(1.0)
-
-    def test_parallel_segments_do_not_intersect(self):
-        assert (
-            segment_intersection(
-                Segment(Point(0, 0), Point(1, 0)), Segment(Point(0, 1), Point(1, 1))
-            )
-            is None
-        )
-
-    def test_collinear_overlapping_segments_share_a_point(self):
-        point = segment_intersection(
-            Segment(Point(0, 0), Point(2, 0)), Segment(Point(1, 0), Point(3, 0))
-        )
-        assert point is not None
-
-    def test_non_crossing_segments(self):
-        assert (
-            segment_intersection(
-                Segment(Point(0, 0), Point(1, 1)), Segment(Point(2, 2), Point(3, 2))
-            )
-            is None
-        )
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,6 +7,8 @@ differential tests live in ``test_differential.py``).
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.core.events import ObjectUpdate, QueryUpdate, UpdateBatch, apply_batch
@@ -221,12 +223,10 @@ class TestQueryAndEdgeUpdates:
         monitor.register_query(100, NetworkLocation(1, 0.0), 2)
         assert monitor.memory_footprint_bytes() > 0
 
-    def test_timestep_reports_accumulate(self, line_setup, monitor_class):
+    def test_reports_are_returned_not_kept(self, line_setup, monitor_class):
         network, table = line_setup
         monitor = _build(monitor_class, network, table)
         monitor.register_query(100, NetworkLocation(1, 0.0), 1)
-        for timestamp in range(3):
-            batch = UpdateBatch(timestamp=timestamp)
-            monitor.process_batch(batch)
-        assert len(monitor.timestep_reports) == 3
-        assert [report.timestamp for report in monitor.timestep_reports] == [0, 1, 2]
+        reports = [monitor.process_batch(UpdateBatch(timestamp=t)) for t in range(3)]
+        assert [report.timestamp for report in reports] == [0, 1, 2]
+        assert b"TimestepReport" not in pickle.dumps(monitor)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network.builders import city_network, grid_network, linear_network, star_network
-from repro.network.graph import NetworkLocation, RoadNetwork
+from repro.network.graph import RoadNetwork
 from repro.network.sequences import SequenceTable
 
 
@@ -70,28 +70,6 @@ class TestSimpleTopologies:
 
 
 class TestDistancesAlongSequence:
-    def test_distances_to_endpoints_on_path(self):
-        network = linear_network(4, spacing=100.0)  # nodes 0..3, edges 0..2
-        table = SequenceTable(network)
-        # Location in the middle edge (edge 1), 25% from node 1 towards node 2.
-        to_start, to_end = table.distances_to_endpoints(NetworkLocation(1, 0.25))
-        info = table.sequence_of_edge(1)
-        if info.start_node == 0:
-            assert to_start == pytest.approx(125.0)
-            assert to_end == pytest.approx(175.0)
-        else:
-            assert to_start == pytest.approx(175.0)
-            assert to_end == pytest.approx(125.0)
-
-    def test_distances_respect_current_weights(self):
-        network = linear_network(3, spacing=100.0)
-        table = SequenceTable(network)
-        network.set_edge_weight(0, 300.0)
-        to_start, to_end = table.distances_to_endpoints(NetworkLocation(1, 0.5))
-        # The sequence now weighs 300 + 100; the two endpoint distances of any
-        # interior location must add up to the full sequence weight.
-        assert to_start + to_end == pytest.approx(400.0)
-
     def test_total_weight(self):
         network = linear_network(3, spacing=100.0)
         table = SequenceTable(network)
