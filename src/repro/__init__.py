@@ -20,10 +20,10 @@ Quickstart::
     print(server.result_of(100).neighbors)
 
 Performance architecture.  The expansion hot path (:func:`expand_knn`)
-runs over a flat-array CSR snapshot of the network
+runs over the network's own flat-array CSR column store
 (:func:`csr_snapshot` / :class:`CSRGraph`): dense integer indices,
-parallel adjacency columns, a C-level binary heap, and incremental weight
-refresh on ``set_edge_weight``.  Every monitor's tick is collect-then-flush
+parallel adjacency columns, a C-level binary heap, and one weight column
+that ``set_edge_weight`` writes in place.  Every monitor's tick is collect-then-flush
 — one :func:`expand_knn_batch` call per tick — and ``kernel=`` picks only
 the settle engine that serves it (``"csr"`` or ``"native"``).
 

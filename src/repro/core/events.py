@@ -445,7 +445,7 @@ def _require_table_values(
     network = edge_table.network
     for update in edges:
         try:
-            current = network.edge(update.edge_id).weight
+            current = network.weight_of(update.edge_id)
         except EdgeNotFoundError:
             current = None
         if current != update.old_weight:
@@ -706,11 +706,13 @@ def _require_unique(what: str, ids: Sequence[int]) -> None:
 
 def _current_weights(network: RoadNetwork, edge_ids: Sequence[int]) -> array:
     """The network's current weight of every edge in *edge_ids*."""
+    columns = network.columns
+    edge_index, edge_weight = columns.edge_index, columns.edge_weight
     try:
-        return array("d", [network.edge(edge_id).weight for edge_id in edge_ids])
-    except EdgeNotFoundError as exc:
+        return array("d", [edge_weight[edge_index[edge_id]] for edge_id in edge_ids])
+    except KeyError as exc:
         raise EventLogError(
-            f"batch record updates edge {exc.edge_id}, which the network does not hold"
+            f"batch record updates edge {exc.args[0]}, which the network does not hold"
         ) from None
 
 

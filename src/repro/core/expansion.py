@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set
 
 from repro.network.csr import CSRGraph, csr_snapshot
-from repro.network.graph import Edge, NetworkLocation, RoadNetwork
+from repro.network.graph import NetworkLocation, RoadNetwork
 from repro.utils import optional_numpy
 from repro.utils.intervals import (
     SPAN_EPS,
@@ -97,16 +97,16 @@ class ExpansionState:
             stack.extend(children.get(node_id, ()))
         return result
 
-    def tree_edge_child(self, edge: Edge) -> Optional[int]:
-        """If *edge* is a tree edge, return its child endpoint, else None.
+    def tree_edge_child(self, start: int, end: int) -> Optional[int]:
+        """If the edge *start* - *end* is a tree edge, its child endpoint, else None.
 
         An edge is a tree edge when one endpoint is the parent of the other
         in the shortest-path tree.
         """
-        if self.parent.get(edge.end, _MISSING) == edge.start:
-            return edge.end
-        if self.parent.get(edge.start, _MISSING) == edge.end:
-            return edge.start
+        if self.parent.get(end, _MISSING) == start:
+            return end
+        if self.parent.get(start, _MISSING) == end:
+            return start
         return None
 
     def root_children(self) -> List[int]:

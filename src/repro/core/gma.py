@@ -424,12 +424,16 @@ class GmaMonitor(MonitorBase):
         Checked via the stored influencing intervals of the edges incident to
         the node (the paper's line-8 test: the interval must include n).
         """
-        for edge_id in self._network.incident_edges(node_id):
-            spans = self._influence.interval_of(query_id, edge_id)
+        columns = self._network.columns
+        node_index = columns.node_index[node_id]
+        inc_indptr, inc_edge = columns.inc_indptr, columns.inc_edge
+        edge_ids, edge_start = columns.edge_ids, columns.edge_start
+        for slot in range(inc_indptr[node_index], inc_indptr[node_index + 1]):
+            position = inc_edge[slot]
+            spans = self._influence.interval_of(query_id, edge_ids[position])
             if spans is None:
                 continue
-            edge = self._network.edge(edge_id)
-            offset = 0.0 if edge.start == node_id else edge.weight
+            offset = 0.0 if edge_start[position] == node_index else columns.edge_weight[position]
             if point_in_spans(spans, offset):
                 return True
         return False

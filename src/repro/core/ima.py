@@ -372,18 +372,16 @@ class ImaMonitor(MonitorBase):
         hanging outside the threshold are dropped and simply re-verified by
         the resumed search, which cannot affect results.
         """
-        network = self._network
         inf = float("inf")
         # Endpoints are per-edge facts: resolve each updated edge once per
         # tick instead of once per (query, update) pair.
         endpoint_cache: Dict[int, Tuple[int, int]] = {}
+        network_endpoints = self._network.endpoints_of
 
         def endpoints_of(edge_id: int) -> Tuple[int, int]:
             cached = endpoint_cache.get(edge_id)
             if cached is None:
-                edge = network.edge(edge_id)
-                cached = (edge.start, edge.end)
-                endpoint_cache[edge_id] = cached
+                cached = endpoint_cache[edge_id] = network_endpoints(edge_id)
             return cached
 
         for query_id, entry in pending.items():
@@ -546,38 +544,38 @@ class ImaMonitor(MonitorBase):
         state = query_state.state
         old_location = query_state.location
         network = self._network
+        start, end = network.endpoints_of(new_location.edge_id)
+        weight = network.weight_of(new_location.edge_id)
 
         if new_location.edge_id == old_location.edge_id:
-            edge = network.edge(new_location.edge_id)
             if abs(new_location.fraction - old_location.fraction) <= _EPS:
                 return
             toward_end = new_location.fraction > old_location.fraction
-            anchor = edge.end if toward_end else edge.start
+            anchor = end if toward_end else start
             anchor_is_root_child = (
                 anchor in state.node_dist and state.parent.get(anchor) is None
             )
             if anchor_is_root_child:
                 new_anchor_distance = (
-                    new_location.reversed_offset(edge.weight)
+                    new_location.reversed_offset(weight)
                     if toward_end
-                    else new_location.offset(edge.weight)
+                    else new_location.offset(weight)
                 )
                 state.reroot_subtree(anchor, new_anchor_distance)
             else:
                 state.clear()
             return
 
-        edge = network.edge(new_location.edge_id)
-        child = state.tree_edge_child(edge)
+        child = state.tree_edge_child(start, end)
         if child is None:
             # The new position lies on a partially covered (non-tree) edge;
             # no subtree is rooted below it, so nothing can be re-used.
             state.clear()
             return
-        if child == edge.end:
-            new_child_distance = new_location.reversed_offset(edge.weight)
+        if child == end:
+            new_child_distance = new_location.reversed_offset(weight)
         else:
-            new_child_distance = new_location.offset(edge.weight)
+            new_child_distance = new_location.offset(weight)
         state.reroot_subtree(child, new_child_distance)
 
     # ------------------------------------------------------------------

@@ -447,7 +447,7 @@ class MonitoringServer:
                 for point in update.spec.points:
                     self._network.validate_location(point)
         for edge_update in batch.edge_updates:
-            self._network.edge(edge_update.edge_id)  # raises if unknown
+            self._network.weight_of(edge_update.edge_id)  # raises if unknown
 
         pending = self._pending
         pending.object_updates.extend(
@@ -483,13 +483,11 @@ class MonitoringServer:
                         update.query_id, old_location, update.new_location, spec
                     )
                 )
-        for edge_update in batch.edge_updates:
-            old_weight = self._network.edge(edge_update.edge_id).weight
-            pending.edge_updates.append(
-                EdgeWeightUpdate(
-                    edge_update.edge_id, old_weight, edge_update.new_weight
-                )
-            )
+        weight_of = self._network.weight_of
+        pending.edge_updates.extend(
+            EdgeWeightUpdate(update.edge_id, weight_of(update.edge_id), update.new_weight)
+            for update in batch.edge_updates
+        )
 
     def object_ids(self) -> Set[int]:
         """Ids of every registered data object (including pending adds)."""
@@ -587,7 +585,7 @@ class MonitoringServer:
     def update_edge_weight(self, edge_id: int, new_weight: float) -> None:
         """Report an edge-weight change, e.g. from a traffic sensor."""
         self._ensure_accepting_updates()
-        old_weight = self._network.edge(edge_id).weight
+        old_weight = self._network.weight_of(edge_id)
         self._pending.edge_updates.append(
             EdgeWeightUpdate(edge_id, old_weight, new_weight)
         )

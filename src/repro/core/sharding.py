@@ -138,18 +138,23 @@ def _extract_subnetwork(
     contained search settle in exactly the same order — and produce exactly
     the same floats — as the single-process server.
     """
-    sub = RoadNetwork()
-    for node_id in network.node_ids():
-        if node_id in members:
-            node = network.node(node_id)
-            sub.add_node(node_id, node.x, node.y)
-    for edge_id in network.edge_ids():
-        if edge_id in edge_ids:
-            edge = network.edge(edge_id)
-            new_edge = sub.add_edge(
-                edge.edge_id, edge.start, edge.end, edge.weight, edge.oneway
-            )
-            new_edge.base_weight = edge.base_weight
+    columns = network.columns
+    node_ids = columns.node_ids
+    nodes = [index for index, node_id in enumerate(node_ids) if node_id in members]
+    edges = [
+        position for position, edge_id in enumerate(columns.edge_ids) if edge_id in edge_ids
+    ]
+    sub = RoadNetwork.from_columns(
+        [node_ids[index] for index in nodes],
+        [columns.node_x[index] for index in nodes],
+        [columns.node_y[index] for index in nodes],
+        [columns.edge_ids[position] for position in edges],
+        [node_ids[columns.edge_start[position]] for position in edges],
+        [node_ids[columns.edge_end[position]] for position in edges],
+        [columns.edge_base_weight[position] for position in edges],
+        [columns.edge_oneway[position] for position in edges],
+    )
+    sub.restore_weights([columns.edge_weight[position] for position in edges], 0)
     return sub
 
 
@@ -490,7 +495,7 @@ class ShardedMonitoringServer(MonitoringServer):
         picking the start node's block is an arbitrary-but-deterministic
         choice among shards that can all answer exactly.
         """
-        return self._assignment[self._network.edge(location.edge_id).start]
+        return self._assignment[self._network.endpoints_of(location.edge_id)[0]]
 
     def _take_over(self, query_id: int) -> None:
         """Make *query_id* a coordinator-evaluated boundary query."""

@@ -34,10 +34,9 @@ probe touched the halo: it unregisters them and reports their ids, and the
 coordinator takes them over.  An empty halo — the whole network, or a
 single block — makes every local answer exact, so nothing is probed.
 
-The flat-array CSR snapshot is never shipped: the worker builds it lazily
-from its own network on the first search, exactly as a single-process
-server does, and the weight listener keeps it fresh as the worker applies
-each tick's edge updates.  The network decodes from its columnar record
+The CSR adjacency is never shipped: the worker's network builds it when it
+is frozen, exactly as a single-process server's does, and a weight write
+lands in it directly as the worker applies each tick's edge updates.  The network decodes from its columnar record
 (:mod:`repro.network.record`) with the coordinator's node and edge order,
 so the worker's dense renumbering — and with it every heap tie-break —
 matches the coordinator's.

@@ -7,6 +7,8 @@ still being able to distinguish the individual failure modes.
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class ReproError(Exception):
     """Base class for every exception raised by this library.
@@ -59,9 +61,11 @@ class DuplicateEdgeError(NetworkError):
 class InvalidWeightError(NetworkError):
     """Raised when an edge weight is negative, zero, NaN or infinite."""
 
-    def __init__(self, weight: float) -> None:
-        super().__init__(f"edge weight must be a positive finite number, got {weight!r}")
+    def __init__(self, weight: float, edge_id: Optional[int] = None) -> None:
+        where = "edge weight" if edge_id is None else f"weight of edge {edge_id!r}"
+        super().__init__(f"{where} must be a positive finite number, got {weight!r}")
         self.weight = weight
+        self.edge_id = edge_id
 
 
 class TopologyFrozenError(NetworkError):

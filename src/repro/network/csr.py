@@ -1,11 +1,13 @@
-"""Flat-array CSR snapshot of a :class:`~repro.network.graph.RoadNetwork`.
+"""The road network's column store, and its compressed-sparse-row adjacency.
 
-The monitoring hot path (the Figure-2 expansion and every resumed search)
-spends most of its time iterating adjacency.  Doing that over per-node dicts
-of :class:`~repro.network.graph.Edge` dataclasses costs several attribute
-lookups and a tuple allocation per neighbor; at production scale the Python
-overhead dwarfs the algorithmic work the paper's IMA/GMA save.  This module
-provides a compressed-sparse-row view of the network:
+A :class:`~repro.network.graph.RoadNetwork` keeps its nodes and edges in
+one :class:`CSRGraph`: dense integer indices, parallel columns per node and
+per edge, and — once the network is frozen — the adjacency as flat columns
+sliced per node by ``indptr``.  The monitoring hot path (the Figure-2
+expansion and every resumed search) iterates those columns directly;
+iterating per-node lists of edge objects would cost several attribute
+lookups and a tuple allocation per neighbor, which at production scale
+dwarfs the algorithmic work the paper's IMA/GMA save.
 
 * nodes and edges are mapped to dense integer indices,
 * adjacency is three parallel flat columns (``adj_node``, ``adj_eid``,
@@ -14,22 +16,24 @@ provides a compressed-sparse-row view of the network:
 * ``adj_forward`` records whether an entry leaves the edge's start node, so
   object offsets along the edge can be computed without touching the edge.
 
-Building a snapshot freezes the network's topology
-(:meth:`~repro.network.graph.RoadNetwork.freeze`), so the columns describe
-the network's nodes and edges for as long as both live.  The snapshot
-registers a weight listener with the network, so a ``set_edge_weight`` call
-patches the affected column entries in O(degree).  One snapshot is cached
-per network.
+There is one current-weight column, ``edge_weight``; a weight write
+(:meth:`CSRGraph.set_weight`) also patches the edge's adjacency entries,
+which it finds through the per-edge slot columns.  :func:`csr_snapshot`
+freezes a network and returns its store: there is no second copy to keep
+in step.
 """
 
 from __future__ import annotations
 
-import weakref
+from array import array
 from collections import deque
-from typing import Callable, Dict, List, Optional, Tuple
+from itertools import accumulate
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from repro.exceptions import EdgeNotFoundError, NodeNotFoundError
-from repro.network.graph import RoadNetwork
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.network.graph import RoadNetwork
 
 _INF = float("inf")
 
@@ -90,185 +94,179 @@ class _EdgeScratch:
 
 
 class CSRGraph:
-    """Immutable flat-array adjacency snapshot of a road network.
+    """The column store of one road network: its nodes, edges and adjacency.
 
-    Attributes (all parallel / index-based; treat as read-only):
+    A :class:`~repro.network.graph.RoadNetwork` owns exactly one; this is
+    where its nodes and edges live, not a copy of them.  Every column is
+    indexed by dense position and is read-only to everyone but the network.
+
+    Attributes:
         node_ids: dense index -> original node id.
         node_index: original node id -> dense index.
+        node_x / node_y: coordinates per dense node index (``float64``).
         edge_ids: dense edge index -> original edge id.
-        edge_index: original edge id -> dense edge index.
+        edge_index: original edge id -> dense edge index (its values are
+            the positions, in order).
+        edge_start / edge_end: endpoint node indices per dense edge index.
+        edge_weight: current weight per dense edge index — the network's one
+            current-weight column.
+        edge_base_weight: initial weight per dense edge index (``float64``).
+        edge_oneway: 1 for one-way edges.
+
+    Built when the network is frozen (:attr:`frozen`):
         indptr: per-node slice boundaries into the ``adj_*`` columns.
         adj_node: neighbor *node index* per adjacency entry.
         adj_eid: original *edge id* per entry (for edge-table lookups).
-        adj_weight: current weight per entry (kept fresh incrementally).
+        adj_weight: current weight per entry, written with ``edge_weight``.
         adj_forward: 1 when the entry leaves the edge's start node.
-        edge_weight: current weight per dense edge index.
-        edge_start / edge_end: endpoint node indices per dense edge index.
-        edge_oneway: 1 for one-way edges.
         inc_indptr: per-node slice boundaries into ``inc_edge``.
         inc_edge: dense edge *positions* incident to each node.  Unlike the
             ``adj_*`` columns this incidence view contains every incident
             edge regardless of traversability (a one-way edge appears at
             both endpoints), which is what influence-region computations
             need.
+        edge_start_slot: each edge's adjacency entry at its start node.
+        edge_end_slot: its entry at its end node, -1 for a one-way edge.
+
+    The columns the settle loop and the influence walk read per entry
+    (``node_ids``, ``adj_*``, ``inc_edge``, ``edge_start`` / ``edge_end``
+    and ``edge_weight``) are Python lists: an ``array`` read boxes a fresh
+    number on every access, which measured as fast or slower there and,
+    for ``adj_weight`` (whose floats are ``edge_weight``'s), no smaller.
+    The per-node offsets (``indptr``, ``inc_indptr``), read twice per
+    settled node, and the columns read once per edge or per weight write
+    are ``array`` columns: smaller, and no slower.
 
     Example::
 
-        snapshot = csr_snapshot(network)       # cached, kept fresh
+        snapshot = csr_snapshot(network)       # freezes; the network's own store
         start, stop = snapshot.indptr[0], snapshot.indptr[1]
         print(snapshot.adj_node[start:stop])   # neighbors of dense node 0
     """
 
-    def __init__(self, network: RoadNetwork) -> None:
-        # The columns index the network's nodes and edges once; freezing
-        # keeps them the network's for good.
-        network.freeze()
-        # Weak references in both directions: a strong back-reference would
-        # keep the snapshot-cache key alive forever, and registering a bound
-        # method as the listener would pin every snapshot for the network's
-        # whole lifetime.  The wrapper below forwards weight changes while
-        # the snapshot lives and unregisters itself once it is gone, so
-        # loop-constructed snapshots cost at most one stale closure until
-        # the next weight change.
-        self._network_ref = weakref.ref(network)
-        self._build(network)
-        self_ref = weakref.ref(self)
-        network_ref = self._network_ref
+    def __init__(self) -> None:
+        self.node_ids: List[int] = []
+        self.node_index: Dict[int, int] = {}
+        self.node_x = array("d")
+        self.node_y = array("d")
+        self.edge_ids: List[int] = []
+        self.edge_index: Dict[int, int] = {}
+        self.edge_start: List[int] = []
+        self.edge_end: List[int] = []
+        self.edge_weight: List[float] = []
+        self.edge_base_weight = array("d")
+        self.edge_oneway = bytearray()
+        self.frozen = False
+        self._weights_epoch = 0
+        self._native_support = None
+        self._scratch = None
+        self._edge_scratch = None
 
-        def _forward(edge_id: Optional[int], weight: float) -> None:
-            snapshot = self_ref()
-            if snapshot is None:
-                live_network = network_ref()
-                if live_network is not None:
-                    live_network.remove_weight_listener(_forward)
-                return
-            snapshot._on_weight_change(edge_id, weight)
+    # ------------------------------------------------------------------
+    # construction
+    # ------------------------------------------------------------------
+    def freeze(self) -> None:
+        """Build the adjacency and incidence columns (idempotent).
 
-        self._listener: Optional[Callable[[Optional[int], float], None]] = _forward
-        network.add_weight_listener(_forward)
-
-    def close(self) -> None:
-        """Detach from the network's weight notifications (idempotent).
-
-        After closing, the snapshot no longer tracks weight changes; use it
-        only if you know the weights are frozen, or build a fresh one.
+        One counting sort over the edge columns: each node's entries come
+        out in edge order, which is the order a node's edges were added in.
         """
-        network = self._network_ref()
-        if network is not None and self._listener is not None:
-            network.remove_weight_listener(self._listener)
-        self._listener = None
-
-    # ------------------------------------------------------------------
-    # construction / refresh
-    # ------------------------------------------------------------------
-    def _build(self, network: RoadNetwork) -> None:
-        """Build every column from the network's current state."""
-        self.node_ids: List[int] = list(network.node_ids())
-        self.node_index: Dict[int, int] = {
-            node_id: index for index, node_id in enumerate(self.node_ids)
-        }
-        self.edge_ids: List[int] = list(network.edge_ids())
-        self.edge_index: Dict[int, int] = {
-            edge_id: index for index, edge_id in enumerate(self.edge_ids)
-        }
-
-        node_index = self.node_index
-        edge_weight: List[float] = []
-        edge_start: List[int] = []
-        edge_end: List[int] = []
-        edge_oneway = bytearray(len(self.edge_ids))
-        for position, edge_id in enumerate(self.edge_ids):
-            edge = network.edge(edge_id)
-            edge_weight.append(edge.weight)
-            edge_start.append(node_index[edge.start])
-            edge_end.append(node_index[edge.end])
-            if edge.oneway:
-                edge_oneway[position] = 1
-        self.edge_weight = edge_weight
-        self.edge_start = edge_start
-        self.edge_end = edge_end
-        self.edge_oneway = edge_oneway
-
-        indptr: List[int] = [0]
-        adj_node: List[int] = []
-        adj_eid: List[int] = []
-        adj_weight: List[float] = []
-        adj_forward = bytearray()
-        inc_indptr: List[int] = [0]
-        inc_edge: List[int] = []
-        for node_id in self.node_ids:
-            for edge_id in network.incident_edges(node_id):
-                edge = network.edge(edge_id)
-                position = self.edge_index[edge_id]
-                inc_edge.append(position)
-                if edge.oneway and edge.start != node_id:
-                    continue
-                adj_node.append(node_index[edge.other_endpoint(node_id)])
-                adj_eid.append(edge_id)
-                adj_weight.append(edge.weight)
-                adj_forward.append(1 if edge.start == node_id else 0)
-            indptr.append(len(adj_node))
-            inc_indptr.append(len(inc_edge))
-        self.indptr = indptr
+        if self.frozen:
+            return
+        node_count = len(self.node_ids)
+        starts, ends, oneway = self.edge_start, self.edge_end, self.edge_oneway
+        degree = [0] * node_count
+        out_degree = [0] * node_count
+        for start, end, flag in zip(starts, ends, oneway):
+            degree[start] += 1
+            degree[end] += 1
+            out_degree[start] += 1
+            if not flag:
+                out_degree[end] += 1
+        inc_indptr = list(accumulate(degree, initial=0))
+        indptr = list(accumulate(out_degree, initial=0))
+        del degree, out_degree
+        inc_next = inc_indptr[:-1]
+        adj_next = indptr[:-1]
+        inc_edge = [0] * inc_indptr[-1]
+        entries = indptr[-1]
+        adj_node = [0] * entries
+        adj_eid = [0] * entries
+        adj_weight = [0.0] * entries
+        adj_forward = bytearray(entries)
+        edge_count = len(self.edge_ids)
+        start_slot = array("i", bytes(4 * edge_count))
+        end_slot = array("i", [-1]) * edge_count
+        edge_ids, weights = self.edge_ids, self.edge_weight
+        # edge_index's values are the positions: reuse those int objects.
+        for position, start, end, flag in zip(self.edge_index.values(), starts, ends, oneway):
+            edge_id, weight = edge_ids[position], weights[position]
+            slot = inc_next[start]
+            inc_edge[slot] = position
+            inc_next[start] = slot + 1
+            slot = inc_next[end]
+            inc_edge[slot] = position
+            inc_next[end] = slot + 1
+            slot = adj_next[start]
+            adj_next[start] = slot + 1
+            adj_node[slot], adj_eid[slot], adj_weight[slot] = end, edge_id, weight
+            adj_forward[slot] = 1
+            start_slot[position] = slot
+            if not flag:
+                slot = adj_next[end]
+                adj_next[end] = slot + 1
+                adj_node[slot], adj_eid[slot], adj_weight[slot] = start, edge_id, weight
+                end_slot[position] = slot
+        self.indptr = array("i", indptr)
         self.adj_node = adj_node
         self.adj_eid = adj_eid
         self.adj_weight = adj_weight
         self.adj_forward = adj_forward
-        self.inc_indptr = inc_indptr
+        self.inc_indptr = array("i", inc_indptr)
         self.inc_edge = inc_edge
-        self._weights_stale = False
-        self._weights_epoch = 0
-        self._native_support = None
-        self._scratch = _Scratch(len(self.node_ids))
-        self._edge_scratch = _EdgeScratch(len(self.edge_ids))
+        self.edge_start_slot = start_slot
+        self.edge_end_slot = end_slot
+        self.frozen = True
 
-    def _on_weight_change(self, edge_id: Optional[int], new_weight: float) -> None:
-        if edge_id is None:
-            self._weights_stale = True
-            self._weights_epoch += 1
-            return
-        position = self.edge_index[edge_id]
+    # ------------------------------------------------------------------
+    # weights
+    # ------------------------------------------------------------------
+    def set_weight(self, position: int, weight: float) -> None:
+        """Write one edge's current weight, and its adjacency entries once frozen."""
+        self.edge_weight[position] = weight
+        if self.frozen:
+            adj_weight = self.adj_weight
+            adj_weight[self.edge_start_slot[position]] = weight
+            end_slot = self.edge_end_slot[position]
+            if end_slot >= 0:
+                adj_weight[end_slot] = weight
         self._weights_epoch += 1
-        self.edge_weight[position] = new_weight
-        # The edge's (at most two) adjacency entries sit in its endpoints'
-        # slices; a one-way edge has one, at its start node.
-        indptr, adj_eid, adj_weight = self.indptr, self.adj_eid, self.adj_weight
-        for node in (self.edge_start[position], self.edge_end[position]):
-            for slot in range(indptr[node], indptr[node + 1]):
-                if adj_eid[slot] == edge_id:
-                    adj_weight[slot] = new_weight
 
-    def refresh(self) -> "CSRGraph":
-        """Bring the snapshot's weights up to date with the network; returns self."""
-        if self._weights_stale:
-            network = self.network
-            edge_weight = self.edge_weight
-            edge_weight[:] = [network.edge(edge_id).weight for edge_id in self.edge_ids]
-            edge_index = self.edge_index
-            self.adj_weight[:] = [edge_weight[edge_index[edge_id]] for edge_id in self.adj_eid]
-            self._weights_stale = False
-            self._weights_epoch += 1
-        return self
+    def set_weights(self, weights: Sequence[float]) -> None:
+        """Overwrite the whole current-weight column, in place."""
+        edge_weight = self.edge_weight
+        edge_weight[:] = weights
+        if self.frozen:
+            adj_weight = self.adj_weight
+            for weight, start_slot, end_slot in zip(
+                edge_weight, self.edge_start_slot, self.edge_end_slot
+            ):
+                adj_weight[start_slot] = weight
+                if end_slot >= 0:
+                    adj_weight[end_slot] = weight
+        self._weights_epoch += 1
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     @property
-    def network(self) -> RoadNetwork:
-        """The live road network behind this snapshot."""
-        network = self._network_ref()
-        if network is None:
-            raise ReferenceError("the RoadNetwork behind this CSR snapshot is gone")
-        return network
-
-    @property
     def node_count(self) -> int:
-        """Number of nodes in the snapshot."""
+        """Number of nodes in the store."""
         return len(self.node_ids)
 
     @property
     def edge_count(self) -> int:
-        """Number of edges in the snapshot."""
+        """Number of edges in the store."""
         return len(self.edge_ids)
 
     def index_of_node(self, node_id: int) -> int:
@@ -298,7 +296,7 @@ class CSRGraph:
     # ------------------------------------------------------------------
     @property
     def weights_epoch(self) -> int:
-        """Counter bumped on every weight patch.
+        """Counter bumped on every weight write.
 
         Derived per-weight metadata (the native kernel's numpy column
         mirrors) caches against this value and rebuilds lazily
@@ -333,11 +331,13 @@ class CSRGraph:
         return None
 
     # ------------------------------------------------------------------
-    # scratch buffers
+    # scratch buffers (allocated on first use: a coordinator never searches)
     # ------------------------------------------------------------------
     def acquire_scratch(self) -> _Scratch:
         """Borrow the reusable work arrays (fresh ones under reentrancy)."""
         scratch = self._scratch
+        if scratch is None:
+            scratch = self._scratch = _Scratch(len(self.node_ids))
         if scratch.in_use:
             return _Scratch(len(self.node_ids))
         scratch.in_use = True
@@ -346,36 +346,26 @@ class CSRGraph:
     def acquire_edge_scratch(self) -> _EdgeScratch:
         """Borrow the reusable edge-marking buffer (fresh under reentrancy)."""
         scratch = self._edge_scratch
+        if scratch is None:
+            scratch = self._edge_scratch = _EdgeScratch(len(self.edge_ids))
         if scratch.in_use:
             return _EdgeScratch(len(self.edge_ids))
         scratch.in_use = True
         return scratch
 
 
-#: One cached snapshot per live network (weakly keyed so networks can die).
-_SNAPSHOTS: "weakref.WeakKeyDictionary[RoadNetwork, CSRGraph]" = (
-    weakref.WeakKeyDictionary()
-)
+def csr_snapshot(network: "RoadNetwork") -> CSRGraph:
+    """Freeze *network* and return its column store.
 
-
-def csr_snapshot(network: RoadNetwork) -> CSRGraph:
-    """Return the up-to-date cached CSR snapshot of *network*.
+    The store is the network's own, so it is always current: a weight
+    write lands in it directly.
 
     Example::
 
         snapshot = csr_snapshot(network)
-        assert csr_snapshot(network) is snapshot   # cached per network
+        assert csr_snapshot(network) is snapshot   # one store per network
     """
-    snapshot = _SNAPSHOTS.get(network)
-    if snapshot is None:
-        snapshot = CSRGraph(network)
-        _SNAPSHOTS[network] = snapshot
-        return snapshot
-    # Inline fast path of refresh(): this runs once per search, so skip the
-    # call when nothing changed (the overwhelmingly common case).
-    if snapshot._weights_stale:
-        snapshot.refresh()
-    return snapshot
+    return network.freeze()
 
 
 # ---------------------------------------------------------------------------

@@ -139,14 +139,14 @@ class EdgeTable:
     def rebuild_spatial_index(self) -> PMRQuadtree:
         """Build the PMR quadtree over the network's edges.
 
-        Edges are loaded in ``network.edges()`` order, so the same network
+        Edges are loaded in ``network.edge_ids()`` order, so the same network
         always yields the same tree.  Also turns snapping on for a table
         built with ``build_spatial_index=False``.
         """
         network = self._network
         index = PMRQuadtree(network.bounding_box(margin=1e-6))
         index.bulk_load(
-            (edge.edge_id, network.edge_segment(edge.edge_id)) for edge in network.edges()
+            (edge_id, network.edge_segment(edge_id)) for edge_id in network.edge_ids()
         )
         self._indexed = True
         self._spatial_index = index

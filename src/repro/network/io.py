@@ -69,14 +69,15 @@ def load_network(path: PathLike) -> RoadNetwork:
             if parts[0] == "n":
                 network.add_node(int(parts[1]), float(parts[2]), float(parts[3]))
             elif parts[0] == "e":
-                edge = network.add_edge(
-                    int(parts[1]),
+                edge_id = int(parts[1])
+                network.add_edge(
+                    edge_id,
                     int(parts[2]),
                     int(parts[3]),
-                    float(parts[4]),
+                    float(parts[5]),
                     oneway=bool(int(parts[6])),
                 )
-                edge.base_weight = float(parts[5])
+                network.set_edge_weight(edge_id, float(parts[4]))
             else:
                 raise NetworkError(f"{path}: unknown record type {parts[0]!r}")
         except (IndexError, ValueError) as exc:

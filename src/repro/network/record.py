@@ -19,10 +19,9 @@ module owns that column layout: a checkpoint's object columns and the
 ``RPUB`` batch record (:mod:`repro.core.events`) are written and read
 with :func:`write_int_column` and :class:`ColumnReader` too.
 
-Rows are in the network's iteration order, and edges name their endpoints
-by node id, so decoding re-adds nodes and edges in that order: node and
-edge dict order, adjacency order (and with them every dense CSR index)
-come out as they were.
+Rows are in the network's column order, and edges name their endpoints
+by node id, so decoding fills the columns in that order: every dense
+index and each node's adjacency order come out as they were.
 
 There is no current-weight column: the base holds base weights, and a
 checkpoint's dynamic section or a worker's init carries
@@ -139,15 +138,18 @@ def write_network(network: RoadNetwork, stream: BinaryIO) -> None:
             network.edge_count,
         )
     )
-    nodes, edges = network.nodes, network.edges
-    write_int_column(stream, "network's node ids", network.node_ids)
-    write_float_column(stream, array("d", (node.point.x for node in nodes())))
-    write_float_column(stream, array("d", (node.point.y for node in nodes())))
-    write_int_column(stream, "network's edge ids", network.edge_ids)
-    write_int_column(stream, "network's edge starts", lambda: (e.start for e in edges()))
-    write_int_column(stream, "network's edge ends", lambda: (e.end for e in edges()))
-    write_float_column(stream, array("d", (edge.base_weight for edge in edges())))
-    stream.write(bytes(edge.oneway for edge in edges()))
+    store = network.columns
+    node_ids, edge_start, edge_end = store.node_ids, store.edge_start, store.edge_end
+    write_int_column(stream, "network's node ids", lambda: node_ids)
+    write_float_column(stream, array("d", store.node_x))
+    write_float_column(stream, array("d", store.node_y))
+    write_int_column(stream, "network's edge ids", lambda: store.edge_ids)
+    write_int_column(
+        stream, "network's edge starts", lambda: (node_ids[start] for start in edge_start)
+    )
+    write_int_column(stream, "network's edge ends", lambda: (node_ids[end] for end in edge_end))
+    write_float_column(stream, array("d", store.edge_base_weight))
+    stream.write(store.edge_oneway)
 
 
 def encode_network(network: RoadNetwork) -> bytes:
@@ -231,10 +233,11 @@ def decode_network(payload) -> Tuple[RoadNetwork, int]:
     *payload* is any bytes-like that starts with a record; whatever follows
     the returned end offset is the caller's.  Nothing in it is trusted:
     every count is bounded by the bytes that remain before anything is
-    allocated for it, and the network is rebuilt row by row through
-    :meth:`RoadNetwork.add_node` / :meth:`RoadNetwork.add_edge`, which
-    refuse duplicate ids, unknown endpoints, self loops and invalid
-    weights.  The two version counters are then set to the header's.
+    allocated for it.  The columns go straight into a frozen network
+    (:meth:`RoadNetwork.from_columns`, no per-row object), which refuses
+    what :meth:`RoadNetwork.add_node` / :meth:`RoadNetwork.add_edge` do:
+    duplicate ids, unknown endpoints, self loops and invalid weights.  The
+    two version counters are then set to the header's.
 
     Raises:
         RecoveryError: if *payload* is not a whole, valid record.
@@ -260,13 +263,10 @@ def decode_network(payload) -> Tuple[RoadNetwork, int]:
     oneway = bytes(reader.take("one-way flags", edge_count))
     if oneway.translate(None, b"\x00\x01"):
         raise RecoveryError("network record: a one-way flag is neither 0 nor 1")
-    network = RoadNetwork()
-    add_node, add_edge = network.add_node, network.add_edge
     try:
-        for row in zip(node_ids, xs, ys):
-            add_node(*row)
-        for edge_id, start, end, weight, flag in zip(edge_ids, starts, ends, weights, oneway):
-            add_edge(edge_id, start, end, weight, flag == 1)
+        network = RoadNetwork.from_columns(
+            node_ids, xs, ys, edge_ids, starts, ends, weights, oneway
+        )
     except ReproError as exc:
         raise RecoveryError(f"network record holds an invalid network: {exc!r}") from exc
     network._topology_version = topology_version

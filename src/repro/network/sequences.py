@@ -105,11 +105,11 @@ class SequenceTable:
                 next_id += 1
 
         # Pass 2: pure cycles of degree-2 nodes (no endpoint on them).
-        for edge in network.edges():
-            if edge.edge_id in visited_edges:
+        for edge_id in network.edge_ids():
+            if edge_id in visited_edges:
                 continue
-            anchor = min(edge.start, edge.end)
-            info = self._walk_sequence(next_id, anchor, edge.edge_id, visited_edges, cycle=True)
+            anchor = min(network.endpoints_of(edge_id))
+            info = self._walk_sequence(next_id, anchor, edge_id, visited_edges, cycle=True)
             self._register(info)
             next_id += 1
 
@@ -130,8 +130,8 @@ class SequenceTable:
         while True:
             visited_edges.add(current_edge)
             edge_ids.append(current_edge)
-            edge = network.edge(current_edge)
-            current_node = edge.other_endpoint(current_node)
+            start, end = network.endpoints_of(current_edge)
+            current_node = end if current_node == start else start
             node_ids.append(current_node)
             if cycle and current_node == start_node:
                 break
@@ -202,7 +202,7 @@ class SequenceTable:
     def total_weight(self, sequence_id: int) -> float:
         """Sum of the current weights of a sequence's edges."""
         info = self.sequence(sequence_id)
-        return sum(self._network.edge(eid).weight for eid in info.edge_ids)
+        return sum(map(self._network.weight_of, info.edge_ids))
 
     # ------------------------------------------------------------------
     # diagnostics

@@ -37,9 +37,10 @@ from __future__ import annotations
 import math
 import os
 import random
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
 from repro.exceptions import NetworkError
 from repro.network.graph import RoadNetwork
@@ -58,6 +59,9 @@ SPEED_CLASSES: Mapping[str, float] = {
     "side": 30.0,
 }
 
+#: Each class name mapped to itself: a parsed way holds the one string.
+_CLASS_NAMES: Mapping[str, str] = {name: name for name in SPEED_CLASSES}
+
 #: The speed whose class maps lengths to weights unchanged.
 REFERENCE_SPEED = 50.0
 
@@ -65,7 +69,7 @@ REFERENCE_SPEED = 50.0
 MIN_SEGMENT_WEIGHT = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Way:
     """One parsed way: an ordered polyline of node ids with a road class.
 
@@ -184,17 +188,28 @@ def parse_ways_text(text: str, source: str = "<text>") -> ParsedWays:
         )
         assert parsed.ways[0].speed_class == "side"
     """
-    lines = text.splitlines()
-    first_content = next((line.strip() for line in lines if line.strip()), "")
+    nodes: Dict[int, Tuple[float, float]] = {}
+    ways = tuple(_parse_ways(text, source, nodes))
+    return ParsedWays(nodes=nodes, ways=ways)
+
+
+def _parse_ways(
+    text: str, source: str, nodes: Dict[int, Tuple[float, float]]
+) -> Iterator[Way]:
+    """Yield the ways of *text* one at a time, filling *nodes* as it goes.
+
+    A way may only name nodes defined above it, so each way is complete
+    when it is yielded; the import pipeline explodes it and drops it, and
+    no list of lines or of ways is ever built.
+    """
+    first_content = next((line.strip() for line in _lines(text) if line.strip()), "")
     if first_content != WAYS_HEADER:
         raise NetworkError(
             f"{source}: not a repro ways file (expected header {WAYS_HEADER!r})"
         )
-    nodes: Dict[int, Tuple[float, float]] = {}
-    ways: List[Way] = []
     way_ids = set()
     seen_header = False
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -220,10 +235,10 @@ def parse_ways_text(text: str, source: str = "<text>") -> ParsedWays:
                 way_id = int(parts[1])
                 if way_id in way_ids:
                     raise ValueError(f"duplicate way id {way_id}")
-                speed_class = parts[2]
-                if speed_class not in SPEED_CLASSES:
+                speed_class = _CLASS_NAMES.get(parts[2])
+                if speed_class is None:
                     raise ValueError(
-                        f"unknown speed class {speed_class!r} "
+                        f"unknown speed class {parts[2]!r} "
                         f"(known: {', '.join(sorted(SPEED_CLASSES))})"
                     )
                 node_ids = tuple(int(part) for part in parts[3:])
@@ -231,12 +246,24 @@ def parse_ways_text(text: str, source: str = "<text>") -> ParsedWays:
                 if missing:
                     raise ValueError(f"way references undefined node {missing[0]}")
                 way_ids.add(way_id)
-                ways.append(Way(way_id, speed_class, node_ids))
+                way = Way(way_id, speed_class, node_ids)
             else:
                 raise ValueError(f"unknown record type {kind!r}")
         except ValueError as exc:
             raise NetworkError(f"{source}:{line_no}: {exc} in {line!r}") from exc
-    return ParsedWays(nodes=nodes, ways=tuple(ways))
+        if kind == "way":
+            yield way
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The lines of *text* one at a time (a ``\\r`` before ``\\n`` stays on the line)."""
+    start, size = 0, len(text)
+    while start < size:
+        end = text.find("\n", start)
+        if end < 0:
+            end = size
+        yield text[start:end]
+        start = end + 1
 
 
 def import_ways_text(text: str, source: str = "<text>") -> ImportResult:
@@ -256,8 +283,8 @@ def import_ways_text(text: str, source: str = "<text>") -> ImportResult:
         assert result.network.is_connected()
         assert all(e.weight > 0 for e in result.network.edges())
     """
-    parsed = parse_ways_text(text, source=source)
-    return import_parsed(parsed, source=source)
+    nodes: Dict[int, Tuple[float, float]] = {}
+    return _import(nodes, _parse_ways(text, source, nodes), source)
 
 
 def import_road_network(path: PathLike) -> ImportResult:
@@ -294,21 +321,34 @@ def import_parsed(parsed: ParsedWays, source: str = "<text>") -> ImportResult:
         result = import_parsed(parsed)
         assert result.network.edge_count == 1
     """
-    stats = ImportStats(nodes_parsed=len(parsed.nodes), ways_parsed=len(parsed.ways))
+    return _import(parsed.nodes, parsed.ways, source)
+
+
+def _import(
+    nodes: Dict[int, Tuple[float, float]], ways: Iterable[Way], source: str
+) -> ImportResult:
+    """The cleanup pipeline over *ways*, which may be a one-pass stream.
+
+    *nodes* must be complete once *ways* is exhausted (a streaming parse
+    fills it as it goes).  The result's network is built from columns
+    (:meth:`RoadNetwork.from_columns`): no per-node or per-edge object.
+    """
+    stats = ImportStats()
 
     # Explode ways into candidate segments, dropping self loops and keeping
     # the cheapest segment per unordered endpoint pair.
     best: Dict[Tuple[int, int], Tuple[float, str]] = {}
     order: List[Tuple[int, int]] = []
-    for way in parsed.ways:
+    for way in ways:
+        stats.ways_parsed += 1
         speed = SPEED_CLASSES[way.speed_class]
         for u, v in zip(way.node_ids, way.node_ids[1:]):
             stats.segments_parsed += 1
             if u == v:
                 stats.self_loops_dropped += 1
                 continue
-            ux, uy = parsed.nodes[u]
-            vx, vy = parsed.nodes[v]
+            ux, uy = nodes[u]
+            vx, vy = nodes[v]
             length = math.hypot(vx - ux, vy - uy)
             weight = length * (REFERENCE_SPEED / speed)
             if weight <= 0.0:
@@ -323,6 +363,7 @@ def import_parsed(parsed: ParsedWays, source: str = "<text>") -> ImportResult:
                 stats.parallel_dropped += 1
                 if weight < existing[0]:
                     best[key] = (weight, way.speed_class)
+    stats.nodes_parsed = len(nodes)
     if not best:
         raise NetworkError(f"{source}: no usable road segments after import")
 
@@ -350,24 +391,38 @@ def import_parsed(parsed: ParsedWays, source: str = "<text>") -> ImportResult:
     for node in parent:
         members.setdefault(find(node), []).append(node)
     stats.components = len(members)
-    stats.isolated_nodes_dropped = len(parsed.nodes) - len(parent)
+    stats.isolated_nodes_dropped = len(nodes) - len(parent)
     winner = max(members.items(), key=lambda item: (len(item[1]), -item[0]))[0]
     kept_nodes = set(members[winner])
     stats.component_nodes_dropped = len(parent) - len(kept_nodes)
 
-    network = RoadNetwork()
-    for node_id in sorted(kept_nodes):
-        x, y = parsed.nodes[node_id]
-        network.add_node(node_id, x, y)
+    # The network's columns, straight from the pipeline.  Each stage's
+    # tables go as soon as the next stage has what it needs: the import's
+    # peak is a serving process's set-up peak.
+    del members, parent
+    node_ids = sorted(kept_nodes)
+    starts: List[int] = []
+    ends: List[int] = []
+    weights = array("d")
     speed_classes: Dict[int, str] = {}
-    edge_id = 0
     for u, v in order:
-        if u not in kept_nodes:
-            continue
-        weight, speed_class = best[(u, v)]
-        network.add_edge(edge_id, u, v, weight)
-        speed_classes[edge_id] = speed_class
-        edge_id += 1
+        if u in kept_nodes:
+            weight, speed_class = best[(u, v)]
+            speed_classes[len(starts)] = speed_class
+            starts.append(u)
+            ends.append(v)
+            weights.append(weight)
+    del best, order, kept_nodes
+    network = RoadNetwork.from_columns(
+        node_ids,
+        array("d", (nodes[node_id][0] for node_id in node_ids)),
+        array("d", (nodes[node_id][1] for node_id in node_ids)),
+        range(len(starts)),
+        starts,
+        ends,
+        weights,
+        bytes(len(starts)),
+    )
     stats.nodes_kept = network.node_count
     stats.edges_kept = network.edge_count
     return ImportResult(network=network, stats=stats, speed_classes=speed_classes)

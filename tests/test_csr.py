@@ -4,8 +4,9 @@ Three layers of coverage:
 
 * **snapshot equivalence** — the CSR adjacency columns describe exactly the
   same traversable graph as :meth:`RoadNetwork.neighbors`;
-* **refresh protocol** — ``set_edge_weight`` patches the columns in place
-  (no rebuild), and building a snapshot freezes the network's topology;
+* **one store** — the snapshot is the network's own column store:
+  ``set_edge_weight`` writes it in place, and taking a snapshot freezes
+  the network's topology;
 * **differential testing** — the CSR-based :func:`expand_knn` agrees with
   the oracle's plain-Dijkstra brute force on seeded random networks, across
   fresh searches, source-node searches, exclusions, candidate seeding and
@@ -20,7 +21,7 @@ import pytest
 
 from repro.core.results import results_equal
 from repro.core.search import expand_knn
-from repro.exceptions import EdgeNotFoundError, TopologyFrozenError
+from repro.exceptions import TopologyFrozenError
 from repro.network.builders import city_network, grid_network
 from repro.network.csr import CSRGraph, csr_snapshot
 from repro.network.distance import (
@@ -80,28 +81,14 @@ class TestSnapshotEquivalence:
         gc.collect()
         assert probe() is None
 
-    def test_direct_snapshots_do_not_pin_listeners(self):
-        """Regression: loop-constructed CSRGraphs must not accumulate on the
-        network's listener list once garbage-collected."""
-        import gc
-
-        network = grid_network(3, 3, spacing=10.0)
-        for _ in range(10):
-            CSRGraph(network)
-        gc.collect()
-        # The next weight change lets every dead wrapper unregister itself.
-        edge_id = next(network.edge_ids())
-        network.set_edge_weight(edge_id, 123.0)
-        assert len(network._weight_listeners) <= 1  # at most the cached one
-
-    def test_close_detaches_snapshot(self, small_grid):
-        snapshot = CSRGraph(small_grid)
+    def test_snapshot_is_the_networks_own_store(self, small_grid):
+        """One copy: the snapshot is the network's store, written in place."""
+        csr = csr_snapshot(small_grid)
+        assert small_grid.freeze() is csr
         edge_id = next(small_grid.edge_ids())
-        snapshot.close()
-        snapshot.close()  # idempotent
         small_grid.set_edge_weight(edge_id, 321.0)
-        position = snapshot.index_of_edge(edge_id)
-        assert snapshot.edge_weight[position] != 321.0  # no longer tracking
+        assert csr.edge_weight[csr.index_of_edge(edge_id)] == 321.0
+        assert small_grid.weight_of(edge_id) == 321.0
 
 
 class TestWeightRefresh:

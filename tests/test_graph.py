@@ -32,7 +32,7 @@ class TestNodesAndEdges:
     def test_add_node_and_lookup(self):
         network = RoadNetwork()
         node = network.add_node(5, 1.0, 2.0)
-        assert network.node(5) is node
+        assert network.node(5) == node
         assert node.x == 1.0 and node.y == 2.0
 
     def test_duplicate_node_raises(self):

@@ -8,11 +8,15 @@ code path ever gives one of their instances a ``__dict__`` — not building a
 network, not decoding a batch record, not pickling, not taking a snapshot.
 The rule is pinned here, together with what replaced the per-edge
 bookkeeping that no query read: ``RoadNetwork.edge_between`` answers from
-adjacency, and a CSR weight patch finds its slots through ``indptr`` /
-``adj_eid``.  So are the two things a serving process no longer holds or
-allocates: a set per populated edge (the edge table keeps lists, whose
-order no result depends on) and a pickle memo of the whole network while
-writing the base (it is streamed as a columnar record).
+adjacency, and a weight write finds the edge's adjacency slots in the
+store's slot columns.  A frozen network is held once, as its column store
+(no node or edge object lives on; ``node()`` / ``edge()`` hand out
+read-only values), under a traced bound on the e2e city, and the importer
+builds those columns directly, under a bound on its traced peak.  So are
+the two things a serving process no longer holds or allocates: a set per
+populated edge (the edge table keeps lists, whose order no result depends
+on) and a pickle memo of the whole network while writing the base (it is
+streamed as a columnar record).
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from repro.core.events import (
 from repro.core.server import restore_server
 from repro.network.csr import csr_snapshot
 from repro.network.graph import Edge, NetworkLocation, Node, RoadNetwork
-from repro.realism import synthetic_city_network
+from repro.realism import CitySpec, import_ways_text, synthetic_city_network, synthetic_city_text
 from repro.spatial.geometry import Point, Rect, Segment
 from snapshot_columns import rewrite_object_columns
 
@@ -114,9 +118,8 @@ def test_pickle_round_trip_keeps_value_and_layout(instance):
     clone = pickle.loads(pickle.dumps(instance, protocol=pickle.HIGHEST_PROTOCOL))
     assert clone == instance and type(clone) is type(instance)
     _assert_no_dicts([instance, clone])
-    if not isinstance(instance, Edge):
-        with pytest.raises(FrozenInstanceError):
-            clone.__setattr__(next(iter(type(instance).__slots__)), 0)
+    with pytest.raises(FrozenInstanceError):
+        clone.__setattr__(next(iter(type(instance).__slots__)), 0)
 
 
 # ----------------------------------------------------------------------
@@ -209,6 +212,61 @@ def test_city_heap_stays_under_its_bound(tmp_path):
     _city_heap_bytes(tmp_path / "warm", target_edges=200)
     heap = _city_heap_bytes(tmp_path / "city", target_edges=2_000)
     assert heap < HEAP_BOUND_BYTES, f"{heap / 2**20:.2f} MiB"
+
+
+# ----------------------------------------------------------------------
+# the network is held once, and the importer builds its columns directly
+# ----------------------------------------------------------------------
+#: The frozen e2e city (``synthetic_city_network(20_000, 7)``, 20,241
+#: edges) with its CSR adjacency: 5.06-5.13 MiB traced on CPython 3.10-3.13
+#: as one column store, against 12.85 MiB (7.70 of node/edge objects plus
+#: 5.15 of CSR list columns) while the two were separate; plus 15 %.
+NETWORK_BOUND_BYTES = int(5.13 * 1.15 * 2**20)
+#: The same import's traced peak: measured 11.2-11.4 MiB on CPython 3.10-3.13
+#: (17.2 MiB while it built the object graph from a list of lines and a
+#: tuple of parsed ways); plus 15 % headroom.
+IMPORT_PEAK_BOUND_BYTES = int(11.4 * 1.15 * 2**20)
+
+
+@pytest.fixture(scope="module")
+def e2e_city_bytes():
+    """``(import peak, frozen network live bytes, network)``, traced once."""
+    text = synthetic_city_text(CitySpec.for_target_edges(20_000), 7)
+    import_ways_text(synthetic_city_text(CitySpec.for_target_edges(200), 7))  # warm caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        network = import_ways_text(text, source="<synthetic>").network
+        _, peak = tracemalloc.get_traced_memory()
+        csr_snapshot(network)
+        gc.collect()
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - before, live - before, network
+
+
+def test_the_frozen_network_is_held_once_under_its_bound(e2e_city_bytes):
+    _, live, network = e2e_city_bytes
+    assert network.frozen and network.edge_count == 20_241
+    assert live < NETWORK_BOUND_BYTES, f"{live / 2**20:.2f} MiB"
+
+
+def test_the_import_peak_stays_under_its_bound(e2e_city_bytes):
+    peak, _, _ = e2e_city_bytes
+    assert peak < IMPORT_PEAK_BOUND_BYTES, f"{peak / 2**20:.2f} MiB"
+
+
+def test_post_freeze_views_are_slotted_and_read_only(e2e_city_bytes):
+    _, _, network = e2e_city_bytes
+    edge = network.edge(next(network.edge_ids()))
+    node = network.node(edge.start)
+    _assert_no_dicts([edge, node, node.point])
+    with pytest.raises(FrozenInstanceError):
+        edge.weight = 1.0
+    with pytest.raises(FrozenInstanceError):
+        node.point = Point(0.0, 0.0)
 
 
 # ----------------------------------------------------------------------

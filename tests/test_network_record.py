@@ -211,6 +211,39 @@ def test_duplicate_edge_ids_are_refused():
         decode_network(blob)
 
 
+def _three_nodes(*, starts=(1, 2), ends=(2, 3), weights=(1.0, 1.0), ids=(1, 2, 3), width=1):
+    """Two edges, the second carrying the flaw: a column decode must still see it."""
+    node_ids = ints(width, *ids) if width else wide(*ids)
+    return (
+        header(3, 2) + node_ids + floats(0, 1, 2) + floats(0, 0, 0)
+        + ints(1, 7, 8) + ints(1, *starts) + ints(1, *ends) + floats(*weights) + b"\x00\x00"
+    )
+
+
+def wide(*values):
+    return b"\x00" + b"".join(
+        bytes((8,)) + value.to_bytes(8, "little", signed=True) for value in values
+    )
+
+
+@pytest.mark.parametrize(
+    "blob, complaint",
+    [
+        (_three_nodes(starts=(1, 9)), "NodeNotFoundError"),
+        (_three_nodes(ends=(2, 2)), "self loop"),
+        (_three_nodes(weights=(1.0, -0.0)), "InvalidWeightError"),
+        (_three_nodes(weights=(1.0, math.nan)), "InvalidWeightError"),
+        (_three_nodes(ids=(1, 2, 1), width=0), "DuplicateNodeError"),
+        (_three_nodes(ids=(1, 2, 3), width=0, ends=(2, 4)), "NodeNotFoundError"),
+    ],
+    ids=["unknown-start", "self-loop", "negative-zero", "nan", "wide-duplicate", "wide-unknown"],
+)
+def test_a_flaw_in_a_later_row_is_refused_too(blob, complaint):
+    """The decoder checks whole columns; a flaw past the first row still counts."""
+    with pytest.raises(RecoveryError, match=complaint):
+        decode_network(blob)
+
+
 def test_the_same_record_minus_the_flaw_decodes():
     network, end = decode_network(_two_nodes())
     assert end == len(_two_nodes()) and network.edge(7).endpoints() == (1, 2)

@@ -161,13 +161,13 @@ def test_local_batch_of_an_untouched_block_is_empty_and_net():
 # ----------------------------------------------------------------------
 # network pickling (state shipping)
 # ----------------------------------------------------------------------
-def test_network_pickles_without_listeners():
+def test_frozen_network_pickles_as_an_independent_editable_replica():
     network = city_network(80, seed=1)
-    csr_snapshot(network)  # registers a weight listener
-    assert network._weight_listeners
+    csr = csr_snapshot(network)  # freezes: the network is its column store
     replica = pickle.loads(pickle.dumps(network))
-    assert replica._weight_listeners == []
+    assert not replica.frozen and csr_snapshot(replica) is not csr
     assert replica.topology_version == network.topology_version
+    assert replica.weight_version == network.weight_version
     assert sorted(replica.edge_ids()) == sorted(network.edge_ids())
     edge_id = next(iter(network.edge_ids()))
     assert replica.edge(edge_id).weight == network.edge(edge_id).weight
