@@ -349,8 +349,10 @@ class UpdateBatch:
 # ----------------------------------------------------------------------
 #: Version of the batch record; bumped whenever the layout changes so that
 #: older payloads fail loudly instead of decoding garbage.  Version 1 was a
-#: pickle and is recognized only to be refused.
-_BATCH_CODEC_VERSION = 2
+#: pickle and is recognized only to be refused.  Version 2 wrote int columns
+#: at widths 4 and 8 only: a subset of this layout, so it is still read.
+_BATCH_CODEC_VERSION = 3
+_READ_VERSIONS = (2, _BATCH_CODEC_VERSION)
 
 _RECORD_MAGIC = b"RPUB"
 #: magic, version, flags, timestamp, object / query / edge update counts
@@ -373,15 +375,11 @@ _SPEC_ROW = struct.Struct("<BBqdI")
 _SPEC_KINDS = ("knn", "range", "aggregate_knn")
 _SPEC_AGGREGATES = ("sum", "max")
 
-#: The int-column widths a batch record uses (record version 2 predates
-#: the 1- and 2-byte layouts, so a reader refuses them here).
-_INT_WIDTHS = (4, 8)
-
 
 def _pack_ints(what: str, values: Sequence[int]) -> bytes:
     """An integer column (:func:`~repro.network.record.write_int_column`)."""
     buffer = io.BytesIO()
-    write_int_column(buffer, what, lambda: values, widths=_INT_WIDTHS, error=EventLogError)
+    write_int_column(buffer, what, lambda: values, error=EventLogError)
     return buffer.getvalue()
 
 
@@ -603,7 +601,7 @@ class _RecordReader(ColumnReader):
     """Cursor over a batch record: the shared columns plus its row shapes."""
 
     def __init__(self, view: memoryview) -> None:
-        super().__init__(view, "batch record", error=EventLogError, widths=_INT_WIDTHS)
+        super().__init__(view, "batch record", error=EventLogError)
 
     def locations(self, what: str, count: int) -> List[NetworkLocation]:
         """An ``(edge, fraction)`` column pair, the fractions checked at once."""
@@ -757,8 +755,8 @@ def decode_batch(payload: bytes, edge_table: Optional[EdgeTable] = None) -> Upda
     if len(view) and view[0] == _PICKLE_PROTO_OPCODE:
         raise EventLogError(
             "batch payload is a version-1 (pickle) record; this library reads "
-            f"version {_BATCH_CODEC_VERSION} only — finish that log on the release "
-            "that wrote it, or start a fresh data directory"
+            "versions 2 and 3 only — finish that log on the release that wrote "
+            "it, or start a fresh data directory"
         )
     reader = _RecordReader(view)
     magic, version, flags, timestamp, n_objects, n_queries, n_edges = _RECORD_HEADER.unpack(
@@ -766,10 +764,10 @@ def decode_batch(payload: bytes, edge_table: Optional[EdgeTable] = None) -> Upda
     )
     if magic != _RECORD_MAGIC:
         raise EventLogError(f"not a batch record: bad magic {magic!r}")
-    if version != _BATCH_CODEC_VERSION:
+    if version not in _READ_VERSIONS:
         raise EventLogError(
             f"unsupported batch codec version {version} "
-            f"(this library reads version {_BATCH_CODEC_VERSION})"
+            "(this library reads versions 2 and 3)"
         )
     if flags & ~(_FLAG_NORMALIZED | _FLAG_OLD_FROM_TABLE):
         raise EventLogError(f"batch record has unknown flag bits {flags:#04x}")

@@ -113,17 +113,21 @@ def remove_random_edges(
     """Remove a fraction of edges while keeping the network connected.
 
     Candidate edges are processed in random order; an edge is removed only
-    if the network stays connected without it.  Returns the number of edges
-    actually removed (which may be smaller than requested near the
-    connectivity limit).
+    if the network stays connected without it, i.e. if its two endpoints
+    are still joined (a bidirectional search between them, not a pass over
+    the whole network).  Returns the number of edges actually removed
+    (which may be smaller than requested near the connectivity limit); a
+    network that is not connected to begin with is left untouched and 0
+    returned.
     """
     require_fraction(fraction, "fraction")
     rng = make_rng(seed)
     target = int(round(fraction * network.edge_count))
-    if target == 0:
+    if target == 0 or not network.is_connected():
         return 0
     edge_ids = list(network.edge_ids())
     rng.shuffle(edge_ids)
+    store = network.columns
     removed = 0
     for edge_id in edge_ids:
         if removed >= target:
@@ -133,11 +137,39 @@ def remove_random_edges(
         if network.degree(edge.start) <= 1 or network.degree(edge.end) <= 1:
             continue
         network.remove_edge(edge_id)
-        if network.is_connected():
+        if _joined(network, store.index_of_node(edge.start), store.index_of_node(edge.end)):
             removed += 1
         else:
             network.add_edge(edge_id, edge.start, edge.end, edge.weight)
     return removed
+
+
+def _joined(network: RoadNetwork, first: int, second: int) -> bool:
+    """True if two dense node indices are connected, edges taken both ways.
+
+    A breadth-first search from each end, one level at a time from the
+    smaller frontier: it stops when the two meet, or when either runs out
+    (that side's whole component is then seen, and the other is not in it).
+    """
+    store = network.columns
+    starts, ends = store.edge_start, store.edge_end
+    incident = network._incident_positions
+    side_of = {first: 0, second: 1}
+    frontiers = [[first], [second]]
+    while frontiers[0] and frontiers[1]:
+        side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+        level = []
+        for node in frontiers[side]:
+            for position in incident(node):
+                other = starts[position] + ends[position] - node
+                seen = side_of.get(other)
+                if seen is None:
+                    side_of[other] = side
+                    level.append(other)
+                elif seen != side:
+                    return True
+        frontiers[side] = level
+    return False
 
 
 def subdivide_edges(

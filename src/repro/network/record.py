@@ -15,9 +15,11 @@ An *int column* is one width byte and then its values at that width: 1, 2,
 4 or 8 for the narrowest signed layout that holds every value, or 0 for
 ids no 64-bit layout holds, each then a length byte plus that many
 little-endian signed bytes; an empty column is no bytes at all.  This
-module owns that column layout: a checkpoint's object columns and the
-``RPUB`` batch record (:mod:`repro.core.events`) are written and read
-with :func:`write_int_column` and :class:`ColumnReader` too.
+module owns that column layout, the one int-column codec of the library:
+a checkpoint's object columns and every int column of the ``RPUB`` batch
+record (:mod:`repro.core.events`) are written and read with
+:func:`write_int_column` and :class:`ColumnReader` too, at the same
+widths.
 
 Rows are in the network's column order, and edges name their endpoints
 by node id, so decoding fills the columns in that order: every dense
@@ -57,8 +59,6 @@ _SWAP = sys.byteorder != "little"
 _WIDE = 0
 #: Signed typecodes by width, narrowest first.
 _INT_TYPECODES = {1: "b", 2: "h", 4: "i", 8: "q"}
-#: The widths a network record or a checkpoint column may use.
-INT_WIDTHS = tuple(_INT_TYPECODES)
 
 
 def write_float_column(stream: BinaryIO, column: array) -> None:
@@ -77,27 +77,27 @@ def write_int_column(
     what: str,
     values: Callable[[], Iterable[int]],
     *,
-    widths: Sequence[int] = INT_WIDTHS,
     error: Type[ReproError] = NetworkError,
 ) -> None:
     """Write one int column: its width byte, then every value at that width.
 
     This is the int column of every binary record in the library: the
     network record, a checkpoint's object columns and the ``RPUB`` batch
-    record (which allows *widths* 4 and 8 only).  An empty column is no
-    bytes at all.  *values* returns a fresh iterable on each call: the
-    widths are tried narrowest first, each on a fresh pass that a value too
-    wide for it stops where it stands, usually a few rows in, so no list of
-    the values is built and the transient is the column alone.
+    record all write the narrowest of widths 1, 2, 4 and 8 that holds
+    every value (0, the per-value layout, when none does).  An empty column
+    is no bytes at all.  *values* returns a fresh iterable on each call:
+    the widths are tried narrowest first, each on a fresh pass that a value
+    too wide for it stops where it stands, usually a few rows in, so no
+    list of the values is built and the transient is the column alone.
 
     Raises:
         error: (:class:`NetworkError` unless given) if a value is not an
             integer or needs more than 255 bytes.
     """
     try:
-        for width in widths:
+        for width, typecode in _INT_TYPECODES.items():
             try:
-                column = array(_INT_TYPECODES[width], values())
+                column = array(typecode, values())
             except OverflowError:
                 continue
             if column:
@@ -165,7 +165,7 @@ class ColumnReader:
     Reads what :func:`write_int_column` / :func:`write_float_column` wrote.
     Every failure is an *error* (:class:`RecoveryError` unless given)
     naming *record* and the column, so a count the payload cannot hold
-    allocates nothing; an int column of a width outside *widths* is one.
+    allocates nothing; an int column of an unknown width is one.
     """
 
     def __init__(
@@ -174,12 +174,10 @@ class ColumnReader:
         record: str = "network record",
         *,
         error: Type[ReproError] = RecoveryError,
-        widths: Sequence[int] = INT_WIDTHS,
     ) -> None:
         self._view = memoryview(payload).cast("B")
         self._record = record
         self._error = error
-        self._widths = widths
         self.offset = 0
 
     @property
@@ -214,8 +212,9 @@ class ColumnReader:
         if not count:
             return ()
         width = self.take(what, 1)[0]
-        if width in self._widths:
-            return self._column(what, _INT_TYPECODES[width], count)
+        typecode = _INT_TYPECODES.get(width)
+        if typecode is not None:
+            return self._column(what, typecode, count)
         if width != _WIDE:
             raise self._error(f"{self._record}: {what} have unknown integer width {width}")
         # Every value consumes at least its length byte, so a count the

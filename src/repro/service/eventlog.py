@@ -184,8 +184,12 @@ def read_event_log(
 
     Example::
 
+        # A durable log's records leave their old values out: decode each
+        # against the edge table it was written to, before applying it.
+        state = load_initial_state("data")
         for payload in read_event_log("data/events.log"):
-            batch = decode_batch(payload)
+            batch = decode_batch(payload, state.edge_table)
+            apply_batch(state.network, state.edge_table, batch)
     """
     return [record.payload for record in scan_event_log(path, start_offset).records]
 

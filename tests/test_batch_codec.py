@@ -6,7 +6,9 @@ frame's payload, the input of every replay — so the tests here pin the byte
 layout, the round trip over everything a batch can hold, and above all what
 the decoder does with bytes it did not write: truncated at every offset,
 bit-flipped a thousand times (seeded; CI rotates ``FUZZ_BASE_SEED``),
-oversized, trailing, version 1, or valid in shape and invalid in value.
+oversized, trailing, version 1 or 4, or valid in shape and invalid in
+value.  Every int column is written at its narrowest width; records of
+version 2, which wrote them at 4 or 8 bytes, still decode.
 """
 
 from __future__ import annotations
@@ -45,11 +47,19 @@ L = NetworkLocation
 # ----------------------------------------------------------------------
 # hand-assembled records: the documented layout, spelled out once
 # ----------------------------------------------------------------------
-def header(n_objects=0, n_queries=0, n_edges=0, *, flags=0, timestamp=0, version=2,
+def header(n_objects=0, n_queries=0, n_edges=0, *, flags=0, timestamp=0, version=3,
            magic=b"RPUB"):
     return struct.pack(
         "<4sBBqIII", magic, version, flags, timestamp, n_objects, n_queries, n_edges
     )
+
+
+def int8s(*values):
+    return b"\x01" + struct.pack(f"<{len(values)}b", *values)
+
+
+def int16s(*values):
+    return b"\x02" + struct.pack(f"<{len(values)}h", *values)
 
 
 def int32s(*values):
@@ -99,8 +109,8 @@ def sample_batch() -> UpdateBatch:
     return batch
 
 
-def test_the_byte_layout_is_the_documented_one():
-    """A change of these bytes is a change of ``_BATCH_CODEC_VERSION``."""
+def layout_batch() -> UpdateBatch:
+    """The batch both byte-layout goldens hold."""
     batch = UpdateBatch(timestamp=7)
     batch.add_object_move(7, L(3, 0.25), L(4, 0.75))
     batch.object_updates.append(ObjectUpdate(2**31, None, L(1, 0.5)))
@@ -110,33 +120,77 @@ def test_the_byte_layout_is_the_documented_one():
         QueryUpdate(102, L(6, 0.0), L(2, 1.0), QuerySpec.aggregate_knn(3, (L(8, 0.5),), "max"))
     )
     batch.add_edge_change(9, 5.0, 6.5)
+    return batch
+
+
+def test_the_byte_layout_is_the_documented_one():
+    """A change of these bytes is a change of ``_BATCH_CODEC_VERSION``."""
+    batch = layout_batch()
     expected = (
         header(2, 3, 1, timestamp=7)
         # objects: ids (int64: one is 2**31), kinds move + appear, old, new
         + int64s(7, 2**31) + b"\x01\x00"
-        + int32s(3) + float64s(0.25)
-        + int32s(4, 1) + float64s(0.75, 0.5)
+        + int8s(3) + float64s(0.25)
+        + int8s(4, 1) + float64s(0.75, 0.5)
         # queries: kind | k-shape << 2 = disappear/none, appear/int, move/spec
-        + int32s(100, 101, 102) + bytes((2, 0 | 1 << 2, 1 | 2 << 2))
-        + int32s(2, 6) + float64s(0.5, 0.0)
-        + int32s(2, 2) + float64s(0.5, 1.0)
-        + int32s(4)                                       # the plain-int k column
+        + int8s(100, 101, 102) + bytes((2, 0 | 1 << 2, 1 | 2 << 2))
+        + int8s(2, 6) + float64s(0.5, 0.0)
+        + int8s(2, 2) + float64s(0.5, 1.0)
+        + int8s(4)                                        # the plain-int k column
         + struct.pack("<BBqdI", 2, 1, 3, 0.0, 1)          # aggregate_knn, max, k, radius, 1 point
-        + int32s(8) + float64s(0.5)                       # the spec rows' points
+        + int8s(8) + float64s(0.5)                        # the spec rows' points
         # edges
-        + int32s(9) + float64s(5.0) + float64s(6.5)
+        + int8s(9) + float64s(5.0) + float64s(6.5)
     )
     assert encode_batch(batch) == expected
     assert decode_batch(expected) == batch
     assert encode_batch(UpdateBatch()) == header() and len(header()) == 26
     net = batch.normalized()
     assert encode_batch(net) == header(2, 3, 1, timestamp=7, flags=1) + expected[26:]
+    # each column takes its own width: int16 ids, int32 ids, negative ids
+    edges = UpdateBatch()
+    edges.add_edge_change(-300, 1.0, 2.0)
+    edges.add_edge_change(2**15 - 1, 1.0, 2.0)
+    assert encode_batch(edges) == (
+        header(0, 0, 2) + int16s(-300, 2**15 - 1) + float64s(1.0, 1.0) + float64s(2.0, 2.0)
+    )
+    edges.add_edge_change(2**15, 1.0, 2.0)
+    assert encode_batch(edges)[26:39] == int32s(-300, 2**15 - 1, 2**15)
+
+
+def test_a_version_2_record_still_decodes_to_the_same_batch():
+    """Version 2 wrote every int column at 4 or 8 bytes: the bytes an earlier release logged."""
+    batch = layout_batch()
+    version_2 = (
+        header(2, 3, 1, timestamp=7, version=2)
+        + int64s(7, 2**31) + b"\x01\x00"
+        + int32s(3) + float64s(0.25)
+        + int32s(4, 1) + float64s(0.75, 0.5)
+        + int32s(100, 101, 102) + bytes((2, 0 | 1 << 2, 1 | 2 << 2))
+        + int32s(2, 6) + float64s(0.5, 0.0)
+        + int32s(2, 2) + float64s(0.5, 1.0)
+        + int32s(4)
+        + struct.pack("<BBqdI", 2, 1, 3, 0.0, 1)
+        + int32s(8) + float64s(0.5)
+        + int32s(9) + float64s(5.0) + float64s(6.5)
+    )
+    assert decode_batch(version_2) == batch
+    net = decode_batch(header(2, 3, 1, timestamp=7, flags=1, version=2) + version_2[26:])
+    assert net == batch.normalized() and net.net() is net
+    assert decode_batch(header(version=2)) == UpdateBatch()
+    # re-encoding writes the current version, at the narrow widths
+    assert encode_batch(decode_batch(version_2))[4] == 3
+    assert len(encode_batch(batch)) == len(version_2) - 3 * 13  # 13 ids, 3 bytes narrower
 
 
 # ----------------------------------------------------------------------
 # round trip
 # ----------------------------------------------------------------------
-_BOUNDARIES = [2**31 - 1, 2**31, -(2**31), -(2**31) - 1, 2**63 - 1, 2**63, -(2**63), -(2**63) - 1]
+_BOUNDARIES = [
+    bound + offset
+    for bits in (7, 15, 31, 63)
+    for bound, offset in ((2**bits, -1), (2**bits, 0), (-(2**bits), 0), (-(2**bits), -1))
+]
 ids = st.one_of(
     st.integers(0, 50),  # small, so that ids repeat and normalized() has work to do
     st.integers(-(2**31), 2**31 - 1),
@@ -190,6 +244,29 @@ def test_round_trip_is_lossless_and_deterministic(batch):
     net = batch.normalized()
     net_clone = decode_batch(encode_batch(net))
     assert net_clone == net and net_clone.net() is net_clone  # marked in, marked out
+
+
+def narrowest_width(values) -> int:
+    """The width tag of the narrowest signed layout that holds every value."""
+    for width in (1, 2, 4, 8):
+        bound = 1 << (8 * width - 1)
+        if all(-bound <= value < bound for value in values):
+            return width
+    return 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(ids, min_size=1, max_size=8))
+def test_the_width_tag_is_always_the_narrowest_that_holds_the_column(edge_ids):
+    batch = UpdateBatch()
+    for edge_id in edge_ids:
+        batch.add_edge_change(edge_id, 1.0, 2.0)
+    payload = encode_batch(batch)
+    width = narrowest_width(edge_ids)
+    assert payload[26] == width
+    if width:
+        assert len(payload) == 26 + 1 + width * len(edge_ids) + 16 * len(edge_ids)
+    assert decode_batch(payload) == batch
 
 
 def test_round_trip_of_the_empty_batch_and_of_every_row_shape():
@@ -287,9 +364,9 @@ def test_counts_the_payload_cannot_hold_allocate_nothing(record):
         (header(0, 1) + int32s(7) + bytes((0 | 2 << 2,)) + int32s(3) + float64s(0.5)
          + struct.pack("<BBqdI", 0, 0, 1, 0.0, 1) + int32s(1) + float64s(0.5),
          "no extra points"),
-        (header(1) + b"\x02" + b"\x00" * 64, "integer width"),
+        (header(1) + b"\x03" + b"\x00" * 64, "integer width"),
         (header(flags=2), "flag"),
-        (header(version=3), "version 3"),
+        (header(version=4), "version 4"),
         (header(magic=b"RPUX"), "magic"),
         (b"", "truncated"),
         ("RPUB as text", "is bytes, not str"),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.exceptions import NetworkError
@@ -20,6 +22,7 @@ from repro.network.io import (
     save_network,
     save_node_edge_files,
 )
+from repro.network.record import encode_network
 from repro.sim.datasets import oldenburg_like, san_francisco_like, small_test_network
 
 
@@ -62,6 +65,44 @@ class TestBuilders:
         removed = remove_random_edges(network, 0.2, seed=3)
         assert removed > 0
         assert network.is_connected()
+
+    @pytest.mark.parametrize("fraction, seed", [(0.12, 1), (0.3, 4), (0.9, 4)])
+    def test_remove_random_edges_matches_a_whole_network_connectivity_check(
+        self, fraction, seed
+    ):
+        """The endpoint search keeps exactly the edges ``is_connected()`` would.
+
+        0.9 runs into the connectivity limit, so removals are also undone.
+        """
+        network = grid_network(8, 9, jitter=0.1, seed=3)
+        reference = network.copy()
+        rng = random.Random(seed)
+        target = int(round(fraction * reference.edge_count))
+        edge_ids = list(reference.edge_ids())
+        rng.shuffle(edge_ids)
+        expected = 0
+        for edge_id in edge_ids:
+            if expected >= target:
+                break
+            edge = reference.edge(edge_id)
+            if reference.degree(edge.start) <= 1 or reference.degree(edge.end) <= 1:
+                continue
+            reference.remove_edge(edge_id)
+            if reference.is_connected():
+                expected += 1
+            else:
+                reference.add_edge(edge_id, edge.start, edge.end, edge.weight)
+        assert remove_random_edges(network, fraction, seed=seed) == expected
+        assert encode_network(network) == encode_network(reference)
+
+    def test_remove_random_edges_leaves_a_disconnected_network_untouched(self):
+        network = grid_network(3, 3)
+        network.add_node(100, 500.0, 500.0)
+        network.add_node(101, 600.0, 500.0)
+        network.add_edge(100, 100, 101)
+        before = encode_network(network)
+        assert remove_random_edges(network, 0.5, seed=1) == 0
+        assert encode_network(network) == before
 
     def test_remove_zero_fraction_is_noop(self):
         network = grid_network(3, 3)

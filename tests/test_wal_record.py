@@ -3,8 +3,9 @@
 ``encode_batch(batch, edge_table)`` writes header flag bit 1 and leaves out
 every object's old location and every edge's old weight, because they are
 the table's and its network's current values; ``decode_batch(payload,
-edge_table)`` reads them back there.  The tests pin the layout and its
-per-row cost, the round trip over random table states, the refusal to
+edge_table)`` reads them back there.  The tests pin the layout (a
+version-2 record, int columns at 4 or 8 bytes, still decodes), its per-row
+cost at int8, int16 and int32 ids, the round trip over random table states, the refusal to
 drop an old value the table does not hold, and what the decoder does with
 a flagged record it cannot trust: no table, a table without the named
 object or edge, truncation at every offset and a thousand seeded bit flips
@@ -42,10 +43,16 @@ L = NetworkLocation
 FLAG_NORMALIZED, FLAG_OLD_FROM_TABLE = 0x01, 0x02
 
 
-def header(n_objects=0, n_queries=0, n_edges=0, *, flags=FLAG_OLD_FROM_TABLE, timestamp=0):
+def header(
+    n_objects=0, n_queries=0, n_edges=0, *, flags=FLAG_OLD_FROM_TABLE, timestamp=0, version=3
+):
     return struct.pack(
-        "<4sBBqIII", b"RPUB", 2, flags, timestamp, n_objects, n_queries, n_edges
+        "<4sBBqIII", b"RPUB", version, flags, timestamp, n_objects, n_queries, n_edges
     )
+
+
+def int8s(*values):
+    return b"\x01" + struct.pack(f"<{len(values)}b", *values)
 
 
 def int32s(*values):
@@ -96,8 +103,8 @@ def sample_table_and_batch():
 # ----------------------------------------------------------------------
 # layout and cost
 # ----------------------------------------------------------------------
-def test_the_flagged_byte_layout_is_the_documented_one():
-    """docs/service.md: flag bit 1 drops the object old locations and the old weights."""
+def flagged_layout_table_and_batch():
+    """The table and batch both flagged byte-layout goldens hold."""
     table = path_table()
     table.insert_object(7, L(3, 0.25))
     batch = UpdateBatch(timestamp=7)
@@ -105,17 +112,24 @@ def test_the_flagged_byte_layout_is_the_documented_one():
     batch.object_updates.append(ObjectUpdate(2**31 - 1, None, L(1, 0.5)))
     batch.query_updates.append(QueryUpdate(100, L(2, 0.5), L(6, 0.0)))
     batch.add_edge_change(9, 1.0, 6.5)
+    return table, batch
+
+
+def test_the_flagged_byte_layout_is_the_documented_one():
+    """docs/service.md: flag bit 1 drops the object old locations and the old weights."""
+    table, batch = flagged_layout_table_and_batch()
     expected = (
         header(2, 1, 1, timestamp=7, flags=FLAG_OLD_FROM_TABLE)
-        # objects: ids, kinds move + appear, then new locations only
+        # objects: ids (int32: one is 2**31 - 1), kinds move + appear, then
+        # new locations only
         + int32s(7, 2**31 - 1) + b"\x01\x00"
-        + int32s(4, 1) + float64s(0.75, 0.5)
+        + int8s(4, 1) + float64s(0.75, 0.5)
         # queries keep their old locations: a query is not in the table
-        + int32s(100) + b"\x01"
-        + int32s(2) + float64s(0.5)
-        + int32s(6) + float64s(0.0)
+        + int8s(100) + b"\x01"
+        + int8s(2) + float64s(0.5)
+        + int8s(6) + float64s(0.0)
         # edges: ids, then new weights only
-        + int32s(9) + float64s(6.5)
+        + int8s(9) + float64s(6.5)
     )
     assert encode_batch(batch, table) == expected
     assert decode_batch(expected, table) == batch
@@ -125,24 +139,54 @@ def test_the_flagged_byte_layout_is_the_documented_one():
         + expected[26:]
     )
     # self-contained, the same batch adds an old-location column pair
-    # (tag, edge id, fraction) and an old-weight column
+    # (tag, int8 edge id, fraction) and an old-weight column
     assert encode_batch(batch)[5] == 0
-    assert len(encode_batch(batch)) == len(expected) + (1 + 4 + 8) + 8
+    assert len(encode_batch(batch)) == len(expected) + (1 + 1 + 8) + 8
 
 
-def _row_cost(build, table=None) -> int:
-    """Bytes one more row of *build*'s kind adds to a record."""
+def test_a_flagged_version_2_record_still_decodes_to_the_same_batch():
+    """The int32 columns an earlier release logged, read against the same table."""
+    table, batch = flagged_layout_table_and_batch()
+    version_2 = (
+        header(2, 1, 1, timestamp=7, flags=FLAG_OLD_FROM_TABLE, version=2)
+        + int32s(7, 2**31 - 1) + b"\x01\x00"
+        + int32s(4, 1) + float64s(0.75, 0.5)
+        + int32s(100) + b"\x01"
+        + int32s(2) + float64s(0.5)
+        + int32s(6) + float64s(0.0)
+        + int32s(9) + float64s(6.5)
+    )
+    assert decode_batch(version_2, table) == batch
+    assert len(encode_batch(batch, table)) == len(version_2) - 3 * 6  # 6 ids, 3 bytes narrower
+
+
+def _row_cost(build, base, table=None) -> int:
+    """Bytes one more row of *build*'s kind adds to a record of ids from *base*."""
     one, two = UpdateBatch(), UpdateBatch()
-    build(one, 0)
-    build(two, 0)
-    build(two, 1)
+    build(one, base)
+    build(two, base)
+    build(two, base + 1)
     return len(encode_batch(two, table)) - len(encode_batch(one, table))
 
 
-def test_an_object_move_costs_17_bytes_and_an_edge_update_12():
-    """docs/service.md's per-row table: self-contained, then under flag bit 1."""
-    table = path_table()
-    for object_id in (0, 1):
+@pytest.mark.parametrize(
+    "base, costs",
+    [
+        (0, ((20, 11), (11, 2), (17, 9))),               # int8 ids
+        (1_000, ((23, 13), (13, 3), (18, 10))),          # int16 ids
+        (100_000, ((29, 17), (17, 5), (20, 12))),        # int32 ids
+    ],
+    ids=["int8", "int16", "int32"],
+)
+def test_per_row_cost_at_int8_int16_and_int32_ids(base, costs):
+    """docs/service.md's per-row table: self-contained, then under flag bit 1.
+
+    A row costs its ids at the column's width plus its float64 values: a
+    move 3w + 17 / 2w + 9 bytes, a disappearance 2w + 9 / w + 1, an edge
+    update w + 16 / w + 8.
+    """
+    table = path_table(range(base, base + 4))
+    for object_id in (base, base + 1):
         table.insert_object(object_id, L(object_id, 0.5))
 
     def move(batch, i):
@@ -154,9 +198,10 @@ def test_an_object_move_costs_17_bytes_and_an_edge_update_12():
     def edge(batch, i):
         batch.edge_updates.append(EdgeWeightUpdate(i, 1.0, 3.0))
 
-    assert (_row_cost(move), _row_cost(move, table)) == (29, 17)
-    assert (_row_cost(disappear), _row_cost(disappear, table)) == (17, 5)
-    assert (_row_cost(edge), _row_cost(edge, table)) == (20, 12)
+    assert tuple(
+        (_row_cost(build, base), _row_cost(build, base, table))
+        for build in (move, disappear, edge)
+    ) == costs
 
 
 # ----------------------------------------------------------------------
@@ -164,6 +209,7 @@ def test_an_object_move_costs_17_bytes_and_an_edge_update_12():
 # ----------------------------------------------------------------------
 _NETWORK = city_network(40, seed=5)
 _EDGES = sorted(_NETWORK.edge_ids())
+assert 0 <= _EDGES[0] and _EDGES[-1] < 2**7  # every location's edge id is one int8 byte
 fractions = st.floats(0.0, 1.0)
 locations = st.builds(L, st.sampled_from(_EDGES), fractions)
 weights = st.floats(0.01, 1e6)
@@ -218,11 +264,11 @@ def test_round_trip_against_the_table_is_lossless(table_and_batch):
     assert clone == batch and clone.net() is clone
     assert encode_batch(clone, table) == payload
     # exactly the self-contained record minus its old-location pair (a
-    # width tag, an int32 edge id and a float64 fraction per row) and its
+    # width tag, an int8 edge id and a float64 fraction per row) and its
     # old-weight column
     moved = sum(u.old_location is not None for u in batch.object_updates)
     assert len(encode_batch(batch)) - len(payload) == (
-        (moved > 0) + 12 * moved + 8 * len(batch.edge_updates)
+        (moved > 0) + 9 * moved + 8 * len(batch.edge_updates)
     )
 
 

@@ -9,8 +9,8 @@ Properties of the log the durable server writes against its edge table
 * every server shape (in process, whole-network and region-block fleets)
   recovers it, from the newest checkpoint and from genesis;
 * a data directory an earlier release wrote (``RPCKPT05`` checkpoints and
-  self-contained records after the newest one, ``tests/data/rpckpt05``)
-  still recovers, and then continues byte for byte as that release did,
+  self-contained version-2 records after the newest one,
+  ``tests/data/rpckpt05``) still recovers, and then continues byte for byte as that release did,
   apart from the tick reports that release also kept in its state.
 """
 
@@ -135,6 +135,7 @@ def test_a_data_directory_with_self_contained_records_recovers_and_continues(tmp
     shutil.copytree(FIXTURE / "data", data_dir)
     logged = read_event_log(data_dir / "events.log")
     assert len(logged) == 5 and not any(p[5] & FLAG_OLD_FROM_TABLE for p in logged)
+    assert all(p[4] == 2 for p in logged)  # record version 2: int32 / int64 columns
     expected = json.loads((FIXTURE / "expected.json").read_text())
 
     recovered = DurableMonitoringServer.recover(data_dir, checkpoint_every=None)
@@ -162,11 +163,14 @@ def test_a_data_directory_with_self_contained_records_recovers_and_continues(tmp
         assert resnapshot(state) == state == resnapshot(expected_state)
     finally:
         recovered.close()
-    # The old records stay as they were; the new ones leave their old values out.
+    # The old records stay as they were; the new ones are version 3 and
+    # leave their old values out.
     after = read_event_log(data_dir / "events.log")
     assert after[:5] == logged
     assert len(after) == 8 and all(p[5] & FLAG_OLD_FROM_TABLE for p in after[5:])
-    # ... and the mixed log recovers from its genesis checkpoint, too.
+    assert all(p[4] == 3 for p in after[5:])
+    # ... and the mixed version 2 / version 3 log recovers from its genesis
+    # checkpoint, too.
     for path in sorted((data_dir / "checkpoints").glob("ckpt-*.bin"))[1:]:
         path.unlink()
     again = DurableMonitoringServer.recover(data_dir, checkpoint_every=None)
