@@ -316,8 +316,7 @@ class GmaMonitor(MonitorBase):
     def _attach_to_sequence(self, query_id: int, sequence_id: int, k: int) -> None:
         """Add a query to a sequence's group and activate its endpoints."""
         self._query_sequence[query_id] = sequence_id
-        info = self._sequences.sequence(sequence_id)
-        for node_id in set(info.endpoints()):
+        for node_id in set(self._sequences.endpoints(sequence_id)):
             if self._network.degree(node_id) < _ACTIVE_NODE_MIN_DEGREE:
                 continue
             members = self._node_queries.setdefault(node_id, set())
@@ -326,8 +325,7 @@ class GmaMonitor(MonitorBase):
 
     def _detach_from_sequence(self, query_id: int, sequence_id: int) -> None:
         """Remove a query from a sequence's group, deactivating empty nodes."""
-        info = self._sequences.sequence(sequence_id)
-        for node_id in set(info.endpoints()):
+        for node_id in set(self._sequences.endpoints(sequence_id)):
             members = self._node_queries.get(node_id)
             if members is None:
                 continue
@@ -406,9 +404,10 @@ class GmaMonitor(MonitorBase):
         self, location: NetworkLocation, k: int
     ) -> Dict[int, List[Neighbor]]:
         """Monitored k-NN sets of the sequence endpoints, keyed by node id."""
-        info = self._sequences.sequence_of_edge(location.edge_id)
+        sequences = self._sequences
+        sequence_id = sequences.sequence_id_of_edge(location.edge_id)
         barriers: Dict[int, List[Neighbor]] = {}
-        for node_id in set(info.endpoints()):
+        for node_id in set(sequences.endpoints(sequence_id)):
             if node_id not in self._node_k:
                 continue
             try:

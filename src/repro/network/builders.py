@@ -119,6 +119,13 @@ def remove_random_edges(
     (which may be smaller than requested near the connectivity limit); a
     network that is not connected to begin with is left untouched and 0
     returned.
+
+    Removals are only marked while candidates are tested, and the columns
+    close up once at the end.  The result is what removing each candidate
+    with :meth:`~RoadNetwork.remove_edge`, and re-adding each one whose
+    removal disconnected the network, leaves: the re-added edges come last,
+    in the order they came back, with all their values (base weight,
+    current weight, one-way flag).
     """
     require_fraction(fraction, "fraction")
     rng = make_rng(seed)
@@ -128,39 +135,51 @@ def remove_random_edges(
     edge_ids = list(network.edge_ids())
     rng.shuffle(edge_ids)
     store = network.columns
+    starts, ends, edge_index = store.edge_start, store.edge_end, store.edge_index
+    incident = [list(network._incident_positions(node)) for node in range(network.node_count)]
+    degree = [len(positions) for positions in incident]
+    gone = bytearray(network.edge_count)
+    restored = []
     removed = 0
     for edge_id in edge_ids:
         if removed >= target:
             break
-        edge = network.edge(edge_id)
+        position = edge_index[edge_id]
+        start, end = starts[position], ends[position]
         # Quick degree check: never create isolated nodes.
-        if network.degree(edge.start) <= 1 or network.degree(edge.end) <= 1:
+        if degree[start] <= 1 or degree[end] <= 1:
             continue
-        network.remove_edge(edge_id)
-        if _joined(network, store.index_of_node(edge.start), store.index_of_node(edge.end)):
+        gone[position] = 1
+        if _joined(incident, gone, starts, ends, start, end):
             removed += 1
+            degree[start] -= 1
+            degree[end] -= 1
         else:
-            network.add_edge(edge_id, edge.start, edge.end, edge.weight)
+            restored.append(position)
+            gone[position] = 0
+    back = set(restored)
+    kept = [position for position, flag in enumerate(gone) if not flag and position not in back]
+    network._reorder_edges(kept + restored, removed + len(restored), len(restored))
     return removed
 
 
-def _joined(network: RoadNetwork, first: int, second: int) -> bool:
+def _joined(incident, gone, starts, ends, first: int, second: int) -> bool:
     """True if two dense node indices are connected, edges taken both ways.
 
-    A breadth-first search from each end, one level at a time from the
-    smaller frontier: it stops when the two meet, or when either runs out
-    (that side's whole component is then seen, and the other is not in it).
+    Edges at positions marked in *gone* are skipped.  A breadth-first
+    search from each end, one level at a time from the smaller frontier:
+    it stops when the two meet, or when either runs out (that side's whole
+    component is then seen, and the other is not in it).
     """
-    store = network.columns
-    starts, ends = store.edge_start, store.edge_end
-    incident = network._incident_positions
     side_of = {first: 0, second: 1}
     frontiers = [[first], [second]]
     while frontiers[0] and frontiers[1]:
         side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
         level = []
         for node in frontiers[side]:
-            for position in incident(node):
+            for position in incident[node]:
+                if gone[position]:
+                    continue
                 other = starts[position] + ends[position] - node
                 seen = side_of.get(other)
                 if seen is None:

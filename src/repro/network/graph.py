@@ -450,6 +450,26 @@ class RoadNetwork:
         self._weight_version += 1
         self._topology_version += 1
 
+    def _reorder_edges(self, order: Sequence[int], removals: int, restores: int) -> None:
+        """Keep the edges at dense positions *order*, in that order, in one pass.
+
+        What *removals* :meth:`remove_edge` calls, *restores* of which are
+        undone by :meth:`add_edge` with the edge's own values, leave when
+        *order* lists the edges never removed first and the restored ones
+        last, in restore order: the same columns, incident-edge order and
+        version counters.  Editable networks only.
+        """
+        store = self._store
+        for column in (store.edge_ids, store.edge_start, store.edge_end, store.edge_weight):
+            column[:] = [column[position] for position in order]
+        base, oneway = store.edge_base_weight, store.edge_oneway
+        store.edge_base_weight = array("d", [base[position] for position in order])
+        store.edge_oneway = bytearray(oneway[position] for position in order)
+        store.edge_index = _index(store.edge_ids)
+        self._attach(
+            store, self._topology_version + removals + restores, self._weight_version + removals
+        )
+
     # ------------------------------------------------------------------
     # lookups
     # ------------------------------------------------------------------

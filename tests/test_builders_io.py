@@ -104,6 +104,53 @@ class TestBuilders:
         assert remove_random_edges(network, 0.5, seed=1) == 0
         assert encode_network(network) == before
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_a_restored_bridge_keeps_its_values(self, seed):
+        # Two triangles joined by a one-way bridge, reweighted off its base.
+        network = build_network(
+            {node: (float(node), float(node % 3)) for node in range(6)},
+            [(0, 0, 1), (1, 1, 2), (2, 2, 0), (3, 3, 4), (4, 4, 5), (5, 5, 3)],
+        )
+        network.add_edge(9, 2, 3, 5.0, oneway=True)
+        network.set_edge_weight(9, 9.0)
+        bridge = network.edge(9)
+        assert remove_random_edges(network, 1.0, seed=seed) == 2
+        assert network.edge(9) == bridge
+        assert (bridge.oneway, bridge.base_weight, bridge.weight) == (True, 5.0, 9.0)
+
+    @pytest.mark.parametrize("fraction, seed", [(0.6, 2), (0.9, 5)])
+    def test_marked_removal_is_the_remove_and_re_add_sequence(self, fraction, seed):
+        """Same edges, values, edge order, incident-edge order and topology version."""
+        network = grid_network(7, 8, jitter=0.1, seed=seed)
+        rng = random.Random(seed)
+        for edge_id in rng.sample(sorted(network.edge_ids()), 20):
+            network.set_edge_weight(edge_id, network.weight_of(edge_id) * 1.5)
+        reference = network.copy()
+        network = reference.copy()
+        target = int(round(fraction * reference.edge_count))
+        edge_ids = list(reference.edge_ids())
+        random.Random(seed).shuffle(edge_ids)
+        expected = restored = 0
+        for edge_id in edge_ids:
+            if expected >= target:
+                break
+            edge = reference.edge(edge_id)
+            if reference.degree(edge.start) <= 1 or reference.degree(edge.end) <= 1:
+                continue
+            reference.remove_edge(edge_id)
+            if reference.is_connected():
+                expected += 1
+            else:
+                reference.add_edge(edge_id, edge.start, edge.end, edge.base_weight, edge.oneway)
+                reference.set_edge_weight(edge_id, edge.weight)
+                restored += 1
+        assert restored
+        assert remove_random_edges(network, fraction, seed=seed) == expected
+        assert list(network.edges()) == list(reference.edges())
+        for node_id in reference.node_ids():
+            assert network.incident_edges(node_id) == reference.incident_edges(node_id)
+        assert network.topology_version == reference.topology_version
+
     def test_remove_zero_fraction_is_noop(self):
         network = grid_network(3, 3)
         assert remove_random_edges(network, 0.0) == 0
