@@ -143,11 +143,7 @@ class EdgeTable:
         always yields the same tree.  Also turns snapping on for a table
         built with ``build_spatial_index=False``.
         """
-        network = self._network
-        index = PMRQuadtree(network.bounding_box(margin=1e-6))
-        index.bulk_load(
-            (edge_id, network.edge_segment(edge_id)) for edge_id in network.edge_ids()
-        )
+        index = PMRQuadtree(self._network)
         self._indexed = True
         self._spatial_index = index
         return index
@@ -162,37 +158,38 @@ class EdgeTable:
         """Snap workspace coordinates to the nearest edge.
 
         This is the operation the monitoring server performs on the raw
-        ``(x, y)`` coordinates contained in object and query updates.  The
-        first call builds the spatial index (see :attr:`spatial_index`).
+        ``(x, y)`` coordinates contained in object and query updates: one
+        :meth:`snap_points` call.  The first snap builds the spatial index
+        (see :attr:`spatial_index`).
 
         Raises:
             EdgeNotFoundError: if the table has no spatial index
                 (``build_spatial_index=False``) or the network has no edges.
+            InvalidLocationError: if a coordinate is not a finite number,
+                or no edge lies at a finite distance from the point.
         """
-        index = self._index_or_raise()
-        edge_id, _ = index.nearest_edge(point)
-        fraction = index.segment_of(edge_id).project_fraction(point)
-        return NetworkLocation(edge_id, fraction)
+        return self.snap_points((point,))[0]
 
     def snap_points(self, points: Sequence[Point]) -> List[NetworkLocation]:
         """Snap a whole batch of workspace coordinates to their nearest edges.
 
-        The bulk path of the monitoring server: one vectorized PMR-quadtree
-        pass replaces per-update :meth:`snap_point` calls.  When several
-        edges are exactly equidistant from a point the chosen edge may
-        differ from the single-point path, but the snapped position is
-        always an equally near location.
+        One :meth:`PMRQuadtree.snap` pass, which answers a batch of four or
+        more points, when numpy is installed, with one broadcast per leaf
+        quad.  When several edges are exactly equidistant from a point the
+        chosen edge may then differ from the single-point path, but the
+        snapped position is always an equally near location.  A point
+        that fails fails the whole batch, before anything is returned.
 
         Raises:
             EdgeNotFoundError: if the table has no spatial index
                 (``build_spatial_index=False``) or the network has no edges.
+            InvalidLocationError: if a coordinate is not a finite number,
+                or no edge lies at a finite distance from a point.
         """
-        index = self._index_or_raise()
-        locations: List[NetworkLocation] = []
-        for point, (edge_id, _) in zip(points, index.nearest_edges_bulk(points)):
-            fraction = index.segment_of(edge_id).project_fraction(point)
-            locations.append(NetworkLocation(edge_id, fraction))
-        return locations
+        return [
+            NetworkLocation(edge_id, fraction)
+            for edge_id, fraction in self._index_or_raise().snap(points)
+        ]
 
     # ------------------------------------------------------------------
     # object bookkeeping

@@ -6,10 +6,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.spatial.geometry": ("Point", "Rect", "Segment"),
-        "repro.spatial.pmr_quadtree": (
-            "PMRQuadtree",
-            "DEFAULT_SPLIT_THRESHOLD",
-            "DEFAULT_MAX_DEPTH",
-        ),
+        "repro.spatial.pmr_quadtree": ("PMRQuadtree",),
     },
 )

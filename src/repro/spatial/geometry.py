@@ -121,10 +121,6 @@ class Rect:
             and other.min_y <= self.max_y
         )
 
-    def intersects_segment(self, segment: "Segment") -> bool:
-        """Return True if the segment touches the closed rectangle."""
-        return segment.intersects_rect(self)
-
     # ------------------------------------------------------------------
     # subdivision (used by the quadtree)
     # ------------------------------------------------------------------
@@ -203,7 +199,12 @@ class Segment:
         return min(1.0, max(0.0, t))
 
     def distance_to_point(self, point: Point) -> float:
-        """Euclidean distance from *point* to the closest point on the segment."""
+        """Euclidean distance from *point* to the closest point on the segment.
+
+        The PMR quadtree's search repeats this method's operations (and
+        :meth:`project_fraction`'s) inline over the network's columns, so
+        a change here must be made there too.
+        """
         t = self.project_fraction(point)
         return self.point_at_fraction(t).distance_to(point)
 

@@ -1,40 +1,62 @@
-"""PMR quadtree over road-network edges (the paper's spatial index *SI*).
+"""PMR quadtree over a frozen road network (the paper's spatial index *SI*).
 
 The monitoring server must map raw ``(x, y)`` coordinates arriving in object
-and query updates to the network edge that contains them (Section 3 of the
+and query updates to the network edge nearest them (Section 3 of the
 paper).  The paper uses a PMR quadtree [Hoel & Samet 1991]: a quadtree over
-the workspace whose leaf quads store the ids of the edges (line segments)
-intersecting them.  A leaf splits when the number of stored edges exceeds a
-*splitting threshold*; unlike a plain bucket quadtree the threshold is only
-applied at insertion time, so existing leaves may hold more edges than the
+the workspace whose leaf quads store the edges (line segments) meeting
+them.  A leaf splits when an insert takes it past the *splitting
+threshold*; unlike a plain bucket quadtree the threshold is only applied at
+insertion time, so the children of a split may hold more edges than the
 threshold (this bounds the depth for degenerate inputs).
 
-The index supports:
-
-* ``insert(edge_id, segment)`` — add an edge.
-* ``remove(edge_id)`` — delete an edge (needed when networks are edited).
-* ``find_edge(point)`` / ``nearest_edge(point)`` — locate the edge containing
-  (or closest to) a coordinate pair, the operation the monitoring server
-  performs for every incoming update.
-* ``edges_in_rect(rect)`` — range query, used by generators and diagnostics.
+The tree is derived state.  It is built once from a frozen
+:class:`~repro.network.graph.RoadNetwork`, inserting its edges in
+``edge_ids()`` order, and holds no geometry of its own: a leaf lists dense
+edge positions, and every segment is read from the network's ``node_x`` /
+``node_y`` / ``edge_start`` / ``edge_end`` columns with the arithmetic of
+:class:`~repro.spatial.geometry.Segment`.  The quads are columns too: per
+node its rectangle, its first child and its slice of one edge-position
+column.  :meth:`PMRQuadtree.snap` is the one query.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+import math
+from array import array
+from operator import itemgetter
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-from repro.exceptions import SpatialIndexError
+from repro.exceptions import InvalidLocationError, SpatialIndexError
 from repro.spatial.geometry import _EPS, Point, Rect, Segment
 from repro.utils import optional_numpy
 
-#: Default number of edges a leaf holds before it splits on insertion.
-DEFAULT_SPLIT_THRESHOLD = 8
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.network.graph import RoadNetwork
+
+#: Number of edges a leaf holds before the insert that overflows it splits it.
+SPLIT_THRESHOLD = 8
 
 #: Maximum tree depth; quads smaller than workspace / 2**depth never split.
-DEFAULT_MAX_DEPTH = 16
+MAX_DEPTH = 16
+
+_INF = float("inf")
+_DISTANCE = itemgetter(0)
 
 
-def _bounds(segment: Segment) -> Tuple[float, float, float, float]:
+def _finite(x: object, y: object) -> bool:
+    """Whether ``(x, y)`` are real numbers that a finite float holds.
+
+    Coordinates arrive off the wire: a string or an int past the float
+    range is refused here like ``nan`` and ``inf``, not by a TypeError or
+    OverflowError deep in the search.
+    """
+    try:
+        return math.isfinite(x) and math.isfinite(y)
+    except (TypeError, OverflowError):
+        return False
+
+
+def _box(segment: Segment) -> Tuple[float, float, float, float]:
     """``(min_x, min_y, max_x, max_y)`` of *segment*, without building a Rect."""
     start, end = segment.start, segment.end
     lo_x, hi_x = (start.x, end.x) if start.x <= end.x else (end.x, start.x)
@@ -43,11 +65,12 @@ def _bounds(segment: Segment) -> Tuple[float, float, float, float]:
 
 
 def _candidate_children(
-    children: Tuple["_QuadNode", ...], box: Tuple[float, float, float, float]
-) -> List["_QuadNode"]:
-    """The children a segment's :func:`_bounds` *box*, widened by ``_EPS``, meets.
+    rects: List[Rect], first: int, box: Tuple[float, float, float, float]
+) -> List[int]:
+    """The children ``first`` .. ``first + 3`` (NW, NE, SW, SE) that *box* meets.
 
-    The segment must meet the parent quad.  Meeting a child is then a
+    *box* is a segment's :func:`_box`, widened here by ``_EPS``, and the
+    segment must meet the parent quad.  Meeting a child is then a
     necessary condition for :meth:`Segment.intersects_rect` on it: that
     test accepts an endpoint within ``_EPS`` of the closed rectangle (the
     same widened comparisons as here) and otherwise requires the exact
@@ -57,402 +80,274 @@ def _candidate_children(
     comparisons per quad, and the exact test runs on candidates only.
     """
     lo_x, lo_y, hi_x, hi_y = box
-    nw, ne, sw, se = children
-    cx, cy = nw.rect.max_x, nw.rect.min_y
+    cx, cy = rects[first].max_x, rects[first].min_y
     west = lo_x <= cx + _EPS
     east = cx - _EPS <= hi_x
     candidates = []
-    if cy - _EPS <= hi_y:
+    if cy - _EPS <= hi_y:  # NW, NE
         if west:
-            candidates.append(nw)
+            candidates.append(first)
         if east:
-            candidates.append(ne)
-    if lo_y <= cy + _EPS:
+            candidates.append(first + 1)
+    if lo_y <= cy + _EPS:  # SW, SE
         if west:
-            candidates.append(sw)
+            candidates.append(first + 2)
         if east:
-            candidates.append(se)
+            candidates.append(first + 3)
     return candidates
 
 
-class _QuadNode:
-    """A node of the PMR quadtree (leaf or internal)."""
-
-    __slots__ = ("rect", "depth", "edge_ids", "children")
-
-    def __init__(self, rect: Rect, depth: int) -> None:
-        self.rect = rect
-        self.depth = depth
-        self.edge_ids: List[int] = []
-        self.children: Optional[Tuple["_QuadNode", ...]] = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.children is None
-
-
 class PMRQuadtree:
-    """PMR quadtree mapping 2-D coordinates to road-network edges.
+    """PMR quadtree mapping 2-D coordinates to the edges of a frozen network.
 
     Example::
 
-        index = PMRQuadtree(network.bounding_box(margin=1.0))
-        for edge in network.edges():
-            index.insert(edge.edge_id, network.edge_segment(edge.edge_id))
-        edge_id, distance = index.nearest_edge(Point(120.0, 80.0))
+        index = PMRQuadtree(network)
+        [(edge_id, fraction)] = index.snap([Point(120.0, 80.0)])
     """
 
-    def __init__(
-        self,
-        bounds: Rect,
-        split_threshold: int = DEFAULT_SPLIT_THRESHOLD,
-        max_depth: int = DEFAULT_MAX_DEPTH,
-    ) -> None:
-        """Create an empty index covering *bounds*.
+    def __init__(self, network: RoadNetwork) -> None:
+        """Build the tree over *network*'s edges, freezing its topology.
 
-        Args:
-            bounds: workspace rectangle; inserting an edge outside it raises.
-            split_threshold: leaf capacity that triggers a split on insert.
-            max_depth: hard depth limit protecting against degenerate input.
+        The workspace is the network's bounding box grown by ``1e-6``.
+        Each edge is inserted in ``edge_ids()`` order into every leaf it
+        meets, and a leaf splits into its four quadrants when that insert
+        takes it past :data:`SPLIT_THRESHOLD` edges (unless it is
+        :data:`MAX_DEPTH` deep), so the same network always yields the same
+        tree.
+
+        Raises:
+            SpatialIndexError: if the network has no edges.
         """
-        if split_threshold < 1:
-            raise SpatialIndexError(f"split threshold must be >= 1, got {split_threshold}")
-        if max_depth < 1:
-            raise SpatialIndexError(f"max depth must be >= 1, got {max_depth}")
-        self._root = _QuadNode(bounds, depth=0)
-        self._split_threshold = split_threshold
-        self._max_depth = max_depth
-        self._segments: Dict[int, Segment] = {}
+        store = network.freeze()
+        if not store.edge_ids:
+            raise SpatialIndexError("a PMR quadtree needs at least one edge")
+        self._store = store
+        segment = self._segment
+        # Per-node build columns.  The Segments and Rects made while building
+        # are dropped with them; the tree keeps flat columns only.
+        rects = [network.bounding_box(margin=1e-6)]
+        depths = [0]
+        firsts = [-1]  # first of four consecutive children, -1 for a leaf
+        members: List[List[int]] = [[]]  # edge positions of each leaf
 
-    # ------------------------------------------------------------------
-    # basic protocol
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._segments)
+        def split(node: int) -> None:
+            first = firsts[node] = len(rects)
+            for quadrant in rects[node].quadrants():
+                rects.append(quadrant)
+                depths.append(depths[node] + 1)
+                firsts.append(-1)
+                members.append([])
+            held, members[node] = members[node], []
+            for position in held:
+                shape = segment(position)
+                for child in _candidate_children(rects, first, _box(shape)):
+                    if shape.intersects_rect(rects[child]):
+                        members[child].append(position)
+            # PMR semantics: the children are not split here even when they
+            # exceed the threshold; each splits on its own next insert.
 
-    def __contains__(self, edge_id: int) -> bool:
-        return edge_id in self._segments
+        for position in range(len(store.edge_ids)):
+            shape = segment(position)
+            box = _box(shape)
+            stack = [0]  # the workspace contains every edge
+            while stack:
+                node = stack.pop()
+                first = firsts[node]
+                if first < 0:
+                    held = members[node]
+                    held.append(position)
+                    if len(held) > SPLIT_THRESHOLD and depths[node] < MAX_DEPTH:
+                        split(node)
+                    continue
+                for child in _candidate_children(rects, first, box):
+                    if shape.intersects_rect(rects[child]):
+                        stack.append(child)
+
+        self._bounds = rects[0]
+        self._min_x = [rect.min_x for rect in rects]
+        self._min_y = [rect.min_y for rect in rects]
+        self._max_x = [rect.max_x for rect in rects]
+        self._max_y = [rect.max_y for rect in rects]
+        self._first = array("i", firsts)
+        self._offset = offset = array("i", [0])
+        self._entries = entries = array("i")
+        for held in members:
+            entries.extend(held)
+            offset.append(len(entries))
 
     @property
     def bounds(self) -> Rect:
         """The workspace rectangle this index covers."""
-        return self._root.rect
-
-    @property
-    def split_threshold(self) -> int:
-        return self._split_threshold
+        return self._bounds
 
     # ------------------------------------------------------------------
-    # construction
+    # the query
     # ------------------------------------------------------------------
-    def insert(self, edge_id: int, segment: Segment) -> None:
-        """Insert *segment* under *edge_id*.
+    def snap(self, points: Sequence[Point]) -> List[Tuple[int, float]]:
+        """``(edge_id, fraction)`` of the edge nearest each point.
+
+        *fraction* is :meth:`Segment.project_fraction` of the point on that
+        edge.  Each point takes a best-first search that visits quads
+        nearest-first and keeps the first edge at the least distance.  With
+        numpy and four or more points, a point first tries the edges of the
+        leaf that contains it, all of them in one broadcast per leaf: that
+        answer stands when it lies no farther than the leaf's border
+        (every other edge misses the leaf, so it lies at least that far
+        away), and among equidistant edges it may name another one than
+        the search would.
 
         Raises:
-            SpatialIndexError: if the id is already present or the segment
-                lies entirely outside the workspace bounds.
+            InvalidLocationError: if a coordinate is not a finite number
+                (every point is checked before any is searched), or no edge
+                lies at a finite distance from a point.
         """
-        if edge_id in self._segments:
-            raise SpatialIndexError(f"edge {edge_id} is already indexed")
-        if not segment.intersects_rect(self._root.rect):
-            raise SpatialIndexError(
-                f"edge {edge_id} lies outside the index bounds {self._root.rect}"
-            )
-        self._segments[edge_id] = segment
-        self._insert_into(self._root, edge_id, segment)
-
-    def bulk_load(self, edges: Iterable[Tuple[int, Segment]]) -> None:
-        """Insert many edges, one :meth:`insert` each, in iteration order.
-
-        The tree's shape depends on insertion order (a leaf splits on the
-        insert that overflows it), so loading the same edges in the same
-        order always yields the same tree.
-        """
-        for edge_id, segment in edges:
-            self.insert(edge_id, segment)
-
-    def remove(self, edge_id: int) -> None:
-        """Remove an edge from the index.
-
-        Raises:
-            SpatialIndexError: if the edge is not indexed.
-        """
-        segment = self._segments.pop(edge_id, None)
-        if segment is None:
-            raise SpatialIndexError(f"edge {edge_id} is not indexed")
-        self._remove_from(self._root, edge_id, segment)
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    def find_edge(self, point: Point, tolerance: float = 1e-6) -> Optional[int]:
-        """Return the id of an edge passing through *point* (within tolerance).
-
-        If several edges pass within the tolerance (e.g. at an intersection
-        node) the closest one is returned.  Returns ``None`` when no edge is
-        within the tolerance; callers that must always resolve a location
-        should use :meth:`nearest_edge` instead.
-        """
-        best_id: Optional[int] = None
-        best_dist = tolerance
-        for edge_id in self._candidate_edges(point):
-            dist = self._segments[edge_id].distance_to_point(point)
-            if dist <= best_dist:
-                best_dist = dist
-                best_id = edge_id
-        return best_id
-
-    def nearest_edge(self, point: Point) -> Tuple[int, float]:
-        """Return ``(edge_id, distance)`` of the edge closest to *point*.
-
-        Performs a best-first traversal of the quadtree so that only quads
-        that can contain a closer edge are visited.
-
-        Raises:
-            SpatialIndexError: if the index is empty.
-        """
-        if not self._segments:
-            raise SpatialIndexError("nearest_edge on an empty index")
-
-        best_id: Optional[int] = None
-        best_dist = float("inf")
-        stack: List[_QuadNode] = [self._root]
-        while stack:
-            node = stack.pop()
-            if self._rect_min_distance(node.rect, point) >= best_dist:
-                continue
-            if node.is_leaf:
-                for edge_id in node.edge_ids:
-                    dist = self._segments[edge_id].distance_to_point(point)
-                    if dist < best_dist:
-                        best_dist = dist
-                        best_id = edge_id
-            else:
-                assert node.children is not None
-                # Visit children nearest-first for better pruning.
-                ordered = sorted(
-                    node.children,
-                    key=lambda child: self._rect_min_distance(child.rect, point),
-                    reverse=True,
+        for point in points:
+            if not _finite(point.x, point.y):
+                raise InvalidLocationError(
+                    f"coordinates ({point.x!r}, {point.y!r}) are not finite numbers"
                 )
-                stack.extend(ordered)
-        assert best_id is not None
-        return best_id, best_dist
-
-    def nearest_edges_bulk(self, points: Sequence[Point]) -> List[Tuple[int, float]]:
-        """Vectorized :meth:`nearest_edge` for a batch of points.
-
-        Points are grouped by the leaf quad that contains them; each group is
-        matched against the leaf's edges in one numpy broadcast.  A per-point
-        answer is exact whenever the best in-leaf distance does not exceed
-        the point's distance to the leaf boundary (every edge *not* stored in
-        the leaf misses the leaf entirely, so it lies at least that far
-        away); the remaining points fall back to the exact best-first search.
-        Without numpy the method degrades to a plain per-point loop.
-
-        Raises:
-            SpatialIndexError: if the index is empty.
-        """
-        if not self._segments:
-            raise SpatialIndexError("nearest_edges_bulk on an empty index")
-        np = optional_numpy() if len(points) >= 4 else None
-        if np is None:
-            return [self.nearest_edge(point) for point in points]
-
-        results: List[Optional[Tuple[int, float]]] = [None] * len(points)
-        groups: Dict[int, List[int]] = {}
-        leaves: Dict[int, _QuadNode] = {}
-        root = self._root
-        for position, point in enumerate(points):
-            node = root
-            if not node.rect.contains_point(point):
-                continue  # outside the workspace: exact fallback below
-            while not node.is_leaf:
-                assert node.children is not None
-                for child in node.children:
-                    if child.rect.contains_point(point):
-                        node = child
-                        break
-                else:  # pragma: no cover - quadrants tile the parent
-                    break
-            if node.is_leaf and node.edge_ids:
-                key = id(node)
-                groups.setdefault(key, []).append(position)
-                leaves[key] = node
-
-        for key, positions in groups.items():
-            leaf = leaves[key]
-            segments = [self._segments[edge_id] for edge_id in leaf.edge_ids]
-            sx = np.array([seg.start.x for seg in segments])
-            sy = np.array([seg.start.y for seg in segments])
-            dx = np.array([seg.end.x - seg.start.x for seg in segments])
-            dy = np.array([seg.end.y - seg.start.y for seg in segments])
-            norm_sq = dx * dx + dy * dy
-            safe_norm = np.where(norm_sq > 0.0, norm_sq, 1.0)
-            px = np.array([points[p].x for p in positions])[:, None]
-            py = np.array([points[p].y for p in positions])[:, None]
-            t = ((px - sx) * dx + (py - sy) * dy) / safe_norm
-            t = np.clip(np.where(norm_sq > 0.0, t, 0.0), 0.0, 1.0)
-            cx = sx + t * dx
-            cy = sy + t * dy
-            dist = np.hypot(px - cx, py - cy)
-            best_column = np.argmin(dist, axis=1)
-            best_dist = dist[np.arange(len(positions)), best_column]
-            rect = leaf.rect
-            for row, position in enumerate(positions):
-                point = points[position]
-                border = min(
-                    point.x - rect.min_x,
-                    rect.max_x - point.x,
-                    point.y - rect.min_y,
-                    rect.max_y - point.y,
-                )
-                if best_dist[row] <= border:
-                    results[position] = (
-                        leaf.edge_ids[int(best_column[row])],
-                        float(best_dist[row]),
-                    )
-
-        return [
-            result if result is not None else self.nearest_edge(points[position])
-            for position, result in enumerate(results)
-        ]
-
-    def edges_in_rect(self, rect: Rect) -> Set[int]:
-        """Return the ids of all edges intersecting *rect*."""
-        result: Set[int] = set()
-        stack: List[_QuadNode] = [self._root]
-        while stack:
-            node = stack.pop()
-            if not node.rect.intersects(rect):
-                continue
-            if node.is_leaf:
-                for edge_id in node.edge_ids:
-                    if self._segments[edge_id].intersects_rect(rect):
-                        result.add(edge_id)
+        exact = self._leaf_broadcast(points) if len(points) >= 4 else {}
+        edge_ids = self._store.edge_ids
+        snapped = []
+        for index, point in enumerate(points):
+            position = exact.get(index)
+            if position is None:
+                position, fraction = self._nearest(point.x, point.y)
             else:
-                assert node.children is not None
-                stack.extend(node.children)
-        return result
-
-    def segment_of(self, edge_id: int) -> Segment:
-        """Return the indexed segment for *edge_id*.
-
-        Raises:
-            SpatialIndexError: if the edge is not indexed.
-        """
-        try:
-            return self._segments[edge_id]
-        except KeyError as exc:
-            raise SpatialIndexError(f"edge {edge_id} is not indexed") from exc
-
-    # ------------------------------------------------------------------
-    # diagnostics
-    # ------------------------------------------------------------------
-    def leaf_count(self) -> int:
-        """Number of leaf quads (used by tests and memory accounting)."""
-        return sum(1 for node in self._iter_nodes() if node.is_leaf)
-
-    def depth(self) -> int:
-        """Maximum depth of any node."""
-        return max((node.depth for node in self._iter_nodes()), default=0)
-
-    def statistics(self) -> Dict[str, float]:
-        """Summary statistics useful for memory accounting and debugging."""
-        leaves = [node for node in self._iter_nodes() if node.is_leaf]
-        entries = sum(len(node.edge_ids) for node in leaves)
-        return {
-            "edges": float(len(self._segments)),
-            "leaves": float(len(leaves)),
-            "entries": float(entries),
-            "max_depth": float(self.depth()),
-            "avg_entries_per_leaf": entries / len(leaves) if leaves else 0.0,
-        }
+                fraction = self._segment(position).project_fraction(point)
+            snapped.append((edge_ids[position], fraction))
+        return snapped
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _iter_nodes(self) -> Iterator[_QuadNode]:
-        stack = [self._root]
+    def _segment(self, position: int) -> Segment:
+        """The edge at dense *position*, from the network's columns."""
+        store = self._store
+        start, end = store.edge_start[position], store.edge_end[position]
+        xs, ys = store.node_x, store.node_y
+        return Segment(Point(xs[start], ys[start]), Point(xs[end], ys[end]))
+
+    def _nearest(self, px: float, py: float) -> Tuple[int, float]:
+        """``(position, fraction)`` of the first edge at the least distance."""
+        min_x, min_y, max_x, max_y = self._min_x, self._min_y, self._max_x, self._max_y
+        first_of, offset, entries = self._first, self._offset, self._entries
+        store = self._store
+        xs, ys, starts, ends = store.node_x, store.node_y, store.edge_start, store.edge_end
+        hypot = math.hypot
+
+        def gap(node: int) -> float:
+            # Rect-to-point distance: max(min - p, 0, p - max) per axis.
+            gx = min_x[node] - px
+            if gx < 0.0:
+                gx = px - max_x[node]
+                if gx < 0.0:
+                    gx = 0.0
+            gy = min_y[node] - py
+            if gy < 0.0:
+                gy = py - max_y[node]
+                if gy < 0.0:
+                    gy = 0.0
+            return (gx * gx + gy * gy) ** 0.5
+
+        best, best_dist, best_fraction = -1, _INF, 0.0
+        stack = [(gap(0), 0)]
         while stack:
-            node = stack.pop()
-            yield node
-            if node.children is not None:
-                stack.extend(node.children)
-
-    def _candidate_edges(self, point: Point) -> List[int]:
-        """Edges stored in the leaf quad covering *point* (empty if outside)."""
-        node = self._root
-        if not node.rect.contains_point(point):
-            return []
-        while not node.is_leaf:
-            assert node.children is not None
-            for child in node.children:
-                if child.rect.contains_point(point):
-                    node = child
-                    break
-            else:  # pragma: no cover - defensive, quadrants tile the parent
-                return []
-        return list(node.edge_ids)
-
-    def _insert_into(self, node: _QuadNode, edge_id: int, segment: Segment) -> None:
-        """Append *edge_id* to every leaf under *node* that *segment* meets.
-
-        *node* itself must already be known to meet the segment.  The
-        descent is iterative, and a child is tested with the exact
-        :meth:`Segment.intersects_rect` only when it is one of
-        :func:`_candidate_children`; the leaves reached are those of the
-        plain recursive descent.
-        """
-        box = _bounds(segment)
-        threshold, max_depth = self._split_threshold, self._max_depth
-        stack = [node]
-        while stack:
-            node = stack.pop()
-            children = node.children
-            if children is None:
-                node.edge_ids.append(edge_id)
-                if len(node.edge_ids) > threshold and node.depth < max_depth:
-                    self._split(node)
+            distance, node = stack.pop()
+            if distance >= best_dist:
                 continue
-            for child in _candidate_children(children, box):
-                if segment.intersects_rect(child.rect):
-                    stack.append(child)
+            first = first_of[node]
+            if first < 0:
+                # Segment.project_fraction, then Segment.distance_to_point,
+                # operation for operation (min(1, max(0, t)) as branches):
+                # inlined, because a call per edge doubles a snap's cost.
+                for position in entries[offset[node]:offset[node + 1]]:
+                    start, end = starts[position], ends[position]
+                    sx, sy, ex, ey = xs[start], ys[start], xs[end], ys[end]
+                    dx = ex - sx
+                    dy = ey - sy
+                    norm_sq = dx * dx + dy * dy
+                    if norm_sq <= _EPS:
+                        t = 0.0 if hypot(px - sx, py - sy) <= hypot(px - ex, py - ey) else 1.0
+                    else:
+                        t = ((px - sx) * dx + (py - sy) * dy) / norm_sq
+                        if t > 0.0:
+                            if t > 1.0:
+                                t = 1.0
+                        else:
+                            t = 0.0
+                    dist = hypot(sx + t * dx - px, sy + t * dy - py)
+                    if dist < best_dist:
+                        best, best_dist, best_fraction = position, dist, t
+            else:
+                children = [(gap(child), child) for child in range(first, first + 4)]
+                stack.extend(sorted(children, key=_DISTANCE, reverse=True))
+        if best < 0:
+            raise InvalidLocationError(f"no edge lies at a finite distance from ({px}, {py})")
+        return best, best_fraction
 
-    def _split(self, node: _QuadNode) -> None:
-        children = node.children = tuple(
-            _QuadNode(rect, node.depth + 1) for rect in node.rect.quadrants()
-        )
-        edge_ids = node.edge_ids
-        node.edge_ids = []
-        segments = self._segments
-        for edge_id in edge_ids:
-            segment = segments[edge_id]
-            for child in _candidate_children(children, _bounds(segment)):
-                if segment.intersects_rect(child.rect):
-                    child.edge_ids.append(edge_id)
-        # PMR semantics: the split is *not* applied recursively, children may
-        # temporarily exceed the threshold; they split on their own next insert.
+    def _leaf_broadcast(self, points: Sequence[Point]) -> Dict[int, int]:
+        """Point index -> edge position, for the points a leaf answers exactly.
 
-    def _remove_from(self, node: _QuadNode, edge_id: int, segment: Segment) -> None:
-        if not segment.intersects_rect(node.rect):
-            return
-        if node.is_leaf:
-            try:
-                node.edge_ids.remove(edge_id)
-            except ValueError:
-                pass
-            return
-        assert node.children is not None
-        for child in node.children:
-            self._remove_from(child, edge_id, segment)
-        # Collapse children that became empty leaves to keep the tree tidy.
-        if all(child.is_leaf and not child.edge_ids for child in node.children):
-            node.children = None
-            node.edge_ids = []
+        Empty without numpy.  Points are grouped by the leaf that contains
+        them and matched against its edges in one broadcast per leaf.
+        """
+        np = optional_numpy()
+        if np is None:
+            return {}
+        min_x, min_y, max_x, max_y = self._min_x, self._min_y, self._max_x, self._max_y
+        first_of, offset = self._first, self._offset
 
-    @staticmethod
-    def _rect_min_distance(rect: Rect, point: Point) -> float:
-        dx = max(rect.min_x - point.x, 0.0, point.x - rect.max_x)
-        dy = max(rect.min_y - point.y, 0.0, point.y - rect.max_y)
-        return (dx * dx + dy * dy) ** 0.5
+        def contains(node: int, x: float, y: float) -> bool:
+            return (
+                min_x[node] - _EPS <= x <= max_x[node] + _EPS
+                and min_y[node] - _EPS <= y <= max_y[node] + _EPS
+            )
+
+        groups: Dict[int, List[int]] = {}
+        for index, point in enumerate(points):
+            x, y = point.x, point.y
+            if not contains(0, x, y):
+                continue  # outside the workspace: the search answers it
+            node = 0
+            while first_of[node] >= 0:
+                first = first_of[node]
+                for child in range(first, first + 4):
+                    if contains(child, x, y):
+                        node = child
+                        break
+                else:  # pragma: no cover - quadrants tile the parent
+                    break
+            if first_of[node] < 0 and offset[node] < offset[node + 1]:
+                groups.setdefault(node, []).append(index)
+
+        store = self._store
+        xs, ys, starts, ends = store.node_x, store.node_y, store.edge_start, store.edge_end
+        exact: Dict[int, int] = {}
+        for leaf, indexes in groups.items():
+            positions = self._entries[offset[leaf]:offset[leaf + 1]]
+            sx = np.array([xs[starts[p]] for p in positions])
+            sy = np.array([ys[starts[p]] for p in positions])
+            dx = np.array([xs[ends[p]] for p in positions]) - sx
+            dy = np.array([ys[ends[p]] for p in positions]) - sy
+            norm_sq = dx * dx + dy * dy
+            safe_norm = np.where(norm_sq > 0.0, norm_sq, 1.0)
+            px = np.array([points[i].x for i in indexes])[:, None]
+            py = np.array([points[i].y for i in indexes])[:, None]
+            t = ((px - sx) * dx + (py - sy) * dy) / safe_norm
+            t = np.clip(np.where(norm_sq > 0.0, t, 0.0), 0.0, 1.0)
+            dist = np.hypot(px - (sx + t * dx), py - (sy + t * dy))
+            best_column = np.argmin(dist, axis=1)
+            best_dist = dist[np.arange(len(indexes)), best_column]
+            for row, index in enumerate(indexes):
+                point = points[index]
+                border = min(
+                    point.x - min_x[leaf],
+                    max_x[leaf] - point.x,
+                    point.y - min_y[leaf],
+                    max_y[leaf] - point.y,
+                )
+                if best_dist[row] <= border:
+                    exact[index] = positions[int(best_column[row])]
+        return exact

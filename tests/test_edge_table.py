@@ -20,6 +20,7 @@ from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation, RoadNetwork
 from repro.network.record import ColumnReader
 from repro.spatial.geometry import Point
+from quadtree_oracle import leaves_of
 from snapshot_columns import rewrite_object_columns
 
 
@@ -193,8 +194,22 @@ class TestSnapping:
     def test_rebuild_spatial_index(self, line_network):
         table = EdgeTable(line_network, build_spatial_index=False)
         index = table.rebuild_spatial_index()
-        assert len(index) == line_network.edge_count
+        indexed = {edge_id for _, edge_ids in leaves_of(index) for edge_id in edge_ids}
+        assert indexed == set(line_network.edge_ids())
         assert table.spatial_index is index
+
+    def test_a_single_snap_is_one_batch_snap(self, line_network, monkeypatch):
+        table = EdgeTable(line_network)
+        calls = []
+        snap_points = EdgeTable.snap_points
+
+        def counted(self, points):
+            calls.append(list(points))
+            return snap_points(self, points)
+
+        monkeypatch.setattr(EdgeTable, "snap_points", counted)
+        assert table.snap_point(Point(150.0, 12.0)) == NetworkLocation(1, 0.5)
+        assert calls == [[Point(150.0, 12.0)]]
 
 
 class TestLazySpatialIndex:

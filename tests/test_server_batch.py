@@ -44,13 +44,13 @@ class TestBulkCoordinateIngestion:
         ]
         snapped = city_server.add_objects_at(items)
         assert set(snapped) == {i for i, _, _ in items}
-        index = city_server.edge_table.spatial_index
+        network = city_server.network
         for object_id, x, y in items:
             bulk_loc = snapped[object_id]
             single_loc = city_server.snap(x, y)
             point = Point(x, y)
-            bulk_dist = index.segment_of(bulk_loc.edge_id).distance_to_point(point)
-            single_dist = index.segment_of(single_loc.edge_id).distance_to_point(point)
+            bulk_dist = network.edge_segment(bulk_loc.edge_id).distance_to_point(point)
+            single_dist = network.edge_segment(single_loc.edge_id).distance_to_point(point)
             # Equidistant ties may pick a different edge; never a worse one.
             assert bulk_dist == pytest.approx(single_dist, abs=1e-9)
 

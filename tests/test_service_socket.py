@@ -117,6 +117,29 @@ def test_streaming_session_end_to_end(service):
     assert isinstance(client.checkpoint(), int)
 
 
+@pytest.mark.parametrize(
+    "x, y",
+    [(float("nan"), 1.0), (float("inf"), 5.0), (1e308, 1e308), ("12.5", 0.0)],
+    ids=["nan", "inf", "huge", "text"],
+)
+def test_unsnappable_coordinates_get_a_typed_reply_and_buffer_nothing(service, x, y):
+    client, _ = service
+    for verb, args in (
+        ("add_object", (9001, x, y)),
+        ("move_object", (9001, x, y)),
+        ("add_query", (9100, x, y, 2)),
+        ("move_query", (9100, x, y)),
+    ):
+        with pytest.raises(ServiceError, match="InvalidLocationError"):
+            client.request(verb, *args)
+    assert client.ping() == "pong"
+    # neither id was taken by the refused verbs
+    assert client.add_object(9001, 50.0, 50.0) is not None
+    assert client.add_query(9100, 55.0, 55.0, 2) is not None
+    client.tick()
+    assert 9100 in client.results()
+
+
 class _Exploit:
     """Pickles to a call of ``os.system`` — the textbook hostile frame."""
 
