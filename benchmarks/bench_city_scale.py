@@ -4,12 +4,8 @@ The scale leg of the ROADMAP "city-scale realism" item: a synthetic city
 from :func:`repro.realism.synthetic_city_network` (so the full importer
 pipeline is on the measured path), 100K+ moving objects, and a rush-hour
 traffic stream (:class:`repro.realism.RushHourModel` — congestion waves,
-incidents, a trickle of closures) driving both the ``csr`` and ``native``
-kernels through the batched ``apply_updates`` + ``tick`` pipeline (the
-``csr`` leg is the headline BENCH record; running several
-independently-shaped benchmarks also gives ``check_bench.py``'s
-median-ratio machine calibration enough points to catch a single-path
-regression).
+incidents, a trickle of closures) driving the batched ``apply_updates`` +
+``tick`` pipeline.
 
 Per-tick wall-clock goes through pytest-benchmark as usual; on top of
 that the summary test prints a ``BENCH`` JSON line recording
@@ -143,7 +139,7 @@ def test_city_import_throughput(benchmark, bench_config):
     benchmark.extra_info["nodes"] = result.network.node_count
 
 
-def _build_workload(config, kernel="csr", workers=None):
+def _build_workload(config, workers=None):
     """Server primed with objects/queries, plus pre-materialised batches."""
     imported = synthetic_city_network(config.target_edges, seed=config.seed)
     network = imported.network
@@ -151,7 +147,6 @@ def _build_workload(config, kernel="csr", workers=None):
         network,
         "ima",
         edge_table=EdgeTable(network, build_spatial_index=False),
-        kernel=kernel,
         workers=workers,
     )
     rng = random.Random(f"city-bench/{config.seed}")
@@ -187,18 +182,11 @@ def _build_workload(config, kernel="csr", workers=None):
     return server, batches
 
 
-@pytest.mark.parametrize("kernel", ["csr", "native"])
-def test_city_scale_tick_latency(benchmark, bench_config, kernel):
-    """One rush-hour tick on the full-size city, percentiles recorded.
-
-    Both kernels run so the CI baseline holds several independently-
-    shaped benchmarks — ``check_bench.py`` self-calibrates on the median
-    ratio across the module, which needs more than one data point to have
-    teeth.  The ``native`` leg exercises the compiled settle loop at city
-    scale (it transparently falls back to ``csr`` where the compiler is
-    absent, so the leg always runs).
-    """
-    server, batches = _build_workload(bench_config, kernel=kernel)
+# One leg; its id keeps the name of the committed baseline row.
+@pytest.mark.parametrize("engine", ["csr"])
+def test_city_scale_tick_latency(benchmark, bench_config, engine):
+    """One rush-hour tick on the full-size city, percentiles recorded."""
+    server, batches = _build_workload(bench_config)
     server.tick()  # initial result computation excluded, as in the paper
     cursor = {"index": 0}
     tick_seconds = []
@@ -219,7 +207,7 @@ def test_city_scale_tick_latency(benchmark, bench_config, kernel):
         server.close()
 
     ordered = sorted(tick_seconds)
-    _RESULTS[kernel] = {
+    _RESULTS[engine] = {
         "config": bench_config,
         "edges": server.network.edge_count,
         "tick_seconds": tick_seconds,
@@ -227,9 +215,9 @@ def test_city_scale_tick_latency(benchmark, bench_config, kernel):
         "p95_ms": _percentile(ordered, 0.95) * 1000.0,
         "p99_ms": _percentile(ordered, 0.99) * 1000.0,
     }
-    benchmark.extra_info["edges"] = _RESULTS[kernel]["edges"]
+    benchmark.extra_info["edges"] = _RESULTS[engine]["edges"]
     benchmark.extra_info["objects"] = bench_config.num_objects
-    benchmark.extra_info["p95_ms"] = round(_RESULTS[kernel]["p95_ms"], 2)
+    benchmark.extra_info["p95_ms"] = round(_RESULTS[engine]["p95_ms"], 2)
 
 
 def test_city_scale_sharded_wall_clock(benchmark, bench_config):
@@ -280,7 +268,6 @@ def test_city_scale_summary(bench_config):
         "objects": bench_config.num_objects,
         "queries": bench_config.num_queries,
         "k": bench_config.k,
-        "kernel": "csr",
         "ticks": bench_config.ticks,
         "cores": os.cpu_count() or 1,
         "mean_tick_ms": round(mean_tick * 1000.0, 2),
@@ -289,10 +276,6 @@ def test_city_scale_summary(bench_config):
         "p99_ms": round(single["p99_ms"], 2),
         "peak_rss_mb": round(peak_rss_mb, 1),
     }
-    native = _RESULTS.get("native")
-    if native is not None:
-        native_mean = sum(native["tick_seconds"]) / len(native["tick_seconds"])
-        record["native_mean_tick_ms"] = round(native_mean * 1000.0, 2)
     sharded = _RESULTS.get("sharded")
     if sharded is not None:
         wall_speedup = mean_tick / sharded["mean_tick_seconds"]

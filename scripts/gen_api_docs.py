@@ -103,22 +103,15 @@ SECTIONS = (
         ),
     ),
     (
-        "Search kernels",
+        "Network expansion",
         "The Figure-2 network expansion over the flat-array CSR snapshot, "
-        "the batched entry point every monitor tick flushes through, the "
-        "kernel registry that names and validates its two settle "
-        "engines (csr, native), and the work counters they report.",
+        "the batched entry point every monitor tick flushes through, and "
+        "the work counters it reports.",
         (
             "expand_knn",
             "expand_knn_batch",
             "ExpansionRequest",
             "SearchCounters",
-            "KernelSpec",
-            "registered_kernels",
-            "available_kernels",
-            "resolve_kernel",
-            "native_available",
-            "UnknownKernelError",
         ),
     ),
     (

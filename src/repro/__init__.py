@@ -23,9 +23,8 @@ Performance architecture.  The expansion hot path (:func:`expand_knn`)
 runs over the network's own flat-array CSR column store
 (:func:`csr_snapshot` / :class:`CSRGraph`): dense integer indices,
 parallel adjacency columns, a C-level binary heap, and one weight column
-that ``set_edge_weight`` writes in place.  Every monitor's tick is collect-then-flush
-— one :func:`expand_knn_batch` call per tick — and ``kernel=`` picks only
-the settle engine that serves it (``"csr"`` or ``"native"``).
+that ``set_edge_weight`` writes in place.  Every monitor's tick is
+collect-then-flush: one :func:`expand_knn_batch` call per tick.
 
 High-volume feeds use the server's batched ingestion path —
 ``add_objects_at([...])`` / ``move_objects_at([...])`` snap whole
@@ -80,7 +79,7 @@ __version__ = "1.0.0"
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        "repro.exceptions": ("ReproError", "UnknownKernelError", "TopologyFrozenError"),
+        "repro.exceptions": ("ReproError", "TopologyFrozenError"),
         "repro.core": (
             "MonitoringServer",
             "ShardedMonitoringServer",
@@ -120,11 +119,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "CSRGraph",
             "csr_snapshot",
             "SequenceTable",
-            "KernelSpec",
-            "registered_kernels",
-            "available_kernels",
-            "resolve_kernel",
-            "native_available",
             "city_network",
             "grid_network",
             "linear_network",

@@ -34,7 +34,6 @@ from repro.exceptions import (
 from repro.network.csr import CSRGraph
 from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation, RoadNetwork
-from repro.network.kernels import DEFAULT_KERNEL, resolve_kernel
 
 
 @dataclass
@@ -72,7 +71,6 @@ class MonitorBase(abc.ABC):
         network: RoadNetwork,
         edge_table: EdgeTable,
         counters: Optional[SearchCounters] = None,
-        kernel: str = DEFAULT_KERNEL,
     ) -> None:
         """Create the monitor.
 
@@ -80,13 +78,9 @@ class MonitorBase(abc.ABC):
             network: the shared road network.
             edge_table: the shared data-object table.
             counters: optional work counters shared with a caller.
-            kernel: registry name of the settle engine every expansion is
-                forwarded to (see :mod:`repro.network.kernels`); an unknown
-                name raises :class:`~repro.exceptions.UnknownKernelError`.
         """
         self._network = network
         self._edge_table = edge_table
-        self._kernel = resolve_kernel(kernel).name
         #: CSR snapshot acquired once per processed batch (None outside).
         self._batch_csr: Optional[CSRGraph] = None
         self._results: Dict[int, KnnResult] = {}
@@ -99,18 +93,16 @@ class MonitorBase(abc.ABC):
         self._aggregates: Set[int] = set()
 
     def __setstate__(self, state: Dict[str, object]) -> None:
-        """Unpickle, dropping the tick-report list older snapshots carry.
+        """Unpickle, dropping what older snapshots carry and this one does not.
 
+        That is the tick-report list, and the name of the settle engine
+        that older releases let a caller pick with ``kernel=``.
         Names are interned, as pickle's own attribute restore does, so the
         restored monitor pickles to the bytes of one that never was.
         """
         state.pop("_timestep_reports", None)
+        state.pop("_kernel", None)
         vars(self).update((sys.intern(name), value) for name, value in state.items())
-
-    @property
-    def kernel(self) -> str:
-        """This monitor's registry kernel name (see :mod:`repro.network.kernels`)."""
-        return self._kernel
 
     # ------------------------------------------------------------------
     # registration
@@ -342,7 +334,6 @@ class MonitorBase(abc.ABC):
                 (self._query_location[query_id], self._query_spec[query_id])
                 for query_id in stale_ids
             ],
-            kernel=self._kernel,
             csr=self._batch_csr,
             counters=self._counters,
         )
@@ -358,7 +349,6 @@ class MonitorBase(abc.ABC):
             self._edge_table,
             location,
             spec,
-            kernel=self._kernel,
             csr=self._batch_csr,
             counters=self._counters,
         )

@@ -27,7 +27,6 @@ from typing import Dict, Iterable, List, Optional, Set
 
 from repro.network.csr import CSRGraph, csr_snapshot
 from repro.network.graph import NetworkLocation, RoadNetwork
-from repro.utils import optional_numpy
 from repro.utils.intervals import (
     SPAN_EPS,
     Spans,
@@ -35,11 +34,6 @@ from repro.utils.intervals import (
     merge_spans,
     point_spans,
 )
-
-#: Minimum verified-tree size for the vectorized influence path; below it
-#: the numpy call overhead exceeds the scalar loop it replaces (measured
-#: crossover on the dense defaults is ~150 nodes).
-VECTOR_MIN_NODES = 160
 
 
 @dataclass
@@ -197,20 +191,12 @@ def compute_influence_maps(
 
     *jobs* is a list of ``(key, state, radius, query_location)`` tuples; the
     result maps each *key* to its influence map.  One snapshot refresh is
-    shared by the whole batch.  The flush never builds a
-    :class:`~repro.network.native.NativeSupport`: when the tick's engine
-    already built one for the current weights (``native`` does, inside
-    :func:`~repro.core.search.expand_knn_batch`) the large finite-radius
-    jobs take the numpy-vectorized span path over it, otherwise every job
-    runs the scalar loop — the two are element-wise identical.
+    shared by the whole batch.
     """
     if csr is None:
         csr = csr_snapshot(network)
-    support = csr.current_native_support()
     return {
-        key: compute_influence_map(
-            network, state, radius, query_location, csr=csr, support=support
-        )
+        key: compute_influence_map(network, state, radius, query_location, csr=csr)
         for key, state, radius, query_location in jobs
     }
 
@@ -221,7 +207,6 @@ def compute_influence_map(
     radius: float,
     query_location: Optional[NetworkLocation] = None,
     csr: Optional["CSRGraph"] = None,
-    support=None,
 ) -> Dict[int, Spans]:
     """Influencing intervals of every edge affected by a query.
 
@@ -237,23 +222,11 @@ def compute_influence_map(
     conservative and therefore correct.
 
     The edge walk runs over the CSR snapshot's incidence columns (pass a
-    pre-refreshed *csr* to skip the per-call staleness check).  When a
-    usable :class:`~repro.network.native.NativeSupport` is supplied (see
-    :func:`compute_influence_maps`), large finite-radius trees run through
-    :func:`influence_spans_vectorized`, whose span arithmetic is
-    element-wise identical to the scalar loop below.
+    pre-refreshed *csr* to skip the per-call staleness check).
     """
     if csr is None:
         csr = csr_snapshot(network)
     node_dist = state.node_dist
-    if (
-        support is not None
-        and support.usable
-        and radius != float("inf")
-        and len(node_dist) >= VECTOR_MIN_NODES
-    ):
-        influences = influence_spans_vectorized(csr, support, node_dist, radius)
-        return _overlay_query_edge(csr, node_dist, radius, query_location, influences)
     node_index = csr.node_index
     node_ids = csr.node_ids
     inc_indptr = csr.inc_indptr
@@ -317,116 +290,20 @@ def compute_influence_map(
     finally:
         scratch.release(touched)
 
-    return _overlay_query_edge(csr, node_dist, radius, query_location, influences)
-
-
-def influence_spans_vectorized(
-    csr: "CSRGraph",
-    support,
-    node_dist: Dict[int, float],
-    radius: float,
-) -> Dict[int, Spans]:
-    """Endpoint-based influencing intervals of every edge, via numpy gathers.
-
-    The vectorized core of :func:`compute_influence_map` for a *finite*
-    radius, over the incidence mirrors of a
-    :class:`~repro.network.native.NativeSupport`; the caller overlays the
-    query's own edge afterwards.  The span arithmetic applies the identical
-    IEEE operations as the scalar loop (``reach = radius - dist``,
-    ``anchor = weight - reach``, the same comparisons), element-wise over
-    the deduplicated incident edges, so the produced spans are
-    byte-identical.
-
-    Example::
-
-        spans = influence_spans_vectorized(csr, support, {7: 0.0}, 10.0)
-    """
-    np = optional_numpy()
-    count = len(node_dist)
-    idx = np.fromiter(map(csr.node_index.__getitem__, node_dist.keys()), np.int64, count)
-    dist = np.fromiter(node_dist.values(), np.float64, count)
-    within = dist <= radius
-    idx = idx[within]
-    if idx.size == 0:
-        return {}
-    dist = dist[within]
-    inc_indptr = support.np_inc_indptr
-    starts = inc_indptr[idx]
-    counts = inc_indptr[idx + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return {}
-    cum = np.cumsum(counts)
-    slots = np.repeat(starts - (cum - counts), counts) + np.arange(total)
-    positions = np.unique(support.np_inc_edge[slots])
-
-    # The scratch column is all +inf between calls; restore what we wrote.
-    dist_arr = support.dist_scratch
-    dist_arr[idx] = dist
-    try:
-        weight = support.np_edge_weight[positions]
-        dist_start = dist_arr[support.np_edge_start[positions]]
-        dist_end = dist_arr[support.np_edge_end[positions]]
-    finally:
-        dist_arr[idx] = np.inf
-
-    reach_start = radius - dist_start
-    reach_end = radius - dist_end
-    low_high = np.where(weight < reach_start, weight, reach_start)
-    anchor = weight - reach_end
-    full_span = anchor <= low_high + SPAN_EPS
-    anchor_clamped = np.where(anchor > 0.0, anchor, 0.0)
-
-    edge_ids = csr.edge_ids
-    influences: Dict[int, Spans] = {}
-    start_ok = (dist_start <= radius).tolist()
-    end_ok = (dist_end <= radius).tolist()
-    weight_list = weight.tolist()
-    low_list = low_high.tolist()
-    anchor_list = anchor_clamped.tolist()
-    full_list = full_span.tolist()
-    for i, position in enumerate(positions.tolist()):
-        if start_ok[i]:
-            if end_ok[i]:
-                if full_list[i]:
-                    spans: Spans = ((0.0, weight_list[i]),)
-                else:
-                    spans = ((0.0, low_list[i]), (anchor_list[i], weight_list[i]))
-            else:
-                spans = ((0.0, low_list[i]),)
-        elif end_ok[i]:
-            spans = ((anchor_list[i], weight_list[i]),)
-        else:  # pragma: no cover - every scanned edge touches a verified node
-            continue
-        influences[edge_ids[position]] = spans
-    return influences
-
-
-def _overlay_query_edge(
-    csr: "CSRGraph",
-    node_dist: Dict[int, float],
-    radius: float,
-    query_location: Optional[NetworkLocation],
-    influences: Dict[int, Spans],
-) -> Dict[int, Spans]:
-    """Merge the query's own-edge spans into *influences* (shared postlude)."""
     if query_location is not None:
+        # The query's own edge: its point spans merged with the endpoint ones.
         position = csr.index_of_edge(query_location.edge_id)
-        weight = csr.edge_weight[position]
-        node_ids = csr.node_ids
-        node_dist_get = node_dist.get
-        inf = float("inf")
+        weight = edge_weight[position]
         own = point_spans(weight, query_location.fraction * weight, radius)
         endpoint_based = influence_spans(
             weight,
-            node_dist_get(node_ids[csr.edge_start[position]], inf),
-            node_dist_get(node_ids[csr.edge_end[position]], inf),
+            node_dist_get(node_ids[edge_start[position]], inf),
+            node_dist_get(node_ids[edge_end[position]], inf),
             radius,
         )
         combined = merge_spans(own, endpoint_based)
         if combined:
             influences[query_location.edge_id] = combined
-
     return influences
 
 

@@ -53,7 +53,6 @@ from repro.core.search import ExpansionRequest, SearchCounters, expand_knn_batch
 # benchmarks/e2e/launch.py resolves it as a module global under --trace 1.
 from repro.core.search import expand_knn  # noqa: F401
 from repro.exceptions import UnknownQueryError
-from repro.network.kernels import DEFAULT_KERNEL
 from repro.network.csr import csr_snapshot
 from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation, RoadNetwork
@@ -83,7 +82,6 @@ class GmaMonitor(MonitorBase):
         network: RoadNetwork,
         edge_table: EdgeTable,
         counters: Optional[SearchCounters] = None,
-        kernel: str = DEFAULT_KERNEL,
     ) -> None:
         """Create the monitor.
 
@@ -91,24 +89,13 @@ class GmaMonitor(MonitorBase):
             network: the shared road network.
             edge_table: the shared data-object table.
             counters: optional work counters shared with a caller.
-            kernel: the settle engine — ``"csr"`` (default, binary heap)
-                or the compiled ``"native"``.  A
-                tick is collect-then-flush for every kernel: all affected
-                queries of a tick are gathered into one
-                :func:`~repro.core.search.expand_knn_batch` call on the
-                named engine followed by a bulk influence flush, with
-                identical results.  The inner active-node monitor runs on
-                the same kernel.  An unknown name raises
-                :class:`~repro.exceptions.UnknownKernelError`.
         """
-        super().__init__(network, edge_table, counters, kernel)
+        super().__init__(network, edge_table, counters)
         self._sequences = SequenceTable(network)
         # Active-node k-NN sets are maintained with the IMA machinery; the
         # inner monitor shares our counters so that the reported work is the
         # total work GMA performs.
-        self._node_monitor = ImaMonitor(
-            network, edge_table, counters=self._counters, kernel=kernel
-        )
+        self._node_monitor = ImaMonitor(network, edge_table, counters=self._counters)
         self._influence = InfluenceIndex()
         self._query_sequence: Dict[int, int] = {}
         self._node_queries: Dict[int, Set[int]] = {}
@@ -280,7 +267,6 @@ class GmaMonitor(MonitorBase):
             requests,
             counters=self._counters,
             csr=self._batch_csr,
-            kernel=self._kernel,
         )
         maps = compute_influence_maps(
             self._network,
@@ -392,7 +378,6 @@ class GmaMonitor(MonitorBase):
             self._edge_table,
             [self._request_for(location, spec)],
             counters=self._counters,
-            kernel=self._kernel,
         )
         influences = compute_influence_map(
             self._network, outcome.state, outcome.radius, location

@@ -28,12 +28,10 @@ Processing order within a timestamp follows Figure 10 of the paper:
    otherwise the new result is read directly off the maintained candidates
    (and the tree shrinks to the smaller radius).
 
-Every tick is collect-then-flush, whatever the kernel: steps 2-3 collect the
-edge updates per affected query and prune each tree once, step 6 gathers the
-resumed and fresh expansions into one
-:func:`~repro.core.search.expand_knn_batch` call (the ``kernel`` name is
-forwarded there and picks only the settle engine) and the touched influence
-regions are refreshed in one bulk flush.
+Every tick is collect-then-flush: steps 2-3 collect the edge updates per
+affected query and prune each tree once, step 6 gathers the resumed and
+fresh expansions into one :func:`~repro.core.search.expand_knn_batch` call
+and the touched influence regions are refreshed in one bulk flush.
 
 Exactness of the retained node distances in each pruning case is argued in
 the docstrings of :meth:`ImaMonitor._flush_edge_prunes` and
@@ -64,7 +62,6 @@ from repro.core.search import ExpansionRequest, expand_knn_batch
 from repro.core.search import expand_knn  # noqa: F401
 from repro.exceptions import EdgeNotFoundError
 from repro.network.csr import CSRGraph, csr_snapshot
-from repro.network.kernels import DEFAULT_KERNEL, registered_kernels
 from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation, RoadNetwork
 
@@ -73,11 +70,6 @@ _EPS = 1e-9
 #: Sentinel for "shift not yet resolved" in the batched prune's memo table
 #: (None is taken: it marks descent through a removed increase subtree).
 _UNRESOLVED = object()
-
-#: Valid values of the monitors' ``kernel`` constructor argument, straight
-#: from the kernel registry (see :mod:`repro.network.kernels`): the CSR heap
-#: engine and the compiled native engine.
-KERNELS = registered_kernels()
 
 
 @dataclass
@@ -152,7 +144,6 @@ class ImaMonitor(MonitorBase):
         network: RoadNetwork,
         edge_table: EdgeTable,
         counters=None,
-        kernel: str = DEFAULT_KERNEL,
     ) -> None:
         """Create the monitor.
 
@@ -160,18 +151,8 @@ class ImaMonitor(MonitorBase):
             network: the shared road network.
             edge_table: the shared data-object table.
             counters: optional work counters shared with a caller.
-            kernel: the settle engine — ``"csr"`` (default, binary heap)
-                or the compiled ``"native"``.  A
-                tick is collect-then-flush for every kernel: edge prunes,
-                resumed searches and influence refreshes are gathered per
-                tick over the flat-array snapshot of
-                :mod:`repro.network.csr` and served by one
-                :func:`~repro.core.search.expand_knn_batch` call on the
-                named engine, with identical results.  Validated against
-                the registry of :mod:`repro.network.kernels`; an unknown
-                name raises :class:`~repro.exceptions.UnknownKernelError`.
         """
-        super().__init__(network, edge_table, counters, kernel)
+        super().__init__(network, edge_table, counters)
         self._states: Dict[int, _QueryState] = {}
         self._influence = InfluenceIndex()
         # Aggregate k-NN queries (no expansion tree / influence entries)
@@ -637,7 +618,6 @@ class ImaMonitor(MonitorBase):
                 requests,
                 counters=self._counters,
                 csr=csr,
-                kernel=self._kernel,
             )
             for query_state, outcome in zip(resume_states + fresh_states, outcomes):
                 self._adopt_outcome(query_state, outcome)
@@ -763,7 +743,6 @@ class ImaMonitor(MonitorBase):
             self._edge_table,
             [self._fresh_request(query_state)],
             counters=self._counters,
-            kernel=self._kernel,
         )
         self._adopt_outcome(query_state, outcome)
         self._influence.replace_subscriber(

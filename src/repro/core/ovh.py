@@ -26,10 +26,8 @@ class OvhMonitor(MonitorBase):
     """Recompute-from-scratch continuous monitoring (all query types).
 
     Takes the constructor arguments of :class:`~repro.core.base.MonitorBase`.
-    ``kernel`` names the settle engine — ``"csr"`` (default) or the
-    compiled ``"native"``; a tick is collect-then-flush for every
-    kernel: the whole timestamp's expansions run as one
-    :func:`~repro.core.search.expand_knn_batch` call on the named engine.
+    A tick is collect-then-flush: the whole timestamp's expansions run as
+    one :func:`~repro.core.search.expand_knn_batch` call.
 
     Example::
 
@@ -62,7 +60,7 @@ class OvhMonitor(MonitorBase):
         changed: Set[int] = set()
         self._batch_csr = csr_snapshot(self._network)
         try:
-            # The whole timestamp's expansions as one batched kernel call
+            # The whole timestamp's expansions as one batched call
             # (aggregate queries batch their per-point expansions inside
             # _evaluate_aggregate, over the same snapshot).
             expansion_ids = [
@@ -81,7 +79,6 @@ class OvhMonitor(MonitorBase):
                 ],
                 counters=self._counters,
                 csr=self._batch_csr,
-                kernel=self._kernel,
             )
             for query_id, outcome in zip(expansion_ids, outcomes):
                 if self._store_result(query_id, outcome.neighbors, outcome.radius):
@@ -121,6 +118,5 @@ class OvhMonitor(MonitorBase):
             self._edge_table,
             [self._request_for(location, spec)],
             counters=self._counters,
-            kernel=self._kernel,
         )
         return outcome.neighbors, outcome.radius

@@ -38,7 +38,6 @@ from repro.core.search import ExpansionRequest, expand_knn_batch
 from repro.core.search import expand_knn  # noqa: F401
 from repro.exceptions import InvalidQueryError
 from repro.network.graph import NetworkLocation
-from repro.network.kernels import DEFAULT_KERNEL, validate_kernel
 
 #: Recognised query kinds, in the order they were introduced.
 QUERY_KINDS = ("knn", "range", "aggregate_knn")
@@ -281,7 +280,6 @@ def evaluate_aggregate(
     edge_table,
     location: NetworkLocation,
     spec: QuerySpec,
-    kernel: str = DEFAULT_KERNEL,
     csr=None,
     counters=None,
 ) -> Tuple[List[Neighbor], float]:
@@ -292,15 +290,12 @@ def evaluate_aggregate(
     farthest reachable object and returns exact distances for all of
     them), merged under the spec's aggregate function by
     :func:`merge_aggregate`.  All points run through one
-    :func:`~repro.core.search.expand_knn_batch` call; ``kernel`` names the
-    registered settle engine (see :mod:`repro.network.kernels`) and is
-    forwarded there — every engine produces identical results.
+    :func:`~repro.core.search.expand_knn_batch` call.
 
     Example::
 
         neighbors, radius = evaluate_aggregate(network, edge_table, loc, spec)
     """
-    validate_kernel(kernel)
     object_count = edge_table.object_count
     if object_count == 0:
         return [], float("inf")
@@ -313,7 +308,6 @@ def evaluate_aggregate(
         ],
         counters=counters,
         csr=csr,
-        kernel=kernel,
     )
     return merge_aggregate([outcome.neighbors for outcome in outcomes], spec)
 
@@ -322,7 +316,6 @@ def evaluate_aggregates(
     network,
     edge_table,
     items: List[Tuple[NetworkLocation, QuerySpec]],
-    kernel: str = DEFAULT_KERNEL,
     csr=None,
     counters=None,
 ) -> List[Tuple[List[Neighbor], float]]:
@@ -336,14 +329,13 @@ def evaluate_aggregates(
     every point asks for the same ``k`` (the live object count), so points
     that coincide — the query locations of co-located tenants, or popular
     aggregation anchors repeated across queries — collapse into **one**
-    physical expansion whose outcome is reused verbatim, on every kernel.
+    physical expansion whose outcome is reused verbatim.
 
     Example::
 
         evaluations = evaluate_aggregates(network, edge_table, [(loc, spec)])
         neighbors, radius = evaluations[0]
     """
-    validate_kernel(kernel)
     if not items:
         return []
     object_count = edge_table.object_count
@@ -363,7 +355,6 @@ def evaluate_aggregates(
         requests,
         counters=counters,
         csr=csr,
-        kernel=kernel,
         share=True,
     )
     return [

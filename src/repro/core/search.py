@@ -44,12 +44,6 @@ from repro.exceptions import InvalidQueryError, NodeNotFoundError
 from repro.network.csr import CSRGraph, csr_snapshot
 from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation, RoadNetwork
-from repro.network.kernels import (
-    DEFAULT_KERNEL,
-    KERNEL_CSR,
-    KERNEL_NATIVE,
-    validate_kernel,
-)
 
 _INF = float("inf")
 
@@ -131,7 +125,7 @@ class ExpansionRequest:
     Fields mirror the keyword arguments of :func:`expand_knn` one-to-one;
     see its docstring for the semantics of each.  Monitors collect one
     request per query they need to (re)compute in a tick and flush the
-    whole batch through a single kernel call.
+    whole batch through a single :func:`expand_knn_batch` call.
 
     Example::
 
@@ -229,20 +223,13 @@ def expand_knn_batch(
     requests: List[ExpansionRequest],
     counters: Optional[SearchCounters] = None,
     csr: Optional[CSRGraph] = None,
-    kernel: str = DEFAULT_KERNEL,
     share: bool = False,
 ) -> List[SearchOutcome]:
     """Run a batch of expansions over one shared snapshot.
 
-    The single entry point of every monitor's per-tick flush; *kernel*
-    picks the settle engine and nothing else.  With ``kernel="csr"``
-    (default) each request is served by a plain :func:`expand_knn` call
-    over the shared snapshot.  ``kernel="native"`` serves the batch through
-    the compiled settle loop of :mod:`repro.network.native` (transparently
-    falling back to the ``csr`` path when no compiled backend is
-    available).  Outcomes are byte-identical across the kernels and are
-    returned in request order; see :mod:`repro.network.kernels` for the
-    registry.
+    The single entry point of every monitor's per-tick flush: each request
+    is served by a plain :func:`expand_knn` call over the shared snapshot,
+    and the outcomes are returned in request order.
 
     With ``share=True`` the batch first groups *fresh* location-rooted
     requests (no resume state, candidates, barriers or coverage radius) by
@@ -260,7 +247,6 @@ def expand_knn_batch(
         requests = [ExpansionRequest(k=4, query_location=loc) for loc in locations]
         outcomes = expand_knn_batch(network, edge_table, requests, share=True)
     """
-    validate_kernel(kernel)
     if csr is None:
         csr = csr_snapshot(network)
     if share and len(requests) > 1:
@@ -292,7 +278,6 @@ def expand_knn_batch(
                 [requests[index] for index in physical],
                 counters=counters,
                 csr=csr,
-                kernel=kernel,
             )
             by_index = dict(zip(physical, outcomes))
             return [
@@ -301,41 +286,6 @@ def expand_knn_batch(
                 else by_index[index]
                 for index, request in enumerate(requests)
             ]
-    if kernel == KERNEL_NATIVE:
-        # Frontier-continuation requests (seed_nodes) are a coordinator-side
-        # shape the compiled engine does not serve; route them through
-        # the reference heap path and the rest through the kernel, keeping
-        # request order.
-        seeded = [i for i, request in enumerate(requests) if request.seed_nodes]
-        plain = [i for i in range(len(requests)) if i not in set(seeded)]
-        if seeded and plain:
-            by_index: Dict[int, SearchOutcome] = {}
-            kernel_outcomes = expand_knn_batch(
-                network,
-                edge_table,
-                [requests[i] for i in plain],
-                counters=counters,
-                csr=csr,
-                kernel=kernel,
-            )
-            by_index.update(zip(plain, kernel_outcomes))
-            for i in seeded:
-                by_index[i] = expand_knn_batch(
-                    network,
-                    edge_table,
-                    [requests[i]],
-                    counters=counters,
-                    csr=csr,
-                    kernel=KERNEL_CSR,
-                )[0]
-            return [by_index[i] for i in range(len(requests))]
-        if not seeded:
-            from repro.network.native import native_expand_batch
-
-            return native_expand_batch(
-                network, edge_table, requests, csr=csr, counters=counters
-            )
-        # all seeded: fall through to the reference path below
     return [
         expand_knn(
             network,

@@ -49,7 +49,6 @@ from repro.exceptions import (
     UnknownQueryError,
 )
 from repro.network.edge_table import EdgeTable
-from repro.network.kernels import DEFAULT_KERNEL, registered_kernels, resolve_kernel
 from repro.network.graph import NetworkLocation, RoadNetwork
 from repro.network.record import (
     ColumnReader,
@@ -119,7 +118,6 @@ class MonitoringServer:
         network: RoadNetwork,
         algorithm: Union[str, MonitorBase] = "ima",
         edge_table: Optional[EdgeTable] = None,
-        kernel: str = DEFAULT_KERNEL,
         *,
         workers: int = 1,
         partitioning: str = "replica",
@@ -133,18 +131,6 @@ class MonitoringServer:
                 an already constructed monitor instance bound to the same
                 network and edge table.
             edge_table: optionally a pre-populated edge table to share.
-            kernel: settle engine for by-name algorithms — any name in
-                the :mod:`repro.network.kernels` registry: ``"csr"``
-                (default, binary heap) or ``"native"`` (the compiled C
-                settle loop of :mod:`repro.network.native`, which falls
-                back to ``"csr"`` where it cannot build).  A tick is
-                collect-then-flush for every kernel; the name only picks
-                the engine that serves the tick's batched expansions, and
-                results are identical.  Validated here at construction —
-                an unknown name raises
-                :class:`~repro.exceptions.UnknownKernelError` — then
-                ignored when *algorithm* is an already constructed
-                monitor.
             workers: number of query-execution processes (keyword-only).
                 ``1`` (default) runs everything in-process; larger values
                 hand construction over to
@@ -169,15 +155,10 @@ class MonitoringServer:
                 f"a single-process server supports only partitioning="
                 f"'replica', got {partitioning!r}"
             )
-        # Fail construction on a bad kernel name even when the monitors are
-        # built elsewhere (sharded subclass) or the name will be ignored
-        # (pre-built monitor instance): a typo should never survive to the
-        # first tick.
-        kernel = resolve_kernel(kernel).name
         network.freeze()  # a fixed graph: closures are weights
         self._network = network
         self._edge_table = edge_table if edge_table is not None else EdgeTable(network)
-        self._monitor = self._make_monitor(algorithm, kernel)
+        self._monitor = self._make_monitor(algorithm)
         self._pending = UpdateBatch(timestamp=0)
         self._timestamp = 0
         # The objects the pending buffer touched, each where the buffer
@@ -206,9 +187,7 @@ class MonitoringServer:
             )
         return key
 
-    def _make_monitor(
-        self, algorithm: Union[str, MonitorBase], kernel: str
-    ) -> Optional[MonitorBase]:
+    def _make_monitor(self, algorithm: Union[str, MonitorBase]) -> Optional[MonitorBase]:
         """Resolve *algorithm* to the in-process monitor instance.
 
         The sharded subclass overrides this to validate the name and return
@@ -217,7 +196,7 @@ class MonitoringServer:
         if isinstance(algorithm, MonitorBase):
             return algorithm
         key = self._resolve_algorithm_key(algorithm)
-        return ALGORITHMS[key](self._network, self._edge_table, kernel=kernel)
+        return ALGORITHMS[key](self._network, self._edge_table)
 
     # ------------------------------------------------------------------
     # properties
@@ -693,10 +672,9 @@ class MonitoringServer:
         idiom, then one small pickle of the monitor (including its
         per-query float history), query maps, pending buffer and timestamp
         in which the network and the edge table are references, not
-        copies.  Restore it with :func:`restore_server`.  Kernel snapshots
-        (the CSR columns, native support) are deliberately *not* captured;
-        they are rebuilt deterministically from the restored weights on
-        first use.
+        copies.  Restore it with :func:`restore_server`.  The CSR
+        adjacency is deliberately *not* captured; it is rebuilt
+        deterministically from the restored network on first use.
 
         The blob is same-release: restore it with the release that took it.
 
@@ -866,19 +844,6 @@ def load_snapshot(blob, static=None) -> Dict[str, object]:
     return state
 
 
-def _require_registered_kernel(kernel: object) -> None:
-    """Refuse a snapshot whose kernel name this version does not register.
-
-    Checked at restore, so a durable recovery fails before it replays or
-    logs anything, instead of at the first tick.
-    """
-    if kernel not in registered_kernels():
-        raise RecoveryError(
-            f"snapshot was written with kernel {kernel!r}, which is not "
-            f"registered; registered kernels: {', '.join(registered_kernels())}"
-        )
-
-
 def restore_server(blob, static=None) -> MonitoringServer:
     """Rebuild a server from a :meth:`MonitoringServer.snapshot_state` blob.
 
@@ -898,8 +863,7 @@ def restore_server(blob, static=None) -> MonitoringServer:
             ``snapshot_state(static=False)``.
 
     Raises:
-        RecoveryError: if the blob does not decode to a supported snapshot,
-            or names a kernel this version does not register.
+        RecoveryError: if the blob does not decode to a supported snapshot.
 
     Example::
 
@@ -919,7 +883,6 @@ def restore_server(blob, static=None) -> MonitoringServer:
             raise RecoveryError(
                 f"in-process snapshot holds {type(server._monitor).__name__}, not a monitor"
             )
-        _require_registered_kernel(server._monitor.kernel)
         return server
     from repro.core.sharding import ShardedMonitoringServer
 

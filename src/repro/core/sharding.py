@@ -65,7 +65,7 @@ from repro.core.base import MonitorBase, TimestepReport
 from repro.core.events import QueryUpdate, UpdateBatch, apply_batch, encode_batch
 from repro.core.queries import QuerySpec, merge_aggregate
 from repro.core.results import KnnResult
-from repro.core.server import ALGORITHMS, MonitoringServer, _require_registered_kernel
+from repro.core.server import ALGORITHMS, MonitoringServer
 from repro.core.worker import ShardInit, run_shard_worker, shard_of
 from repro.exceptions import (
     MonitoringError,
@@ -76,7 +76,6 @@ from repro.exceptions import (
 from repro.network.csr import csr_snapshot, grow_partitions, partition_block
 from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation, RoadNetwork
-from repro.network.kernels import DEFAULT_KERNEL
 from repro.network.record import encode_network
 
 #: The two supported partitioning modes of :class:`ShardedMonitoringServer`.
@@ -186,7 +185,6 @@ class ShardedMonitoringServer(MonitoringServer):
         network: RoadNetwork,
         algorithm: Union[str, MonitorBase] = "ima",
         edge_table: Optional[EdgeTable] = None,
-        kernel: str = DEFAULT_KERNEL,
         *,
         workers: int = 2,
         partitioning: str = "replica",
@@ -202,9 +200,6 @@ class ShardedMonitoringServer(MonitoringServer):
                 are rejected because monitors live in the workers.
             edge_table: optionally a pre-populated edge table; its objects
                 are shipped to every worker as the initial placements.
-            kernel: any registered kernel name (see
-                :mod:`repro.network.kernels`) for the workers' monitors;
-                ``"csr"`` by default.
             workers: number of worker processes (>= 1).
             partitioning: ``"replica"`` (default) hash-partitions queries
                 over full network replicas; ``"graph"`` partitions the
@@ -249,12 +244,10 @@ class ShardedMonitoringServer(MonitoringServer):
         self._boundary_refresh_needed = False
         self._last_max_shard_seconds = 0.0
         self._last_max_shard_cpu_seconds = 0.0
-        super().__init__(network, algorithm, edge_table, kernel)
+        super().__init__(network, algorithm, edge_table)
         self._spawn_workers(initial_queries={})
 
-    def _make_monitor(
-        self, algorithm: Union[str, MonitorBase], kernel: str
-    ) -> Optional[MonitorBase]:
+    def _make_monitor(self, algorithm: Union[str, MonitorBase]) -> Optional[MonitorBase]:
         """Validate and record the worker algorithm; no in-process monitor."""
         if isinstance(algorithm, MonitorBase):
             raise MonitoringError(
@@ -262,7 +255,6 @@ class ShardedMonitoringServer(MonitoringServer):
                 "live in worker processes); got a monitor instance"
             )
         self._algorithm_key = self._resolve_algorithm_key(algorithm)
-        self._kernel = kernel
         return None
 
     # ------------------------------------------------------------------
@@ -461,7 +453,6 @@ class ShardedMonitoringServer(MonitoringServer):
             ShardInit(
                 shard_id=part,
                 algorithm=self._algorithm_key,
-                kernel=self._kernel,
                 network_blob=shipped[part][0],
                 weights=shipped[part][1],
                 objects=objects,
@@ -999,7 +990,6 @@ class ShardedMonitoringServer(MonitoringServer):
             "sharded",
             {
                 "algorithm": self._algorithm_key,
-                "kernel": self._kernel,
                 "workers": self._num_workers,
                 "partitioning": self._partitioning,
                 "shards": self._num_shards,
@@ -1019,10 +1009,9 @@ class ShardedMonitoringServer(MonitoringServer):
         Invoked by :func:`~repro.core.server.restore_server`; bypasses
         ``__init__`` (the snapshot already holds constructed state) and
         respawns the fleet from the per-shard monitor blobs.  Keys it does
-        not read — such as the copy-mode flag older versions wrote — are
-        ignored, so their snapshots still restore; a kernel name the
-        registry no longer holds is a :class:`RecoveryError` before any
-        worker spawns.
+        not read — such as the copy-mode flag and the settle-engine name
+        older versions wrote — are ignored, so their snapshots still
+        restore.
         """
         try:
             server = object.__new__(cls)
@@ -1037,7 +1026,6 @@ class ShardedMonitoringServer(MonitoringServer):
             server._merged_results = dict(state["merged_results"])
             server._finalizer = None
             server._algorithm_key = state["algorithm"]
-            server._kernel = state["kernel"]
             server._monitor = None
             server._adopt_snapshot(state)
             server._assignment = {}
@@ -1050,7 +1038,6 @@ class ShardedMonitoringServer(MonitoringServer):
             shard_blobs = list(state["shard_blobs"])
         except KeyError as exc:
             raise RecoveryError(f"sharded snapshot is missing field {exc}") from exc
-        _require_registered_kernel(server._kernel)
         server._spawn_workers(initial_queries={}, monitor_blobs=shard_blobs)
         return server
 

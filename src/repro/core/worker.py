@@ -86,15 +86,10 @@ class ShardInit:
     weight column and is decoded *inside* the worker: the coordinator keeps
     no decoded copy, and the ``spawn`` start method ships the bytes without
     a decode/re-encode round trip.
-    ``kernel`` names the settle engine of the worker monitor (``"csr"`` or
-    ``"native"``); a tick is collect-then-flush for every kernel, and each
-    worker derives any per-epoch engine support from its own snapshot, so
-    the choice needs no extra shared state.
     """
 
     shard_id: int
     algorithm: str
-    kernel: str
     #: this shard's network as one :mod:`repro.network.record`; ``None``
     #: when ``monitor_blob`` is set (a restored monitor embeds its own
     #: network).
@@ -317,7 +312,7 @@ def _build_state(init: ShardInit):
     for object_id, location in init.objects.items():
         if network.has_edge(location.edge_id):
             edge_table.insert_object(object_id, location)
-    monitor = ALGORITHMS[init.algorithm](network, edge_table, kernel=init.kernel)
+    monitor = ALGORITHMS[init.algorithm](network, edge_table)
     results: Dict[int, KnnResult] = {}
     for query_id, (location, k) in init.queries.items():
         results[query_id] = _plain_result(monitor.register_query(query_id, location, k))

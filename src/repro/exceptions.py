@@ -134,31 +134,6 @@ class InvalidQueryError(MonitoringError):
     """Raised when a query is malformed (e.g. k < 1)."""
 
 
-class UnknownKernelError(MonitoringError):
-    """Raised when a search-kernel name is not in the kernel registry.
-
-    The message names every registered kernel (and whether the compiled
-    ``native`` backend is importable on this machine), so a typo'd
-    ``kernel=`` argument fails at construction with the valid choices in
-    hand instead of deep inside the first tick.
-
-    Example::
-
-        try:
-            MonitoringServer(network, kernel="nativ")
-        except UnknownKernelError as exc:
-            print(exc.kernel, exc.choices)
-    """
-
-    def __init__(self, kernel: object, choices: tuple, detail: str = "") -> None:
-        suffix = f" ({detail})" if detail else ""
-        super().__init__(
-            f"unknown kernel {kernel!r}; choose one of {tuple(choices)}{suffix}"
-        )
-        self.kernel = kernel
-        self.choices = tuple(choices)
-
-
 class ServerFailedError(MonitoringError):
     """Raised when a server is used after a fatal tick failure.
 
@@ -178,7 +153,19 @@ class ServerFailedError(MonitoringError):
 
 
 class ServiceError(ReproError):
-    """Base class for errors raised by the durable streaming service."""
+    """Base class for errors raised by the durable streaming service.
+
+    Attributes:
+        remote_type: on an error reply that
+            :class:`~repro.service.client.ServiceClient` re-raises, the name
+            of the exception type the service raised (e.g.
+            ``"UnknownObjectError"``), so a caller can branch on it without
+            parsing the message; ``None`` on an error raised locally.
+    """
+
+    def __init__(self, message: str = "", remote_type: Optional[str] = None) -> None:
+        super().__init__(message)
+        self.remote_type = remote_type
 
 
 class EventLogError(ServiceError):

@@ -16,17 +16,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "repro.network.record": ("write_network", "encode_network", "decode_network"),
         "repro.network.csr": ("CSRGraph", "csr_snapshot"),
         "repro.network.sequences": ("SequenceTable", "SequenceInfo"),
-        "repro.network.kernels": (
-            "KernelSpec",
-            "KERNEL_CSR",
-            "KERNEL_NATIVE",
-            "DEFAULT_KERNEL",
-            "registered_kernels",
-            "available_kernels",
-            "resolve_kernel",
-            "validate_kernel",
-        ),
-        "repro.network.native": ("native_available",),
         "repro.network.builders": (
             "build_network",
             "grid_network",

@@ -157,8 +157,6 @@ class CSRGraph:
         self.edge_base_weight = array("d")
         self.edge_oneway = bytearray()
         self.frozen = False
-        self._weights_epoch = 0
-        self._native_support = None
         self._scratch = None
         self._edge_scratch = None
 
@@ -240,7 +238,6 @@ class CSRGraph:
             end_slot = self.edge_end_slot[position]
             if end_slot >= 0:
                 adj_weight[end_slot] = weight
-        self._weights_epoch += 1
 
     def set_weights(self, weights: Sequence[float]) -> None:
         """Overwrite the whole current-weight column, in place."""
@@ -254,7 +251,6 @@ class CSRGraph:
                 adj_weight[start_slot] = weight
                 if end_slot >= 0:
                     adj_weight[end_slot] = weight
-        self._weights_epoch += 1
 
     # ------------------------------------------------------------------
     # queries
@@ -290,45 +286,6 @@ class CSRGraph:
             (self.adj_eid[slot], self.adj_node[slot], self.adj_weight[slot])
             for slot in range(start, stop)
         ]
-
-    # ------------------------------------------------------------------
-    # kernel support metadata
-    # ------------------------------------------------------------------
-    @property
-    def weights_epoch(self) -> int:
-        """Counter bumped on every weight write.
-
-        Derived per-weight metadata (the native kernel's numpy column
-        mirrors) caches against this value and rebuilds lazily
-        when it moves, so a storm of ``set_edge_weight`` calls costs one
-        refresh at the next kernel use instead of one per call.
-
-        Example::
-
-            before = csr_snapshot(network).weights_epoch
-            network.set_edge_weight(edge_id, 2.5)
-            assert csr_snapshot(network).weights_epoch > before
-        """
-        return self._weights_epoch
-
-    def current_native_support(self):
-        """The cached :class:`~repro.network.native.NativeSupport`, or None.
-
-        Returns None when no ``native`` batch built one yet or when the
-        weights moved on since (:attr:`weights_epoch`).  Never builds: the
-        monitors' influence flush reads it so that the vectorized span path
-        runs only where the tick's engine already paid for the numpy
-        mirrors — a ``csr`` tick never triggers the per-epoch rebuild.
-
-        Example::
-
-            support = csr_snapshot(network).current_native_support()
-            print(support is not None)
-        """
-        support = self._native_support
-        if support is not None and support.epoch == self._weights_epoch:
-            return support
-        return None
 
     # ------------------------------------------------------------------
     # scratch buffers (allocated on first use: a coordinator never searches)

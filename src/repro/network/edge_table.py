@@ -77,9 +77,8 @@ class EdgeTable:
         # invalidated on mutation; the search kernel scans these on its hot
         # path instead of re-deriving fractions through per-object lookups.
         self._fraction_cache: Dict[int, Tuple[Tuple[int, float], ...]] = {}
-        # Monotone mutation counter; bumped by every insert/remove/move so
-        # derived object columns (the native kernel's flattened CSR of
-        # objects per edge) can be cached and invalidated cheaply.
+        # Monotone mutation counter, bumped by every insert/remove/move;
+        # the checkpoint header records it.
         self._version = 0
         self._indexed = build_spatial_index
         self._spatial_index: Optional[PMRQuadtree] = None
@@ -121,9 +120,8 @@ class EdgeTable:
     def version(self) -> int:
         """Monotone counter of object mutations (insert/remove/move).
 
-        Derived per-batch structures (e.g. the native kernel's flattened
-        object columns) key their caches on this value: equal versions
-        guarantee an identical object population.
+        A checkpoint's header records it (see
+        :meth:`~repro.core.server.MonitoringServer.snapshot_state`).
 
         Example::
 

@@ -49,7 +49,7 @@ from repro.utils.validation import require_positive
 #: Closures instead pin the weight to this huge, exactly-representable
 #: power of two — traversal stays defined (an object on a closed edge keeps a
 #: finite, astronomically large distance and drops out of any realistic k-NN
-#: result) and all kernels agree byte-for-byte.  See ``docs/queries.md``.
+#: result) and every monitor agrees with the oracle.  See ``docs/queries.md``.
 CLOSED_EDGE_WEIGHT = 2.0**40
 
 

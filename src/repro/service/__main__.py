@@ -26,7 +26,6 @@ import asyncio
 import pathlib
 
 from repro.network.builders import city_network
-from repro.network.kernels import DEFAULT_KERNEL, registered_kernels
 from repro.service.durable import DurableMonitoringServer, _CHECKPOINT_DIRNAME
 from repro.service.server import StreamingService
 
@@ -49,9 +48,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--network-edges", type=int, default=120)
     parser.add_argument("--algorithm", default="IMA")
-    parser.add_argument(
-        "--kernel", default=DEFAULT_KERNEL, choices=registered_kernels()
-    )
     parser.add_argument(
         "--workers", type=int, default=None, help="shard across N worker processes"
     )
@@ -91,7 +87,6 @@ def main(argv=None) -> int:
                 args.seed,
                 args.network_edges,
                 args.algorithm,
-                args.kernel,
                 args.workers,
             )
         else:
@@ -99,16 +94,13 @@ def main(argv=None) -> int:
             if args.workers is None:
                 from repro.core.server import MonitoringServer
 
-                server = MonitoringServer(
-                    network, algorithm=args.algorithm, kernel=args.kernel
-                )
+                server = MonitoringServer(network, algorithm=args.algorithm)
             else:
                 from repro.core.sharding import ShardedMonitoringServer
 
                 server = ShardedMonitoringServer(
                     network,
                     algorithm=args.algorithm,
-                    kernel=args.kernel,
                     workers=args.workers,
                 )
         durable = DurableMonitoringServer(

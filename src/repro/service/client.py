@@ -23,7 +23,7 @@ class ServiceClient:
     """Synchronous client connection to a :class:`StreamingService`.
 
     Error replies are re-raised locally as :class:`ServiceError` carrying
-    the server-side exception type and message.
+    the server-side exception type (as ``remote_type``) and message.
 
     Example::
 
@@ -70,7 +70,7 @@ class ServiceClient:
             if message[0] == "ok":
                 return message[1]
             if message[0] == "error":
-                raise ServiceError(f"{message[1]}: {message[2]}")
+                raise ServiceError(f"{message[1]}: {message[2]}", remote_type=message[1])
             raise ServiceError(f"unexpected reply frame: {message!r}")
 
     def poll_delta(

@@ -41,7 +41,6 @@ from repro.core.events import apply_batch
 from repro.exceptions import RecoveryError, ServiceError
 from repro.network.builders import city_network
 from repro.network.edge_table import EdgeTable
-from repro.network.kernels import DEFAULT_KERNEL
 from repro.service.client import ServiceClient
 from repro.service.durable import KILL_AT_ENV
 from repro.testing.scenarios import ScenarioEngine, resolve_scenario
@@ -55,7 +54,6 @@ def build_scenario_server(
     seed: int,
     network_edges: int,
     algorithm: str,
-    kernel: str,
     workers: Optional[int],
 ):
     """Build a fresh monitoring server primed from a scenario preset.
@@ -78,15 +76,12 @@ def build_scenario_server(
     for object_id, location in engine.initial_objects().items():
         edge_table.insert_object(object_id, location)
     if workers is None:
-        server = MonitoringServer(
-            replica, algorithm=algorithm, edge_table=edge_table, kernel=kernel
-        )
+        server = MonitoringServer(replica, algorithm=algorithm, edge_table=edge_table)
     else:
         server = ShardedMonitoringServer(
             replica,
             algorithm=algorithm,
             edge_table=edge_table,
-            kernel=kernel,
             workers=workers,
         )
     for query_id, (location, k) in engine.initial_queries().items():
@@ -168,7 +163,6 @@ def run_fault_injection(
     ticks: int = 8,
     network_edges: int = 120,
     algorithm: str = "IMA",
-    kernel: str = DEFAULT_KERNEL,
     workers: Optional[int] = None,
     kill_mode: str = "after-log",
     kill_at: Optional[int] = None,
@@ -188,7 +182,7 @@ def run_fault_injection(
         seed: scenario seed (also rotates the default kill tick).
         ticks: how many timestamps to run.
         network_edges: size of the generated road network.
-        algorithm / kernel / workers: monitoring server configuration.
+        algorithm / workers: monitoring server configuration.
         kill_mode: one of :data:`KILL_MODES` (see the module docstring).
         kill_at: tick to kill at; default picks one from *seed*.
         data_dir: service data directory; default is a fresh temporary one,
@@ -246,8 +240,6 @@ def run_fault_injection(
         str(network_edges),
         "--algorithm",
         algorithm,
-        "--kernel",
-        kernel,
     ]
     if workers is not None:
         command += ["--workers", str(workers)]
@@ -269,9 +261,7 @@ def run_fault_injection(
     for object_id, location in engine.initial_objects().items():
         edge_table.insert_object(object_id, location)
 
-    reference = build_scenario_server(
-        scenario, seed, network_edges, algorithm, kernel, workers
-    )
+    reference = build_scenario_server(scenario, seed, network_edges, algorithm, workers)
 
     first_env = {KILL_AT_ENV: str(kill_at)} if kill_mode == "after-log" else {}
     proc, (host, port) = launch(first_env)

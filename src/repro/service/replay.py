@@ -10,7 +10,7 @@ workload replays clean.
 Typical use::
 
     python -m repro.service.replay /tmp/svc
-    python -m repro.service.replay /tmp/svc --algorithms IMA GMA-native --max-ticks 50
+    python -m repro.service.replay /tmp/svc --algorithms IMA GMA --max-ticks 50
 """
 
 from __future__ import annotations

@@ -40,7 +40,6 @@ from repro.mobility.random_walk import RandomWalkModel
 from repro.mobility.traffic import TrafficModel
 from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation, RoadNetwork
-from repro.network.kernels import DEFAULT_KERNEL
 from repro.sim.datasets import san_francisco_like
 from repro.sim.metrics import AlgorithmMetrics, SimulationResult
 from repro.sim.workload import WorkloadConfig
@@ -177,7 +176,6 @@ class Simulator:
         self,
         algorithm: str = "ima",
         workers: int = 1,
-        kernel: str = DEFAULT_KERNEL,
         partitioning: str = "replica",
     ) -> MonitoringServer:
         """Build a :class:`MonitoringServer` sharing this scenario's state.
@@ -187,11 +185,7 @@ class Simulator:
         queries are installed through the server's pending buffer and take
         effect at its first tick.  Pass ``workers > 1`` for a sharded
         multi-process server (close it when done — e.g. drive it inside a
-        ``with`` block).  ``kernel`` names any registered search kernel
-        (see :mod:`repro.network.kernels`); an unknown name fails here, at
-        construction, with
-        :class:`~repro.exceptions.UnknownKernelError`.
-        ``partitioning="graph"`` builds the sharded server over network
+        ``with`` block).  ``partitioning="graph"`` builds the sharded server over network
         region shards instead of full replicas (see
         :class:`~repro.core.sharding.ShardedMonitoringServer`).
         """
@@ -200,7 +194,6 @@ class Simulator:
             algorithm,
             edge_table=self._edge_table,
             workers=workers,
-            kernel=kernel,
             partitioning=partitioning,
         )
         for query_id, location in self._query_locations.items():

@@ -105,8 +105,12 @@ class WorkloadConfig:
     def paper_scale(cls, **overrides) -> "WorkloadConfig":
         """The paper's full-size default setting (Table 2), optionally overridden.
 
-        Running it takes hours in pure Python; benchmarks use the scaled
-        defaults of the plain constructor and document the scaling factor.
+        Its 100 timestamps take about six minutes in pure Python: one
+        :meth:`~repro.sim.simulator.Simulator.run` of all three monitors
+        spent 73 s in OVH, 123 s in IMA and 131 s in GMA after a 1 s
+        set-up (2-vCPU x86-64 VM, CPython 3.11).  Benchmarks use the
+        scaled defaults of the plain constructor and document the scaling
+        factor.
         """
         values = dict(PAPER_DEFAULTS)
         values.update(overrides)

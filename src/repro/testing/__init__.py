@@ -13,8 +13,7 @@ This package is the correctness backbone the optimisation work leans on:
   reproducible :class:`~repro.core.events.UpdateBatch` streams, with the
   named presets of :data:`~repro.testing.scenarios.SCENARIO_PRESETS`.
 * :func:`~repro.testing.harness.run_differential_scenario` — runs the
-  monitoring algorithms (on any registered kernel) in
-  lock-step over a scenario and compares every result of every tick against
+  monitoring algorithms in lock-step over a scenario and compares every result of every tick against
   the oracle, reporting a one-command replay line on mismatch.
 """
 

@@ -2,7 +2,7 @@
 
 :func:`run_differential_scenario` builds a seeded network and scenario
 stream, runs the requested monitoring algorithms in lock-step — by default
-IMA and GMA on the default kernel — and compares every
+IMA and GMA — and compares every
 query's result at every timestamp against the independent
 :class:`~repro.testing.oracle.OracleMonitor`.  The returned report carries a
 one-command replay line so any fuzz failure reproduces locally from just
@@ -25,43 +25,24 @@ from repro.exceptions import SimulationError
 from repro.network.builders import city_network
 from repro.network.edge_table import EdgeTable
 from repro.network.graph import RoadNetwork
-from repro.network.kernels import (
-    DEFAULT_KERNEL,
-    KERNEL_NATIVE,
-    registered_kernels,
-)
 from repro.testing.oracle import OracleMonitor
 from repro.testing.scenarios import MIXED_QUERY_MIX, ScenarioEngine, resolve_scenario
 
-#: Algorithm names accepted by :func:`run_differential_scenario`: an
-#: optional ``-native`` suffix selects the kernel.
+#: Algorithm names accepted by :func:`run_differential_scenario`.
 _MONITOR_CLASSES = {"OVH": OvhMonitor, "IMA": ImaMonitor, "GMA": GmaMonitor}
 
-#: The default panel: both incremental monitors on the default kernel,
-#: which must agree with the oracle.
+#: The default panel: both incremental monitors, which must agree with the
+#: oracle.
 DEFAULT_ALGORITHMS = ("IMA", "GMA")
-
-#: The compiled-settle-loop panel (the ``FUZZ_KERNEL=native`` leg): the
-#: native monitors next to their CSR references, all diffed against the
-#: oracle.  When the compiler is unavailable the native kernel serves the
-#: same requests through its csr fallback, so the leg still runs — it
-#: just stops exercising the C path.
-NATIVE_ALGORITHMS = ("IMA-native", "GMA-native", "IMA", "GMA")
-
-#: ``algorithm-variant`` suffixes accepted by :func:`_make_monitor`: every
-#: registered kernel, with the bare name meaning the default kernel.
-_VARIANTS = ("",) + registered_kernels()
 
 
 def _make_monitor(name: str, network, edge_table) -> MonitorBase:
-    base, _, variant = name.partition("-")
-    cls = _MONITOR_CLASSES.get(base.upper())
-    if cls is None or variant not in _VARIANTS:
+    cls = _MONITOR_CLASSES.get(name.upper())
+    if cls is None:
         raise SimulationError(
-            f"unknown differential algorithm {name!r}; use e.g. 'IMA' or 'GMA-native'"
+            f"unknown differential algorithm {name!r}; use one of {sorted(_MONITOR_CLASSES)}"
         )
-    kernel = variant if variant else DEFAULT_KERNEL
-    return cls(network, edge_table, kernel=kernel)
+    return cls(network, edge_table)
 
 
 def replay_command(
@@ -69,28 +50,22 @@ def replay_command(
     seed: int,
     workers: Optional[int] = None,
     server_algorithm: str = "ima",
-    server_kernel: str = DEFAULT_KERNEL,
-    kernel: str = DEFAULT_KERNEL,
     query_types: str = "default",
     dedup: bool = False,
     partitioning: str = "replica",
 ) -> str:
     """The one-command local reproduction of a fuzz failure.
 
-    When the failing run fuzzed the native monitor panel, the command
-    carries ``FUZZ_KERNEL=native`` so ``test_replay_from_env`` rebuilds the same
-    panel; when it overlaid the mixed query-type distribution it carries
-    ``FUZZ_QUERY_TYPES=mixed``.  When it drove servers (``workers`` set),
-    the command carries ``FUZZ_WORKERS`` (and ``FUZZ_SERVER_ALGORITHM`` /
-    ``FUZZ_SERVER_KERNEL`` when not the defaults) so a sharded-only
+    When the failing run overlaid the mixed query-type distribution, the
+    command carries ``FUZZ_QUERY_TYPES=mixed``.  When it drove servers
+    (``workers`` set), the command carries ``FUZZ_WORKERS`` (and
+    ``FUZZ_SERVER_ALGORITHM`` when not the default) so a sharded-only
     divergence reproduces too.  When it ran the dedup frontend next to the
     plain servers it carries ``FUZZ_DEDUP=1``, and when it additionally
     drove a graph-partitioned sharded leg it carries
     ``FUZZ_PARTITIONING=graph``.
     """
     env = f"FUZZ_SCENARIO={scenario} FUZZ_SEED={seed} "
-    if kernel != DEFAULT_KERNEL:
-        env += f"FUZZ_KERNEL={kernel} "
     if query_types != "default":
         env += f"FUZZ_QUERY_TYPES={query_types} "
     if dedup:
@@ -99,8 +74,6 @@ def replay_command(
         env += f"FUZZ_WORKERS={workers} "
         if server_algorithm.lower() != "ima":
             env += f"FUZZ_SERVER_ALGORITHM={server_algorithm} "
-        if server_kernel != DEFAULT_KERNEL:
-            env += f"FUZZ_SERVER_KERNEL={server_kernel} "
         if partitioning != "replica":
             env += f"FUZZ_PARTITIONING={partitioning} "
     return (
@@ -122,10 +95,6 @@ class DifferentialReport:
     #: emit a replay command that reconstructs the same servers
     workers: Optional[int] = None
     server_algorithm: str = "ima"
-    server_kernel: str = DEFAULT_KERNEL
-    #: the monitor panel of the run, carried so failure_message can emit
-    #: FUZZ_KERNEL for native-panel failures
-    algorithms: Tuple[str, ...] = ()
     #: the query-type overlay of the run ("default" or "mixed"), carried so
     #: failure_message can emit FUZZ_QUERY_TYPES
     query_types: str = "default"
@@ -151,15 +120,8 @@ class DifferentialReport:
             f"({len(self.mismatches)} mismatches over {self.timestamps} ticks):\n"
             f"  {shown}{suffix}\n"
             f"replay locally with:\n  "
-            f"{replay_command(self.scenario, self.seed, self.workers, self.server_algorithm, self.server_kernel, kernel=self.panel_kernel, query_types=self.query_types, dedup=self.dedup, partitioning=self.partitioning)}"
+            f"{replay_command(self.scenario, self.seed, self.workers, self.server_algorithm, query_types=self.query_types, dedup=self.dedup, partitioning=self.partitioning)}"
         )
-
-    @property
-    def panel_kernel(self) -> str:
-        """The non-default kernel the fuzzed monitor panel included, if any."""
-        if any(name.endswith(f"-{KERNEL_NATIVE}") for name in self.algorithms):
-            return KERNEL_NATIVE
-        return DEFAULT_KERNEL
 
 
 def _make_scenario_server(
@@ -167,7 +129,6 @@ def _make_scenario_server(
     engine: ScenarioEngine,
     algorithm: str,
     workers: Optional[int],
-    kernel: str = DEFAULT_KERNEL,
     dedup: bool = False,
     partitioning: str = "replica",
 ) -> MonitoringServer:
@@ -193,15 +154,12 @@ def _make_scenario_server(
     for object_id, location in engine.initial_objects().items():
         edge_table.insert_object(object_id, location)
     if workers is None:
-        server = MonitoringServer(
-            replica, algorithm=algorithm, edge_table=edge_table, kernel=kernel
-        )
+        server = MonitoringServer(replica, algorithm=algorithm, edge_table=edge_table)
     else:
         server = ShardedMonitoringServer(
             replica,
             algorithm=algorithm,
             edge_table=edge_table,
-            kernel=kernel,
             workers=workers,
             partitioning=partitioning,
         )
@@ -223,7 +181,6 @@ def run_differential_scenario(
     timestamps: Optional[int] = None,
     workers: Optional[int] = None,
     server_algorithm: str = "ima",
-    server_kernel: str = DEFAULT_KERNEL,
     query_types: str = "default",
     dedup: bool = False,
     partitioning: str = "replica",
@@ -325,11 +282,11 @@ def run_differential_scenario(
         # processes.  The baseline doubles as the byte-identity reference
         # for the dedup frontends.
         servers[f"{prefix}-server-single"] = _make_scenario_server(
-            network, engine, server_algorithm, workers=None, kernel=server_kernel
+            network, engine, server_algorithm, workers=None
         )
     if workers is not None:
         servers[f"{prefix}-server-x{workers}"] = _make_scenario_server(
-            network, engine, server_algorithm, workers=workers, kernel=server_kernel
+            network, engine, server_algorithm, workers=workers
         )
     graph_name: Optional[str] = None
     if partitioning == "graph" and workers is not None:
@@ -338,18 +295,15 @@ def run_differential_scenario(
         # replica/graph divergences are attributable to partitioning alone.
         graph_name = f"{prefix}-server-graph-x{workers}"
         servers[graph_name] = _make_scenario_server(
-            network, engine, server_algorithm, workers=workers,
-            kernel=server_kernel, partitioning=partitioning,
+            network, engine, server_algorithm, workers=workers, partitioning=partitioning
         )
     if dedup:
         servers[f"{prefix}-dedup-single"] = _make_scenario_server(
-            network, engine, server_algorithm, workers=None, kernel=server_kernel,
-            dedup=True,
+            network, engine, server_algorithm, workers=None, dedup=True
         )
         if workers is not None:
             servers[f"{prefix}-dedup-x{workers}"] = _make_scenario_server(
-                network, engine, server_algorithm, workers=workers,
-                kernel=server_kernel, dedup=True,
+                network, engine, server_algorithm, workers=workers, dedup=True
             )
 
     # Byte-identity of dedup vs plain results holds unless a tenant can
@@ -369,8 +323,6 @@ def run_differential_scenario(
         timestamps=rounds,
         workers=workers,
         server_algorithm=server_algorithm,
-        server_kernel=server_kernel,
-        algorithms=tuple(algorithms),
         query_types=query_types,
         dedup=dedup,
         partitioning=partitioning,
@@ -502,7 +454,6 @@ def run_differential_log(
         scenario=f"log:{data_dir}",
         seed=-1,
         timestamps=len(payloads),
-        algorithms=tuple(algorithms),
     )
     for payload in payloads:
         # Logged net, and marked so by the record; decoded before it is

@@ -11,7 +11,7 @@ k-NN queries (one full Dijkstra per aggregation point).  It deliberately
 shares nothing with the machinery under test: no expansion trees, no
 influence intervals, no candidate re-use, no CSR kernel.  Quadratic and
 slow by design; its value is that agreement with it is independent evidence
-that OVH, IMA and GMA (on any kernel) are correct — for every query type.
+that OVH, IMA and GMA are correct — for every query type.
 """
 
 from __future__ import annotations

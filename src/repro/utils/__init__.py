@@ -40,9 +40,8 @@ _NUMPY = False
 def optional_numpy():
     """The ``numpy`` module when it is installed, else ``None``.
 
-    numpy is an optional extra: bulk snapping and the native backend (with
-    its vectorized influence spans) use it, and no default serving path
-    does.
+    numpy is an optional extra: bulk snapping uses it, and no default
+    serving path does.
     It is imported on the first call and the outcome cached, so a process
     that never takes one of those paths never loads it.
     """

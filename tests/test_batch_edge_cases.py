@@ -11,8 +11,8 @@ bulk ingestion path that the fuzz scenarios hit probabilistically:
   a movement when the reinstall preserves the query type and parameters,
   splitting back into terminate+install when the spec (or kind) changed.
 
-Each case runs on every algorithm (and every available kernel where
-relevant) and is checked against the brute-force oracle.
+Each case runs on every algorithm and is checked against the brute-force
+oracle.
 """
 
 from __future__ import annotations
@@ -33,16 +33,13 @@ from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation
 from repro.core.results import results_equal
 
-from kernel_legs import kernel_legs
-
 ALGORITHMS = ["ovh", "ima", "gma"]
 
 
-def _server(algorithm, kernel="csr", seed=21, edges=120):
+def _server(algorithm, seed=21, edges=120):
     network = city_network(edges, seed=seed)
     server = MonitoringServer(
-        network, algorithm, edge_table=EdgeTable(network, build_spatial_index=False),
-        kernel=kernel,
+        network, algorithm, edge_table=EdgeTable(network, build_spatial_index=False)
     )
     return server, sorted(network.edge_ids())
 
@@ -59,10 +56,9 @@ def _check_against_oracle(server, query_id):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("kernel", kernel_legs())
-def test_add_and_remove_same_object_in_one_batch(algorithm, kernel):
+def test_add_and_remove_same_object_in_one_batch(algorithm):
     """An object appearing and disappearing in one tick is a net no-op."""
-    server, edges = _server(algorithm, kernel)
+    server, edges = _server(algorithm)
     for object_id in range(6):
         server.add_object(object_id, NetworkLocation(edges[object_id], 0.5))
     server.add_query(100, NetworkLocation(edges[3], 0.25), k=3)
@@ -90,10 +86,9 @@ def test_add_and_remove_same_object_in_one_batch(algorithm, kernel):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("kernel", kernel_legs())
-def test_k_larger_than_live_object_count(algorithm, kernel):
+def test_k_larger_than_live_object_count(algorithm):
     """Results stay incomplete (radius inf) and fill up as objects arrive."""
-    server, edges = _server(algorithm, kernel)
+    server, edges = _server(algorithm)
     server.add_object(0, NetworkLocation(edges[0], 0.5))
     server.add_object(1, NetworkLocation(edges[5], 0.5))
     server.add_query(100, NetworkLocation(edges[2], 0.5), k=5)
@@ -125,10 +120,9 @@ def test_k_larger_than_live_object_count(algorithm, kernel):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("kernel", kernel_legs())
-def test_query_moved_and_removed_in_same_tick(algorithm, kernel):
+def test_query_moved_and_removed_in_same_tick(algorithm):
     """A move followed by a termination in one batch terminates cleanly."""
-    server, edges = _server(algorithm, kernel)
+    server, edges = _server(algorithm)
     for object_id in range(8):
         server.add_object(object_id, NetworkLocation(edges[2 * object_id], 0.4))
     server.add_query(100, NetworkLocation(edges[1], 0.5), k=2)
@@ -188,9 +182,8 @@ def _specs_for(server, edges):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("kernel", kernel_legs())
 @pytest.mark.parametrize("kind", ["knn", "range", "aggregate_knn"])
-def test_same_tick_remove_add_preserving_spec_collapses(algorithm, kernel, kind):
+def test_same_tick_remove_add_preserving_spec_collapses(algorithm, kind):
     """remove_query + add_query of one id with the same spec is a movement.
 
     The Section 4.5 collapse turns the terminate+install into a single
@@ -198,7 +191,7 @@ def test_same_tick_remove_add_preserving_spec_collapses(algorithm, kernel, kind)
     state instead of recomputing from scratch, and the result at the new
     position must still match the ground truth.
     """
-    server, edges = _server(algorithm, kernel)
+    server, edges = _server(algorithm)
     for object_id in range(10):
         server.add_object(object_id, NetworkLocation(edges[3 * object_id], 0.4))
     spec = _specs_for(server, edges)[kind]
@@ -343,8 +336,8 @@ def test_same_tick_sole_tenant_swap_reinstalls_physical(algorithm):
 # weights, never float('inf').  An object sitting on a closed edge keeps a
 # defined (astronomically large) distance — it drops out of any k-NN
 # result with enough open competition but still fills result slots when
-# fewer than k objects are otherwise available, identically across every
-# kernel and the oracle.  True infinities are rejected at every layer.
+# fewer than k objects are otherwise available, identically in every
+# monitor and the oracle.  True infinities are rejected at every layer.
 
 import math
 
@@ -363,10 +356,9 @@ def _close_edge(server, edge_id):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("kernel", kernel_legs())
-def test_object_on_closed_edge_keeps_defined_distance(algorithm, kernel):
+def test_object_on_closed_edge_keeps_defined_distance(algorithm):
     """Closing the edge under an object leaves its distance finite."""
-    server, edges = _server(algorithm, kernel)
+    server, edges = _server(algorithm)
     for object_id in range(3):
         server.add_object(object_id, NetworkLocation(edges[object_id], 0.5))
     server.add_query(100, NetworkLocation(edges[5], 0.25), k=3)
@@ -386,10 +378,9 @@ def test_object_on_closed_edge_keeps_defined_distance(algorithm, kernel):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("kernel", kernel_legs())
-def test_closed_object_drops_behind_open_competition(algorithm, kernel):
+def test_closed_object_drops_behind_open_competition(algorithm):
     """With enough open objects, the stranded one leaves the result set."""
-    server, edges = _server(algorithm, kernel)
+    server, edges = _server(algorithm)
     for object_id in range(6):
         server.add_object(object_id, NetworkLocation(edges[object_id], 0.5))
     server.add_query(100, NetworkLocation(edges[1], 0.25), k=3)
@@ -405,10 +396,9 @@ def test_closed_object_drops_behind_open_competition(algorithm, kernel):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("kernel", kernel_legs())
-def test_closed_edge_reopening_restores_results(algorithm, kernel):
+def test_closed_edge_reopening_restores_results(algorithm):
     """Close then reopen at the original weight: results return exactly."""
-    server, edges = _server(algorithm, kernel)
+    server, edges = _server(algorithm)
     for object_id in range(5):
         server.add_object(object_id, NetworkLocation(edges[object_id], 0.5))
     server.add_query(100, NetworkLocation(edges[2], 0.75), k=2)

@@ -10,7 +10,7 @@ Three layers of coverage for the dedup subsystem:
   :func:`~repro.core.queries.evaluate_aggregates` must reproduce the
   unshared outcomes bit-for-bit with independent expansion states;
 * oracle-backed differentials — the popular-venue preset (the workload the
-  frontend exists for) through every server kernel and algorithm, sharded
+  frontend exists for) through every algorithm, sharded
   included, via ``run_differential_scenario(dedup=True)``; GMA/OVH venue
   runs additionally go through the harness's strict byte-identity branch.
 """
@@ -39,10 +39,7 @@ from repro.exceptions import (
 from repro.network.builders import city_network
 from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation
-from repro.network.kernels import registered_kernels
 from repro.testing import run_differential_scenario
-
-from kernel_legs import kernel_legs
 
 
 def _frontend(algorithm="ima", seed=21, edges=120, snap_tolerance=0.0, objects=8):
@@ -344,8 +341,7 @@ def test_dedup_over_sharded_server_fans_out():
 # ----------------------------------------------------------------------
 # shared-expansion cache
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("kernel", kernel_legs())
-def test_share_reproduces_unshared_outcomes(kernel):
+def test_share_reproduces_unshared_outcomes():
     """share=True returns bit-identical outcomes to independent runs."""
     network = city_network(120, seed=9)
     edges = sorted(network.edge_ids())
@@ -360,8 +356,8 @@ def test_share_reproduces_unshared_outcomes(kernel):
         ExpansionRequest(k=1, query_location=venue, fixed_radius=60.0),
         ExpansionRequest(k=2, query_location=NetworkLocation(edges[8], 0.7)),
     ]
-    shared = expand_knn_batch(network, edge_table, requests, kernel=kernel, share=True)
-    private = expand_knn_batch(network, edge_table, requests, kernel=kernel, share=False)
+    shared = expand_knn_batch(network, edge_table, requests, share=True)
+    private = expand_knn_batch(network, edge_table, requests, share=False)
     for got, want in zip(shared, private):
         assert got.neighbors == want.neighbors
         assert got.radius == want.radius
@@ -384,7 +380,7 @@ def test_share_derived_states_are_independent_copies():
         ExpansionRequest(k=2, query_location=venue),
         ExpansionRequest(k=4, query_location=venue),
     ]
-    outcomes = expand_knn_batch(network, edge_table, requests, kernel="csr", share=True)
+    outcomes = expand_knn_batch(network, edge_table, requests, share=True)
     snapshot = dict(outcomes[1].state.node_dist)
     outcomes[0].state.node_dist.clear()  # IMA mutates states in place
     assert outcomes[1].state.node_dist == snapshot
@@ -402,14 +398,13 @@ def test_share_respects_excluded_objects():
         ExpansionRequest(k=3, query_location=venue),
         ExpansionRequest(k=3, query_location=venue, excluded_objects={0, 1}),
     ]
-    shared = expand_knn_batch(network, edge_table, requests, kernel="csr", share=True)
-    private = expand_knn_batch(network, edge_table, requests, kernel="csr", share=False)
+    shared = expand_knn_batch(network, edge_table, requests, share=True)
+    private = expand_knn_batch(network, edge_table, requests, share=False)
     assert shared[1].neighbors == private[1].neighbors
     assert not {0, 1} & {object_id for object_id, _ in shared[1].neighbors}
 
 
-@pytest.mark.parametrize("kernel", kernel_legs())
-def test_evaluate_aggregates_matches_per_item_path(kernel):
+def test_evaluate_aggregates_matches_per_item_path():
     """The batched aggregate evaluator equals evaluate_aggregate item-wise."""
     network = city_network(120, seed=9)
     edges = sorted(network.edge_ids())
@@ -422,9 +417,9 @@ def test_evaluate_aggregates_matches_per_item_path(kernel):
         (NetworkLocation(edges[4], 0.3), aggregate_knn(3, (depot,), "max")),
         (NetworkLocation(edges[8], 0.7), aggregate_knn(2, (), "sum")),
     ]
-    batched = evaluate_aggregates(network, edge_table, items, kernel=kernel)
+    batched = evaluate_aggregates(network, edge_table, items)
     for (location, spec), got in zip(items, batched):
-        want = evaluate_aggregate(network, edge_table, location, spec, kernel="csr")
+        want = evaluate_aggregate(network, edge_table, location, spec)
         assert got == want
 
 
@@ -445,15 +440,13 @@ def test_evaluate_aggregates_empty_and_objectless():
 # ----------------------------------------------------------------------
 # oracle-backed differentials on the venue workload
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("kernel", kernel_legs())
-def test_popular_venue_dedup_matches_oracle(kernel):
-    """Every server kernel serves correct per-tenant results under dedup."""
+def test_popular_venue_dedup_matches_oracle():
+    """The server serves correct per-tenant results under dedup."""
     report = run_differential_scenario(
         "popular-venue",
-        seed=1404 + registered_kernels().index(kernel),
+        seed=1404,
         algorithms=(),
         dedup=True,
-        server_kernel=kernel,
     )
     assert report.checks > 0
     assert report.ok, report.failure_message()

@@ -122,6 +122,18 @@ class TestObjectBookkeeping:
             table.remove_object(object_id)
         assert table.objects_on(0) == set() and list(table.populated_edges()) == [1]
 
+    def test_edge_table_version_tracks_object_churn(self, line_network):
+        # The checkpoint header records this counter.
+        table = EdgeTable(line_network)
+        versions = [table.version]
+        table.insert_object(99, NetworkLocation(0, 0.5))
+        versions.append(table.version)
+        table.move_object(99, NetworkLocation(2, 0.25))
+        versions.append(table.version)
+        table.remove_object(99)
+        versions.append(table.version)
+        assert versions == sorted(set(versions))
+
     def test_failed_move_changes_nothing(self, line_network):
         table = EdgeTable(line_network)
         table.insert_object(1, NetworkLocation(0, 0.5))

@@ -1,8 +1,7 @@
 """Oracle-backed scenario fuzz suite.
 
 Every preset of :data:`repro.testing.SCENARIO_PRESETS` is run under several
-seeds (≥ 25 runs in total), with IMA and GMA — on the kernel panel picked
-by ``FUZZ_KERNEL`` — compared against the brute-force
+seeds (≥ 25 runs in total), with IMA and GMA compared against the brute-force
 :class:`~repro.testing.oracle.OracleMonitor` at every timestamp: identical
 distance profiles for every live query, and per-tick reports carrying the
 correct timestamps.
@@ -21,20 +20,11 @@ import os
 import pytest
 
 from repro.testing import SCENARIO_PRESETS, run_differential_scenario
-from repro.testing.harness import DEFAULT_ALGORITHMS, NATIVE_ALGORITHMS
+from repro.testing.harness import DEFAULT_ALGORITHMS
 
 #: Rotating base seed: CI exports the workflow run id, local runs use a
 #: fixed default so plain `pytest` stays deterministic.
 BASE_SEED = int(os.environ.get("FUZZ_BASE_SEED", "20060912"))
-
-#: Kernel matrix axis: ``FUZZ_KERNEL=native`` swaps the fuzzed monitor
-#: panel to the compiled settle loop (next to its CSR references); the
-#: default panel covers csr.
-_FUZZ_PANELS = {
-    "csr": DEFAULT_ALGORITHMS,
-    "native": NATIVE_ALGORITHMS,
-}
-FUZZ_ALGORITHMS = _FUZZ_PANELS[os.environ.get("FUZZ_KERNEL", "csr")]
 
 #: Query-type matrix axis: ``FUZZ_QUERY_TYPES=mixed`` overlays the mixed
 #: k-NN / range / aggregate query distribution on every preset.
@@ -67,12 +57,12 @@ def _seed(offset: int) -> int:
 @pytest.mark.parametrize("scenario", sorted(SCENARIO_PRESETS))
 @pytest.mark.parametrize("offset", range(SEEDS_PER_PRESET))
 def test_scenarios_match_oracle(scenario, offset):
-    """IMA/GMA on the fuzzed panel exactly match the oracle on every tick."""
+    """IMA/GMA exactly match the oracle on every tick."""
     seed = _seed(offset)
     report = run_differential_scenario(
         scenario,
         seed=seed,
-        algorithms=FUZZ_ALGORITHMS,
+        algorithms=DEFAULT_ALGORITHMS,
         query_types=FUZZ_QUERY_TYPES,
         dedup=FUZZ_DEDUP,
     )
@@ -96,12 +86,9 @@ def test_replay_from_env():
     report = run_differential_scenario(
         scenario,
         seed=int(seed),
-        # FUZZ_KERNEL=native reconstructs the monitor panel of
-        # the failing matrix leg (module-level FUZZ_ALGORITHMS reads it).
-        algorithms=FUZZ_ALGORITHMS,
+        algorithms=DEFAULT_ALGORITHMS,
         workers=int(workers) if workers else None,
         server_algorithm=os.environ.get("FUZZ_SERVER_ALGORITHM", "ima"),
-        server_kernel=os.environ.get("FUZZ_SERVER_KERNEL", "csr"),
         query_types=FUZZ_QUERY_TYPES,
         dedup=FUZZ_DEDUP,
         partitioning=FUZZ_PARTITIONING if workers else "replica",

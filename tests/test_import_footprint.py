@@ -7,8 +7,8 @@ Two checks:
   durable IMA server, a durable GMA server and durable replica- and
   graph-sharded servers that each tick, take coordinate verbs, checkpoint
   and recover, must leave numpy, ctypes, the test scaffolding, the fault
-  injector, the client, the compiled-kernel module and the shared-memory
-  machinery out of ``sys.modules``;
+  injector, the client and the shared-memory machinery out of
+  ``sys.modules``;
 * every name in the ``__all__`` of ``repro`` and of each subpackage must
   resolve, be listed by ``dir()`` and survive ``from package import *`` —
   the packages re-export lazily, so a mistyped table entry fails here
@@ -30,17 +30,16 @@ import repro
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
-#: Modules no serving path may load: numpy and the compiled kernel are
-#: opt-in accelerators, shard workers get everything over pipes (no shared
-#: memory, so no resource-tracker process either), and the rest is test and
-#: client scaffolding.
+#: Modules no serving path may load: numpy is an opt-in accelerator, shard
+#: workers get everything over pipes (no shared memory, so no
+#: resource-tracker process either), and the rest is test and client
+#: scaffolding.
 FORBIDDEN = (
     "numpy",
     "ctypes",
     "repro.testing",
     "repro.service.faults",
     "repro.service.client",
-    "repro.network.native",
     "multiprocessing.shared_memory",
     "multiprocessing.resource_tracker",
 )

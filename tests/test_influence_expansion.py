@@ -7,7 +7,6 @@ import random
 import pytest
 
 from repro.core.expansion import (
-    VECTOR_MIN_NODES,
     ExpansionState,
     compute_influence_map,
     compute_influence_maps,
@@ -19,13 +18,7 @@ from repro.network.builders import city_network
 from repro.network.csr import csr_snapshot
 from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation
-from repro.utils import optional_numpy
 from repro.utils.intervals import point_in_spans
-
-needs_numpy = pytest.mark.skipif(
-    optional_numpy() is None, reason="numpy unavailable; no NativeSupport mirrors"
-)
-
 
 def _populated(edges=400, objects=350, seed=9, network_seed=5):
     network = city_network(edges, seed=network_seed)
@@ -225,34 +218,6 @@ class TestInfluenceMapAndObjectDistance:
         assert distance == float("inf")
 
 
-# ---------------------------------------------------------------------------
-# vectorized influence spans over the NativeSupport mirrors
-# ---------------------------------------------------------------------------
-@needs_numpy
-def test_vectorized_influence_maps_match_scalar_exactly():
-    from repro.network.native import native_support
-
-    # Very sparse objects and high k force trees past VECTOR_MIN_NODES.
-    network, table, edge_ids, rng = _populated(edges=900, objects=40, seed=3)
-    csr = csr_snapshot(network)
-    support = native_support(csr)
-    vectored = 0
-    for trial in range(40):
-        location = NetworkLocation(rng.choice(edge_ids), rng.random())
-        outcome = expand_knn(network, table, rng.randint(12, 30), query_location=location)
-        scalar = compute_influence_map(
-            network, outcome.state, outcome.radius, location, csr=csr
-        )
-        fast = compute_influence_map(
-            network, outcome.state, outcome.radius, location, csr=csr, support=support
-        )
-        if len(outcome.state.node_dist) >= VECTOR_MIN_NODES:
-            vectored += 1
-        assert scalar == fast, trial
-    assert vectored > 5  # the numpy path was actually exercised
-    assert (support.dist_scratch == float("inf")).all()  # scratch restored
-
-
 def test_compute_influence_maps_batch_helper():
     network, table, edge_ids, rng = _populated(objects=80)
     location = NetworkLocation(rng.choice(edge_ids), rng.random())
@@ -263,25 +228,3 @@ def test_compute_influence_maps_batch_helper():
     assert maps == {
         "q": compute_influence_map(network, outcome.state, outcome.radius, location)
     }
-
-
-@needs_numpy
-def test_weight_storm_rotates_support_epoch():
-    from repro.network.native import native_support
-
-    network, table, edge_ids, rng = _populated(objects=40)
-    csr = csr_snapshot(network)
-    assert csr.current_native_support() is None  # only a native batch builds one
-    before = native_support(csr)
-    assert native_support(csr) is before  # cached while weights are stable
-    assert csr.current_native_support() is before
-    edge_id = edge_ids[0]
-    network.set_edge_weight(edge_id, network.edge(edge_id).weight * 3.0)
-    assert csr.current_native_support() is None  # cache-only: stale, never rebuilt
-    after = native_support(csr)
-    assert after is not before
-    assert after.epoch == csr.weights_epoch
-    # The rebuilt support sees the patched weight in its numpy mirrors.
-    position = csr.index_of_edge(edge_id)
-    assert float(after.np_edge_weight[position]) == csr.edge_weight[position]
-    assert after.np_adj_weight.tolist() == csr.adj_weight

@@ -1,17 +1,11 @@
-"""The one monitor path: collect-then-flush for every kernel.
+"""The one monitor path: collect-then-flush.
 
-Two properties of the single tick shape that no other suite asserts
-directly:
-
-* **tree exactness** — after every tick, every node an IMA expansion tree
-  retains carries its true network distance from the query.  This is what
-  the docstring of ``ImaMonitor._flush_edge_prunes`` proves for the
-  one-pass prune (and what the resumed search relies on); result equality
-  with the oracle alone would not notice a stale-but-harmless tree node.
-* **no implicit NativeSupport** — a ``kernel="csr"`` monitor never builds
-  a :class:`~repro.network.native.NativeSupport`: the influence flush uses
-  a support only when the tick's engine already built one for the current
-  weights.
+One property of the tick that no other suite asserts directly: **tree
+exactness** — after every tick, every node an IMA expansion tree retains
+carries its true network distance from the query.  This is what the
+docstring of ``ImaMonitor._flush_edge_prunes`` proves for the one-pass
+prune (and what the resumed search relies on); result equality with the
+oracle alone would not notice a stale-but-harmless tree node.
 """
 
 from __future__ import annotations
@@ -31,10 +25,8 @@ from repro.network.distance import (
 )
 from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation
-from repro.testing import SCENARIO_PRESETS, run_differential_scenario
+from repro.testing import SCENARIO_PRESETS
 from repro.testing.scenarios import ScenarioEngine, resolve_scenario
-
-from kernel_legs import kernel_legs
 
 
 def _assert_trees_exact(monitor: ImaMonitor, network, tick: int) -> int:
@@ -56,16 +48,15 @@ def _assert_trees_exact(monitor: ImaMonitor, network, tick: int) -> int:
     return checked
 
 
-@pytest.mark.parametrize("kernel", kernel_legs())
 @pytest.mark.parametrize("scenario", sorted(SCENARIO_PRESETS))
-def test_expansion_trees_stay_exact_after_every_tick(scenario, kernel):
+def test_expansion_trees_stay_exact_after_every_tick(scenario):
     seed = 1414
     network = city_network(120, seed=seed + 1)
     edge_table = EdgeTable(network, build_spatial_index=False)
     engine = ScenarioEngine(network, resolve_scenario(scenario), seed=seed)
     for object_id, location in engine.initial_objects().items():
         edge_table.insert_object(object_id, location)
-    monitor = ImaMonitor(network, edge_table, kernel=kernel)
+    monitor = ImaMonitor(network, edge_table)
     for query_id, (location, k) in engine.initial_queries().items():
         monitor.register_query(query_id, location, k)
     checked = _assert_trees_exact(monitor, network, tick=-1)
@@ -76,8 +67,7 @@ def test_expansion_trees_stay_exact_after_every_tick(scenario, kernel):
     assert checked > 0
 
 
-@pytest.mark.parametrize("kernel", kernel_legs())
-def test_expansion_trees_stay_exact_under_deep_weight_swings(kernel):
+def test_expansion_trees_stay_exact_under_deep_weight_swings():
     """Large decreases (then the matching increases) on sparse, deep trees.
 
     The presets' weight storms are mild; here edges drop to 15-50 % of their
@@ -92,7 +82,7 @@ def test_expansion_trees_stay_exact_under_deep_weight_swings(kernel):
         edge_table.insert_object(
             object_id, NetworkLocation(rng.choice(edge_ids), rng.random())
         )
-    monitor = ImaMonitor(network, edge_table, kernel=kernel)
+    monitor = ImaMonitor(network, edge_table)
     for query_id in range(100, 108):
         monitor.register_query(
             query_id, NetworkLocation(rng.choice(edge_ids), rng.random()), 8
@@ -115,18 +105,3 @@ def test_expansion_trees_stay_exact_under_deep_weight_swings(kernel):
             )
             assert results_equal(truth, list(monitor.result_of(query_id).neighbors))
     assert checked > 0
-
-
-def test_csr_monitors_never_build_a_native_support(monkeypatch):
-    import repro.network.native as native_module
-
-    def forbidden(self, csr):
-        raise AssertionError("a csr monitor built a NativeSupport")
-
-    monkeypatch.setattr(native_module.NativeSupport, "__init__", forbidden)
-    report = run_differential_scenario(
-        "weight-storm", seed=1415, algorithms=("IMA", "GMA", "OVH")
-    )
-    assert report.checks > 0
-    assert report.ok, report.failure_message()
-

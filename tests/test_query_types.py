@@ -1,7 +1,7 @@
 """Unit tests for the query-type subsystem (QuerySpec, range, aggregate).
 
 Covers the :class:`~repro.core.queries.QuerySpec` abstraction itself, the
-fixed-radius search support of every kernel, range and aggregate monitoring
+fixed-radius search, range and aggregate monitoring
 on OVH/IMA/GMA against the brute-force ground truth, spec transport through
 the sharded server, and the unified typed ``result_of`` errors on both the
 in-process and sharded paths.
@@ -39,15 +39,8 @@ from repro.network.distance import (
 )
 from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation
-from repro.network.kernels import available_kernels
-
-from kernel_legs import kernel_legs
 
 ALGORITHMS = ["ovh", "ima", "gma"]
-# Sweep every kernel that can run here — new registered backends (e.g. the
-# compiled native engine) join the matrix automatically — plus native on
-# its csr fallback.
-KERNELS = kernel_legs()
 
 
 def _network_and_table(edges=120, seed=23, objects=30):
@@ -67,11 +60,9 @@ def _mean_weight(network):
     return sum(network.edge(e).weight for e in edge_ids) / len(edge_ids)
 
 
-def _server(algorithm, kernel, edges=120, seed=23, objects=30):
+def _server(algorithm, edges=120, seed=23, objects=30):
     network, edge_table, edge_ids = _network_and_table(edges, seed, objects)
-    server = MonitoringServer(
-        network, algorithm, edge_table=edge_table, kernel=kernel
-    )
+    server = MonitoringServer(network, algorithm, edge_table=edge_table)
     return server, edge_ids
 
 
@@ -137,10 +128,10 @@ class TestQuerySpec:
 
 
 # ----------------------------------------------------------------------
-# fixed-radius kernel support
+# fixed-radius search
 # ----------------------------------------------------------------------
-class TestFixedRadiusKernels:
-    def test_all_kernels_agree_with_brute_force(self):
+class TestFixedRadiusSearch:
+    def test_single_and_batched_search_agree_with_brute_force(self):
         network, edge_table, edge_ids = _network_and_table()
         radius = 3.0 * _mean_weight(network)
         for fraction in (0.0, 0.31, 1.0):
@@ -151,14 +142,13 @@ class TestFixedRadiusKernels:
                 network, edge_table, 1, query_location=location,
                 csr=csr, fixed_radius=radius,
             )
-            for kernel in available_kernels():
-                [batched] = expand_knn_batch(
-                    network, edge_table,
-                    [ExpansionRequest(k=1, query_location=location, fixed_radius=radius)],
-                    csr=csr, kernel=kernel,
-                )
-                assert fast.neighbors == batched.neighbors
-                assert fast.radius == batched.radius == radius
+            [batched] = expand_knn_batch(
+                network, edge_table,
+                [ExpansionRequest(k=1, query_location=location, fixed_radius=radius)],
+                csr=csr,
+            )
+            assert fast.neighbors == batched.neighbors
+            assert fast.radius == batched.radius == radius
             assert results_equal(truth, fast.neighbors)
             # The range outcome is every in-range object, sorted.
             assert [pair[0] for pair in fast.neighbors] == [p[0] for p in truth]
@@ -180,10 +170,9 @@ class TestFixedRadiusKernels:
 # range monitoring against ground truth
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("kernel", KERNELS)
 class TestRangeMonitoring:
-    def test_range_query_tracks_ground_truth(self, algorithm, kernel):
-        server, edges = _server(algorithm, kernel)
+    def test_range_query_tracks_ground_truth(self, algorithm):
+        server, edges = _server(algorithm)
         radius = 2.5 * _mean_weight(server.network)
         location = NetworkLocation(edges[11], 0.4)
         server.add_query(100, location, k=range_query(radius))
@@ -223,13 +212,11 @@ class TestRangeMonitoring:
             server.tick()
             check()
 
-    def test_range_query_with_zero_in_range_objects(self, algorithm, kernel):
+    def test_range_query_with_zero_in_range_objects(self, algorithm):
         """A geofence containing nothing stays empty, then fills on arrival."""
         network = city_network(120, seed=23)
         edge_table = EdgeTable(network, build_spatial_index=False)
-        server = MonitoringServer(
-            network, algorithm, edge_table=edge_table, kernel=kernel
-        )
+        server = MonitoringServer(network, algorithm, edge_table=edge_table)
         edges = sorted(network.edge_ids())
         tiny = 1e-6
         location = NetworkLocation(edges[8], 0.5)
@@ -254,11 +241,10 @@ class TestRangeMonitoring:
 # aggregate monitoring against ground truth
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("kernel", KERNELS)
 class TestAggregateMonitoring:
     @pytest.mark.parametrize("agg", ["sum", "max"])
-    def test_aggregate_tracks_ground_truth(self, algorithm, kernel, agg):
-        server, edges = _server(algorithm, kernel)
+    def test_aggregate_tracks_ground_truth(self, algorithm, agg):
+        server, edges = _server(algorithm)
         extra = (
             NetworkLocation(edges[33], 0.1),
             NetworkLocation(edges[57], 0.8),
@@ -294,13 +280,11 @@ class TestAggregateMonitoring:
             server.tick()
             check()
 
-    def test_aggregate_k_larger_than_live_objects(self, algorithm, kernel):
+    def test_aggregate_k_larger_than_live_objects(self, algorithm):
         """k > live objects: incomplete result, radius inf, fills on arrival."""
         network = city_network(120, seed=23)
         edge_table = EdgeTable(network, build_spatial_index=False)
-        server = MonitoringServer(
-            network, algorithm, edge_table=edge_table, kernel=kernel
-        )
+        server = MonitoringServer(network, algorithm, edge_table=edge_table)
         edges = sorted(network.edge_ids())
         spec = aggregate_knn(5, (NetworkLocation(edges[20], 0.5),), "sum")
         server.add_query(100, NetworkLocation(edges[4], 0.5), k=spec)
@@ -329,13 +313,12 @@ class TestAggregateMonitoring:
         )
         assert results_equal(truth, list(result.neighbors))
 
-    def test_aggregate_with_no_objects_is_empty(self, algorithm, kernel):
+    def test_aggregate_with_no_objects_is_empty(self, algorithm):
         network = city_network(80, seed=5)
         server = MonitoringServer(
             network,
             algorithm,
             edge_table=EdgeTable(network, build_spatial_index=False),
-            kernel=kernel,
         )
         edges = sorted(network.edge_ids())
         server.add_query(100, NetworkLocation(edges[0], 0.5), k=aggregate_knn(2))

@@ -225,7 +225,7 @@ def test_a_pickled_table_is_its_network_and_loads_to_an_equal_table():
 
 
 def _gma_server(workers=None, partitioning=None):
-    template = build_scenario_server(SCENARIO, SEED, EDGES, "GMA", "csr", None)
+    template = build_scenario_server(SCENARIO, SEED, EDGES, "GMA", None)
     if workers is None:
         return template
     server = ShardedMonitoringServer(

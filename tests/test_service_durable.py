@@ -2,7 +2,7 @@
 
 The core property (satellite of the durable-service PR): a checkpoint plus
 a replayed event-log prefix reproduces ``results()`` *byte-identically* at
-every timestamp, across the IMA/GMA algorithms and the available kernels.
+every timestamp, across the IMA/GMA algorithms.
 Also covers snapshot/restore of both server flavors, the non-durable
 pending buffer, and data-directory lifecycle rules.
 """
@@ -39,7 +39,6 @@ from repro.exceptions import (
 from repro.network.builders import grid_network
 from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation
-from repro.network.kernels import registered_kernels
 from repro.network.record import ColumnReader, decode_network
 from repro.service import durable as durable_module
 from repro.service import eventlog as eventlog_module
@@ -48,21 +47,20 @@ from repro.service.eventlog import read_event_log, scan_event_log
 from repro.service.faults import build_scenario_server
 from repro.testing.scenarios import ScenarioEngine, resolve_scenario
 
-from kernel_legs import kernel_legs
 from quadtree_oracle import leaves_of
 
 TICKS = 6
 CHECKPOINT_EVERY = 3
 
 
-def _drive(data_dir, algorithm="IMA", kernel="csr", scenario="uniform-drift", seed=5,
+def _drive(data_dir, algorithm="IMA", scenario="uniform-drift", seed=5,
            ticks=TICKS, checkpoint_every=CHECKPOINT_EVERY, workers=None,
            keep_checkpoints=4):
     """Run a durable server over a scenario, recording results() per tick."""
     spec = resolve_scenario(scenario)
     network = city_network(120, seed=seed + 1)
     engine = ScenarioEngine(network, spec, seed=seed)
-    server = build_scenario_server(scenario, seed, 120, algorithm, kernel, workers)
+    server = build_scenario_server(scenario, seed, 120, algorithm, workers)
     durable = DurableMonitoringServer(
         server, data_dir, checkpoint_every=checkpoint_every,
         keep_checkpoints=keep_checkpoints,
@@ -89,11 +87,10 @@ def _truncate_to_prefix(data_dir, prefix):
 
 
 @pytest.mark.parametrize("algorithm", ["IMA", "GMA"])
-@pytest.mark.parametrize("kernel", kernel_legs())
-def test_prefix_replay_reproduces_every_timestamp(tmp_path, algorithm, kernel):
+def test_prefix_replay_reproduces_every_timestamp(tmp_path, algorithm):
     """checkpoint + log-prefix replay == the live run, at every timestamp."""
     original = tmp_path / "run"
-    durable, expected = _drive(original, algorithm=algorithm, kernel=kernel)
+    durable, expected = _drive(original, algorithm=algorithm)
     durable.close()
     for prefix in range(1, TICKS + 1):
         clone = tmp_path / f"prefix-{prefix}"
@@ -103,7 +100,7 @@ def test_prefix_replay_reproduces_every_timestamp(tmp_path, algorithm, kernel):
         try:
             assert recovered.current_timestamp == prefix
             assert recovered.results() == expected[prefix], (
-                f"{algorithm}/{kernel}: results at t={prefix} diverged "
+                f"{algorithm}: results at t={prefix} diverged "
                 f"after checkpoint+replay"
             )
             # replay count = prefix minus what the newest kept checkpoint covers
@@ -123,7 +120,7 @@ def test_recovered_server_continues_byte_identically(tmp_path):
     spec = resolve_scenario("uniform-drift")
     network = city_network(120, seed=10)
     engine = ScenarioEngine(network, spec, seed=9)
-    server = build_scenario_server("uniform-drift", 9, 120, "IMA", "csr", None)
+    server = build_scenario_server("uniform-drift", 9, 120, "IMA", None)
     durable = DurableMonitoringServer(server, crash_dir, checkpoint_every=CHECKPOINT_EVERY)
     crash_at = 4
     for timestamp in range(crash_at):
@@ -324,8 +321,8 @@ def test_restore_server_rejects_garbage():
 def _scenario_server(scenario, seed, edges, workers, partitioning):
     """``build_scenario_server`` with the sharded partitioning mode exposed."""
     if partitioning is None:
-        return build_scenario_server(scenario, seed, edges, "IMA", "csr", workers)
-    template = build_scenario_server(scenario, seed, edges, "IMA", "csr", None)
+        return build_scenario_server(scenario, seed, edges, "IMA", workers)
+    template = build_scenario_server(scenario, seed, edges, "IMA", None)
     server = ShardedMonitoringServer(
         template.network, algorithm="IMA", edge_table=template.edge_table,
         workers=workers, partitioning=partitioning,
@@ -432,103 +429,6 @@ def test_sharded_snapshot_with_retired_copy_mode_field_restores(
             clone.close()
     finally:
         original.close()
-
-
-#: A kernel name older versions accepted and the registry no longer holds.
-RETIRED_KERNEL = "dial"
-
-
-def _snapshots_name_retired_kernel(monkeypatch):
-    """Make every snapshot name :data:`RETIRED_KERNEL`, as an older tree's would.
-
-    In-process snapshots carry the name as the pickled monitor's
-    ``_kernel``, sharded ones as their ``"kernel"`` field; the live servers
-    keep running on their real kernel.
-    """
-    encode = MonitoringServer._encode_snapshot
-
-    def encode_retired(self, static, kind, fields):
-        monitor = fields.get("monitor")
-        if monitor is None:
-            return encode(self, static, kind, {**fields, "kernel": RETIRED_KERNEL})
-        kernel, monitor._kernel = monitor._kernel, RETIRED_KERNEL
-        try:
-            return encode(self, static, kind, fields)
-        finally:
-            monitor._kernel = kernel
-
-    monkeypatch.setattr(MonitoringServer, "_encode_snapshot", encode_retired)
-
-
-def _assert_names_registered_kernels(error):
-    message = str(error)
-    assert repr(RETIRED_KERNEL) in message
-    for name in registered_kernels():
-        assert name in message
-
-
-@pytest.mark.parametrize(
-    "workers, partitioning", [(None, None), (2, "graph")], ids=["in-process", "graph-2w"]
-)
-def test_restore_rejects_a_retired_kernel(monkeypatch, workers, partitioning):
-    """A snapshot naming an unregistered kernel is a RecoveryError at restore."""
-    scenario, seed = "uniform-drift", 11
-    engine = ScenarioEngine(
-        city_network(100, seed=seed + 1), resolve_scenario(scenario), seed=seed
-    )
-    original = _scenario_server(scenario, seed, 100, workers, partitioning)
-    try:
-        original.apply_updates(engine.batch(0))
-        original.tick()
-        _snapshots_name_retired_kernel(monkeypatch)
-        blob = original.snapshot_state()
-    finally:
-        original.close()
-    with pytest.raises(RecoveryError) as excinfo:
-        restore_server(blob)
-    _assert_names_registered_kernels(excinfo.value)
-
-
-@pytest.mark.parametrize(
-    "workers, partitioning", [(None, None), (2, "graph")], ids=["in-process", "graph-2w"]
-)
-def test_recover_rejects_a_retired_kernel_before_logging(
-    tmp_path, monkeypatch, workers, partitioning
-):
-    """Recovery refuses the data directory instead of failing at a tick.
-
-    Every checkpoint names the retired kernel, so none restores: recover
-    raises a typed RecoveryError and leaves the event log and the
-    checkpoints exactly as it found them.
-    """
-    scenario, seed = "uniform-drift", 11
-    engine = ScenarioEngine(
-        city_network(100, seed=seed + 1), resolve_scenario(scenario), seed=seed
-    )
-    _snapshots_name_retired_kernel(monkeypatch)
-    server = _scenario_server(scenario, seed, 100, workers, partitioning)
-    data_dir = tmp_path / "run"
-    durable = DurableMonitoringServer(server, data_dir, checkpoint_every=2)
-    try:
-        for timestamp in range(3):
-            server.apply_updates(engine.batch(timestamp))
-            durable.tick()
-    finally:
-        durable.close()
-    before = {
-        path.relative_to(data_dir): path.read_bytes()
-        for path in sorted(data_dir.rglob("*"))
-        if path.is_file()
-    }
-    with pytest.raises(RecoveryError) as excinfo:
-        DurableMonitoringServer.recover(data_dir)
-    _assert_names_registered_kernels(excinfo.value)
-    after = {
-        path.relative_to(data_dir): path.read_bytes()
-        for path in sorted(data_dir.rglob("*"))
-        if path.is_file()
-    }
-    assert after == before
 
 
 def test_snapshot_restores_a_table_without_spatial_index():

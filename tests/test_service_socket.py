@@ -44,7 +44,7 @@ from repro.service.faults import build_scenario_server
 def service(tmp_path):
     """A live service on a fresh durable scenario server; yields (client, dir)."""
     data_dir = tmp_path / "svc"
-    server = build_scenario_server("uniform-drift", 3, 100, "IMA", "csr", None)
+    server = build_scenario_server("uniform-drift", 3, 100, "IMA", None)
     durable = DurableMonitoringServer(server, data_dir, checkpoint_every=4)
     svc = StreamingService(durable, port=0)
     address_file = tmp_path / "address"
@@ -130,14 +130,33 @@ def test_unsnappable_coordinates_get_a_typed_reply_and_buffer_nothing(service, x
         ("add_query", (9100, x, y, 2)),
         ("move_query", (9100, x, y)),
     ):
-        with pytest.raises(ServiceError, match="InvalidLocationError"):
+        with pytest.raises(ServiceError) as excinfo:
             client.request(verb, *args)
+        assert excinfo.value.remote_type == "InvalidLocationError"
     assert client.ping() == "pong"
     # neither id was taken by the refused verbs
     assert client.add_object(9001, 50.0, 50.0) is not None
     assert client.add_query(9100, 55.0, 55.0, 2) is not None
     client.tick()
     assert 9100 in client.results()
+
+
+@pytest.mark.parametrize(
+    "request_args, remote_type",
+    [
+        (("move_object", 424242, 10.0, 10.0), "UnknownObjectError"),
+        (("add_object", 9001, 60.0, 60.0), "DuplicateObjectError"),
+    ],
+    ids=["unknown-object", "duplicate-object"],
+)
+def test_error_replies_carry_the_service_side_type(service, request_args, remote_type):
+    client, _ = service
+    client.add_object(9001, 50.0, 50.0)
+    with pytest.raises(ServiceError) as excinfo:
+        client.request(*request_args)
+    assert excinfo.value.remote_type == remote_type
+    assert str(excinfo.value).startswith(f"{remote_type}: ")
+    assert client.ping() == "pong"
 
 
 class _Exploit:

@@ -26,9 +26,6 @@ BASE_SEED = int(os.environ.get("FUZZ_BASE_SEED", "20060912"))
 #: Worker count of the sharded server under test (CI matrixes 1 vs 4).
 WORKERS = int(os.environ.get("SHARDED_WORKERS", "4"))
 
-#: Search kernel the servers run on (CI matrixes csr vs native).
-KERNEL = os.environ.get("SHARDED_KERNEL", "csr")
-
 #: Query-type overlay shared with the main fuzz suite (CI matrixes
 #: default vs mixed): the sharded server must partition and merge every
 #: query type, not just k-NN.
@@ -62,7 +59,6 @@ def test_sharded_server_matches_oracle(index, scenario):
         seed=(BASE_SEED + 7_919 + index * _SEED_STRIDE) % 2_000_000_011,
         algorithms=(),  # the in-process monitor panel is covered elsewhere
         workers=WORKERS,
-        server_kernel=KERNEL,
         query_types=QUERY_TYPES,
         dedup=DEDUP,
         partitioning=PARTITIONING,
@@ -79,7 +75,6 @@ def test_sharded_server_matches_oracle_gma():
         algorithms=(),
         workers=WORKERS,
         server_algorithm="gma",
-        server_kernel=KERNEL,
         query_types=QUERY_TYPES,
         dedup=DEDUP,
         partitioning=PARTITIONING,

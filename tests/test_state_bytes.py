@@ -68,7 +68,7 @@ def _batches(scenario: str) -> list:
 
 def _server(algorithm, workers=None, partitioning=None, scenario=SCENARIOS[-1]):
     """The scenario's server, in process or on a two-worker fleet."""
-    template = build_scenario_server(scenario, SEED, EDGES, algorithm, "csr", None)
+    template = build_scenario_server(scenario, SEED, EDGES, algorithm, None)
     if workers is None:
         return template
     server = ShardedMonitoringServer(

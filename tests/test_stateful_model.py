@@ -14,14 +14,11 @@ every server must match the independent brute-force
 
 Unlike the scenario fuzz suite (which samples from preset stressor
 distributions), hypothesis *searches* the update-interleaving space and
-shrinks failures to minimal reproducible sequences.  The machine runs once
-per kernel (every available registry kernel, plus native on its csr
-fallback).
+shrinks failures to minimal reproducible sequences.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -48,14 +45,10 @@ from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation
 from repro.testing.oracle import OracleMonitor
 
-from kernel_legs import kernel_legs
-
 #: Network size: small enough for the brute-force oracle per tick, large
 #: enough for multi-sequence GMA grouping and non-trivial trees.
 NETWORK_EDGES = 60
 NETWORK_SEED = 1709
-
-KERNELS = kernel_legs()
 
 
 def _spec_strategy(mean_weight: float) -> st.SearchStrategy:
@@ -69,8 +62,6 @@ def _spec_strategy(mean_weight: float) -> st.SearchStrategy:
 
 class MonitoringModel(RuleBasedStateMachine):
     """Model state: live objects and queries; system: servers + oracle."""
-
-    kernel = "csr"
 
     def __init__(self) -> None:
         super().__init__()
@@ -89,7 +80,6 @@ class MonitoringModel(RuleBasedStateMachine):
                 replica,
                 algorithm=algorithm,
                 edge_table=EdgeTable(replica, build_spatial_index=False),
-                kernel=self.kernel,
             )
         # A dedup-wrapped IMA server rides the identical stream: its
         # logical-id surface must be indistinguishable from a plain server
@@ -100,7 +90,6 @@ class MonitoringModel(RuleBasedStateMachine):
                 replica,
                 algorithm="ima",
                 edge_table=EdgeTable(replica, build_spatial_index=False),
-                kernel=self.kernel,
             )
         )
         self.objects = {}
@@ -271,7 +260,7 @@ class MonitoringModel(RuleBasedStateMachine):
             for algorithm, server in self.servers.items():
                 answer = list(server.result_of(query_id).neighbors)
                 assert results_equal(truth, answer), (
-                    f"{algorithm}/{self.kernel} q={query_id}: "
+                    f"{algorithm} q={query_id}: "
                     f"expected {truth} got {answer}"
                 )
 
@@ -280,14 +269,10 @@ class MonitoringModel(RuleBasedStateMachine):
         self.tick()
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_stateful_model_matches_oracle(kernel):
+def test_stateful_model_matches_oracle():
     """IMA/GMA servers track the oracle under arbitrary update interleavings."""
-    machine_class = type(
-        f"MonitoringModel_{kernel}", (MonitoringModel,), {"kernel": kernel}
-    )
     run_state_machine_as_test(
-        machine_class,
+        MonitoringModel,
         settings=settings(
             max_examples=20,
             stateful_step_count=30,

@@ -5,10 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.events import apply_batch
-from repro.core.gma import GmaMonitor
-from repro.core.ima import ImaMonitor
-from repro.core.server import MonitoringServer
-from repro.exceptions import MonitoringError, SimulationError
+from repro.exceptions import SimulationError
 from repro.network.builders import city_network
 from repro.network.distance import brute_force_knn
 from repro.network.edge_table import EdgeTable
@@ -21,9 +18,8 @@ from repro.testing import (
     ScenarioEngine,
     ScenarioSpec,
     resolve_scenario,
+    run_differential_scenario,
 )
-
-from kernel_legs import kernel_legs
 
 
 @pytest.fixture
@@ -117,6 +113,12 @@ class TestScenarioEngine:
         with pytest.raises(SimulationError):
             resolve_scenario("no-such-scenario")
 
+    def test_unknown_panel_names_rejected(self):
+        # ``-native`` once picked a second settle engine; there is one now.
+        for name in ("IMA-native", "IMA-csr", "XYZ"):
+            with pytest.raises(SimulationError, match="unknown differential algorithm"):
+                run_differential_scenario("uniform-drift", seed=1, algorithms=(name,))
+
     def test_registries_track_churn(self):
         network = city_network(80, seed=6)
         engine = ScenarioEngine(network, "churn-heavy", seed=3)
@@ -167,27 +169,3 @@ class TestSimulatorScenarioWiring:
         engine = simulator.scenario_engine("uniform-drift", seed=4)
         assert engine.initial_objects() == simulator.object_locations()
         assert set(engine.initial_queries()) == set(simulator.query_locations())
-
-
-class TestKernelPlumbing:
-    @pytest.mark.parametrize("kernel", kernel_legs())
-    def test_monitors_report_kernel(self, small_world, kernel):
-        network, table, _ = small_world
-        assert ImaMonitor(network, table).kernel == "csr"
-        assert ImaMonitor(network, table, kernel=kernel).kernel == kernel
-        gma = GmaMonitor(network, table, kernel=kernel)
-        assert gma.kernel == kernel
-        assert gma.active_node_monitor.kernel == kernel
-
-    def test_unknown_kernel_rejected(self, small_world):
-        network, table, _ = small_world
-        with pytest.raises(MonitoringError):
-            ImaMonitor(network, table, kernel="simd")
-        with pytest.raises(MonitoringError):
-            MonitoringServer(network, "ima", kernel="simd")
-
-    @pytest.mark.parametrize("kernel", kernel_legs())
-    def test_server_kernel_passthrough(self, small_world, kernel):
-        network, table, _ = small_world
-        server = MonitoringServer(network, "gma", edge_table=table, kernel=kernel)
-        assert server.monitor.kernel == kernel

@@ -44,7 +44,7 @@ SCENARIO, SEED, EDGES = "mixed-stress", 8, 120
 
 def _server(workers=None, partitioning=None):
     """The scenario's server, in process or on a two-worker fleet."""
-    template = build_scenario_server(SCENARIO, SEED, EDGES, "IMA", "csr", None)
+    template = build_scenario_server(SCENARIO, SEED, EDGES, "IMA", None)
     if workers is None:
         return template
     server = ShardedMonitoringServer(
