@@ -15,6 +15,28 @@ from repro.network.builders import city_network, grid_network, linear_network
 from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation, RoadNetwork
 
+from serving_paths import MONITOR_PATHS, SERVING_PATHS, PathServer
+
+
+@pytest.fixture(params=SERVING_PATHS)
+def serve(request, tmp_path):
+    """Wrap a server so its ticks take one serving path (tests/serving_paths.py)."""
+    servers = []
+
+    def wrap(server):
+        servers.append(PathServer(server, request.param, tmp_path / f"data-{len(servers)}"))
+        return servers[-1]
+
+    yield wrap
+    for server in servers:
+        server.close()
+
+
+@pytest.fixture(params=MONITOR_PATHS)
+def monitor_path(request):
+    """The path a monitor-level sweep processes its batches on."""
+    return request.param
+
 
 @pytest.fixture
 def index_builds(monkeypatch):

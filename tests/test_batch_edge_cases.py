@@ -12,7 +12,10 @@ bulk ingestion path that the fuzz scenarios hit probabilistically:
   splitting back into terminate+install when the spec (or kind) changed.
 
 Each case runs on every algorithm and is checked against the brute-force
-oracle.
+oracle.  The cases that take the ``serve`` fixture also run on every
+serving path of ``tests/serving_paths.py``: ticking in place, restored
+from a snapshot, applied from the batch record, recovered from a data
+directory.
 """
 
 from __future__ import annotations
@@ -36,12 +39,12 @@ from repro.core.results import results_equal
 ALGORITHMS = ["ovh", "ima", "gma"]
 
 
-def _server(algorithm, seed=21, edges=120):
+def _server(algorithm, serve=None, seed=21, edges=120):
     network = city_network(edges, seed=seed)
     server = MonitoringServer(
         network, algorithm, edge_table=EdgeTable(network, build_spatial_index=False)
     )
-    return server, sorted(network.edge_ids())
+    return (server if serve is None else serve(server)), sorted(network.edge_ids())
 
 
 def _check_against_oracle(server, query_id):
@@ -56,9 +59,9 @@ def _check_against_oracle(server, query_id):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_add_and_remove_same_object_in_one_batch(algorithm):
+def test_add_and_remove_same_object_in_one_batch(algorithm, serve):
     """An object appearing and disappearing in one tick is a net no-op."""
-    server, edges = _server(algorithm)
+    server, edges = _server(algorithm, serve)
     for object_id in range(6):
         server.add_object(object_id, NetworkLocation(edges[object_id], 0.5))
     server.add_query(100, NetworkLocation(edges[3], 0.25), k=3)
@@ -86,9 +89,9 @@ def test_add_and_remove_same_object_in_one_batch(algorithm):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_k_larger_than_live_object_count(algorithm):
+def test_k_larger_than_live_object_count(algorithm, serve):
     """Results stay incomplete (radius inf) and fill up as objects arrive."""
-    server, edges = _server(algorithm)
+    server, edges = _server(algorithm, serve)
     server.add_object(0, NetworkLocation(edges[0], 0.5))
     server.add_object(1, NetworkLocation(edges[5], 0.5))
     server.add_query(100, NetworkLocation(edges[2], 0.5), k=5)
@@ -120,9 +123,9 @@ def test_k_larger_than_live_object_count(algorithm):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_query_moved_and_removed_in_same_tick(algorithm):
+def test_query_moved_and_removed_in_same_tick(algorithm, serve):
     """A move followed by a termination in one batch terminates cleanly."""
-    server, edges = _server(algorithm)
+    server, edges = _server(algorithm, serve)
     for object_id in range(8):
         server.add_object(object_id, NetworkLocation(edges[2 * object_id], 0.4))
     server.add_query(100, NetworkLocation(edges[1], 0.5), k=2)
@@ -183,7 +186,7 @@ def _specs_for(server, edges):
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 @pytest.mark.parametrize("kind", ["knn", "range", "aggregate_knn"])
-def test_same_tick_remove_add_preserving_spec_collapses(algorithm, kind):
+def test_same_tick_remove_add_preserving_spec_collapses(algorithm, kind, serve):
     """remove_query + add_query of one id with the same spec is a movement.
 
     The Section 4.5 collapse turns the terminate+install into a single
@@ -191,7 +194,7 @@ def test_same_tick_remove_add_preserving_spec_collapses(algorithm, kind):
     state instead of recomputing from scratch, and the result at the new
     position must still match the ground truth.
     """
-    server, edges = _server(algorithm)
+    server, edges = _server(algorithm, serve)
     for object_id in range(10):
         server.add_object(object_id, NetworkLocation(edges[3 * object_id], 0.4))
     spec = _specs_for(server, edges)[kind]
@@ -222,9 +225,9 @@ def test_same_tick_remove_add_preserving_spec_collapses(algorithm, kind):
     "old_kind,new_kind",
     [("knn", "range"), ("range", "aggregate_knn"), ("aggregate_knn", "knn")],
 )
-def test_same_tick_remove_add_changing_kind_splits(algorithm, old_kind, new_kind):
+def test_same_tick_remove_add_changing_kind_splits(algorithm, old_kind, new_kind, serve):
     """A reinstall that changes the query *kind* re-registers from scratch."""
-    server, edges = _server(algorithm)
+    server, edges = _server(algorithm, serve)
     for object_id in range(10):
         server.add_object(object_id, NetworkLocation(edges[3 * object_id], 0.4))
     specs = _specs_for(server, edges)
@@ -243,10 +246,10 @@ def test_same_tick_remove_add_changing_kind_splits(algorithm, old_kind, new_kind
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_install_move_and_object_flows_in_single_batch(algorithm):
+def test_install_move_and_object_flows_in_single_batch(algorithm, serve):
     """A batch mixing installs, moves of the just-installed entities, and
     edge changes is applied atomically through apply_updates."""
-    server, edges = _server(algorithm)
+    server, edges = _server(algorithm, serve)
     server.add_object(0, NetworkLocation(edges[0], 0.5))
     server.tick()
 
@@ -356,9 +359,9 @@ def _close_edge(server, edge_id):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_object_on_closed_edge_keeps_defined_distance(algorithm):
+def test_object_on_closed_edge_keeps_defined_distance(algorithm, serve):
     """Closing the edge under an object leaves its distance finite."""
-    server, edges = _server(algorithm)
+    server, edges = _server(algorithm, serve)
     for object_id in range(3):
         server.add_object(object_id, NetworkLocation(edges[object_id], 0.5))
     server.add_query(100, NetworkLocation(edges[5], 0.25), k=3)
@@ -378,9 +381,9 @@ def test_object_on_closed_edge_keeps_defined_distance(algorithm):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_closed_object_drops_behind_open_competition(algorithm):
+def test_closed_object_drops_behind_open_competition(algorithm, serve):
     """With enough open objects, the stranded one leaves the result set."""
-    server, edges = _server(algorithm)
+    server, edges = _server(algorithm, serve)
     for object_id in range(6):
         server.add_object(object_id, NetworkLocation(edges[object_id], 0.5))
     server.add_query(100, NetworkLocation(edges[1], 0.25), k=3)
@@ -396,9 +399,9 @@ def test_closed_object_drops_behind_open_competition(algorithm):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_closed_edge_reopening_restores_results(algorithm):
+def test_closed_edge_reopening_restores_results(algorithm, serve):
     """Close then reopen at the original weight: results return exactly."""
-    server, edges = _server(algorithm)
+    server, edges = _server(algorithm, serve)
     for object_id in range(5):
         server.add_object(object_id, NetworkLocation(edges[object_id], 0.5))
     server.add_query(100, NetworkLocation(edges[2], 0.75), k=2)

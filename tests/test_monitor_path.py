@@ -5,7 +5,9 @@ exactness** — after every tick, every node an IMA expansion tree retains
 carries its true network distance from the query.  This is what the
 docstring of ``ImaMonitor._flush_edge_prunes`` proves for the one-pass
 prune (and what the resumed search relies on); result equality with the
-oracle alone would not notice a stale-but-harmless tree node.
+oracle alone would not notice a stale-but-harmless tree node.  Each case
+runs on every monitor path of ``tests/serving_paths.py``: processing in
+place, on a checkpointed copy of the monitor, and from the batch record.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import random
 
 import pytest
 
-from repro.core.events import EdgeWeightUpdate, UpdateBatch, apply_batch
+from repro.core.events import EdgeWeightUpdate, UpdateBatch
 from repro.core.ima import ImaMonitor
 from repro.core.results import results_equal
 from repro.network.builders import city_network
@@ -27,6 +29,8 @@ from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation
 from repro.testing import SCENARIO_PRESETS
 from repro.testing.scenarios import ScenarioEngine, resolve_scenario
+
+from serving_paths import process_on_path
 
 
 def _assert_trees_exact(monitor: ImaMonitor, network, tick: int) -> int:
@@ -49,7 +53,7 @@ def _assert_trees_exact(monitor: ImaMonitor, network, tick: int) -> int:
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIO_PRESETS))
-def test_expansion_trees_stay_exact_after_every_tick(scenario):
+def test_expansion_trees_stay_exact_after_every_tick(scenario, monitor_path):
     seed = 1414
     network = city_network(120, seed=seed + 1)
     edge_table = EdgeTable(network, build_spatial_index=False)
@@ -61,13 +65,12 @@ def test_expansion_trees_stay_exact_after_every_tick(scenario):
         monitor.register_query(query_id, location, k)
     checked = _assert_trees_exact(monitor, network, tick=-1)
     for batch in engine.batches(engine.spec.timestamps):
-        apply_batch(network, edge_table, batch.normalized())
-        monitor.process_batch(batch)
+        monitor = process_on_path(monitor_path, network, edge_table, monitor, batch)
         checked += _assert_trees_exact(monitor, network, batch.timestamp)
     assert checked > 0
 
 
-def test_expansion_trees_stay_exact_under_deep_weight_swings():
+def test_expansion_trees_stay_exact_under_deep_weight_swings(monitor_path):
     """Large decreases (then the matching increases) on sparse, deep trees.
 
     The presets' weight storms are mild; here edges drop to 15-50 % of their
@@ -96,8 +99,7 @@ def test_expansion_trees_stay_exact_under_deep_weight_swings():
             batch.edge_updates.append(
                 EdgeWeightUpdate(edge_id, weight, weight * factor)
             )
-        apply_batch(network, edge_table, batch.normalized())
-        monitor.process_batch(batch)
+        monitor = process_on_path(monitor_path, network, edge_table, monitor, batch)
         checked += _assert_trees_exact(monitor, network, tick)
         for query_id in sorted(monitor.query_ids()):
             truth = brute_force_knn(

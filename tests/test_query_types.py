@@ -2,7 +2,8 @@
 
 Covers the :class:`~repro.core.queries.QuerySpec` abstraction itself, the
 fixed-radius search, range and aggregate monitoring
-on OVH/IMA/GMA against the brute-force ground truth, spec transport through
+on OVH/IMA/GMA against the brute-force ground truth (on every serving path
+of ``tests/serving_paths.py``), spec transport through
 the sharded server, and the unified typed ``result_of`` errors on both the
 in-process and sharded paths.
 """
@@ -60,10 +61,10 @@ def _mean_weight(network):
     return sum(network.edge(e).weight for e in edge_ids) / len(edge_ids)
 
 
-def _server(algorithm, edges=120, seed=23, objects=30):
+def _server(algorithm, serve, edges=120, seed=23, objects=30):
     network, edge_table, edge_ids = _network_and_table(edges, seed, objects)
     server = MonitoringServer(network, algorithm, edge_table=edge_table)
-    return server, edge_ids
+    return serve(server), edge_ids
 
 
 # ----------------------------------------------------------------------
@@ -171,8 +172,8 @@ class TestFixedRadiusSearch:
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 class TestRangeMonitoring:
-    def test_range_query_tracks_ground_truth(self, algorithm):
-        server, edges = _server(algorithm)
+    def test_range_query_tracks_ground_truth(self, algorithm, serve):
+        server, edges = _server(algorithm, serve)
         radius = 2.5 * _mean_weight(server.network)
         location = NetworkLocation(edges[11], 0.4)
         server.add_query(100, location, k=range_query(radius))
@@ -212,11 +213,11 @@ class TestRangeMonitoring:
             server.tick()
             check()
 
-    def test_range_query_with_zero_in_range_objects(self, algorithm):
+    def test_range_query_with_zero_in_range_objects(self, algorithm, serve):
         """A geofence containing nothing stays empty, then fills on arrival."""
         network = city_network(120, seed=23)
         edge_table = EdgeTable(network, build_spatial_index=False)
-        server = MonitoringServer(network, algorithm, edge_table=edge_table)
+        server = serve(MonitoringServer(network, algorithm, edge_table=edge_table))
         edges = sorted(network.edge_ids())
         tiny = 1e-6
         location = NetworkLocation(edges[8], 0.5)
@@ -243,8 +244,8 @@ class TestRangeMonitoring:
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 class TestAggregateMonitoring:
     @pytest.mark.parametrize("agg", ["sum", "max"])
-    def test_aggregate_tracks_ground_truth(self, algorithm, agg):
-        server, edges = _server(algorithm)
+    def test_aggregate_tracks_ground_truth(self, algorithm, agg, serve):
+        server, edges = _server(algorithm, serve)
         extra = (
             NetworkLocation(edges[33], 0.1),
             NetworkLocation(edges[57], 0.8),
@@ -280,11 +281,11 @@ class TestAggregateMonitoring:
             server.tick()
             check()
 
-    def test_aggregate_k_larger_than_live_objects(self, algorithm):
+    def test_aggregate_k_larger_than_live_objects(self, algorithm, serve):
         """k > live objects: incomplete result, radius inf, fills on arrival."""
         network = city_network(120, seed=23)
         edge_table = EdgeTable(network, build_spatial_index=False)
-        server = MonitoringServer(network, algorithm, edge_table=edge_table)
+        server = serve(MonitoringServer(network, algorithm, edge_table=edge_table))
         edges = sorted(network.edge_ids())
         spec = aggregate_knn(5, (NetworkLocation(edges[20], 0.5),), "sum")
         server.add_query(100, NetworkLocation(edges[4], 0.5), k=spec)
@@ -313,12 +314,14 @@ class TestAggregateMonitoring:
         )
         assert results_equal(truth, list(result.neighbors))
 
-    def test_aggregate_with_no_objects_is_empty(self, algorithm):
+    def test_aggregate_with_no_objects_is_empty(self, algorithm, serve):
         network = city_network(80, seed=5)
-        server = MonitoringServer(
-            network,
-            algorithm,
-            edge_table=EdgeTable(network, build_spatial_index=False),
+        server = serve(
+            MonitoringServer(
+                network,
+                algorithm,
+                edge_table=EdgeTable(network, build_spatial_index=False),
+            )
         )
         edges = sorted(network.edge_ids())
         server.add_query(100, NetworkLocation(edges[0], 0.5), k=aggregate_knn(2))
