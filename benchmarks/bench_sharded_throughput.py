@@ -1,15 +1,16 @@
-"""Sharded-server tick throughput: 1 worker vs 4 on a 256-query workload.
+"""Sharded-server tick throughput: 1 shard vs 4 on a 256-query workload.
 
 Drives the same seeded workload — 256 continuous k-NN queries, a deep
 network, heavy query movement and edge storms — through a single-process
 :class:`~repro.core.server.MonitoringServer` and a sharded one with four
-worker processes, via the batched ``apply_updates`` + ``tick`` pipeline.
+shards — three worker processes plus the one the coordinator hosts — via
+the batched ``apply_updates`` + ``tick`` pipeline.
 Per-tick wall-clock goes through pytest-benchmark (the standard BENCH JSON
 uploaded by CI via ``--benchmark-json``); the summary test prints a
 ``BENCH`` JSON line with both speedup figures:
 
 * ``wall_speedup`` — end-to-end tick throughput ratio.  Only meaningful on
-  a machine with at least as many idle cores as workers.
+  a machine with at least as many idle cores as shards.
 * ``cpu_speedup`` — single-process tick *CPU* time over the slowest
   shard's CPU time (:attr:`ShardedMonitoringServer.last_max_shard_cpu_seconds`),
   a like-for-like processor-time ratio immune to core contention.  It is
@@ -18,10 +19,11 @@ uploaded by CI via ``--benchmark-json``); the summary test prints a
   of the shard measurement.
 
 The sharded runs come in two partitioning flavors: ``replica`` (every
-worker holds the full network) and ``graph`` (each worker holds one
+shard holds the full network) and ``graph`` (each shard holds one
 network region block plus its one-hop halo — see ``docs/sharding.md``).
-Both sharded legs also record each worker's peak RSS
-(:meth:`ShardedMonitoringServer.worker_peak_rss`), and a dedicated
+Both sharded legs also record the peak RSS of each worker process
+(:meth:`ShardedMonitoringServer.worker_peak_rss`; the coordinator's own
+shard is not among them), and a dedicated
 memory-footprint test sizes the comparison up to a 100K-edge city in full
 mode, where per-worker RSS under graph partitioning must land below the
 full-replica figure by the documented floor (``rss_ratio <=
@@ -74,7 +76,7 @@ QUICK_CONFIG = FULL_CONFIG.with_overrides(
 )
 
 #: The benchmarked legs: (workers, partitioning).  workers=1 is the plain
-#: in-process server (the speedup numerator); the two 4-worker legs
+#: in-process server (the speedup numerator); the two 4-shard legs
 #: compare full-replica sharding against graph-partitioned sharding.
 LEGS = ((1, "replica"), (4, "replica"), (4, "graph"))
 
@@ -230,7 +232,7 @@ QUICK_RSS_EDGES = 2_000
 
 #: The documented memory floor: a graph-partitioned worker's peak RSS must
 #: be at most this fraction of a full-replica worker's on the 100K-edge
-#: city.  Each of the 4 workers holds ~1/4 of the nodes plus a one-hop
+#: city.  Each of the 4 shards holds ~1/4 of the nodes plus a one-hop
 #: halo instead of the whole network; the measured ratio is ≈0.41
 #: (replica ≈327 MB vs graph ≈132 MB per worker), so 0.6 leaves ~50 %
 #: headroom for interpreter-baseline drift while still failing long
@@ -239,7 +241,10 @@ RSS_FLOOR = float(os.environ.get("SHARDED_BENCH_RSS_FLOOR", "0.6"))
 
 
 def _rss_leg(network, partitioning):
-    """Max per-worker peak RSS after priming a 4-worker server.
+    """Max per-worker peak RSS after priming a 4-shard server.
+
+    Three shards run in worker processes and are measured; the fourth
+    lives in the coordinator, whose footprint also holds the full network.
 
     Spawned (not forked) workers: under ``fork`` every child inherits the
     parent's full memory image copy-on-write — including the parent's own

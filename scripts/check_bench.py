@@ -12,7 +12,9 @@ The baseline (``BENCH_baseline.json`` at the repo root) stores the median
 seconds of every benchmark in the CI smoke set.  Because absolute timings
 differ wildly across machines, the gate is *self-calibrating*: it first
 estimates a machine-speed factor as the median of ``current / baseline``
-over all shared benchmarks, then fails any benchmark whose current median
+over all shared benchmarks — the smallest ratio when fewer than three are
+shared, since the median of two is their mean and would absorb half of one
+benchmark's regression — then fails any benchmark whose current median
 exceeds its calibrated baseline by more than ``--tolerance`` (default 30%,
 per-benchmark).  A uniform slowdown of the whole suite is absorbed by the
 calibration — the gate catches *relative* regressions, which is the signal
@@ -53,6 +55,10 @@ DEFAULT_BASELINE = REPO_ROOT / "BENCH_baseline.json"
 #: medians carry more scheduler jitter than calibration can cancel.
 SMALL_BENCH_SECONDS = 1e-3
 
+#: Fewest shared benchmarks whose median calibrates the machine factor;
+#: below it the smallest ratio does.
+MEDIAN_CALIBRATION_MIN = 3
+
 
 def load_medians(results_path: pathlib.Path) -> dict:
     """Map benchmark fullname -> median seconds from a pytest-benchmark JSON."""
@@ -82,8 +88,10 @@ def compare(medians: dict, baseline: dict, tolerance: float):
     """Diff *medians* against the baseline.
 
     Returns ``(failures, factor, rows)``: the number of failing
-    benchmarks, the machine calibration factor (``None`` when the runs
-    share no benchmarks), and one row dict per benchmark —
+    benchmarks, the machine calibration factor (the median ``current /
+    baseline`` ratio, or the smallest one when fewer than
+    :data:`MEDIAN_CALIBRATION_MIN` benchmarks are shared; ``None`` when the
+    runs share none), and one row dict per benchmark —
     ``{"name", "current_ms", "calibrated_ms", "delta", "verdict"}`` with
     the timing fields ``None`` for missing/extra entries.
     """
@@ -98,7 +106,10 @@ def compare(medians: dict, baseline: dict, tolerance: float):
 
     if not shared:
         return 1, None, rows
-    factor = statistics.median(medians[name] / base_medians[name] for name in shared)
+    ratios = [medians[name] / base_medians[name] for name in shared]
+    factor = (
+        statistics.median(ratios) if len(ratios) >= MEDIAN_CALIBRATION_MIN else min(ratios)
+    )
 
     for name in shared:
         allowed = tolerance * (2.0 if base_medians[name] < SMALL_BENCH_SECONDS else 1.0)

@@ -35,8 +35,9 @@ processes thousands of updates without per-update call overhead.
 
 Scaling out.  ``MonitoringServer(network, workers=N)`` builds a
 :class:`ShardedMonitoringServer`: queries are hash-partitioned
-(:func:`shard_of`) across N worker processes, each worker builds its own
-CSR snapshot from the network replica it is shipped, and each tick fans
+(:func:`shard_of`) across N shards — the coordinator hosts one and starts
+a worker process for each of the others — each shard builds its own CSR
+snapshot from the network replica it is shipped, and each tick fans
 out to the shards and merges their reports — with results identical to
 the single-process server's (enforced by the oracle-backed differential
 suite).

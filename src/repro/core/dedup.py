@@ -57,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import count
 from math import floor, isfinite
-from typing import Dict, Optional, Set, Tuple, Union
+from typing import Dict, Set, Tuple, Union
 
 from repro.core.base import TimestepReport
 from repro.core.events import UpdateBatch

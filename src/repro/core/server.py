@@ -98,8 +98,8 @@ class MonitoringServer:
         ``partitioning=`` other than the replica default, e.g.
         ``MonitoringServer(network, partitioning="graph")`` — returns a
         :class:`~repro.core.sharding.ShardedMonitoringServer`, which keeps
-        the exact same public API but fans every tick out to worker
-        processes.  Explicitly constructed subclasses are left alone.
+        the exact same public API but fans every tick out to its
+        shards.  Explicitly constructed subclasses are left alone.
         Both arguments are keyword-only, so reading them from *kwargs* is
         safe.
         """
@@ -191,7 +191,7 @@ class MonitoringServer:
         """Resolve *algorithm* to the in-process monitor instance.
 
         The sharded subclass overrides this to validate the name and return
-        None — its monitors live in the worker processes.
+        None — its monitors live in its shards.
         """
         if isinstance(algorithm, MonitorBase):
             return algorithm
@@ -850,8 +850,8 @@ def restore_server(blob, static=None) -> MonitoringServer:
     Dispatches on the blob's kind: an in-process snapshot rebuilds a
     :class:`MonitoringServer` around the snapshot's monitor (same monitor
     state, same pending buffer, same timestamp); a sharded snapshot rebuilds
-    a :class:`~repro.core.sharding.ShardedMonitoringServer`, respawning one
-    worker per shard from its pickled monitor so every expansion tree
+    a :class:`~repro.core.sharding.ShardedMonitoringServer`, rebuilding every
+    shard from its pickled monitor so every expansion tree
     resumes with its exact float history.  Continuing the restored server
     with the same updates yields results byte-identical to the original.
     A blob is same-release: it must come from this version's

@@ -1,12 +1,21 @@
-"""Sharded query execution: one monitoring server, N worker processes.
+"""Sharded query execution: one monitoring server, N shards.
 
 :class:`ShardedMonitoringServer` keeps the exact public API of
 :class:`~repro.core.server.MonitoringServer` — ingestion, ``tick()``,
-``result_of()`` — but runs the monitoring work in worker processes
-(:mod:`repro.core.worker`), so the per-tick work runs on every core
-instead of one.  The coordinator stays the single writer of the network
-and the edge table; each worker holds one **shard** of a layout:
+``result_of()`` — but splits the monitoring work into shards, each a
+:class:`~repro.core.worker.ShardEngine`, so the per-tick work runs on
+several cores instead of one.  The coordinator stays the single writer of
+the network and the edge table and holds one **shard** of a layout
+itself; every other shard runs in a worker process of its own:
 
+* **Processes.**  An N-shard fleet runs N−1 worker processes.  The last
+  shard's engine lives in the coordinator behind an in-process connection
+  that answers each message as it is sent; the coordinator sends every
+  worker its message first, so that shard computes while the workers do.
+  It is built after the workers have started, so no forked worker
+  inherits its state.  ``recv_timeout`` bounds the wait on workers only,
+  and :meth:`ShardedMonitoringServer.worker_peak_rss` reports the worker
+  processes alone.
 * **Network and halo.**  ``partitioning="replica"`` (the default) is the
   whole-network layout: every shard holds the full network, encoded once
   per spawn as a columnar network record, and its halo is empty.
@@ -23,7 +32,7 @@ and the edge table; each worker holds one **shard** of a layout:
 * **Tick.**  ``tick()`` applies the net batch to the coordinator's state,
   encodes its object and edge updates **once** as an ``RPUB`` batch record
   (:func:`~repro.core.events.encode_batch`) and sends every shard that
-  record plus a record of the query updates it owns.  Each worker keeps
+  record plus a record of the query updates it owns.  Each shard keeps
   the updates landing on its own edges, runs its monitor and replies with
   its changed results, which merge into the cache serving ``result_of()``.
 * **Boundary queries.**  A shard with a non-empty halo *escalates* a query
@@ -56,6 +65,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
+import traceback
 import weakref
 from array import array
 from dataclasses import dataclass
@@ -66,7 +76,7 @@ from repro.core.events import QueryUpdate, UpdateBatch, apply_batch, encode_batc
 from repro.core.queries import QuerySpec, merge_aggregate
 from repro.core.results import KnnResult
 from repro.core.server import ALGORITHMS, MonitoringServer
-from repro.core.worker import ShardInit, run_shard_worker, shard_of
+from repro.core.worker import ShardEngine, ShardInit, run_shard_worker, shard_of
 from repro.exceptions import (
     MonitoringError,
     RecoveryError,
@@ -96,13 +106,69 @@ def default_start_method() -> str:
     return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 
 
+class _InProcessConnection:
+    """The coordinator's own shard behind the pipe surface ``_exchange`` uses.
+
+    :meth:`send` runs the :class:`~repro.core.worker.ShardEngine` at once
+    and keeps the reply for :meth:`recv`; an exception becomes an
+    ``("error", traceback)`` reply and closes the connection, as it ends a
+    worker process.  A reply is always ready, so :meth:`poll` never waits.
+    """
+
+    def __init__(self, init: ShardInit) -> None:
+        """Build the engine; its ``ready`` (or ``error``) reply awaits recv."""
+        self._engine: Optional[ShardEngine] = None
+        self._reply: Optional[tuple] = None
+        try:
+            self._engine = ShardEngine(init)
+            self._reply = ("ready", self._engine.initial)
+        except Exception:
+            self._reply = ("error", traceback.format_exc())
+
+    def send(self, message: tuple) -> None:
+        """Serve *message* now; ``("stop",)`` closes the connection."""
+        if self._engine is None:
+            raise OSError("the in-process shard is closed")
+        if message[0] == "stop":
+            self.close()
+            return
+        try:
+            self._reply = self._engine.handle(message)
+        except Exception:
+            self.close()
+            self._reply = ("error", traceback.format_exc())
+
+    def poll(self, timeout: Optional[float] = None) -> bool:
+        """True: the reply to the last message is computed by :meth:`send`."""
+        return True
+
+    def recv(self) -> tuple:
+        """The reply to the last message (EOFError when there is none)."""
+        reply, self._reply = self._reply, None
+        if reply is None:
+            raise EOFError("the in-process shard has no reply pending")
+        return reply
+
+    def close(self) -> None:
+        """Drop the engine and its state."""
+        self._engine = None
+
+
 @dataclass
 class _Shard:
-    """Parent-side handle of one worker process."""
+    """Coordinator-side handle of one shard.
+
+    ``process`` is ``None`` for the shard the coordinator hosts itself,
+    whose ``conn`` is an :class:`_InProcessConnection`.
+    """
 
     shard_id: int
-    process: multiprocessing.Process
-    conn: object  # multiprocessing.connection.Connection
+    process: Optional[multiprocessing.Process]
+    conn: object  # a Connection, or an _InProcessConnection
+
+    def __str__(self) -> str:
+        where = "in-process" if self.process is None else f"pid {self.process.pid}"
+        return f"shard {self.shard_id} ({where})"
 
 
 def _cleanup(shards: List[_Shard]) -> None:
@@ -113,10 +179,11 @@ def _cleanup(shards: List[_Shard]) -> None:
         except (OSError, ValueError, BrokenPipeError):
             pass
     for shard in shards:
-        shard.process.join(timeout=5.0)
-        if shard.process.is_alive():  # pragma: no cover - stuck worker
-            shard.process.terminate()
-            shard.process.join(timeout=1.0)
+        if shard.process is not None:
+            shard.process.join(timeout=5.0)
+            if shard.process.is_alive():  # pragma: no cover - stuck worker
+                shard.process.terminate()
+                shard.process.join(timeout=1.0)
         try:
             shard.conn.close()
         except OSError:  # pragma: no cover - already closed
@@ -158,15 +225,17 @@ def _extract_subnetwork(
 
 
 class ShardedMonitoringServer(MonitoringServer):
-    """A :class:`MonitoringServer` that executes queries on worker processes.
+    """A :class:`MonitoringServer` that executes queries on N shards.
 
     Construct it directly, or — equivalently — via
     ``MonitoringServer(network, workers=N)`` with ``N > 1``.  The whole
     ingestion surface (``add_object`` … ``apply_updates``) is inherited
     unchanged; only execution is different: ``tick()`` fans the timestamp
     out to the shards and merges their reports, and ``result_of()`` serves
-    from the merged result cache.  Call :meth:`close` (or use the server as
-    a context manager) to stop the workers.
+    from the merged result cache.  The coordinator hosts the last shard
+    itself and starts one worker process per other shard.  Call
+    :meth:`close` (or use the server as a context manager) to stop the
+    workers.
 
     Example::
 
@@ -191,16 +260,17 @@ class ShardedMonitoringServer(MonitoringServer):
         start_method: Optional[str] = None,
         recv_timeout: Optional[float] = 120.0,
     ) -> None:
-        """Create the sharded server and spawn its worker processes.
+        """Create the sharded server: its own shard and N−1 worker processes.
 
         Args:
             network: the road network (the parent stays its single writer
                 of weights; its topology is frozen here, as for any server).
             algorithm: ``"ovh"``, ``"ima"`` or ``"gma"``; monitor *instances*
-                are rejected because monitors live in the workers.
+                are rejected because monitors live in the shards.
             edge_table: optionally a pre-populated edge table; its objects
-                are shipped to every worker as the initial placements.
-            workers: number of worker processes (>= 1).
+                are shipped to every shard as the initial placements.
+            workers: number of shards (>= 1); the coordinator hosts one and
+                starts a worker process for each of the others.
             partitioning: ``"replica"`` (default) hash-partitions queries
                 over full network replicas; ``"graph"`` partitions the
                 *network* into region blocks with a one-hop halo, owns each
@@ -210,11 +280,13 @@ class ShardedMonitoringServer(MonitoringServer):
                 shards than *workers* when the network has fewer nodes.
             start_method: multiprocessing start method; defaults to
                 :func:`default_start_method`.
-            recv_timeout: seconds to wait for any single worker reply before
-                declaring the shard stuck and failing the server with a
-                :class:`MonitoringError` (the 5s join cap in teardown has
-                the same role).  ``None`` disables the deadline and restores
-                the old block-forever behaviour.
+            recv_timeout: seconds to wait for any single worker-process
+                reply before declaring the shard stuck and failing the
+                server with a :class:`MonitoringError` (the 5s join cap in
+                teardown has the same role).  The coordinator's own shard
+                replies as it is sent a message, so no deadline applies to
+                it.  ``None`` disables the deadline and restores the old
+                block-forever behaviour.
         """
         if workers < 1:
             raise MonitoringError(f"workers must be >= 1, got {workers}")
@@ -248,11 +320,11 @@ class ShardedMonitoringServer(MonitoringServer):
         self._spawn_workers(initial_queries={})
 
     def _make_monitor(self, algorithm: Union[str, MonitorBase]) -> Optional[MonitorBase]:
-        """Validate and record the worker algorithm; no in-process monitor."""
+        """Validate and record the shards' algorithm; no server-wide monitor."""
         if isinstance(algorithm, MonitorBase):
             raise MonitoringError(
                 "a sharded server needs an algorithm *name* (its monitors "
-                "live in worker processes); got a monitor instance"
+                "live in its shards); got a monitor instance"
             )
         self._algorithm_key = self._resolve_algorithm_key(algorithm)
         return None
@@ -262,7 +334,7 @@ class ShardedMonitoringServer(MonitoringServer):
     # ------------------------------------------------------------------
     @property
     def workers(self) -> int:
-        """Number of worker processes serving this server's queries."""
+        """Number of shards requested; the fleet runs ``shards - 1`` worker processes."""
         return self._num_workers
 
     @property
@@ -320,19 +392,19 @@ class ShardedMonitoringServer(MonitoringServer):
 
     @property
     def algorithm_name(self) -> str:
-        """Short name of the algorithm the workers run ("OVH"/"IMA"/"GMA")."""
+        """Short name of the algorithm the shards run ("OVH"/"IMA"/"GMA")."""
         return ALGORITHMS[self._algorithm_key].name
 
     @property
     def monitor(self) -> MonitorBase:
-        """Unavailable on a sharded server — monitors live in the workers.
+        """Unavailable on a sharded server — monitors live in the shards.
 
         Raises AttributeError (not MonitoringError) so ``hasattr`` /
         ``getattr(..., default)`` probes behave normally.
         """
         raise AttributeError(
             "a sharded server has no in-process monitor; use result_of()/"
-            "results(), which merge the workers' answers"
+            "results(), which merge the shards' answers"
         )
 
     # ------------------------------------------------------------------
@@ -343,7 +415,7 @@ class ShardedMonitoringServer(MonitoringServer):
         initial_queries: Dict[int, tuple],
         monitor_blobs: Optional[List[bytes]] = None,
     ) -> None:
-        """Ship the state and start one process per shard."""
+        """Ship the state, start the worker processes, build the own shard."""
         try:
             self._spawn_workers_inner(initial_queries, monitor_blobs)
         except BaseException:
@@ -358,17 +430,21 @@ class ShardedMonitoringServer(MonitoringServer):
     ) -> None:
         """The actual spawn sequence (:meth:`_spawn_workers` adds cleanup).
 
-        With *monitor_blobs* (one pickled monitor per shard, from
-        :meth:`snapshot_state`), each worker resumes from its blob instead
-        of building fresh state — preserving the monitors' exact float
-        history, which is what makes restored results byte-identical.
-        Each ``ready`` reply names the queries the shard registered, which
-        is how the coordinator learns who owns them; the ones it escalated
-        at registration are queued for re-evaluation on the next tick.
+        Every shard but the last gets a worker process; the last one's
+        engine is built here, after every worker has started, so no forked
+        worker inherits its state.  With *monitor_blobs* (one pickled
+        monitor per shard, from :meth:`snapshot_state`), each shard resumes
+        from its blob instead of building fresh state — preserving the
+        monitors' exact float history, which is what makes restored results
+        byte-identical.  Each ``ready`` reply names the queries the shard
+        registered, which is how the coordinator learns who owns them; the
+        ones it escalated at registration are queued for re-evaluation on
+        the next tick.
         """
         context = multiprocessing.get_context(self._start_method)
         self._shards = []
-        for init in self._shard_inits(initial_queries, monitor_blobs):
+        *child_inits, own_init = self._shard_inits(initial_queries, monitor_blobs)
+        for init in child_inits:
             parent_conn, child_conn = context.Pipe()
             process = context.Process(
                 target=run_shard_worker,
@@ -379,6 +455,9 @@ class ShardedMonitoringServer(MonitoringServer):
             process.start()
             child_conn.close()
             self._shards.append(_Shard(init.shard_id, process, parent_conn))
+        self._shards.append(
+            _Shard(own_init.shard_id, None, _InProcessConnection(own_init))
+        )
         for shard, (results, escalated) in zip(self._shards, self._exchange("ready")):
             self._merged_results.update(results)
             self._query_owner.update(dict.fromkeys(results, shard.shard_id))
@@ -504,9 +583,11 @@ class ShardedMonitoringServer(MonitoringServer):
 
         ``messages[i]`` goes to ``shards[i]`` (every shard by default); with
         no *messages* nothing is sent, which is how the spawn sequence waits
-        for the ``ready`` greetings.  Returns the reply payloads in shard
-        order.  A dead worker, a worker error, a reply of another kind, or
-        no reply within the ``recv_timeout`` constructor argument raises
+        for the ``ready`` greetings.  The in-process shard is the last one,
+        so every worker already has its message while it computes.  Returns
+        the reply payloads in shard order.  A dead worker, a shard error, a
+        reply of another kind, or no worker reply within the
+        ``recv_timeout`` constructor argument raises
         :class:`MonitoringError` — ``conn.recv()`` has no deadline of its
         own, so a stuck worker would otherwise freeze the coordinator.
         """
@@ -516,8 +597,7 @@ class ShardedMonitoringServer(MonitoringServer):
                 shard.conn.send(message)
             except (OSError, ValueError) as exc:
                 raise MonitoringError(
-                    f"shard {shard.shard_id} (pid {shard.process.pid}) is gone; "
-                    f"cannot send it {message[0]!r}"
+                    f"{shard} is gone; cannot send it {message[0]!r}"
                 ) from exc
         payloads = []
         for shard in shards:
@@ -526,21 +606,17 @@ class ShardedMonitoringServer(MonitoringServer):
                     self._recv_timeout
                 ):
                     raise MonitoringError(
-                        f"shard {shard.shard_id} (pid {shard.process.pid}) did not "
-                        f"reply within {self._recv_timeout}s; treating the worker "
-                        f"as stuck"
+                        f"{shard} did not reply within {self._recv_timeout}s; "
+                        f"treating the worker as stuck"
                     )
                 kind, payload = shard.conn.recv()
             except (EOFError, OSError) as exc:
-                raise MonitoringError(
-                    f"shard {shard.shard_id} (pid {shard.process.pid}) died "
-                    f"without replying"
-                ) from exc
+                raise MonitoringError(f"{shard} died without replying") from exc
             if kind == "error":
-                raise MonitoringError(f"shard {shard.shard_id} failed:\n{payload}")
+                raise MonitoringError(f"{shard} failed:\n{payload}")
             if kind != reply:  # pragma: no cover - protocol violation
                 raise MonitoringError(
-                    f"shard {shard.shard_id} sent {kind!r} instead of {reply!r}"
+                    f"{shard} sent {kind!r} instead of {reply!r}"
                 )
             payloads.append(payload)
         return payloads
@@ -627,7 +703,7 @@ class ShardedMonitoringServer(MonitoringServer):
         apply_batch(self._network, self._edge_table, normalized)
         timestamp = normalized.timestamp
         # One record of the object and edge updates for the whole fleet;
-        # each worker keeps the updates that land on its own edges.
+        # each shard keeps the updates that land on its own edges.
         shared = encode_batch(
             UpdateBatch(
                 timestamp,
@@ -657,7 +733,7 @@ class ShardedMonitoringServer(MonitoringServer):
             ) = payload
             if shard_timestamp != timestamp:  # pragma: no cover - protocol bug
                 raise MonitoringError(
-                    f"shard {shard.shard_id} reported timestamp {shard_timestamp}, "
+                    f"{shard} reported timestamp {shard_timestamp}, "
                     f"expected {timestamp}"
                 )
             changed.update(shard_changed)
@@ -875,10 +951,13 @@ class ShardedMonitoringServer(MonitoringServer):
     def worker_peak_rss(self) -> List[int]:
         """Peak resident set size, in bytes, of every worker process.
 
-        The memory-model evidence for graph partitioning: a block+halo
-        worker should peak well below a full-replica worker on large
-        networks.  Asks each live worker over its pipe (a shard failure
-        fails the server closed, like a tick).
+        One entry per worker process, in shard order: the shard the
+        coordinator hosts is not counted (its memory is the coordinator's
+        own), so an N-shard fleet reports N−1 figures.  The memory-model
+        evidence for graph partitioning: a block+halo worker should peak
+        well below a full-replica worker on large networks.  Asks each
+        live worker over its pipe (a shard failure fails the server
+        closed, like a tick).
 
         Example::
 
@@ -887,9 +966,10 @@ class ShardedMonitoringServer(MonitoringServer):
         """
         self._ensure_open()
         try:
+            children = [shard for shard in self._shards if shard.process is not None]
             return [
                 int(size)
-                for size in self._exchange("rss", [("rss",)] * len(self._shards))
+                for size in self._exchange("rss", [("rss",)] * len(children), children)
             ]
         except BaseException as exc:
             self._fail(exc)
@@ -960,14 +1040,15 @@ class ShardedMonitoringServer(MonitoringServer):
     def snapshot_state(self, *, static: bool = True) -> bytes:
         """Serialize the complete fleet state to one opaque blob.
 
-        Each worker answers a ``("snapshot",)`` request with its pickled
+        Each shard answers a ``("snapshot",)`` request with its pickled
         monitor — expansion trees, per-query float history and all — and
         the parent packs those blobs together with its own authoritative
         state through the base class's encoder: the network and edge table
         as a static section plus weight / object columns, then the entity
         maps, pending buffer and merged results.
         :func:`~repro.core.server.restore_server` rebuilds the server by
-        respawning one worker per blob, so the restored fleet continues
+        rebuilding one shard per blob — the last one in this process — so
+        the restored fleet continues
         byte-identically.  Like a tick, a shard failure while snapshotting
         fails the server closed.
 
@@ -1008,7 +1089,7 @@ class ShardedMonitoringServer(MonitoringServer):
 
         Invoked by :func:`~repro.core.server.restore_server`; bypasses
         ``__init__`` (the snapshot already holds constructed state) and
-        respawns the fleet from the per-shard monitor blobs.  Keys it does
+        rebuilds the fleet from the per-shard monitor blobs.  Keys it does
         not read — such as the copy-mode flag and the settle-engine name
         older versions wrote — are ignored, so their snapshots still
         restore.

@@ -1,45 +1,49 @@
-"""Shard worker: the per-process execution engine of the sharded server.
+"""Shard engine: the per-shard execution state of the sharded server.
 
-A worker owns one monitor over its shard of the road network — the whole
-network, or one partition block plus its one-hop halo — together with the
-objects on that shard's edges and the queries the shard owns.  The
-coordinator (:class:`~repro.core.sharding.ShardedMonitoringServer`) ships
-one :class:`ShardInit` at spawn time and then talks over a
-``multiprocessing`` pipe:
+A :class:`ShardEngine` owns one monitor over its shard of the road network
+— the whole network, or one partition block plus its one-hop halo —
+together with the objects on that shard's edges and the queries the shard
+owns.  It is built from one :class:`ShardInit` and answers messages with
+replies through :meth:`ShardEngine.handle`.  Of an N-shard fleet, the
+coordinator (:class:`~repro.core.sharding.ShardedMonitoringServer`) hosts
+the last shard's engine in its own process and starts one worker process
+per other shard; a worker (:func:`run_shard_worker`) is a loop around one
+engine behind a ``multiprocessing`` pipe.  The messages:
 
 * ``("tick", shared_record, query_record)`` — two ``RPUB`` batch records
   (:func:`~repro.core.events.encode_batch`): the timestamp's net object and
   edge updates, encoded once for the whole fleet, and the query updates
   this shard owns.  :func:`local_batch` keeps the updates that land on this
-  worker's edges; the worker applies that batch, runs the monitor and
+  shard's edges; the engine applies that batch, runs the monitor and
   replies ``("report", payload)`` with the tick report fields and the full
   results of every changed query.
 * ``("snapshot",)`` — reply ``("snapshot", pickled_monitor)`` and keep
   serving: the coordinator packs the blobs into a fleet snapshot
   (:meth:`~repro.core.sharding.ShardedMonitoringServer.snapshot_state`)
-  that a restored server respawns workers from.
+  that a restored server rebuilds its shards from.
 * ``("expand", requests)`` — run one exact network expansion per request
   (fresh, or a *frontier continuation* seeded at halo nodes) and reply
   ``("expanded", replies)``, each reply ``(neighbors, halo_hits)``: the
   settled halo nodes are what the coordinator forwards to neighboring
   shards as resume requests.
 * ``("rss",)`` — reply ``("rss", peak_rss_bytes)`` of this process.
-* ``("stop",)`` — shut down.
+* ``("stop",)`` — shut the worker down (the worker loop's own message).
 
 A local answer is exact iff its search never settled a halo node (any
 shortest path leaving the block crosses the halo at its first exit).  With
-a non-empty halo the worker *probes* every potentially affected query after
+a non-empty halo the engine *probes* every potentially affected query after
 each tick with a fixed-radius re-expansion and **escalates** the ones whose
 probe touched the halo: it unregisters them and reports their ids, and the
 coordinator takes them over.  An empty halo — the whole network, or a
 single block — makes every local answer exact, so nothing is probed.
 
-The CSR adjacency is never shipped: the worker's network builds it when it
+The CSR adjacency is never shipped: the shard's network builds it when it
 is frozen, exactly as a single-process server's does, and a weight write
-lands in it directly as the worker applies each tick's edge updates.  The network decodes from its columnar record
-(:mod:`repro.network.record`) with the coordinator's node and edge order,
-so the worker's dense renumbering — and with it every heap tie-break —
-matches the coordinator's.
+lands in it directly as the engine applies each tick's edge updates.  The
+network decodes from its columnar record (:mod:`repro.network.record`)
+with the coordinator's node and edge order, so the shard's dense
+renumbering — and with it every heap tie-break — matches the
+coordinator's.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 from repro.core.events import ObjectUpdate, QueryUpdate, UpdateBatch, apply_batch, decode_batch
 from repro.core.results import KnnResult
 from repro.core.search import expand_knn
+from repro.exceptions import MonitoringError
 from repro.network.edge_table import EdgeTable
 from repro.network.graph import NetworkLocation, RoadNetwork
 from repro.network.record import decode_network
@@ -69,7 +74,7 @@ _HASH_MASK = 0xFFFFFFFF
 
 
 def shard_of(query_id: int, shards: int) -> int:
-    """Deterministic shard index of *query_id* among *shards* workers.
+    """Deterministic shard index of *query_id* among *shards* shards.
 
     Example::
 
@@ -80,12 +85,14 @@ def shard_of(query_id: int, shards: int) -> int:
 
 @dataclass
 class ShardInit:
-    """Everything a shard worker needs to build its state.
+    """Everything a :class:`ShardEngine` needs to build its state.
 
     The network travels as one pre-encoded network record plus its current
-    weight column and is decoded *inside* the worker: the coordinator keeps
-    no decoded copy, and the ``spawn`` start method ships the bytes without
-    a decode/re-encode round trip.
+    weight column and is decoded by the engine: in the worker process, or
+    — for the coordinator's own shard — in the coordinator after every
+    worker has started, so no forked worker inherits the decoded copy.  The
+    ``spawn`` start method ships the bytes without a decode/re-encode round
+    trip.
     """
 
     shard_id: int
@@ -97,14 +104,14 @@ class ShardInit:
     #: the current weight of every edge of ``network_blob``, in its edge
     #: order (the record holds base weights only).
     weights: Optional[array]
-    #: every object placement; the worker keeps the ones on its own edges.
+    #: every object placement; the engine keeps the ones on its own edges.
     objects: Dict[int, NetworkLocation]
     #: query id -> (location, k-or-QuerySpec); the sharded server ships the
     #: full :class:`~repro.core.queries.QuerySpec` so every query type
     #: (k-NN, range, aggregate k-NN) partitions transparently.
     queries: Dict[int, Tuple[NetworkLocation, object]] = field(default_factory=dict)
-    #: a pickled monitor from a previous worker's ``("snapshot",)`` reply;
-    #: when set, the worker resumes from it — network replica, edge table,
+    #: a pickled monitor from a previous shard's ``("snapshot",)`` reply;
+    #: when set, the engine resumes from it — network replica, edge table,
     #: registered queries and the exact per-query float history included —
     #: instead of building fresh state from the fields above.
     monitor_blob: Optional[bytes] = None
@@ -285,7 +292,7 @@ def _peak_rss_bytes() -> int:
 
 
 def _build_state(init: ShardInit):
-    """Construct (or restore) the worker-local network state and monitor."""
+    """Construct (or restore) the shard-local network state and monitor."""
     # Imported here (not at module top) to keep the worker import graph free
     # of a server <-> worker cycle.
     from repro.core.server import ALGORITHMS
@@ -327,24 +334,122 @@ def _build_state(init: ShardInit):
     return network, edge_table, monitor, results, escalated
 
 
-def run_shard_worker(conn, init: ShardInit) -> None:
-    """Worker process entry point: build the replica, then serve ticks.
+class ShardEngine:
+    """One shard's state and the handler of every message it serves.
 
-    Sends ``("ready", (initial_results, escalated_ids))`` once construction
-    succeeds (*initial_results* covers every query the worker holds;
-    *escalated_ids* is empty when the halo is), then answers
-    every tick message with ``("report", payload)`` where *payload* is
-    ``(timestamp, elapsed_seconds, cpu_seconds, changed_query_ids, counters,
-    changed_results, escalated_ids)``; ``cpu_seconds`` is this process's CPU
-    time for the tick, the contention-free signal throughput studies use.
-    Any exception is reported as ``("error", traceback_text)`` and ends the
-    worker, and so does the death of the coordinator, however it died.
+    Built from a :class:`ShardInit`; :attr:`initial` holds what the shard
+    announces once built, ``(initial_results, escalated_ids)``
+    (*initial_results* covers every query the shard holds; *escalated_ids*
+    is empty when the halo is).  :meth:`handle` answers one message with
+    its reply and raises when the message cannot be served.  A worker
+    process is a loop around one engine (:func:`run_shard_worker`); the
+    coordinator hosts one more in its own process.
+
+    Example::
+
+        engine = ShardEngine(init)
+        kind, payload = engine.handle(("rss",))
     """
-    try:
-        network, edge_table, monitor, initial_results, initial_escalated = (
+
+    def __init__(self, init: ShardInit) -> None:
+        """Decode (or restore) the shard's network, objects and monitor."""
+        self._shard_id = init.shard_id
+        self._halo_nodes = init.halo_nodes
+        self._network, self._edge_table, self._monitor, results, escalated = (
             _build_state(init)
         )
-        conn.send(("ready", (initial_results, initial_escalated)))
+        #: ``(initial_results, escalated_ids)`` of the freshly built shard.
+        self.initial: Tuple[Dict[int, KnnResult], List[int]] = (results, escalated)
+
+    def handle(self, message: tuple) -> tuple:
+        """Serve one ``tick`` / ``expand`` / ``snapshot`` / ``rss`` message.
+
+        Returns the reply the module docstring names for *message*; an
+        unknown kind raises :class:`~repro.exceptions.MonitoringError`.
+        """
+        kind = message[0]
+        if kind == "tick":
+            return ("report", self._tick(message[1], message[2]))
+        if kind == "expand":
+            return (
+                "expanded",
+                _serve_expansions(
+                    self._network, self._edge_table, self._halo_nodes, message[1]
+                ),
+            )
+        if kind == "snapshot":
+            # Pickled between ticks: the monitor's per-batch snapshot field
+            # (_batch_csr) is None outside _process, and the CSR snapshot
+            # cache is module-level and weak, so the blob carries exactly
+            # the replica + algorithm state a restored shard resumes from.
+            return ("snapshot", pickle.dumps(self._monitor, protocol=pickle.HIGHEST_PROTOCOL))
+        if kind == "rss":
+            return ("rss", _peak_rss_bytes())
+        raise MonitoringError(f"shard {self._shard_id}: unknown message {kind!r}")
+
+    def _tick(self, shared_record: bytes, query_record: bytes) -> tuple:
+        """Apply one tick's records and run the monitor; the report payload.
+
+        The payload is ``(timestamp, elapsed_seconds, cpu_seconds,
+        changed_query_ids, counters, changed_results, escalated_ids)``;
+        ``cpu_seconds`` is the process CPU time the tick took, the
+        contention-free signal throughput studies use.
+        """
+        network, edge_table, monitor = self._network, self._edge_table, self._monitor
+        batch = local_batch(
+            network,
+            decode_batch(shared_record),
+            decode_batch(query_record).query_updates,
+        )
+        cpu_start = time.process_time()
+        apply_batch(network, edge_table, batch)
+        report = monitor.process_batch(batch)
+        changed = set(report.changed_queries)
+        escalated: List[int] = []
+        if self._halo_nodes:
+            # Edge-weight changes move halo distances silently, so every
+            # registered query must be re-probed; otherwise only queries
+            # whose answer or position changed can newly spill over the
+            # boundary.
+            if batch.edge_updates:
+                probe_ids = set(monitor.query_ids())
+            else:
+                probe_ids = set(changed)
+                for update in batch.query_updates:
+                    if not update.is_termination:
+                        probe_ids.add(update.query_id)
+            escalated = _probe_escalations(
+                monitor, network, edge_table, self._halo_nodes, probe_ids
+            )
+            for query_id in escalated:
+                monitor.unregister_query(query_id)
+                changed.discard(query_id)
+        results = {
+            query_id: _plain_result(monitor.result_of(query_id)) for query_id in changed
+        }
+        return (
+            report.timestamp,
+            report.elapsed_seconds,
+            time.process_time() - cpu_start,
+            changed,
+            dict(report.counters),
+            results,
+            escalated,
+        )
+
+
+def run_shard_worker(conn, init: ShardInit) -> None:
+    """Worker process entry point: build a :class:`ShardEngine`, then serve.
+
+    Sends ``("ready", engine.initial)`` once construction succeeds, then
+    answers every message with ``engine.handle(message)`` until
+    ``("stop",)``.  Any exception is reported as ``("error",
+    traceback_text)`` and ends the worker, and so does the death of the
+    coordinator, however it died.
+    """
+    try:
+        engine = ShardEngine(init)
+        conn.send(("ready", engine.initial))
     except Exception:
         try:
             conn.send(("error", traceback.format_exc()))
@@ -367,88 +472,13 @@ def run_shard_worker(conn, init: ShardInit) -> None:
                 message = conn.recv()
             except (EOFError, OSError):
                 break
-            kind = message[0]
-            if kind == "stop":
-                break
-            if kind == "snapshot":
-                # Pickle the monitor between ticks: its per-batch snapshot
-                # field (_batch_csr) is None outside _process, and the CSR snapshot cache is module-level and
-                # weak, so the blob carries exactly the replica + algorithm
-                # state a restored worker resumes from.
-                try:
-                    conn.send(
-                        ("snapshot", pickle.dumps(monitor, protocol=pickle.HIGHEST_PROTOCOL))
-                    )
-                except Exception:
-                    conn.send(("error", traceback.format_exc()))
-                    break
-                continue
-            if kind == "rss":
-                conn.send(("rss", _peak_rss_bytes()))
-                continue
-            if kind == "expand":
-                try:
-                    replies = _serve_expansions(
-                        network, edge_table, init.halo_nodes, message[1]
-                    )
-                    conn.send(("expanded", replies))
-                except Exception:
-                    conn.send(("error", traceback.format_exc()))
-                    break
-                continue
-            if kind != "tick":
-                conn.send(("error", f"shard {init.shard_id}: unknown message {kind!r}"))
+            if message[0] == "stop":
                 break
             try:
-                batch = local_batch(
-                    network,
-                    decode_batch(message[1]),
-                    decode_batch(message[2]).query_updates,
-                )
-                cpu_start = time.process_time()
-                apply_batch(network, edge_table, batch)
-                report = monitor.process_batch(batch)
-                changed = set(report.changed_queries)
-                escalated: List[int] = []
-                if init.halo_nodes:
-                    # Edge-weight changes move halo distances silently, so
-                    # every registered query must be re-probed; otherwise
-                    # only queries whose answer or position changed can
-                    # newly spill over the boundary.
-                    if batch.edge_updates:
-                        probe_ids = set(monitor.query_ids())
-                    else:
-                        probe_ids = set(changed)
-                        for update in batch.query_updates:
-                            if not update.is_termination:
-                                probe_ids.add(update.query_id)
-                    escalated = _probe_escalations(
-                        monitor, network, edge_table, init.halo_nodes, probe_ids
-                    )
-                    for query_id in escalated:
-                        monitor.unregister_query(query_id)
-                        changed.discard(query_id)
-                results = {
-                    query_id: _plain_result(monitor.result_of(query_id))
-                    for query_id in changed
-                }
-                cpu_seconds = time.process_time() - cpu_start
-                conn.send(
-                    (
-                        "report",
-                        (
-                            report.timestamp,
-                            report.elapsed_seconds,
-                            cpu_seconds,
-                            changed,
-                            dict(report.counters),
-                            results,
-                            escalated,
-                        ),
-                    )
-                )
+                reply = engine.handle(message)
             except Exception:
                 conn.send(("error", traceback.format_exc()))
                 break
+            conn.send(reply)
     finally:
         conn.close()

@@ -9,7 +9,7 @@ scaled-down default but accepts the paper's full-size values unchanged).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict
 
 from repro.exceptions import SimulationError

@@ -139,9 +139,10 @@ def _make_scenario_server(
     shared network.  ``workers=None`` builds the plain in-process server;
     any integer — including 1 — builds a
     :class:`~repro.core.sharding.ShardedMonitoringServer` with that many
-    worker processes, so the IPC layer is exercised even in the
-    single-worker matrix leg.  With ``dedup=True`` the server is wrapped in
-    a :class:`~repro.core.dedup.DedupFrontend` *before* the initial queries
+    shards, so the tick records and the merge are exercised even in the
+    single-worker matrix leg (whose one shard the coordinator hosts).
+    With ``dedup=True`` the server is wrapped in a
+    :class:`~repro.core.dedup.DedupFrontend` *before* the initial queries
     are installed, so co-located tenants of the scenario share physical
     queries from the very first tick.  ``partitioning="graph"`` builds the
     sharded server over network-partitioned region shards instead of full
@@ -200,7 +201,7 @@ def run_differential_scenario(
     When *workers* is given, the same stream additionally drives two
     :class:`~repro.core.server.MonitoringServer` instances running
     *server_algorithm* over private network replicas — a single-process one
-    and a sharded one with that many worker processes — through the batched
+    and a sharded one with that many shards — through the batched
     ``apply_updates`` + ``tick`` pipeline.  Both must match the oracle at
     every timestamp, and the sharded server's results must be identical to
     the single-process server's.

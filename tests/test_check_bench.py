@@ -69,6 +69,47 @@ def test_compare_flags_relative_regression():
     assert verdicts["a"] == "ok"
 
 
+def _city_baseline():
+    """The committed two-row city-scale baseline and its median seconds."""
+    path = _SCRIPT.parent.parent / "BENCH_city_baseline.json"
+    baseline = json.loads(path.read_text(encoding="utf-8"))
+    medians = {name: entry["median"] for name, entry in baseline["benchmarks"].items()}
+    assert len(medians) == 2
+    return baseline, medians
+
+
+def test_two_row_baseline_fails_one_slower_row():
+    """A 1.6x slower tick beside an unchanged importer fails.
+
+    The median of two ratios is their mean, which would calibrate away half
+    of the tick's regression (+23 %, a pass); the smallest ratio keeps it.
+    """
+    baseline, medians = _city_baseline()
+    slower = {
+        name: median * (1.6 if "tick_latency" in name else 1.0)
+        for name, median in medians.items()
+    }
+    failures, factor, rows = check_bench.compare(slower, baseline, tolerance=0.30)
+    assert failures == 1
+    assert factor == pytest.approx(1.0)
+    verdicts = {row["name"]: row["verdict"] for row in rows}
+    assert all(
+        verdict.startswith("FAIL") == ("tick_latency" in name)
+        for name, verdict in verdicts.items()
+    )
+
+
+def test_two_row_baseline_absorbs_a_uniform_host_slowdown():
+    """Both rows 1.3x slower is a slower machine, not a regression."""
+    baseline, medians = _city_baseline()
+    failures, factor, rows = check_bench.compare(
+        {name: median * 1.3 for name, median in medians.items()}, baseline, tolerance=0.30
+    )
+    assert failures == 0
+    assert factor == pytest.approx(1.3)
+    assert [row["verdict"] for row in rows] == ["ok", "ok"]
+
+
 def test_compare_reports_missing_and_extra():
     """Baseline/run set drift shows up as dedicated rows; missing fails."""
     baseline = {"benchmarks": {"a": {"median": 0.010}, "gone": {"median": 0.010}}}

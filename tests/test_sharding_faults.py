@@ -113,15 +113,18 @@ def test_recv_timeout_validation():
 # ----------------------------------------------------------------------
 # kill -9 of the coordinator must not orphan its workers
 # ----------------------------------------------------------------------
+# Three shards: the coordinator hosts one and two worker processes serve
+# the others, so the first worker's pipe end is inherited by its sibling.
 _COORDINATOR = """
 import sys, time
 from repro import MonitoringServer, city_network
 
-server = MonitoringServer(city_network(100, seed=21), workers=2, partitioning=sys.argv[1])
+server = MonitoringServer(city_network(100, seed=21), workers=3, partitioning=sys.argv[1])
 server.add_object_at(1, x=50.0, y=50.0)
 server.add_query_at(100, x=60.0, y=60.0, k=1)
 server.tick()
-print(*(shard.process.pid for shard in server._shards), flush=True)
+assert server.shards == 3
+print(*(shard.process.pid for shard in server._shards if shard.process), flush=True)
 time.sleep(120)
 """
 
@@ -172,7 +175,7 @@ def test_workers_do_not_outlive_a_sigkilled_coordinator(partitioning):
 
     Under ``fork`` each worker's pipe end is inherited by the siblings
     started after it, so EOF on the pipe never comes; the fleet used to
-    stay behind, two processes per kill.
+    stay behind, every worker process per kill.
     """
     coordinator = _start_coordinator(partitioning)
     workers = []
