@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import io
 import struct
+import sys
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import (
     EdgeNotFoundError,
@@ -361,6 +363,10 @@ _FLAG_NORMALIZED = 0x01
 #: The record omits every object old location and every old weight: they
 #: are the edge table's current values, and the decoder reads them there.
 _FLAG_OLD_FROM_TABLE = 0x02
+#: Only with bit 1: the record also omits every query old location (the
+#: applied query map's), replaces the kind bytes with bit columns and
+#: stores every new fraction and weight as its XOR with the old value.
+_FLAG_DELTA = 0x04
 #: Every pickle of protocol 2 or later — which is what version 1 wrote —
 #: starts with the PROTO opcode.
 _PICKLE_PROTO_OPCODE = 0x80
@@ -394,19 +400,89 @@ def _pack_floats(what: str, values: Sequence[float]) -> bytes:
     return buffer.getvalue()
 
 
-def _pack_locations(what: str, locations: Sequence[NetworkLocation]) -> bytes:
-    """An ``(edge, fraction)`` column pair."""
-    return _pack_ints(what, [location.edge_id for location in locations]) + _pack_floats(
-        what, [location.fraction for location in locations]
+#: ``bytes.translate`` tables between one 0/1 byte per row and binary digits,
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+#: from a bit length to its byte count,
+_BYTE_COUNTS = bytes((bits + 7) // 8 for bits in range(256))
+#: and between a byte and its low nibble, its high one, or a nibble shifted high.
+_LOW_NIBBLE = bytes(byte & 0x0F for byte in range(256))
+_HIGH_NIBBLE = bytes(byte >> 4 for byte in range(256))
+_TO_HIGH_NIBBLE = bytes((byte << 4) & 0xFF for byte in range(256))
+_LITTLE = repeat("little")
+#: The zero high bytes a value of n significant bytes leaves out.
+_HIGH_ZEROS = tuple(bytes(8 - size) for size in range(9))
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _pack_bits(flags: Sequence[bool]) -> bytes:
+    """A bit column: row *i* is bit ``i % 8`` of byte ``i // 8``, padding bits 0."""
+    if not flags:
+        return b""
+    digits = bytes(flags).translate(_TO_DIGITS)[::-1]
+    return int(digits, 2).to_bytes((len(flags) + 7) // 8, "little")
+
+
+def _float_bits(what: str, values: Sequence[float]) -> int:
+    """A float64 column's bytes, in the host's order, as one integer.
+
+    Two columns XORed this way and turned back into bytes are XORed value
+    by value, whatever the host's byte order.
+    """
+    try:
+        column = array("d", values)
+    except TypeError as exc:
+        raise EventLogError(f"cannot encode the {what}: {exc}") from exc
+    return int.from_bytes(column.tobytes(), "little")
+
+
+def _pack_xor(what: str, values: Sequence[float], bases: Sequence[float]) -> bytes:
+    """A float64 column as its XOR with *bases*, the old values the decoder holds.
+
+    Each value keeps only its significant bytes: a 4-bit count per value
+    (two to a byte, the first in the low nibble), then every value's low
+    bytes in that number, little-endian.  The high bytes a new value
+    shares with its old one — sign, exponent, the top of the mantissa —
+    cost nothing.
+    """
+    if not values:
+        return b""
+    xored = array("Q")  # every value's 64 bits XORed with its base's
+    xored.frombytes(
+        (_float_bits(what, values) ^ _float_bits(what, bases)).to_bytes(8 * len(values), "little")
+    )
+    counts = bytes(map(int.bit_length, xored)).translate(_BYTE_COUNTS)
+    body = b"".join(map(int.to_bytes, xored, counts, _LITTLE))
+    if len(counts) % 2:
+        counts += b"\x00"  # the padding nibble
+    nibbles = int.from_bytes(counts[0::2], "little") | int.from_bytes(
+        counts[1::2].translate(_TO_HIGH_NIBBLE), "little"
+    )
+    return nibbles.to_bytes(len(counts) // 2, "little") + body
+
+
+def _pack_locations(
+    what: str, locations: Sequence[NetworkLocation], bases: Optional[Sequence[float]] = None
+) -> bytes:
+    """An ``(edge, fraction)`` column pair; given *bases*, the fractions XORed with them."""
+    fractions = [location.fraction for location in locations]
+    return _pack_ints(what, [location.edge_id for location in locations]) + (
+        _pack_floats(what, fractions) if bases is None else _pack_xor(what, fractions, bases)
     )
 
 
 def _pack_moves(
-    what: str, ids: List[int], updates: Sequence, kinds: bytes, with_old: bool = True
+    what: str, updates: Sequence, with_old: bool, bases: Optional[Sequence[float]] = None
 ) -> bytes:
-    """What object and query sections share: ids, kinds, old and new locations."""
-    parts = [_pack_ints(f"{what} ids", ids), kinds]
-    if with_old:
+    """The locations of an object or query section, after its ids and kinds.
+
+    With *bases* (flag bit 2), a bit column of the rows that have a new
+    location leads, and the new fractions are XORed with the bases.
+    """
+    parts = []
+    if bases is not None:
+        parts.append(_pack_bits([u.new_location is not None for u in updates]))
+    elif with_old:
         parts.append(
             _pack_locations(
                 f"{what} old locations",
@@ -417,30 +493,53 @@ def _pack_moves(
         _pack_locations(
             f"{what} new locations",
             [u.new_location for u in updates if u.new_location is not None],
+            bases,
         )
     )
     return b"".join(parts)
 
 
-def _require_table_values(
-    objects: Sequence[ObjectUpdate], edges: Sequence[EdgeWeightUpdate], edge_table: EdgeTable
-) -> None:
-    """Refuse to omit an old value that is not the table's current one.
+def _held_fractions(
+    what: str,
+    holder: str,
+    ids: Sequence[int],
+    updates: Sequence,
+    held: Mapping[int, NetworkLocation],
+    appearances: bool,
+) -> List[float]:
+    """Refuse to omit an old location that *held* does not hold; the XOR bases.
 
     A record written without them is decoded by reading them back from
-    the table, so any difference would be lost without a trace.
+    *held* (the edge table's or the query map's locations), so any
+    difference would be lost without a trace.  With *appearances*, an
+    appearance must name an id *held* lacks, which is how the decoder
+    tells it from a move.  Returns, per row with a new location, the
+    fraction the decoder XORs it with: the held location's own (``0.0``
+    and ``-0.0`` are equal, not the same bits) and 0.0 for an appearance.
     """
-    locations = edge_table.locations
-    for update in objects:
+    bases = []
+    for entity_id, update in zip(ids, updates):
+        current = held.get(entity_id)
         old = update.old_location
-        if old is not None:
-            current = locations.get(update.object_id)
-            if current is not old and current != old:
+        if old is None:
+            if appearances and current is not None:
                 raise EventLogError(
-                    f"cannot encode object {update.object_id!r} without its old "
-                    f"location: the batch says {old}, the edge table {current}"
+                    f"cannot encode the appearance of {what} {entity_id!r}: the "
+                    f"{holder} already holds it"
                 )
-    network = edge_table.network
+        elif current is not old and current != old:
+            raise EventLogError(
+                f"cannot encode {what} {entity_id!r} without its old location: "
+                f"the batch says {old}, the {holder} {current}"
+            )
+        if update.new_location is not None:
+            bases.append(0.0 if old is None else current.fraction)
+    return bases
+
+
+def _held_weights(edges: Sequence[EdgeWeightUpdate], network: RoadNetwork) -> List[float]:
+    """Refuse to omit an old weight that is not the network's; the weights."""
+    weights = []
     for update in edges:
         try:
             current = network.weight_of(update.edge_id)
@@ -451,6 +550,8 @@ def _require_table_values(
                 f"cannot encode edge {update.edge_id!r} without its old weight: "
                 f"the batch says {update.old_weight}, the network {current}"
             )
+        weights.append(current)
+    return weights
 
 
 def _move_kind(update) -> int:
@@ -480,7 +581,11 @@ def _pack_specs(specs: Sequence) -> bytes:
     return b"".join(rows) + _pack_locations("query spec points", points)
 
 
-def encode_batch(batch: UpdateBatch, edge_table: Optional[EdgeTable] = None) -> bytes:
+def encode_batch(
+    batch: UpdateBatch,
+    edge_table: Optional[EdgeTable] = None,
+    query_locations: Optional[Mapping[int, NetworkLocation]] = None,
+) -> bytes:
     """Serialize a batch to its binary record.
 
     The inverse of :func:`decode_batch`, and the one representation a batch
@@ -499,33 +604,50 @@ def encode_batch(batch: UpdateBatch, edge_table: Optional[EdgeTable] = None) -> 
             one, the record leaves out every object's old location and
             every edge's old weight (header flag bit 1), because they are
             the table's and its network's current values; only a decoder
-            holding that same state can read it back.  The write-ahead log
-            is written this way; an ``apply`` frame and the shard pipe are
-            not, because their readers do not hold the sender's table.
+            holding that same state can read it back.  An ``apply`` frame
+            and the shard pipe are written without one, because their
+            readers do not hold the sender's table.
+        query_locations: with *edge_table*, the applied query map of the
+            server the batch is about to be applied to
+            (:attr:`~repro.core.server.MonitoringServer.applied_query_locations`).
+            Given one, the record also leaves out every query's old
+            location, says per row only whether it has a new location (an
+            appearance is an id the pre-batch table or map lacks) and
+            whether it carries a ``k``, and stores every new fraction and
+            weight as its XOR with the old value (header flag bit 2).  The
+            write-ahead log is written this way.
 
     Raises:
         EventLogError: if a value does not fit its column — a non-integer
             id, a non-numeric fraction or weight, an integer wider than
             255 bytes, a timestamp or ``k`` outside int64 — or, given
             *edge_table*, if an old location or old weight to be left out
-            is not the table's current one.
+            is not the table's, the network's or the query map's current
+            one, or (given *query_locations*) an appearance names an id
+            they already hold.
 
     Example::
 
         payload = encode_batch(batch)
         assert decode_batch(payload) == batch
-        wal = encode_batch(batch, server.edge_table)
-        assert decode_batch(wal, server.edge_table) == batch
+        wal = encode_batch(batch, server.edge_table, server.applied_query_locations)
+        assert decode_batch(wal, server.edge_table, server.applied_query_locations) == batch
     """
     objects, queries, edges = batch.object_updates, batch.query_updates, batch.edge_updates
     with_old = edge_table is None
+    delta = query_locations is not None
+    if delta and with_old:
+        raise EventLogError(
+            "a batch record leaves query old locations out only with the edge table"
+        )
     try:
         parts = [
             _RECORD_HEADER.pack(
                 _RECORD_MAGIC,
                 _BATCH_CODEC_VERSION,
                 (_FLAG_NORMALIZED if batch._is_net() else 0)
-                | (0 if with_old else _FLAG_OLD_FROM_TABLE),
+                | (0 if with_old else _FLAG_OLD_FROM_TABLE)
+                | (_FLAG_DELTA if delta else 0),
                 batch.timestamp,
                 len(objects),
                 len(queries),
@@ -535,44 +657,55 @@ def encode_batch(batch: UpdateBatch, edge_table: Optional[EdgeTable] = None) -> 
     except struct.error as exc:
         raise EventLogError(f"cannot encode batch header: {exc}") from exc
     if objects:
-        parts.append(
-            _pack_moves(
-                "object",
-                [u.object_id for u in objects],
-                objects,
-                bytes(map(_move_kind, objects)),
-                with_old,
+        ids = [u.object_id for u in objects]
+        parts.append(_pack_ints("object ids", ids))
+        bases = None
+        if not with_old:
+            bases = _held_fractions(
+                "object", "edge table", ids, objects, edge_table.locations, delta
             )
-        )
+        if not delta:
+            parts.append(bytes(map(_move_kind, objects)))
+        parts.append(_pack_moves("object", objects, with_old, bases if delta else None))
     if queries:
+        ids = [u.query_id for u in queries]
         ks = [u.k for u in queries]
         # A plain-int k and a QuerySpec are told apart, so that the batch
         # comes back as it went in (QueryUpdate already refused anything else).
         k_kinds = [
             _K_NONE if k is None else _K_INT if isinstance(k, int) else _K_SPEC for k in ks
         ]
-        parts.append(
-            _pack_moves(
-                "query",
-                [u.query_id for u in queries],
-                queries,
+        parts.append(_pack_ints("query ids", ids))
+        if delta:
+            bases = _held_fractions("query", "query map", ids, queries, query_locations, True)
+            parts.append(_pack_moves("query", queries, False, bases))
+            parts.append(_pack_bits([k_kind != _K_NONE for k_kind in k_kinds]))
+            parts.append(
+                _pack_bits([k_kind == _K_SPEC for k_kind in k_kinds if k_kind != _K_NONE])
+            )
+        else:
+            parts.append(
                 bytes(
                     _move_kind(u) | k_kind << _K_SHIFT for u, k_kind in zip(queries, k_kinds)
-                ),
+                )
             )
-        )
+            parts.append(_pack_moves("query", queries, True))
         parts.append(
             _pack_ints("query k", [k for k, k_kind in zip(ks, k_kinds) if k_kind == _K_INT])
         )
         parts.append(_pack_specs([k for k, k_kind in zip(ks, k_kinds) if k_kind == _K_SPEC]))
     if edges:
         parts.append(_pack_ints("edge ids", [u.edge_id for u in edges]))
+        new_weights = [u.new_weight for u in edges]
         if with_old:
             parts.append(_pack_floats("old weights", [u.old_weight for u in edges]))
-        parts.append(_pack_floats("new weights", [u.new_weight for u in edges]))
-    if not with_old:
-        # After the columns, which refused every id that is not an int.
-        _require_table_values(objects, edges, edge_table)
+            parts.append(_pack_floats("new weights", new_weights))
+        else:
+            old_weights = _held_weights(edges, edge_table.network)
+            if delta:
+                parts.append(_pack_xor("new weights", new_weights, old_weights))
+            else:
+                parts.append(_pack_floats("new weights", new_weights))
     return b"".join(parts)
 
 
@@ -603,10 +736,63 @@ class _RecordReader(ColumnReader):
     def __init__(self, view: memoryview) -> None:
         super().__init__(view, "batch record", error=EventLogError)
 
-    def locations(self, what: str, count: int) -> List[NetworkLocation]:
-        """An ``(edge, fraction)`` column pair, the fractions checked at once."""
+    def bits(self, what: str, count: int) -> bytes:
+        """A bit column of *count* rows, as one byte (0 or 1) per row."""
+        if not count:
+            return b""
+        value = int.from_bytes(self.take(what, (count + 7) // 8), "little")
+        if value >> count:
+            raise EventLogError(f"batch record: {what} set a padding bit")
+        return format(value, f"0{count}b").encode()[::-1].translate(_FROM_DIGITS)
+
+    def xor_floats(self, what: str, count: int, bases: Sequence[float]) -> array:
+        """A float64 column :func:`_pack_xor` wrote against *bases*."""
+        if not count:
+            return array("d")
+        nibbles = bytes(self.take(f"{what} byte counts", (count + 1) // 2))
+        counts = bytearray(2 * len(nibbles))
+        counts[0::2] = nibbles.translate(_LOW_NIBBLE)
+        counts[1::2] = nibbles.translate(_HIGH_NIBBLE)
+        if count % 2 and counts[count]:
+            raise EventLogError(f"batch record: {what} set a padding nibble")
+        del counts[count:]
+        if max(counts) > 8:
+            raise EventLogError(f"batch record: {what} hold a value wider than 8 bytes")
+        body = self.take(what, sum(counts))
+        # Each value's low bytes, then the zero high ones it left out.
+        chunks = []
+        start = 0
+        for size in counts:
+            end = start + size
+            if size and not body[end - 1]:
+                raise EventLogError(f"batch record: {what} count a zero high byte")
+            chunks.append(body[start:end])
+            chunks.append(_HIGH_ZEROS[size])
+            start = end
+        xored = array("Q")
+        xored.frombytes(b"".join(chunks))
+        if _BIG_ENDIAN:
+            xored.byteswap()
+        column = array("d")
+        column.frombytes(
+            (int.from_bytes(xored.tobytes(), "little") ^ _float_bits(what, bases)).to_bytes(
+                8 * count, "little"
+            )
+        )
+        return column
+
+    def locations(
+        self, what: str, count: int, bases: Optional[Sequence[float]] = None
+    ) -> List[NetworkLocation]:
+        """An ``(edge, fraction)`` column pair, the fractions checked at once.
+
+        Given *bases*, the fractions were XORed with them (flag bit 2).
+        """
         edges = self.ints(what, count)
-        fractions = self.floats(what, count)
+        if bases is None:
+            fractions = self.floats(what, count)
+        else:
+            fractions = self.xor_floats(what, count, bases)
         if count and not (
             _no_nan(fractions) and min(fractions) >= 0.0 and max(fractions) <= 1.0
         ):
@@ -657,6 +843,30 @@ class _RecordReader(ColumnReader):
         news = iter(self.locations(f"{what} new locations", count - sides.count(_DISAPPEAR)))
         new_column = [None if side == _DISAPPEAR else next(news) for side in sides]
         return ids, kinds, old_column, new_column
+
+    def rows_against(
+        self, what: str, count: int, held: Mapping[int, NetworkLocation], holder: str
+    ):
+        """``(ids, old locations, new locations)`` of *count* flag-bit-2 rows.
+
+        A row's old location is *held*'s (None: an appearance); a row
+        without a new location is a disappearance, so *held* must hold it.
+        """
+        ids = self.ints(f"{what} ids", count)
+        has_new = self.bits(f"{what} new-location flags", count)
+        olds = [held.get(entity_id) for entity_id in ids]
+        bases = [
+            0.0 if old is None else old.fraction for old, flag in zip(olds, has_new) if flag
+        ]
+        news = iter(self.locations(f"{what} new locations", len(bases), bases))
+        new_column = [next(news) if flag else None for flag in has_new]
+        for entity_id, old, new in zip(ids, olds, new_column):
+            if old is None and new is None:
+                raise EventLogError(
+                    f"batch record removes {what} {entity_id}, which the {holder} "
+                    "does not hold"
+                )
+        return ids, olds, new_column
 
     def specs(self, count: int) -> list:
         """*count* ``QuerySpec`` rows, built through the validating constructor."""
@@ -714,7 +924,11 @@ def _current_weights(network: RoadNetwork, edge_ids: Sequence[int]) -> array:
         ) from None
 
 
-def decode_batch(payload: bytes, edge_table: Optional[EdgeTable] = None) -> UpdateBatch:
+def decode_batch(
+    payload: bytes,
+    edge_table: Optional[EdgeTable] = None,
+    query_locations: Optional[Mapping[int, NetworkLocation]] = None,
+) -> UpdateBatch:
     """Rebuild an :class:`UpdateBatch` from :func:`encode_batch` output.
 
     Nothing in *payload* is trusted: every count is bounded by the bytes
@@ -734,14 +948,21 @@ def decode_batch(payload: bytes, edge_table: Optional[EdgeTable] = None) -> Upda
             was written, i.e. before the batch is applied.  Its objects'
             locations and its network's weights fill in the old values
             the record leaves out.  A record without the flag ignores it.
+        query_locations: the applied query map a record written with one
+            (header flag bit 2) is decoded against, in the same pre-batch
+            state.  It fills in the query old locations, tells an
+            appearance (an id the table or map lacks) from a move, and
+            holds the old fractions the new ones were XORed with.  A
+            record without flag bit 2 ignores it.
 
     Raises:
         EventLogError: if the payload is truncated, has trailing bytes, is
             not a batch record at all, was written by another codec version
             (a version-1 pickle payload is named as such, never unpickled),
             or holds a value the update classes would refuse; or if it
-            leaves its old values out and *edge_table* is missing or does
-            not hold an object or edge the record names.
+            leaves its old values out and *edge_table* (or, for flag bit 2,
+            *query_locations*) is missing or does not hold an object, query
+            or edge the record names.
 
     Example::
 
@@ -769,21 +990,36 @@ def decode_batch(payload: bytes, edge_table: Optional[EdgeTable] = None) -> Upda
             f"unsupported batch codec version {version} "
             "(this library reads versions 2 and 3)"
         )
-    if flags & ~(_FLAG_NORMALIZED | _FLAG_OLD_FROM_TABLE):
+    if flags & ~(_FLAG_NORMALIZED | _FLAG_OLD_FROM_TABLE | _FLAG_DELTA):
         raise EventLogError(f"batch record has unknown flag bits {flags:#04x}")
     normalized = bool(flags & _FLAG_NORMALIZED)
     from_table = bool(flags & _FLAG_OLD_FROM_TABLE)
+    delta = bool(flags & _FLAG_DELTA)
+    if delta and not from_table:
+        raise EventLogError(
+            f"batch record has flag bit {_FLAG_DELTA:#04x} without {_FLAG_OLD_FROM_TABLE:#04x}"
+        )
     if from_table and edge_table is None:
         raise EventLogError(
             f"batch record has flag bit {_FLAG_OLD_FROM_TABLE:#04x} (old values left "
             "out): decode it against the edge table it was written from"
         )
+    if delta and query_locations is None:
+        raise EventLogError(
+            f"batch record has flag bit {_FLAG_DELTA:#04x} (query old locations left "
+            "out): decode it against the query map it was written from"
+        )
 
     object_updates: List[ObjectUpdate] = []
     if n_objects:
-        ids, _, olds, news = reader.moves(
-            "object", n_objects, _OBJECT_KINDS, edge_table.locations if from_table else None
-        )
+        if delta:
+            ids, olds, news = reader.rows_against(
+                "object", n_objects, edge_table.locations, "edge table"
+            )
+        else:
+            ids, _, olds, news = reader.moves(
+                "object", n_objects, _OBJECT_KINDS, edge_table.locations if from_table else None
+            )
         if normalized:
             _require_unique("object", ids)
         # moves() guarantees a location on one side, which is all that
@@ -797,10 +1033,20 @@ def decode_batch(payload: bytes, edge_table: Optional[EdgeTable] = None) -> Upda
 
     query_updates: List[QueryUpdate] = []
     if n_queries:
-        ids, kinds, olds, news = reader.moves("query", n_queries, _QUERY_KINDS)
+        if delta:
+            ids, olds, news = reader.rows_against(
+                "query", n_queries, query_locations, "query map"
+            )
+            carries = reader.bits("query k flags", n_queries)
+            specs = iter(reader.bits("query spec flags", carries.count(1)))
+            k_kinds = [
+                (_K_SPEC if next(specs) else _K_INT) if carry else _K_NONE for carry in carries
+            ]
+        else:
+            ids, kinds, olds, news = reader.moves("query", n_queries, _QUERY_KINDS)
+            k_kinds = [kind >> _K_SHIFT for kind in kinds]
         if normalized:
             _require_unique("query", ids)
-        k_kinds = [kind >> _K_SHIFT for kind in kinds]
         try:
             int_ks = iter(reader.ints("query k", k_kinds.count(_K_INT)))
             specs = iter(reader.specs(k_kinds.count(_K_SPEC)))
@@ -818,7 +1064,10 @@ def decode_batch(payload: bytes, edge_table: Optional[EdgeTable] = None) -> Upda
             old_weights = _current_weights(edge_table.network, ids)
         else:
             old_weights = reader.floats("old weights", n_edges)
-        new_weights = reader.floats("new weights", n_edges)
+        if delta:
+            new_weights = reader.xor_floats("new weights", n_edges, old_weights)
+        else:
+            new_weights = reader.floats("new weights", n_edges)
         # EdgeWeightUpdate.__post_init__ on the whole column.
         if not (
             _no_nan(new_weights)

@@ -64,11 +64,18 @@ from repro.spatial.geometry import Point
 #: monitor pickle follow.
 _DYNAMIC_HEADER = struct.Struct("<4sBBBQQQII")
 _DYNAMIC_MAGIC = b"RPDY"
-_DYNAMIC_VERSION = 1
+#: Version 2 pickles the applied query maps.  Version 1 pickled them as the
+#: pending buffer leaves them, and is read by rolling that buffer back.
+_DYNAMIC_VERSION = 2
+_READ_DYNAMIC_VERSIONS = (1, _DYNAMIC_VERSION)
 #: The header's kind byte indexes this.
 _SNAPSHOT_KINDS = ("in-process", "sharded")
 #: Flag bit: the edge table snaps coordinates (``build_spatial_index``).
 _INDEXES_COORDINATES = 0x01
+
+#: A query as the pending buffer leaves it: location, spec, and whether the
+#: buffer installed it.
+_QueryState = Tuple[NetworkLocation, Optional[QuerySpec], bool]
 
 #: Monitor implementations selectable by name.
 ALGORITHMS = {
@@ -165,8 +172,14 @@ class MonitoringServer:
         # leaves it (None: removed); every other object is where the edge
         # table has it.  Cleared when the buffer is detached or dropped.
         self._pending_objects: Dict[int, Optional[NetworkLocation]] = {}
+        # The queries as the last tick left them (the applied state) ...
         self._query_locations: Dict[int, NetworkLocation] = {}
         self._query_specs: Dict[int, QuerySpec] = {}
+        # ... and the ones the pending buffer touched, each as the buffer
+        # leaves it: (location, spec, installed by the buffer), or None when
+        # terminated.  Committed by apply_taken_batch, cleared by
+        # discard_pending.
+        self._pending_queries: Dict[int, Optional[_QueryState]] = {}
         if workers is not None and workers > 1 and self._monitor is not None:
             # Only ShardedMonitoringServer (whose _make_monitor returns
             # None) honours workers > 1; a direct subclass reaching this
@@ -215,6 +228,19 @@ class MonitoringServer:
     def monitor(self) -> MonitorBase:
         """The in-process monitoring algorithm instance."""
         return self._monitor
+
+    @property
+    def applied_query_locations(self) -> Dict[int, NetworkLocation]:
+        """Query id -> location of every query the last tick left installed.
+
+        The queries' counterpart of :attr:`EdgeTable.locations
+        <repro.network.edge_table.EdgeTable.locations>`: the state before
+        the pending buffer, which is what a write-ahead record leaves the
+        query old locations out against (:func:`~repro.core.events.encode_batch`).
+        Pending installations, moves and terminations are not in it until
+        the tick that applies them.  Treat as read-only.
+        """
+        return self._query_locations
 
     @property
     def algorithm_name(self) -> str:
@@ -379,7 +405,6 @@ class MonitoringServer:
         self._ensure_accepting_updates()
         pending_objects = self._pending_objects
         table_locations = self._edge_table.locations
-        query_locations = self._query_locations
         # Validate the whole batch first so a bad update leaves the pending
         # buffer untouched.  `staged` is the overlay this batch adds (later
         # rows of an object see its earlier ones), `olds` each row's old
@@ -403,23 +428,20 @@ class MonitoringServer:
                 self._network.validate_location(update.new_location)
             staged[object_id] = update.new_location
             olds.append(old_location)
-        added: Set[int] = set()
-        removed: Set[int] = set()
+        # query id -> installed once the batch's rows so far are buffered
+        installed: Dict[int, bool] = {}
         for update in batch.query_updates:
-            known = (
-                update.query_id in query_locations or update.query_id in added
-            ) and update.query_id not in removed
+            query_id = update.query_id
+            if query_id in installed:
+                known = installed[query_id]
+            else:
+                known = self._query_state(query_id) is not None
             if update.is_installation:
                 if known:
-                    raise DuplicateQueryError(update.query_id)
-                added.add(update.query_id)
-                removed.discard(update.query_id)
-            else:
-                if not known:
-                    raise UnknownQueryError(update.query_id)
-                if update.is_termination:
-                    removed.add(update.query_id)
-                    added.discard(update.query_id)
+                    raise DuplicateQueryError(query_id)
+            elif not known:
+                raise UnknownQueryError(query_id)
+            installed[query_id] = not update.is_termination
             if update.new_location is not None:
                 self._network.validate_location(update.new_location)
             if update.is_installation:
@@ -437,31 +459,19 @@ class MonitoringServer:
         )
         pending_objects.update(staged)
         for update in batch.query_updates:
-            if update.is_installation:
-                query_locations[update.query_id] = update.new_location
-                self._query_specs[update.query_id] = update.spec
-                pending.query_updates.append(update)
-            elif update.is_termination:
-                old_location = query_locations.pop(update.query_id)
-                self._query_specs.pop(update.query_id, None)
-                pending.query_updates.append(
-                    QueryUpdate(update.query_id, old_location, None)
+            if not update.is_installation:
+                old_location = self._query_state(update.query_id)[0]
+                # A normalized same-tick terminate+reinstall arrives as a
+                # movement carrying the new spec; it is forwarded so monitors
+                # split it back into terminate + install whenever the spec
+                # (k, radius, points, or kind) changed.
+                update = QueryUpdate(
+                    update.query_id,
+                    old_location,
+                    update.new_location,
+                    None if update.is_termination else update.spec,
                 )
-            else:
-                old_location = query_locations[update.query_id]
-                query_locations[update.query_id] = update.new_location
-                spec = update.spec
-                if spec is not None:
-                    # A normalized same-tick terminate+reinstall arrives as a
-                    # movement carrying the new spec; adopt it and forward it
-                    # so monitors split it back into terminate + install
-                    # whenever the spec (k, radius, points, or kind) changed.
-                    self._query_specs[update.query_id] = spec
-                pending.query_updates.append(
-                    QueryUpdate(
-                        update.query_id, old_location, update.new_location, spec
-                    )
-                )
+            self._buffer_query_update(update)
         weight_of = self._network.weight_of
         pending.edge_updates.extend(
             EdgeWeightUpdate(update.edge_id, weight_of(update.edge_id), update.new_weight)
@@ -481,6 +491,57 @@ class MonitoringServer:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
+    def _query_state(self, query_id: int) -> Optional[_QueryState]:
+        """``(location, spec, installed by the buffer)`` where the buffer leaves a query.
+
+        None when the query is not installed there.
+        """
+        pending = self._pending_queries
+        if query_id in pending:
+            return pending[query_id]
+        location = self._query_locations.get(query_id)
+        if location is None:
+            return None
+        return location, self._query_specs.get(query_id), False
+
+    def _buffer_query_update(self, update: QueryUpdate) -> None:
+        """Append a validated query update to the buffer and its overlay.
+
+        An installation moves the query to the end of the overlay, so that
+        :meth:`_commit_pending_queries` adds the installed queries in the
+        order of their last installation, as buffering them into the
+        applied maps would.
+        """
+        pending = self._pending_queries
+        query_id = update.query_id
+        if update.is_installation:
+            pending.pop(query_id, None)
+            pending[query_id] = (update.new_location, update.spec, True)
+        elif update.is_termination:
+            pending[query_id] = None
+        else:
+            _, spec, installed = self._query_state(query_id)
+            if update.spec is not None:
+                spec = update.spec
+            pending[query_id] = (update.new_location, spec, installed)
+        self._pending.query_updates.append(update)
+
+    def _commit_pending_queries(self) -> None:
+        """Fold the pending overlay into the applied query maps, then clear it."""
+        locations, specs = self._query_locations, self._query_specs
+        for query_id, state in self._pending_queries.items():
+            if state is None or state[2]:
+                # Terminated; or (re)installed, which puts it last, as
+                # buffering into the maps would have.
+                locations.pop(query_id, None)
+                specs.pop(query_id, None)
+            if state is not None:
+                location, spec, _ = state
+                locations[query_id] = location
+                if spec is not None:
+                    specs[query_id] = spec
+        self._pending_queries = {}
+
     def add_query(
         self, query_id: int, location: NetworkLocation, k: Union[int, QuerySpec]
     ) -> None:
@@ -493,7 +554,7 @@ class MonitoringServer:
         location plus fixed extra points.
         """
         self._ensure_accepting_updates()
-        if query_id in self._query_locations:
+        if self._query_state(query_id) is not None:
             raise DuplicateQueryError(query_id)
         spec = as_query_spec(k)
         self._network.validate_location(location)
@@ -503,10 +564,7 @@ class MonitoringServer:
         # Construct the update before touching any state: its validation
         # (a missing spec, most notably) must leave the server unchanged so
         # the id stays usable.
-        update = QueryUpdate(query_id, None, location, spec)
-        self._query_locations[query_id] = location
-        self._query_specs[query_id] = spec
-        self._pending.query_updates.append(update)
+        self._buffer_query_update(QueryUpdate(query_id, None, location, spec))
 
     def add_query_at(
         self, query_id: int, x: float, y: float, k: Union[int, QuerySpec]
@@ -519,14 +577,11 @@ class MonitoringServer:
     def move_query(self, query_id: int, new_location: NetworkLocation) -> None:
         """Report a query movement (takes effect at the next tick)."""
         self._ensure_accepting_updates()
-        old_location = self._query_locations.get(query_id)
-        if old_location is None:
+        state = self._query_state(query_id)
+        if state is None:
             raise UnknownQueryError(query_id)
         self._network.validate_location(new_location)
-        self._query_locations[query_id] = new_location
-        self._pending.query_updates.append(
-            QueryUpdate(query_id, old_location, new_location)
-        )
+        self._buffer_query_update(QueryUpdate(query_id, state[0], new_location))
 
     def move_query_at(self, query_id: int, x: float, y: float) -> NetworkLocation:
         """Report a query movement by coordinates."""
@@ -537,15 +592,20 @@ class MonitoringServer:
     def remove_query(self, query_id: int) -> None:
         """Terminate a continuous query."""
         self._ensure_accepting_updates()
-        old_location = self._query_locations.pop(query_id, None)
-        if old_location is None:
+        state = self._query_state(query_id)
+        if state is None:
             raise UnknownQueryError(query_id)
-        self._query_specs.pop(query_id, None)
-        self._pending.query_updates.append(QueryUpdate(query_id, old_location, None))
+        self._buffer_query_update(QueryUpdate(query_id, state[0], None))
 
     def query_ids(self) -> Set[int]:
         """Ids of every installed query (including pending installations)."""
-        return set(self._query_locations)
+        ids = set(self._query_locations)
+        for query_id, state in self._pending_queries.items():
+            if state is None:
+                ids.discard(query_id)
+            else:
+                ids.add(query_id)
+        return ids
 
     def query_spec_of(self, query_id: int) -> QuerySpec:
         """The :class:`QuerySpec` of an installed query (typed error on miss).
@@ -553,10 +613,10 @@ class MonitoringServer:
         Raises:
             UnknownQueryError: if the query was never added (or was removed).
         """
-        try:
-            return self._query_specs[query_id]
-        except KeyError as exc:
-            raise UnknownQueryError(query_id) from exc
+        state = self._query_state(query_id)
+        if state is None:
+            raise UnknownQueryError(query_id)
+        return state[1]
 
     # ------------------------------------------------------------------
     # edges
@@ -582,7 +642,8 @@ class MonitoringServer:
         processes it.  Shared by the in-process and sharded tick paths so
         batch/timestamp semantics cannot diverge between them.  Ingest
         nothing between the two calls: until the batch is applied, the
-        edge table still holds the objects where they were before it.
+        edge table still holds the objects where they were before it, and
+        :attr:`applied_query_locations` the queries.
         """
         batch = self._pending
         batch.timestamp = self._timestamp
@@ -598,7 +659,9 @@ class MonitoringServer:
         network/edge table and runs the monitor.  The batch must carry the
         timestamp :meth:`take_pending_batch` stamped on it; feeding anything
         else desynchronizes the server clock from the monitor reports.
+        The buffered query updates enter the applied query maps first.
         """
+        self._commit_pending_queries()
         net = batch.net()
         apply_batch(self._network, self._edge_table, net)
         return self._monitor.process_batch(net)
@@ -608,22 +671,15 @@ class MonitoringServer:
 
         Used by crash recovery: updates that were ingested but never ticked
         are not durable by design, so a recovered server starts its next
-        tick from an empty buffer.  The objects are back where the edge
-        table has them once the pending overlay is cleared; the query maps
-        are rolled back by replaying the dropped installations / removals
-        in reverse effect.
+        tick from an empty buffer.  Buffering never touched the applied
+        state, so clearing the pending overlays is the whole rollback: every
+        object is back where the edge table has it and every query where,
+        and with the spec, the last tick left it.
         """
         dropped = self._pending
         self._pending = UpdateBatch(timestamp=self._timestamp)
         self._pending_objects = {}
-        for update in reversed(dropped.query_updates):
-            if update.is_installation:
-                self._query_locations.pop(update.query_id, None)
-                self._query_specs.pop(update.query_id, None)
-            elif update.is_termination:
-                self._query_locations[update.query_id] = update.old_location
-            else:
-                self._query_locations[update.query_id] = update.old_location
+        self._pending_queries = {}
         return dropped
 
     def tick(self) -> TimestepReport:
@@ -670,9 +726,9 @@ class MonitoringServer:
         weights as one ``float64`` column and the objects' ``(id, edge,
         fraction)`` as three columns in the :mod:`repro.network.record`
         idiom, then one small pickle of the monitor (including its
-        per-query float history), query maps, pending buffer and timestamp
-        in which the network and the edge table are references, not
-        copies.  Restore it with :func:`restore_server`.  The CSR
+        per-query float history), the applied query maps, pending buffer
+        and timestamp in which the network and the edge table are
+        references, not copies.  Restore it with :func:`restore_server`.  The CSR
         adjacency is deliberately *not* captured; it is rebuilt
         deterministically from the restored network on first use.
 
@@ -720,8 +776,8 @@ class MonitoringServer:
     def _adopt_snapshot(self, state: Dict[str, object]) -> None:
         """Install the state every server kind shares from a decoded snapshot.
 
-        The pending overlay is not stored: it is the pending buffer's
-        objects, each where the buffer's last update of it leaves it.
+        The pending overlays are not stored: they are the pending buffer's
+        objects and queries, each where the buffer's updates of it leave it.
         """
         self._network = state["network"]
         self._edge_table = state["edge_table"]
@@ -732,6 +788,10 @@ class MonitoringServer:
         self._pending_objects = {
             update.object_id: update.new_location for update in self._pending.object_updates
         }
+        self._pending_queries = {}
+        query_updates, self._pending.query_updates = self._pending.query_updates, []
+        for update in query_updates:
+            self._buffer_query_update(update)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -781,12 +841,32 @@ class _ReferenceUnpickler(pickle.Unpickler):
             raise pickle.UnpicklingError(f"unknown snapshot reference {pid!r}") from None
 
 
+def _roll_back_pending_queries(state: Dict[str, object]) -> None:
+    """Turn a version-1 section's query maps into the applied ones.
+
+    That version stored the maps with the pending buffer already in them,
+    so its query updates are undone, the latest first.  A query the buffer
+    terminated gets its location back but not its spec, which the section
+    does not hold; nor does a move that changed the spec get the old one
+    back.  Both come again with the next tick, which replays the buffer.
+    """
+    locations, specs = state["query_locations"], state["query_specs"]
+    for update in reversed(state["pending"].query_updates):
+        if update.is_installation:
+            locations.pop(update.query_id, None)
+            specs.pop(update.query_id, None)
+        else:
+            locations[update.query_id] = update.old_location
+
+
 def load_snapshot(blob, static=None) -> Dict[str, object]:
     """Decode a snapshot into its state mapping without building a server.
 
     The mapping holds the rebuilt ``"network"`` and ``"edge_table"`` (the
     static section with the weight and object columns overlaid), the
-    snapshot's ``"kind"`` and every field of the dynamic section.  The edge
+    snapshot's ``"kind"`` and every field of the dynamic section, the
+    query maps as the applied state (see
+    :attr:`MonitoringServer.applied_query_locations`).  The edge
     table's spatial index is not decoded but left to be built from the
     network on the first snap, where it comes out identical.  Nothing
     is spawned, which is what lets
@@ -810,7 +890,7 @@ def load_snapshot(blob, static=None) -> Dict[str, object]:
             magic, version, kind, flags, topology_version, weight_version,
             objects_version, edge_count, object_count,
         ) = _DYNAMIC_HEADER.unpack(reader.take("the header", _DYNAMIC_HEADER.size))
-        if magic != _DYNAMIC_MAGIC or version != _DYNAMIC_VERSION:
+        if magic != _DYNAMIC_MAGIC or version not in _READ_DYNAMIC_VERSIONS:
             raise RecoveryError(
                 f"not a dynamic section of this release: {bytes(magic)!r} version {version}"
             )
@@ -837,6 +917,8 @@ def load_snapshot(blob, static=None) -> Dict[str, object]:
             stream, {"network": network, "edge_table": edge_table}
         ).load()
         state.update(kind=_SNAPSHOT_KINDS[kind], network=network, edge_table=edge_table)
+        if version == 1:
+            _roll_back_pending_queries(state)
     except RecoveryError:
         raise
     except Exception as exc:

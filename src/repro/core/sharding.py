@@ -443,18 +443,24 @@ class ShardedMonitoringServer(MonitoringServer):
         """
         context = multiprocessing.get_context(self._start_method)
         self._shards = []
-        *child_inits, own_init = self._shard_inits(initial_queries, monitor_blobs)
-        for init in child_inits:
+        # One-slot lists the workers empty (run_shard_worker): a forked
+        # worker inherits this frame, which must not hold its init otherwise.
+        slots = [[init] for init in self._shard_inits(initial_queries, monitor_blobs)]
+        own_init = slots.pop().pop()
+        for slot in slots:
+            shard_id = slot[0].shard_id
             parent_conn, child_conn = context.Pipe()
             process = context.Process(
                 target=run_shard_worker,
-                args=(child_conn, init),
-                name=f"repro-shard-{init.shard_id}",
+                args=(child_conn, slot),
+                name=f"repro-shard-{shard_id}",
                 daemon=True,
             )
             process.start()
+            # The worker has its own copy now (forked, or pickled by start()).
+            slot.clear()
             child_conn.close()
-            self._shards.append(_Shard(init.shard_id, process, parent_conn))
+            self._shards.append(_Shard(shard_id, process, parent_conn))
         self._shards.append(
             _Shard(own_init.shard_id, None, _InProcessConnection(own_init))
         )
@@ -699,6 +705,9 @@ class ShardedMonitoringServer(MonitoringServer):
     def _apply_taken_inner(self, batch: UpdateBatch) -> TimestepReport:
         """The actual tick sequence (:meth:`apply_taken_batch` fail-closes)."""
         start = time.perf_counter()
+        # Routing, take-overs and the boundary re-evaluation read the query
+        # maps as this batch leaves them.
+        self._commit_pending_queries()
         normalized = batch.net()
         apply_batch(self._network, self._edge_table, normalized)
         timestamp = normalized.timestamp
@@ -1027,9 +1036,9 @@ class ShardedMonitoringServer(MonitoringServer):
     def discard_pending(self) -> UpdateBatch:
         """Drop (and return) every buffered-but-unprocessed update.
 
-        Refuses on a closed or failed server — the buffer is rolled back
-        into entity maps nobody can observe anymore, so a silent success
-        would only mask a use-after-close bug in the caller.
+        Refuses on a closed or failed server — the buffer's overlays would
+        be cleared on a fleet nobody can observe anymore, so a silent
+        success would only mask a use-after-close bug in the caller.
         """
         self._ensure_open()
         return super().discard_pending()

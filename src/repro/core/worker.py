@@ -438,17 +438,21 @@ class ShardEngine:
         )
 
 
-def run_shard_worker(conn, init: ShardInit) -> None:
+def run_shard_worker(conn, inits: List[ShardInit]) -> None:
     """Worker process entry point: build a :class:`ShardEngine`, then serve.
 
-    Sends ``("ready", engine.initial)`` once construction succeeds, then
+    *inits* is a one-slot list holding the shard's :class:`ShardInit`; the
+    worker empties it as it builds the engine, so that nothing — not this
+    frame, not the ``Process`` object's arguments — keeps the init's
+    network record and object map alive for the worker's lifetime.  Sends
+    ``("ready", engine.initial)`` once construction succeeds, then
     answers every message with ``engine.handle(message)`` until
     ``("stop",)``.  Any exception is reported as ``("error",
     traceback_text)`` and ends the worker, and so does the death of the
     coordinator, however it died.
     """
     try:
-        engine = ShardEngine(init)
+        engine = ShardEngine(inits.pop())
         conn.send(("ready", engine.initial))
     except Exception:
         try:

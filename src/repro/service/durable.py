@@ -404,12 +404,15 @@ class DurableMonitoringServer:
         module docstring); later calls raise :class:`ServerFailedError`.
         """
         self._ensure_not_failed()
-        batch = self._server.take_pending_batch().net()
+        server = self._server
+        batch = server.take_pending_batch().net()
         try:
-            # Against the table the batch is about to change: the record
-            # leaves out the old locations and weights, which replay reads
-            # back there.
-            self._log.append(encode_batch(batch, self._server.edge_table))
+            # Against the table and query map the batch is about to change:
+            # the record leaves out the old locations and weights, which
+            # replay reads back there.
+            self._log.append(
+                encode_batch(batch, server.edge_table, server.applied_query_locations)
+            )
         except BaseException as exc:
             self._failed = f"{type(exc).__name__}: {exc}"
             self.close()
@@ -417,7 +420,7 @@ class DurableMonitoringServer:
         _maybe_self_kill(batch.timestamp)
         # The batch that was logged, not the raw buffer: it carries the
         # normalized mark, so no layer below collapses it a second time.
-        report = self._server.apply_taken_batch(batch)
+        report = server.apply_taken_batch(batch)
         self._ticks_since_checkpoint += 1
         if (
             self._checkpoint_every is not None
@@ -546,7 +549,9 @@ class DurableMonitoringServer:
                 server.discard_pending()
             for payload in payloads:
                 try:
-                    batch = decode_batch(payload, server.edge_table)
+                    batch = decode_batch(
+                        payload, server.edge_table, server.applied_query_locations
+                    )
                 except EventLogError as exc:
                     raise RecoveryError(f"cannot replay a logged batch: {exc}") from exc
                 if batch.timestamp != server.current_timestamp:

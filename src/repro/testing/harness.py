@@ -440,7 +440,10 @@ def run_differential_log(
     monitors: Dict[str, MonitorBase] = {
         name: _make_monitor(name, network, edge_table) for name in algorithms
     }
-    live = set(initial.queries)
+    # The live queries: the applied query map each record is decoded against.
+    query_locations = {
+        query_id: location for query_id, (location, _) in initial.queries.items()
+    }
     for query_id in sorted(initial.queries):
         location, k = initial.queries[query_id]
         oracle.register_query(query_id, location, k)
@@ -458,8 +461,9 @@ def run_differential_log(
     )
     for payload in payloads:
         # Logged net, and marked so by the record; decoded before it is
-        # applied, so the table still holds the old values it leaves out.
-        batch = decode_batch(payload, edge_table)
+        # applied, so the table and the query map still hold the old values
+        # it leaves out.
+        batch = decode_batch(payload, edge_table, query_locations)
         apply_batch(network, edge_table, batch.net())
         oracle_report = oracle.process_batch(batch)
         if oracle_report.timestamp != batch.timestamp:
@@ -475,11 +479,11 @@ def run_differential_log(
                     f"{tick_report.timestamp}"
                 )
         for update in batch.query_updates:
-            if update.is_installation:
-                live.add(update.query_id)
-            elif update.is_termination:
-                live.discard(update.query_id)
-        for query_id in sorted(live):
+            if update.is_termination:
+                query_locations.pop(update.query_id, None)
+            else:
+                query_locations[update.query_id] = update.new_location
+        for query_id in sorted(query_locations):
             truth = list(oracle.result_of(query_id).neighbors)
             for name, monitor in monitors.items():
                 report.checks += 1

@@ -4,12 +4,17 @@
 :class:`~repro.core.worker.ShardEngine` in its own process.  Pinned here:
 the process count, that a failure inside that shard fails the server
 closed like a dead worker, that a snapshot restores it from its own blob,
-and that ``worker_peak_rss()`` counts worker processes only.
+that ``worker_peak_rss()`` counts worker processes only, and that a
+worker keeps no reference to its :class:`~repro.core.worker.ShardInit`
+once it is ready.
 """
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
+import threading
+import weakref
 
 import pytest
 
@@ -17,6 +22,7 @@ from repro import ShardedMonitoringServer, city_network
 from repro.core import sharding, worker
 from repro.core.server import restore_server
 from repro.exceptions import MonitoringError, ServerFailedError
+from repro.network.record import encode_network
 
 LAYOUTS = [("graph", 1), ("replica", 2), ("graph", 2), ("replica", 4), ("graph", 4)]
 
@@ -149,3 +155,37 @@ def test_worker_peak_rss_has_one_entry_per_worker_process(partitioning, workers)
         assert all(isinstance(size, int) and size > 0 for size in sizes)
     finally:
         server.close()
+
+
+def test_a_worker_holds_no_reference_to_its_init_once_ready():
+    """``run_shard_worker`` empties its one-slot list: after ``ready`` the init is garbage.
+
+    The loop runs in a thread over a ``multiprocessing.Pipe()``, so the
+    reachability is checked in this process.
+    """
+    network = city_network(60, seed=3)
+    network.freeze()
+    init = worker.ShardInit(
+        shard_id=0,
+        algorithm="ima",
+        network_blob=encode_network(network),
+        weights=network.weight_column(),
+        objects={},
+    )
+    collected = weakref.ref(init)
+    slot = [init]
+    del init
+    parent_conn, child_conn = multiprocessing.Pipe()
+    thread = threading.Thread(target=worker.run_shard_worker, args=(child_conn, slot))
+    thread.start()
+    try:
+        kind, payload = parent_conn.recv()
+        assert kind == "ready" and payload == ({}, [])
+        gc.collect()
+        assert slot == [] and collected() is None
+        parent_conn.send(("rss",))
+        assert parent_conn.recv()[0] == "rss"  # still serving without it
+    finally:
+        parent_conn.send(("stop",))
+        thread.join(timeout=10)
+    assert not thread.is_alive()

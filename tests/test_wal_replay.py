@@ -11,7 +11,13 @@ Properties of the log the durable server writes against its edge table
 * a data directory an earlier release wrote (``RPCKPT05`` checkpoints and
   self-contained version-2 records after the newest one,
   ``tests/data/rpckpt05``) still recovers, and then continues byte for byte as that release did,
-  apart from the tick reports that release also kept in its state.
+  apart from the tick reports that release also kept in its state;
+* so does one whose records keep their query old locations (flags
+  ``0x03``) and whose newest checkpoint stored the query maps with a
+  pending termination and a pending spec-changing move already in them
+  (``tests/data/wal-flag02``): same results, and the same state apart from
+  the dynamic section's version byte, which tells the two query-map forms
+  apart.
 """
 
 from __future__ import annotations
@@ -29,16 +35,17 @@ import pytest
 import repro
 from repro import DurableMonitoringServer, city_network, decode_batch
 from repro.core.events import apply_batch
-from repro.core.server import restore_server
+from repro.core.server import load_snapshot, restore_server
 from repro.core.sharding import ShardedMonitoringServer
 from repro.network.graph import NetworkLocation
-from repro.service.durable import load_initial_state
+from repro.service.durable import _read_base, _read_checkpoint, load_initial_state
 from repro.service.eventlog import read_event_log
 from repro.service.faults import build_scenario_server
 from repro.testing.scenarios import ScenarioEngine, resolve_scenario
 
 FLAG_OLD_FROM_TABLE = 0x02
 FIXTURE = pathlib.Path(__file__).parent / "data" / "rpckpt05"
+FLAG02_FIXTURE = pathlib.Path(__file__).parent / "data" / "wal-flag02"
 SCENARIO, SEED, EDGES = "mixed-stress", 8, 120
 
 
@@ -93,11 +100,17 @@ def test_a_captured_run_replays_clean_through_the_cli(tmp_path):
     assert payloads and all(payload[5] & FLAG_OLD_FROM_TABLE for payload in payloads)
 
     # What the log holds, decoded the way the replay does: each record
-    # against the table before that record is applied.
+    # against the table and the query map before that record is applied.
     initial = load_initial_state(data_dir)
+    queries = {query_id: location for query_id, (location, _) in initial.queries.items()}
     moves = deletions = edge_updates = 0
     for payload in payloads:
-        batch = decode_batch(payload, initial.edge_table)
+        batch = decode_batch(payload, initial.edge_table, queries)
+        for update in batch.query_updates:
+            if update.is_termination:
+                del queries[update.query_id]
+            else:
+                queries[update.query_id] = update.new_location
         for update in batch.object_updates:
             moves += update.old_location is not None and update.new_location is not None
             deletions += update.new_location is None
@@ -205,3 +218,53 @@ def test_every_server_shape_recovers_its_log_byte_identically(tmp_path, workers,
             replayed.close()
     finally:
         crashed.close()
+
+
+def test_a_log_of_flag_0x02_records_and_a_pending_query_checkpoint_recovers(tmp_path):
+    data_dir = tmp_path / "data"
+    shutil.copytree(FLAG02_FIXTURE / "data", data_dir)
+    logged = read_event_log(data_dir / "events.log")
+    assert len(logged) == 6 and all(p[5] == 0x03 for p in logged)
+    newest = sorted((data_dir / "checkpoints").glob("ckpt-*.bin"))[-1]
+    assert newest.name == "ckpt-0000000004.bin"
+    record = _read_checkpoint(newest)
+    pending = {
+        update.query_id: update
+        for update in load_snapshot(
+            record["state"], _read_base(data_dir / "checkpoints", record)
+        )["pending"].query_updates
+    }
+    assert pending[900_001].is_termination
+    assert pending[900_002].new_location is not None and pending[900_002].spec.k == 5
+    expected = json.loads((FLAG02_FIXTURE / "expected.json").read_text())
+
+    recovered = DurableMonitoringServer.recover(data_dir, checkpoint_every=None)
+    try:
+        assert recovered.recovered_ticks == 2 and recovered.current_timestamp == 6
+        for payload in read_event_log(FLAG02_FIXTURE / "continuation.log"):
+            recovered.server.apply_updates(decode_batch(payload))
+            recovered.tick()
+            assert _results_as_json(recovered.results()) == expected[
+                str(recovered.current_timestamp)
+            ]
+        state = recovered.server.snapshot_state(static=False)
+    finally:
+        recovered.close()
+    # The earlier release wrote dynamic-section version 1 (query maps as
+    # the pending buffer leaves them); this one writes version 2 (the
+    # applied maps).  With the buffer empty the two hold the same bytes.
+    expected_state = (FLAG02_FIXTURE / "expected-state.bin").read_bytes()
+    assert expected_state[:5] == b"RPDY\x01" and state[:5] == b"RPDY\x02"
+    assert state[5:] == expected_state[5:]
+    after = read_event_log(data_dir / "events.log")
+    assert after[:6] == logged
+    assert len(after) == 9 and all(p[5] == 0x07 for p in after[6:])
+    # ... and the mixed log recovers from its genesis checkpoint, too.
+    for path in sorted((data_dir / "checkpoints").glob("ckpt-*.bin"))[1:]:
+        path.unlink()
+    again = DurableMonitoringServer.recover(data_dir, checkpoint_every=None)
+    try:
+        assert again.recovered_ticks == 9 and again.current_timestamp == 9
+        assert _results_as_json(again.results()) == expected["9"]
+    finally:
+        again.close()
