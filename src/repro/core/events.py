@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import io
 import struct
-import sys
 from array import array
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import accumulate, compress, repeat
+from operator import is_
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import (
-    EdgeNotFoundError,
     EventLogError,
     InvalidQueryError,
     SimulationError,
@@ -105,11 +104,8 @@ class QueryUpdate:
                 f"query update {self.query_id} has neither old nor new location"
             )
         # Normalize (and validate) the spec exactly once; every consumer on
-        # the ingestion path reads the cached value through .spec.  The
-        # import is call-time to keep this module a leaf of repro.core.
-        from repro.core.queries import as_query_spec
-
-        object.__setattr__(self, "_spec", as_query_spec(self.k))
+        # the ingestion path reads the cached value through .spec.
+        object.__setattr__(self, "_spec", _as_query_spec(self.k))
         if self.old_location is None and self._spec is None:
             raise InvalidQueryError(
                 f"newly installed query {self.query_id} needs a k or QuerySpec"
@@ -133,6 +129,21 @@ class QueryUpdate:
     def is_termination(self) -> bool:
         """True when the query was terminated this timestamp."""
         return self.new_location is None
+
+
+def _as_query_spec(k):
+    """:func:`repro.core.queries.as_query_spec`, imported on the first call.
+
+    The import waits for a call to keep this module a leaf of repro.core;
+    the first call then rebinds this name to the function itself, because
+    a ``from`` import inside ``__post_init__`` cost more than the rest of
+    the constructor.
+    """
+    global _as_query_spec
+    from repro.core.queries import as_query_spec
+
+    _as_query_spec = as_query_spec
+    return as_query_spec(k)
 
 
 @value_class(frozen=True)
@@ -367,6 +378,12 @@ _FLAG_OLD_FROM_TABLE = 0x02
 #: applied query map's), replaces the kind bytes with bit columns and
 #: stores every new fraction and weight as its XOR with the old value.
 _FLAG_DELTA = 0x04
+#: Only with bit 2: a move row's new edge is a 4-bit code against its old
+#: edge, and only appearances and escaped moves write an absolute edge id.
+_FLAG_NEAR_EDGES = 0x08
+#: The codes: the old edge itself, 1-14 the i-th edge of its neighbourhood
+#: (:meth:`~repro.network.csr.CSRGraph.near_edges`), or an escape.
+_SAME_EDGE, _ESCAPE = 0, 15
 #: Every pickle of protocol 2 or later — which is what version 1 wrote —
 #: starts with the PROTO opcode.
 _PICKLE_PROTO_OPCODE = 0x80
@@ -410,9 +427,6 @@ _LOW_NIBBLE = bytes(byte & 0x0F for byte in range(256))
 _HIGH_NIBBLE = bytes(byte >> 4 for byte in range(256))
 _TO_HIGH_NIBBLE = bytes((byte << 4) & 0xFF for byte in range(256))
 _LITTLE = repeat("little")
-#: The zero high bytes a value of n significant bytes leaves out.
-_HIGH_ZEROS = tuple(bytes(8 - size) for size in range(9))
-_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def _pack_bits(flags: Sequence[bool]) -> bytes:
@@ -452,37 +466,70 @@ def _pack_xor(what: str, values: Sequence[float], bases: Sequence[float]) -> byt
         (_float_bits(what, values) ^ _float_bits(what, bases)).to_bytes(8 * len(values), "little")
     )
     counts = bytes(map(int.bit_length, xored)).translate(_BYTE_COUNTS)
-    body = b"".join(map(int.to_bytes, xored, counts, _LITTLE))
-    if len(counts) % 2:
-        counts += b"\x00"  # the padding nibble
-    nibbles = int.from_bytes(counts[0::2], "little") | int.from_bytes(
-        counts[1::2].translate(_TO_HIGH_NIBBLE), "little"
-    )
-    return nibbles.to_bytes(len(counts) // 2, "little") + body
+    return _pack_nibbles(counts) + b"".join(map(int.to_bytes, xored, counts, _LITTLE))
 
 
-def _pack_locations(
-    what: str, locations: Sequence[NetworkLocation], bases: Optional[Sequence[float]] = None
-) -> bytes:
-    """An ``(edge, fraction)`` column pair; given *bases*, the fractions XORed with them."""
-    fractions = [location.fraction for location in locations]
-    return _pack_ints(what, [location.edge_id for location in locations]) + (
-        _pack_floats(what, fractions) if bases is None else _pack_xor(what, fractions, bases)
-    )
+def _pack_nibbles(values: bytes) -> bytes:
+    """A nibble column of *values*, each below 16.
 
-
-def _pack_moves(
-    what: str, updates: Sequence, with_old: bool, bases: Optional[Sequence[float]] = None
-) -> bytes:
-    """The locations of an object or query section, after its ids and kinds.
-
-    With *bases* (flag bit 2), a bit column of the rows that have a new
-    location leads, and the new fractions are XORed with the bases.
+    Value *i* sits in the low nibble of byte ``i // 2`` when *i* is even,
+    in the high one when odd; a padding nibble is 0.
     """
+    if len(values) % 2:
+        values = values + b"\x00"
+    packed = int.from_bytes(values[0::2], "little") | int.from_bytes(
+        values[1::2].translate(_TO_HIGH_NIBBLE), "little"
+    )
+    return packed.to_bytes(len(values) // 2, "little")
+
+
+def _pack_new_edges(
+    what: str,
+    olds: Sequence[Optional[NetworkLocation]],
+    news: Sequence[NetworkLocation],
+    columns,
+) -> bytes:
+    """The new edges of a section's rows under flag bit 3.
+
+    *olds* holds, per row with a new location, its held old location
+    (None: an appearance).  A nibble column of the move rows' codes, then
+    an integer column of the edge ids of the appearances and the escaped
+    moves, in row order.
+    """
+    edge_index, near_edges = columns.edge_index, columns.near_edges
+    codes = bytearray()
+    absolute = []
+    for old, new in zip(olds, news):
+        edge_id = new.edge_id
+        # Not an int: escaped, so that the absolute column refuses it.
+        if old is not None and type(edge_id) is int:
+            if edge_id == old.edge_id:
+                codes.append(_SAME_EDGE)
+                continue
+            position = edge_index.get(old.edge_id)
+            target = edge_index.get(edge_id)
+            if position is not None and target is not None:
+                near = near_edges(position, _ESCAPE - 1)
+                if target in near:
+                    codes.append(near.index(target) + 1)
+                    continue
+        if old is not None:
+            codes.append(_ESCAPE)
+        absolute.append(edge_id)
+    return _pack_nibbles(codes) + _pack_ints(f"{what} new edges", absolute)
+
+
+def _pack_locations(what: str, locations: Sequence[NetworkLocation]) -> bytes:
+    """An ``(edge, fraction)`` column pair."""
+    return _pack_ints(what, [location.edge_id for location in locations]) + _pack_floats(
+        what, [location.fraction for location in locations]
+    )
+
+
+def _pack_moves(what: str, updates: Sequence, with_old: bool) -> bytes:
+    """The locations of an object or query section, after its ids and kinds."""
     parts = []
-    if bases is not None:
-        parts.append(_pack_bits([u.new_location is not None for u in updates]))
-    elif with_old:
+    if with_old:
         parts.append(
             _pack_locations(
                 f"{what} old locations",
@@ -493,31 +540,52 @@ def _pack_moves(
         _pack_locations(
             f"{what} new locations",
             [u.new_location for u in updates if u.new_location is not None],
-            bases,
         )
     )
     return b"".join(parts)
 
 
-def _held_fractions(
+def _pack_rows_against(
+    what: str, updates: Sequence, olds: Sequence[Optional[NetworkLocation]], columns
+) -> bytes:
+    """An object or query section's rows after its ids, under flag bits 2 and 3.
+
+    A bit column of the rows that have a new location, their new edges
+    (:func:`_pack_new_edges`), then their fractions XORed with the old
+    ones (0.0 for an appearance).  *olds* is :func:`_held_olds`' list.
+    """
+    news = [u.new_location for u in updates if u.new_location is not None]
+    return (
+        _pack_bits([u.new_location is not None for u in updates])
+        + _pack_new_edges(what, olds, news, columns)
+        + _pack_xor(
+            f"{what} new locations",
+            [location.fraction for location in news],
+            [0.0 if old is None else old.fraction for old in olds],
+        )
+    )
+
+
+def _held_olds(
     what: str,
     holder: str,
     ids: Sequence[int],
     updates: Sequence,
     held: Mapping[int, NetworkLocation],
     appearances: bool,
-) -> List[float]:
-    """Refuse to omit an old location that *held* does not hold; the XOR bases.
+) -> List[Optional[NetworkLocation]]:
+    """Refuse to omit an old location that *held* does not hold; the held ones.
 
     A record written without them is decoded by reading them back from
     *held* (the edge table's or the query map's locations), so any
     difference would be lost without a trace.  With *appearances*, an
     appearance must name an id *held* lacks, which is how the decoder
     tells it from a move.  Returns, per row with a new location, the
-    fraction the decoder XORs it with: the held location's own (``0.0``
-    and ``-0.0`` are equal, not the same bits) and 0.0 for an appearance.
+    location the decoder holds for it (None for an appearance): its
+    fraction, not the batch's, is the XOR base (``0.0`` and ``-0.0`` are
+    equal, not the same bits), and its edge the base of the edge code.
     """
-    bases = []
+    olds = []
     for entity_id, update in zip(ids, updates):
         current = held.get(entity_id)
         old = update.old_location
@@ -533,18 +601,18 @@ def _held_fractions(
                 f"the batch says {old}, the {holder} {current}"
             )
         if update.new_location is not None:
-            bases.append(0.0 if old is None else current.fraction)
-    return bases
+            olds.append(None if old is None else current)
+    return olds
 
 
 def _held_weights(edges: Sequence[EdgeWeightUpdate], network: RoadNetwork) -> List[float]:
     """Refuse to omit an old weight that is not the network's; the weights."""
+    columns = network.columns
+    edge_index, edge_weight = columns.edge_index, columns.edge_weight
     weights = []
     for update in edges:
-        try:
-            current = network.weight_of(update.edge_id)
-        except EdgeNotFoundError:
-            current = None
+        position = edge_index.get(update.edge_id)
+        current = None if position is None else edge_weight[position]
         if current != update.old_weight:
             raise EventLogError(
                 f"cannot encode edge {update.edge_id!r} without its old weight: "
@@ -614,8 +682,13 @@ def encode_batch(
             location, says per row only whether it has a new location (an
             appearance is an id the pre-batch table or map lacks) and
             whether it carries a ``k``, and stores every new fraction and
-            weight as its XOR with the old value (header flag bit 2).  The
-            write-ahead log is written this way.
+            weight as its XOR with the old value (header flag bit 2).  A
+            move's new edge then becomes a 4-bit code against its old edge
+            (header flag bit 3, always written with bit 2): 0 for the same
+            edge, *i* in 1-14 for the *i*-th edge that shares an endpoint
+            with it (:meth:`~repro.network.csr.CSRGraph.near_edges`), 15
+            for any other, whose id follows in full as an appearance's
+            does.  The write-ahead log is written this way.
 
     Raises:
         EventLogError: if a value does not fit its column — a non-integer
@@ -647,7 +720,7 @@ def encode_batch(
                 _BATCH_CODEC_VERSION,
                 (_FLAG_NORMALIZED if batch._is_net() else 0)
                 | (0 if with_old else _FLAG_OLD_FROM_TABLE)
-                | (_FLAG_DELTA if delta else 0),
+                | (_FLAG_DELTA | _FLAG_NEAR_EDGES if delta else 0),
                 batch.timestamp,
                 len(objects),
                 len(queries),
@@ -656,17 +729,17 @@ def encode_batch(
         ]
     except struct.error as exc:
         raise EventLogError(f"cannot encode batch header: {exc}") from exc
+    columns = edge_table.network.columns if delta else None
     if objects:
         ids = [u.object_id for u in objects]
         parts.append(_pack_ints("object ids", ids))
-        bases = None
         if not with_old:
-            bases = _held_fractions(
-                "object", "edge table", ids, objects, edge_table.locations, delta
-            )
-        if not delta:
+            olds = _held_olds("object", "edge table", ids, objects, edge_table.locations, delta)
+        if delta:
+            parts.append(_pack_rows_against("object", objects, olds, columns))
+        else:
             parts.append(bytes(map(_move_kind, objects)))
-        parts.append(_pack_moves("object", objects, with_old, bases if delta else None))
+            parts.append(_pack_moves("object", objects, with_old))
     if queries:
         ids = [u.query_id for u in queries]
         ks = [u.k for u in queries]
@@ -677,8 +750,8 @@ def encode_batch(
         ]
         parts.append(_pack_ints("query ids", ids))
         if delta:
-            bases = _held_fractions("query", "query map", ids, queries, query_locations, True)
-            parts.append(_pack_moves("query", queries, False, bases))
+            olds = _held_olds("query", "query map", ids, queries, query_locations, True)
+            parts.append(_pack_rows_against("query", queries, olds, columns))
             parts.append(_pack_bits([k_kind != _K_NONE for k_kind in k_kinds]))
             parts.append(
                 _pack_bits([k_kind == _K_SPEC for k_kind in k_kinds if k_kind != _K_NONE])
@@ -745,34 +818,33 @@ class _RecordReader(ColumnReader):
             raise EventLogError(f"batch record: {what} set a padding bit")
         return format(value, f"0{count}b").encode()[::-1].translate(_FROM_DIGITS)
 
+    def nibbles(self, what: str, count: int) -> bytearray:
+        """A nibble column of *count* rows (:func:`_pack_nibbles`), one byte per row."""
+        packed = bytes(self.take(what, (count + 1) // 2))
+        values = bytearray(2 * len(packed))
+        values[0::2] = packed.translate(_LOW_NIBBLE)
+        values[1::2] = packed.translate(_HIGH_NIBBLE)
+        if count % 2 and values[count]:
+            raise EventLogError(f"batch record: {what} set a padding nibble")
+        del values[count:]
+        return values
+
     def xor_floats(self, what: str, count: int, bases: Sequence[float]) -> array:
         """A float64 column :func:`_pack_xor` wrote against *bases*."""
         if not count:
             return array("d")
-        nibbles = bytes(self.take(f"{what} byte counts", (count + 1) // 2))
-        counts = bytearray(2 * len(nibbles))
-        counts[0::2] = nibbles.translate(_LOW_NIBBLE)
-        counts[1::2] = nibbles.translate(_HIGH_NIBBLE)
-        if count % 2 and counts[count]:
-            raise EventLogError(f"batch record: {what} set a padding nibble")
-        del counts[count:]
+        counts = self.nibbles(f"{what} byte counts", count)
         if max(counts) > 8:
             raise EventLogError(f"batch record: {what} hold a value wider than 8 bytes")
-        body = self.take(what, sum(counts))
-        # Each value's low bytes, then the zero high ones it left out.
-        chunks = []
-        start = 0
-        for size in counts:
-            end = start + size
-            if size and not body[end - 1]:
-                raise EventLogError(f"batch record: {what} count a zero high byte")
-            chunks.append(body[start:end])
-            chunks.append(_HIGH_ZEROS[size])
-            start = end
-        xored = array("Q")
-        xored.frombytes(b"".join(chunks))
-        if _BIG_ENDIAN:
-            xored.byteswap()
+        body = bytes(self.take(what, sum(counts)))
+        ends = list(accumulate(counts))
+        # Each value from its low bytes; its zero high bytes were left out.
+        values = list(
+            map(int.from_bytes, map(body.__getitem__, map(slice, [0] + ends, ends)), _LITTLE)
+        )
+        if bytes(map(int.bit_length, values)).translate(_BYTE_COUNTS) != counts:
+            raise EventLogError(f"batch record: {what} count a zero high byte")
+        xored = array("Q", values)
         column = array("d")
         column.frombytes(
             (int.from_bytes(xored.tobytes(), "little") ^ _float_bits(what, bases)).to_bytes(
@@ -782,13 +854,19 @@ class _RecordReader(ColumnReader):
         return column
 
     def locations(
-        self, what: str, count: int, bases: Optional[Sequence[float]] = None
+        self,
+        what: str,
+        count: int,
+        bases: Optional[Sequence[float]] = None,
+        edges: Optional[Sequence[int]] = None,
     ) -> List[NetworkLocation]:
         """An ``(edge, fraction)`` column pair, the fractions checked at once.
 
-        Given *bases*, the fractions were XORed with them (flag bit 2).
+        Given *bases*, the fractions were XORed with them (flag bit 2);
+        given *edges*, the edge ids were read already (flag bit 3).
         """
-        edges = self.ints(what, count)
+        if edges is None:
+            edges = self.ints(what, count)
         if bases is None:
             fractions = self.floats(what, count)
         else:
@@ -844,29 +922,74 @@ class _RecordReader(ColumnReader):
         new_column = [None if side == _DISAPPEAR else next(news) for side in sides]
         return ids, kinds, old_column, new_column
 
+    def new_edges(
+        self, what: str, olds: Sequence[Optional[NetworkLocation]], columns
+    ) -> List[int]:
+        """The new edge ids :func:`_pack_new_edges` wrote for the rows of *olds*."""
+        appearances = sum(map(is_, olds, repeat(None)))
+        codes = self.nibbles(f"{what} edge codes", len(olds) - appearances)
+        absolute = iter(self.ints(f"{what} new edges", appearances + codes.count(_ESCAPE)))
+        edge_index, edge_ids, near_edges = columns.edge_index, columns.edge_ids, columns.near_edges
+        codes = iter(codes)
+        edges = []
+        append = edges.append
+        for old in olds:
+            if old is None:
+                append(next(absolute))
+                continue
+            code = next(codes)
+            if code == _SAME_EDGE:
+                append(old.edge_id)
+            elif code == _ESCAPE:
+                append(next(absolute))
+            else:
+                position = edge_index.get(old.edge_id)
+                near = () if position is None else near_edges(position, code)
+                if len(near) < code:
+                    raise EventLogError(
+                        f"batch record: {what} edge code {code} is past the "
+                        f"neighbourhood of edge {old.edge_id}"
+                    )
+                append(edge_ids[near[code - 1]])
+        return edges
+
     def rows_against(
-        self, what: str, count: int, held: Mapping[int, NetworkLocation], holder: str
+        self,
+        what: str,
+        count: int,
+        held: Mapping[int, NetworkLocation],
+        holder: str,
+        columns=None,
     ):
         """``(ids, old locations, new locations)`` of *count* flag-bit-2 rows.
 
         A row's old location is *held*'s (None: an appearance); a row
         without a new location is a disappearance, so *held* must hold it.
+        Given the network's *columns*, the new edges are coded against the
+        old ones (flag bit 3).
         """
         ids = self.ints(f"{what} ids", count)
         has_new = self.bits(f"{what} new-location flags", count)
-        olds = [held.get(entity_id) for entity_id in ids]
-        bases = [
-            0.0 if old is None else old.fraction for old, flag in zip(olds, has_new) if flag
-        ]
-        news = iter(self.locations(f"{what} new locations", len(bases), bases))
-        new_column = [next(news) if flag else None for flag in has_new]
-        for entity_id, old, new in zip(ids, olds, new_column):
-            if old is None and new is None:
-                raise EventLogError(
-                    f"batch record removes {what} {entity_id}, which the {holder} "
-                    "does not hold"
-                )
-        return ids, olds, new_column
+        olds = list(map(held.get, ids))
+        if has_new.count(0):
+            for entity_id, old, flag in zip(ids, olds, has_new):
+                if old is None and not flag:
+                    raise EventLogError(
+                        f"batch record removes {what} {entity_id}, which the {holder} "
+                        "does not hold"
+                    )
+            new_olds = list(compress(olds, has_new))
+        else:
+            new_olds = olds
+        bases = [0.0 if old is None else old.fraction for old in new_olds]
+        edges = None
+        if columns is not None:
+            edges = self.new_edges(what, new_olds, columns)
+        news = self.locations(f"{what} new locations", len(bases), bases, edges)
+        if len(news) < count:
+            news = iter(news)
+            news = [next(news) if flag else None for flag in has_new]
+        return ids, olds, news
 
     def specs(self, count: int) -> list:
         """*count* ``QuerySpec`` rows, built through the validating constructor."""
@@ -952,8 +1075,9 @@ def decode_batch(
             (header flag bit 2) is decoded against, in the same pre-batch
             state.  It fills in the query old locations, tells an
             appearance (an id the table or map lacks) from a move, and
-            holds the old fractions the new ones were XORed with.  A
-            record without flag bit 2 ignores it.
+            holds the old fractions the new ones were XORed with; under
+            flag bit 3 its old edges, with the table's, resolve the edge
+            codes.  A record without flag bit 2 ignores it.
 
     Raises:
         EventLogError: if the payload is truncated, has trailing bytes, is
@@ -962,7 +1086,8 @@ def decode_batch(
             or holds a value the update classes would refuse; or if it
             leaves its old values out and *edge_table* (or, for flag bit 2,
             *query_locations*) is missing or does not hold an object, query
-            or edge the record names.
+            or edge the record names, or (flag bit 3) an edge code names
+            more edges than share an endpoint with the old one.
 
     Example::
 
@@ -990,15 +1115,17 @@ def decode_batch(
             f"unsupported batch codec version {version} "
             "(this library reads versions 2 and 3)"
         )
-    if flags & ~(_FLAG_NORMALIZED | _FLAG_OLD_FROM_TABLE | _FLAG_DELTA):
+    if flags & ~(_FLAG_NORMALIZED | _FLAG_OLD_FROM_TABLE | _FLAG_DELTA | _FLAG_NEAR_EDGES):
         raise EventLogError(f"batch record has unknown flag bits {flags:#04x}")
     normalized = bool(flags & _FLAG_NORMALIZED)
     from_table = bool(flags & _FLAG_OLD_FROM_TABLE)
     delta = bool(flags & _FLAG_DELTA)
-    if delta and not from_table:
-        raise EventLogError(
-            f"batch record has flag bit {_FLAG_DELTA:#04x} without {_FLAG_OLD_FROM_TABLE:#04x}"
-        )
+    near = bool(flags & _FLAG_NEAR_EDGES)
+    for bit, needs in ((_FLAG_DELTA, from_table), (_FLAG_NEAR_EDGES, delta)):
+        if flags & bit and not needs:
+            raise EventLogError(
+                f"batch record has flag bit {bit:#04x} without {bit >> 1:#04x}"
+            )
     if from_table and edge_table is None:
         raise EventLogError(
             f"batch record has flag bit {_FLAG_OLD_FROM_TABLE:#04x} (old values left "
@@ -1010,11 +1137,12 @@ def decode_batch(
             "out): decode it against the query map it was written from"
         )
 
+    columns = edge_table.network.columns if near else None
     object_updates: List[ObjectUpdate] = []
     if n_objects:
         if delta:
             ids, olds, news = reader.rows_against(
-                "object", n_objects, edge_table.locations, "edge table"
+                "object", n_objects, edge_table.locations, "edge table", columns
             )
         else:
             ids, _, olds, news = reader.moves(
@@ -1035,7 +1163,7 @@ def decode_batch(
     if n_queries:
         if delta:
             ids, olds, news = reader.rows_against(
-                "query", n_queries, query_locations, "query map"
+                "query", n_queries, query_locations, "query map", columns
             )
             carries = reader.bits("query k flags", n_queries)
             specs = iter(reader.bits("query spec flags", carries.count(1)))

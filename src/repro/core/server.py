@@ -510,11 +510,16 @@ class MonitoringServer:
         An installation moves the query to the end of the overlay, so that
         :meth:`_commit_pending_queries` adds the installed queries in the
         order of their last installation, as buffering them into the
-        applied maps would.
+        applied maps would.  So does a move that carries a spec: that is
+        how :meth:`UpdateBatch.normalized` writes a same-tick terminate +
+        reinstall, so a log replay of the reinstall moves the query to the
+        end as the live run did.
         """
         pending = self._pending_queries
         query_id = update.query_id
-        if update.is_installation:
+        if update.is_installation or (
+            update.spec is not None and not update.is_termination
+        ):
             pending.pop(query_id, None)
             pending[query_id] = (update.new_location, update.spec, True)
         elif update.is_termination:

@@ -279,6 +279,35 @@ class CSRGraph:
         except KeyError as exc:
             raise EdgeNotFoundError(edge_id) from exc
 
+    def near_edges(self, position: int, limit: int) -> List[int]:
+        """The first *limit* edges that share an endpoint with edge *position*.
+
+        Dense positions, in ``inc_edge`` order: the incidence of the edge's
+        start node, then of its end node, without the edge itself and
+        without repeats (a parallel edge is incident to both ends; a node
+        lists an edge once, as there are no self-loops).  The write-ahead
+        log codes a move's new edge as an index into this list
+        (``repro.core.events``), so the order is part of its format.
+
+        Example::
+
+            near = store.near_edges(store.index_of_edge(edge_id), 14)
+        """
+        inc_indptr, inc_edge = self.inc_indptr, self.inc_edge
+        node = self.edge_start[position]
+        near = inc_edge[inc_indptr[node] : inc_indptr[node + 1]]
+        near.remove(position)
+        if len(near) >= limit:
+            del near[limit:]
+            return near
+        node = self.edge_end[position]
+        for other in inc_edge[inc_indptr[node] : inc_indptr[node + 1]]:
+            if other != position and other not in near:
+                near.append(other)
+                if len(near) == limit:
+                    break
+        return near
+
     def neighbors_of_index(self, node_idx: int) -> List[Tuple[int, int, float]]:
         """``(edge_id, neighbor_index, weight)`` triples (diagnostics/tests)."""
         start, stop = self.indptr[node_idx], self.indptr[node_idx + 1]

@@ -277,3 +277,27 @@ class TestDifferentialAgainstBruteForce:
             assert fast.neighbors == initial.neighbors
             assert fast.state.node_dist == pytest.approx(initial.state.node_dist)
             _assert_matches_brute_force(network, edge_table, fast, 6, query)
+
+
+def test_near_edges_list_the_start_node_then_the_end_node_once_each():
+    """The order the write-ahead log's edge codes index: repeats and the edge itself skipped."""
+    network = RoadNetwork()
+    for node in range(5):
+        network.add_node(node, x=float(node), y=0.0)
+    network.add_edge(10, 0, 1)
+    network.add_edge(11, 1, 2)
+    network.add_edge(12, 0, 2)
+    network.add_edge(13, 2, 1)  # parallel to edge 11, the other way round
+    network.add_edge(14, 2, 3, oneway=True)
+    network.add_edge(15, 3, 4)
+    store = csr_snapshot(network)
+
+    def near(edge_id, limit=14):
+        return [store.edge_ids[p] for p in store.near_edges(store.index_of_edge(edge_id), limit)]
+
+    # edge 11: node 1 lists 10, 11, 13; node 2 lists 11, 12, 13, 14
+    assert near(11) == [10, 13, 12, 14]
+    assert near(11, 2) == [10, 13]
+    assert near(14) == [11, 12, 13, 15]  # a one-way edge has both ends too
+    assert near(15) == [14]
+    assert near(10, 1) == [12]

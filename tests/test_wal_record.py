@@ -7,18 +7,25 @@ edge_table)`` reads them back there.  Given the applied query map as well,
 ``encode_batch(batch, edge_table, query_locations)`` adds flag bit 2: no
 query old locations, bit columns instead of kind bytes, and every new
 fraction and weight XORed with the old value, written as a 4-bit count of
-significant bytes plus those bytes.  The tests pin both layouts (a
+significant bytes plus those bytes; since flag bit 3 a move's new edge is
+a 4-bit code against its old edge (the same edge, one of the first 14 that
+share an endpoint with it, or an escape to an absolute id).  The encoder
+writes bits 1 to 3 together; records of bits 1 and 2 alone, which an
+earlier release logged, still decode.  The tests pin every layout (a
 version-2 record, int columns at 4 or 8 bytes, still decodes), their
 per-row cost at int8, int16 and int32 ids, the round trips over random
-table and query-map states, the XOR column's edge cases, the refusal to
-drop an old value the table or the map does not hold, and what the decoder
-does with a flagged record it cannot trust: no table or map, a table
-without the named object or edge, truncation at every offset and a
-thousand seeded bit flips of each flagging (CI rotates ``FUZZ_BASE_SEED``).
+table and query-map states (on networks with a node of degree 16 and
+parallel edges, so every code is written), the XOR column's edge cases,
+the refusal to drop an old value the table or the map does not hold, and
+what the decoder does with a flagged record it cannot trust: no table or
+map, a table without the named object or edge, an edge code past the
+neighbourhood, truncation at every offset and a thousand seeded bit flips
+of each flagging (CI rotates ``FUZZ_BASE_SEED``).
 """
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import struct
@@ -45,7 +52,8 @@ from repro.service.eventlog import read_event_log
 BASE_SEED = int(os.environ.get("FUZZ_BASE_SEED", "20060912"))
 
 L = NetworkLocation
-FLAG_NORMALIZED, FLAG_OLD_FROM_TABLE, FLAG_DELTA = 0x01, 0x02, 0x04
+FLAG_NORMALIZED, FLAG_OLD_FROM_TABLE, FLAG_DELTA, FLAG_NEAR = 0x01, 0x02, 0x04, 0x08
+FLAGS_WAL = FLAG_OLD_FROM_TABLE | FLAG_DELTA | FLAG_NEAR
 
 
 def header(
@@ -170,7 +178,11 @@ def test_a_flagged_version_2_record_still_decodes_to_the_same_batch():
 
 
 def test_the_flag_bit_2_byte_layout_is_the_documented_one():
-    """docs/service.md: bit columns, no query old locations, XORed fractions and weights."""
+    """docs/service.md: bit columns, no query old locations, XORed fractions and weights.
+
+    This layout (flags ``0x06``) is what an earlier release logged; the
+    encoder now adds flag bit 3, so the record is read, not written.
+    """
     table, batch = flagged_layout_table_and_batch()
     queries = {100: L(2, 0.5)}
     zeros = bytes(6)
@@ -189,12 +201,55 @@ def test_the_flag_bit_2_byte_layout_is_the_documented_one():
         # edges: ids, then 6.5 ^ 1.0
         + int8s(9) + b"\x08" + zeros + b"\xea\x7f"
     )
-    assert encode_batch(batch, table, queries) == expected
     assert decode_batch(expected, table, queries) == batch
     # against flag bit 1 alone: the query old location (10 B) and one
     # shared high byte go, three count bytes come; the bits fill the
     # kind bytes' three
     assert len(expected) == len(encode_batch(batch, table)) - 10 - 1 + 3
+    # with flag bit 3 the object move to the next edge and the query move
+    # to a far one each add a 4-bit code (a byte per section), and only
+    # the query's escape keeps its absolute id: the object's int8 edge goes
+    assert len(encode_batch(batch, table, queries)) == len(expected) + 2 - 1
+
+
+def near_layout_table_and_batch():
+    """A path network (edge *i* joins nodes *i* and *i* + 1) and one move of each code."""
+    table = path_table()
+    for object_id, location in ((7, L(3, 0.25)), (8, L(5, 0.5)), (9, L(0, 0.5))):
+        table.insert_object(object_id, location)
+    batch = UpdateBatch(timestamp=7)
+    batch.add_object_move(7, L(3, 0.25), L(4, 0.75))  # edge 3's neighbourhood: 2, 4
+    batch.add_object_move(8, L(5, 0.5), L(5, 0.75))   # the same edge
+    batch.add_object_move(9, L(0, 0.5), L(8, 0.5))    # far: an escape
+    batch.object_updates.append(ObjectUpdate(10, None, L(1, 0.5)))
+    batch.query_updates.append(QueryUpdate(100, L(2, 0.5), L(1, 0.0)))
+    return table, batch
+
+
+def test_the_flag_bit_3_byte_layout_is_the_documented_one():
+    """docs/service.md: a move's new edge is a 4-bit code against its old edge."""
+    table, batch = near_layout_table_and_batch()
+    queries = {100: L(2, 0.5)}
+    zeros = bytes(6)
+    expected = (
+        header(4, 1, 0, timestamp=7, flags=FLAGS_WAL)
+        + int8s(7, 8, 9, 10) + b"\x0f"
+        # the three move rows' codes: 2 (edge 4 is edge 3's second near
+        # edge), 0 (the same edge), 15 (an escape), padding nibble 0
+        + b"\x02\x0f"
+        # absolute ids in row order: the escape's, then the appearance's
+        + int8s(8, 1)
+        # XOR counts 7, 7, 0, 8, then 0.75 ^ 0.25, 0.75 ^ 0.5, nothing for
+        # 0.5 ^ 0.5, and 0.5 ^ 0.0
+        + b"\x77\x80" + zeros + b"\x38" + zeros + b"\x08" + zeros + b"\xe0\x3f"
+        # the query moves to edge 1, the first of edge 2's near edges: code
+        # 1 and no absolute id (a zero-row column is no bytes)
+        + int8s(100) + b"\x01" + b"\x01"
+        + b"\x08" + zeros + b"\xe0\x3f"
+        + b"\x00"
+    )
+    assert encode_batch(batch, table, queries) == expected
+    assert decode_batch(expected, table, queries) == batch
 
 
 def _row_cost(build, base, table=None) -> int:
@@ -243,18 +298,21 @@ def test_per_row_cost_at_int8_int16_and_int32_ids(base, costs):
 
 @pytest.mark.parametrize(
     "base, costs",
-    [(0, (9.625, 1.125, 8.5, 9.75)), (1_000, (11.625, 2.125, 9.5, 11.75))],
+    [(0, (9.125, 10.125, 1.125, 8.5, 9.25)), (1_000, (10.125, 12.125, 2.125, 9.5, 10.25))],
     ids=["int8", "int16"],
 )
-def test_per_row_cost_under_flag_bit_2(base, costs):
-    """docs/service.md's per-row table, flag bits 1 + 2, over 8 more rows.
+def test_per_row_cost_under_flag_bits_2_and_3(base, costs):
+    """docs/service.md's per-row table, flag bits 1 + 2 + 3, over 8 more rows.
 
     A row costs its ids at the column's width, 1/8 B of bit column, and
     per new fraction or weight a 1/2 B count plus its significant XOR
     bytes: here 7 for a move of 0.5 to 0.25 (the sign and exponent are
-    shared) and 7 for a weight of 1.0 to 1.5.  A query row adds 1/8 B of
-    "carries a k" bits and drops its old location, 2w + 9 B under flag
-    bit 1 alone.
+    shared) and 7 for a weight of 1.0 to 1.5.  A move to an edge that
+    shares an endpoint adds a 1/2 B code and no edge id: 3.125 B + 7 at
+    int16 ids, where flag bits 1 + 2 wrote the int16 edge (4.625 B + 7).
+    An escaped move adds its edge id at the column's width as well, 1/2 B
+    more than under flag bits 1 + 2.  A query row adds 1/8 B of "carries
+    a k" bits and drops its old location, 2w + 9 B under flag bit 1 alone.
     """
     rows = range(base, base + 32)
     table = path_table(range(base, base + 40))
@@ -272,7 +330,10 @@ def test_per_row_cost_under_flag_bit_2(base, costs):
             sizes.append(len(encode_batch(batch, table, queries)))
         return (sizes[1] - sizes[0]) / 8
 
-    def move(batch, i):
+    def near_move(batch, i):
+        batch.object_updates.append(ObjectUpdate(i, L(i, 0.5), L(i + 1, 0.25)))
+
+    def far_move(batch, i):
         batch.object_updates.append(ObjectUpdate(i, L(i, 0.5), L(i + 2, 0.25)))
 
     def disappear(batch, i):
@@ -284,7 +345,9 @@ def test_per_row_cost_under_flag_bit_2(base, costs):
     def query_move(batch, i):
         batch.query_updates.append(QueryUpdate(i, L(i, 0.5), L(i + 1, 0.25)))
 
-    assert tuple(cost(build) for build in (move, disappear, edge, query_move)) == costs
+    assert tuple(
+        cost(build) for build in (near_move, far_move, disappear, edge, query_move)
+    ) == costs
 
 
 # ----------------------------------------------------------------------
@@ -547,7 +610,7 @@ def states_and_net_batches(draw):
 def test_round_trip_against_the_table_and_the_query_map_is_lossless(state):
     table, queries, batch = state
     payload = encode_batch(batch, table, queries)
-    assert payload[5] == FLAG_NORMALIZED | FLAG_OLD_FROM_TABLE | FLAG_DELTA
+    assert payload[5] == FLAG_NORMALIZED | FLAGS_WAL
     clone = decode_batch(payload, table, queries)
     assert clone == batch and clone.net() is clone
     assert [type(u.k) for u in clone.query_updates] == [type(u.k) for u in batch.query_updates]
@@ -555,6 +618,122 @@ def test_round_trip_against_the_table_and_the_query_map_is_lossless(state):
     for update in clone.query_updates:
         if update.old_location is not None:
             assert update.old_location is queries[update.query_id]
+
+
+def hub_network() -> RoadNetwork:
+    """A hub joined to 18 spokes that form a ring, plus two parallel edges.
+
+    The hub has degree 19, so a hub edge's neighbourhood is longer than
+    the 14 edges a code names; edge 36 doubles edge 0 (hub to spoke 1) and
+    edge 37 doubles ring edge 18 in reverse, so both ends list them.
+    """
+    network = RoadNetwork()
+    network.add_node(0, x=0.0, y=0.0)
+    for spoke in range(1, 19):
+        angle = 2 * math.pi * spoke / 18
+        network.add_node(spoke, x=10 * math.cos(angle), y=10 * math.sin(angle))
+        network.add_edge(spoke - 1, 0, spoke)
+    for spoke in range(1, 19):
+        network.add_edge(17 + spoke, spoke, spoke % 18 + 1)
+    network.add_edge(36, 0, 1)
+    network.add_edge(37, 2, 1)
+    return network
+
+
+def _near(network: RoadNetwork, edge_id: int) -> list:
+    """Every edge that shares an endpoint with *edge_id*, worked out from the edges."""
+    ends = {network.edge(edge_id).start, network.edge(edge_id).end}
+    return sorted(
+        other
+        for other in network.edge_ids()
+        if other != edge_id and ends & {network.edge(other).start, network.edge(other).end}
+    )
+
+
+_HUB = hub_network()
+_NEAR = {
+    network: {edge_id: _near(network, edge_id) for edge_id in network.edge_ids()}
+    for network in (_NETWORK, _HUB)
+}
+
+
+@st.composite
+def near_states_and_net_batches(draw):
+    """A table and query map on the city or the hub network, then moves of every code.
+
+    A move stays on its edge, goes to one that shares an endpoint (on the
+    hub, often past the 14th, which escapes) or to any edge.
+    """
+    base = draw(st.sampled_from((_NETWORK, _HUB)))
+    near = _NEAR[base]
+    network = base.copy()
+    table = EdgeTable(network, build_spatial_index=False)
+    edges = sorted(network.edge_ids())
+    anywhere = st.builds(L, st.sampled_from(edges), fractions)
+
+    def moved(old):
+        return draw(
+            st.one_of(
+                st.builds(L, st.just(old.edge_id), fractions),
+                st.builds(L, st.sampled_from(near[old.edge_id]), fractions),
+                anywhere,
+            )
+        )
+
+    held = {}
+    for kind in ("object", "query"):
+        ids = draw(st.lists(st.integers(0, 2**40), max_size=10, unique=True))
+        held[kind] = {entity_id: draw(anywhere) for entity_id in ids}
+    for object_id, location in held["object"].items():
+        table.insert_object(object_id, location)
+    batch = UpdateBatch(timestamp=draw(st.integers(0, 2**40)))
+    for kind, rows in (("object", batch.object_updates), ("query", batch.query_updates)):
+        update = ObjectUpdate if kind == "object" else QueryUpdate
+        for entity_id, old in held[kind].items():
+            action = draw(st.sampled_from(("stay", "move", "disappear")))
+            if action != "stay":
+                rows.append(update(entity_id, old, None if action == "disappear" else moved(old)))
+        for entity_id in draw(st.lists(st.integers(-99, -1), max_size=3, unique=True)):
+            rows.append(
+                ObjectUpdate(entity_id, None, draw(anywhere))
+                if kind == "object"
+                else QueryUpdate(entity_id, None, draw(anywhere), 2)
+            )
+    return table, held["query"], batch._mark_net()
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_states_and_net_batches())
+def test_round_trip_of_every_edge_code_is_lossless(state):
+    table, queries, batch = state
+    payload = encode_batch(batch, table, queries)
+    assert payload[5] == FLAG_NORMALIZED | FLAGS_WAL
+    clone = decode_batch(payload, table, queries)
+    assert clone == batch and encode_batch(clone, table, queries) == payload
+
+
+def test_the_codes_follow_the_incidence_of_the_start_node_then_the_end_node():
+    """On the hub: 0 the same edge, 1-14 the neighbourhood in order, 15 beyond it."""
+    table = EdgeTable(hub_network(), build_spatial_index=False)
+    store = table.network.columns
+    # edge 0 joins the hub (node 0) and spoke 1: the hub lists edges 0-17
+    # and 36, spoke 1 lists 0, 18, 35, 36 and 37; 36 only counts once
+    assert [store.edge_ids[p] for p in store.near_edges(store.index_of_edge(0), 30)] == (
+        list(range(1, 18)) + [36, 18, 35, 37]
+    )
+    queries = {}
+    batch = UpdateBatch()
+    for code, new_edge in enumerate([0, *range(1, 15), 15, 37, 20]):
+        queries[code] = L(0, 0.5)
+        batch.query_updates.append(QueryUpdate(code, L(0, 0.5), L(new_edge, 0.5)))
+    payload = encode_batch(batch, table, queries)
+    # ids 0-17 (int8), 18 "has a new location" bits, then the codes:
+    # 0, 1 ... 14 and three escapes (the 15th near edge, the 21st, a far one)
+    start = 26 + 1 + 18 + 3
+    codes = list(range(15)) + [15, 15, 15]
+    assert payload[start : start + 9] == bytes(a | b << 4 for a, b in zip(codes[::2], codes[1::2]))
+    assert payload[start + 9 : start + 13] == int8s(15, 37, 20)
+    assert decode_batch(payload, table, queries) == batch
 
 
 def _xor_round_trip(table, batch, queries=None):
@@ -617,7 +796,7 @@ def test_xor_of_appearances_is_against_zero_and_a_zero_fraction_costs_nothing():
     batch.object_updates.append(ObjectUpdate(6, None, L(3, 1.0)))
     batch.query_updates.append(QueryUpdate(9, None, L(4, 0.0), 2))
     clone, payload = _xor_round_trip(table, batch, queries)
-    objects = header(2, 1, 0, flags=FLAG_OLD_FROM_TABLE | FLAG_DELTA) + int8s(5, 6) + b"\x03"
+    objects = header(2, 1, 0, flags=FLAGS_WAL) + int8s(5, 6) + b"\x03"
     assert payload.startswith(objects + int8s(3, 3) + b"\x80" + _bits(1.0))
     # the query: no fraction bytes, then "carries a k", "not a spec", k = 2
     assert payload.endswith(int8s(9) + b"\x01" + int8s(4) + b"\x00" + b"\x01\x00" + int8s(2))
@@ -707,9 +886,7 @@ def test_durable_tick_appends_nothing_when_a_query_old_location_disagrees(tmp_pa
     try:
         durable.tick()
         logged = read_event_log(tmp_path / "d" / "events.log")
-        assert len(logged) == 1 and logged[0][5] == FLAG_NORMALIZED | FLAG_OLD_FROM_TABLE | (
-            FLAG_DELTA
-        )
+        assert len(logged) == 1 and logged[0][5] == FLAG_NORMALIZED | FLAGS_WAL
         # Ingested against one location, then moved behind the server's back.
         server.move_query(100, L(edges[2], 0.5))
         server.applied_query_locations[100] = L(edges[3], 0.5)
@@ -720,22 +897,23 @@ def test_durable_tick_appends_nothing_when_a_query_old_location_disagrees(tmp_pa
         durable.close()
 
 
-def test_a_thousand_bit_flips_of_a_flag_bit_2_record():
-    """Never another exception; whatever decodes encodes again cleanly, also against the map."""
-    table, batch = sample_table_and_batch()
-    payload = encode_batch(batch, table, SAMPLE_QUERIES)
-    assert payload[5] == FLAG_NORMALIZED | FLAG_OLD_FROM_TABLE | FLAG_DELTA
+def _survives_bit_flips(payload, table, queries, name):
+    """Truncate at every offset, then flip a thousand seeded bit sets of *payload*.
+
+    Never another exception than :class:`EventLogError`; whatever decodes
+    encodes again cleanly, also against the table and the map.
+    """
     for cut in range(len(payload)):
         with pytest.raises(EventLogError):
-            decode_batch(payload[:cut], table, SAMPLE_QUERIES)
-    rng = random.Random(f"wal-record-delta-fuzz/{BASE_SEED}")
+            decode_batch(payload[:cut], table, queries)
+    rng = random.Random(f"{name}/{BASE_SEED}")
     survivors = 0
     for flip in range(1_000):
         damaged = bytearray(payload)
         for _ in range(rng.choice((1, 1, 1, 2, 8))):
             damaged[rng.randrange(len(damaged))] ^= 1 << rng.randrange(8)
         try:
-            decoded = decode_batch(bytes(damaged), table, SAMPLE_QUERIES)
+            decoded = decode_batch(bytes(damaged), table, queries)
         except EventLogError:
             continue
         survivors += 1
@@ -747,9 +925,105 @@ def test_a_thousand_bit_flips_of_a_flag_bit_2_record():
         if damaged[5] & FLAG_DELTA:
             # Kinds and old values came from the table and the map, so they
             # take it back.
-            assert decode_batch(
-                encode_batch(decoded, table, SAMPLE_QUERIES), table, SAMPLE_QUERIES
-            ) == decoded
+            assert decode_batch(encode_batch(decoded, table, queries), table, queries) == decoded
         elif damaged[5] & FLAG_OLD_FROM_TABLE:
             assert decode_batch(encode_batch(decoded, table), table) == decoded
     assert survivors
+
+
+#: ``sample_table_and_batch``'s batch against ``SAMPLE_QUERIES`` as the
+#: flag-bit-2 writer of an earlier release wrote it (flags ``0x07``).
+FLAG_BIT_2_SAMPLE = bytes.fromhex(
+    "52505542030729000000000000000400000004000000020000000801000000000000"
+    "000200000000000000000000000001000003000000000000000b0801000000000000"
+    "0005000000000000000000000000010000870700000000000038000000000000f03f"
+    "0000000000000801646566fb0701020303870833333333333303000000000000e03f"
+    "000000000000e03f060201040201020000000000000000000000000000000100000001"
+    "019a9999999999b93f010304870000000000000d000000000000f07f"
+)
+
+
+def test_a_thousand_bit_flips_of_a_flag_bit_2_record():
+    table, batch = sample_table_and_batch()
+    payload = FLAG_BIT_2_SAMPLE
+    assert payload[5] == FLAG_NORMALIZED | FLAG_OLD_FROM_TABLE | FLAG_DELTA
+    assert decode_batch(payload, table, SAMPLE_QUERIES) == batch
+    _survives_bit_flips(payload, table, SAMPLE_QUERIES, "wal-record-delta-fuzz")
+
+
+def test_a_thousand_bit_flips_of_a_flag_bit_3_record():
+    """The sample batch plus a move of each code: same edge, a near one, an escape."""
+    table, batch = sample_table_and_batch()
+    table.insert_object(4, L(6, 0.5))
+    table.insert_object(5, L(7, 0.5))
+    batch.object_updates += [
+        ObjectUpdate(4, L(6, 0.5), L(9, 0.5)),
+        ObjectUpdate(5, L(7, 0.5), L(8, 0.125)),
+    ]
+    payload = encode_batch(batch._mark_net(), table, SAMPLE_QUERIES)
+    assert payload[5] == FLAG_NORMALIZED | FLAGS_WAL
+    _survives_bit_flips(payload, table, SAMPLE_QUERIES, "wal-record-near-fuzz")
+
+
+@pytest.mark.parametrize(
+    "damage, complaint",
+    [
+        # edge 3's neighbourhood holds two edges
+        (lambda record: record.replace(b"\x02\x0f", b"\x03\x0f", 1), "past the neighbourhood"),
+        (lambda record: record.replace(b"\x02\x0f", b"\x02\xff", 1), "padding nibble"),
+        # the same edge becomes an escape: the absolute column is one short
+        (lambda record: record.replace(b"\x02\x0f", b"\xf2\x0f", 1), None),
+        # the escape becomes the same edge: the absolute column is one long
+        (lambda record: record.replace(b"\x02\x0f", b"\x02\x00", 1), None),
+    ],
+    ids=["code past the neighbourhood", "padding nibble", "escapes too short", "escapes too long"],
+)
+def test_a_damaged_edge_code_column_is_refused(damage, complaint):
+    table, batch = near_layout_table_and_batch()
+    queries = {100: L(2, 0.5)}
+    record = encode_batch(batch, table, queries)
+    damaged = damage(record)
+    assert damaged != record
+    with pytest.raises(EventLogError, match=complaint):
+        decode_batch(damaged, table, queries)
+
+
+def test_flag_bit_3_needs_bit_2():
+    table, _ = sample_table_and_batch()
+    with pytest.raises(EventLogError, match="0x08 without 0x04"):
+        decode_batch(header(flags=FLAG_OLD_FROM_TABLE | FLAG_NEAR), table, {})
+    with pytest.raises(EventLogError, match="unknown flag bits 0x1e"):
+        decode_batch(header(flags=FLAGS_WAL | 0x10), table, {})
+
+
+# ----------------------------------------------------------------------
+# the byte budget
+# ----------------------------------------------------------------------
+#: ``events.log`` of twenty ``hotspot`` ticks (seed 21, a 200-edge city,
+#: 508 net updates): 16 B of file header and record frames per tick plus
+#: the records.  Flag bits 1 + 2 wrote 6,252 B; flag bit 3 adds a 4-bit
+#: code to each of the preset's 356 moves and drops the edge id of the 101
+#: that stay on their edge or move to a near one, but the other 255 jump
+#: to a far edge and escape.
+WAL_BUDGET_BYTES = 6_259
+
+
+def test_the_wal_byte_budget_of_a_fixed_scenario(tmp_path):
+    """The exact size of a fixed run's log, so a codec change that grows it fails here.
+
+    Change the figure only together with the log format, and say by how
+    much and why where the change is recorded.
+    """
+    from repro.service.faults import build_scenario_server
+    from repro.testing.scenarios import ScenarioEngine, resolve_scenario
+
+    server = build_scenario_server("hotspot", 21, 200, "IMA", None)
+    engine = ScenarioEngine(city_network(200, seed=22), resolve_scenario("hotspot"), seed=21)
+    durable = DurableMonitoringServer(server, tmp_path / "d", checkpoint_every=None, sync=False)
+    try:
+        for timestamp in range(20):
+            server.apply_updates(engine.batch(timestamp))
+            durable.tick()
+    finally:
+        durable.close()
+    assert (tmp_path / "d" / "events.log").stat().st_size == WAL_BUDGET_BYTES

@@ -17,7 +17,14 @@ Properties of the log the durable server writes against its edge table
   pending termination and a pending spec-changing move already in them
   (``tests/data/wal-flag02``): same results, and the same state apart from
   the dynamic section's version byte, which tells the two query-map forms
-  apart.
+  apart;
+* so does one whose records write every new edge in full (flags ``0x07``,
+  ``tests/data/wal-flag04``): moves along an edge, to a near one and to a
+  far one, appearances and spec changes recover, continue byte for byte
+  and, with the new records after them, recover from genesis to the same
+  state;
+* a recovery from the genesis checkpoint alone keeps the query maps in the
+  order the live run left them, on every serving path.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ import sys
 import pytest
 
 import repro
-from repro import DurableMonitoringServer, city_network, decode_batch
+from repro import DurableMonitoringServer, MonitoringServer, QuerySpec, city_network, decode_batch
 from repro.core.events import apply_batch
 from repro.core.server import load_snapshot, restore_server
 from repro.core.sharding import ShardedMonitoringServer
@@ -46,6 +53,7 @@ from repro.testing.scenarios import ScenarioEngine, resolve_scenario
 FLAG_OLD_FROM_TABLE = 0x02
 FIXTURE = pathlib.Path(__file__).parent / "data" / "rpckpt05"
 FLAG02_FIXTURE = pathlib.Path(__file__).parent / "data" / "wal-flag02"
+FLAG04_FIXTURE = pathlib.Path(__file__).parent / "data" / "wal-flag04"
 SCENARIO, SEED, EDGES = "mixed-stress", 8, 120
 
 
@@ -258,13 +266,149 @@ def test_a_log_of_flag_0x02_records_and_a_pending_query_checkpoint_recovers(tmp_
     assert state[5:] == expected_state[5:]
     after = read_event_log(data_dir / "events.log")
     assert after[:6] == logged
-    assert len(after) == 9 and all(p[5] == 0x07 for p in after[6:])
-    # ... and the mixed log recovers from its genesis checkpoint, too.
+    assert len(after) == 9 and all(p[5] == 0x0F for p in after[6:])
+    # ... and the mixed log recovers from its genesis checkpoint, too, to
+    # the same state: a same-tick terminate + reinstall (query 900003 at
+    # ticks 2 and 7) moves the query to the end of the maps on replay as
+    # it did live.
     for path in sorted((data_dir / "checkpoints").glob("ckpt-*.bin"))[1:]:
         path.unlink()
     again = DurableMonitoringServer.recover(data_dir, checkpoint_every=None)
     try:
         assert again.recovered_ticks == 9 and again.current_timestamp == 9
         assert _results_as_json(again.results()) == expected["9"]
+        assert again.server.snapshot_state(static=False) == state
     finally:
         again.close()
+
+
+def test_a_log_of_flag_0x04_records_recovers_and_continues_byte_for_byte(tmp_path):
+    """``tests/data/wal-flag04``: every new edge written in full, as an earlier release did."""
+    data_dir = tmp_path / "data"
+    shutil.copytree(FLAG04_FIXTURE / "data", data_dir)
+    logged = read_event_log(data_dir / "events.log")
+    assert len(logged) == 6 and all(p[5] == 0x07 for p in logged)
+    # Every record after the first moves the fixture's objects along their
+    # edge, to an edge that shares an endpoint and to a far one.
+    initial = load_initial_state(data_dir)
+    queries = {query_id: location for query_id, (location, _) in initial.queries.items()}
+    kinds = []
+    for payload in logged:
+        batch = decode_batch(payload, initial.edge_table, queries)
+        store = initial.network.columns
+        for update in batch.object_updates:
+            if update.object_id in (800_001, 800_002, 800_003) and update.old_location:
+                old, new = update.old_location.edge_id, update.new_location.edge_id
+                near = store.near_edges(store.index_of_edge(old), 14)
+                kinds.append(
+                    "same" if new == old
+                    else "near" if store.index_of_edge(new) in near
+                    else "far"
+                )
+        for update in batch.query_updates:
+            if update.is_termination:
+                del queries[update.query_id]
+            else:
+                queries[update.query_id] = update.new_location
+        apply_batch(initial.network, initial.edge_table, batch)
+    assert kinds == ["same", "near", "far"] * 5  # tick 0 is their appearance
+    expected = json.loads((FLAG04_FIXTURE / "expected.json").read_text())
+
+    recovered = DurableMonitoringServer.recover(data_dir, checkpoint_every=None)
+    try:
+        assert recovered.recovered_ticks == 2 and recovered.current_timestamp == 6
+        for payload in read_event_log(FLAG04_FIXTURE / "continuation.log"):
+            recovered.server.apply_updates(decode_batch(payload))
+            recovered.tick()
+            assert _results_as_json(recovered.results()) == expected[
+                str(recovered.current_timestamp)
+            ]
+        state = recovered.server.snapshot_state(static=False)
+    finally:
+        recovered.close()
+    assert state == (FLAG04_FIXTURE / "expected-state.bin").read_bytes()
+    after = read_event_log(data_dir / "events.log")
+    assert after[:6] == logged
+    assert len(after) == 9 and all(p[5] == 0x0F for p in after[6:])
+    # ... and the mixed log recovers from its genesis checkpoint to the same state.
+    again = DurableMonitoringServer.recover(
+        _genesis_copy(data_dir, tmp_path / "genesis"), checkpoint_every=None
+    )
+    try:
+        assert again.recovered_ticks == 9 and again.current_timestamp == 9
+        assert again.server.snapshot_state(static=False) == state
+    finally:
+        again.close()
+
+
+def _genesis_copy(data_dir, target):
+    """A copy of *data_dir* with every checkpoint but the genesis one removed."""
+    shutil.copytree(data_dir, target)
+    for path in sorted((target / "checkpoints").glob("ckpt-*.bin"))[1:]:
+        path.unlink()
+    return target
+
+
+def _query_maps(server):
+    """The applied query maps in their order, as a snapshot pickles them."""
+    return list(server.applied_query_locations.items()), list(server._query_specs.items())
+
+
+def test_a_genesis_recovery_keeps_the_live_query_order(serve, tmp_path):
+    """Query churn on every serving path, then the log replayed from genesis.
+
+    A same-tick terminate + reinstall reaches the log as one move that
+    carries the new spec (``UpdateBatch.normalized``), and the live run
+    put the reinstalled query last; replaying the log must put it there
+    too.  A durable twin ticking in place writes the log: a copy of its
+    data directory recovered from genesis alone must snapshot to the
+    twin's bytes, and hold the query maps, in order, that the server on
+    the path under test holds.  (A restored or replayed server's snapshot
+    bytes differ from an in-place one's for reasons of their own: set
+    order after unpickling, and equal objects the decoded batch no longer
+    shares with the maps.)
+    """
+    network = city_network(60, seed=3)
+    edges = sorted(network.edge_ids())
+
+    def at(index, fraction):
+        return NetworkLocation(edges[index], fraction)
+
+    def fresh():
+        server = MonitoringServer(network.copy(), "ima")
+        for object_id in range(8):
+            server.add_object(object_id, at(3 * object_id, 0.5))
+        for query_id in (100, 101, 102):
+            server.add_query(query_id, at(query_id - 90, 0.25), 2)
+        return server
+
+    live = serve(fresh())
+    twin = DurableMonitoringServer(fresh(), tmp_path / "log", checkpoint_every=2, sync=False)
+    churn = [
+        lambda s: (s.remove_query(100), s.add_query(100, at(20, 0.5), 3)),
+        lambda s: (s.move_query(101, at(21, 0.75)), s.move_object(0, at(1, 0.5))),
+        # the same spec again: the logged move carries an unchanged spec
+        lambda s: (s.remove_query(101), s.add_query(101, at(22, 0.5), 2)),
+        lambda s: (s.remove_query(102), s.add_query(103, at(23, 0.5), QuerySpec.range(40.0))),
+        lambda s: (s.remove_query(100), s.add_query(100, at(24, 0.125), 3)),
+    ]
+    try:
+        for step in churn:
+            step(live)
+            step(twin.server)
+            live.tick()
+            twin.tick()
+        assert [query_id for query_id, _ in _query_maps(live)[0]] == [101, 103, 100]
+        recovered = DurableMonitoringServer.recover(
+            _genesis_copy(tmp_path / "log", tmp_path / "copy"), checkpoint_every=None
+        )
+        try:
+            assert recovered.recovered_ticks == len(churn)
+            state = recovered.server.snapshot_state(static=False)
+            assert state == twin.server.snapshot_state(static=False)
+            assert _query_maps(recovered.server) == _query_maps(live)
+            assert recovered.results() == live.results()
+        finally:
+            recovered.close()
+    finally:
+        twin.close()
